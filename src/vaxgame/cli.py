@@ -137,25 +137,15 @@ def svg_line_chart(path: Path, xs, series: dict[str, list], title: str,
 
 def _sweep_point(cfg: ScenarioConfig, idx: int, value: float) -> ReportRow:
     t0 = time.perf_counter()
-    seed = cfg.seed * 100_003 + idx
-    g_star = u_star = np_g = psi_e = None
-    zb = None
-
+    gc, delta = cfg.game_cfg, cfg.delta
     if cfg.sweep_var in ("zbar", "delta", "sigma2"):
-        gc = cfg.game_cfg
-        delta = cfg.delta
+        zb = gc.z_bar
         if cfg.sweep_var == "zbar":
             zb = int(value)
         elif cfg.sweep_var == "delta":
-            zb = gc.z_bar
             delta = float(value)
         else:
-            zb = gc.z_bar
             gc = dataclasses.replace(gc, xi_sigma2=float(value))
-        mode = leader.PERFECT_INFO if gc.xi_sigma2 == 0.0 else leader.MONTE_CARLO
-        smp = leader.ExpectationSampler(mode=mode, n_samples=cfg.samples, seed=seed)
-        sol = leader.solve_optimal_incentive(zb, leader.LeaderProblem(delta, gc, smp))
-        g_star, u_star, np_g = sol.g_star, sol.u_star, sol.np_at_g
         psi_e = epidemic.psi_eradicating(cfg.nu, cfg.disease.b)
     else:
         dis, costs = cfg.disease, cfg.costs
@@ -164,20 +154,17 @@ def _sweep_point(cfg: ScenarioConfig, idx: int, value: float) -> ReportRow:
             dis = DiseaseParams(lam=rho * (dis.r + dis.b), r=dis.r, b=dis.b, d=dis.d)
         else:
             costs = dataclasses.replace(costs, s=float(value))
-        k_star, _ = leader.vaccine_optimal_k(costs, dis, cfg.game_cfg.m)
-        zb = k_star
-        design = leader.construct_eps_vaccine_optimal_nu(
-            k_star, 1e-3, costs, dis, cfg.game_cfg.m)
+        zb, _ = leader.vaccine_optimal_k(costs, dis, gc.m)
+        design = leader.construct_eps_vaccine_optimal_nu(zb, 1e-3, costs, dis, gc.m)
         psi_e = design.psi_e_achieved
-        gc = dataclasses.replace(cfg.game_cfg, z_bar=k_star)
-        mode = leader.PERFECT_INFO if gc.xi_sigma2 == 0.0 else leader.MONTE_CARLO
-        smp = leader.ExpectationSampler(mode=mode, n_samples=cfg.samples, seed=seed)
-        sol = leader.solve_optimal_incentive(k_star,
-                                             leader.LeaderProblem(cfg.delta, gc, smp))
-        g_star, u_star, np_g = sol.g_star, sol.u_star, sol.np_at_g
+        gc = dataclasses.replace(gc, z_bar=zb)
 
-    return ReportRow(float(value), g_star, u_star, zb, psi_e, np_g,
-                     (time.perf_counter() - t0) * 1e3)
+    mode = leader.PERFECT_INFO if gc.xi_sigma2 == 0.0 else leader.MONTE_CARLO
+    smp = leader.ExpectationSampler(mode=mode, n_samples=cfg.samples,
+                                    seed=cfg.seed * 100_003 + idx)
+    sol = leader.solve_optimal_incentive(zb, leader.LeaderProblem(delta, gc, smp))
+    return ReportRow(float(value), sol.g_star, sol.u_star, zb, psi_e,
+                     sol.np_at_g, (time.perf_counter() - t0) * 1e3)
 
 
 def run_scenario(cfg: ScenarioConfig) -> Path:
@@ -457,6 +444,8 @@ def cmd_analyze_ess(args) -> int:
 def cmd_solve_influencer_game(args) -> int:
     if args.zbar is None:
         raise ConfigError("--zbar is required for solve-influencer-game")
+    if args.samples < 1:
+        raise ConfigError("--samples must be at least 1")
     cfg = _game_cfg_from(args, args.zbar)
     path = game.sample_cost_path(cfg, args.seed)
     c_final = path.final()
@@ -472,8 +461,8 @@ def cmd_solve_influencer_game(args) -> int:
         "p_at_sampled_path": p,
         "p_mean": float(np.mean(game.p_from_gamma_vec(
             args.g0,
-            leader.ExpectationSampler(n_samples=args.samples,
-                                      seed=args.seed).gamma_draws(cfg),
+            game.final_gamma_draws(cfg, np.random.default_rng(args.seed),
+                                   args.samples),
             args.zbar, cfg))),
         "histogram_csv": str(out)}, indent=2))
     return 0
@@ -493,8 +482,7 @@ def cmd_optimize_leader(args) -> int:
     mode = leader.PERFECT_INFO if args.mode == "perfect" else leader.MONTE_CARLO
     smp = leader.ExpectationSampler(mode=mode, n_samples=args.samples,
                                     seed=args.seed)
-    prob = leader.LeaderProblem(args.delta, cfg, smp, costs=costs, disease=dis)
-    sol = leader.solve_optimal_incentive(zb, prob)
+    sol = leader.solve_optimal_incentive(zb, leader.LeaderProblem(args.delta, cfg, smp))
     print(json.dumps(sol.to_dict(), indent=2))
     sweep = Path(args.csv)
     new = not sweep.exists()
@@ -662,12 +650,13 @@ def main(argv=None) -> int:
             argv = argv[:i] + argv[i + 2:] + extra
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InsufficientInfluenceError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # ConfigError and every parameter check of the library objects
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except SystemExit as exc:
         # argparse failures (unknown flags, bad values) land here
         return 2 if exc.code not in (0, None) else 0

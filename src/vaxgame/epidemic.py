@@ -221,10 +221,6 @@ class IntegrationResult:
     converged: bool
     message: str
 
-    @property
-    def trajectory(self) -> np.ndarray:
-        return self.states
-
 
 def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
                              nu: VaRatePolicy, beta: ResponseParams,
@@ -303,10 +299,13 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     clock and the ODE clock agree (k0 ~ N0/eta0).
 
     Extinction (N = 0) stops the run with a flag. Reproducible from seed.
+    With n_events = 0 the trajectory is the initial point alone.
     """
     s, v, i, n = (int(x) for x in initial_counts)
     if n < 1 or s + v + i != n or min(s, v, i) < 0:
         raise ValueError("counts must be nonnegative with S+V+I == N >= 1")
+    if n_events < 0:
+        raise ValueError("n_events must be nonnegative")
     rng = np.random.default_rng(seed)
 
     if eta0 is None:
@@ -385,7 +384,8 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
 
     return JumpTrajectory(np.array(rec_t), np.array(rec_theta),
                           np.array(rec_psi), np.array(rec_eta),
-                          extinct=extinct, events=min(n_events, step + 1),
+                          extinct=extinct,
+                          events=step + 1 if extinct else n_events,
                           seed=seed)
 
 

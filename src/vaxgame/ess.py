@@ -49,6 +49,27 @@ def _side_effect_term(psi: float, costs: PublicCostModel) -> float:
     return min(costs.c_v2_bar, costs.c_v2 / psi)
 
 
+def _h_iv_only(z: int, nu: VaRatePolicy, costs: PublicCostModel,
+               disease: DiseaseParams, m: int) -> tuple[float, float]:
+    """(h_i, h_v): the gaps at the non-vaccinating and eradicating limits."""
+    if m < 1 or not 0 <= z <= m:
+        raise ValueError("need m >= 1 and z in 0..m")
+    share = 1.0 - z / m
+    cf = costs.c_f(z)
+    h_i = (costs.c_v1 + share * costs.c_v2_bar
+           - _infection_term(disease.theta_star, nu.nu_b, disease.lam,
+                             costs.c_i) - cf)
+    h_v = costs.c_v1 + share * _side_effect_term(
+        psi_eradicating(nu, disease.b), costs) - cf
+    return h_i, h_v
+
+
+def _eradicates(h_i: float, h_v: float) -> bool:
+    """Eradication is certain: vaccinating is strictly preferred at the
+    eradicating limit and weakly at the non-vaccinating one."""
+    return h_i <= 0.0 and h_v < 0.0
+
+
 def h_values(z: int, nu: VaRatePolicy, costs: PublicCostModel,
              disease: DiseaseParams, m: int) -> tuple[float, float, float]:
     """Utility gaps (h_i, h_v, h_v_o) of vaccinating at the three candidate
@@ -59,23 +80,12 @@ def h_values(z: int, nu: VaRatePolicy, costs: PublicCostModel,
     strictly preferred there. Raises when rho <= 1 (no endemic limit) or
     when the co-occurring limit does not exist (b*rho - nu_e <= 0).
     """
-    if not 0 <= z <= m:
-        raise ValueError("z must lie in 0..m")
-    theta_star = disease.theta_star
-    share = 1.0 - z / m
-    cf = costs.c_f(z)
-
-    h_i = (costs.c_v1 + share * costs.c_v2_bar
-           - _infection_term(theta_star, nu.nu_b, disease.lam, costs.c_i) - cf)
-
-    psi_e = psi_eradicating(nu, disease.b)
-    h_v = costs.c_v1 + share * _side_effect_term(psi_e, costs) - cf
-
+    h_i, h_v = _h_iv_only(z, nu, costs, disease, m)
     psi_o = psi_co_occurring(nu, disease)
-    theta_o = theta_star - psi_o
-    h_v_o = (costs.c_v1 + share * _side_effect_term(psi_o, costs)
+    theta_o = disease.theta_star - psi_o
+    h_v_o = (costs.c_v1 + (1.0 - z / m) * _side_effect_term(psi_o, costs)
              - _infection_term(theta_o, nu.rate(psi_o), disease.lam, costs.c_i)
-             - cf)
+             - costs.c_f(z))
     return h_i, h_v, h_v_o
 
 
@@ -159,22 +169,11 @@ def classify_esss(z: int, nu: VaRatePolicy, costs: PublicCostModel,
             psi_o = psi_co_occurring(nu, disease)
             witness["co_occurring"] = f"beta > 1/psi_o = {1.0 / psi_o:.6g}"
 
-    erad = int(h_i <= 0.0 and h_v < 0.0 and bool(adm))
+    erad = int(_eradicates(h_i, h_v) and bool(adm))
     return EssReport(z, h_i, h_v, h_v_o,
                      frozenset(stable) if stable else frozenset({"none"}),
                      eradication_conditional=erad, admissibility=adm,
                      beta_witness=witness)
-
-
-def _h_iv_only(z, nu, costs, disease, m):
-    theta_star = disease.theta_star
-    share = 1.0 - z / m
-    cf = costs.c_f(z)
-    h_i = (costs.c_v1 + share * costs.c_v2_bar
-           - _infection_term(theta_star, nu.nu_b, disease.lam, costs.c_i) - cf)
-    h_v = costs.c_v1 + share * _side_effect_term(
-        psi_eradicating(nu, disease.b), costs) - cf
-    return h_i, h_v
 
 
 def eradication_probability(z: int, nu: VaRatePolicy, costs: PublicCostModel,
@@ -182,8 +181,7 @@ def eradication_probability(z: int, nu: VaRatePolicy, costs: PublicCostModel,
     """Conditional certainty of complete eradication given Z = z (0 or 1)."""
     if not is_admissible(nu, disease):
         return 0
-    h_i, h_v = _h_iv_only(z, nu, costs, disease, m)
-    return int(h_i <= 0.0 and h_v < 0.0)
+    return int(_eradicates(*_h_iv_only(z, nu, costs, disease, m)))
 
 
 def eradication_threshold(nu: VaRatePolicy, costs: PublicCostModel,
@@ -201,7 +199,6 @@ def eradication_threshold(nu: VaRatePolicy, costs: PublicCostModel,
     if not status:
         raise ValueError(f"policy is not admissible ({status.value})")
     for z in range(m + 1):
-        h_i, h_v = _h_iv_only(z, nu, costs, disease, m)
-        if h_v < 0.0 and h_i <= 0.0:
+        if _eradicates(*_h_iv_only(z, nu, costs, disease, m)):
             return z
     raise AssertionError("unreachable: h_i(m) < h_v(m) < 0 under A.1")

@@ -21,7 +21,8 @@ import numpy as np
 from scipy.special import bdtr, ndtr
 from scipy.stats import binom as _binom
 
-MIXED_ROOT_ITERS = 200
+# Grid size of the interpolated binomial CDF behind the vectorized p(g, .).
+CDF_TABLE_POINTS = 4097
 
 
 class NotMixedRegimeError(ValueError):
@@ -71,6 +72,8 @@ class XiModel:
         if self.values is not None:
             if any(v < 0 for v in self.values):
                 raise ValueError("xi support must be nonnegative")
+            if not all(0.0 <= q <= 1.0 for q in self.probs):
+                raise ValueError("probs must lie in [0, 1]")
             if abs(sum(self.probs) - 1.0) > 1e-12:
                 raise ValueError("probs must sum to 1")
 
@@ -155,6 +158,10 @@ class InfluencerGameConfig:
             raise ValueError("z_bar must lie in 1..m")
         if self.c_se_1 < 0:
             raise ValueError("c_se_1 must be nonnegative")
+        if not (math.isfinite(self.c_v) and math.isfinite(self.c_i)):
+            raise ValueError("c_v and c_i must be finite")
+        if self.c_i <= 0:
+            raise ValueError("c_i must be positive")
         if self.incentives is not None:
             inc = tuple(float(v) for v in self.incentives)
             if len(inc) != self.z_bar:
@@ -213,6 +220,23 @@ def gamma(t: int, c: float, cfg: InfluencerGameConfig) -> float:
     return (t / T) * c + ((T - t) / T) * cfg.e_xi
 
 
+def final_gamma_draws(cfg: InfluencerGameConfig, rng: np.random.Generator,
+                      size: int, t: int = 1, c: float | None = None
+                      ) -> np.ndarray:
+    """`size` draws of Gamma_{T-1}(C_{T-1}) given C_t = c (default C_1 = c_se_1).
+
+    C_{T-1} = (t c + xi_{t+1} + ... + xi_{T-1}) / (T-1), so each draw sums
+    T-1-t fresh data values taken from rng.
+    """
+    T = cfg.t_horizon
+    c = cfg.c_se_1 if c is None else c
+    steps = T - 1 - t
+    sums = cfg.xi.sample(rng, (size, steps)).sum(axis=1) if steps > 0 \
+        else np.zeros(size)
+    c_final = (t * c + sums) / (T - 1)
+    return ((T - 1) / T) * c_final + cfg.e_xi / T
+
+
 def binom_cdf(l: int, m: int, p) -> float | np.ndarray:
     """P(Bin(l, p) <= m), the standard lower tail summed from zero."""
     if l < 0:
@@ -227,24 +251,37 @@ def binom_cdf(l: int, m: int, p) -> float | np.ndarray:
     return float(out) if np.ndim(p) == 0 else out
 
 
-def _mixed_root(w: float, trials: int, successes: int) -> float:
-    """Unique p in (0,1) with binom_cdf(trials, successes, p) = w in (0,1).
+def bisect_decreasing(f, target: float, lo: float, hi: float, atol: float,
+                      rtol: float = 0.0) -> float:
+    """Root of a non-increasing f(x) = target, bisected on [lo, hi].
 
-    Plain bisection; the map is strictly decreasing so the bracket never
-    breaks, and MIXED_ROOT_ITERS halvings push the residual to float
-    precision. Hot path: hits the cdf ufunc directly.
+    The caller supplies f(lo) > target >= f(hi); the bracket keeps that
+    invariant, so a monotone f never loses the root. Halving stops once
+    hi - lo <= max(atol, rtol |hi|), after 200 halvings, or when the
+    midpoint no longer splits the bracket in floating point (further
+    halvings would return that same midpoint).
     """
-    trials, successes = int(trials), int(successes)
-    lo, hi = 0.0, 1.0
-    for _ in range(MIXED_ROOT_ITERS):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if bdtr(successes, trials, mid) > w:
+        if not lo < mid < hi:
+            return mid
+        if f(mid) > target:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-17:
+        if hi - lo <= atol or hi - lo <= rtol * abs(hi):
             break
     return 0.5 * (lo + hi)
+
+
+def _mixed_root(w: float, trials: int, successes: int) -> float:
+    """Unique p in (0,1) with binom_cdf(trials, successes, p) = w in (0,1).
+
+    The cdf is strictly decreasing in p, so bisection on [0, 1] pushes the
+    residual to float precision. Hot path: hits the cdf ufunc directly.
+    """
+    return bisect_decreasing(functools.partial(bdtr, int(successes), int(trials)),
+                             w, 0.0, 1.0, atol=1e-17)
 
 
 def solve_mixed_probability(z: int, c: float, g_z: float,
@@ -291,21 +328,13 @@ def ne_outcome_probability(g: float, c: float, z_bar: int,
 
 
 @functools.lru_cache(maxsize=64)
-def _cdf_grid(trials: int, successes: int,
-              points: int) -> tuple[np.ndarray, np.ndarray]:
-    p = np.linspace(0.0, 1.0, points)
+def _cdf_grid(trials: int, successes: int) -> tuple[np.ndarray, np.ndarray]:
+    p = np.linspace(0.0, 1.0, CDF_TABLE_POINTS)
     f = bdtr(int(successes), int(trials), p)
     return p, f
 
 
-def _inverse_cdf_table(trials: int, successes: int,
-                       points: int) -> tuple[np.ndarray, np.ndarray]:
-    p, f = _cdf_grid(trials, successes, points)
-    return f[::-1], p[::-1]
-
-
-def binom_cdf_vec_interp(l: int, m: int, p: np.ndarray,
-                         table_points: int = 4097) -> np.ndarray:
+def binom_cdf_vec_interp(l: int, m: int, p: np.ndarray) -> np.ndarray:
     """Interpolated lower tail of Bin(l, .) over an array of probabilities.
 
     Trades ~1e-7 absolute accuracy for a single table lookup; used in the
@@ -315,13 +344,12 @@ def binom_cdf_vec_interp(l: int, m: int, p: np.ndarray,
         return np.zeros_like(p, dtype=float)
     if m >= l:
         return np.ones_like(p, dtype=float)
-    grid, f = _cdf_grid(l, m, table_points)
+    grid, f = _cdf_grid(l, m)
     return np.interp(p, grid, f)
 
 
 def p_from_gamma_vec(g: float, gams: np.ndarray, z_bar: int,
-                     cfg: InfluencerGameConfig,
-                     table_points: int = 4097) -> np.ndarray:
+                     cfg: InfluencerGameConfig) -> np.ndarray:
     """Vectorized p(g, .) over an array of Gamma values.
 
     Interior solutions come from a monotone interpolation table of the
@@ -333,8 +361,8 @@ def p_from_gamma_vec(g: float, gams: np.ndarray, z_bar: int,
     if z_bar == cfg.m:
         return (gams < g - cfg.c_v + cfg.c_i).astype(float)
     w = (cfg.c_v + gams - g) / cfg.c_i
-    f_desc, p_desc = _inverse_cdf_table(cfg.m - 1, z_bar - 1, table_points)
-    p = np.interp(w, f_desc, p_desc)
+    grid, f = _cdf_grid(cfg.m - 1, z_bar - 1)
+    p = np.interp(w, f[::-1], grid[::-1])
     p[w <= 0.0] = 1.0
     p[w >= 1.0] = 0.0
     return p
@@ -364,9 +392,10 @@ class StageActionSet:
         return self.pure + self.mixed
 
 
-def _find_mix_roots(target: float, rhs, lo_grid: int = 129) -> tuple[float, ...]:
-    """Interior roots of rhs(p) = target by bracketed bisection on a grid."""
-    ps = np.linspace(0.0, 1.0, lo_grid)
+def _find_mix_roots(target: float, rhs) -> tuple[float, ...]:
+    """Interior roots of rhs(p) = target, bisected inside each grid cell
+    where rhs - target changes sign."""
+    ps = np.linspace(0.0, 1.0, 129)
     vals = np.array([rhs(p) for p in ps]) - target
     roots = []
     for a, b, fa, fb in zip(ps[:-1], ps[1:], vals[:-1], vals[1:]):
@@ -374,19 +403,9 @@ def _find_mix_roots(target: float, rhs, lo_grid: int = 129) -> tuple[float, ...]
             roots.append(float(a))
             continue
         if fa * fb < 0.0:
-            lo, hi = a, b
-            flo = fa
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = rhs(mid) - target
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm > 0) == (flo > 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            r = 0.5 * (lo + hi)
+            sign = 1.0 if fa > 0.0 else -1.0
+            r = bisect_decreasing(lambda p: sign * rhs(p), sign * target,
+                                  a, b, atol=0.0)
             if 0.0 < r < 1.0:
                 roots.append(float(r))
     return tuple(roots)
@@ -550,18 +569,13 @@ class SpecialStrategy:
         cfg = self.cfg
         if z >= cfg.z_bar:
             return 0.0
-        steps = cfg.t_horizon - 1 - t
-        xi_v, xi_w = self._xi_nodes
-        if len(xi_v) == 1:
-            csum = t * c + steps * xi_v[0]
-            cf = csum / (cfg.t_horizon - 1)
-            return min(cfg.c_v + gamma(cfg.t_horizon - 1, cf, cfg) - cfg.g(z),
-                       cfg.c_i)
-        rng = np.random.default_rng(cfg.xi_seed + 7)
-        sums = cfg.xi.sample(rng, (max(cfg.n_xi_nodes, 4096), steps)).sum(axis=1)
-        cf = (t * c + sums) / (cfg.t_horizon - 1)
         T = cfg.t_horizon
-        gm = ((T - 1) / T) * cf + cfg.e_xi / T
+        xi_v = self._xi_nodes[0]
+        if len(xi_v) == 1:
+            cf = (t * c + (T - 1 - t) * xi_v[0]) / (T - 1)
+            return min(cfg.c_v + gamma(T - 1, cf, cfg) - cfg.g(z), cfg.c_i)
+        gm = final_gamma_draws(cfg, np.random.default_rng(cfg.xi_seed + 7),
+                               max(cfg.n_xi_nodes, 4096), t, c)
         return float(np.mean(np.minimum(cfg.c_v + gm - cfg.g(z), cfg.c_i)))
 
 
@@ -733,14 +747,9 @@ def sample_z_t(g: float, cfg: InfluencerGameConfig, seed: int,
                size: int = 1) -> np.ndarray:
     """Final vaccinated counts Z_T under the wait-and-watch outcome.
 
-    Each replicate draws an estimate path, evaluates p(g, C_{T-1}), and
-    draws Z_T ~ Bin(m, p).
+    Each replicate draws Gamma_{T-1}, evaluates p(g, .) there, and draws
+    Z_T ~ Bin(m, p).
     """
     rng = np.random.default_rng(seed)
-    steps = cfg.t_horizon - 2
-    sums = cfg.xi.sample(rng, (size, steps)).sum(axis=1) if steps > 0 \
-        else np.zeros(size)
-    c_final = (cfg.c_se_1 + sums) / (cfg.t_horizon - 1)
-    gams = ((cfg.t_horizon - 1) / cfg.t_horizon) * c_final + cfg.e_xi / cfg.t_horizon
-    ps = p_from_gamma_vec(g, gams, cfg.z_bar, cfg)
+    ps = p_from_gamma_vec(g, final_gamma_draws(cfg, rng, size), cfg.z_bar, cfg)
     return rng.binomial(cfg.m, ps)

@@ -9,6 +9,7 @@ breaks.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -16,7 +17,8 @@ import numpy as np
 
 from .epidemic import psi_eradicating
 from .ess import eradication_threshold, is_admissible
-from .game import (InfluencerGameConfig, binom_cdf, binom_cdf_vec_interp,
+from .game import (InfluencerGameConfig, _mixed_root, binom_cdf,
+                   binom_cdf_vec_interp, bisect_decreasing, final_gamma_draws,
                    p_from_gamma, p_from_gamma_vec)
 from .params import DiseaseParams, PublicCostModel, VaRatePolicy
 
@@ -47,6 +49,14 @@ class ExpectationSampler:
     seed: int = 0
     _cache: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        if self.mode not in (MONTE_CARLO, PERFECT_INFO):
+            raise ValueError(
+                f"mode must be {MONTE_CARLO!r} or {PERFECT_INFO!r}, "
+                f"got {self.mode!r}")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be at least 1")
+
     def c_infinity(self, cfg: InfluencerGameConfig) -> float:
         T = cfg.t_horizon
         return (cfg.c_se_1 + (T - 1) * cfg.e_xi) / T
@@ -57,15 +67,8 @@ class ExpectationSampler:
         key = (cfg.c_se_1, cfg.t_horizon, cfg.xi_mean, cfg.xi_sigma2,
                cfg.p0, cfg.xi_values, cfg.xi_probs, self.n_samples, self.seed)
         if key not in self._cache:
-            rng = np.random.default_rng(self.seed)
-            steps = cfg.t_horizon - 2
-            T = cfg.t_horizon
-            if steps > 0:
-                sums = cfg.xi.sample(rng, (self.n_samples, steps)).sum(axis=1)
-            else:
-                sums = np.zeros(self.n_samples)
-            c_final = (cfg.c_se_1 + sums) / (T - 1)
-            self._cache[key] = ((T - 1) / T) * c_final + cfg.e_xi / T
+            self._cache[key] = final_gamma_draws(
+                cfg, np.random.default_rng(self.seed), self.n_samples)
         return self._cache[key]
 
     def ci_halfwidth(self, delta: float) -> float:
@@ -79,8 +82,6 @@ class LeaderProblem:
     delta: float
     cfg: InfluencerGameConfig
     sampler: ExpectationSampler
-    costs: PublicCostModel | None = None
-    disease: DiseaseParams | None = None
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
@@ -140,6 +141,11 @@ def g_floor(cfg: InfluencerGameConfig) -> float:
     return max(cfg.c_v - cfg.c_i + (cfg.c_se_1 + cfg.e_xi) / T, 0.0)
 
 
+def _require_zbar(z_bar: int, cfg: InfluencerGameConfig) -> None:
+    if not 1 <= z_bar <= cfg.m:
+        raise ValueError(f"z_bar must lie in 1..{cfg.m}, got {z_bar}")
+
+
 def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolution:
     """Minimal incentive with non-eradication probability at most delta.
 
@@ -152,6 +158,7 @@ def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolutio
     if problem.sampler.mode == PERFECT_INFO:
         return perfect_info_solution(z_bar, problem)
     cfg, delta = problem.cfg, problem.delta
+    _require_zbar(z_bar, cfg)
 
     def np_at(g: float) -> float:
         return non_eradication_probability(g, z_bar, problem)
@@ -173,15 +180,7 @@ def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolutio
         raise BracketingError(
             f"N_P stayed above delta={delta} up to g={hi:.3g}")
 
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np_at(mid) > delta:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
-            break
-    g_star = 0.5 * (lo + hi)
+    g_star = bisect_decreasing(np_at, delta, lo, hi, atol=1e-12, rtol=1e-12)
     ps = _p_vec(g_star, problem.sampler.gamma_draws(cfg), z_bar, cfg)
     p_exp = float(np.mean(ps))
     return LeaderSolution(g_star, cfg.m * g_star * p_exp, z_bar, binding=True,
@@ -201,16 +200,7 @@ def p_star(k: int, m: int, delta: float) -> float:
         raise ValueError("delta must lie in (0, 1)")
     if k == m:
         return (1.0 - delta) ** (1.0 / m)
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if binom_cdf(m, k - 1, mid) > delta:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-17:
-            break
-    return 0.5 * (lo + hi)
+    return _mixed_root(delta, m, k - 1)
 
 
 def perfect_info_solution(z_bar: int, problem: LeaderProblem,
@@ -223,6 +213,7 @@ def perfect_info_solution(z_bar: int, problem: LeaderProblem,
     the infimum M (C_v + Gamma - C_i) by M*eps.
     """
     cfg, delta = problem.cfg, problem.delta
+    _require_zbar(z_bar, cfg)
     gam = problem.sampler.c_infinity(cfg)
     p0 = p_from_gamma(0.0, gam, z_bar, cfg)
     np0 = binom_cdf(cfg.m, z_bar - 1, p0)
@@ -261,7 +252,6 @@ def compare_across_zbar(problem: LeaderProblem, zbar_list, delta_list
     minimum sits at the extremes (all influencers or a single one), never
     in the middle.
     """
-    import dataclasses
     rows = []
     for delta in delta_list:
         prob = dataclasses.replace(problem, delta=delta)

@@ -56,11 +56,34 @@ class TestSubcommands:
         body = (tmp_path / "trajectory.csv").read_text()
         assert ",ode" in body and ",jump" in body
 
-    def test_entry_point_runs(self):
+    def test_simulate_zero_events(self, capsys, tmp_path):
+        code, out, _ = run_main(capsys, "simulate", "--n0", "2000",
+                                "--events", "0", "--outdir", str(tmp_path))
+        assert code == 0
+        assert json.loads(out)["events"] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize-leader", "--delta", "0", "--zbar", "40", "--csv", "{tmp}/s.csv"],
+        ["optimize-leader", "--zbar", "50", "--m", "40", "--csv", "{tmp}/s.csv"],
+        ["optimize-leader", "--zbar", "40", "--xi-var", "-1", "--csv", "{tmp}/s.csv"],
+        ["optimize-leader", "--zbar", "40", "--samples", "0", "--csv", "{tmp}/s.csv"],
+        ["solve-influencer-game", "--zbar", "40", "--samples", "0", "--outdir", "{tmp}"],
+        ["analyze-ess", "--m", "0"],
+        ["sweep", "--var", "zbar", "--grid", "0", "--outdir", "{tmp}"],
+        ["simulate", "--n0", "2000", "--events", "-1", "--outdir", "{tmp}"],
+    ])
+    def test_rejected_parameters_exit_2(self, capsys, tmp_path, argv):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        code, _, err = run_main(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
+
+    def test_entry_point_runs(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "vaxgame.cli", "optimize-leader",
              "--delta", "0.1", "--zbar", "1", "--mode", "perfect",
-             "--csv", "/tmp/_vg_cli_sweep.csv"],
+             "--csv", str(tmp_path / "sweep.csv")],
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["z_bar"] == 1

@@ -257,6 +257,18 @@ class TestJumpProcess:
         assert sup < 0.03
 
 
+def test_zero_events_gives_initial_point():
+    args = ((800, 100, 100, 1000), fig5_disease(), vg.VaRatePolicy(2.0, 1.0),
+            vg.ResponseParams(1.5))
+    traj = vg.simulate_jump_process(*args, seed=0, n_events=0, eta0=250.0)
+    assert traj.events == 0 and not traj.extinct
+    assert list(traj.t) == [0.0]
+    assert list(traj.theta) == [0.1] and list(traj.psi) == [0.1]
+    assert list(traj.eta) == [250.0]
+    with pytest.raises(ValueError):
+        vg.simulate_jump_process(*args, seed=0, n_events=-1)
+
+
 def test_trajectory_csv_roundtrip(tmp_path):
     dis = fig5_disease()
     nu, beta = vg.VaRatePolicy(2.0, 1.0), vg.ResponseParams(1.5)

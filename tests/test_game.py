@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import vaxgame as vg
 from vaxgame.game import (EAGER, WAIT_AND_WATCH, ConstructionError,
                           FunctionStrategy, NotMixedRegimeError, XiModel,
-                          _mixed_root, mutate_strategy, p_from_gamma,
-                          p_from_gamma_vec)
+                          _mixed_root, bisect_decreasing, final_gamma_draws,
+                          mutate_strategy, p_from_gamma, p_from_gamma_vec)
 
 
 def perfect_cfg(m=3, t=3, c_v=1.0, c_i=5.0, c=2.0, z_bar=2, g0=0.0):
@@ -104,6 +104,20 @@ class TestMixedProbability:
             w = rng.uniform(1e-6, 1 - 1e-6)
             p = _mixed_root(w, m - 1 - z, z_bar - 1 - z)
             assert abs(vg.binom_cdf(m - 1 - z, z_bar - 1 - z, p) - w) < 1e-10
+
+    @pytest.mark.parametrize("atol,rtol", [(1e-12, 0.0), (1e-3, 0.0),
+                                           (0.0, 1e-10)])
+    def test_bisection_keeps_bracket_and_tolerance(self, atol, rtol):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return 10.0 - x ** 3
+
+        root = bisect_decreasing(f, 2.0, 0.0, 5.0, atol=atol, rtol=rtol)
+        assert root == pytest.approx(2.0, abs=max(atol, rtol * 2.0) + 1e-15)
+        assert all(0.0 < x < 5.0 for x in seen)
+        assert len(seen) <= 200
 
     def test_root_approaches_one_as_target_vanishes(self):
         ps = [_mixed_root(w, 9, 4) for w in (1e-2, 1e-4, 1e-8)]
@@ -309,6 +323,25 @@ class TestSampling:
         b = vg.sample_z_t(1.0, cfg, seed=3, size=500)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("t,c", [(1, None), (4, 1.5), (18, 7.0), (19, 2.0)])
+    def test_final_gamma_draws_average_to_gamma(self, t, c):
+        # E[Gamma_{T-1} | C_t = c] = Gamma_t(c): the estimate is a martingale
+        cfg = fig_cfg(40)
+        draws = final_gamma_draws(cfg, np.random.default_rng(8), 40_000, t, c)
+        want = vg.gamma(t, cfg.c_se_1 if c is None else c, cfg)
+        se = np.std(draws) / math.sqrt(len(draws))
+        assert abs(np.mean(draws) - want) <= 4 * se + 1e-12
+
+    def test_sampler_and_z_t_share_the_draw(self):
+        cfg = fig_cfg(20, g0=1.0)
+        smp = vg.ExpectationSampler(n_samples=500, seed=3)
+        rng = np.random.default_rng(3)
+        assert np.array_equal(smp.gamma_draws(cfg),
+                              final_gamma_draws(cfg, rng, 500))
+        ps = p_from_gamma_vec(1.0, smp.gamma_draws(cfg), cfg.z_bar, cfg)
+        assert np.array_equal(vg.sample_z_t(1.0, cfg, seed=3, size=500),
+                              rng.binomial(cfg.m, ps))
+
     def test_martingale_of_terminal_estimate(self):
         cfg = fig_cfg(40)
         rng = np.random.default_rng(17)
@@ -351,6 +384,22 @@ def test_config_requires_positive_data_mean():
     with pytest.raises(ValueError):
         vg.InfluencerGameConfig(m=3, t_horizon=3, c_v=1.0, c_i=5.0,
                                 c_se_1=2.0, xi_mean=0.0, z_bar=2)
+
+
+@pytest.mark.parametrize("bad", [dict(c_v=math.nan), dict(c_v=math.inf),
+                                 dict(c_i=math.nan), dict(c_i=-math.inf),
+                                 dict(c_i=0.0), dict(c_i=-1.0)])
+def test_config_rejects_bad_costs(bad):
+    kw = dict(m=3, t_horizon=3, c_v=1.0, c_i=5.0, c_se_1=2.0, xi_mean=2.0,
+              z_bar=2)
+    with pytest.raises(ValueError):
+        vg.InfluencerGameConfig(**{**kw, **bad})
+
+
+@pytest.mark.parametrize("probs", [(1.5, -0.5), (-0.25, 1.25)])
+def test_xi_model_rejects_probs_outside_unit_interval(probs):
+    with pytest.raises(ValueError):
+        XiModel(1.0, values=(0.0, 2.0), probs=probs)
 
 
 def test_config_incentive_override():

@@ -120,6 +120,21 @@ class TestSolveOptimalIncentive:
             prev = vals
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("make", [mc_problem, pi_problem])
+    @pytest.mark.parametrize("z_bar", [0, -1, 41])
+    def test_zbar_outside_range_rejected(self, make, z_bar):
+        prob = make(0.05, 20)
+        with pytest.raises(ValueError, match="z_bar"):
+            vg.solve_optimal_incentive(z_bar, prob)
+
+    @pytest.mark.parametrize("kw", [dict(n_samples=0), dict(n_samples=-5),
+                                    dict(mode="montecarlo"), dict(mode=None)])
+    def test_sampler_rejects_bad_settings(self, kw):
+        with pytest.raises(ValueError):
+            vg.ExpectationSampler(**kw)
+
+
 class TestPerfectInformation:
     def test_three_agent_closed_form(self):
         # p* = 1 - delta^(1/3) = 0.5, g* = C_v + Gamma - C_i F_2(0; p*)
