@@ -24,6 +24,9 @@ from scipy.stats import binom as _binom
 # Grid size of the interpolated binomial CDF behind the vectorized p(g, .).
 CDF_TABLE_POINTS = 4097
 
+# Rows of xi data drawn at a time when filling Gamma_{T-1} draws.
+DRAW_BLOCK_ROWS = 8192
+
 
 class NotMixedRegimeError(ValueError):
     """Indifference equation has no interior solution at this state."""
@@ -231,8 +234,17 @@ def final_gamma_draws(cfg: InfluencerGameConfig, rng: np.random.Generator,
     T = cfg.t_horizon
     c = cfg.c_se_1 if c is None else c
     steps = T - 1 - t
-    sums = cfg.xi.sample(rng, (size, steps)).sum(axis=1) if steps > 0 \
-        else np.zeros(size)
+    xi = cfg.xi
+    sums = np.zeros(size)
+    if steps > 0:
+        # Row blocks bound the xi matrix's memory and consume the stream in
+        # the same order as one (size, steps) draw. The zero-atom mixture
+        # draws its mask after all normals, so it stays in one block.
+        block = max(size, 1) if xi.p0 > 0.0 else DRAW_BLOCK_ROWS
+        for start in range(0, size, block):
+            stop = min(start + block, size)
+            xi.sample(rng, (stop - start, steps)).sum(axis=1,
+                                                      out=sums[start:stop])
     c_final = (t * c + sums) / (T - 1)
     return ((T - 1) / T) * c_final + cfg.e_xi / T
 

@@ -5,7 +5,8 @@ supply policy (vaccine-optimal and incentive-optimal regimes).
 All expectations run over the final-epoch side-effect estimate. A solve
 reuses one cached draw set (common random numbers), so the constraint
 N_P(g) is non-increasing in g sample-by-sample and root bracketing never
-breaks.
+breaks. The draws are kept sorted, so each N_P(g) interpolates only the
+draws whose vaccination probability is strictly mixed.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .epidemic import psi_eradicating
 from .ess import eradication_threshold, is_admissible
@@ -39,9 +41,10 @@ class ExpectationSampler:
     """Draw cache for expectations over the final side-effect estimate.
 
     monte_carlo mode holds n_samples common-random-number draws of
-    Gamma_{T-1}(C_{T-1}); perfect_info collapses to the single point
-    (c_se_1 + (T-1) E[xi]) / T, which is the almost-sure value of
-    Gamma_{T-1} when the data variance is zero.
+    Gamma_{T-1}(C_{T-1}), sorted ascending (every consumer averages over
+    them, so order carries no meaning); perfect_info collapses to the
+    single point (c_se_1 + (T-1) E[xi]) / T, which is the almost-sure value
+    of Gamma_{T-1} when the data variance is zero.
     """
 
     mode: str = MONTE_CARLO
@@ -67,8 +70,8 @@ class ExpectationSampler:
         key = (cfg.c_se_1, cfg.t_horizon, cfg.xi_mean, cfg.xi_sigma2,
                cfg.p0, cfg.xi_values, cfg.xi_probs, self.n_samples, self.seed)
         if key not in self._cache:
-            self._cache[key] = final_gamma_draws(
-                cfg, np.random.default_rng(self.seed), self.n_samples)
+            self._cache[key] = np.sort(final_gamma_draws(
+                cfg, np.random.default_rng(self.seed), self.n_samples))
         return self._cache[key]
 
     def ci_halfwidth(self, delta: float) -> float:
@@ -113,13 +116,27 @@ def _p_vec(g: float, gams: np.ndarray, z_bar: int,
 
 def non_eradication_probability(g: float, z_bar: int,
                                 problem: LeaderProblem) -> float:
-    """N_P(g) = E[F_M(z_bar - 1; p(g, C))] under the cached draws."""
+    """N_P(g) = E[F_M(z_bar - 1; p(g, C))] under the cached draws.
+
+    p(g, Gamma) is non-increasing in Gamma, so the sorted draws split into
+    three runs: Gamma < g - C_v gives p = 1 and F = 0, Gamma >= g - C_v +
+    C_i gives p = 0 and F = 1, and only the run between them is
+    interpolated. For z_bar = m that run is empty and N_P is a count,
+    exactly as p_from_gamma_vec splits the draws there.
+    """
     cfg = problem.cfg
     gams = problem.sampler.gamma_draws(cfg)
-    ps = _p_vec(g, gams, z_bar, cfg)
-    if len(gams) == 1:
-        return float(binom_cdf(cfg.m, z_bar - 1, float(ps[0])))
-    return float(np.mean(binom_cdf_vec_interp(cfg.m, z_bar - 1, ps)))
+    n = len(gams)
+    if n == 1:
+        return float(binom_cdf(cfg.m, z_bar - 1,
+                               p_from_gamma(g, float(gams[0]), z_bar, cfg)))
+    hi = int(np.searchsorted(gams, g - cfg.c_v + cfg.c_i))
+    mixed = 0.0
+    if z_bar < cfg.m:
+        lo = int(np.searchsorted(gams, g - cfg.c_v))
+        ps = p_from_gamma_vec(g, gams[lo:hi], z_bar, cfg)
+        mixed = float(np.sum(binom_cdf_vec_interp(cfg.m, z_bar - 1, ps)))
+    return (mixed + (n - hi)) / n
 
 
 def expected_incentive_cost(g: float, z_bar: int,
@@ -150,10 +167,14 @@ def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolutio
     """Minimal incentive with non-eradication probability at most delta.
 
     If the constraint already holds free of charge the answer is zero;
-    otherwise the unique root of N_P(g) = delta is bisected on
-    (g_floor, inf), growing the upper end geometrically until it is
-    feasible. Perfect-information samplers are dispatched to the closed
-    treatment, where the constraint is flat or jumps.
+    otherwise the upper end of (g_floor, inf) grows geometrically until
+    it is feasible and the root of N_P(g) = delta is found in between, by
+    Brent's method for z_bar < m, where N_P is continuous and piecewise
+    linear in g, and by bisection for z_bar = m, where N_P is a step
+    function with no slope for Brent's secant steps to use; there the
+    bisection midpoints decide on which side of the last jump g* lands.
+    Perfect-information samplers are dispatched to the closed treatment,
+    where the constraint is flat or jumps.
     """
     if problem.sampler.mode == PERFECT_INFO:
         return perfect_info_solution(z_bar, problem)
@@ -180,7 +201,12 @@ def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolutio
         raise BracketingError(
             f"N_P stayed above delta={delta} up to g={hi:.3g}")
 
-    g_star = bisect_decreasing(np_at, delta, lo, hi, atol=1e-12, rtol=1e-12)
+    if z_bar == cfg.m:
+        g_star = bisect_decreasing(np_at, delta, lo, hi, atol=1e-12,
+                                   rtol=1e-12)
+    else:
+        g_star = brentq(lambda g: np_at(g) - delta, lo, hi, xtol=1e-12,
+                        rtol=1e-12)
     ps = _p_vec(g_star, problem.sampler.gamma_draws(cfg), z_bar, cfg)
     p_exp = float(np.mean(ps))
     return LeaderSolution(g_star, cfg.m * g_star * p_exp, z_bar, binding=True,

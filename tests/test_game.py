@@ -289,6 +289,18 @@ class TestOutcomeProbability:
             if 0.0 < p0 < 1.0 and dc > 1e-9 and p_cu > 0.0:
                 assert p_cu < p0
 
+    @settings(max_examples=60, deadline=None)
+    @given(z_bar=st.integers(1, 40), g=st.floats(-2.0, 10.0),
+           dg=st.floats(0.0, 3.0), gam=st.floats(0.0, 12.0),
+           dgam=st.floats(0.0, 3.0))
+    def test_vectorized_monotone_in_incentive_and_estimate(self, z_bar, g, dg,
+                                                           gam, dgam):
+        cfg = fig_cfg(z_bar)
+        gams = np.array([gam, gam + dgam])
+        p = p_from_gamma_vec(g, gams, z_bar, cfg)
+        assert p[1] <= p[0]
+        assert np.all(p_from_gamma_vec(g + dg, gams, z_bar, cfg) >= p)
+
     def test_vectorized_matches_scalar(self):
         cfg = fig_cfg(20)
         gams = np.linspace(2.0, 9.0, 200)
@@ -336,9 +348,10 @@ class TestSampling:
         cfg = fig_cfg(20, g0=1.0)
         smp = vg.ExpectationSampler(n_samples=500, seed=3)
         rng = np.random.default_rng(3)
-        assert np.array_equal(smp.gamma_draws(cfg),
-                              final_gamma_draws(cfg, rng, 500))
-        ps = p_from_gamma_vec(1.0, smp.gamma_draws(cfg), cfg.z_bar, cfg)
+        draws = final_gamma_draws(cfg, rng, 500)
+        # the sampler keeps its draws sorted; sample_z_t keeps draw order
+        assert np.array_equal(smp.gamma_draws(cfg), np.sort(draws))
+        ps = p_from_gamma_vec(1.0, draws, cfg.z_bar, cfg)
         assert np.array_equal(vg.sample_z_t(1.0, cfg, seed=3, size=500),
                               rng.binomial(cfg.m, ps))
 

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vaxgame as vg
-from vaxgame.game import p_from_gamma_vec
+from vaxgame.game import (binom_cdf_vec_interp, bisect_decreasing,
+                          p_from_gamma_vec)
 from vaxgame.leader import (MONTE_CARLO, PERFECT_INFO, JointDesignError,
                             g_floor, l_values)
 
@@ -110,7 +113,6 @@ class TestSolveOptimalIncentive:
         gams = prob.sampler.gamma_draws(cfg)
         lo = g_floor(cfg)
         hi = cfg.c_v + gams.max() - 1e-9
-        from vaxgame.game import binom_cdf_vec_interp
         prev = None
         for g in np.linspace(lo + 1e-9, hi, 25):
             vals = binom_cdf_vec_interp(cfg.m, 19, p_from_gamma_vec(g, gams, 20, cfg))
@@ -118,6 +120,79 @@ class TestSolveOptimalIncentive:
                 assert np.all(vals <= prev + 1e-12)
                 assert vals.mean() < prev.mean()
             prev = vals
+
+
+def full_np(g, z_bar, problem):
+    """N_P(g) as the mean over every draw, without slicing."""
+    cfg = problem.cfg
+    ps = p_from_gamma_vec(g, problem.sampler.gamma_draws(cfg), z_bar, cfg)
+    return float(np.mean(binom_cdf_vec_interp(cfg.m, z_bar - 1, ps)))
+
+
+def bisection_solve(z_bar, problem):
+    """(g*, U*) from the full-array N_P bisected on the solver's bracket."""
+    cfg, delta = problem.cfg, problem.delta
+    assert full_np(0.0, z_bar, problem) > delta
+    lo = g_floor(cfg)
+    step = max(cfg.c_i, 1.0)
+    while full_np(lo + step, z_bar, problem) >= delta:
+        step *= 2.0
+    g = bisect_decreasing(lambda x: full_np(x, z_bar, problem), delta, lo,
+                          lo + step, atol=1e-12, rtol=1e-12)
+    ps = p_from_gamma_vec(g, problem.sampler.gamma_draws(cfg), z_bar, cfg)
+    return g, cfg.m * g * float(np.mean(ps))
+
+
+N_SLICED = 20_000
+EPS = np.finfo(float).eps
+SMALL_PROBLEMS = {zb: mc_problem(0.05, zb, n=2_000) for zb in (1, 20, 39, 40)}
+
+
+class TestSlicedConstraint:
+    @pytest.mark.parametrize("z_bar", [1, 20, 39, 40])
+    def test_matches_full_array_mean(self, z_bar):
+        prob = mc_problem(0.05, z_bar, n=N_SLICED)
+        cfg = prob.cfg
+        gams = prob.sampler.gamma_draws(cfg)
+        assert np.all(np.diff(gams) >= 0.0)
+        edges = gams[[0, 1, N_SLICED // 2, N_SLICED - 2, N_SLICED - 1]]
+        # g = Gamma_k + C_v puts draw k at w = 0, g = Gamma_k + C_v - C_i
+        # at w = 1: the two ends of the mixed run
+        gs = np.concatenate([np.linspace(0.0, 12.0, 49), edges + cfg.c_v,
+                             edges + cfg.c_v - cfg.c_i])
+        for g in gs:
+            got = vg.non_eradication_probability(g, z_bar, prob)
+            want = full_np(g, z_bar, prob)
+            if z_bar == cfg.m:
+                assert got == want
+            else:
+                assert abs(got - want) <= N_SLICED * EPS
+
+    @pytest.mark.parametrize("z_bar", [1, 20, 39])
+    @pytest.mark.parametrize("delta", [0.01, 0.1])
+    def test_brent_root_matches_bisection(self, z_bar, delta):
+        prob = mc_problem(delta, z_bar, n=N_SLICED)
+        sol = vg.solve_optimal_incentive(z_bar, prob)
+        g, u = bisection_solve(z_bar, prob)
+        assert sol.binding
+        assert sol.g_star == pytest.approx(g, rel=1e-11)
+        assert sol.u_star == pytest.approx(u, rel=1e-11)
+
+    @pytest.mark.parametrize("delta", [0.01, 0.05, 0.1])
+    def test_all_threshold_bit_equal_to_bisection(self, delta):
+        prob = mc_problem(delta, 40, n=N_SLICED)
+        sol = vg.solve_optimal_incentive(40, prob)
+        assert (sol.g_star, sol.u_star) == bisection_solve(40, prob)
+
+    @settings(max_examples=40, deadline=None)
+    @given(z_bar=st.sampled_from([1, 20, 39, 40]), g=st.floats(0.0, 12.0),
+           dg=st.floats(0.0, 2.0))
+    def test_non_increasing_in_incentive(self, z_bar, g, dg):
+        # up to the rounding of a sum of n terms
+        prob = SMALL_PROBLEMS[z_bar]
+        n = prob.sampler.n_samples
+        assert (vg.non_eradication_probability(g + dg, z_bar, prob)
+                <= vg.non_eradication_probability(g, z_bar, prob) + n * EPS)
 
 
 class TestInputChecks:
