@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import RK45
 
 from .params import DiseaseParams, ResponseParams, VaRatePolicy
 
@@ -48,34 +47,47 @@ class OdeState:
         return np.array([self.theta, self.psi, self.eta], dtype=float)
 
 
+def _field(disease: DiseaseParams, nu: VaRatePolicy, beta: ResponseParams):
+    """The dynamics over plain floats, with the parameters bound.
+
+    Returns f(theta, psi, eta) -> (dtheta, dpsi, deta, varrho): the drift
+    and the per-capita event rate at one state. This is the one place the
+    formulas are written; the supply rate nu.rate(psi) and the acceptance
+    beta.acceptance(psi) are inlined, since the integrator calls f seven
+    times a step.
+    """
+    lam, r, b, d = disease.lam, disease.r, disease.b, disease.d
+    inv_rho = 1.0 / disease.rho
+    nu_b, nu_e, bt = nu.nu_b, nu.nu_e, beta.beta
+
+    def f(theta: float, psi: float, eta: float):
+        phi = 1.0 - theta - psi
+        supply = nu_b + nu_e * psi
+        varrho = b + d + lam * theta * phi + supply * phi + r * theta
+        scale = 1.0 / (eta * varrho)
+        return (theta * lam * scale * (phi - inv_rho),
+                scale * (phi * min(1.0, bt * psi) * supply - b * psi),
+                (b - d) / varrho - eta,
+                varrho)
+
+    return f
+
+
+# varrho does not depend on the response
+_NO_RESPONSE = ResponseParams(0.0)
+
+
 def total_event_rate(theta: float, psi: float, disease: DiseaseParams,
                      nu: VaRatePolicy) -> float:
     """Per-capita event rate varrho at proportions (theta, psi)."""
-    phi = 1.0 - theta - psi
-    return (disease.b + disease.d + disease.lam * theta * phi
-            + nu.rate(psi) * phi + disease.r * theta)
-
-
-def _rhs(y: np.ndarray, disease: DiseaseParams, nu: VaRatePolicy,
-         beta: ResponseParams) -> np.ndarray:
-    theta, psi, eta = y
-    phi = 1.0 - theta - psi
-    varrho = total_event_rate(theta, psi, disease, nu)
-    scale = 1.0 / (eta * varrho)
-    dtheta = theta * disease.lam * scale * (phi - 1.0 / disease.rho)
-    dpsi = scale * (phi * beta.acceptance(psi) * nu.rate(psi)
-                    - disease.b * psi)
-    deta = (disease.b - disease.d) / varrho - eta
-    return np.array([dtheta, dpsi, deta])
+    return _field(disease, nu, _NO_RESPONSE)(theta, psi, 1.0)[3]
 
 
 def ode_rhs(state: OdeState, disease: DiseaseParams, nu: VaRatePolicy,
             beta: ResponseParams) -> np.ndarray:
     """Time derivative (dtheta, dpsi, deta) at the given state."""
-    y = state.as_array()
-    if not np.all(np.isfinite(y)):
-        raise ValueError("non-finite state")
-    return _rhs(y, disease, nu, beta)
+    return np.array(_field(disease, nu, beta)(
+        state.theta, state.psi, state.eta)[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +234,170 @@ class IntegrationResult:
     message: str
 
 
+# Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett & Wanner,
+# Solving ODEs I, Table II.5.2) with the step controller of scipy's RK45:
+# stage coefficients A, fifth-order weights B, error weights E (the
+# difference of the two embedded solutions, over the stages plus the FSAL
+# stage). The drift is autonomous, so the stage times are not needed.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
+                                49 / 176, -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
+                                17253 / 339200, -22 / 525, 1 / 40)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 5
+_ATOL = 1e-12
+_MAX_STEP = 1.0
+
+# The Jacobian certificate is tried once the rhs max-norm is below this;
+# above it the state is too far out for the linearisation to be trusted.
+_CERTIFY_BELOW = 1e-6
+_JAC_STEP = np.finfo(float).eps ** (1 / 3)
+
+
+def _rms(a: float, b: float, c: float) -> float:
+    return math.sqrt((a * a + b * b + c * c) / 3.0)
+
+
+def _initial_step(f, y, k, horizon: float, rtol: float) -> float:
+    """First step size by the rule of Hairer, Norsett & Wanner (Sec. II.4),
+    as scipy's select_initial_step applies it to a fourth-order error
+    estimate, capped at _MAX_STEP and the horizon."""
+    s0, s1, s2 = (_ATOL + abs(v) * rtol for v in y)
+    d0 = _rms(y[0] / s0, y[1] / s1, y[2] / s2)
+    d1 = _rms(k[0] / s0, k[1] / s1, k[2] / s2)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, horizon)
+    k1 = f(y[0] + h0 * k[0], y[1] + h0 * k[1], y[2] + h0 * k[2])
+    d2 = _rms((k1[0] - k[0]) / s0, (k1[1] - k[1]) / s1,
+              (k1[2] - k[2]) / s2) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, horizon, _MAX_STEP)
+
+
+def _dopri_step(f, y, k, h: float, rtol: float):
+    """One Dormand-Prince step of size h from y, where k = f(y).
+
+    Returns the fifth-order solution, f there (the next step's first stage:
+    first same as last) and the RMS norm of the embedded error estimate
+    scaled by _ATOL + rtol * max(|y|, |y_new|).
+    """
+    y0, y1, y2 = y
+    a0, a1, a2 = k
+    b0, b1, b2, _ = f(y0 + _A21 * a0 * h, y1 + _A21 * a1 * h,
+                      y2 + _A21 * a2 * h)
+    c0, c1, c2, _ = f(y0 + (_A31 * a0 + _A32 * b0) * h,
+                      y1 + (_A31 * a1 + _A32 * b1) * h,
+                      y2 + (_A31 * a2 + _A32 * b2) * h)
+    d0, d1, d2, _ = f(y0 + (_A41 * a0 + _A42 * b0 + _A43 * c0) * h,
+                      y1 + (_A41 * a1 + _A42 * b1 + _A43 * c1) * h,
+                      y2 + (_A41 * a2 + _A42 * b2 + _A43 * c2) * h)
+    e0, e1, e2, _ = f(
+        y0 + (_A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0) * h,
+        y1 + (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1) * h,
+        y2 + (_A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2) * h)
+    g0, g1, g2, _ = f(
+        y0 + (_A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0 + _A65 * e0) * h,
+        y1 + (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1) * h,
+        y2 + (_A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2 + _A65 * e2) * h)
+    n0 = y0 + h * (_B1 * a0 + _B3 * c0 + _B4 * d0 + _B5 * e0 + _B6 * g0)
+    n1 = y1 + h * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * g1)
+    n2 = y2 + h * (_B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * g2)
+    l0, l1, l2, _ = f(n0, n1, n2)
+    err = _rms(
+        (_E1 * a0 + _E3 * c0 + _E4 * d0 + _E5 * e0 + _E6 * g0 + _E7 * l0) * h
+        / (_ATOL + max(abs(y0), abs(n0)) * rtol),
+        (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * g1 + _E7 * l1) * h
+        / (_ATOL + max(abs(y1), abs(n1)) * rtol),
+        (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * g2 + _E7 * l2) * h
+        / (_ATOL + max(abs(y2), abs(n2)) * rtol))
+    return (n0, n1, n2), (l0, l1, l2), err
+
+
+def _accepted_step(f, t: float, y, k, h_abs: float, cap: float,
+                   horizon: float, rtol: float):
+    """Retry Dormand-Prince steps from (t, y) until one passes the error
+    test, with scipy RK45's controller: the step is clipped to `cap` and
+    to the horizon, and scaled by 0.9 * err^(-1/5) within [0.2, 10]
+    (at most 1 after a rejection).
+
+    Returns (t_new, y_new, f(y_new), next step size), or None once the
+    step would fall below ten units in the last place of t.
+    """
+    min_step = 10 * (math.nextafter(t, math.inf) - t)
+    if h_abs > cap:
+        h_abs = cap
+    elif h_abs < min_step:
+        h_abs = min_step
+    rejected = False
+    while h_abs >= min_step:
+        t_new = min(t + h_abs, horizon)
+        h = t_new - t
+        y_new, k_new, err = _dopri_step(f, y, k, h, rtol)
+        if err < 1.0:
+            factor = (_MAX_FACTOR if err == 0.0 else
+                      min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT))
+            if rejected:
+                factor = min(1.0, factor)
+            return t_new, y_new, k_new, h * factor
+        h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+        rejected = True
+    return None
+
+
+def _stable_inverse(f, y):
+    """Inverse of the central-difference Jacobian J of the drift at y, as
+    three rows, or None unless every eigenvalue of J has a negative real
+    part.
+
+    In floats, as numpy's per-call cost would dominate at 3x3: the
+    eigenvalue test is the Routh-Hurwitz criterion on the characteristic
+    polynomial l^3 + p2 l^2 + p1 l + p0 (all roots in the open left
+    half-plane iff p2 > 0, p0 > 0 and p2 p1 > p0), and the inverse is the
+    adjugate over the determinant.
+    """
+    cols = []
+    for j in range(3):
+        up, down = list(y), list(y)
+        up[j] += _JAC_STEP * max(1.0, abs(y[j]))
+        down[j] -= _JAC_STEP * max(1.0, abs(y[j]))
+        fu, fd, w = f(*up), f(*down), up[j] - down[j]
+        cols.append(((fu[0] - fd[0]) / w, (fu[1] - fd[1]) / w,
+                     (fu[2] - fd[2]) / w))
+    (j11, j21, j31), (j12, j22, j32), (j13, j23, j33) = cols
+    c11, c12, c13 = (j22 * j33 - j23 * j32, j23 * j31 - j21 * j33,
+                     j21 * j32 - j22 * j31)
+    det = j11 * c11 + j12 * c12 + j13 * c13
+    p2 = -(j11 + j22 + j33)
+    p1 = (j11 * j22 - j12 * j21) + (j11 * j33 - j13 * j31) + c11
+    if not (p2 > 0.0 and -det > 0.0 and p2 * p1 > -det):
+        return None
+    return ((c11 / det, (j13 * j32 - j12 * j33) / det,
+             (j12 * j23 - j13 * j22) / det),
+            (c12 / det, (j11 * j33 - j13 * j31) / det,
+             (j13 * j21 - j11 * j23) / det),
+            (c13 / det, (j12 * j31 - j11 * j32) / det,
+             (j11 * j22 - j12 * j21) / det))
+
+
+def _newton_distance(inv, fy) -> float:
+    """max |J^-1 f(y)| for inv = J^-1. Near a hyperbolic stable equilibrium
+    y* the Newton step J^-1 f(y) estimates y - y*, so this bounds how far y
+    is from the point the flow settles at, however stiff the other modes
+    are."""
+    (a, b, c), (d, e, g), (p, q, r) = inv
+    f1, f2, f3 = fy
+    return max(abs(a * f1 + b * f2 + c * f3), abs(d * f1 + e * f2 + g * f3),
+               abs(p * f1 + q * f2 + r * f3))
+
+
 def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
                              nu: VaRatePolicy, beta: ResponseParams,
                              horizon: float = 600.0, tol: float = 1e-8,
@@ -229,42 +405,81 @@ def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
                              sustain_steps: int = 100) -> IntegrationResult:
     """Integrate the mean-field ODE until it settles or the horizon is hit.
 
-    Convergence requires the rhs max-norm to stay below `tol` over
-    `sustain_steps` consecutive accepted steps; the dynamics are slowed by
-    the 1/(eta*varrho) clock, so a single small-derivative reading is not
-    trusted. A horizon overrun reports converged=False instead of raising.
+    The stepper is Dormand-Prince 5(4) over Python floats with scipy RK45's
+    error norm, controller and first-step rule (rtol, atol 1e-12, steps of
+    at most 1), reusing each step's last stage as the next one's first.
+    Every accepted step is recorded. Convergence is declared by whichever
+    rule fires first:
+
+    * certificate: once the rhs max-norm is below 1e-6, the central-
+      difference Jacobian there has only eigenvalues with negative real
+      part and the Newton distance max|J^-1 f| is below `tol` (steps on
+      which the last stable Jacobian puts the distance at `tol` or more
+      take no new one);
+    * sustained window: the rhs max-norm stays below `tol` over
+      `sustain_steps` consecutive steps (the fallback, e.g. for
+      non-hyperbolic equilibria). The dynamics are slowed by the
+      1/(eta*varrho) clock, so a single small-derivative reading is not
+      trusted.
+
+    A horizon overrun reports converged=False instead of raising; so does a
+    step size that collapses. `message` names the rule or the failure.
     """
-    y0 = init.as_array()
-    max_step = 1.0
-    solver = RK45(lambda t, y: _rhs(y, disease, nu, beta), 0.0, y0,
-                  t_bound=horizon, rtol=rtol, atol=1e-12, max_step=max_step)
-    ts = [0.0]
-    ys = [y0.copy()]
-    quiet = 0
+    if not (math.isfinite(horizon) and horizon >= 0.0):
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
+    if not (tol > 0.0 and rtol > 0.0):
+        raise ValueError("tol and rtol must be positive")
+    if sustain_steps < 1:
+        raise ValueError("sustain_steps must be at least 1")
+    f = _field(disease, nu, beta)
+    t, y = 0.0, (float(init.theta), float(init.psi), float(init.eta))
+    ts, ys = [t], [y]
     converged = False
-    while solver.status == "running":
-        solver.step()
-        ts.append(solver.t)
-        ys.append(solver.y.copy())
-        if np.max(np.abs(_rhs(solver.y, disease, nu, beta))) < tol:
+    msg = f"horizon {horizon} exceeded without sustained rhs < {tol}"
+    k = f(*y)[:3]
+    h_abs = _initial_step(f, y, k, horizon, rtol) if horizon > 0.0 else 0.0
+    cap, quiet, inv = _MAX_STEP, 0, None
+    while t < horizon:
+        step = _accepted_step(f, t, y, k, h_abs, cap, horizon, rtol)
+        if step is None:
+            msg = f"step size collapsed at t = {t:.6g}"
+            break
+        t, y, k, h_abs = step
+        ts.append(t)
+        ys.append(y)
+        rate = max(abs(k[0]), abs(k[1]), abs(k[2]))
+        if rate < _CERTIFY_BELOW:
+            # this close to an equilibrium the Jacobian barely moves, so the
+            # last stable one screens each step; only a fresh one certifies
+            if inv is None or _newton_distance(inv, k) < tol:
+                inv = _stable_inverse(f, y)
+                dist = math.inf if inv is None else _newton_distance(inv, k)
+                if dist < tol:
+                    converged = True
+                    msg = (f"converged: Newton distance {dist:.3g} < {tol} "
+                           "at a stable Jacobian (certificate)")
+                    break
+        else:
+            inv = None
+        if rate < tol:
             quiet += 1
             if quiet == 1:
                 # At rtol the state wobbles around an equilibrium with rhs
                 # noise near tol itself; shrink the step cap while the quiet
                 # window is open so the local error stays far below it.
-                solver.max_step = max(solver.h_abs * 0.25, 1e-3)
+                cap = max(h_abs * 0.25, 1e-3)
             if quiet >= sustain_steps:
                 converged = True
+                msg = (f"converged: rhs < {tol} over {sustain_steps} steps "
+                       "(sustained window)")
                 break
         else:
             if quiet:
-                solver.max_step = max_step
+                cap = _MAX_STEP
             quiet = 0
     states = np.array(ys)
     yf = states[-1]
     limit = OdeState(max(yf[0], 0.0), max(yf[1], 0.0), yf[2])
-    msg = "converged" if converged else (
-        f"horizon {horizon} exceeded without sustained rhs < {tol}")
     return IntegrationResult(np.array(ts), states, limit, converged, msg)
 
 
@@ -306,6 +521,8 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
         raise ValueError("counts must be nonnegative with S+V+I == N >= 1")
     if n_events < 0:
         raise ValueError("n_events must be nonnegative")
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1")
     rng = np.random.default_rng(seed)
 
     if eta0 is None:
@@ -313,6 +530,7 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     k = max(int(round(n / eta0)) - 1, 0)
 
     lam, r, b, d = disease.lam, disease.r, disease.b, disease.d
+    nu_b, nu_e, bt = nu.nu_b, nu.nu_e, beta.beta
     t = 0.0
     rec_t = [0.0]
     rec_theta = [i / n]
@@ -321,34 +539,35 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     extinct = False
 
     chunk = 16384
-    uniforms = rng.random(chunk)
+    uniforms = rng.random(chunk).tolist()
     u_pos = 0
 
     for step in range(n_events):
         if u_pos + 2 > chunk:
-            uniforms = rng.random(chunk)
+            uniforms = rng.random(chunk).tolist()
             u_pos = 0
-        w_inf = lam * s * i / n
-        w_rec = r * i
-        w_birth = b * n
-        w_death = d * n
         psi = v / n
-        w_offer = nu.rate(psi) * s
-        total = w_inf + w_rec + w_birth + w_death + w_offer
+        # cumulative rates of infection, recovery, birth and death; the
+        # rest of the total is vaccine offers at rate (nu_b + nu_e*psi)*S
+        c_inf = lam * s * i / n
+        c_rec = c_inf + r * i
+        c_birth = c_rec + b * n
+        c_death = c_birth + d * n
+        total = c_death + (nu_b + nu_e * psi) * s
 
         u = uniforms[u_pos] * total
         u_pos += 1
-        if u < w_inf:
+        if u < c_inf:
             s -= 1
             i += 1
-        elif u < w_inf + w_rec:
+        elif u < c_rec:
             # recovered individuals rejoin the susceptible pool
             i -= 1
             s += 1
-        elif u < w_inf + w_rec + w_birth:
+        elif u < c_birth:
             s += 1
             n += 1
-        elif u < w_inf + w_rec + w_birth + w_death:
+        elif u < c_death:
             u2 = uniforms[u_pos] * n
             u_pos += 1
             if u2 < s:
@@ -359,18 +578,18 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
                 i -= 1
             n -= 1
         else:
-            accept = uniforms[u_pos] < min(1.0, beta.beta * psi)
-            u_pos += 1
-            if accept:
+            accept = bt * psi
+            if uniforms[u_pos] < (accept if accept < 1.0 else 1.0):
                 s -= 1
                 v += 1
+            u_pos += 1
 
         k += 1
         t += 1.0 / (1 + k)
         if n == 0:
             extinct = True
             break
-        if (step + 1) % record_every == 0 or extinct:
+        if (step + 1) % record_every == 0:
             rec_t.append(t)
             rec_theta.append(i / n)
             rec_psi.append(v / n)

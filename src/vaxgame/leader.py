@@ -181,8 +181,14 @@ def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolutio
     cfg, delta = problem.cfg, problem.delta
     _require_zbar(z_bar, cfg)
 
+    # brentq re-evaluates both bracket ends, and the solution reports
+    # N_P(g*), which the root finder has already evaluated
+    seen: dict[float, float] = {}
+
     def np_at(g: float) -> float:
-        return non_eradication_probability(g, z_bar, problem)
+        if g not in seen:
+            seen[g] = non_eradication_probability(g, z_bar, problem)
+        return seen[g]
 
     if np_at(0.0) <= delta:
         p0 = float(np.mean(_p_vec(0.0, problem.sampler.gamma_draws(cfg), z_bar, cfg)))

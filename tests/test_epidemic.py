@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import RK45
 
 import vaxgame as vg
-from vaxgame.epidemic import total_event_rate
+from vaxgame.epidemic import (_field, _newton_distance, _stable_inverse,
+                              total_event_rate)
+
+from test_acceptance import _row_draw
 
 
 def fig5_disease(d=0.5):
@@ -179,6 +183,105 @@ class TestIntegration:
             assert np.all(th >= -1e-9) and np.all(ps >= -1e-9)
             assert np.all(th + ps <= 1.0 + 1e-6)
 
+    @pytest.mark.parametrize("kw", [
+        dict(horizon=-1.0), dict(horizon=math.inf), dict(horizon=math.nan),
+        dict(tol=0.0), dict(tol=-1e-8), dict(rtol=0.0), dict(rtol=math.nan),
+        dict(sustain_steps=0),
+    ])
+    def test_bad_arguments_rejected(self, kw):
+        with pytest.raises(ValueError):
+            vg.integrate_to_equilibrium(
+                vg.OdeState(0.1, 0.1, 0.3), fig5_disease(),
+                vg.VaRatePolicy(1.0, 1.0), vg.ResponseParams(2.0), **kw)
+
+    def test_zero_horizon_is_the_start(self):
+        res = vg.integrate_to_equilibrium(
+            vg.OdeState(0.1, 0.2, 0.3), fig5_disease(),
+            vg.VaRatePolicy(1.0, 1.0), vg.ResponseParams(2.0), horizon=0.0)
+        assert list(res.t) == [0.0]
+        assert res.states.tolist() == [[0.1, 0.2, 0.3]]
+        assert not res.converged
+
+    def test_matches_scipy_rk45(self):
+        # scipy's RK45 on the same drift is the reference: same tableau,
+        # controller and first step, so over a horizon too short for
+        # either convergence rule the end states agree to rounding
+        rng = np.random.default_rng(202)
+        for row in ("non_vaccinating", "eradicating", "co_occurring"):
+            for _ in range(10):
+                dis, nu, beta = _row_draw(rng, row)
+                cand = getattr(vg.candidate_attractors(dis, nu, beta), row)
+                vec = rng.normal(size=2)
+                vec *= 1e-2 / np.linalg.norm(vec)
+                theta0 = min(max(cand.theta + vec[0], 1e-4), 0.98)
+                psi0 = min(max(cand.psi + vec[1], 1e-4), 0.98 - theta0)
+                init = vg.OdeState(theta0, psi0, cand.eta)
+                f = _field(dis, nu, beta)
+                ref = RK45(lambda t, y: f(*y)[:3], 0.0, init.as_array(),
+                           t_bound=2.0, rtol=1e-9, atol=1e-12, max_step=1.0)
+                while ref.status == "running":
+                    ref.step()
+                out = vg.integrate_to_equilibrium(init, dis, nu, beta,
+                                                  horizon=2.0)
+                assert not out.converged and out.t[-1] == 2.0
+                assert np.max(np.abs(out.states[-1] - ref.y)) < 1e-8
+
+    def test_stiff_return_is_certified(self):
+        # a seed-202 non-vaccinating draw whose stiff mode (eigenvalue
+        # -59) keeps the rhs near 3e-8 at the attractor: the sustained
+        # window alone never closed and ran 7,197 steps to the horizon
+        dis = vg.DiseaseParams(lam=24.907497223799215, r=3.4260895027703056,
+                               b=0.83298828491058, d=0.48476674868617964)
+        nu = vg.VaRatePolicy(3.2282514695585807, 3.0047937862508594)
+        beta = vg.ResponseParams(0.8153271464794994)
+        cand = vg.candidate_attractors(dis, nu, beta).non_vaccinating
+        res = vg.integrate_to_equilibrium(
+            vg.OdeState(0.8383889045945071, 0.003453554388760014,
+                        0.04225574974629487), dis, nu, beta, horizon=400.0)
+        assert res.converged and "certificate" in res.message
+        assert len(res.t) - 1 < 1000
+        assert max(abs(res.limit.theta - cand.theta),
+                   abs(res.limit.psi - cand.psi),
+                   abs(res.limit.eta - cand.eta)) < 1e-6
+
+    def test_sustained_window_covers_non_hyperbolic_point(self):
+        # rho = 1 without vaccination: theta decays like -c*theta^2, so the
+        # Jacobian's theta eigenvalue vanishes with theta and the Newton
+        # distance (about theta/2) stays far above tol; the quiet window
+        # still closes
+        dis = vg.DiseaseParams(lam=4.0, r=2.0, b=2.0, d=0.5)
+        nu = vg.VaRatePolicy(0.0, 0.0)
+        theta0 = 5e-5
+        eta0 = (dis.b - dis.d) / total_event_rate(theta0, 0.0, dis, nu)
+        res = vg.integrate_to_equilibrium(vg.OdeState(theta0, 0.0, eta0),
+                                          dis, nu, vg.ResponseParams(0.0))
+        assert res.converged and "sustained window" in res.message
+        assert len(res.t) - 1 == 100
+
+
+def test_newton_distance_on_linear_fields():
+    # for f(y) = A (y - y*) the central differences are exact, so the
+    # distance is max|y - y*| when every eigenvalue of A has Re < 0; for
+    # any other A there is no stable inverse
+    rng = np.random.default_rng(5)
+    stable = 0
+    for _ in range(2000):
+        a = rng.normal(size=(3, 3)) * rng.uniform(0.1, 50.0)
+        y_star = rng.uniform(0.0, 1.0, 3)
+        y = y_star + rng.normal(size=3) * 1e-6
+
+        def f(*v):
+            return tuple(a @ (np.array(v) - y_star))
+
+        inv = _stable_inverse(f, tuple(y))
+        if np.linalg.eigvals(a).real.max() < 0.0:
+            stable += 1
+            assert _newton_distance(inv, f(*y)) == pytest.approx(
+                np.max(np.abs(y - y_star)), rel=1e-6)
+        else:
+            assert inv is None
+    assert 100 < stable < 1900
+
 
 class TestPsiEProperties:
     def test_continuity_at_vanishing_extra_rate(self):
@@ -227,6 +330,21 @@ class TestJumpProcess:
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.psi, b.psi)
 
+    def test_frozen_trajectory(self):
+        # recorded from the event loop before it moved to Python-list
+        # uniforms and local rates; the arithmetic order and the uniforms
+        # consumed are unchanged, so every recorded value is too
+        traj = vg.simulate_jump_process((800, 100, 100, 1000), fig5_disease(),
+                                        vg.VaRatePolicy(2.0, 1.0),
+                                        vg.ResponseParams(1.5), seed=9,
+                                        n_events=5000)
+        assert len(traj.t) == 5001 and traj.t[-1] == 8.094708812992438
+        assert (traj.theta[-1], traj.psi[-1], traj.eta[-1]) == (
+            1257 / 2016, 154 / 2016, 2016 / 5001)
+        assert math.fsum(traj.theta) == 2082.1432967051837
+        assert math.fsum(traj.psi) == 465.68837366096614
+        assert math.fsum(traj.eta) == 10229.76317947173
+
     def test_counts_stay_nonnegative_and_extinction_flags(self):
         # near-critical birth/death walk from a tiny population hits zero
         dis = vg.DiseaseParams(lam=0.5, r=5.0, b=0.5, d=0.499)
@@ -267,6 +385,8 @@ def test_zero_events_gives_initial_point():
     assert list(traj.eta) == [250.0]
     with pytest.raises(ValueError):
         vg.simulate_jump_process(*args, seed=0, n_events=-1)
+    with pytest.raises(ValueError):
+        vg.simulate_jump_process(*args, seed=0, n_events=10, record_every=0)
 
 
 def test_trajectory_csv_roundtrip(tmp_path):

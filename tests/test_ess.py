@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import vaxgame as vg
@@ -203,3 +203,17 @@ def test_threshold_minimality_property(s, nu_b, extra):
     if zbar > 0:
         rep = vg.classify_esss(zbar - 1, nu, costs, dis, M)
         assert not (rep.h_v < 0.0 and rep.h_i <= 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s1=st.floats(0.02, 30.0), s2=st.floats(0.02, 30.0),
+       nu_b=st.floats(0.0, 10.0), extra=st.floats(0.001, 5.0))
+def test_threshold_non_increasing_in_sensitivity(s1, s2, nu_b, extra):
+    # a more sensitive public needs no more vaccinated influencers
+    lo, hi = sorted((s1, s2))
+    dis = fig5_disease()
+    nu = vg.VaRatePolicy(nu_b, max(dis.b * dis.rho - nu_b / dis.theta_star, 0.0)
+                         + extra)
+    assume(fig5_costs(lo).influence_sufficient(M))
+    assert (vg.eradication_threshold(nu, fig5_costs(hi), dis, M)
+            <= vg.eradication_threshold(nu, fig5_costs(lo), dis, M))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vaxgame as vg
+from vaxgame import leader
 from vaxgame.game import (binom_cdf_vec_interp, bisect_decreasing,
                           p_from_gamma_vec)
 from vaxgame.leader import (MONTE_CARLO, PERFECT_INFO, JointDesignError,
@@ -75,6 +76,23 @@ class TestSolveOptimalIncentive:
         prob = mc_problem(0.999, 1, c_i=20.0)
         sol = vg.solve_optimal_incentive(1, prob)
         assert sol.g_star == 0.0 and not sol.binding
+
+    def test_each_incentive_evaluated_once(self, monkeypatch):
+        seen = []
+        orig = leader.non_eradication_probability
+
+        def spy(g, z_bar, problem):
+            seen.append(g)
+            return orig(g, z_bar, problem)
+
+        monkeypatch.setattr(leader, "non_eradication_probability", spy)
+        for zb, prob in [(1, mc_problem(0.999, 1, c_i=20.0)),
+                         (1, mc_problem(0.05, 1, n=20_000)),
+                         (20, mc_problem(0.05, 20, n=20_000)),
+                         (40, mc_problem(0.05, 40, n=20_000))]:
+            seen.clear()
+            vg.solve_optimal_incentive(zb, prob)
+            assert len(seen) == len(set(seen))
 
     def test_root_residual_small(self):
         for zb, delta in [(1, 0.05), (20, 0.01), (40, 0.05), (39, 0.001)]:
