@@ -72,9 +72,6 @@ class ReportRow:
     np_at_g: float | None
     runtime_ms: float
 
-    FIELDS = ("sweep_value", "g_star", "u_star", "z_bar", "psi_e", "np_at_g",
-              "runtime_ms")
-
 
 def _fmt(v) -> str:
     if v is None:
@@ -177,8 +174,8 @@ def run_scenario(cfg: ScenarioConfig) -> Path:
         rows = [_sweep_point(cfg, i, v) for i, v in enumerate(cfg.grid)]
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     out = cfg.outdir / "report.csv"
-    write_csv(out, ReportRow.FIELDS,
-              [[getattr(r, f) for f in ReportRow.FIELDS] for r in rows])
+    fields = [f.name for f in dataclasses.fields(ReportRow)]
+    write_csv(out, fields, [dataclasses.astuple(r) for r in rows])
     if cfg.plot:
         xs = [r.sweep_value for r in rows]
         series = {}
@@ -251,15 +248,15 @@ def reproduce_figure(fig_id: int, outdir: Path, seed: int = 0,
         return out
 
     if fig_id == 3:
+        smp = leader.ExpectationSampler(n_samples=samples, seed=seed)
+        pi = leader.ExpectationSampler(mode=leader.PERFECT_INFO)
         rows = []
         for delta in (0.01, 0.05):
-            pi = leader.ExpectationSampler(mode=leader.PERFECT_INFO)
             p1 = leader.perfect_info_solution(
                 1, leader.LeaderProblem(delta, _fig_cfg(1, 0.0), pi))
             pM = leader.perfect_info_solution(
                 40, leader.LeaderProblem(delta, _fig_cfg(40, 0.0), pi))
             for sigma2 in (1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 2.5):
-                smp = leader.ExpectationSampler(n_samples=samples, seed=seed)
                 s1 = leader.solve_optimal_incentive(
                     1, leader.LeaderProblem(delta, _fig_cfg(1, sigma2), smp))
                 sM = leader.solve_optimal_incentive(
@@ -293,6 +290,7 @@ def reproduce_figure(fig_id: int, outdir: Path, seed: int = 0,
 
     if fig_id == 5:
         dis = DiseaseParams(**FIG_S_DISEASE)
+        smp = leader.ExpectationSampler(n_samples=samples, seed=seed)
         rows = []
         for s in np.round(np.arange(0.02, 0.51, 0.02), 3):
             costs = PublicCostModel(s=float(s), **FIG_S_COSTS)
@@ -301,7 +299,6 @@ def reproduce_figure(fig_id: int, outdir: Path, seed: int = 0,
             row = [s, k, design.psi_e_achieved,
                    1 if design.incentive_optimal_exists else 0]
             for delta in (0.01, 0.1):
-                smp = leader.ExpectationSampler(n_samples=samples, seed=seed)
                 sol = leader.solve_optimal_incentive(
                     k, leader.LeaderProblem(delta, _fig_cfg(k), smp))
                 row.append(sol.u_star)
@@ -354,6 +351,20 @@ def load_config_file(path: str) -> dict:
                 raise ConfigError(f"unknown key {key!r} in section [{sec}]")
             flat[key] = val
     return flat
+
+
+def config_flag(key: str) -> str:
+    """The command-line flag a config key stands for."""
+    return "--" + key.replace("_", "-")
+
+
+def _config_args(flat: dict, known: set[str]) -> list[str]:
+    extra = []
+    for key, val in flat.items():
+        flag, val = config_flag(key), str(val)
+        if flag in known and val.lower() != "false":
+            extra += [flag] if val.lower() == "true" else [flag, val]
+    return extra
 
 
 def _add_disease_flags(p: argparse.ArgumentParser) -> None:
@@ -630,6 +641,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def subcommand_flags(parser: argparse.ArgumentParser) -> dict[str, set[str]]:
+    """The option strings each subcommand of `parser` accepts."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in p._actions for o in a.option_strings}
+            for name, p in sub.choices.items()}
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -639,15 +658,14 @@ def main(argv=None) -> int:
             if i + 1 >= len(argv):
                 raise ConfigError("--config needs a file path")
             flat = load_config_file(argv[i + 1])
-            extra = []
-            for key, val in flat.items():
-                flag = "--" + key.replace("_", "-")
-                if str(val).lower() in ("true", "false"):
-                    if str(val).lower() == "true":
-                        extra.append(flag)
-                else:
-                    extra.extend([flag, str(val)])
-            argv = argv[:i] + argv[i + 2:] + extra
+            argv = argv[:i] + argv[i + 2:]
+            flags = subcommand_flags(parser)
+            cmd = next((j for j, a in enumerate(argv) if a in flags), None)
+            if cmd is not None:
+                # right after the subcommand, so flags given on the command
+                # line come later and win; keys the subcommand has no flag
+                # for are left out, so one file serves every subcommand
+                argv[cmd + 1:cmd + 1] = _config_args(flat, flags[argv[cmd]])
         args = parser.parse_args(argv)
         return args.func(args)
     except InsufficientInfluenceError as exc:

@@ -321,19 +321,19 @@ def _dopri_step(f, y, k, h: float, rtol: float):
     return (n0, n1, n2), (l0, l1, l2), err
 
 
-def _accepted_step(f, t: float, y, k, h_abs: float, cap: float,
-                   horizon: float, rtol: float):
+def _accepted_step(f, t: float, y, k, h_abs: float, horizon: float,
+                   rtol: float):
     """Retry Dormand-Prince steps from (t, y) until one passes the error
-    test, with scipy RK45's controller: the step is clipped to `cap` and
-    to the horizon, and scaled by 0.9 * err^(-1/5) within [0.2, 10]
+    test, with scipy RK45's controller: the step is clipped to _MAX_STEP
+    and to the horizon, and scaled by 0.9 * err^(-1/5) within [0.2, 10]
     (at most 1 after a rejection).
 
     Returns (t_new, y_new, f(y_new), next step size), or None once the
     step would fall below ten units in the last place of t.
     """
     min_step = 10 * (math.nextafter(t, math.inf) - t)
-    if h_abs > cap:
-        h_abs = cap
+    if h_abs > _MAX_STEP:
+        h_abs = _MAX_STEP
     elif h_abs < min_step:
         h_abs = min_step
     rejected = False
@@ -401,82 +401,59 @@ def _newton_distance(inv, fy) -> float:
 def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
                              nu: VaRatePolicy, beta: ResponseParams,
                              horizon: float = 600.0, tol: float = 1e-8,
-                             rtol: float = 1e-9,
-                             sustain_steps: int = 100) -> IntegrationResult:
+                             rtol: float = 1e-9) -> IntegrationResult:
     """Integrate the mean-field ODE until it settles or the horizon is hit.
 
     The stepper is Dormand-Prince 5(4) over Python floats with scipy RK45's
     error norm, controller and first-step rule (rtol, atol 1e-12, steps of
     at most 1), reusing each step's last stage as the next one's first.
-    Every accepted step is recorded. Convergence is declared by whichever
-    rule fires first:
+    Every accepted step is recorded. Convergence is declared by one rule,
+    a certificate: once the rhs max-norm is below 1e-6, the central-
+    difference Jacobian there has only eigenvalues with negative real part
+    and the Newton distance max|J^-1 f| is below `tol` (steps on which the
+    last stable Jacobian puts the distance at `tol` or more take no new
+    one). A small rhs alone is not trusted: near a slow point it can sit
+    below `tol` far from the equilibrium.
 
-    * certificate: once the rhs max-norm is below 1e-6, the central-
-      difference Jacobian there has only eigenvalues with negative real
-      part and the Newton distance max|J^-1 f| is below `tol` (steps on
-      which the last stable Jacobian puts the distance at `tol` or more
-      take no new one);
-    * sustained window: the rhs max-norm stays below `tol` over
-      `sustain_steps` consecutive steps (the fallback, e.g. for
-      non-hyperbolic equilibria). The dynamics are slowed by the
-      1/(eta*varrho) clock, so a single small-derivative reading is not
-      trusted.
-
-    A horizon overrun reports converged=False instead of raising; so does a
-    step size that collapses. `message` names the rule or the failure.
+    A horizon overrun reports converged=False instead of raising, and so
+    does a step size that collapses; non-hyperbolic equilibria (e.g.
+    rho = 1) are never certified and run to the horizon. `message` names
+    the rule or the failure.
     """
     if not (math.isfinite(horizon) and horizon >= 0.0):
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
     if not (tol > 0.0 and rtol > 0.0):
         raise ValueError("tol and rtol must be positive")
-    if sustain_steps < 1:
-        raise ValueError("sustain_steps must be at least 1")
     f = _field(disease, nu, beta)
     t, y = 0.0, (float(init.theta), float(init.psi), float(init.eta))
     ts, ys = [t], [y]
     converged = False
-    msg = f"horizon {horizon} exceeded without sustained rhs < {tol}"
+    msg = (f"horizon {horizon} exceeded without a certified stable "
+           f"equilibrium within {tol}")
     k = f(*y)[:3]
     h_abs = _initial_step(f, y, k, horizon, rtol) if horizon > 0.0 else 0.0
-    cap, quiet, inv = _MAX_STEP, 0, None
+    inv = None
     while t < horizon:
-        step = _accepted_step(f, t, y, k, h_abs, cap, horizon, rtol)
+        step = _accepted_step(f, t, y, k, h_abs, horizon, rtol)
         if step is None:
             msg = f"step size collapsed at t = {t:.6g}"
             break
         t, y, k, h_abs = step
         ts.append(t)
         ys.append(y)
-        rate = max(abs(k[0]), abs(k[1]), abs(k[2]))
-        if rate < _CERTIFY_BELOW:
-            # this close to an equilibrium the Jacobian barely moves, so the
-            # last stable one screens each step; only a fresh one certifies
-            if inv is None or _newton_distance(inv, k) < tol:
-                inv = _stable_inverse(f, y)
-                dist = math.inf if inv is None else _newton_distance(inv, k)
-                if dist < tol:
-                    converged = True
-                    msg = (f"converged: Newton distance {dist:.3g} < {tol} "
-                           "at a stable Jacobian (certificate)")
-                    break
-        else:
+        if max(abs(k[0]), abs(k[1]), abs(k[2])) >= _CERTIFY_BELOW:
             inv = None
-        if rate < tol:
-            quiet += 1
-            if quiet == 1:
-                # At rtol the state wobbles around an equilibrium with rhs
-                # noise near tol itself; shrink the step cap while the quiet
-                # window is open so the local error stays far below it.
-                cap = max(h_abs * 0.25, 1e-3)
-            if quiet >= sustain_steps:
+            continue
+        # this close to an equilibrium the Jacobian barely moves, so the
+        # last stable one screens each step; only a fresh one certifies
+        if inv is None or _newton_distance(inv, k) < tol:
+            inv = _stable_inverse(f, y)
+            dist = math.inf if inv is None else _newton_distance(inv, k)
+            if dist < tol:
                 converged = True
-                msg = (f"converged: rhs < {tol} over {sustain_steps} steps "
-                       "(sustained window)")
+                msg = (f"converged: Newton distance {dist:.3g} < {tol} "
+                       "at a stable Jacobian (certificate)")
                 break
-        else:
-            if quiet:
-                cap = _MAX_STEP
-            quiet = 0
     states = np.array(ys)
     yf = states[-1]
     limit = OdeState(max(yf[0], 0.0), max(yf[1], 0.0), yf[2])

@@ -398,11 +398,6 @@ class StageActionSet:
             return -tol <= p <= 1.0 + tol
         return any(abs(p - q) <= tol for q in self.pure + self.mixed)
 
-    def representatives(self) -> tuple[float, ...]:
-        if self.full_interval:
-            return (0.0, 1.0)
-        return self.pure + self.mixed
-
 
 def _find_mix_roots(target: float, rhs) -> tuple[float, ...]:
     """Interior roots of rhs(p) = target, bisected inside each grid cell
@@ -546,9 +541,6 @@ class SpecialStrategy:
         return float(p)
 
     # -- values ------------------------------------------------------------
-    def vaccinated_value(self, t: int, c: float) -> float:
-        return gamma(t, c, self.cfg)
-
     def value(self, t: int, z: int, c: float) -> float:
         """Continuation value v_t of a susceptible agent under this strategy."""
         cfg = self.cfg

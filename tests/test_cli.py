@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
-from vaxgame.cli import load_config_file, main, reproduce_figure
+from vaxgame.cli import (CONFIG_SECTIONS, build_parser, config_flag,
+                         load_config_file, main, reproduce_figure,
+                         subcommand_flags)
 
 
 def run_main(capsys, *argv):
@@ -172,6 +174,41 @@ class TestConfigFiles:
         bad.write_text("[game]\nbogus = 1\n")
         code, _, err = run_main(capsys, "--config", str(bad), "optimize-leader")
         assert code == 2
+
+
+    def test_explicit_flags_beat_config(self, capsys, tmp_path):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(
+            "[game]\nzbar = 1\nxi_var = 0\n[leader]\ndelta = 0.1\n"
+            f"[output]\ncsv = {tmp_path}/s.csv\n")
+        code, out, _ = run_main(capsys, "--config", str(cfgfile),
+                                "optimize-leader", "--delta", "0.05",
+                                "--mode", "perfect")
+        assert code == 0
+        assert json.loads(out)["np_at_g"] <= 0.05
+        row = (tmp_path / "s.csv").read_text().splitlines()[1].split(",")
+        assert row[:2] == ["1", "0.05"]
+
+    def test_shared_config_serves_every_subcommand(self, capsys, tmp_path):
+        # [leader] and [game] keys have no analyze-ess flag; they are left
+        # out for it, while its own keys still apply
+        cfgfile = tmp_path / "shared.ini"
+        cfgfile.write_text(
+            "[disease]\nlambda = 8\n[leader]\ndelta = 0.1\n"
+            "[game]\nzbar = 1\n")
+        code, out, _ = run_main(capsys, "--config", str(cfgfile),
+                                "analyze-ess", "--m", "4")
+        assert code == 0
+        report = json.loads(out[:out.index("\n\n")])
+        assert report["rho"] == pytest.approx(8.0 / (2.0 + 2.0))
+        assert len(report["per_z"]) == 5
+
+    def test_every_config_key_is_a_flag(self):
+        # the config filter keeps a key only where this flag exists
+        flags = set().union(*subcommand_flags(build_parser()).values())
+        for sec, keys in CONFIG_SECTIONS.items():
+            for key in keys:
+                assert config_flag(key) in flags, (sec, key)
 
 
 class TestFigures:
