@@ -3,8 +3,9 @@ the influencers' stochastic game, and the leader's incentive/supply design."""
 
 from .epidemic import (AttractorSet, Candidate, IntegrationResult, JumpTrajectory,
                        OdeState, candidate_attractors, export_trajectory_csv,
-                       integrate_to_equilibrium, ode_rhs, psi_co_occurring,
-                       psi_eradicating, simulate_jump_process)
+                       integrate_to_equilibrium, matched_ode, ode_rhs,
+                       psi_co_occurring, psi_eradicating,
+                       simulate_jump_process)
 from .ess import (Admissibility, EssReport, classify_esss, eradication_probability,
                   eradication_threshold, h_values, is_admissible)
 from .game import (AgentState, CostPath, InfluencerGameConfig, NeCheck,

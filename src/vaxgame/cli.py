@@ -5,11 +5,12 @@ analyses of the three layers.
     vaxgame solve-influencer-game  equilibrium probability and Z_T histogram
     vaxgame optimize-leader        constrained incentive optimization
     vaxgame simulate               jump process vs ODE trajectory export
-    vaxgame reproduce-fig          canned parameter studies (ids 1..5)
+    vaxgame reproduce-fig          canned parameter studies (ids 1..5, or all)
 
-Flags may be preloaded from --config FILE; INI-style sections or a JSON
-object with the same section/key names (see README). Exit codes: 0 ok,
-2 invalid configuration, 3 infeasible model (insufficient influence).
+Flags may be preloaded from --config FILE (or --config=FILE); INI-style
+sections or a JSON object with the same section/key names (see README).
+Exit codes: 0 ok, 2 invalid configuration, 3 infeasible model
+(insufficient influence).
 """
 from __future__ import annotations
 
@@ -194,6 +195,7 @@ def run_scenario(cfg: ScenarioConfig) -> Path:
 # Figure presets
 # ---------------------------------------------------------------------------
 
+FIG_IDS = (1, 2, 3, 4, 5)
 FIG_GAME = dict(m=40, t_horizon=20, c_v=1.0, c_i=5.0, c_se_1=3.0,
                 xi_mean=5.0, xi_sigma2=2.0)
 # theta-sweep cost set (infectious-fraction study)
@@ -213,7 +215,7 @@ def _fig_cfg(z_bar: int, sigma2: float | None = None) -> game.InfluencerGameConf
 
 def reproduce_figure(fig_id: int, outdir: Path, seed: int = 0,
                      samples: int = 100_000) -> Path:
-    """Emit the CSV for one canned parameter study (ids 1..5).
+    """Emit the CSV for one canned parameter study (one of FIG_IDS).
 
     See the README for the qualitative claim each file supports.
     """
@@ -334,14 +336,20 @@ CONFIG_SECTIONS = {
 
 def load_config_file(path: str) -> dict:
     """Flatten an INI or JSON config file into CLI destination names."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     flat: dict = {}
     if text.lstrip().startswith("{"):
         data = json.loads(text)
         items = ((sec, dict(vals)) for sec, vals in data.items())
     else:
         cp = configparser.ConfigParser()
-        cp.read_string(text)
+        try:
+            cp.read_string(text)
+        except configparser.Error as exc:
+            raise ConfigError(f"bad config file {path}: {exc}") from exc
         items = ((sec, dict(cp[sec])) for sec in cp.sections())
     for sec, vals in items:
         if sec not in CONFIG_SECTIONS:
@@ -526,9 +534,7 @@ def cmd_simulate(args) -> int:
                                           seed=args.seed, n_events=args.events,
                                           eta0=eta0,
                                           record_every=max(args.events // 2000, 1))
-    init = epidemic.OdeState(i0 / n0, v0 / n0, n0 / (1 + max(int(round(n0 / eta0)) - 1, 0)))
-    ode = epidemic.integrate_to_equilibrium(init, dis, nu, beta,
-                                            horizon=float(jump.t[-1]))
+    ode, sup = epidemic.matched_ode(jump, dis, nu, beta)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     out = outdir / "trajectory.csv"
@@ -537,14 +543,16 @@ def cmd_simulate(args) -> int:
                       "extinct": jump.extinct,
                       "jump_final": [jump.theta[-1], jump.psi[-1], jump.eta[-1]],
                       "ode_final": [ode.limit.theta, ode.limit.psi,
-                                    ode.limit.eta]}, indent=2))
+                                    ode.limit.eta],
+                      "sup_dist": sup}, indent=2))
     return 0
 
 
 def cmd_reproduce_fig(args) -> int:
-    out = reproduce_figure(args.id, Path(args.outdir), seed=args.seed,
-                           samples=args.samples)
-    print(json.dumps({"csv": str(out)}, indent=2))
+    ids = FIG_IDS if args.id == "all" else (int(args.id),)
+    outs = [reproduce_figure(i, Path(args.outdir), seed=args.seed,
+                             samples=args.samples) for i in ids]
+    print(json.dumps({"csv": [str(out) for out in outs]}, indent=2))
     return 0
 
 
@@ -567,10 +575,19 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _config_parser() -> argparse.ArgumentParser:
+    """The --config option alone, in both the `--config FILE` and the
+    `--config=FILE` form; `main` reads it before the full parse."""
+    p = argparse.ArgumentParser(prog="vaxgame", add_help=False,
+                                allow_abbrev=False)
+    p.add_argument("--config", default=None, help="INI or JSON config file")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="vaxgame", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--config", default=None, help="INI or JSON config file")
+                                 formatter_class=argparse.RawDescriptionHelpFormatter,
+                                 parents=[_config_parser()])
     sub = ap.add_subparsers(dest="command", required=True)
 
     common = dict(seed=lambda p: p.add_argument("--seed", type=int, default=0),
@@ -619,7 +636,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reproduce-fig", help="canned parameter studies")
-    p.add_argument("--id", type=int, required=True, choices=(1, 2, 3, 4, 5))
+    p.add_argument("--id", required=True,
+                   choices=[str(i) for i in FIG_IDS] + ["all"],
+                   help="study to write, or all five")
     common["seed"](p)
     common["outdir"](p)
     common["samples"](p)
@@ -653,12 +672,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        if "--config" in argv:
-            i = argv.index("--config")
-            if i + 1 >= len(argv):
-                raise ConfigError("--config needs a file path")
-            flat = load_config_file(argv[i + 1])
-            argv = argv[:i] + argv[i + 2:]
+        # the other arguments come back unparsed and in their order
+        pre, argv = _config_parser().parse_known_args(argv)
+        if pre.config is not None:
+            flat = load_config_file(pre.config)
             flags = subcommand_flags(parser)
             cmd = next((j for j, a in enumerate(argv) if a in flags), None)
             if cmd is not None:

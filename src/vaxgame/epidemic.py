@@ -488,7 +488,8 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     min(1, beta*psi). Offers that are declined still count as events of
     the chain. The k-th transition advances the chain clock by 1/(1+k),
     with eta_k = N_k/(1+k); `eta0` fixes the starting index so the chain
-    clock and the ODE clock agree (k0 ~ N0/eta0).
+    clock and the ODE clock agree (k0 ~ N0/eta0). The first record is
+    (I0/N0, V0/N0, N0/(1+k0)), the start `matched_ode` gives the ODE.
 
     Extinction (N = 0) stops the run with a flag. Reproducible from seed.
     With n_events = 0 the trajectory is the initial point alone.
@@ -585,17 +586,37 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
                           seed=seed)
 
 
-def export_trajectory_csv(path, ode: IntegrationResult | None = None,
-                          jump: JumpTrajectory | None = None) -> None:
+def matched_ode(chain: JumpTrajectory, disease: DiseaseParams,
+                nu: VaRatePolicy, beta: ResponseParams
+                ) -> tuple[IntegrationResult, float]:
+    """The mean-field ODE on the clock of a finished chain, and how far the
+    chain strays from it.
+
+    The ODE starts at the chain's first record, which already carries the
+    chain's starting clock index in its eta, and runs just past the chain's
+    last time. Returns the ODE result and the sup over the chain's record
+    times of |theta| and |psi| differences, with the ODE interpolated
+    linearly between its steps.
+    """
+    start = OdeState(chain.theta[0], chain.psi[0], chain.eta[0])
+    ode = integrate_to_equilibrium(start, disease, nu, beta,
+                                   horizon=float(chain.t[-1]) + 1e-9)
+    th = np.interp(chain.t, ode.t, ode.states[:, 0])
+    ps = np.interp(chain.t, ode.t, ode.states[:, 1])
+    sup = max(float(np.max(np.abs(th - chain.theta))),
+              float(np.max(np.abs(ps - chain.psi))))
+    return ode, sup
+
+
+def export_trajectory_csv(path, ode: IntegrationResult,
+                          jump: JumpTrajectory) -> None:
     """Write trajectories as CSV rows (t, theta, psi, eta, source)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "theta", "psi", "eta", "source"])
-        if ode is not None:
-            for t, (th, ps, et) in zip(ode.t, ode.states):
-                w.writerow([f"{t:.12g}", f"{th:.12g}", f"{ps:.12g}",
-                            f"{et:.12g}", "ode"])
-        if jump is not None:
-            for t, th, ps, et in zip(jump.t, jump.theta, jump.psi, jump.eta):
-                w.writerow([f"{t:.12g}", f"{th:.12g}", f"{ps:.12g}",
-                            f"{et:.12g}", "jump"])
+        for t, (th, ps, et) in zip(ode.t, ode.states):
+            w.writerow([f"{t:.12g}", f"{th:.12g}", f"{ps:.12g}",
+                        f"{et:.12g}", "ode"])
+        for t, th, ps, et in zip(jump.t, jump.theta, jump.psi, jump.eta):
+            w.writerow([f"{t:.12g}", f"{th:.12g}", f"{ps:.12g}",
+                        f"{et:.12g}", "jump"])

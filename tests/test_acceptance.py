@@ -155,14 +155,7 @@ def test_c03_jump_process_tracks_ode():
                                             nu, beta, seed=seed,
                                             n_events=700_000, eta0=er.eta,
                                             record_every=700)
-            k0 = max(int(round(n0 / er.eta)) - 1, 0)
-            init = vg.OdeState(i0 / n0, v0 / n0, n0 / (1 + k0))
-            sol = vg.integrate_to_equilibrium(init, dis, nu, beta,
-                                              horizon=float(traj.t[-1]) + 1e-9)
-            th = np.interp(traj.t, sol.t, sol.states[:, 0])
-            ps = np.interp(traj.t, sol.t, sol.states[:, 1])
-            sup = max(np.max(np.abs(th - traj.theta)),
-                      np.max(np.abs(ps - traj.psi)))
+            _, sup = vg.matched_ode(traj, dis, nu, beta)
             if sup < 0.02:
                 hits += 1
         assert hits >= 2, f"only {hits}/3 seeds within 0.02"

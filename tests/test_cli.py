@@ -1,9 +1,12 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import vaxgame as vg
 from vaxgame.cli import (CONFIG_SECTIONS, build_parser, config_flag,
                          load_config_file, main, reproduce_figure,
                          subcommand_flags)
@@ -57,6 +60,17 @@ class TestSubcommands:
         assert code == 0
         body = (tmp_path / "trajectory.csv").read_text()
         assert ",ode" in body and ",jump" in body
+        # the reported sup-distance is matched_ode's on the same chain: the
+        # defaults are d = b/4, beta 2, theta0 0.02, psi0 0.8, seed 0, and
+        # eta0 is that of the one active candidate
+        dis = vg.DiseaseParams(lam=15.0, r=2.0, b=2.0, d=0.5)
+        nu, beta = vg.VaRatePolicy(8.0, 3.0), vg.ResponseParams(2.0)
+        (cand,) = vg.candidate_attractors(dis, nu, beta).active().values()
+        chain = vg.simulate_jump_process((360, 1600, 40, 2000), dis, nu,
+                                         beta, seed=0, n_events=4000,
+                                         eta0=cand.eta, record_every=2)
+        assert json.loads(out)["sup_dist"] == vg.matched_ode(
+            chain, dis, nu, beta)[1]
 
     def test_simulate_zero_events(self, capsys, tmp_path):
         code, out, _ = run_main(capsys, "simulate", "--n0", "2000",
@@ -203,6 +217,28 @@ class TestConfigFiles:
         assert report["rho"] == pytest.approx(8.0 / (2.0 + 2.0))
         assert len(report["per_z"]) == 5
 
+    def test_config_equals_form(self, capsys, tmp_path):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(
+            "[game]\nzbar = 1\nxi_var = 0\n[leader]\nmode = perfect\n"
+            f"[output]\ncsv = {tmp_path}/s.csv\n")
+        code, out, _ = run_main(capsys, f"--config={cfgfile}",
+                                "optimize-leader", "--delta=0.1")
+        assert code == 0
+        assert json.loads(out)["z_bar"] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize-leader", "--config"],
+        ["--config", "{tmp}/nosuch.ini", "optimize-leader"],
+        ["--config", "{tmp}/nosection.ini", "optimize-leader"],
+    ])
+    def test_unusable_config_exit_2(self, capsys, tmp_path, argv):
+        (tmp_path / "nosection.ini").write_text("zbar = 1\n")
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        code, _, err = run_main(capsys, *argv)
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+
     def test_every_config_key_is_a_flag(self):
         # the config filter keeps a key only where this flag exists
         flags = set().union(*subcommand_flags(build_parser()).values())
@@ -234,3 +270,45 @@ class TestFigures:
     def test_unknown_figure_id(self, tmp_path):
         with pytest.raises(Exception):
             reproduce_figure(9, tmp_path)
+
+    def test_all_matches_each_id(self, capsys, tmp_path):
+        code, out, _ = run_main(capsys, "reproduce-fig", "--id", "all",
+                                "--samples", "1000",
+                                "--outdir", str(tmp_path / "all"))
+        assert code == 0
+        paths = [Path(p) for p in json.loads(out)["csv"]]
+        assert sorted(p.name for p in (tmp_path / "all").iterdir()) == sorted(
+            p.name for p in paths)
+        assert len(paths) == 5
+        for fig_id, path in enumerate(paths, start=1):
+            one = tmp_path / str(fig_id)
+            code, out, _ = run_main(capsys, "reproduce-fig", "--id",
+                                    str(fig_id), "--samples", "1000",
+                                    "--outdir", str(one))
+            assert code == 0
+            (single,) = json.loads(out)["csv"]
+            assert Path(single).name == path.name
+            assert Path(single).read_bytes() == path.read_bytes()
+
+
+def readme_commands() -> list[str]:
+    """Every `vaxgame ...` command in the README's fenced code blocks,
+    with backslash continuations joined. The usage synopsis, whose
+    subcommand is a `{a | b}` choice, is not a command."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = text.split("```")[1::2]
+    lines = [line.strip() for block in blocks
+             for line in block.replace("\\\n", " ").splitlines()]
+    return [line for line in lines
+            if line.startswith("vaxgame ") and not line.split()[1].startswith("{")]
+
+
+def test_readme_examples_parse():
+    commands = readme_commands()
+    assert len(commands) >= 6
+    for line in commands:
+        try:
+            args = build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+        assert callable(args.func)

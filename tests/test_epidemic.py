@@ -385,14 +385,46 @@ class TestJumpProcess:
         traj = vg.simulate_jump_process((n0 - v0 - i0, v0, i0, n0), dis, nu,
                                         beta, seed=2, n_events=300_000,
                                         eta0=er.eta, record_every=300)
+        sol, sup = vg.matched_ode(traj, dis, nu, beta)
+        assert sup < 0.03
+
+        # reference: the ODE started by hand at the chain's clock index
         k0 = max(int(round(n0 / er.eta)) - 1, 0)
         init = vg.OdeState(i0 / n0, v0 / n0, n0 / (1 + k0))
-        sol = vg.integrate_to_equilibrium(init, dis, nu, beta,
+        ref = vg.integrate_to_equilibrium(init, dis, nu, beta,
                                           horizon=float(traj.t[-1]) + 1e-9)
-        th = np.interp(traj.t, sol.t, sol.states[:, 0])
-        ps = np.interp(traj.t, sol.t, sol.states[:, 1])
-        sup = max(np.max(np.abs(th - traj.theta)), np.max(np.abs(ps - traj.psi)))
-        assert sup < 0.03
+        th = np.interp(traj.t, ref.t, ref.states[:, 0])
+        ps = np.interp(traj.t, ref.t, ref.states[:, 1])
+        ref_sup = max(np.max(np.abs(th - traj.theta)),
+                      np.max(np.abs(ps - traj.psi)))
+        assert np.array_equal(sol.t, ref.t)
+        assert np.array_equal(sol.states, ref.states)
+        assert sup == ref_sup
+
+    def test_sup_distance_shrinks_like_inverse_root_n0(self):
+        # density-dependent limit (Kurtz 1970): the chain's fluctuations
+        # about the ODE over a fixed horizon scale like N0^(-1/2), so each
+        # 4x step in N0 halves the mean sup-distance. 7*N0 events span the
+        # same ODE time at every N0 (about ln(1 + 7*eta0)).
+        dis = fig5_disease()
+        nu, beta = vg.VaRatePolicy(8.0, 3.0), vg.ResponseParams(2.0)
+        er = vg.candidate_attractors(dis, nu, beta).eradicating
+        stats = []
+        for n0 in (2_500, 10_000, 40_000):
+            v0, i0 = int(0.80 * n0), int(0.03 * n0)
+            events = 7 * n0
+            sups = [vg.matched_ode(vg.simulate_jump_process(
+                        (n0 - v0 - i0, v0, i0, n0), dis, nu, beta, seed=seed,
+                        n_events=events, eta0=er.eta,
+                        record_every=events // 1000), dis, nu, beta)[1]
+                    for seed in range(1, 9)]
+            stats.append((np.mean(sups),
+                          np.std(sups, ddof=1) / math.sqrt(len(sups))))
+        for (m_small, se_small), (m_big, se_big) in zip(stats, stats[1:]):
+            ratio = m_small / m_big
+            # delta-method standard error of a ratio of independent means
+            se = ratio * math.hypot(se_small / m_small, se_big / m_big)
+            assert abs(ratio - 2.0) < 3.0 * se, (stats, ratio, se)
 
 
 def test_zero_events_gives_initial_point():
