@@ -418,8 +418,12 @@ def _costs_from(args, m: int) -> PublicCostModel:
     kw = dict(c_v1=args.cv1, c_v2=args.cv2, c_v2_bar=args.cv2_bar,
               c_i=args.ci_public)
     if getattr(args, "cf_table", None):
-        vals = tuple(float(line) for line in
-                     Path(args.cf_table).read_text().split())
+        try:
+            text = Path(args.cf_table).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read c_f table {args.cf_table}: "
+                              f"{exc}") from exc
+        vals = tuple(float(line) for line in text.split())
         if len(vals) != m + 1:
             raise ConfigError(f"c_f table must have {m + 1} entries")
         return PublicCostModel(c_f_table=vals, **kw)

@@ -493,6 +493,15 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
 
     Extinction (N = 0) stops the run with a flag. Reproducible from seed.
     With n_events = 0 the trajectory is the initial point alone.
+
+    The loop holds the counts as Python floats, which stay exact integers:
+    the start is checked so that N and the clock index k stay below 2**53
+    for every event. Uniforms come in chunks of 16,384; each event takes
+    one or two, and a chunk with fewer than two left is dropped for a new
+    one. The loop runs in blocks that cannot outrun the chunk, and the
+    clock of each block is summed afterwards by `np.add.accumulate` over
+    the same terms 1/(1+k) in the same order, so every record is the
+    double a per-event `t += 1/(1+k)` gives.
     """
     s, v, i, n = (int(x) for x in initial_counts)
     if n < 1 or s + v + i != n or min(s, v, i) < 0:
@@ -501,11 +510,16 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
         raise ValueError("n_events must be nonnegative")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
-    rng = np.random.default_rng(seed)
-
     if eta0 is None:
         eta0 = float(n)
+    if not (math.isfinite(eta0) and eta0 > 0):
+        raise ValueError(f"eta0 must be positive and finite, got {eta0}")
     k = max(int(round(n / eta0)) - 1, 0)
+    if max(n, k + 1) + n_events >= 2 ** 53:
+        raise ValueError("N0 + n_events and the clock index k0 + n_events "
+                         "must stay below 2**53, where counts are exact "
+                         "as floats")
+    rng = np.random.default_rng(seed)
 
     lam, r, b, d = disease.lam, disease.r, disease.b, disease.d
     nu_b, nu_e, bt = nu.nu_b, nu.nu_e, beta.beta
@@ -514,64 +528,84 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     rec_theta = [i / n]
     rec_psi = [v / n]
     rec_eta = [n / (1 + k)]
+    s, v, i, n = float(s), float(v), float(i), float(n)
+    # 1 + k before the next block; after its j-th event 1 + k is base + j
+    base = 1 + k
     extinct = False
+    done = 0
+    left = record_every          # events until the next record
 
     chunk = 16384
     uniforms = rng.random(chunk).tolist()
     u_pos = 0
 
-    for step in range(n_events):
+    while done < n_events and not extinct:
         if u_pos + 2 > chunk:
             uniforms = rng.random(chunk).tolist()
             u_pos = 0
-        psi = v / n
-        # cumulative rates of infection, recovery, birth and death; the
-        # rest of the total is vaccine offers at rate (nu_b + nu_e*psi)*S
-        c_inf = lam * s * i / n
-        c_rec = c_inf + r * i
-        c_birth = c_rec + b * n
-        c_death = c_birth + d * n
-        total = c_death + (nu_b + nu_e * psi) * s
+        # an event takes at most two uniforms, so a block of this many
+        # events needs no refill
+        run = min(n_events - done, (chunk - u_pos) // 2)
+        first = left                 # clock entry of the block's first record
+        for j in range(1, run + 1):
+            psi = v / n
+            # cumulative rates of infection, recovery, birth and death; the
+            # rest of the total is vaccine offers at rate (nu_b + nu_e*psi)*S
+            c_inf = lam * s * i / n
+            c_rec = c_inf + r * i
+            c_birth = c_rec + b * n
+            c_death = c_birth + d * n
+            total = c_death + (nu_b + nu_e * psi) * s
 
-        u = uniforms[u_pos] * total
-        u_pos += 1
-        if u < c_inf:
-            s -= 1
-            i += 1
-        elif u < c_rec:
-            # recovered individuals rejoin the susceptible pool
-            i -= 1
-            s += 1
-        elif u < c_birth:
-            s += 1
-            n += 1
-        elif u < c_death:
-            u2 = uniforms[u_pos] * n
+            # tested from the offer end, where most events fall; the
+            # thresholds are nondecreasing, so the partition is the same
+            u = uniforms[u_pos] * total
             u_pos += 1
-            if u2 < s:
-                s -= 1
-            elif u2 < s + v:
-                v -= 1
+            if u >= c_death:
+                accept = bt * psi
+                if uniforms[u_pos] < (accept if accept < 1.0 else 1.0):
+                    s -= 1.0
+                    v += 1.0
+                u_pos += 1
+            elif u >= c_birth:
+                u2 = uniforms[u_pos] * n
+                u_pos += 1
+                if u2 < s:
+                    s -= 1.0
+                elif u2 < s + v:
+                    v -= 1.0
+                else:
+                    i -= 1.0
+                n -= 1.0
+                if n == 0.0:
+                    extinct = True
+                    break
+            elif u >= c_rec:
+                s += 1.0
+                n += 1.0
+            elif u >= c_inf:
+                # recovered individuals rejoin the susceptible pool
+                i -= 1.0
+                s += 1.0
             else:
-                i -= 1
-            n -= 1
-        else:
-            accept = bt * psi
-            if uniforms[u_pos] < (accept if accept < 1.0 else 1.0):
-                s -= 1
-                v += 1
-            u_pos += 1
+                s -= 1.0
+                i += 1.0
 
-        k += 1
-        t += 1.0 / (1 + k)
-        if n == 0:
-            extinct = True
-            break
-        if (step + 1) % record_every == 0:
-            rec_t.append(t)
-            rec_theta.append(i / n)
-            rec_psi.append(v / n)
-            rec_eta.append(n / (1 + k))
+            left -= 1
+            if not left:
+                left = record_every
+                rec_theta.append(i / n)
+                rec_psi.append(v / n)
+                rec_eta.append(n / (base + j))
+
+        # clock[j] is t after the block's j-th event
+        clock = np.add.accumulate(np.concatenate(
+            ([t], 1.0 / np.arange(base + 1, base + j + 1))))
+        # the extinction event is never a record
+        rec_t.extend(clock[first:j + 1 - extinct:record_every].tolist())
+        t = float(clock[j])
+        base += j
+        done += j
 
     if extinct:
         rec_t.append(t)
@@ -581,9 +615,7 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
 
     return JumpTrajectory(np.array(rec_t), np.array(rec_theta),
                           np.array(rec_psi), np.array(rec_eta),
-                          extinct=extinct,
-                          events=step + 1 if extinct else n_events,
-                          seed=seed)
+                          extinct=extinct, events=done, seed=seed)
 
 
 def matched_ode(chain: JumpTrajectory, disease: DiseaseParams,

@@ -87,6 +87,11 @@ class TestSubcommands:
         ["analyze-ess", "--m", "0"],
         ["sweep", "--var", "zbar", "--grid", "0", "--outdir", "{tmp}"],
         ["simulate", "--n0", "2000", "--events", "-1", "--outdir", "{tmp}"],
+        # past 2**53 the chain's float counts would no longer be exact
+        ["simulate", "--n0", "9007199254740992", "--outdir", "{tmp}"],
+        ["simulate", "--n0", "2000", "--eta0", "0", "--outdir", "{tmp}"],
+        ["analyze-ess", "--m", "2", "--cf-table", "{tmp}/nosuch.txt"],
+        ["analyze-ess", "--m", "2", "--cf-table", "{tmp}"],
     ])
     def test_rejected_parameters_exit_2(self, capsys, tmp_path, argv):
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

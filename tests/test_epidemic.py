@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import RK45
 
 import vaxgame as vg
@@ -323,6 +326,136 @@ class TestPsiEProperties:
             assert np.all(np.diff(vals) > 0)
 
 
+def _reference_chain(initial_counts, disease, nu, beta, seed, n_events,
+                     eta0=None, record_every=1):
+    """The per-event loop of `simulate_jump_process` before it moved to float
+    counts and a clock summed per block: integer counts, the clock and the
+    record test on every event. The oracle the current loop must equal."""
+    s, v, i, n = (int(x) for x in initial_counts)
+    rng = np.random.default_rng(seed)
+
+    if eta0 is None:
+        eta0 = float(n)
+    k = max(int(round(n / eta0)) - 1, 0)
+
+    lam, r, b, d = disease.lam, disease.r, disease.b, disease.d
+    nu_b, nu_e, bt = nu.nu_b, nu.nu_e, beta.beta
+    t = 0.0
+    rec_t = [0.0]
+    rec_theta = [i / n]
+    rec_psi = [v / n]
+    rec_eta = [n / (1 + k)]
+    extinct = False
+
+    chunk = 16384
+    uniforms = rng.random(chunk).tolist()
+    u_pos = 0
+
+    for step in range(n_events):
+        if u_pos + 2 > chunk:
+            uniforms = rng.random(chunk).tolist()
+            u_pos = 0
+        psi = v / n
+        # cumulative rates of infection, recovery, birth and death; the
+        # rest of the total is vaccine offers at rate (nu_b + nu_e*psi)*S
+        c_inf = lam * s * i / n
+        c_rec = c_inf + r * i
+        c_birth = c_rec + b * n
+        c_death = c_birth + d * n
+        total = c_death + (nu_b + nu_e * psi) * s
+
+        u = uniforms[u_pos] * total
+        u_pos += 1
+        if u < c_inf:
+            s -= 1
+            i += 1
+        elif u < c_rec:
+            # recovered individuals rejoin the susceptible pool
+            i -= 1
+            s += 1
+        elif u < c_birth:
+            s += 1
+            n += 1
+        elif u < c_death:
+            u2 = uniforms[u_pos] * n
+            u_pos += 1
+            if u2 < s:
+                s -= 1
+            elif u2 < s + v:
+                v -= 1
+            else:
+                i -= 1
+            n -= 1
+        else:
+            accept = bt * psi
+            if uniforms[u_pos] < (accept if accept < 1.0 else 1.0):
+                s -= 1
+                v += 1
+            u_pos += 1
+
+        k += 1
+        t += 1.0 / (1 + k)
+        if n == 0:
+            extinct = True
+            break
+        if (step + 1) % record_every == 0:
+            rec_t.append(t)
+            rec_theta.append(i / n)
+            rec_psi.append(v / n)
+            rec_eta.append(n / (1 + k))
+
+    if extinct:
+        rec_t.append(t)
+        rec_theta.append(0.0)
+        rec_psi.append(0.0)
+        rec_eta.append(0.0)
+
+    return vg.JumpTrajectory(np.array(rec_t), np.array(rec_theta),
+                             np.array(rec_psi), np.array(rec_eta),
+                             extinct=extinct,
+                             events=step + 1 if extinct else n_events,
+                             seed=seed)
+
+
+# near-critical birth/death from N0 = 20: dies out at event 15,240, after
+# the first uniform refill and on an event that is a multiple of 40
+_LATE_EXTINCTION = dict(counts=(16, 2, 2), rates=(0.5, 5.0, 0.5, 0.998),
+                        supply=(0.1, 0.0), beta=0.5, eta0=None,
+                        record_every=40, n_events=25_000, seed=39)
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=st.tuples(st.integers(0, 30), st.integers(0, 30),
+                        st.integers(0, 30)).filter(lambda c: sum(c) > 0),
+       rates=st.tuples(st.floats(0.1, 20.0), st.floats(0.1, 5.0),
+                       st.floats(0.1, 3.0), st.floats(0.0, 0.999)),
+       supply=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 5.0)),
+       beta=st.floats(0.0, 2.0),
+       eta0=st.none() | st.floats(0.05, 50.0),
+       record_every=st.integers(1, 50),
+       n_events=st.integers(0, 25_000),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(**_LATE_EXTINCTION)
+@example(counts=(800, 100, 100), rates=(15.0, 2.0, 2.0, 0.25),
+         supply=(2.0, 1.0), beta=0.3, eta0=250.0, record_every=13,
+         n_events=25_000, seed=3)
+def test_chain_equals_per_event_reference(counts, rates, supply, beta, eta0,
+                                          record_every, n_events, seed):
+    # beta < 1 declines some offers at every psi; 25,000 events cross the
+    # 16,384-uniform refill; small counts with d near b die out mid-block
+    s, v, i = counts
+    lam, r, b, d_frac = rates
+    args = ((s, v, i, s + v + i), vg.DiseaseParams(lam, r, b, d_frac * b),
+            vg.VaRatePolicy(*supply), vg.ResponseParams(beta))
+    kw = dict(seed=seed, n_events=n_events, eta0=eta0,
+              record_every=record_every)
+    got = vg.simulate_jump_process(*args, **kw)
+    want = _reference_chain(*args, **kw)
+    for name in ("t", "theta", "psi", "eta"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.extinct, got.events) == (want.extinct, want.events)
+
+
 class TestJumpProcess:
     def test_no_spontaneous_infection(self):
         dis = fig5_disease()
@@ -364,6 +497,54 @@ class TestJumpProcess:
         assert math.fsum(traj.theta) == 2082.1432967051837
         assert math.fsum(traj.psi) == 465.68837366096614
         assert math.fsum(traj.eta) == 10229.76317947173
+
+    def test_counts_must_stay_exact_as_floats(self):
+        dis, nu, beta = (fig5_disease(), vg.VaRatePolicy(2.0, 1.0),
+                         vg.ResponseParams(1.5))
+        big = 2 ** 53
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            vg.simulate_jump_process((big, 0, 0, big), dis, nu, beta,
+                                     seed=0, n_events=0)
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            vg.simulate_jump_process((big - 10, 0, 0, big - 10), dis, nu,
+                                     beta, seed=0, n_events=10)
+        # one event fewer keeps N below 2**53 however the chain moves
+        traj = vg.simulate_jump_process((big - 10, 0, 0, big - 10), dis, nu,
+                                        beta, seed=0, n_events=9)
+        assert traj.events == 9 and not traj.extinct
+        # the clock index k0 ~ N0/eta0 is held to the same bound
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            vg.simulate_jump_process((800, 100, 100, 1000), dis, nu, beta,
+                                     seed=0, n_events=10, eta0=1e-300)
+        for eta0 in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eta0"):
+                vg.simulate_jump_process((800, 100, 100, 1000), dis, nu,
+                                         beta, seed=0, n_events=10, eta0=eta0)
+
+    def test_memory_does_not_grow_with_n_events(self):
+        # the working set is the 16,384-uniform chunk (two of them while
+        # one replaces the other, about 1.2 MB traced) and a block's clock;
+        # nothing may be sized by n_events
+        runs = [
+            # 25,000 events take more than one chunk of uniforms
+            ((160, 800, 40, 1000), fig5_disease(), vg.VaRatePolicy(8.0, 3.0),
+             vg.ResponseParams(2.0), 25_000, 250),
+            # dies out after 7 events, so an array sized by the 5e6 events
+            # asked for would be all that grows
+            ((2, 1, 2, 5), vg.DiseaseParams(lam=0.5, r=5.0, b=0.5, d=0.499),
+             vg.VaRatePolicy(0.1, 0.0), vg.ResponseParams(0.5), 5_000_000, 7),
+        ]
+        for counts, dis, nu, beta, events, every in runs:
+            tracemalloc.start()
+            try:
+                traj = vg.simulate_jump_process(counts, dis, nu, beta, seed=4,
+                                                n_events=events,
+                                                record_every=every)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(traj.t) < 110
+            assert peak < 1.5e6, (events, peak)
 
     def test_counts_stay_nonnegative_and_extinction_flags(self):
         # near-critical birth/death walk from a tiny population hits zero
