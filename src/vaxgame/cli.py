@@ -90,9 +90,9 @@ def write_csv(path: Path, fieldnames, rows) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
-def svg_line_chart(path: Path, xs, series: dict[str, list], title: str,
-                   width: int = 640, height: int = 420) -> None:
-    """Minimal standalone SVG line chart; keeps plotting dependency-free."""
+def svg_line_chart(path: Path, xs, series: dict[str, list], title: str) -> None:
+    """Standalone 640x420 SVG line chart; keeps plotting dependency-free."""
+    width, height = 640, 420
     xs = [float(x) for x in xs]
     pts = [(k, [float(v) for v in vs]) for k, vs in series.items()]
     all_y = [v for _, vs in pts for v in vs if np.isfinite(v)]
@@ -222,29 +222,23 @@ def reproduce_figure(fig_id: int, outdir: Path, seed: int = 0,
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    if fig_id == 1:
+    if fig_id in (1, 2):
+        # the solve ignores cfg.z_bar, so one problem serves every threshold
         smp = leader.ExpectationSampler(n_samples=samples, seed=seed)
-        rows = []
-        zbars = list(range(1, 41))
-        for delta in (0.01, 0.05, 0.1):
-            for zb in zbars:
-                sol = leader.solve_optimal_incentive(
-                    zb, leader.LeaderProblem(delta, _fig_cfg(zb), smp))
-                rows.append([zb, delta, sol.g_star, sol.u_star, sol.np_at_g])
-        out = outdir / "fig1_incentives_vs_zbar.csv"
-        write_csv(out, ["zbar", "delta", "g_star", "u_star", "np_at_g"], rows)
-        return out
-
-    if fig_id == 2:
-        smp = leader.ExpectationSampler(n_samples=samples, seed=seed)
-        rows = []
-        for delta in np.round(np.arange(0.01, 0.151, 0.01), 3):
-            s1 = leader.solve_optimal_incentive(
-                1, leader.LeaderProblem(float(delta), _fig_cfg(1), smp))
-            sM = leader.solve_optimal_incentive(
-                40, leader.LeaderProblem(float(delta), _fig_cfg(40), smp))
-            rows.append([delta, s1.g_star, s1.u_star, sM.g_star, sM.u_star,
-                         1 if sM.u_star < s1.u_star else 0])
+        problem = leader.LeaderProblem(0.01, _fig_cfg(40), smp)
+        if fig_id == 1:
+            table = leader.compare_across_zbar(problem, range(1, 41),
+                                               (0.01, 0.05, 0.1))
+            out = outdir / "fig1_incentives_vs_zbar.csv"
+            write_csv(out, ["zbar", "delta", "g_star", "u_star", "np_at_g"],
+                      [[r.z_bar, r.delta, r.g_star, r.u_star, r.np_at_g]
+                       for r in table])
+            return out
+        deltas = [float(d) for d in np.round(np.arange(0.01, 0.151, 0.01), 3)]
+        table = leader.compare_across_zbar(problem, (1, 40), deltas)
+        rows = [[r1.delta, r1.g_star, r1.u_star, rM.g_star, rM.u_star,
+                 1 if rM.argmin else 0]
+                for r1, rM in zip(table[::2], table[1::2])]
         out = outdir / "fig2_crossover_vs_delta.csv"
         write_csv(out, ["delta", "g1", "u1", "gM", "uM", "uM_best"], rows)
         return out
@@ -603,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_disease_flags(p)
     _add_cost_flags(p)
     p.add_argument("--m", type=int, default=40)
-    common["seed"](p)
     p.set_defaults(func=cmd_analyze_ess)
 
     p = sub.add_parser("solve-influencer-game", help="equilibrium outcome")

@@ -250,12 +250,13 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
                                 17253 / 339200, -22 / 525, 1 / 40)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5
-_ATOL = 1e-12
+_ATOL, _RTOL = 1e-12, 1e-9
 _MAX_STEP = 1.0
 
-# The Jacobian certificate is tried once the rhs max-norm is below this;
-# above it the state is too far out for the linearisation to be trusted.
-_CERTIFY_BELOW = 1e-6
+# The Jacobian certificate is tried once the rhs max-norm is below
+# _CERTIFY_BELOW (further out the linearisation is not trusted), and a run
+# converges once it puts the Newton distance below _TOL.
+_CERTIFY_BELOW, _TOL = 1e-6, 1e-8
 _JAC_STEP = np.finfo(float).eps ** (1 / 3)
 
 
@@ -263,11 +264,11 @@ def _rms(a: float, b: float, c: float) -> float:
     return math.sqrt((a * a + b * b + c * c) / 3.0)
 
 
-def _initial_step(f, y, k, horizon: float, rtol: float) -> float:
+def _initial_step(f, y, k, horizon: float) -> float:
     """First step size by the rule of Hairer, Norsett & Wanner (Sec. II.4),
     as scipy's select_initial_step applies it to a fourth-order error
     estimate, capped at _MAX_STEP and the horizon."""
-    s0, s1, s2 = (_ATOL + abs(v) * rtol for v in y)
+    s0, s1, s2 = (_ATOL + abs(v) * _RTOL for v in y)
     d0 = _rms(y[0] / s0, y[1] / s1, y[2] / s2)
     d1 = _rms(k[0] / s0, k[1] / s1, k[2] / s2)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -282,12 +283,12 @@ def _initial_step(f, y, k, horizon: float, rtol: float) -> float:
     return min(100 * h0, h1, horizon, _MAX_STEP)
 
 
-def _dopri_step(f, y, k, h: float, rtol: float):
+def _dopri_step(f, y, k, h: float):
     """One Dormand-Prince step of size h from y, where k = f(y).
 
     Returns the fifth-order solution, f there (the next step's first stage:
     first same as last) and the RMS norm of the embedded error estimate
-    scaled by _ATOL + rtol * max(|y|, |y_new|).
+    scaled by _ATOL + _RTOL * max(|y|, |y_new|).
     """
     y0, y1, y2 = y
     a0, a1, a2 = k
@@ -313,16 +314,15 @@ def _dopri_step(f, y, k, h: float, rtol: float):
     l0, l1, l2, _ = f(n0, n1, n2)
     err = _rms(
         (_E1 * a0 + _E3 * c0 + _E4 * d0 + _E5 * e0 + _E6 * g0 + _E7 * l0) * h
-        / (_ATOL + max(abs(y0), abs(n0)) * rtol),
+        / (_ATOL + max(abs(y0), abs(n0)) * _RTOL),
         (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * g1 + _E7 * l1) * h
-        / (_ATOL + max(abs(y1), abs(n1)) * rtol),
+        / (_ATOL + max(abs(y1), abs(n1)) * _RTOL),
         (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * g2 + _E7 * l2) * h
-        / (_ATOL + max(abs(y2), abs(n2)) * rtol))
+        / (_ATOL + max(abs(y2), abs(n2)) * _RTOL))
     return (n0, n1, n2), (l0, l1, l2), err
 
 
-def _accepted_step(f, t: float, y, k, h_abs: float, horizon: float,
-                   rtol: float):
+def _accepted_step(f, t: float, y, k, h_abs: float, horizon: float):
     """Retry Dormand-Prince steps from (t, y) until one passes the error
     test, with scipy RK45's controller: the step is clipped to _MAX_STEP
     and to the horizon, and scaled by 0.9 * err^(-1/5) within [0.2, 10]
@@ -340,7 +340,7 @@ def _accepted_step(f, t: float, y, k, h_abs: float, horizon: float,
     while h_abs >= min_step:
         t_new = min(t + h_abs, horizon)
         h = t_new - t
-        y_new, k_new, err = _dopri_step(f, y, k, h, rtol)
+        y_new, k_new, err = _dopri_step(f, y, k, h)
         if err < 1.0:
             factor = (_MAX_FACTOR if err == 0.0 else
                       min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT))
@@ -400,20 +400,20 @@ def _newton_distance(inv, fy) -> float:
 
 def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
                              nu: VaRatePolicy, beta: ResponseParams,
-                             horizon: float = 600.0, tol: float = 1e-8,
-                             rtol: float = 1e-9) -> IntegrationResult:
+                             horizon: float = 600.0) -> IntegrationResult:
     """Integrate the mean-field ODE until it settles or the horizon is hit.
 
     The stepper is Dormand-Prince 5(4) over Python floats with scipy RK45's
-    error norm, controller and first-step rule (rtol, atol 1e-12, steps of
-    at most 1), reusing each step's last stage as the next one's first.
+    error norm, controller and first-step rule (_RTOL = 1e-9, _ATOL =
+    1e-12, steps of at most 1), reusing each step's last stage as the next
+    one's first.
     Every accepted step is recorded. Convergence is declared by one rule,
     a certificate: once the rhs max-norm is below 1e-6, the central-
     difference Jacobian there has only eigenvalues with negative real part
-    and the Newton distance max|J^-1 f| is below `tol` (steps on which the
-    last stable Jacobian puts the distance at `tol` or more take no new
-    one). A small rhs alone is not trusted: near a slow point it can sit
-    below `tol` far from the equilibrium.
+    and the Newton distance max|J^-1 f| is below _TOL = 1e-8 (steps on
+    which the last stable Jacobian puts the distance at _TOL or more take
+    no new one). A small rhs alone is not trusted: near a slow point it can
+    sit below _TOL far from the equilibrium.
 
     A horizon overrun reports converged=False instead of raising, and so
     does a step size that collapses; non-hyperbolic equilibria (e.g.
@@ -422,19 +422,17 @@ def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
     """
     if not (math.isfinite(horizon) and horizon >= 0.0):
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
-    if not (tol > 0.0 and rtol > 0.0):
-        raise ValueError("tol and rtol must be positive")
     f = _field(disease, nu, beta)
     t, y = 0.0, (float(init.theta), float(init.psi), float(init.eta))
     ts, ys = [t], [y]
     converged = False
     msg = (f"horizon {horizon} exceeded without a certified stable "
-           f"equilibrium within {tol}")
+           f"equilibrium within {_TOL}")
     k = f(*y)[:3]
-    h_abs = _initial_step(f, y, k, horizon, rtol) if horizon > 0.0 else 0.0
+    h_abs = _initial_step(f, y, k, horizon) if horizon > 0.0 else 0.0
     inv = None
     while t < horizon:
-        step = _accepted_step(f, t, y, k, h_abs, horizon, rtol)
+        step = _accepted_step(f, t, y, k, h_abs, horizon)
         if step is None:
             msg = f"step size collapsed at t = {t:.6g}"
             break
@@ -446,12 +444,12 @@ def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
             continue
         # this close to an equilibrium the Jacobian barely moves, so the
         # last stable one screens each step; only a fresh one certifies
-        if inv is None or _newton_distance(inv, k) < tol:
+        if inv is None or _newton_distance(inv, k) < _TOL:
             inv = _stable_inverse(f, y)
             dist = math.inf if inv is None else _newton_distance(inv, k)
-            if dist < tol:
+            if dist < _TOL:
                 converged = True
-                msg = (f"converged: Newton distance {dist:.3g} < {tol} "
+                msg = (f"converged: Newton distance {dist:.3g} < {_TOL} "
                        "at a stable Jacobian (certificate)")
                 break
     states = np.array(ys)
@@ -494,8 +492,9 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     Extinction (N = 0) stops the run with a flag. Reproducible from seed.
     With n_events = 0 the trajectory is the initial point alone.
 
-    The loop holds the counts as Python floats, which stay exact integers:
-    the start is checked so that N and the clock index k stay below 2**53
+    Counts must be integer values (2.0 is taken, 2.5 or inf is rejected).
+    The loop holds them as Python floats, which stay exact integers: the
+    start is checked so that N and the clock index k stay below 2**53
     for every event. Uniforms come in chunks of 16,384; each event takes
     one or two, and a chunk with fewer than two left is dropped for a new
     one. The loop runs in blocks that cannot outrun the chunk, and the
@@ -503,6 +502,8 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     the same terms 1/(1+k) in the same order, so every record is the
     double a per-event `t += 1/(1+k)` gives.
     """
+    if not all(float(x).is_integer() for x in initial_counts):
+        raise ValueError("counts must be finite integer values")
     s, v, i, n = (int(x) for x in initial_counts)
     if n < 1 or s + v + i != n or min(s, v, i) < 0:
         raise ValueError("counts must be nonnegative with S+V+I == N >= 1")
@@ -541,6 +542,7 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
 
     while done < n_events and not extinct:
         if u_pos + 2 > chunk:
+            del uniforms             # so two chunks are never alive at once
             uniforms = rng.random(chunk).tolist()
             u_pos = 0
         # an event takes at most two uniforms, so a block of this many

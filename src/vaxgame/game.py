@@ -12,7 +12,6 @@ with xi_t the fresh data of day t (nonnegative, i.i.d.).
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -26,6 +25,11 @@ CDF_TABLE_POINTS = 4097
 
 # Rows of xi data drawn at a time when filling Gamma_{T-1} draws.
 DRAW_BLOCK_ROWS = 8192
+
+# Size and seed of the common-random-number grid of one xi draw under a
+# continuous XiModel; the wait-and-watch value draws from seed XI_SEED + 7.
+XI_NODES = 512
+XI_SEED = 1234
 
 
 class NotMixedRegimeError(ValueError):
@@ -91,12 +95,12 @@ class XiModel:
         return (1.0 - self.p0) * _truncnorm_mean(self.mean_param,
                                                  math.sqrt(self.sigma2))
 
-    def nodes(self, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Support points and weights for expectations over one xi draw.
 
-        Exact for the degenerate and discrete cases; a common-random-number
-        sample grid of size n otherwise, so that every expectation built on
-        the same model reuses identical draws.
+        Exact for the degenerate and discrete cases; otherwise XI_NODES
+        draws from seed XI_SEED, a common-random-number grid, so that every
+        expectation built on the same model reuses identical draws.
         """
         if self.values is not None:
             return np.asarray(self.values, float), np.asarray(self.probs, float)
@@ -105,8 +109,8 @@ class XiModel:
             if self.p0 > 0.0:
                 return (np.array([0.0, v]), np.array([self.p0, 1.0 - self.p0]))
             return np.array([v]), np.array([1.0])
-        draws = self.sample(np.random.default_rng(seed), n)
-        return draws, np.full(n, 1.0 / n)
+        draws = self.sample(np.random.default_rng(XI_SEED), XI_NODES)
+        return draws, np.full(XI_NODES, 1.0 / XI_NODES)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.values is not None:
@@ -149,8 +153,6 @@ class InfluencerGameConfig:
     incentives: tuple[float, ...] | None = None
     xi_values: tuple[float, ...] | None = None
     xi_probs: tuple[float, ...] | None = None
-    n_xi_nodes: int = 512
-    xi_seed: int = 1234
 
     def __post_init__(self):
         if self.m < 1:
@@ -188,12 +190,6 @@ class InfluencerGameConfig:
         if self.incentives is not None:
             return self.incentives[z]
         return self.g0
-
-    def with_g0(self, g0: float) -> "InfluencerGameConfig":
-        if self.incentives is not None:
-            inc = (float(g0),) + self.incentives[1:]
-            return dataclasses.replace(self, incentives=inc)
-        return dataclasses.replace(self, g0=float(g0))
 
 
 @dataclass(frozen=True)
@@ -393,7 +389,9 @@ class StageActionSet:
     mixed: tuple[float, ...] = ()
     full_interval: bool = False
 
-    def contains(self, p: float, tol: float = 1e-9) -> bool:
+    def contains(self, p: float) -> bool:
+        """Whether p is an admissible choice, to within 1e-9."""
+        tol = 1e-9
         if self.full_interval:
             return -tol <= p <= 1.0 + tol
         return any(abs(p - q) <= tol for q in self.pure + self.mixed)
@@ -450,7 +448,7 @@ def stage_action_set(t: int, x: AgentState, value_next, cfg: InfluencerGameConfi
         return StageActionSet(full_interval=True)
 
     if xi_nodes is None:
-        xi_nodes = cfg.xi.nodes(cfg.n_xi_nodes, cfg.xi_seed)
+        xi_nodes = cfg.xi.nodes()
     xi_v, xi_w = xi_nodes
     n_opp = cfg.m - z - 1
     next_c = (t * c + xi_v) / (t + 1)
@@ -490,7 +488,7 @@ class SpecialStrategy:
     def __init__(self, cfg: InfluencerGameConfig, selector=WAIT_AND_WATCH):
         self.cfg = cfg
         self.selector = selector
-        self._xi_nodes = cfg.xi.nodes(cfg.n_xi_nodes, cfg.xi_seed)
+        self._xi_nodes = cfg.xi.nodes()
         if not cfg.xi.is_exact and cfg.t_horizon > 8 and selector != WAIT_AND_WATCH:
             raise ValueError(
                 "exact backward recursion over a continuous side-effect "
@@ -578,8 +576,8 @@ class SpecialStrategy:
         if len(xi_v) == 1:
             cf = (t * c + (T - 1 - t) * xi_v[0]) / (T - 1)
             return min(cfg.c_v + gamma(T - 1, cf, cfg) - cfg.g(z), cfg.c_i)
-        gm = final_gamma_draws(cfg, np.random.default_rng(cfg.xi_seed + 7),
-                               max(cfg.n_xi_nodes, 4096), t, c)
+        gm = final_gamma_draws(cfg, np.random.default_rng(XI_SEED + 7), 4096,
+                               t, c)
         return float(np.mean(np.minimum(cfg.c_v + gm - cfg.g(z), cfg.c_i)))
 
 
@@ -633,7 +631,7 @@ class NeCheck:
 
 def _cost_nodes(cfg: InfluencerGameConfig) -> list[dict[float, float]]:
     """Reachable side-effect estimates and probabilities per epoch."""
-    xi_v, xi_w = cfg.xi.nodes(cfg.n_xi_nodes, cfg.xi_seed)
+    xi_v, xi_w = cfg.xi.nodes()
     nodes: list[dict[float, float]] = [dict() for _ in range(cfg.t_horizon + 1)]
     nodes[1] = {cfg.c_se_1: 1.0}
     for t in range(1, cfg.t_horizon):
@@ -657,7 +655,7 @@ def verify_symmetric_ne(strategy, cfg: InfluencerGameConfig,
     if not cfg.xi.is_exact:
         raise ValueError("exact verification needs a finite xi distribution "
                          "(set xi_sigma2=0 or give xi_values/xi_probs)")
-    xi_v, xi_w = cfg.xi.nodes(cfg.n_xi_nodes, cfg.xi_seed)
+    xi_v, xi_w = cfg.xi.nodes()
     nodes = _cost_nodes(cfg)
     T, M = cfg.t_horizon, cfg.m
 

@@ -27,6 +27,11 @@ from .params import DiseaseParams, PublicCostModel, VaRatePolicy
 PERFECT_INFO = "perfect_info"
 MONTE_CARLO = "monte_carlo"
 
+# The perfect-information incentive's excess over the infimum at z_bar = M,
+# the halvings the vaccine-optimal design may take, and the supply margin
+# of the incentive-optimal design.
+_PERFECT_INFO_EPS, _MAX_HALVINGS, _MARGIN = 1e-6, 200, 1e-3
+
 
 class BracketingError(RuntimeError):
     """Could not bracket the constraint root after the doubling budget."""
@@ -235,14 +240,14 @@ def p_star(k: int, m: int, delta: float) -> float:
     return _mixed_root(delta, m, k - 1)
 
 
-def perfect_info_solution(z_bar: int, problem: LeaderProblem,
-                          eps: float = 1e-6) -> LeaderSolution:
+def perfect_info_solution(z_bar: int, problem: LeaderProblem) -> LeaderSolution:
     """Optimal incentive when the side-effect cost is known from day one.
 
     For z_bar < m the target probability p* solves F_M(z_bar-1; p) = delta
     and g* = C_v + Gamma - C_i F_{M-1}(z_bar-1; p*). For z_bar = m only an
-    eps-optimizer exists: g = C_v + Gamma - C_i + eps, whose cost exceeds
-    the infimum M (C_v + Gamma - C_i) by M*eps.
+    eps-optimizer exists: g = C_v + Gamma - C_i + eps with eps =
+    _PERFECT_INFO_EPS = 1e-6, whose cost exceeds the infimum
+    M (C_v + Gamma - C_i) by M*eps; `epsilon` reports eps.
     """
     cfg, delta = problem.cfg, problem.delta
     _require_zbar(z_bar, cfg)
@@ -260,9 +265,10 @@ def perfect_info_solution(z_bar: int, problem: LeaderProblem,
                               np_at_g=float(binom_cdf(cfg.m, z_bar - 1, ps)),
                               mode=PERFECT_INFO)
     g_inf = cfg.c_v + gam - cfg.c_i
-    g = g_inf + eps
+    g = g_inf + _PERFECT_INFO_EPS
     return LeaderSolution(g, cfg.m * g, z_bar, binding=True, p_expectation=1.0,
-                          np_at_g=0.0, mode=PERFECT_INFO, epsilon=eps,
+                          np_at_g=0.0, mode=PERFECT_INFO,
+                          epsilon=_PERFECT_INFO_EPS,
                           u_star_raw=cfg.m * g_inf)
 
 
@@ -359,14 +365,14 @@ def vaccine_optimal_k(costs: PublicCostModel, disease: DiseaseParams,
 
 def construct_eps_vaccine_optimal_nu(k_star: int, eps: float,
                                      costs: PublicCostModel,
-                                     disease: DiseaseParams, m: int,
-                                     max_halvings: int = 200) -> JointDesign:
+                                     disease: DiseaseParams, m: int) -> JointDesign:
     """Supply policy pushing the eradicating vaccinated fraction within
     eps of its lower bound while keeping the threshold at k_star.
 
     Starts from nu_b just below b*rho*theta_star and nu_e just above the
-    admissibility line, then halves both margins until psi_e lands in
-    (theta_star, theta_star + eps] and the threshold matches.
+    admissibility line, then halves both margins, at most _MAX_HALVINGS =
+    200 times, until psi_e lands in (theta_star, theta_star + eps] and the
+    threshold matches.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -376,7 +382,7 @@ def construct_eps_vaccine_optimal_nu(k_star: int, eps: float,
     e1 = min(eps, ceiling) / 2
     e2 = e1
     history = []
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         nu = VaRatePolicy(ceiling - e1, e1 / theta_star + e2)
         psi_e = psi_eradicating(nu, disease.b)
         ok_psi = theta_star < psi_e <= theta_star + eps
@@ -409,15 +415,14 @@ def incentive_optimal_exists(costs: PublicCostModel, disease: DiseaseParams,
 
 
 def construct_incentive_optimal_nu(costs: PublicCostModel,
-                                   disease: DiseaseParams, m: int,
-                                   margin: float = 1e-3) -> VaRatePolicy:
+                                   disease: DiseaseParams, m: int) -> VaRatePolicy:
     """Admissible supply policy whose eradication threshold sits at M.
 
     Tries the near-minimal policy first (smallest vaccinated fraction);
     if that fails to pin the threshold, raises the basic rate until the
-    endemic limit stays attractive at M-1 vaccinated influencers. Among
-    validated candidates the one with the smaller vaccinated fraction is
-    returned.
+    endemic limit stays attractive at M-1 vaccinated influencers. Both
+    start from the supply margin _MARGIN = 1e-3. Among validated
+    candidates the one with the smaller vaccinated fraction is returned.
     """
     if not incentive_optimal_exists(costs, disease, m):
         raise JointDesignError("no incentive-optimal policy for this model")
@@ -425,7 +430,7 @@ def construct_incentive_optimal_nu(costs: PublicCostModel,
     ceiling = disease.b * disease.rho * theta_star
     candidates = []
 
-    e = margin
+    e = _MARGIN
     for _ in range(60):
         nu = VaRatePolicy(ceiling - e / 2, e / (2 * theta_star) + e / 2)
         if eradication_threshold(nu, costs, disease, m) == m:
@@ -436,12 +441,12 @@ def construct_incentive_optimal_nu(costs: PublicCostModel,
     denom = costs.c_v1 + costs.c_v2_bar / m - costs.c_f(m - 1)
     if denom > 0:
         if denom - costs.c_i > 0:
-            nu_b = ceiling * (1.0 + margin)
+            nu_b = ceiling * (1.0 + _MARGIN)
         else:
             lam_t = disease.lam * theta_star
-            nu_b = (lam_t * costs.c_i / denom - lam_t) * (1.0 + margin) + margin
+            nu_b = (lam_t * costs.c_i / denom - lam_t) * (1.0 + _MARGIN) + _MARGIN
         gap = disease.b * disease.rho - nu_b / theta_star
-        nu = VaRatePolicy(nu_b, max(gap, 0.0) + margin)
+        nu = VaRatePolicy(nu_b, max(gap, 0.0) + _MARGIN)
         if eradication_threshold(nu, costs, disease, m) == m:
             candidates.append(nu)
 

@@ -209,12 +209,12 @@ class TestConfigFiles:
         assert row[:2] == ["1", "0.05"]
 
     def test_shared_config_serves_every_subcommand(self, capsys, tmp_path):
-        # [leader] and [game] keys have no analyze-ess flag; they are left
-        # out for it, while its own keys still apply
+        # [leader], [game] and [output] seed have no analyze-ess flag; they
+        # are left out for it, while its own keys still apply
         cfgfile = tmp_path / "shared.ini"
         cfgfile.write_text(
             "[disease]\nlambda = 8\n[leader]\ndelta = 0.1\n"
-            "[game]\nzbar = 1\n")
+            "[game]\nzbar = 1\n[output]\nseed = 3\n")
         code, out, _ = run_main(capsys, "--config", str(cfgfile),
                                 "analyze-ess", "--m", "4")
         assert code == 0
@@ -317,3 +317,15 @@ def test_readme_examples_parse():
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
         assert callable(args.func)
+
+
+def test_readme_library_block_runs():
+    # the README's only python block documents the library entry points
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = [b[len("python\n"):] for b in text.split("```")[1::2]
+              if b.startswith("python\n")]
+    assert len(blocks) == 1
+    scope: dict = {}
+    exec(compile(blocks[0], "README.md", "exec"), scope)
+    assert scope["sol"].binding and scope["sol"].g_star > 0.0
+    assert scope["design"].k_star == scope["k"]

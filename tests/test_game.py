@@ -382,7 +382,7 @@ class TestXiModel:
 
     def test_discrete_nodes_exact(self):
         model = XiModel(mean_param=0.0, values=(0.0, 4.0), probs=(0.25, 0.75))
-        v, w = model.nodes(128, 0)
+        v, w = model.nodes()
         assert np.allclose(v, [0.0, 4.0]) and np.allclose(w, [0.25, 0.75])
         assert model.mean == pytest.approx(3.0)
 
@@ -420,8 +420,6 @@ def test_config_incentive_override():
                                   c_se_1=2.0, xi_mean=2.0, z_bar=2,
                                   incentives=(1.5, 0.5))
     assert cfg.g(0) == 1.5 and cfg.g(1) == 0.5 and cfg.g(2) == 0.0
-    bumped = cfg.with_g0(3.0)
-    assert bumped.g(0) == 3.0 and bumped.g(1) == 0.5
     plain = vg.InfluencerGameConfig(m=3, t_horizon=3, c_v=1.0, c_i=5.0,
                                     c_se_1=2.0, xi_mean=2.0, z_bar=2, g0=1.0)
-    assert plain.with_g0(2.5).g(1) == 2.5
+    assert plain.g(0) == plain.g(1) == 1.0 and plain.g(2) == 0.0

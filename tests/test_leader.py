@@ -261,7 +261,8 @@ class TestPerfectInformation:
 
     def test_all_threshold_eps_optimizer(self):
         prob = pi_problem(0.05, 40)
-        sol = vg.perfect_info_solution(40, prob, eps=1e-6)
+        sol = vg.perfect_info_solution(40, prob)
+        assert sol.epsilon == 1e-6
         gam = prob.sampler.c_infinity(prob.cfg)
         assert sol.g_star == pytest.approx(1.0 + gam - 5.0 + 1e-6, abs=1e-12)
         assert sol.u_star_raw == pytest.approx(40 * (1.0 + gam - 5.0), abs=1e-9)
