@@ -10,7 +10,8 @@ analyses of the three layers.
 Flags may be preloaded from --config FILE (or --config=FILE); INI-style
 sections or a JSON object with the same section/key names (see README).
 Exit codes: 0 ok, 2 invalid configuration, 3 infeasible model
-(insufficient influence).
+(insufficient influence), 141 standard output closed before the output was
+written (as a shell reports a process ended by SIGPIPE, e.g. `| head`).
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import configparser
 import csv
 import dataclasses
 import json
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -681,7 +683,15 @@ def main(argv=None) -> int:
                 # for are left out, so one file serves every subcommand
                 argv[cmd + 1:cmd + 1] = _config_args(flat, flags[argv[cmd]])
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        # a closed stdout shows up here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (`vaxgame ... | head`): point stdout at
+        # devnull so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InsufficientInfluenceError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3

@@ -336,10 +336,14 @@ def ne_outcome_probability(g: float, c: float, z_bar: int,
 
 
 @functools.lru_cache(maxsize=64)
-def _cdf_grid(trials: int, successes: int) -> tuple[np.ndarray, np.ndarray]:
+def _cdf_grid(trials: int, successes: int
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The table p -> F(p) on CDF_TABLE_POINTS points, and its inverse as
+    contiguous reversed copies (F ascending, p descending): np.interp would
+    copy negative-stride views of the table on every call."""
     p = np.linspace(0.0, 1.0, CDF_TABLE_POINTS)
     f = bdtr(int(successes), int(trials), p)
-    return p, f
+    return p, f, f[::-1].copy(), p[::-1].copy()
 
 
 def binom_cdf_vec_interp(l: int, m: int, p: np.ndarray) -> np.ndarray:
@@ -352,7 +356,7 @@ def binom_cdf_vec_interp(l: int, m: int, p: np.ndarray) -> np.ndarray:
         return np.zeros_like(p, dtype=float)
     if m >= l:
         return np.ones_like(p, dtype=float)
-    grid, f = _cdf_grid(l, m)
+    grid, f, _, _ = _cdf_grid(l, m)
     return np.interp(p, grid, f)
 
 
@@ -369,8 +373,8 @@ def p_from_gamma_vec(g: float, gams: np.ndarray, z_bar: int,
     if z_bar == cfg.m:
         return (gams < g - cfg.c_v + cfg.c_i).astype(float)
     w = (cfg.c_v + gams - g) / cfg.c_i
-    grid, f = _cdf_grid(cfg.m - 1, z_bar - 1)
-    p = np.interp(w, f[::-1], grid[::-1])
+    _, _, f_up, grid_down = _cdf_grid(cfg.m - 1, z_bar - 1)
+    p = np.interp(w, f_up, grid_down)
     p[w <= 0.0] = 1.0
     p[w >= 1.0] = 0.0
     return p

@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -108,6 +109,27 @@ class TestSubcommands:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["z_bar"] == 1
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_exits_141(self, unbuffered):
+        # the read end is closed before the child starts, so its output
+        # fails as it does under `| head` once head has exited: at the first
+        # print when unbuffered, and otherwise when the buffer is flushed
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "vaxgame.cli", "analyze-ess", "--m", "4"],
+                stdout=w, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=120)
+        finally:
+            os.close(w)
+        assert proc.returncode == 141
+        assert "Traceback" not in proc.stderr
+        assert "BrokenPipeError" not in proc.stderr
 
 
 class TestSweep:

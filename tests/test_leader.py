@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import vaxgame as vg
 from vaxgame import leader
+from vaxgame.cli import FIG_GAME
 from vaxgame.game import (binom_cdf_vec_interp, bisect_decreasing,
                           p_from_gamma_vec)
 from vaxgame.leader import (MONTE_CARLO, PERFECT_INFO, JointDesignError,
@@ -147,18 +148,18 @@ def full_np(g, z_bar, problem):
     return float(np.mean(binom_cdf_vec_interp(cfg.m, z_bar - 1, ps)))
 
 
-def bisection_solve(z_bar, problem):
-    """(g*, U*) from the full-array N_P bisected on the solver's bracket."""
+def bisection_solve(z_bar, problem, np_fn=full_np):
+    """(g*, U*) from np_fn, by default the full-array N_P, bisected on the
+    bracket the doubling search from g_floor builds."""
     cfg, delta = problem.cfg, problem.delta
-    assert full_np(0.0, z_bar, problem) > delta
+    assert np_fn(0.0, z_bar, problem) > delta
     lo = g_floor(cfg)
     step = max(cfg.c_i, 1.0)
-    while full_np(lo + step, z_bar, problem) >= delta:
+    while np_fn(lo + step, z_bar, problem) >= delta:
         step *= 2.0
-    g = bisect_decreasing(lambda x: full_np(x, z_bar, problem), delta, lo,
+    g = bisect_decreasing(lambda x: np_fn(x, z_bar, problem), delta, lo,
                           lo + step, atol=1e-12, rtol=1e-12)
-    ps = p_from_gamma_vec(g, problem.sampler.gamma_draws(cfg), z_bar, cfg)
-    return g, cfg.m * g * float(np.mean(ps))
+    return g, vg.expected_incentive_cost(g, z_bar, problem)
 
 
 N_SLICED = 20_000
@@ -195,6 +196,47 @@ class TestSlicedConstraint:
         assert sol.binding
         assert sol.g_star == pytest.approx(g, rel=1e-11)
         assert sol.u_star == pytest.approx(u, rel=1e-11)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
+           delta=st.floats(1e-3, 0.999), z_bar=st.integers(1, 39))
+    def test_coarse_to_fine_root_matches_bisection(self, n, seed, delta,
+                                                   z_bar):
+        # n < 32 leaves the coarse level a single draw; the oracle bisects
+        # the solver's own N_P, which is exact rather than tabled at n = 1.
+        # U* is the cost at g*, bit for bit: at small n, U(g) can be steep
+        # enough (g U'/U up to about 80) that two roots 1e-12 apart, within
+        # either finder's tolerance, give costs 2e-11 apart
+        prob = mc_problem(delta, z_bar, n=n, seed=seed)
+        sol = vg.solve_optimal_incentive(z_bar, prob)
+        assert sol.binding == (
+            vg.non_eradication_probability(0.0, z_bar, prob) > delta)
+        if sol.binding:
+            g, _ = bisection_solve(z_bar, prob, vg.non_eradication_probability)
+            assert sol.g_star == pytest.approx(g, rel=1e-11)
+            assert sol.u_star == vg.expected_incentive_cost(sol.g_star, z_bar,
+                                                            prob)
+
+    def test_full_evaluations_per_solve(self, monkeypatch):
+        # the coarse level leaves the full draws a bracket of about 2e-4:
+        # 6-7 full N_P evaluations a solve, where a Brent search from the
+        # doubling bracket took 10-16
+        calls = []
+        orig = leader.non_eradication_probability
+
+        def spy(g, z_bar, problem):
+            calls.append(g)
+            return orig(g, z_bar, problem)
+
+        monkeypatch.setattr(leader, "non_eradication_probability", spy)
+        smp = vg.ExpectationSampler(n_samples=100_000, seed=0)
+        for delta in (0.01, 0.05, 0.1):
+            for z_bar in (1, 10, 39):
+                cfg = vg.InfluencerGameConfig(z_bar=z_bar, **FIG_GAME)
+                calls.clear()
+                sol = vg.solve_optimal_incentive(
+                    z_bar, vg.LeaderProblem(delta, cfg, smp))
+                assert sol.binding and len(calls) <= 8
 
     @pytest.mark.parametrize("delta", [0.01, 0.05, 0.1])
     def test_all_threshold_bit_equal_to_bisection(self, delta):
