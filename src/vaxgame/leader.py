@@ -5,13 +5,13 @@ supply policy (vaccine-optimal and incentive-optimal regimes).
 All expectations run over the final-epoch side-effect estimate. A solve
 reuses one cached draw set (common random numbers), so the constraint
 N_P(g) is non-increasing in g sample-by-sample and root bracketing never
-breaks. The draws are kept sorted, so each N_P(g) interpolates only the
-draws whose vaccination probability is strictly mixed, and every 32nd
-draw is a stratified sample of their quantiles: a z_bar < m solve finds
-its root on that coarse level first and polishes it on the full draws, so
-its g* matches a plain root search to about 1e-11 relative, not bit for
-bit. The z_bar = m bisection and the perfect-information forms are exact
-paths with no coarse level.
+breaks. The draws are kept sorted, with their prefix sums. A draw's
+vaccination probability is a piecewise-linear function of w = (C_v + Gamma
+- g)/C_i on the binomial table's knots, and so is F_M(z_bar-1; p), so a
+Monte Carlo mean over the mixed draws is a sum over the K knots: one
+searchsorted of the knots into the draws and the prefix sums, O(K log n)
+rather than O(n). The z_bar = m count and the perfect-information forms
+are exact paths with no table.
 """
 from __future__ import annotations
 
@@ -24,9 +24,12 @@ from scipy.optimize import brentq
 
 from .epidemic import psi_eradicating
 from .ess import eradication_threshold, is_admissible
-from .game import (InfluencerGameConfig, _mixed_root, binom_cdf,
+# binom_cdf_vec_interp and p_from_gamma_vec are the per-draw path that the
+# tabled sums below reproduce; they stay names of this module because the
+# benchmark's tracer (perfbench/tracing.py) wraps them here.
+from .game import (InfluencerGameConfig, _cdf_grid, _mixed_root, binom_cdf,
                    binom_cdf_vec_interp, bisect_decreasing, final_gamma_draws,
-                   p_from_gamma, p_from_gamma_vec)
+                   p_from_gamma, p_from_gamma_vec)  # noqa: F401
 from .params import DiseaseParams, PublicCostModel, VaRatePolicy
 
 PERFECT_INFO = "perfect_info"
@@ -36,15 +39,6 @@ MONTE_CARLO = "monte_carlo"
 # the halvings the vaccine-optimal design may take, and the supply margin
 # of the incentive-optimal design.
 _PERFECT_INFO_EPS, _MAX_HALVINGS, _MARGIN = 1e-6, 200, 1e-3
-
-# A z_bar < m solve finds its root first on every _COARSE_STRIDE-th sorted
-# draw (about 3,000 of 1e5, at 1/32 of the cost of a full N_P), then
-# brackets it on the full draws from _POLISH_HALF_WIDTH either side. Over
-# 16 draw sets of 1e5 and the 21 fig-1 solves with z_bar < m, the coarse
-# root was at most 2.7e-5 from the full one, so the first bracket held in
-# every case and a solve took 6-7 full evaluations.
-_COARSE_STRIDE, _POLISH_HALF_WIDTH = 32, 1e-4
-
 
 class BracketingError(RuntimeError):
     """Could not bracket the constraint root after the doubling budget."""
@@ -60,9 +54,10 @@ class ExpectationSampler:
 
     monte_carlo mode holds n_samples common-random-number draws of
     Gamma_{T-1}(C_{T-1}), sorted ascending (every consumer averages over
-    them, so order carries no meaning); perfect_info collapses to the
-    single point (c_se_1 + (T-1) E[xi]) / T, which is the almost-sure value
-    of Gamma_{T-1} when the data variance is zero.
+    them, so order carries no meaning), with their prefix sums;
+    perfect_info collapses to the single point (c_se_1 + (T-1) E[xi]) / T,
+    which is the almost-sure value of Gamma_{T-1} when the data variance is
+    zero.
     """
 
     mode: str = MONTE_CARLO
@@ -82,15 +77,38 @@ class ExpectationSampler:
         T = cfg.t_horizon
         return (cfg.c_se_1 + (T - 1) * cfg.e_xi) / T
 
+    def _key(self, cfg: InfluencerGameConfig) -> tuple:
+        return (cfg.c_se_1, cfg.t_horizon, cfg.xi_mean, cfg.xi_sigma2,
+                cfg.p0, cfg.xi_values, cfg.xi_probs, self.n_samples, self.seed)
+
     def gamma_draws(self, cfg: InfluencerGameConfig) -> np.ndarray:
+        """The sorted draws, read-only; the first call for a draw law fills
+        the cache entry (see sorted_draws)."""
         if self.mode == PERFECT_INFO:
             return np.array([self.c_infinity(cfg)])
-        key = (cfg.c_se_1, cfg.t_horizon, cfg.xi_mean, cfg.xi_sigma2,
-               cfg.p0, cfg.xi_values, cfg.xi_probs, self.n_samples, self.seed)
+        key = self._key(cfg)
         if key not in self._cache:
-            self._cache[key] = np.sort(final_gamma_draws(
-                cfg, np.random.default_rng(self.seed), self.n_samples))
-        return self._cache[key]
+            gams = final_gamma_draws(cfg, np.random.default_rng(self.seed),
+                                     self.n_samples)
+            gams.sort()
+            center = float(gams[len(gams) // 2])
+            sums = np.empty(len(gams) + 1)
+            sums[0] = 0.0
+            np.subtract(gams, center, out=sums[1:])
+            np.cumsum(sums[1:], out=sums[1:])
+            gams.flags.writeable = sums.flags.writeable = False
+            self._cache[key] = (gams, sums, center)
+        return self._cache[key][0]
+
+    def sorted_draws(self, cfg: InfluencerGameConfig
+                     ) -> tuple[np.ndarray, np.ndarray, float]:
+        """Monte Carlo cache entry (gams, sums, center): the sorted draws,
+        and sums[j] = sum over i < j of (gams[i] - center), centered at the
+        median draw so that a difference of two sums loses little to
+        cancellation. Both arrays are read-only, so a caller cannot put
+        them out of step."""
+        self.gamma_draws(cfg)
+        return self._cache[self._key(cfg)]
 
     def ci_halfwidth(self, delta: float) -> float:
         if self.mode == PERFECT_INFO:
@@ -125,52 +143,136 @@ class LeaderSolution:
         return {k: v for k, v in self.__dict__.items()}
 
 
-def _p_vec(g: float, gams: np.ndarray, z_bar: int,
-           cfg: InfluencerGameConfig) -> np.ndarray:
-    if len(gams) == 1:
-        return np.array([p_from_gamma(g, float(gams[0]), z_bar, cfg)])
-    return p_from_gamma_vec(g, gams, z_bar, cfg)
+def _knot_tables(m: int, z_bar: int) -> tuple[np.ndarray, ...]:
+    """(w_k, p_k, f_k) for z_bar < m: a draw's p and its F_M(z_bar-1; p)
+    are piecewise linear in w = (C_v + Gamma - g)/C_i, with knots at w_k and
+    values p_k and f_k there.
+
+    p_from_gamma_vec inverts the table of F_{m-1}(z_bar-1; .), whose knots
+    w_k = F_{m-1}(z_bar-1; p_k) carry the grid points p_k, and
+    binom_cdf_vec_interp reads f_k = F_M(z_bar-1; p_k) on the same grid, so
+    composing the two interpolations is linear between the same knots. All
+    three are arrays of game._cdf_grid's cache.
+    """
+    _, _, w, p = _cdf_grid(m - 1, z_bar - 1)
+    return w, p, _cdf_grid(m, z_bar - 1)[2]
 
 
-def _np_on(g: float, z_bar: int, cfg: InfluencerGameConfig,
-           gams: np.ndarray) -> float:
-    """N_P(g) as the mean over a sorted draw array (see
-    non_eradication_probability); the coarse level of the leader solve
-    passes a strided view of the cached draws."""
+def _mixed_run(g: float, gams: np.ndarray,
+               cfg: InfluencerGameConfig) -> tuple[int, int]:
+    """(lo, hi) with w <= 0 on gams[:lo] and w >= 1 on gams[hi:], for w =
+    (C_v + Gamma - g)/C_i rounded as p_from_gamma_vec rounds it, so that its
+    clamps p = 1 and p = 0 fall on the same draws. w is non-decreasing in
+    Gamma; searchsorted on g - C_v and g - C_v + C_i lands within a few
+    draws of each end, and the steps below settle the rounding."""
+    def w(j: int) -> float:
+        return (cfg.c_v + gams[j] - g) / cfg.c_i
+
     n = len(gams)
-    hi = int(np.searchsorted(gams, g - cfg.c_v + cfg.c_i))
-    mixed = 0.0
-    if z_bar < cfg.m:
-        lo = int(np.searchsorted(gams, g - cfg.c_v))
-        ps = p_from_gamma_vec(g, gams[lo:hi], z_bar, cfg)
-        mixed = float(np.sum(binom_cdf_vec_interp(cfg.m, z_bar - 1, ps)))
-    return (mixed + (n - hi)) / n
+    lo = int(np.searchsorted(gams, g - cfg.c_v))
+    while lo < n and w(lo) <= 0.0:
+        lo += 1
+    while lo > 0 and w(lo - 1) > 0.0:
+        lo -= 1
+    hi = max(int(np.searchsorted(gams, g - cfg.c_v + cfg.c_i)), lo)
+    while hi < n and w(hi) < 1.0:
+        hi += 1
+    while hi > lo and w(hi - 1) >= 1.0:
+        hi -= 1
+    return lo, hi
+
+
+def _tabled_sum(w: np.ndarray, v: np.ndarray, g: float,
+                cfg: InfluencerGameConfig,
+                draws: tuple[np.ndarray, np.ndarray, float],
+                lo: int, hi: int) -> float:
+    """Sum over the mixed run gams[lo:hi] of the piecewise-linear function
+    of w through the knots (w_k, v_k), end values held beyond them.
+
+    Draw Gamma sits at knot k when Gamma = G_k = C_i w_k - C_v + g, so one
+    searchsorted of the G_k into the run counts the cnt_k draws of each
+    segment [G_k, G_k+1), and the prefix sums give their sum SumGamma_k. On
+    the segment the function runs from v_k with slope s_k = (v_k+1 -
+    v_k)/(G_k+1 - G_k), so the segment sums to cnt_k v_k + s_k (SumGamma_k
+    - cnt_k G_k). Near w = 0 and 1 the table of p has segments narrower
+    than the rounding of G_k and of the prefix sums, where that rounding
+    times the slope would carry the sum far past the segment's values. So
+    the slope is taken over the rounded G_k and each segment's SumGamma_k -
+    cnt_k G_k is clipped to [0, cnt_k (G_k+1 - G_k)], which keeps every
+    draw's value between its segment's end values. Only the knots from the
+    last one at or below the run's first draw to the first one above its
+    last draw are searched; the others bound no draw of the run.
+    """
+    if lo == hi:
+        return 0.0
+    gams, sums, center = draws
+    knots = cfg.c_i * w - cfg.c_v + g
+    a = max(int(np.searchsorted(knots, gams[lo], side="right")) - 1, 0)
+    b = min(int(np.searchsorted(knots, gams[hi - 1], side="right")),
+            len(knots) - 1)
+    knots, v = knots[a:b + 1], v[a:b + 1]
+    pos = lo + np.searchsorted(gams[lo:hi], knots)
+    cnt = np.diff(pos)
+    dk = np.diff(knots)
+    slope = np.divide(np.diff(v), dk, out=np.zeros_like(dk), where=dk > 0)
+    offsets = np.clip(
+        sums[pos[1:]] - sums[pos[:-1]] - cnt * (knots[:-1] - center),
+        0.0, cnt * dk)
+    total = float(np.dot(cnt, v[:-1]) + np.dot(slope, offsets))
+    return total + v[0] * (pos[0] - lo) + v[-1] * (hi - pos[-1])
 
 
 def non_eradication_probability(g: float, z_bar: int,
                                 problem: LeaderProblem) -> float:
-    """N_P(g) = E[F_M(z_bar - 1; p(g, C))] under the cached draws.
+    """N_P(g) = E[F_M(z_bar - 1; p(g, C))] under the sampler's law.
 
-    p(g, Gamma) is non-increasing in Gamma, so the sorted draws split into
-    three runs: Gamma < g - C_v gives p = 1 and F = 0, Gamma >= g - C_v +
-    C_i gives p = 0 and F = 1, and only the run between them is
-    interpolated. For z_bar = m that run is empty and N_P is a count,
-    exactly as p_from_gamma_vec splits the draws there.
+    Perfect information evaluates the exact binomial tail at the one
+    point. Monte Carlo draws split into three runs by w = (C_v + Gamma -
+    g)/C_i: w <= 0 gives p = 1 and F = 0, w >= 1 gives p = 0 and F = 1, and
+    the mixed run between sums the fused table (w_k, F_M(z_bar-1; p_k)) over
+    its knots (see _tabled_sum): O(K log n) for the K = 4,097 knots, about
+    0.05 ms at n = 1e5 where interpolating every draw took 1 ms. It agrees
+    with the per-draw mean of binom_cdf_vec_interp(p_from_gamma_vec) up to
+    rounding: within n * eps at the fig preset (C_v = 1, C_i = 5), and
+    within what rounding w can change over a draw's segment when a small
+    C_i magnifies it. For z_bar = m no draw is mixed and N_P is the count
+    of draws with Gamma >= g - C_v + C_i.
     """
-    cfg = problem.cfg
-    gams = problem.sampler.gamma_draws(cfg)
-    if len(gams) == 1:
-        return float(binom_cdf(cfg.m, z_bar - 1,
-                               p_from_gamma(g, float(gams[0]), z_bar, cfg)))
-    return _np_on(g, z_bar, cfg, gams)
+    cfg, sampler = problem.cfg, problem.sampler
+    if sampler.mode == PERFECT_INFO:
+        return float(binom_cdf(cfg.m, z_bar - 1, p_from_gamma(
+            g, sampler.c_infinity(cfg), z_bar, cfg)))
+    draws = sampler.sorted_draws(cfg)
+    gams = draws[0]
+    n = len(gams)
+    if z_bar == cfg.m:
+        return (n - int(np.searchsorted(gams, g - cfg.c_v + cfg.c_i))) / n
+    lo, hi = _mixed_run(g, gams, cfg)
+    w, _, f = _knot_tables(cfg.m, z_bar)
+    return (_tabled_sum(w, f, g, cfg, draws, lo, hi) + (n - hi)) / n
+
+
+def _p_expectation(g: float, z_bar: int, problem: LeaderProblem) -> float:
+    """E[p(g, C)]: exact at the perfect-information point, a count of the
+    draws with Gamma < g - C_v + C_i for z_bar = m, and otherwise the draws
+    with w <= 0 plus the table (w_k, p_k) summed over the mixed run."""
+    cfg, sampler = problem.cfg, problem.sampler
+    if sampler.mode == PERFECT_INFO:
+        return p_from_gamma(g, sampler.c_infinity(cfg), z_bar, cfg)
+    draws = sampler.sorted_draws(cfg)
+    gams = draws[0]
+    n = len(gams)
+    if z_bar == cfg.m:
+        return int(np.searchsorted(gams, g - cfg.c_v + cfg.c_i)) / n
+    lo, hi = _mixed_run(g, gams, cfg)
+    w, p, _ = _knot_tables(cfg.m, z_bar)
+    return (lo + _tabled_sum(w, p, g, cfg, draws, lo, hi)) / n
 
 
 def expected_incentive_cost(g: float, z_bar: int,
                             problem: LeaderProblem) -> float:
     """U(g) = M g E[p(g, C)], the expected incentive outlay."""
-    cfg = problem.cfg
-    gams = problem.sampler.gamma_draws(cfg)
-    return cfg.m * g * float(np.mean(_p_vec(g, gams, z_bar, cfg)))
+    return problem.cfg.m * g * _p_expectation(g, z_bar, problem)
 
 
 def g_floor(cfg: InfluencerGameConfig) -> float:
@@ -201,60 +303,28 @@ def _bracket_above(f, lo: float, delta: float, step: float) -> float:
     raise BracketingError(f"N_P stayed above delta={delta} up to g={hi:.3g}")
 
 
-def _coarse_root(z_bar: int, problem: LeaderProblem) -> float:
-    """Root of N_P(g) = delta to within 1e-5 on the coarse level: every
-    s-th sorted draw from the (s // 2)-th on, s = min(_COARSE_STRIDE, n),
-    a view of the cache. g_floor when that N_P is already feasible there."""
-    cfg, delta = problem.cfg, problem.delta
-    gams = problem.sampler.gamma_draws(cfg)
-    s = min(_COARSE_STRIDE, len(gams))
-    coarse = gams[s // 2::s]
-
-    def np_coarse(g: float) -> float:
-        return _np_on(g, z_bar, cfg, coarse)
-
-    lo = g_floor(cfg)
-    if np_coarse(lo) <= delta:
-        return lo
-    hi = _bracket_above(np_coarse, lo, delta, max(cfg.c_i, 1.0))
-    return brentq(lambda g: np_coarse(g) - delta, lo, hi, xtol=1e-5)
-
-
-def _polish_bracket(np_at, g_c: float, delta: float) -> tuple[float, float]:
-    """[lo, hi] about g_c with np_at(lo) > delta > np_at(hi): each side
-    starts _POLISH_HALF_WIDTH from g_c (lo no lower than 0) and doubles its
-    distance until its end holds; BracketingError after 60 rounds."""
-    a_lo = a_hi = _POLISH_HALF_WIDTH
-    for _ in range(60):
-        lo, hi = max(g_c - a_lo, 0.0), g_c + a_hi
-        lo_ok, hi_ok = np_at(lo) > delta, np_at(hi) < delta
-        if lo_ok and hi_ok:
-            return lo, hi
-        if not lo_ok:
-            a_lo *= 2.0
-        if not hi_ok:
-            a_hi *= 2.0
-    raise BracketingError(
-        f"N_P did not cross delta={delta} within [{lo:.3g}, {hi:.3g}]")
+def _excess(g: float, np_at, delta: float) -> float:
+    """N_P(g) - delta for brentq, which wraps its function in a closure that
+    refers to itself: a closure over the problem passed there would keep
+    the sampler's draws alive until the cycle collector runs, so np_at
+    travels in brentq's args instead."""
+    return np_at(g) - delta
 
 
 def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolution:
     """Minimal incentive with non-eradication probability at most delta.
 
-    If the constraint already holds free of charge the answer is zero.
-    For z_bar = m, N_P is a step function with no slope for Brent's secant
-    steps to use: the upper end of (g_floor, inf) grows geometrically
-    until it is feasible, and bisection finds the root in between; its
-    midpoints decide on which side of the last jump g* lands. For z_bar <
-    m, N_P is continuous and piecewise linear in g and the root is found
-    coarse to fine: first on the coarse level (see _coarse_root), whose
-    every 32nd sorted draw is a stratified quantile sample of the draws
-    and costs 1/32 of an evaluation; then Brent's method (tolerances
-    1e-12) on the full draws, inside a bracket grown from +-1e-4 about the
-    coarse root (see _polish_bracket). The result agrees with a bisection
-    of the full N_P to about 1e-11 relative, not bit for bit.
-    Perfect-information samplers are dispatched to the closed treatment,
-    where the constraint is flat or jumps.
+    If the constraint already holds free of charge the answer is zero;
+    otherwise the upper end of (g_floor, inf) grows geometrically until it
+    is feasible and the root of N_P(g) = delta is found in between. For
+    z_bar < m, N_P is continuous and piecewise linear in g, and Brent's
+    method (tolerances 1e-12) finds the root in 9-16 evaluations of the
+    tabled N_P (see non_eradication_probability), each O(K log n) for the
+    K table knots. For z_bar = m, N_P is a step function with no slope for
+    Brent's secant steps to use, so bisection finds it, and its midpoints
+    decide on which side of the last jump g* lands. Perfect-information
+    samplers are dispatched to the closed treatment, where the constraint
+    is flat or jumps.
     """
     if problem.sampler.mode == PERFECT_INFO:
         return perfect_info_solution(z_bar, problem)
@@ -271,21 +341,19 @@ def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolutio
         return seen[g]
 
     if np_at(0.0) <= delta:
-        p0 = float(np.mean(_p_vec(0.0, problem.sampler.gamma_draws(cfg), z_bar, cfg)))
-        return LeaderSolution(0.0, 0.0, z_bar, binding=False, p_expectation=p0,
+        return LeaderSolution(0.0, 0.0, z_bar, binding=False,
+                              p_expectation=_p_expectation(0.0, z_bar, problem),
                               np_at_g=np_at(0.0), mode=problem.sampler.mode)
 
+    lo = g_floor(cfg)
+    hi = _bracket_above(np_at, lo, delta, max(cfg.c_i, 1.0))
     if z_bar == cfg.m:
-        lo = g_floor(cfg)
-        hi = _bracket_above(np_at, lo, delta, max(cfg.c_i, 1.0))
         g_star = bisect_decreasing(np_at, delta, lo, hi, atol=1e-12,
                                    rtol=1e-12)
     else:
-        lo, hi = _polish_bracket(np_at, _coarse_root(z_bar, problem), delta)
-        g_star = brentq(lambda g: np_at(g) - delta, lo, hi, xtol=1e-12,
+        g_star = brentq(_excess, lo, hi, args=(np_at, delta), xtol=1e-12,
                         rtol=1e-12)
-    ps = _p_vec(g_star, problem.sampler.gamma_draws(cfg), z_bar, cfg)
-    p_exp = float(np.mean(ps))
+    p_exp = _p_expectation(g_star, z_bar, problem)
     return LeaderSolution(g_star, cfg.m * g_star * p_exp, z_bar, binding=True,
                           p_expectation=p_exp, np_at_g=np_at(g_star),
                           mode=problem.sampler.mode)

@@ -1,15 +1,19 @@
 import dataclasses
+import gc
+import json
 import math
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vaxgame as vg
-from vaxgame import leader
+from vaxgame import game, leader
 from vaxgame.cli import FIG_GAME
-from vaxgame.game import (binom_cdf_vec_interp, bisect_decreasing,
+from vaxgame.game import (_cdf_grid, binom_cdf_vec_interp, bisect_decreasing,
                           p_from_gamma_vec)
 from vaxgame.leader import (MONTE_CARLO, PERFECT_INFO, JointDesignError,
                             g_floor, l_values)
@@ -95,6 +99,21 @@ class TestSolveOptimalIncentive:
             vg.solve_optimal_incentive(zb, prob)
             assert len(seen) == len(set(seen))
 
+    @pytest.mark.parametrize("z_bar", [20, 40])
+    def test_solve_frees_draws_without_the_cycle_collector(self, z_bar):
+        # a sweep solves one fresh 1e5-draw sampler per point: a reference
+        # cycle through the solve would hold each point's draws until the
+        # cycle collector ran
+        prob = mc_problem(0.05, z_bar, n=1_000)
+        ref = weakref.ref(prob.sampler)
+        gc.disable()
+        try:
+            assert vg.solve_optimal_incentive(z_bar, prob).binding
+            del prob
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_root_residual_small(self):
         for zb, delta in [(1, 0.05), (20, 0.01), (40, 0.05), (39, 0.001)]:
             prob = mc_problem(delta, zb, n=100_000)
@@ -141,6 +160,9 @@ class TestSolveOptimalIncentive:
             prev = vals
 
 
+EPS = np.finfo(float).eps
+
+
 def full_np(g, z_bar, problem):
     """N_P(g) as the mean over every draw, without slicing."""
     cfg = problem.cfg
@@ -162,8 +184,28 @@ def bisection_solve(z_bar, problem, np_fn=full_np):
     return g, vg.expected_incentive_cost(g, z_bar, problem)
 
 
+def rounding_bound(g, problem, w_k, v_k):
+    """How far a sum of the monotone table (w_k, v_k) over the draws may
+    sit from the per-draw mean: n eps for the sums, plus, for each mixed
+    draw, the change of the table across the interval of w it may be read
+    at. Rounding moves the per-draw w = (C_v + Gamma - g)/C_i and a knot's
+    Gamma each by up to 1.5 eps (C_i + |C_v| + |Gamma| + |g|)/C_i in w, and
+    a draw in a segment narrower than that may be read anywhere in the
+    segment; 4 eps (...)/C_i either side of w covers the two roundings and
+    the segment. Near w = 0 and 1 the table of p changes by up to 1e12 per
+    unit of w, and a small C_i widens the interval."""
+    cfg = problem.cfg
+    n = problem.sampler.n_samples
+    gams = problem.sampler.gamma_draws(cfg)
+    w = (cfg.c_v + gams - g) / cfg.c_i
+    mixed = (w > 0.0) & (w < 1.0)
+    w, gams = w[mixed], gams[mixed]
+    dw = 4 * EPS * (cfg.c_i + abs(cfg.c_v) + np.abs(gams) + abs(g)) / cfg.c_i
+    change = np.abs(np.interp(w + dw, w_k, v_k) - np.interp(w - dw, w_k, v_k))
+    return n * EPS + float(np.sum(change)) / n
+
+
 N_SLICED = 20_000
-EPS = np.finfo(float).eps
 SMALL_PROBLEMS = {zb: mc_problem(0.05, zb, n=2_000) for zb in (1, 20, 39, 40)}
 
 
@@ -200,10 +242,9 @@ class TestSlicedConstraint:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
            delta=st.floats(1e-3, 0.999), z_bar=st.integers(1, 39))
-    def test_coarse_to_fine_root_matches_bisection(self, n, seed, delta,
-                                                   z_bar):
-        # n < 32 leaves the coarse level a single draw; the oracle bisects
-        # the solver's own N_P, which is exact rather than tabled at n = 1.
+    def test_small_n_root_matches_bisection(self, n, seed, delta, z_bar):
+        # every n, n = 1 included, takes the tabled N_P; the oracle bisects
+        # that same N_P, so the check is on the root finder alone.
         # U* is the cost at g*, bit for bit: at small n, U(g) can be steep
         # enough (g U'/U up to about 80) that two roots 1e-12 apart, within
         # either finder's tolerance, give costs 2e-11 apart
@@ -217,26 +258,63 @@ class TestSlicedConstraint:
             assert sol.u_star == vg.expected_incentive_cost(sol.g_star, z_bar,
                                                             prob)
 
-    def test_full_evaluations_per_solve(self, monkeypatch):
-        # the coarse level leaves the full draws a bracket of about 2e-4:
-        # 6-7 full N_P evaluations a solve, where a Brent search from the
-        # doubling bracket took 10-16
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 2000), seed=st.integers(0, 2**32 - 1),
+           z_bar=st.integers(1, 39), g_free=st.floats(0.0, 12.0),
+           at=st.floats(0.0, 1.0, exclude_max=True),
+           costs=st.one_of(st.just((1.0, 5.0)),
+                           st.tuples(st.floats(0.0, 10.0),
+                                     st.floats(0.01, 20.0))))
+    # a draw on a steep segment of p's table near w = 1, where only the
+    # clipped segment sums hold the bound; and sums of one segment that
+    # lose too much to cancellation unless the prefix sums are centered
+    @example(n=138, seed=1, z_bar=6, g_free=0.0, at=0.75,
+             costs=(1.129830488522662, 1.5651566049448058))
+    @example(n=76, seed=175, z_bar=1, g_free=0.0, at=0.828125,
+             costs=(0.0, 1.0))
+    def test_tabled_sums_match_per_draw_means(self, n, seed, z_bar, g_free,
+                                              at, costs):
+        # g = Gamma_k + C_v puts draw k on the clamp w = 0 and g = Gamma_k
+        # + C_v - C_i on w = 1 (up to rounding), the ends of the mixed run.
+        # Other (C_v, C_i) than the fig preset's round the run's ends past
+        # the table's end knots, where the end values must fill in. At the
+        # preset N_P holds to n eps; elsewhere, and for E[p] everywhere,
+        # the rounding of w can move a draw further (see rounding_bound)
+        prob = mc_problem(0.05, z_bar, n=n, seed=seed, c_v=costs[0],
+                          c_i=costs[1])
+        cfg = prob.cfg
+        gams = prob.sampler.gamma_draws(cfg)
+        _, _, w_k, p_k = _cdf_grid(cfg.m - 1, z_bar - 1)
+        f_k = _cdf_grid(cfg.m, z_bar - 1)[2]
+        k = int(at * n)
+        for g in (g_free, gams[k] + cfg.c_v, gams[k] + cfg.c_v - cfg.c_i):
+            got = vg.non_eradication_probability(g, z_bar, prob)
+            tol = (n * EPS if costs == (1.0, 5.0)
+                   else rounding_bound(g, prob, w_k, f_k))
+            assert abs(got - full_np(g, z_bar, prob)) <= tol
+            got = leader._p_expectation(g, z_bar, prob)
+            want = float(np.mean(p_from_gamma_vec(g, gams, z_bar, cfg)))
+            assert abs(got - want) <= rounding_bound(g, prob, w_k, p_k)
+
+    def test_mixed_solve_makes_no_per_draw_pass(self, monkeypatch):
+        # a z_bar < M solve sums knot tables over the prefix sums of the
+        # draws; neither N_P nor E[p] hands the draws to the per-draw path
         calls = []
-        orig = leader.non_eradication_probability
+        for name in ("p_from_gamma_vec", "binom_cdf_vec_interp"):
+            def spy(*args, _orig=getattr(game, name), _name=name):
+                calls.append(_name)
+                return _orig(*args)
 
-        def spy(g, z_bar, problem):
-            calls.append(g)
-            return orig(g, z_bar, problem)
-
-        monkeypatch.setattr(leader, "non_eradication_probability", spy)
+            monkeypatch.setattr(leader, name, spy)
+            monkeypatch.setattr(game, name, spy)
         smp = vg.ExpectationSampler(n_samples=100_000, seed=0)
         for delta in (0.01, 0.05, 0.1):
             for z_bar in (1, 10, 39):
                 cfg = vg.InfluencerGameConfig(z_bar=z_bar, **FIG_GAME)
-                calls.clear()
                 sol = vg.solve_optimal_incentive(
                     z_bar, vg.LeaderProblem(delta, cfg, smp))
-                assert sol.binding and len(calls) <= 8
+                assert sol.binding
+        assert calls == []
 
     @pytest.mark.parametrize("delta", [0.01, 0.05, 0.1])
     def test_all_threshold_bit_equal_to_bisection(self, delta):
@@ -268,6 +346,16 @@ class TestInputChecks:
     def test_sampler_rejects_bad_settings(self, kw):
         with pytest.raises(ValueError):
             vg.ExpectationSampler(**kw)
+
+    def test_cached_draws_are_read_only(self):
+        # a write to the draws would leave their prefix sums stale
+        prob = mc_problem(0.05, 20, n=100)
+        gams, sums, _ = prob.sampler.sorted_draws(prob.cfg)
+        for arr in (prob.sampler.gamma_draws(prob.cfg), gams, sums):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr += 1.0
 
 
 class TestPerfectInformation:
@@ -335,6 +423,26 @@ class TestPStar:
         for m, k, delta in [(40, 13, 0.07), (11, 5, 0.4), (25, 24, 0.002)]:
             p = vg.p_star(k, m, delta)
             assert vg.binom_cdf(m, k - 1, p) == pytest.approx(delta, abs=1e-12)
+
+
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+
+
+def test_leader_mc_references():
+    # the benchmark's accuracy gate: every recorded fig-1 solve (16 draw
+    # sets of 1e5, 24 (delta, z_bar) each) within rel_tol (floor 1)
+    refs = json.loads(REFERENCES.read_text())
+    tol = refs["rel_tol"]
+    for draw_set, rows in refs["leader_mc"].items():
+        smp = vg.ExpectationSampler(n_samples=100_000, seed=int(draw_set))
+        for delta, z_bar, g_ref, u_ref, binding_ref in rows:
+            cfg = vg.InfluencerGameConfig(z_bar=z_bar, **FIG_GAME)
+            sol = vg.solve_optimal_incentive(
+                z_bar, vg.LeaderProblem(delta, cfg, smp))
+            where = (draw_set, delta, z_bar)
+            assert sol.binding == binding_ref, where
+            assert abs(sol.g_star - g_ref) <= tol * max(1.0, abs(g_ref)), where
+            assert abs(sol.u_star - u_ref) <= tol * max(1.0, abs(u_ref)), where
 
 
 def theta_costs(s=0.5):
