@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import bdtr, ndtr
-from scipy.stats import binom as _binom
+
+try:
+    # the ufunc behind scipy.stats.binom.pmf, here without importing
+    # scipy.stats, which would more than double the package's import time
+    from scipy.special._ufuncs import _binom_pmf as _boost_binom_pmf
+except ImportError:  # older scipy: the public pmf, at scipy.stats' cost
+    from scipy.stats import binom as _binom
+    _boost_binom_pmf = _binom.pmf
 
 # Grid size of the interpolated binomial CDF behind the vectorized p(g, .).
 CDF_TABLE_POINTS = 4097
@@ -77,6 +84,11 @@ class XiModel:
         if (self.values is None) != (self.probs is None):
             raise ValueError("values and probs must be given together")
         if self.values is not None:
+            if not 0 < len(self.values) == len(self.probs):
+                raise ValueError("values and probs must be non-empty and of "
+                                 "equal length")
+            if not all(math.isfinite(v) for v in self.values):
+                raise ValueError("values must be finite")
             if any(v < 0 for v in self.values):
                 raise ValueError("xi support must be nonnegative")
             if not all(0.0 <= q <= 1.0 for q in self.probs):
@@ -232,7 +244,20 @@ def final_gamma_draws(cfg: InfluencerGameConfig, rng: np.random.Generator,
     steps = T - 1 - t
     xi = cfg.xi
     sums = np.zeros(size)
-    if steps > 0:
+    if steps > 0 and xi.values is None and xi.sigma2 > 0.0 and xi.p0 == 0.0:
+        # xi.sample's max(normal(mean, sd), 0), drawn in place into one
+        # reused block: the same stream and, bit for bit, the same sums
+        sd = math.sqrt(xi.sigma2)
+        buf = np.empty((min(size, DRAW_BLOCK_ROWS), steps))
+        for start in range(0, size, DRAW_BLOCK_ROWS):
+            stop = min(start + DRAW_BLOCK_ROWS, size)
+            x = buf[:stop - start]
+            rng.standard_normal(out=x)
+            x *= sd
+            x += xi.mean_param
+            np.maximum(x, 0.0, out=x)
+            x.sum(axis=1, out=sums[start:stop])
+    elif steps > 0:
         # Row blocks bound the xi matrix's memory and consume the stream in
         # the same order as one (size, steps) draw. The zero-atom mixture
         # draws its mask after all normals, so it stays in one block.
@@ -259,16 +284,50 @@ def binom_cdf(l: int, m: int, p) -> float | np.ndarray:
     return float(out) if np.ndim(p) == 0 else out
 
 
+def binom_pmf(ys: np.ndarray, l: int, p: float) -> np.ndarray:
+    """P(Bin(l, p) = y) over the counts ys, as scipy.stats.binom.pmf
+    computes it: boost's pmf, clipped to [0, 1]."""
+    return np.clip(_boost_binom_pmf(ys, l, p), 0.0, 1.0)
+
+
 def bisect_decreasing(f, target: float, lo: float, hi: float, atol: float,
-                      rtol: float = 0.0) -> float:
-    """Root of a non-increasing f(x) = target, bisected on [lo, hi].
+                      rtol: float = 0.0, slope: bool = False) -> float:
+    """Root of a non-increasing f(x) = target, on the bracket [lo, hi].
 
     The caller supplies f(lo) > target >= f(hi); the bracket keeps that
-    invariant, so a monotone f never loses the root. Halving stops once
-    hi - lo <= max(atol, rtol |hi|), after 200 halvings, or when the
-    midpoint no longer splits the bracket in floating point (further
-    halvings would return that same midpoint).
+    invariant, so a monotone f never loses the root. Without a slope, f is
+    bisected: halving stops once hi - lo <= max(atol, rtol |hi|), after
+    200 halvings, or when the midpoint no longer splits the bracket in
+    floating point (further halvings would return that same midpoint).
+
+    With slope=True, f(x) returns (f(x), f'(x)) and the root is found by
+    safeguarded Newton (rtsafe; Press et al., Numerical Recipes, 9.4)
+    from the midpoint: each evaluation narrows the bracket, a Newton step
+    that would leave it is replaced by halving, and the last evaluated x
+    is returned once its Newton step, or the bracket, is at most
+    max(atol, rtol |x|).
     """
+    if slope:
+        x = 0.5 * (lo + hi)
+        for _ in range(200):
+            fx, dfx = f(x)
+            if fx > target:
+                lo = x
+            else:
+                hi = x
+            tol = max(atol, rtol * abs(x))
+            if hi - lo <= tol:
+                return x
+            if dfx < 0.0:
+                step = (fx - target) / dfx
+                if abs(step) <= tol:
+                    return x
+                x -= step
+            if not (dfx < 0.0 and lo < x < hi):
+                x = 0.5 * (lo + hi)
+                if not lo < x < hi:
+                    return x
+        return x
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -464,7 +523,7 @@ def stage_action_set(t: int, x: AgentState, value_next, cfg: InfluencerGameConfi
     ys = np.arange(n_opp + 1)
 
     def rhs(p: float) -> float:
-        return float(np.dot(_binom.pmf(ys, n_opp, p), w_by_y))
+        return float(np.dot(binom_pmf(ys, n_opp, p), w_by_y))
 
     roots = _find_mix_roots(q, rhs)
     if cfg.z_bar < cfg.m:
@@ -688,7 +747,7 @@ def verify_symmetric_ne(strategy, cfg: InfluencerGameConfig,
                 if z >= 1:
                     # vaccinated agent: z counts itself, M - z susceptible opponents
                     n_op = M - z
-                    pmf = _binom.pmf(np.arange(n_op + 1), n_op, q_opp)
+                    pmf = binom_pmf(np.arange(n_op + 1), n_op, q_opp)
                     ev = 0.0
                     for y, py in enumerate(pmf):
                         if py == 0.0:
@@ -702,7 +761,7 @@ def verify_symmetric_ne(strategy, cfg: InfluencerGameConfig,
                     continue
                 # susceptible agent: z vaccinated opponents, M-1-z susceptible
                 n_op = M - 1 - z
-                pmf = _binom.pmf(np.arange(n_op + 1), n_op, q_opp)
+                pmf = binom_pmf(np.arange(n_op + 1), n_op, q_opp)
                 q_vacc = cfg.c_v - cfg.g(z)
                 q_wait = 0.0
                 for y, py in enumerate(pmf):

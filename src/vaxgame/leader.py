@@ -16,11 +16,12 @@ are exact paths with no table.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .epidemic import psi_eradicating
 from .ess import eradication_threshold, is_admissible
@@ -57,7 +58,8 @@ class ExpectationSampler:
     them, so order carries no meaning), with their prefix sums;
     perfect_info collapses to the single point (c_se_1 + (T-1) E[xi]) / T,
     which is the almost-sure value of Gamma_{T-1} when the data variance is
-    zero.
+    zero. n_samples must be an integer >= 1 and seed an integer >= 0; both
+    are checked when the sampler is built.
     """
 
     mode: str = MONTE_CARLO
@@ -70,8 +72,12 @@ class ExpectationSampler:
             raise ValueError(
                 f"mode must be {MONTE_CARLO!r} or {PERFECT_INFO!r}, "
                 f"got {self.mode!r}")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
+        for name, least in (("n_samples", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if (not isinstance(v, numbers.Integral) or isinstance(v, bool)
+                    or v < least):
+                raise ValueError(
+                    f"{name} must be an integer >= {least}, got {v!r}")
 
     def c_infinity(self, cfg: InfluencerGameConfig) -> float:
         T = cfg.t_horizon
@@ -143,19 +149,26 @@ class LeaderSolution:
         return {k: v for k, v in self.__dict__.items()}
 
 
+@functools.lru_cache(maxsize=64)
 def _knot_tables(m: int, z_bar: int) -> tuple[np.ndarray, ...]:
-    """(w_k, p_k, f_k) for z_bar < m: a draw's p and its F_M(z_bar-1; p)
-    are piecewise linear in w = (C_v + Gamma - g)/C_i, with knots at w_k and
-    values p_k and f_k there.
+    """(w_k, p_k, f_k, sp_k, sf_k) for z_bar < m: a draw's p and its
+    F_M(z_bar-1; p) are piecewise linear in w = (C_v + Gamma - g)/C_i, with
+    knots at w_k and values p_k and f_k there, and slopes sp_k and sf_k in
+    w on the segment [w_k, w_k+1) (0 where two knots coincide).
 
     p_from_gamma_vec inverts the table of F_{m-1}(z_bar-1; .), whose knots
     w_k = F_{m-1}(z_bar-1; p_k) carry the grid points p_k, and
     binom_cdf_vec_interp reads f_k = F_M(z_bar-1; p_k) on the same grid, so
-    composing the two interpolations is linear between the same knots. All
-    three are arrays of game._cdf_grid's cache.
+    composing the two interpolations is linear between the same knots. The
+    first three are arrays of game._cdf_grid's cache; the slopes are
+    computed once per (m, z_bar).
     """
     _, _, w, p = _cdf_grid(m - 1, z_bar - 1)
-    return w, p, _cdf_grid(m, z_bar - 1)[2]
+    f = _cdf_grid(m, z_bar - 1)[2]
+    dw = np.diff(w)
+    sp, sf = (np.divide(np.diff(v), dw, out=np.zeros_like(dw), where=dw > 0)
+              for v in (p, f))
+    return w, p, f, sp, sf
 
 
 def _mixed_run(g: float, gams: np.ndarray,
@@ -182,49 +195,57 @@ def _mixed_run(g: float, gams: np.ndarray,
     return lo, hi
 
 
-def _tabled_sum(w: np.ndarray, v: np.ndarray, g: float,
+def _tabled_sum(w: np.ndarray, v: np.ndarray, sv: np.ndarray, g: float,
                 cfg: InfluencerGameConfig,
                 draws: tuple[np.ndarray, np.ndarray, float],
-                lo: int, hi: int) -> float:
+                lo: int, hi: int) -> tuple[float, float]:
     """Sum over the mixed run gams[lo:hi] of the piecewise-linear function
-    of w through the knots (w_k, v_k), end values held beyond them.
+    of w through the knots (w_k, v_k), end values held beyond them, and
+    the slope of that sum in g.
 
     Draw Gamma sits at knot k when Gamma = G_k = C_i w_k - C_v + g, so one
     searchsorted of the G_k into the run counts the cnt_k draws of each
     segment [G_k, G_k+1), and the prefix sums give their sum SumGamma_k. On
-    the segment the function runs from v_k with slope s_k = (v_k+1 -
-    v_k)/(G_k+1 - G_k), so the segment sums to cnt_k v_k + s_k (SumGamma_k
-    - cnt_k G_k). Near w = 0 and 1 the table of p has segments narrower
-    than the rounding of G_k and of the prefix sums, where that rounding
-    times the slope would carry the sum far past the segment's values. So
-    the slope is taken over the rounded G_k and each segment's SumGamma_k -
-    cnt_k G_k is clipped to [0, cnt_k (G_k+1 - G_k)], which keeps every
-    draw's value between its segment's end values. Only the knots from the
-    last one at or below the run's first draw to the first one above its
-    last draw are searched; the others bound no draw of the run.
+    the segment the function runs from v_k with slope s_k = sv_k / C_i per
+    unit of Gamma, sv_k its slope in w, so the segment sums to cnt_k v_k +
+    s_k (SumGamma_k - cnt_k G_k). Near w = 0 and 1 the table of p has
+    segments narrower than the rounding of G_k and of the prefix sums,
+    where that rounding times the slope would carry the sum far past the
+    segment's values. So each segment's SumGamma_k - cnt_k G_k is clipped
+    to [0, cnt_k (G_k+1 - G_k)] over the rounded G_k, which keeps every
+    draw's value within its segment's end values, up to the rounding of
+    G_k+1 - G_k against C_i (w_k+1 - w_k). Only the knots from the last one
+    at or below the run's first draw to the first one above its last draw
+    are searched; the others bound no draw of the run.
+
+    The knots move with g, so while no draw changes segment the sum moves
+    by -sum_k cnt_k s_k per unit of g: one more dot product over the same
+    counts and slopes gives the exact slope wherever no clip binds, and
+    the clip binds only on segments narrower than that rounding.
     """
     if lo == hi:
-        return 0.0
+        return 0.0, 0.0
     gams, sums, center = draws
     knots = cfg.c_i * w - cfg.c_v + g
     a = max(int(np.searchsorted(knots, gams[lo], side="right")) - 1, 0)
     b = min(int(np.searchsorted(knots, gams[hi - 1], side="right")),
             len(knots) - 1)
-    knots, v = knots[a:b + 1], v[a:b + 1]
+    knots, v, sv = knots[a:b + 1], v[a:b + 1], sv[a:b]
     pos = lo + np.searchsorted(gams[lo:hi], knots)
     cnt = np.diff(pos)
-    dk = np.diff(knots)
-    slope = np.divide(np.diff(v), dk, out=np.zeros_like(dk), where=dk > 0)
     offsets = np.clip(
         sums[pos[1:]] - sums[pos[:-1]] - cnt * (knots[:-1] - center),
-        0.0, cnt * dk)
-    total = float(np.dot(cnt, v[:-1]) + np.dot(slope, offsets))
-    return total + v[0] * (pos[0] - lo) + v[-1] * (hi - pos[-1])
+        0.0, cnt * np.diff(knots))
+    total = float(np.dot(cnt, v[:-1]) + np.dot(sv, offsets) / cfg.c_i)
+    return (total + v[0] * (pos[0] - lo) + v[-1] * (hi - pos[-1]),
+            -float(np.dot(cnt, sv)) / cfg.c_i)
 
 
-def non_eradication_probability(g: float, z_bar: int,
-                                problem: LeaderProblem) -> float:
-    """N_P(g) = E[F_M(z_bar - 1; p(g, C))] under the sampler's law.
+def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
+                                with_slope: bool = False
+                                ) -> float | tuple[float, float]:
+    """N_P(g) = E[F_M(z_bar - 1; p(g, C))] under the sampler's law; with
+    with_slope, the pair (N_P(g), N_P'(g)) of a Monte Carlo sampler.
 
     Perfect information evaluates the exact binomial tail at the one
     point. Monte Carlo draws split into three runs by w = (C_v + Gamma -
@@ -235,21 +256,29 @@ def non_eradication_probability(g: float, z_bar: int,
     with the per-draw mean of binom_cdf_vec_interp(p_from_gamma_vec) up to
     rounding: within n * eps at the fig preset (C_v = 1, C_i = 5), and
     within what rounding w can change over a draw's segment when a small
-    C_i magnifies it. For z_bar = m no draw is mixed and N_P is the count
-    of draws with Gamma >= g - C_v + C_i.
+    C_i magnifies it. N_P' is the slope of that piecewise-linear sum on
+    the segment at g (see _tabled_sum). For z_bar = m no draw is mixed:
+    N_P is the count of draws with Gamma >= g - C_v + C_i, a step
+    function, and N_P' = 0.
     """
     cfg, sampler = problem.cfg, problem.sampler
     if sampler.mode == PERFECT_INFO:
+        if with_slope:
+            raise ValueError("N_P' is computed for Monte Carlo samplers only")
         return float(binom_cdf(cfg.m, z_bar - 1, p_from_gamma(
             g, sampler.c_infinity(cfg), z_bar, cfg)))
     draws = sampler.sorted_draws(cfg)
     gams = draws[0]
     n = len(gams)
     if z_bar == cfg.m:
-        return (n - int(np.searchsorted(gams, g - cfg.c_v + cfg.c_i))) / n
-    lo, hi = _mixed_run(g, gams, cfg)
-    w, _, f = _knot_tables(cfg.m, z_bar)
-    return (_tabled_sum(w, f, g, cfg, draws, lo, hi) + (n - hi)) / n
+        value, slope = (n - int(np.searchsorted(gams, g - cfg.c_v + cfg.c_i))
+                        ) / n, 0.0
+    else:
+        lo, hi = _mixed_run(g, gams, cfg)
+        w, _, f, _, sf = _knot_tables(cfg.m, z_bar)
+        total, slope = _tabled_sum(w, f, sf, g, cfg, draws, lo, hi)
+        value, slope = (total + (n - hi)) / n, slope / n
+    return (value, slope) if with_slope else value
 
 
 def _p_expectation(g: float, z_bar: int, problem: LeaderProblem) -> float:
@@ -265,8 +294,8 @@ def _p_expectation(g: float, z_bar: int, problem: LeaderProblem) -> float:
     if z_bar == cfg.m:
         return int(np.searchsorted(gams, g - cfg.c_v + cfg.c_i)) / n
     lo, hi = _mixed_run(g, gams, cfg)
-    w, p, _ = _knot_tables(cfg.m, z_bar)
-    return (lo + _tabled_sum(w, p, g, cfg, draws, lo, hi)) / n
+    w, p, _, sp, _ = _knot_tables(cfg.m, z_bar)
+    return (lo + _tabled_sum(w, p, sp, g, cfg, draws, lo, hi)[0]) / n
 
 
 def expected_incentive_cost(g: float, z_bar: int,
@@ -303,42 +332,39 @@ def _bracket_above(f, lo: float, delta: float, step: float) -> float:
     raise BracketingError(f"N_P stayed above delta={delta} up to g={hi:.3g}")
 
 
-def _excess(g: float, np_at, delta: float) -> float:
-    """N_P(g) - delta for brentq, which wraps its function in a closure that
-    refers to itself: a closure over the problem passed there would keep
-    the sampler's draws alive until the cycle collector runs, so np_at
-    travels in brentq's args instead."""
-    return np_at(g) - delta
-
-
 def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolution:
     """Minimal incentive with non-eradication probability at most delta.
 
     If the constraint already holds free of charge the answer is zero;
     otherwise the upper end of (g_floor, inf) grows geometrically until it
     is feasible and the root of N_P(g) = delta is found in between. For
-    z_bar < m, N_P is continuous and piecewise linear in g, and Brent's
-    method (tolerances 1e-12) finds the root in 9-16 evaluations of the
-    tabled N_P (see non_eradication_probability), each O(K log n) for the
-    K table knots. For z_bar = m, N_P is a step function with no slope for
-    Brent's secant steps to use, so bisection finds it, and its midpoints
-    decide on which side of the last jump g* lands. Perfect-information
-    samplers are dispatched to the closed treatment, where the constraint
-    is flat or jumps.
+    z_bar < m, N_P is continuous and piecewise linear in g, and each
+    evaluation of the tabled N_P (see non_eradication_probability), O(K
+    log n) for the K table knots, also gives its exact slope there. So
+    safeguarded Newton (game.bisect_decreasing with a slope, tolerances
+    1e-12) finds the root from the bracket in about 5 further
+    evaluations. For z_bar = m, N_P is a step function with no slope to
+    follow, so bisection finds it, and its midpoints decide on which side
+    of the last jump g* lands. Perfect-information samplers are dispatched
+    to the closed treatment, where the constraint is flat or jumps.
     """
     if problem.sampler.mode == PERFECT_INFO:
         return perfect_info_solution(z_bar, problem)
     cfg, delta = problem.cfg, problem.delta
     _require_zbar(z_bar, cfg)
 
-    # brentq re-evaluates both bracket ends, and the solution reports
-    # N_P(g*), which the root finder has already evaluated
-    seen: dict[float, float] = {}
+    # the solution reports N_P(g*), which the root finder has already
+    # evaluated
+    seen: dict[float, tuple[float, float]] = {}
+
+    def np_and_slope(g: float) -> tuple[float, float]:
+        if g not in seen:
+            seen[g] = non_eradication_probability(g, z_bar, problem,
+                                                  with_slope=True)
+        return seen[g]
 
     def np_at(g: float) -> float:
-        if g not in seen:
-            seen[g] = non_eradication_probability(g, z_bar, problem)
-        return seen[g]
+        return np_and_slope(g)[0]
 
     if np_at(0.0) <= delta:
         return LeaderSolution(0.0, 0.0, z_bar, binding=False,
@@ -351,8 +377,8 @@ def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolutio
         g_star = bisect_decreasing(np_at, delta, lo, hi, atol=1e-12,
                                    rtol=1e-12)
     else:
-        g_star = brentq(_excess, lo, hi, args=(np_at, delta), xtol=1e-12,
-                        rtol=1e-12)
+        g_star = bisect_decreasing(np_and_slope, delta, lo, hi, atol=1e-12,
+                                   rtol=1e-12, slope=True)
     p_exp = _p_expectation(g_star, z_bar, problem)
     return LeaderSolution(g_star, cfg.m * g_star * p_exp, z_bar, binding=True,
                           p_expectation=p_exp, np_at_g=np_at(g_star),

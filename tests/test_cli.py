@@ -110,6 +110,16 @@ class TestSubcommands:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["z_bar"] == 1
 
+    def test_import_loads_neither_scipy_stats_nor_optimize(self):
+        # each of them would more than double the package's import time
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, vaxgame; print(sorted("
+             "m for m in ('scipy.stats', 'scipy.optimize') if m in "
+             "sys.modules))"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_closed_stdout_exits_141(self, unbuffered):
         # the read end is closed before the child starts, so its output

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vaxgame as vg
-from vaxgame.game import (EAGER, WAIT_AND_WATCH, ConstructionError,
-                          FunctionStrategy, NotMixedRegimeError, XiModel,
-                          _mixed_root, bisect_decreasing, final_gamma_draws,
+from vaxgame import game
+from vaxgame.game import (DRAW_BLOCK_ROWS, EAGER, WAIT_AND_WATCH,
+                          ConstructionError, FunctionStrategy,
+                          NotMixedRegimeError, XiModel, _mixed_root,
+                          bisect_decreasing, final_gamma_draws,
                           mutate_strategy, p_from_gamma, p_from_gamma_vec)
 
 
@@ -118,6 +120,40 @@ class TestMixedProbability:
         assert root == pytest.approx(2.0, abs=max(atol, rtol * 2.0) + 1e-15)
         assert all(0.0 < x < 5.0 for x in seen)
         assert len(seen) <= 200
+
+    @pytest.mark.parametrize("atol,rtol", [(1e-12, 0.0), (0.0, 1e-10)])
+    def test_newton_keeps_bracket_and_tolerance(self, atol, rtol):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return 10.0 - x ** 3, -3.0 * x ** 2
+
+        root = bisect_decreasing(f, 2.0, 0.0, 5.0, atol=atol, rtol=rtol,
+                                 slope=True)
+        assert root == pytest.approx(2.0, abs=max(atol, rtol * 2.0) + 1e-15)
+        assert all(0.0 < x < 5.0 for x in seen)
+        # quadratic convergence: bisection needs about 42 halvings here
+        assert len(seen) <= 10
+        assert root == seen[-1]
+
+    def test_newton_halves_where_the_slope_gives_no_step(self):
+        # a flat piece (no step at all), a gentle one (a step far out of the
+        # bracket) and a steep one holding the root 2 + 0.49/10
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            if x < 1.0:
+                return 1.0, 0.0
+            if x < 2.0:
+                return 1.0 - 0.01 * (x - 1.0), -0.01
+            return 0.99 - 10.0 * (x - 2.0), -10.0
+
+        root = bisect_decreasing(f, 0.5, -3.0, 3.0, atol=1e-12, slope=True)
+        assert root == pytest.approx(2.049, abs=1e-12)
+        assert seen[:3] == [0.0, 1.5, 2.25]
+        assert all(-3.0 < x < 3.0 for x in seen) and len(seen) <= 6
 
     def test_root_approaches_one_as_target_vanishes(self):
         ps = [_mixed_root(w, 9, 4) for w in (1e-2, 1e-4, 1e-8)]
@@ -355,6 +391,32 @@ class TestSampling:
         assert np.array_equal(vg.sample_z_t(1.0, cfg, seed=3, size=500),
                               rng.binomial(cfg.m, ps))
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n=st.one_of(st.sampled_from([0, 1, 7, DRAW_BLOCK_ROWS - 1,
+                                        DRAW_BLOCK_ROWS, DRAW_BLOCK_ROWS + 1,
+                                        20_000]),
+                       st.integers(1, 3 * DRAW_BLOCK_ROWS)),
+           sigma2=st.floats(0.01, 10.0), xi_mean=st.floats(0.1, 10.0),
+           t=st.integers(1, 18))
+    def test_in_place_fill_equals_sampled_blocks(self, seed, n, sigma2,
+                                                 xi_mean, t):
+        # the continuous law's in-place fill against the composition it
+        # replaced: xi.sample per block of rows, summed per row
+        cfg = vg.InfluencerGameConfig(m=40, t_horizon=20, c_v=1.0, c_i=5.0,
+                                      c_se_1=3.0, xi_mean=xi_mean,
+                                      xi_sigma2=sigma2, z_bar=20)
+        rng = np.random.default_rng(seed)
+        sums = np.zeros(n)
+        for start in range(0, n, DRAW_BLOCK_ROWS):
+            stop = min(start + DRAW_BLOCK_ROWS, n)
+            sums[start:stop] = cfg.xi.sample(rng, (stop - start, 19 - t)
+                                             ).sum(axis=1)
+        c_final = (t * cfg.c_se_1 + sums) / 19
+        want = (19 / 20) * c_final + cfg.e_xi / 20
+        got = final_gamma_draws(cfg, np.random.default_rng(seed), n, t)
+        assert np.array_equal(got, want)
+
     def test_martingale_of_terminal_estimate(self):
         cfg = fig_cfg(40)
         rng = np.random.default_rng(17)
@@ -413,6 +475,28 @@ def test_config_rejects_bad_costs(bad):
 def test_xi_model_rejects_probs_outside_unit_interval(probs):
     with pytest.raises(ValueError):
         XiModel(1.0, values=(0.0, 2.0), probs=probs)
+
+
+@pytest.mark.parametrize("values,probs,field", [
+    ((), (), "values"), ((0.0, 2.0), (1.0,), "values"),
+    ((0.0,), (0.5, 0.5), "values"), ((0.0, math.inf), (0.5, 0.5), "values"),
+    ((0.0, math.nan), (0.5, 0.5), "values"),
+    ((0.0, 2.0), (0.5, math.nan), "probs"),
+    ((0.0, 2.0), (math.inf, 0.5), "probs")])
+def test_xi_model_rejects_bad_support(values, probs, field):
+    with pytest.raises(ValueError, match=field):
+        XiModel(1.0, values=values, probs=probs)
+
+
+def test_binomial_pmf_is_scipy_stats_pmf():
+    # the stage sets and the DP verifier read the pmf from scipy.special,
+    # bit for bit the values of scipy.stats.binom.pmf
+    from scipy.stats import binom
+    for n in (0, 1, 2, 7, 39):
+        ys = np.arange(n + 1)
+        for p in (0.0, 1e-300, 0.013, 0.5, 0.731, 1.0 - 1e-16, 1.0):
+            assert np.array_equal(game.binom_pmf(ys, n, p),
+                                  binom.pmf(ys, n, p))
 
 
 def test_config_incentive_override():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import vaxgame as vg
@@ -86,9 +86,9 @@ class TestSolveOptimalIncentive:
         seen = []
         orig = leader.non_eradication_probability
 
-        def spy(g, z_bar, problem):
+        def spy(g, z_bar, problem, **kw):
             seen.append(g)
-            return orig(g, z_bar, problem)
+            return orig(g, z_bar, problem, **kw)
 
         monkeypatch.setattr(leader, "non_eradication_probability", spy)
         for zb, prob in [(1, mc_problem(0.999, 1, c_i=20.0)),
@@ -231,13 +231,62 @@ class TestSlicedConstraint:
 
     @pytest.mark.parametrize("z_bar", [1, 20, 39])
     @pytest.mark.parametrize("delta", [0.01, 0.1])
-    def test_brent_root_matches_bisection(self, z_bar, delta):
+    def test_newton_root_matches_bisection(self, z_bar, delta):
         prob = mc_problem(delta, z_bar, n=N_SLICED)
         sol = vg.solve_optimal_incentive(z_bar, prob)
         g, u = bisection_solve(z_bar, prob)
         assert sol.binding
         assert sol.g_star == pytest.approx(g, rel=1e-11)
         assert sol.u_star == pytest.approx(u, rel=1e-11)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 500), seed=st.integers(0, 2**32 - 1),
+           z_bar=st.integers(1, 39), g=st.floats(0.0, 12.0))
+    def test_slope_matches_central_difference(self, n, seed, z_bar, g):
+        # N_P is linear in g until some draw's w = (C_v + Gamma - g)/C_i
+        # crosses a knot w_k (0 and 1 among them), so a central difference
+        # over h = d/4, d the distance in g to the nearest crossing, is the
+        # slope up to the rounding of the two N_P: each within n eps at the
+        # fig preset (see test_tabled_sums_match_per_draw_means)
+        prob = mc_problem(0.05, z_bar, n=n, seed=seed)
+        cfg = prob.cfg
+        w_k = _cdf_grid(cfg.m - 1, z_bar - 1)[2]
+        w = (cfg.c_v + prob.sampler.gamma_draws(cfg) - g) / cfg.c_i
+        i = np.clip(np.searchsorted(w_k, w), 1, len(w_k) - 1)
+        d = cfg.c_i * float(np.min(np.minimum(np.abs(w - w_k[i - 1]),
+                                              np.abs(w_k[i] - w))))
+        assume(d > 0.0)
+        h = d / 4
+        value, slope = vg.non_eradication_probability(g, z_bar, prob,
+                                                      with_slope=True)
+        assert value == vg.non_eradication_probability(g, z_bar, prob)
+        up = vg.non_eradication_probability(g + h, z_bar, prob)
+        down = vg.non_eradication_probability(g - h, z_bar, prob)
+        assert slope <= 0.0
+        assert abs((up - down) / (2 * h) - slope) <= n * EPS / h
+
+    def test_newton_evaluations_per_solve(self, monkeypatch):
+        # the fig-1 grid's z_bar < M solves on draw set 0: every N_P
+        # evaluation, with or without the slope, bracket and root alike
+        calls = []
+        orig = leader.non_eradication_probability
+
+        def spy(*args, **kw):
+            calls.append(kw.get("with_slope", False))
+            return orig(*args, **kw)
+
+        monkeypatch.setattr(leader, "non_eradication_probability", spy)
+        smp = vg.ExpectationSampler(n_samples=100_000, seed=0)
+        solves = 0
+        for delta in (0.01, 0.05, 0.1):
+            for z_bar in (1, 2, 5, 10, 20, 30, 39):
+                cfg = vg.InfluencerGameConfig(z_bar=z_bar, **FIG_GAME)
+                sol = vg.solve_optimal_incentive(
+                    z_bar, vg.LeaderProblem(delta, cfg, smp))
+                assert sol.binding
+                solves += 1
+        assert len(calls) / solves <= 10
+        assert all(calls)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
@@ -342,10 +391,19 @@ class TestInputChecks:
             vg.solve_optimal_incentive(z_bar, prob)
 
     @pytest.mark.parametrize("kw", [dict(n_samples=0), dict(n_samples=-5),
-                                    dict(mode="montecarlo"), dict(mode=None)])
+                                    dict(mode="montecarlo"), dict(mode=None),
+                                    dict(n_samples=1.5), dict(n_samples=True),
+                                    dict(n_samples=np.float64(10.0)),
+                                    dict(seed=-1), dict(seed=1.5),
+                                    dict(seed=False), dict(seed=None)])
     def test_sampler_rejects_bad_settings(self, kw):
-        with pytest.raises(ValueError):
+        # when it is built, not at its first fill, naming the field
+        with pytest.raises(ValueError, match=next(iter(kw))):
             vg.ExpectationSampler(**kw)
+
+    def test_sampler_takes_numpy_integers(self):
+        smp = vg.ExpectationSampler(n_samples=np.int64(10), seed=np.uint8(3))
+        assert len(smp.gamma_draws(game_cfg(20))) == 10
 
     def test_cached_draws_are_read_only(self):
         # a write to the draws would leave their prefix sums stale
