@@ -10,7 +10,8 @@ analyses of the three layers.
 Flags may be preloaded from --config FILE (or --config=FILE); INI-style
 sections or a JSON object with the same section/key names (see README).
 Exit codes: 0 ok, 2 invalid configuration, 3 infeasible model
-(insufficient influence), 141 standard output closed before the output was
+(insufficient influence, or no incentive that meets delta within the
+leader's bracket), 141 standard output closed before the output was
 written (as a shell reports a process ended by SIGPIPE, e.g. `| head`).
 """
 from __future__ import annotations
@@ -692,7 +693,7 @@ def main(argv=None) -> int:
         # devnull so the flush at exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except InsufficientInfluenceError as exc:
+    except (InsufficientInfluenceError, leader.BracketingError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

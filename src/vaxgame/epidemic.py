@@ -53,8 +53,9 @@ def _field(disease: DiseaseParams, nu: VaRatePolicy, beta: ResponseParams):
     Returns f(theta, psi, eta) -> (dtheta, dpsi, deta, varrho): the drift
     and the per-capita event rate at one state. This is the one place the
     formulas are written; the supply rate nu.rate(psi) and the acceptance
-    beta.acceptance(psi) are inlined, since the integrator calls f seven
-    times a step.
+    beta.acceptance(psi) are inlined, since the integrator calls f six
+    times a step. min(1.0, beta*psi) is written as a comparison that gives
+    the same double without the builtin call.
     """
     lam, r, b, d = disease.lam, disease.r, disease.b, disease.d
     inv_rho = 1.0 / disease.rho
@@ -65,8 +66,10 @@ def _field(disease: DiseaseParams, nu: VaRatePolicy, beta: ResponseParams):
         supply = nu_b + nu_e * psi
         varrho = b + d + lam * theta * phi + supply * phi + r * theta
         scale = 1.0 / (eta * varrho)
+        accept = bt * psi
         return (theta * lam * scale * (phi - inv_rho),
-                scale * (phi * min(1.0, bt * psi) * supply - b * psi),
+                scale * (phi * (accept if accept < 1.0 else 1.0) * supply
+                         - b * psi),
                 (b - d) / varrho - eta,
                 varrho)
 
@@ -232,6 +235,8 @@ class IntegrationResult:
     limit: OdeState
     converged: bool
     message: str
+    rhs_evals: int              # drift evaluations, Jacobians' included
+    jacobians: int              # central-difference Jacobians taken
 
 
 # Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett & Wanner,
@@ -267,89 +272,22 @@ def _rms(a: float, b: float, c: float) -> float:
 def _initial_step(f, y, k, horizon: float) -> float:
     """First step size by the rule of Hairer, Norsett & Wanner (Sec. II.4),
     as scipy's select_initial_step applies it to a fourth-order error
-    estimate, capped at _MAX_STEP and the horizon."""
+    estimate, capped at _MAX_STEP and the horizon. A trial step h0 that
+    underflows to 0 gives d2 = inf and so a first step of 0, which the
+    stepper raises to its minimum step."""
     s0, s1, s2 = (_ATOL + abs(v) * _RTOL for v in y)
     d0 = _rms(y[0] / s0, y[1] / s1, y[2] / s2)
     d1 = _rms(k[0] / s0, k[1] / s1, k[2] / s2)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, horizon)
     k1 = f(y[0] + h0 * k[0], y[1] + h0 * k[1], y[2] + h0 * k[2])
-    d2 = _rms((k1[0] - k[0]) / s0, (k1[1] - k[1]) / s1,
-              (k1[2] - k[2]) / s2) / h0
+    d2 = math.inf if h0 == 0.0 else _rms(
+        (k1[0] - k[0]) / s0, (k1[1] - k[1]) / s1, (k1[2] - k[2]) / s2) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
     return min(100 * h0, h1, horizon, _MAX_STEP)
-
-
-def _dopri_step(f, y, k, h: float):
-    """One Dormand-Prince step of size h from y, where k = f(y).
-
-    Returns the fifth-order solution, f there (the next step's first stage:
-    first same as last) and the RMS norm of the embedded error estimate
-    scaled by _ATOL + _RTOL * max(|y|, |y_new|).
-    """
-    y0, y1, y2 = y
-    a0, a1, a2 = k
-    b0, b1, b2, _ = f(y0 + _A21 * a0 * h, y1 + _A21 * a1 * h,
-                      y2 + _A21 * a2 * h)
-    c0, c1, c2, _ = f(y0 + (_A31 * a0 + _A32 * b0) * h,
-                      y1 + (_A31 * a1 + _A32 * b1) * h,
-                      y2 + (_A31 * a2 + _A32 * b2) * h)
-    d0, d1, d2, _ = f(y0 + (_A41 * a0 + _A42 * b0 + _A43 * c0) * h,
-                      y1 + (_A41 * a1 + _A42 * b1 + _A43 * c1) * h,
-                      y2 + (_A41 * a2 + _A42 * b2 + _A43 * c2) * h)
-    e0, e1, e2, _ = f(
-        y0 + (_A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0) * h,
-        y1 + (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1) * h,
-        y2 + (_A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2) * h)
-    g0, g1, g2, _ = f(
-        y0 + (_A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0 + _A65 * e0) * h,
-        y1 + (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1) * h,
-        y2 + (_A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2 + _A65 * e2) * h)
-    n0 = y0 + h * (_B1 * a0 + _B3 * c0 + _B4 * d0 + _B5 * e0 + _B6 * g0)
-    n1 = y1 + h * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * g1)
-    n2 = y2 + h * (_B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * g2)
-    l0, l1, l2, _ = f(n0, n1, n2)
-    err = _rms(
-        (_E1 * a0 + _E3 * c0 + _E4 * d0 + _E5 * e0 + _E6 * g0 + _E7 * l0) * h
-        / (_ATOL + max(abs(y0), abs(n0)) * _RTOL),
-        (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * g1 + _E7 * l1) * h
-        / (_ATOL + max(abs(y1), abs(n1)) * _RTOL),
-        (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * g2 + _E7 * l2) * h
-        / (_ATOL + max(abs(y2), abs(n2)) * _RTOL))
-    return (n0, n1, n2), (l0, l1, l2), err
-
-
-def _accepted_step(f, t: float, y, k, h_abs: float, horizon: float):
-    """Retry Dormand-Prince steps from (t, y) until one passes the error
-    test, with scipy RK45's controller: the step is clipped to _MAX_STEP
-    and to the horizon, and scaled by 0.9 * err^(-1/5) within [0.2, 10]
-    (at most 1 after a rejection).
-
-    Returns (t_new, y_new, f(y_new), next step size), or None once the
-    step would fall below ten units in the last place of t.
-    """
-    min_step = 10 * (math.nextafter(t, math.inf) - t)
-    if h_abs > _MAX_STEP:
-        h_abs = _MAX_STEP
-    elif h_abs < min_step:
-        h_abs = min_step
-    rejected = False
-    while h_abs >= min_step:
-        t_new = min(t + h_abs, horizon)
-        h = t_new - t
-        y_new, k_new, err = _dopri_step(f, y, k, h)
-        if err < 1.0:
-            factor = (_MAX_FACTOR if err == 0.0 else
-                      min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT))
-            if rejected:
-                factor = min(1.0, factor)
-            return t_new, y_new, k_new, h * factor
-        h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-        rejected = True
-    return None
 
 
 def _stable_inverse(f, y):
@@ -406,7 +344,9 @@ def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
     The stepper is Dormand-Prince 5(4) over Python floats with scipy RK45's
     error norm, controller and first-step rule (_RTOL = 1e-9, _ATOL =
     1e-12, steps of at most 1), reusing each step's last stage as the next
-    one's first.
+    one's first. A rejected step is retried with the step scaled by
+    0.9 * err^(-1/5), at least 0.2; after an accepted one the next step is
+    scaled by the same factor, at most 10 (at most 1 after a rejection).
     Every accepted step is recorded. Convergence is declared by one rule,
     a certificate: once the rhs max-norm is below 1e-6, the central-
     difference Jacobian there has only eigenvalues with negative real part
@@ -416,36 +356,128 @@ def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
     sit below _TOL far from the equilibrium.
 
     A horizon overrun reports converged=False instead of raising, and so
-    does a step size that collapses; non-hyperbolic equilibria (e.g.
-    rho = 1) are never certified and run to the horizon. `message` names
-    the rule or the failure.
+    does a step size that falls below ten units in the last place of t;
+    non-hyperbolic equilibria (e.g. rho = 1) are never certified and run to
+    the horizon. `message` names the rule or the failure. `rhs_evals`
+    counts every drift evaluation (six per attempted step, six per
+    Jacobian, two to start) and `jacobians` the Jacobians taken.
     """
     if not (math.isfinite(horizon) and horizon >= 0.0):
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
     f = _field(disease, nu, beta)
-    t, y = 0.0, (float(init.theta), float(init.psi), float(init.eta))
-    ts, ys = [t], [y]
+    y0, y1, y2 = float(init.theta), float(init.psi), float(init.eta)
+    t = 0.0
+    ts, ys = [t], [(y0, y1, y2)]
     converged = False
     msg = (f"horizon {horizon} exceeded without a certified stable "
            f"equilibrium within {_TOL}")
-    k = f(*y)[:3]
-    h_abs = _initial_step(f, y, k, horizon) if horizon > 0.0 else 0.0
+    k0, k1, k2, _ = f(y0, y1, y2)
+    evals, jacobians, h_abs = 1, 0, 0.0
+    if horizon > 0.0:
+        h_abs = _initial_step(f, (y0, y1, y2), (k0, k1, k2), horizon)
+        evals = 2
+    # One flat loop over scalar locals: each stage and the error norm are
+    # written out with the constants bound here, and builtin min/max are
+    # comparisons that give the same double. Every float operation keeps
+    # the operands and the order of the textbook step, so the result is
+    # bit-identical to a step function over tuples.
+    a21 = _A21
+    a31, a32 = _A31, _A32
+    a41, a42, a43 = _A41, _A42, _A43
+    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
+    atol, rtol, max_step = _ATOL, _RTOL, _MAX_STEP
+    safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
+    exponent = _ERROR_EXPONENT
+    sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
     inv = None
     while t < horizon:
-        step = _accepted_step(f, t, y, k, h_abs, horizon)
-        if step is None:
+        # retry from (t, y) until a step passes the error test, or the step
+        # falls below ten units in the last place of t
+        min_step = 10 * (nextafter(t, inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while h_abs >= min_step:
+            t_new = t + h_abs
+            if t_new > horizon:
+                t_new = horizon
+            h = t_new - t
+            evals += 6
+            p0, p1, p2, _ = f(y0 + a21 * k0 * h, y1 + a21 * k1 * h,
+                              y2 + a21 * k2 * h)
+            q0, q1, q2, _ = f(y0 + (a31 * k0 + a32 * p0) * h,
+                              y1 + (a31 * k1 + a32 * p1) * h,
+                              y2 + (a31 * k2 + a32 * p2) * h)
+            r0, r1, r2, _ = f(y0 + (a41 * k0 + a42 * p0 + a43 * q0) * h,
+                              y1 + (a41 * k1 + a42 * p1 + a43 * q1) * h,
+                              y2 + (a41 * k2 + a42 * p2 + a43 * q2) * h)
+            s0, s1, s2, _ = f(
+                y0 + (a51 * k0 + a52 * p0 + a53 * q0 + a54 * r0) * h,
+                y1 + (a51 * k1 + a52 * p1 + a53 * q1 + a54 * r1) * h,
+                y2 + (a51 * k2 + a52 * p2 + a53 * q2 + a54 * r2) * h)
+            u0, u1, u2, _ = f(
+                y0 + (a61 * k0 + a62 * p0 + a63 * q0 + a64 * r0
+                      + a65 * s0) * h,
+                y1 + (a61 * k1 + a62 * p1 + a63 * q1 + a64 * r1
+                      + a65 * s1) * h,
+                y2 + (a61 * k2 + a62 * p2 + a63 * q2 + a64 * r2
+                      + a65 * s2) * h)
+            n0 = y0 + h * (b1 * k0 + b3 * q0 + b4 * r0 + b5 * s0 + b6 * u0)
+            n1 = y1 + h * (b1 * k1 + b3 * q1 + b4 * r1 + b5 * s1 + b6 * u1)
+            n2 = y2 + h * (b1 * k2 + b3 * q2 + b4 * r2 + b5 * s2 + b6 * u2)
+            l0, l1, l2, _ = f(n0, n1, n2)
+            # RMS of the embedded error over _ATOL + _RTOL * max(|y|, |y_new|)
+            w0, x = abs(y0), abs(n0)
+            if x > w0:
+                w0 = x
+            w1, x = abs(y1), abs(n1)
+            if x > w1:
+                w1 = x
+            w2, x = abs(y2), abs(n2)
+            if x > w2:
+                w2 = x
+            w0 = ((e1 * k0 + e3 * q0 + e4 * r0 + e5 * s0 + e6 * u0 + e7 * l0)
+                  * h / (atol + w0 * rtol))
+            w1 = ((e1 * k1 + e3 * q1 + e4 * r1 + e5 * s1 + e6 * u1 + e7 * l1)
+                  * h / (atol + w1 * rtol))
+            w2 = ((e1 * k2 + e3 * q2 + e4 * r2 + e5 * s2 + e6 * u2 + e7 * l2)
+                  * h / (atol + w2 * rtol))
+            err = sqrt((w0 * w0 + w1 * w1 + w2 * w2) / 3.0)
+            if err < 1.0:
+                break
+            x = safety * err ** exponent
+            h_abs = h * (x if x > min_factor else min_factor)
+            rejected = True
+        else:
             msg = f"step size collapsed at t = {t:.6g}"
             break
-        t, y, k, h_abs = step
+        if err == 0.0:
+            x = max_factor
+        else:
+            x = safety * err ** exponent
+            if not x < max_factor:
+                x = max_factor
+        if rejected and not x < 1.0:
+            x = 1.0
+        t, h_abs = t_new, h * x
+        y0, y1, y2, k0, k1, k2 = n0, n1, n2, l0, l1, l2
+        y = (y0, y1, y2)
         ts.append(t)
         ys.append(y)
-        if max(abs(k[0]), abs(k[1]), abs(k[2])) >= _CERTIFY_BELOW:
+        if max(abs(k0), abs(k1), abs(k2)) >= _CERTIFY_BELOW:
             inv = None
             continue
         # this close to an equilibrium the Jacobian barely moves, so the
         # last stable one screens each step; only a fresh one certifies
+        k = (k0, k1, k2)
         if inv is None or _newton_distance(inv, k) < _TOL:
             inv = _stable_inverse(f, y)
+            jacobians += 1
             dist = math.inf if inv is None else _newton_distance(inv, k)
             if dist < _TOL:
                 converged = True
@@ -455,7 +487,8 @@ def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
     states = np.array(ys)
     yf = states[-1]
     limit = OdeState(max(yf[0], 0.0), max(yf[1], 0.0), yf[2])
-    return IntegrationResult(np.array(ts), states, limit, converged, msg)
+    return IntegrationResult(np.array(ts), states, limit, converged, msg,
+                             evals + 6 * jacobians, jacobians)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,7 +150,10 @@ class InfluencerGameConfig:
     Incentives are paid per vaccination: g_z when z influencers were
     vaccinated by the previous day, zero from z_bar on. By default every
     pre-threshold count pays g0 (only g0 matters at the wait-and-watch
-    outcome).
+    outcome). m, t_horizon and z_bar must be integers (numpy integers are
+    taken, bool is not); every cost, data parameter and incentive must be
+    finite. A bad field raises ValueError naming it when the object is
+    built.
     """
 
     m: int
@@ -167,6 +171,14 @@ class InfluencerGameConfig:
     xi_probs: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        for name in ("m", "t_horizon", "z_bar"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        for name in ("c_v", "c_i", "c_se_1", "xi_mean", "xi_sigma2", "g0"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
         if self.m < 1:
             raise ValueError("need at least one influencer")
         if self.t_horizon < 2:
@@ -175,14 +187,14 @@ class InfluencerGameConfig:
             raise ValueError("z_bar must lie in 1..m")
         if self.c_se_1 < 0:
             raise ValueError("c_se_1 must be nonnegative")
-        if not (math.isfinite(self.c_v) and math.isfinite(self.c_i)):
-            raise ValueError("c_v and c_i must be finite")
         if self.c_i <= 0:
             raise ValueError("c_i must be positive")
         if self.incentives is not None:
             inc = tuple(float(v) for v in self.incentives)
             if len(inc) != self.z_bar:
                 raise ValueError("incentives must list g_0..g_{z_bar-1}")
+            if not all(map(math.isfinite, inc)):
+                raise ValueError(f"incentives must be finite, got {inc!r}")
             object.__setattr__(self, "incentives", inc)
         if self.xi.mean <= 0.0:
             raise ValueError("side-effect data must have positive mean")

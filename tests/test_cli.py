@@ -101,6 +101,33 @@ class TestSubcommands:
         assert err.startswith("error: ")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["optimize-leader", "--zbar", "1", "--xi-mean", "inf", "--csv", "{tmp}/s.csv"],
+        ["optimize-leader", "--zbar", "1", "--cse1", "nan", "--csv", "{tmp}/s.csv"],
+        ["optimize-leader", "--zbar", "1", "--g0", "nan", "--csv", "{tmp}/s.csv"],
+        ["optimize-leader", "--zbar", "1", "--xi-var", "inf", "--csv", "{tmp}/s.csv"],
+        ["sweep", "--var", "sigma2", "--grid", "1,inf", "--zbar", "1",
+         "--samples", "2000", "--outdir", "{tmp}"],
+        ["sweep", "--var", "zbar", "--grid", "1,2", "--xi-mean", "inf",
+         "--samples", "2000", "--outdir", "{tmp}"],
+    ])
+    def test_non_finite_game_inputs_exit_2(self, capsys, tmp_path, argv):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        code, _, err = run_main(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
+
+    def test_unbracketed_root_exits_3(self, capsys, tmp_path):
+        # finite but so large a data mean that N_P stays above delta over
+        # the whole doubling budget of the leader's bracket
+        code, _, err = run_main(capsys, "optimize-leader", "--zbar", "1",
+                                "--xi-mean", "1e300", "--csv",
+                                str(tmp_path / "s.csv"))
+        assert code == 3
+        assert err.startswith("infeasible: ") and "delta" in err
+        assert not list(tmp_path.iterdir())
+
     def test_entry_point_runs(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "vaxgame.cli", "optimize-leader",

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from scipy.integrate import RK45
 
 import vaxgame as vg
-from vaxgame.epidemic import (_field, _newton_distance, _stable_inverse,
-                              total_event_rate)
+from vaxgame import epidemic
+from vaxgame.epidemic import (_field, _initial_step, _newton_distance, _rms,
+                              _stable_inverse, total_event_rate)
 
 from test_acceptance import _row_draw
 
@@ -279,6 +280,215 @@ class TestIntegration:
         assert not res.converged
         assert res.t[-1] == 600.0 and "horizon 600.0 exceeded" in res.message
         assert res.limit.theta > 1e-5
+
+
+def _reference_field(disease, nu, beta):
+    """`_field` as written before the flat loop, with the builtin min."""
+    lam, r, b, d = disease.lam, disease.r, disease.b, disease.d
+    inv_rho = 1.0 / disease.rho
+    nu_b, nu_e, bt = nu.nu_b, nu.nu_e, beta.beta
+
+    def f(theta, psi, eta):
+        phi = 1.0 - theta - psi
+        supply = nu_b + nu_e * psi
+        varrho = b + d + lam * theta * phi + supply * phi + r * theta
+        scale = 1.0 / (eta * varrho)
+        return (theta * lam * scale * (phi - inv_rho),
+                scale * (phi * min(1.0, bt * psi) * supply - b * psi),
+                (b - d) / varrho - eta,
+                varrho)
+
+    return f
+
+
+def _reference_dopri_step(f, y, k, h):
+    """One Dormand-Prince step over tuples, as the stepper was written
+    before it became one flat loop."""
+    E = epidemic
+    y0, y1, y2 = y
+    a0, a1, a2 = k
+    b0, b1, b2, _ = f(y0 + E._A21 * a0 * h, y1 + E._A21 * a1 * h,
+                      y2 + E._A21 * a2 * h)
+    c0, c1, c2, _ = f(y0 + (E._A31 * a0 + E._A32 * b0) * h,
+                      y1 + (E._A31 * a1 + E._A32 * b1) * h,
+                      y2 + (E._A31 * a2 + E._A32 * b2) * h)
+    d0, d1, d2, _ = f(y0 + (E._A41 * a0 + E._A42 * b0 + E._A43 * c0) * h,
+                      y1 + (E._A41 * a1 + E._A42 * b1 + E._A43 * c1) * h,
+                      y2 + (E._A41 * a2 + E._A42 * b2 + E._A43 * c2) * h)
+    e0, e1, e2, _ = f(
+        y0 + (E._A51 * a0 + E._A52 * b0 + E._A53 * c0 + E._A54 * d0) * h,
+        y1 + (E._A51 * a1 + E._A52 * b1 + E._A53 * c1 + E._A54 * d1) * h,
+        y2 + (E._A51 * a2 + E._A52 * b2 + E._A53 * c2 + E._A54 * d2) * h)
+    g0, g1, g2, _ = f(
+        y0 + (E._A61 * a0 + E._A62 * b0 + E._A63 * c0 + E._A64 * d0
+              + E._A65 * e0) * h,
+        y1 + (E._A61 * a1 + E._A62 * b1 + E._A63 * c1 + E._A64 * d1
+              + E._A65 * e1) * h,
+        y2 + (E._A61 * a2 + E._A62 * b2 + E._A63 * c2 + E._A64 * d2
+              + E._A65 * e2) * h)
+    n0 = y0 + h * (E._B1 * a0 + E._B3 * c0 + E._B4 * d0 + E._B5 * e0
+                   + E._B6 * g0)
+    n1 = y1 + h * (E._B1 * a1 + E._B3 * c1 + E._B4 * d1 + E._B5 * e1
+                   + E._B6 * g1)
+    n2 = y2 + h * (E._B1 * a2 + E._B3 * c2 + E._B4 * d2 + E._B5 * e2
+                   + E._B6 * g2)
+    l0, l1, l2, _ = f(n0, n1, n2)
+    err = _rms(
+        (E._E1 * a0 + E._E3 * c0 + E._E4 * d0 + E._E5 * e0 + E._E6 * g0
+         + E._E7 * l0) * h / (E._ATOL + max(abs(y0), abs(n0)) * E._RTOL),
+        (E._E1 * a1 + E._E3 * c1 + E._E4 * d1 + E._E5 * e1 + E._E6 * g1
+         + E._E7 * l1) * h / (E._ATOL + max(abs(y1), abs(n1)) * E._RTOL),
+        (E._E1 * a2 + E._E3 * c2 + E._E4 * d2 + E._E5 * e2 + E._E6 * g2
+         + E._E7 * l2) * h / (E._ATOL + max(abs(y2), abs(n2)) * E._RTOL))
+    return (n0, n1, n2), (l0, l1, l2), err
+
+
+def _reference_accepted_step(f, t, y, k, h_abs, horizon):
+    """Retried steps with scipy RK45's controller; None once the step
+    falls below ten units in the last place of t."""
+    E = epidemic
+    min_step = 10 * (math.nextafter(t, math.inf) - t)
+    if h_abs > E._MAX_STEP:
+        h_abs = E._MAX_STEP
+    elif h_abs < min_step:
+        h_abs = min_step
+    rejected = False
+    while h_abs >= min_step:
+        t_new = min(t + h_abs, horizon)
+        h = t_new - t
+        y_new, k_new, err = _reference_dopri_step(f, y, k, h)
+        if err < 1.0:
+            factor = (E._MAX_FACTOR if err == 0.0 else
+                      min(E._MAX_FACTOR, E._SAFETY * err ** E._ERROR_EXPONENT))
+            if rejected:
+                factor = min(1.0, factor)
+            return t_new, y_new, k_new, h * factor
+        h_abs = h * max(E._MIN_FACTOR, E._SAFETY * err ** E._ERROR_EXPONENT)
+        rejected = True
+    return None
+
+
+def _reference_integrate(init, disease, nu, beta, horizon):
+    """`integrate_to_equilibrium` as three functions over tuples: the
+    oracle the flat loop must equal to the bit."""
+    E = epidemic
+    f = _reference_field(disease, nu, beta)
+    t, y = 0.0, (float(init.theta), float(init.psi), float(init.eta))
+    ts, ys = [t], [y]
+    converged = False
+    msg = (f"horizon {horizon} exceeded without a certified stable "
+           f"equilibrium within {E._TOL}")
+    k = f(*y)[:3]
+    h_abs = _initial_step(f, y, k, horizon) if horizon > 0.0 else 0.0
+    inv = None
+    while t < horizon:
+        step = _reference_accepted_step(f, t, y, k, h_abs, horizon)
+        if step is None:
+            msg = f"step size collapsed at t = {t:.6g}"
+            break
+        t, y, k, h_abs = step
+        ts.append(t)
+        ys.append(y)
+        if max(abs(k[0]), abs(k[1]), abs(k[2])) >= E._CERTIFY_BELOW:
+            inv = None
+            continue
+        if inv is None or _newton_distance(inv, k) < E._TOL:
+            inv = _stable_inverse(f, y)
+            dist = math.inf if inv is None else _newton_distance(inv, k)
+            if dist < E._TOL:
+                converged = True
+                msg = (f"converged: Newton distance {dist:.3g} < {E._TOL} "
+                       "at a stable Jacobian (certificate)")
+                break
+    return np.array(ts), np.array(ys), converged, msg
+
+
+@st.composite
+def _perturbed_returns(draw):
+    """A start 1e-2 off an active candidate of one stability row, drawn as
+    c02 draws it."""
+    row = draw(st.sampled_from(("non_vaccinating", "eradicating",
+                                "co_occurring")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dis, nu, beta = _row_draw(rng, row)
+    cand = getattr(vg.candidate_attractors(dis, nu, beta), row)
+    vec = rng.normal(size=2)
+    vec *= 1e-2 / np.linalg.norm(vec)
+    theta0 = min(max(cand.theta + vec[0], 1e-4), 0.98)
+    psi0 = min(max(cand.psi + vec[1], 1e-4), 0.98 - theta0)
+    return vg.OdeState(theta0, psi0, cand.eta), dis, nu, beta
+
+
+def _tiny_eta_start(eta):
+    return (vg.OdeState(0.1, 0.1, eta), fig5_disease(),
+            vg.VaRatePolicy(1.0, 1.0), vg.ResponseParams(2.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_perturbed_returns(), horizon=st.sampled_from((0.0, 2.0, 400.0)))
+@example(case=_tiny_eta_start(1e-300), horizon=400.0)
+@example(case=_tiny_eta_start(5e-324), horizon=400.0)
+# far below the attractor's eta a step fails the error test by more than
+# (0.9/0.2)^5, so the retry takes the 0.2 floor of the step factor
+@example(case=_tiny_eta_start(1e-3), horizon=400.0)
+def test_flat_loop_equals_three_function_reference(case, horizon):
+    init, dis, nu, beta = case
+    got = vg.integrate_to_equilibrium(init, dis, nu, beta, horizon=horizon)
+    t, states, converged, msg = _reference_integrate(init, dis, nu, beta,
+                                                     horizon)
+    assert np.array_equal(got.t, t)
+    assert np.array_equal(got.states, states)
+    assert (got.converged, got.message) == (converged, msg)
+
+
+def test_tiny_eta_start_is_certified():
+    # h0 = 0.01 d0 / d1 underflows to 0 here; the first step is then the
+    # minimum step, and the run still reaches the certificate
+    res = vg.integrate_to_equilibrium(*_tiny_eta_start(1e-300))
+    assert res.converged and "certificate" in res.message
+    assert len(res.t) - 1 == 1740
+
+
+def test_vanishing_eta_start_reports_step_collapse():
+    # at eta = 5e-324 even the minimum step fails the error test
+    res = vg.integrate_to_equilibrium(*_tiny_eta_start(5e-324))
+    assert not res.converged
+    assert res.message == "step size collapsed at t = 0"
+    assert list(res.t) == [0.0]
+
+
+def test_counts_match_a_counting_spy(monkeypatch):
+    # one c02 attractor return: every drift evaluation goes through the
+    # spied f, every Jacobian through the spied _stable_inverse
+    evals, jacobians = [0], [0]
+    field, stable_inverse = epidemic._field, epidemic._stable_inverse
+
+    def counting_field(*params):
+        f = field(*params)
+
+        def spy(*y):
+            evals[0] += 1
+            return f(*y)
+
+        return spy
+
+    def counting_inverse(f, y):
+        jacobians[0] += 1
+        return stable_inverse(f, y)
+
+    rng = np.random.default_rng(202)
+    dis, nu, beta = _row_draw(rng, "eradicating")
+    cand = vg.candidate_attractors(dis, nu, beta).eradicating
+    monkeypatch.setattr(epidemic, "_field", counting_field)
+    monkeypatch.setattr(epidemic, "_stable_inverse", counting_inverse)
+    res = vg.integrate_to_equilibrium(
+        vg.OdeState(cand.theta + 6e-3, cand.psi - 8e-3, cand.eta), dis, nu,
+        beta, horizon=400.0)
+    assert res.converged
+    assert res.rhs_evals == evals[0]
+    assert res.jacobians == jacobians[0] >= 1
+    # two to start, six per step tried, six per Jacobian
+    assert res.rhs_evals >= 2 + 6 * (len(res.t) - 1) + 6 * res.jacobians
 
 
 def test_newton_distance_on_linear_fields():

@@ -471,6 +471,27 @@ def test_config_rejects_bad_costs(bad):
         vg.InfluencerGameConfig(**{**kw, **bad})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("m", 2.5), ("m", True), ("t_horizon", 20.5), ("t_horizon", True),
+    ("z_bar", 1.5), ("z_bar", True), ("c_se_1", math.nan),
+    ("c_se_1", math.inf), ("xi_mean", math.inf), ("xi_mean", math.nan),
+    ("xi_sigma2", math.inf), ("g0", math.nan), ("g0", -math.inf),
+    ("incentives", (1.0, math.nan)), ("incentives", (math.inf, 0.0)),
+])
+def test_config_rejects_bad_field(field, value):
+    kw = dict(m=3, t_horizon=3, c_v=1.0, c_i=5.0, c_se_1=2.0, xi_mean=2.0,
+              z_bar=2)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        vg.InfluencerGameConfig(**{**kw, field: value})
+
+
+def test_config_takes_numpy_integers():
+    cfg = vg.InfluencerGameConfig(m=np.int64(3), t_horizon=np.int32(3),
+                                  c_v=1.0, c_i=5.0, c_se_1=2.0, xi_mean=2.0,
+                                  z_bar=np.int64(2))
+    assert (cfg.m, cfg.t_horizon, cfg.z_bar) == (3, 3, 2)
+
+
 @pytest.mark.parametrize("probs", [(1.5, -0.5), (-0.25, 1.25)])
 def test_xi_model_rejects_probs_outside_unit_interval(probs):
     with pytest.raises(ValueError):
