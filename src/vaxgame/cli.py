@@ -21,6 +21,7 @@ import configparser
 import csv
 import dataclasses
 import json
+import numbers
 import os
 import sys
 import time
@@ -44,7 +45,13 @@ SWEEP_VARS = ("zbar", "delta", "sigma2", "theta_star", "s")
 
 @dataclass
 class ScenarioConfig:
-    """One sweep over a single variable, everything else held fixed."""
+    """One sweep over a single variable, everything else held fixed.
+
+    workers (threads of the pool every point runs on) must be an integer
+    >= 1, and a zbar grid must hold integers in 1..m; a bad field raises
+    ConfigError when the object is built. A theta_star value outside (0, 1)
+    raises when its point is built.
+    """
 
     sweep_var: str
     grid: tuple[float, ...]
@@ -64,6 +71,15 @@ class ScenarioConfig:
             raise ConfigError(f"sweep variable must be one of {SWEEP_VARS}")
         if len(self.grid) == 0:
             raise ConfigError("sweep grid is empty")
+        if (not isinstance(self.workers, numbers.Integral)
+                or isinstance(self.workers, bool) or self.workers < 1):
+            raise ConfigError(
+                f"workers must be an integer >= 1, got {self.workers!r}")
+        if self.sweep_var == "zbar" and not all(
+                float(v).is_integer() and 1 <= v <= self.game_cfg.m
+                for v in self.grid):
+            raise ConfigError(f"zbar grid values must be integers in "
+                              f"1..{self.game_cfg.m}, got {self.grid!r}")
 
 
 @dataclass
@@ -136,6 +152,16 @@ def svg_line_chart(path: Path, xs, series: dict[str, list], title: str) -> None:
 # Scenario runner
 # ---------------------------------------------------------------------------
 
+def _theta_disease(theta: float, r: float, b: float,
+                   d: float = 0.0) -> DiseaseParams:
+    """Disease rates whose endemic infected fraction 1 - 1/rho is theta:
+    rho = 1/(1 - theta) and lam = rho (r + b), for theta in (0, 1)."""
+    if not 0.0 < theta < 1.0:
+        raise ConfigError(f"theta_star must lie in (0, 1), got {theta!r}")
+    rho = 1.0 / (1.0 - theta)
+    return DiseaseParams(lam=rho * (r + b), r=r, b=b, d=d)
+
+
 def _sweep_point(cfg: ScenarioConfig, idx: int, value: float) -> ReportRow:
     t0 = time.perf_counter()
     gc, delta = cfg.game_cfg, cfg.delta
@@ -151,8 +177,7 @@ def _sweep_point(cfg: ScenarioConfig, idx: int, value: float) -> ReportRow:
     else:
         dis, costs = cfg.disease, cfg.costs
         if cfg.sweep_var == "theta_star":
-            rho = 1.0 / (1.0 - float(value))
-            dis = DiseaseParams(lam=rho * (dis.r + dis.b), r=dis.r, b=dis.b, d=dis.d)
+            dis = _theta_disease(float(value), dis.r, dis.b, dis.d)
         else:
             costs = dataclasses.replace(costs, s=float(value))
         zb, _ = leader.vaccine_optimal_k(costs, dis, gc.m)
@@ -160,7 +185,7 @@ def _sweep_point(cfg: ScenarioConfig, idx: int, value: float) -> ReportRow:
         psi_e = design.psi_e_achieved
         gc = dataclasses.replace(gc, z_bar=zb)
 
-    mode = leader.PERFECT_INFO if gc.xi_sigma2 == 0.0 else leader.MONTE_CARLO
+    mode = leader.PERFECT_INFO if gc.xi.is_point else leader.MONTE_CARLO
     smp = leader.ExpectationSampler(mode=mode, n_samples=cfg.samples,
                                     seed=cfg.seed * 100_003 + idx)
     sol = leader.solve_optimal_incentive(zb, leader.LeaderProblem(delta, gc, smp))
@@ -170,12 +195,9 @@ def _sweep_point(cfg: ScenarioConfig, idx: int, value: float) -> ReportRow:
 
 def run_scenario(cfg: ScenarioConfig) -> Path:
     """Execute the sweep and write report.csv (plus report.svg with plot)."""
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(lambda iv: _sweep_point(cfg, *iv),
-                                 enumerate(cfg.grid)))
-    else:
-        rows = [_sweep_point(cfg, i, v) for i, v in enumerate(cfg.grid)]
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        rows = list(pool.map(lambda iv: _sweep_point(cfg, *iv),
+                             enumerate(cfg.grid)))
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     out = cfg.outdir / "report.csv"
     fields = [f.name for f in dataclasses.fields(ReportRow)]
@@ -272,9 +294,7 @@ def reproduce_figure(fig_id: int, outdir: Path, seed: int = 0,
         # the sensitivity sweep uses, so both parameter sets are emitted.
         rows = []
         for theta in np.round(np.arange(0.05, 0.96, 0.05), 3):
-            rho = 1.0 / (1.0 - float(theta))
-            dis = DiseaseParams(lam=rho * (FIG_THETA_DISEASE["r"] + FIG_THETA_DISEASE["b"]),
-                                **FIG_THETA_DISEASE)
+            dis = _theta_disease(float(theta), **FIG_THETA_DISEASE)
             costs = PublicCostModel(**FIG_THETA_COSTS)
             k, _ = leader.vaccine_optimal_k(costs, dis, 40)
             rows.append(["theta_star", theta, k])

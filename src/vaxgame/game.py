@@ -68,7 +68,13 @@ class XiModel:
     Continuous case: a normal draw truncated at zero (negative raw values
     count as zero), optionally mixed with an atom at zero of mass p0.
     Discrete case: explicit support/probability pairs, used by the exact
-    dynamic-programming oracle.
+    dynamic-programming oracle; p0 plays no part there. mean_param and
+    sigma2 must be finite; a bad field raises ValueError naming it.
+
+    Every law is drawn by one in-place routine, `_fill`: `sample` runs it
+    on a new array, `final_gamma_draws` on its reused block of rows.
+    `is_point` says whether the law is a single point, the one case in
+    which perfect information is exact.
     """
 
     mean_param: float
@@ -78,6 +84,10 @@ class XiModel:
     probs: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        for name in ("mean_param", "sigma2"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
         if not 0.0 <= self.p0 < 1.0:
             raise ValueError("p0 must lie in [0, 1)")
         if self.sigma2 < 0.0:
@@ -100,6 +110,14 @@ class XiModel:
     @property
     def is_exact(self) -> bool:
         return self.values is not None or self.sigma2 == 0.0
+
+    @property
+    def is_point(self) -> bool:
+        """Whether xi takes one value almost surely: one support point, or
+        no variance and no atom at zero."""
+        if self.values is not None:
+            return len(self.values) == 1
+        return self.sigma2 == 0.0 and self.p0 == 0.0
 
     @property
     def mean(self) -> float:
@@ -126,16 +144,26 @@ class XiModel:
         return draws, np.full(XI_NODES, 1.0 / XI_NODES)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        return self._fill(rng, np.empty(size))
+
+    def _fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Draw xi into the float array out and return it. The zero atom's
+        uniforms come after all normals, so row blocks of one matrix give
+        the values of a single fill only when p0 = 0."""
         if self.values is not None:
-            return rng.choice(np.asarray(self.values, float), size=size,
-                              p=np.asarray(self.probs, float))
+            out[...] = rng.choice(np.asarray(self.values, float),
+                                  size=out.shape,
+                                  p=np.asarray(self.probs, float))
+            return out
         if self.sigma2 == 0.0:
-            out = np.full(size, max(self.mean_param, 0.0))
+            out.fill(max(self.mean_param, 0.0))
         else:
-            out = np.maximum(
-                rng.normal(self.mean_param, math.sqrt(self.sigma2), size), 0.0)
+            rng.standard_normal(out=out)
+            out *= math.sqrt(self.sigma2)
+            out += self.mean_param
+            np.maximum(out, 0.0, out=out)
         if self.p0 > 0.0:
-            out = np.where(rng.random(size) < self.p0, 0.0, out)
+            out[rng.random(out.shape) < self.p0] = 0.0
         return out
 
 
@@ -249,35 +277,22 @@ def final_gamma_draws(cfg: InfluencerGameConfig, rng: np.random.Generator,
     """`size` draws of Gamma_{T-1}(C_{T-1}) given C_t = c (default C_1 = c_se_1).
 
     C_{T-1} = (t c + xi_{t+1} + ... + xi_{T-1}) / (T-1), so each draw sums
-    T-1-t fresh data values taken from rng.
+    T-1-t fresh data values taken from rng. XiModel draws them in place into
+    one reused block of rows: the block bounds the data matrix's memory and
+    consumes the stream as one (size, T-1-t) draw would. The zero atom's
+    mask follows all normals, so a law with p0 > 0 is one block of all rows.
     """
     T = cfg.t_horizon
     c = cfg.c_se_1 if c is None else c
     steps = T - 1 - t
     xi = cfg.xi
     sums = np.zeros(size)
-    if steps > 0 and xi.values is None and xi.sigma2 > 0.0 and xi.p0 == 0.0:
-        # xi.sample's max(normal(mean, sd), 0), drawn in place into one
-        # reused block: the same stream and, bit for bit, the same sums
-        sd = math.sqrt(xi.sigma2)
-        buf = np.empty((min(size, DRAW_BLOCK_ROWS), steps))
-        for start in range(0, size, DRAW_BLOCK_ROWS):
-            stop = min(start + DRAW_BLOCK_ROWS, size)
-            x = buf[:stop - start]
-            rng.standard_normal(out=x)
-            x *= sd
-            x += xi.mean_param
-            np.maximum(x, 0.0, out=x)
-            x.sum(axis=1, out=sums[start:stop])
-    elif steps > 0:
-        # Row blocks bound the xi matrix's memory and consume the stream in
-        # the same order as one (size, steps) draw. The zero-atom mixture
-        # draws its mask after all normals, so it stays in one block.
+    if steps > 0:
         block = max(size, 1) if xi.p0 > 0.0 else DRAW_BLOCK_ROWS
+        buf = np.empty((min(size, block), steps))
         for start in range(0, size, block):
             stop = min(start + block, size)
-            xi.sample(rng, (stop - start, steps)).sum(axis=1,
-                                                      out=sums[start:stop])
+            xi._fill(rng, buf[:stop - start]).sum(axis=1, out=sums[start:stop])
     c_final = (t * c + sums) / (T - 1)
     return ((T - 1) / T) * c_final + cfg.e_xi / T
 
@@ -563,8 +578,9 @@ class SpecialStrategy:
     def __init__(self, cfg: InfluencerGameConfig, selector=WAIT_AND_WATCH):
         self.cfg = cfg
         self.selector = selector
-        self._xi_nodes = cfg.xi.nodes()
-        if not cfg.xi.is_exact and cfg.t_horizon > 8 and selector != WAIT_AND_WATCH:
+        self._xi = cfg.xi
+        self._xi_nodes = self._xi.nodes()
+        if not self._xi.is_exact and cfg.t_horizon > 8 and selector != WAIT_AND_WATCH:
             raise ValueError(
                 "exact backward recursion over a continuous side-effect "
                 "model is only supported for short horizons")
@@ -647,9 +663,8 @@ class SpecialStrategy:
         if z >= cfg.z_bar:
             return 0.0
         T = cfg.t_horizon
-        xi_v = self._xi_nodes[0]
-        if len(xi_v) == 1:
-            cf = (t * c + (T - 1 - t) * xi_v[0]) / (T - 1)
+        if self._xi.is_point:
+            cf = (t * c + (T - 1 - t) * self._xi_nodes[0][0]) / (T - 1)
             return min(cfg.c_v + gamma(T - 1, cf, cfg) - cfg.g(z), cfg.c_i)
         gm = final_gamma_draws(cfg, np.random.default_rng(XI_SEED + 7), 4096,
                                t, c)

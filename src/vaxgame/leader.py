@@ -57,8 +57,8 @@ class ExpectationSampler:
     Gamma_{T-1}(C_{T-1}), sorted ascending (every consumer averages over
     them, so order carries no meaning), with their prefix sums;
     perfect_info collapses to the single point (c_se_1 + (T-1) E[xi]) / T,
-    which is the almost-sure value of Gamma_{T-1} when the data variance is
-    zero. n_samples must be an integer >= 1 and seed an integer >= 0; both
+    which is the almost-sure value of Gamma_{T-1} when the data law is a
+    point mass (XiModel.is_point). n_samples must be an integer >= 1 and seed an integer >= 0; both
     are checked when the sampler is built.
     """
 

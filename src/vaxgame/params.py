@@ -88,7 +88,8 @@ class PublicCostModel:
 
     The insecurity cost of staying unvaccinated while z influencers are
     vaccinated is either linear, s * z, or given by an explicit table
-    c_f_table[z] for z = 0..M. Exactly one of the two must be supplied.
+    c_f_table[z] for z = 0..M. Exactly one of the two must be supplied; a
+    table must be non-empty, finite, start at 0 and be nondecreasing.
     """
 
     c_v1: float
@@ -109,6 +110,9 @@ class PublicCostModel:
             raise ValueError("sensitivity s must be finite and nonnegative")
         if self.c_f_table is not None:
             tab = tuple(float(v) for v in self.c_f_table)
+            if not tab or not all(map(math.isfinite, tab)):
+                raise ValueError(
+                    f"c_f_table must be non-empty and finite, got {tab!r}")
             if tab[0] != 0.0:
                 raise ValueError("c_f(0) must be 0")
             if any(b < a for a, b in zip(tab, tab[1:])):

@@ -93,6 +93,14 @@ class TestSubcommands:
         ["simulate", "--n0", "2000", "--eta0", "0", "--outdir", "{tmp}"],
         ["analyze-ess", "--m", "2", "--cf-table", "{tmp}/nosuch.txt"],
         ["analyze-ess", "--m", "2", "--cf-table", "{tmp}"],
+        ["sweep", "--var", "theta_star", "--grid", "1", "--samples", "2000",
+         "--outdir", "{tmp}"],
+        ["sweep", "--var", "zbar", "--grid", "2.5", "--samples", "2000",
+         "--outdir", "{tmp}"],
+        ["sweep", "--var", "zbar", "--grid", "2", "--workers", "0",
+         "--samples", "2000", "--outdir", "{tmp}"],
+        ["sweep", "--var", "zbar", "--grid", "2", "--workers", "-3",
+         "--samples", "2000", "--outdir", "{tmp}"],
     ])
     def test_rejected_parameters_exit_2(self, capsys, tmp_path, argv):
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -117,6 +125,15 @@ class TestSubcommands:
         assert code == 2
         assert err.startswith("error: ")
         assert not list(tmp_path.iterdir())
+
+    def test_non_finite_cf_table_exits_2(self, capsys, tmp_path):
+        table = tmp_path / "cf.txt"
+        table.write_text("0\nnan\n1\n")
+        code, out, err = run_main(capsys, "analyze-ess", "--m", "2",
+                                  "--cf-table", str(table))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "c_f_table" in err
+        assert list(tmp_path.iterdir()) == [table]
 
     def test_unbracketed_root_exits_3(self, capsys, tmp_path):
         # finite but so large a data mean that N_P stays above delta over
@@ -183,6 +200,23 @@ class TestSweep:
             # runtime_ms differs between runs; compare the science columns
             outs.append([r.rsplit(",", 1)[0] for r in rows])
         assert outs[0] == outs[1]
+
+    def test_zero_atom_law_is_solved_by_monte_carlo(self, capsys, tmp_path):
+        # sigma2 = 0 with an atom at zero is not a point law, so the sweep
+        # solves it as optimize-leader --mode mc does with the same seed
+        law = ["--zbar", "1", "--xi-var", "0", "--p0", "0.3",
+               "--samples", "2000"]
+        code, _, _ = run_main(capsys, "sweep", "--var", "delta", "--grid",
+                              "0.05", *law, "--outdir", str(tmp_path))
+        assert code == 0
+        sweep = (tmp_path / "report.csv").read_text().splitlines()[1]
+        code, _, _ = run_main(capsys, "optimize-leader", "--delta", "0.05",
+                              *law, "--mode", "mc", "--seed", "0",
+                              "--csv", str(tmp_path / "mc.csv"))
+        assert code == 0
+        mc = (tmp_path / "mc.csv").read_text().splitlines()[1]
+        # report: value, g*, U*, ...; leader CSV: zbar, delta, sigma2, g*, U*
+        assert sweep.split(",")[1:3] == mc.split(",")[3:5]
 
     def test_empty_grid_is_config_error(self, capsys):
         code, _, err = run_main(capsys, "sweep", "--var", "delta",

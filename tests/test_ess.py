@@ -217,3 +217,11 @@ def test_threshold_non_increasing_in_sensitivity(s1, s2, nu_b, extra):
     assume(fig5_costs(lo).influence_sufficient(M))
     assert (vg.eradication_threshold(nu, fig5_costs(hi), dis, M)
             <= vg.eradication_threshold(nu, fig5_costs(lo), dis, M))
+
+
+@pytest.mark.parametrize("table", [(), (0.0, math.nan, 1.0),
+                                   (0.0, 1.0, math.inf)])
+def test_cf_table_must_be_non_empty_and_finite(table):
+    with pytest.raises(ValueError, match="c_f_table"):
+        vg.PublicCostModel(c_v1=0.2, c_v2=0.05, c_v2_bar=100.0, c_i=0.5,
+                           c_f_table=table)

@@ -391,31 +391,47 @@ class TestSampling:
         assert np.array_equal(vg.sample_z_t(1.0, cfg, seed=3, size=500),
                               rng.binomial(cfg.m, ps))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            n=st.one_of(st.sampled_from([0, 1, 7, DRAW_BLOCK_ROWS - 1,
                                         DRAW_BLOCK_ROWS, DRAW_BLOCK_ROWS + 1,
                                         20_000]),
                        st.integers(1, 3 * DRAW_BLOCK_ROWS)),
+           family=st.sampled_from(["normal", "normal_atom", "point",
+                                   "point_atom", "discrete"]),
            sigma2=st.floats(0.01, 10.0), xi_mean=st.floats(0.1, 10.0),
-           t=st.integers(1, 18))
-    def test_in_place_fill_equals_sampled_blocks(self, seed, n, sigma2,
-                                                 xi_mean, t):
-        # the continuous law's in-place fill against the composition it
-        # replaced: xi.sample per block of rows, summed per row
+           p0=st.floats(0.01, 0.9), t=st.integers(1, 19))
+    def test_in_place_fill_equals_sampled_blocks(self, seed, n, family,
+                                                 sigma2, xi_mean, p0, t):
+        # every law's in-place block fill against one (n, T-1-t) draw of
+        # the data written out with plain numpy calls: the row blocks must
+        # consume the stream as that single draw does
+        law = {"normal": dict(xi_sigma2=sigma2),
+               "normal_atom": dict(xi_sigma2=sigma2, p0=p0),
+               "point": dict(),
+               "point_atom": dict(p0=p0),
+               "discrete": dict(xi_values=(0.0, 2.0, 7.5),
+                                xi_probs=(0.2, 0.5, 0.3))}[family]
         cfg = vg.InfluencerGameConfig(m=40, t_horizon=20, c_v=1.0, c_i=5.0,
-                                      c_se_1=3.0, xi_mean=xi_mean,
-                                      xi_sigma2=sigma2, z_bar=20)
+                                      c_se_1=3.0, xi_mean=xi_mean, z_bar=20,
+                                      **law)
         rng = np.random.default_rng(seed)
-        sums = np.zeros(n)
-        for start in range(0, n, DRAW_BLOCK_ROWS):
-            stop = min(start + DRAW_BLOCK_ROWS, n)
-            sums[start:stop] = cfg.xi.sample(rng, (stop - start, 19 - t)
-                                             ).sum(axis=1)
-        c_final = (t * cfg.c_se_1 + sums) / 19
+        shape = (n, 19 - t)
+        if family == "discrete":
+            x = rng.choice(np.array([0.0, 2.0, 7.5]), shape,
+                           p=np.array([0.2, 0.5, 0.3]))
+        elif family.startswith("normal"):
+            x = np.maximum(rng.normal(xi_mean, math.sqrt(sigma2), shape), 0)
+        else:
+            x = np.full(shape, xi_mean)
+        if family.endswith("atom"):
+            x = np.where(rng.random(shape) < p0, 0, x)
+        c_final = (t * cfg.c_se_1 + x.sum(axis=1)) / 19
         want = (19 / 20) * c_final + cfg.e_xi / 20
-        got = final_gamma_draws(cfg, np.random.default_rng(seed), n, t)
+        got_rng = np.random.default_rng(seed)
+        got = final_gamma_draws(cfg, got_rng, n, t)
         assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == rng.bit_generator.state
 
     def test_martingale_of_terminal_estimate(self):
         cfg = fig_cfg(40)
@@ -507,6 +523,29 @@ def test_xi_model_rejects_probs_outside_unit_interval(probs):
 def test_xi_model_rejects_bad_support(values, probs, field):
     with pytest.raises(ValueError, match=field):
         XiModel(1.0, values=values, probs=probs)
+
+
+@pytest.mark.parametrize("kw,field", [
+    (dict(mean_param=math.nan, sigma2=1.0), "mean_param"),
+    (dict(mean_param=math.inf), "mean_param"),
+    (dict(mean_param=1.0, sigma2=math.inf), "sigma2"),
+    (dict(mean_param=1.0, sigma2=math.nan), "sigma2"),
+    (dict(mean_param=1.0, p0=math.nan), "p0")])
+def test_xi_model_rejects_non_finite_parameters(kw, field):
+    with pytest.raises(ValueError, match=field):
+        XiModel(**kw)
+
+
+@pytest.mark.parametrize("kw,point", [
+    (dict(sigma2=0.0), True), (dict(sigma2=0.0, p0=0.3), False),
+    (dict(sigma2=2.0), False), (dict(values=(3.0,), probs=(1.0,)), True),
+    (dict(values=(3.0,), probs=(1.0,), p0=0.3), True),
+    (dict(values=(0.0, 3.0), probs=(0.5, 0.5)), False)])
+def test_point_mass_rule(kw, point):
+    # a point law is one node; perfect information is exact just there
+    model = XiModel(2.0, **kw)
+    assert model.is_point is point
+    assert (len(model.nodes()[0]) == 1) is point
 
 
 def test_binomial_pmf_is_scipy_stats_pmf():
