@@ -31,6 +31,9 @@ except ImportError:  # older scipy: the public pmf, at scipy.stats' cost
 # Grid size of the interpolated binomial CDF behind the vectorized p(g, .).
 CDF_TABLE_POINTS = 4097
 
+# Doubling probes that bisect_decreasing may try to close an open upper end.
+PROBES = 60
+
 # Rows of xi data drawn at a time when filling Gamma_{T-1} draws.
 DRAW_BLOCK_ROWS = 8192
 
@@ -68,8 +71,9 @@ class XiModel:
     Continuous case: a normal draw truncated at zero (negative raw values
     count as zero), optionally mixed with an atom at zero of mass p0.
     Discrete case: explicit support/probability pairs, used by the exact
-    dynamic-programming oracle; p0 plays no part there. mean_param and
-    sigma2 must be finite; a bad field raises ValueError naming it.
+    dynamic-programming oracle; p0 must then be 0, since an atom at zero is
+    one more support point. mean_param and sigma2 must be finite; a bad
+    field raises ValueError naming it.
 
     Every law is drawn by one in-place routine, `_fill`: `sample` runs it
     on a new array, `final_gamma_draws` on its reused block of rows.
@@ -106,6 +110,10 @@ class XiModel:
                 raise ValueError("probs must lie in [0, 1]")
             if abs(sum(self.probs) - 1.0) > 1e-12:
                 raise ValueError("probs must sum to 1")
+            if self.p0 > 0.0:
+                raise ValueError(
+                    f"p0 must be 0 when values are given (list an atom at "
+                    f"zero as a support point), got {self.p0!r}")
 
     @property
     def is_exact(self) -> bool:
@@ -318,7 +326,9 @@ def binom_pmf(ys: np.ndarray, l: int, p: float) -> np.ndarray:
 
 
 def bisect_decreasing(f, target: float, lo: float, hi: float, atol: float,
-                      rtol: float = 0.0, slope: bool = False) -> float:
+                      rtol: float = 0.0, slope: bool = False,
+                      x0: float | None = None,
+                      step: float | None = None) -> float:
     """Root of a non-increasing f(x) = target, on the bracket [lo, hi].
 
     The caller supplies f(lo) > target >= f(hi); the bracket keeps that
@@ -329,14 +339,30 @@ def bisect_decreasing(f, target: float, lo: float, hi: float, atol: float,
 
     With slope=True, f(x) returns (f(x), f'(x)) and the root is found by
     safeguarded Newton (rtsafe; Press et al., Numerical Recipes, 9.4)
-    from the midpoint: each evaluation narrows the bracket, a Newton step
-    that would leave it is replaced by halving, and the last evaluated x
-    is returned once its Newton step, or the bracket, is at most
-    max(atol, rtol |x|).
+    from x0, by default the midpoint: each evaluation narrows the bracket,
+    a Newton step that would leave it is replaced by halving, and the last
+    evaluated x is returned once its Newton step, or the bracket, is at
+    most max(atol, rtol |x|).
+
+    hi = inf leaves the upper end open: it closes at the first x with f(x)
+    <= target. Until then no x past the reach lo + step 2^(PROBES-1) is
+    evaluated. Where Newton cannot step (no descent, or a step past the
+    reach), and in place of an x0 outside (lo, reach], the next x is the
+    first doubling probe lo + step 2^k, k < PROBES, above every x
+    evaluated so far. If no probe is left, f stayed above target up to the
+    reach and the result is nan.
     """
     if slope:
-        x = 0.5 * (lo + hi)
+        x = 0.5 * (lo + hi) if x0 is None else x0
+        if hi == math.inf:
+            base = lo
+            probes = (base + step * 2.0 ** k for k in range(PROBES))
+            reach = base + step * 2.0 ** (PROBES - 1)
         for _ in range(200):
+            if hi == math.inf and not lo < x <= reach:
+                x = next((p for p in probes if p > lo), math.nan)
+                if math.isnan(x):
+                    return x
             fx, dfx = f(x)
             if fx > target:
                 lo = x
@@ -346,13 +372,14 @@ def bisect_decreasing(f, target: float, lo: float, hi: float, atol: float,
             if hi - lo <= tol:
                 return x
             if dfx < 0.0:
-                step = (fx - target) / dfx
-                if abs(step) <= tol:
+                dx = (fx - target) / dfx
+                if abs(dx) <= tol:
                     return x
-                x -= step
+                x -= dx
             if not (dfx < 0.0 and lo < x < hi):
+                # with the upper end open, x = inf: the next probe
                 x = 0.5 * (lo + hi)
-                if not lo < x < hi:
+                if hi < math.inf and not lo < x < hi:
                     return x
         return x
     for _ in range(200):

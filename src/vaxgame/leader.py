@@ -28,9 +28,10 @@ from .ess import eradication_threshold, is_admissible
 # binom_cdf_vec_interp and p_from_gamma_vec are the per-draw path that the
 # tabled sums below reproduce; they stay names of this module because the
 # benchmark's tracer (perfbench/tracing.py) wraps them here.
-from .game import (InfluencerGameConfig, _cdf_grid, _mixed_root, binom_cdf,
-                   binom_cdf_vec_interp, bisect_decreasing, final_gamma_draws,
-                   p_from_gamma, p_from_gamma_vec)  # noqa: F401
+from .game import (PROBES, InfluencerGameConfig, _cdf_grid, _mixed_root,
+                   binom_cdf, binom_cdf_vec_interp, bisect_decreasing,
+                   final_gamma_draws, p_from_gamma,
+                   p_from_gamma_vec)  # noqa: F401
 from .params import DiseaseParams, PublicCostModel, VaRatePolicy
 
 PERFECT_INFO = "perfect_info"
@@ -124,6 +125,10 @@ class ExpectationSampler:
 
 @dataclass
 class LeaderProblem:
+    """The leader's constraint N_P(g) <= delta on one game and draw law;
+    delta must lie in (0, 1), and cfg and sampler must be of their types.
+    A bad field raises ValueError naming it when the problem is built."""
+
     delta: float
     cfg: InfluencerGameConfig
     sampler: ExpectationSampler
@@ -131,6 +136,12 @@ class LeaderProblem:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        for name, kind in (("cfg", InfluencerGameConfig),
+                           ("sampler", ExpectationSampler)):
+            v = getattr(self, name)
+            if not isinstance(v, kind):
+                raise ValueError(f"{name} must be an {kind.__name__}, "
+                                 f"got {v!r}")
 
 
 @dataclass
@@ -195,54 +206,72 @@ def _mixed_run(g: float, gams: np.ndarray,
     return lo, hi
 
 
-def _tabled_sum(w: np.ndarray, v: np.ndarray, sv: np.ndarray, g: float,
-                cfg: InfluencerGameConfig,
-                draws: tuple[np.ndarray, np.ndarray, float],
-                lo: int, hi: int) -> tuple[float, float]:
-    """Sum over the mixed run gams[lo:hi] of the piecewise-linear function
-    of w through the knots (w_k, v_k), end values held beyond them, and
-    the slope of that sum in g.
+def _knot_search(g: float, z_bar: int, cfg: InfluencerGameConfig,
+                 draws: tuple[np.ndarray, np.ndarray, float]) -> tuple:
+    """The draws' segments at g, shared by every knot table of (m, z_bar):
+    (lo, hi, a, cnt, off, head, tail).
 
-    Draw Gamma sits at knot k when Gamma = G_k = C_i w_k - C_v + g, so one
-    searchsorted of the G_k into the run counts the cnt_k draws of each
-    segment [G_k, G_k+1), and the prefix sums give their sum SumGamma_k. On
-    the segment the function runs from v_k with slope s_k = sv_k / C_i per
-    unit of Gamma, sv_k its slope in w, so the segment sums to cnt_k v_k +
-    s_k (SumGamma_k - cnt_k G_k). Near w = 0 and 1 the table of p has
-    segments narrower than the rounding of G_k and of the prefix sums,
-    where that rounding times the slope would carry the sum far past the
-    segment's values. So each segment's SumGamma_k - cnt_k G_k is clipped
-    to [0, cnt_k (G_k+1 - G_k)] over the rounded G_k, which keeps every
-    draw's value within its segment's end values, up to the rounding of
-    G_k+1 - G_k against C_i (w_k+1 - w_k). Only the knots from the last one
-    at or below the run's first draw to the first one above its last draw
-    are searched; the others bound no draw of the run.
-
-    The knots move with g, so while no draw changes segment the sum moves
-    by -sum_k cnt_k s_k per unit of g: one more dot product over the same
-    counts and slopes gives the exact slope wherever no clip binds, and
-    the clip binds only on segments narrower than that rounding.
+    gams[lo:hi] is the mixed run (see _mixed_run). Draw Gamma sits at knot
+    k when Gamma = G_k = C_i w_k - C_v + g, so one searchsorted of the G_k
+    into the run counts the cnt_k draws of each segment [G_k, G_k+1), and
+    the prefix sums give their sum SumGamma_k; off_k = SumGamma_k - cnt_k
+    G_k is what the segment's draws lie past its first knot in all. Near w
+    = 0 and 1 the table of p has segments narrower than the rounding of G_k
+    and of the prefix sums, where that rounding times the slope would carry
+    a sum far past the segment's values. So off_k is clipped to [0, cnt_k
+    (G_k+1 - G_k)] over the rounded G_k, which keeps every draw's value
+    within its segment's end values, up to the rounding of G_k+1 - G_k
+    against C_i (w_k+1 - w_k). Only the knots a.. from the last one at or
+    below the run's first draw to the first one above its last draw are
+    searched; the others bound no draw of the run. head and tail count the
+    run's draws below the first searched knot and from the last one on.
+    cnt is None for an empty run.
     """
-    if lo == hi:
-        return 0.0, 0.0
     gams, sums, center = draws
-    knots = cfg.c_i * w - cfg.c_v + g
+    lo, hi = _mixed_run(g, gams, cfg)
+    if lo == hi:
+        return lo, hi, 0, None, None, 0, 0
+    knots = cfg.c_i * _knot_tables(cfg.m, z_bar)[0] - cfg.c_v + g
     a = max(int(np.searchsorted(knots, gams[lo], side="right")) - 1, 0)
     b = min(int(np.searchsorted(knots, gams[hi - 1], side="right")),
             len(knots) - 1)
-    knots, v, sv = knots[a:b + 1], v[a:b + 1], sv[a:b]
+    knots = knots[a:b + 1]
     pos = lo + np.searchsorted(gams[lo:hi], knots)
-    cnt = np.diff(pos)
-    offsets = np.clip(
-        sums[pos[1:]] - sums[pos[:-1]] - cnt * (knots[:-1] - center),
-        0.0, cnt * np.diff(knots))
-    total = float(np.dot(cnt, v[:-1]) + np.dot(sv, offsets) / cfg.c_i)
-    return (total + v[0] * (pos[0] - lo) + v[-1] * (hi - pos[-1]),
-            -float(np.dot(cnt, sv)) / cfg.c_i)
+    at = sums[pos]
+    cnt = pos[1:] - pos[:-1]
+    off = at[1:] - at[:-1]
+    off -= cnt * (knots[:-1] - center)
+    np.maximum(off, 0.0, out=off)
+    np.minimum(off, cnt * (knots[1:] - knots[:-1]), out=off)
+    return lo, hi, a, cnt, off, int(pos[0]) - lo, hi - int(pos[-1])
+
+
+def _tabled_sum(search: tuple, v: np.ndarray, sv: np.ndarray,
+                c_i: float) -> tuple[float, float]:
+    """Sum over the mixed run of the piecewise-linear function of w through
+    the knots (w_k, v_k), end values held beyond them, and the slope of
+    that sum in g, from the segments of _knot_search.
+
+    On segment k the function runs from v_k with slope s_k = sv_k / C_i per
+    unit of Gamma, sv_k its slope in w, so the segment sums to cnt_k v_k +
+    s_k off_k. The knots move with g, so while no draw changes segment the
+    sum moves by -sum_k cnt_k s_k per unit of g: one more dot product over
+    the same counts and slopes gives the exact slope wherever no clip
+    binds, and the clip binds only on segments narrower than the rounding
+    of G_k.
+    """
+    _, _, a, cnt, off, head, tail = search
+    if cnt is None:
+        return 0.0, 0.0
+    v, sv = v[a:a + len(cnt) + 1], sv[a:a + len(cnt)]
+    total = float(np.dot(cnt, v[:-1]) + np.dot(sv, off) / c_i)
+    return (total + v[0] * head + v[-1] * tail,
+            -float(np.dot(cnt, sv)) / c_i)
 
 
 def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
-                                with_slope: bool = False
+                                with_slope: bool = False, *,
+                                _searches: dict | None = None
                                 ) -> float | tuple[float, float]:
     """N_P(g) = E[F_M(z_bar - 1; p(g, C))] under the sampler's law; with
     with_slope, the pair (N_P(g), N_P'(g)) of a Monte Carlo sampler.
@@ -251,8 +280,9 @@ def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
     point. Monte Carlo draws split into three runs by w = (C_v + Gamma -
     g)/C_i: w <= 0 gives p = 1 and F = 0, w >= 1 gives p = 0 and F = 1, and
     the mixed run between sums the fused table (w_k, F_M(z_bar-1; p_k)) over
-    its knots (see _tabled_sum): O(K log n) for the K = 4,097 knots, about
-    0.05 ms at n = 1e5 where interpolating every draw took 1 ms. It agrees
+    its knots (see _knot_search and _tabled_sum): O(K log n) for the K =
+    4,097 knots, about 0.02 to 0.07 ms at n = 1e5 on a 2-vCPU Xeon, where
+    interpolating every draw took 1 ms. It agrees
     with the per-draw mean of binom_cdf_vec_interp(p_from_gamma_vec) up to
     rounding: within n * eps at the fig preset (C_v = 1, C_i = 5), and
     within what rounding w can change over a draw's segment when a small
@@ -260,6 +290,9 @@ def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
     the segment at g (see _tabled_sum). For z_bar = m no draw is mixed:
     N_P is the count of draws with Gamma >= g - C_v + C_i, a step
     function, and N_P' = 0.
+
+    _searches is the solve's own dict: a z_bar < m Monte Carlo evaluation
+    stores its knot search there under g, so that E[p(g)] reuses it.
     """
     cfg, sampler = problem.cfg, problem.sampler
     if sampler.mode == PERFECT_INFO:
@@ -274,17 +307,21 @@ def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
         value, slope = (n - int(np.searchsorted(gams, g - cfg.c_v + cfg.c_i))
                         ) / n, 0.0
     else:
-        lo, hi = _mixed_run(g, gams, cfg)
-        w, _, f, _, sf = _knot_tables(cfg.m, z_bar)
-        total, slope = _tabled_sum(w, f, sf, g, cfg, draws, lo, hi)
-        value, slope = (total + (n - hi)) / n, slope / n
+        search = _knot_search(g, z_bar, cfg, draws)
+        if _searches is not None:
+            _searches[g] = search
+        _, _, f, _, sf = _knot_tables(cfg.m, z_bar)
+        total, slope = _tabled_sum(search, f, sf, cfg.c_i)
+        value, slope = (total + (n - search[1])) / n, slope / n
     return (value, slope) if with_slope else value
 
 
-def _p_expectation(g: float, z_bar: int, problem: LeaderProblem) -> float:
+def _p_expectation(g: float, z_bar: int, problem: LeaderProblem,
+                   search: tuple | None = None) -> float:
     """E[p(g, C)]: exact at the perfect-information point, a count of the
     draws with Gamma < g - C_v + C_i for z_bar = m, and otherwise the draws
-    with w <= 0 plus the table (w_k, p_k) summed over the mixed run."""
+    with w <= 0 plus the table (w_k, p_k) summed over the mixed run, on the
+    knot search at g if the caller has it."""
     cfg, sampler = problem.cfg, problem.sampler
     if sampler.mode == PERFECT_INFO:
         return p_from_gamma(g, sampler.c_infinity(cfg), z_bar, cfg)
@@ -293,9 +330,10 @@ def _p_expectation(g: float, z_bar: int, problem: LeaderProblem) -> float:
     n = len(gams)
     if z_bar == cfg.m:
         return int(np.searchsorted(gams, g - cfg.c_v + cfg.c_i)) / n
-    lo, hi = _mixed_run(g, gams, cfg)
-    w, p, _, sp, _ = _knot_tables(cfg.m, z_bar)
-    return (lo + _tabled_sum(w, p, sp, g, cfg, draws, lo, hi)[0]) / n
+    if search is None:
+        search = _knot_search(g, z_bar, cfg, draws)
+    _, p, _, sp, _ = _knot_tables(cfg.m, z_bar)
+    return (search[0] + _tabled_sum(search, p, sp, cfg.c_i)[0]) / n
 
 
 def expected_incentive_cost(g: float, z_bar: int,
@@ -320,69 +358,97 @@ def _require_zbar(z_bar: int, cfg: InfluencerGameConfig) -> None:
         raise ValueError(f"z_bar must lie in 1..{cfg.m}, got {z_bar}")
 
 
+def _unbracketed(delta: float, lo: float, step: float) -> BracketingError:
+    return BracketingError(f"N_P stayed above delta={delta} up to "
+                           f"g={lo + step * 2.0 ** PROBES:.3g}")
+
+
 def _bracket_above(f, lo: float, delta: float, step: float) -> float:
     """Upper end hi = lo + step 2^k, k = 0, 1, ..., the first with f(hi) <
-    delta; BracketingError after 60 tries."""
-    hi = lo + step
-    for _ in range(60):
+    delta; BracketingError after PROBES = 60 tries."""
+    for k in range(PROBES):
+        hi = lo + step * 2.0 ** k
         if f(hi) < delta:
             return hi
-        step *= 2.0
-        hi = lo + step
-    raise BracketingError(f"N_P stayed above delta={delta} up to g={hi:.3g}")
+    raise _unbracketed(delta, lo, step)
+
+
+def _one_point_root(z_bar: int, problem: LeaderProblem) -> float:
+    """The root of N_P = delta when every draw sits at the median draw (the
+    sorted cache's center): g = C_v + Gamma_med - C_i w*, with w* read off
+    the fused table (w_k, F_M(z_bar-1; p_k)) at delta. This is the
+    perfect-information root at Gamma_med, on the table."""
+    cfg = problem.cfg
+    w, _, f, _, _ = _knot_tables(cfg.m, z_bar)
+    center = problem.sampler.sorted_draws(cfg)[2]
+    return cfg.c_v + center - cfg.c_i * float(np.interp(problem.delta, f, w))
 
 
 def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolution:
     """Minimal incentive with non-eradication probability at most delta.
 
-    If the constraint already holds free of charge the answer is zero;
-    otherwise the upper end of (g_floor, inf) grows geometrically until it
-    is feasible and the root of N_P(g) = delta is found in between. For
-    z_bar < m, N_P is continuous and piecewise linear in g, and each
+    If the constraint already holds free of charge the answer is zero.
+    Otherwise the root of N_P(g) = delta is sought above g_floor, with no
+    evaluation past the reach g_floor + max(C_i, 1) 2^59 (BracketingError
+    if N_P stays above delta up to there).
+
+    For z_bar < m, N_P is continuous and piecewise linear in g, and each
     evaluation of the tabled N_P (see non_eradication_probability), O(K
     log n) for the K table knots, also gives its exact slope there. So
     safeguarded Newton (game.bisect_decreasing with a slope, tolerances
-    1e-12) finds the root from the bracket in about 5 further
-    evaluations. For z_bar = m, N_P is a step function with no slope to
-    follow, so bisection finds it, and its midpoints decide on which side
-    of the last jump g* lands. Perfect-information samplers are dispatched
-    to the closed treatment, where the constraint is flat or jumps.
+    1e-12) starts at the one-point root (_one_point_root) with the upper
+    end open until an iterate is feasible, and falls back to the doubling
+    probes g_floor + max(C_i, 1) 2^k where it cannot step: about 4.6
+    evaluations after N_P(0) on the fig-1 grid. E[p(g*)] reuses the knot
+    search of the evaluation at g*. For z_bar = m, N_P is a step function
+    with no slope to follow: the doubling probes bracket the root, the
+    first with N_P < delta, and bisection finds it, its midpoints deciding
+    on which side of the last jump g* lands. Perfect-information samplers
+    are dispatched to the closed treatment, where the constraint is flat
+    or jumps.
     """
     if problem.sampler.mode == PERFECT_INFO:
         return perfect_info_solution(z_bar, problem)
     cfg, delta = problem.cfg, problem.delta
     _require_zbar(z_bar, cfg)
 
-    # the solution reports N_P(g*), which the root finder has already
-    # evaluated
+    # the solution reports N_P(g*) and E[p(g*)], and the root finder has
+    # already evaluated N_P there; every dict here belongs to this call
     seen: dict[float, tuple[float, float]] = {}
+    searches: dict[float, tuple] = {}
 
     def np_and_slope(g: float) -> tuple[float, float]:
         if g not in seen:
-            seen[g] = non_eradication_probability(g, z_bar, problem,
-                                                  with_slope=True)
+            seen[g] = non_eradication_probability(
+                g, z_bar, problem, with_slope=True, _searches=searches)
         return seen[g]
 
     def np_at(g: float) -> float:
         return np_and_slope(g)[0]
 
-    if np_at(0.0) <= delta:
-        return LeaderSolution(0.0, 0.0, z_bar, binding=False,
-                              p_expectation=_p_expectation(0.0, z_bar, problem),
-                              np_at_g=np_at(0.0), mode=problem.sampler.mode)
+    def solution(g: float, binding: bool) -> LeaderSolution:
+        np_g = np_at(g)
+        p_exp = _p_expectation(g, z_bar, problem, searches.get(g))
+        return LeaderSolution(g, cfg.m * g * p_exp, z_bar, binding=binding,
+                              p_expectation=p_exp, np_at_g=np_g,
+                              mode=problem.sampler.mode)
 
-    lo = g_floor(cfg)
-    hi = _bracket_above(np_at, lo, delta, max(cfg.c_i, 1.0))
+    if np_at(0.0) <= delta:
+        return solution(0.0, binding=False)
+
+    lo, step = g_floor(cfg), max(cfg.c_i, 1.0)
     if z_bar == cfg.m:
-        g_star = bisect_decreasing(np_at, delta, lo, hi, atol=1e-12,
-                                   rtol=1e-12)
+        g_star = bisect_decreasing(np_at, delta, lo,
+                                   _bracket_above(np_at, lo, delta, step),
+                                   atol=1e-12, rtol=1e-12)
     else:
-        g_star = bisect_decreasing(np_and_slope, delta, lo, hi, atol=1e-12,
-                                   rtol=1e-12, slope=True)
-    p_exp = _p_expectation(g_star, z_bar, problem)
-    return LeaderSolution(g_star, cfg.m * g_star * p_exp, z_bar, binding=True,
-                          p_expectation=p_exp, np_at_g=np_at(g_star),
-                          mode=problem.sampler.mode)
+        g_star = bisect_decreasing(np_and_slope, delta, lo, math.inf,
+                                   atol=1e-12, rtol=1e-12, slope=True,
+                                   x0=_one_point_root(z_bar, problem),
+                                   step=step)
+        if math.isnan(g_star):
+            raise _unbracketed(delta, lo, step)
+    return solution(g_star, binding=True)
 
 
 def p_star(k: int, m: int, delta: float) -> float:
@@ -492,6 +558,13 @@ def l_values(costs: PublicCostModel, disease: DiseaseParams,
     )
 
 
+def _require_count(m: int) -> None:
+    """The joint design takes the influencer count m as an integer (numpy
+    integers are taken, bool is not)."""
+    if not isinstance(m, numbers.Integral) or isinstance(m, bool):
+        raise ValueError(f"m must be an integer, got {m!r}")
+
+
 def vaccine_optimal_k(costs: PublicCostModel, disease: DiseaseParams,
                       m: int) -> tuple[int, tuple[float, ...]]:
     """The unique influencer count targeted by a vaccine-optimal design.
@@ -499,8 +572,9 @@ def vaccine_optimal_k(costs: PublicCostModel, disease: DiseaseParams,
     Scans k = 1..M for the crossing of c_v1 - c_f(k) below L_k; the
     strict/non-strict split flips with the side-effect cap regime. A
     missing or repeated crossing contradicts the monotonicity of both
-    sides and raises.
+    sides and raises. m must be an integer.
     """
+    _require_count(m)
     costs.require_influence(m)
     if disease.rho <= 1.0:
         raise ValueError("joint design needs rho > 1")
@@ -532,10 +606,11 @@ def construct_eps_vaccine_optimal_nu(k_star: int, eps: float,
     Starts from nu_b just below b*rho*theta_star and nu_e just above the
     admissibility line, then halves both margins, at most _MAX_HALVINGS =
     200 times, until psi_e lands in (theta_star, theta_star + eps] and the
-    threshold matches.
+    threshold matches. eps must be positive and finite, m an integer.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    _require_count(m)
     theta_star = disease.theta_star
     ceiling = disease.b * disease.rho * theta_star
     # strictly inside (ceiling - eps, ceiling) from the first iterate
@@ -565,8 +640,9 @@ def incentive_optimal_exists(costs: PublicCostModel, disease: DiseaseParams,
 
     Compares c_v1 - c_f(M-1) against -c_v2_bar/M, strictly when the
     side-effect cap binds at the infected-fraction floor and non-strictly
-    otherwise.
+    otherwise. m must be an integer.
     """
+    _require_count(m)
     lhs = costs.c_v1 - costs.c_f(m - 1)
     rhs = -costs.c_v2_bar / m
     if costs.c_v2_bar > costs.c_v2 / disease.theta_star:
@@ -583,6 +659,7 @@ def construct_incentive_optimal_nu(costs: PublicCostModel,
     endemic limit stays attractive at M-1 vaccinated influencers. Both
     start from the supply margin _MARGIN = 1e-3. Among validated
     candidates the one with the smaller vaccinated fraction is returned.
+    m must be an integer (incentive_optimal_exists checks it first).
     """
     if not incentive_optimal_exists(costs, disease, m):
         raise JointDesignError("no incentive-optimal policy for this model")

@@ -155,6 +155,29 @@ class TestMixedProbability:
         assert seen[:3] == [0.0, 1.5, 2.25]
         assert all(-3.0 < x < 3.0 for x in seen) and len(seen) <= 6
 
+    def test_open_upper_end_probes_within_the_reach(self):
+        # from x0 = 1 the upper end is open: a flat piece gives Newton no
+        # step, so the doubling probes 0.5 + 2^k take over and close it at
+        # 8.5; a target never met returns nan with no x past the reach
+        # 0.5 + 2^59
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            if x < 6.0:
+                return 1.0, 0.0
+            return max(1.0 - (x - 6.0), -1.0), (-1.0 if x < 8.0 else 0.0)
+
+        root = bisect_decreasing(f, 0.5, 0.5, math.inf, atol=1e-12,
+                                 slope=True, x0=1.0, step=1.0)
+        assert root == pytest.approx(6.5, abs=1e-12)
+        assert seen[:4] == [1.0, 1.5, 2.5, 4.5] and seen[4] == 8.5
+        seen.clear()
+        assert math.isnan(bisect_decreasing(
+            lambda x: (seen.append(x) or 1.0, 0.0), 0.5, 0.5, math.inf,
+            atol=1e-12, slope=True, x0=1e300, step=1.0))
+        assert seen == [0.5 + 2.0 ** k for k in range(60)]
+
     def test_root_approaches_one_as_target_vanishes(self):
         ps = [_mixed_root(w, 9, 4) for w in (1e-2, 1e-4, 1e-8)]
         assert all(b > a for a, b in zip(ps, ps[1:]))
@@ -539,13 +562,26 @@ def test_xi_model_rejects_non_finite_parameters(kw, field):
 @pytest.mark.parametrize("kw,point", [
     (dict(sigma2=0.0), True), (dict(sigma2=0.0, p0=0.3), False),
     (dict(sigma2=2.0), False), (dict(values=(3.0,), probs=(1.0,)), True),
-    (dict(values=(3.0,), probs=(1.0,), p0=0.3), True),
     (dict(values=(0.0, 3.0), probs=(0.5, 0.5)), False)])
 def test_point_mass_rule(kw, point):
     # a point law is one node; perfect information is exact just there
     model = XiModel(2.0, **kw)
     assert model.is_point is point
     assert (len(model.nodes()[0]) == 1) is point
+
+
+@pytest.mark.parametrize("build", [
+    lambda: XiModel(2.0, values=(3.0,), probs=(1.0,), p0=0.3),
+    lambda: vg.InfluencerGameConfig(m=40, t_horizon=20, c_v=1.0, c_i=5.0,
+                                    c_se_1=3.0, xi_mean=5.0, z_bar=20,
+                                    xi_values=(0.0, 4.0),
+                                    xi_probs=(0.5, 0.5), p0=0.9)],
+    ids=["point", "config"])
+def test_zero_atom_with_support_rejected(build):
+    # a discrete law draws from its support alone, so an atom p0 beside it
+    # would be dropped without a word; the support lists a zero atom itself
+    with pytest.raises(ValueError, match="^p0 must be 0"):
+        build()
 
 
 def test_binomial_pmf_is_scipy_stats_pmf():

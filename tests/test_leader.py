@@ -205,6 +205,41 @@ def rounding_bound(g, problem, w_k, v_k):
     return n * EPS + float(np.sum(change)) / n
 
 
+def _reference_tabled_sum(w, v, sv, g, cfg, draws, lo, hi):
+    """The tabled sum and its slope in one function, as the library had it
+    before the knot search was split from the per-table dot products: the
+    oracle the split sums must equal to the bit."""
+    if lo == hi:
+        return 0.0, 0.0
+    gams, sums, center = draws
+    knots = cfg.c_i * w - cfg.c_v + g
+    a = max(int(np.searchsorted(knots, gams[lo], side="right")) - 1, 0)
+    b = min(int(np.searchsorted(knots, gams[hi - 1], side="right")),
+            len(knots) - 1)
+    knots, v, sv = knots[a:b + 1], v[a:b + 1], sv[a:b]
+    pos = lo + np.searchsorted(gams[lo:hi], knots)
+    cnt = np.diff(pos)
+    offsets = np.clip(
+        sums[pos[1:]] - sums[pos[:-1]] - cnt * (knots[:-1] - center),
+        0.0, cnt * np.diff(knots))
+    total = float(np.dot(cnt, v[:-1]) + np.dot(sv, offsets) / cfg.c_i)
+    return (total + v[0] * (pos[0] - lo) + v[-1] * (hi - pos[-1]),
+            -float(np.dot(cnt, sv)) / cfg.c_i)
+
+
+def reference_sums(g, z_bar, problem):
+    """(N_P, N_P', E[p]) for z_bar < M from _reference_tabled_sum, one
+    search of the knots per table."""
+    cfg = problem.cfg
+    draws = problem.sampler.sorted_draws(cfg)
+    n = len(draws[0])
+    lo, hi = leader._mixed_run(g, draws[0], cfg)
+    w, p, f, sp, sf = leader._knot_tables(cfg.m, z_bar)
+    total, slope = _reference_tabled_sum(w, f, sf, g, cfg, draws, lo, hi)
+    p_sum = _reference_tabled_sum(w, p, sp, g, cfg, draws, lo, hi)[0]
+    return (total + (n - hi)) / n, slope / n, (lo + p_sum) / n
+
+
 N_SLICED = 20_000
 SMALL_PROBLEMS = {zb: mc_problem(0.05, zb, n=2_000) for zb in (1, 20, 39, 40)}
 
@@ -285,7 +320,7 @@ class TestSlicedConstraint:
                     z_bar, vg.LeaderProblem(delta, cfg, smp))
                 assert sol.binding
                 solves += 1
-        assert len(calls) / solves <= 10
+        assert len(calls) / solves <= 7
         assert all(calls)
 
     @settings(max_examples=60, deadline=None)
@@ -345,6 +380,61 @@ class TestSlicedConstraint:
             want = float(np.mean(p_from_gamma_vec(g, gams, z_bar, cfg)))
             assert abs(got - want) <= rounding_bound(g, prob, w_k, p_k)
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1),
+           z_bar=st.integers(1, 39), g=st.floats(0.0, 12.0),
+           at=st.floats(0.0, 1.0, exclude_max=True),
+           costs=st.one_of(st.just((1.0, 5.0)),
+                           st.tuples(st.floats(0.0, 10.0),
+                                     st.floats(0.01, 20.0))))
+    # segments where the clip to [0, cnt_k (G_k+1 - G_k)] binds, at each end
+    @example(n=138, seed=1, z_bar=6, g=0.0, at=0.75,
+             costs=(1.129830488522662, 1.5651566049448058))
+    @example(n=76, seed=175, z_bar=1, g=0.0, at=0.828125, costs=(0.0, 1.0))
+    def test_split_sums_equal_the_reference(self, n, seed, z_bar, g, at,
+                                            costs):
+        # one knot search shared by the tables of F and p, then a dot
+        # product per table: N_P, N_P' and E[p] are the one-function sums
+        # of the reference to the bit, also when E[p] reuses the search
+        # that N_P made. g = Gamma_k + C_v and Gamma_k + C_v - C_i put draw
+        # k at the ends of the mixed run (see
+        # test_tabled_sums_match_per_draw_means)
+        prob = mc_problem(0.05, z_bar, n=n, seed=seed, c_v=costs[0],
+                          c_i=costs[1])
+        cfg = prob.cfg
+        gams = prob.sampler.gamma_draws(cfg)
+        k = int(at * n)
+        for x in (g, gams[k] + cfg.c_v, gams[k] + cfg.c_v - cfg.c_i):
+            searches = {}
+            value, slope = vg.non_eradication_probability(
+                x, z_bar, prob, with_slope=True, _searches=searches)
+            want = reference_sums(x, z_bar, prob)
+            assert (value, slope,
+                    leader._p_expectation(x, z_bar, prob)) == want
+            assert leader._p_expectation(x, z_bar, prob,
+                                         searches[x]) == want[2]
+
+    @pytest.mark.parametrize("z_bar", [1, 20, 39])
+    def test_one_knot_search_per_evaluation(self, z_bar, monkeypatch):
+        # a binding solve searches the knots once per N_P evaluation, and
+        # E[p(g*)] reuses the search of the evaluation at g*. After N_P(0),
+        # Newton starts at the one-point root
+        calls = []
+        for name in ("non_eradication_probability", "_knot_search"):
+            def spy(g, *args, _orig=getattr(leader, name), _name=name, **kw):
+                calls.append((_name, g))
+                return _orig(g, *args, **kw)
+
+            monkeypatch.setattr(leader, name, spy)
+        prob = mc_problem(0.05, z_bar, n=20_000)
+        sol = vg.solve_optimal_incentive(z_bar, prob)
+        names = [name for name, _ in calls]
+        gs = [g for name, g in calls if name == "non_eradication_probability"]
+        assert sol.binding and calls
+        assert names == ["non_eradication_probability",
+                         "_knot_search"] * len(gs)
+        assert gs[:2] == [0.0, leader._one_point_root(z_bar, prob)]
+
     def test_mixed_solve_makes_no_per_draw_pass(self, monkeypatch):
         # a z_bar < M solve sums knot tables over the prefix sums of the
         # draws; neither N_P nor E[p] hands the draws to the per-draw path
@@ -380,6 +470,30 @@ class TestSlicedConstraint:
         n = prob.sampler.n_samples
         assert (vg.non_eradication_probability(g + dg, z_bar, prob)
                 <= vg.non_eradication_probability(g, z_bar, prob) + n * EPS)
+
+
+class TestUnbracketedRoot:
+    @pytest.mark.parametrize("z_bar", [1, 20, 40])
+    def test_no_evaluation_past_the_doubling_reach(self, z_bar, monkeypatch):
+        # a data mean of 1e300 puts the one-point root near 1e300, far past
+        # the reach g_floor + max(C_i, 1) 2^59 of the doubling probes: were
+        # the start not capped there, the solve would return it
+        seen = []
+        orig = leader.non_eradication_probability
+
+        def spy(g, *args, **kw):
+            seen.append(g)
+            return orig(g, *args, **kw)
+
+        monkeypatch.setattr(leader, "non_eradication_probability", spy)
+        prob = mc_problem(0.05, z_bar, n=1_000, xi_mean=1e300)
+        cfg = prob.cfg
+        reach = g_floor(cfg) + max(cfg.c_i, 1.0) * 2 ** 59
+        assert leader._one_point_root(min(z_bar, 39), prob) > 10 * reach
+        with pytest.raises(leader.BracketingError,
+                           match=r"^N_P stayed above delta=0\.05 up to g=\S"):
+            vg.solve_optimal_incentive(z_bar, prob)
+        assert seen and max(seen) <= reach
 
 
 class TestInputChecks:
@@ -501,6 +615,52 @@ def test_leader_mc_references():
             assert sol.binding == binding_ref, where
             assert abs(sol.g_star - g_ref) <= tol * max(1.0, abs(g_ref)), where
             assert abs(sol.u_star - u_ref) <= tol * max(1.0, abs(u_ref)), where
+
+
+def _design_inputs():
+    return (vg.DiseaseParams(lam=15.0, r=2.0, b=2.0, d=0.5),
+            vg.PublicCostModel(c_v1=0.2, c_v2=0.05, c_v2_bar=100.0, c_i=0.5,
+                               s=0.2))
+
+
+@pytest.mark.parametrize("call,field", [
+    (lambda d, c: vg.construct_eps_vaccine_optimal_nu(17, math.inf, c, d, 40),
+     "eps"),
+    (lambda d, c: vg.construct_eps_vaccine_optimal_nu(17, math.nan, c, d, 40),
+     "eps"),
+    (lambda d, c: vg.construct_eps_vaccine_optimal_nu(17, 0.0, c, d, 40),
+     "eps"),
+    (lambda d, c: vg.vaccine_optimal_k(c, d, 40.0), "m"),
+    (lambda d, c: vg.vaccine_optimal_k(c, d, True), "m"),
+    (lambda d, c: vg.construct_eps_vaccine_optimal_nu(17, 1e-3, c, d, 40.0),
+     "m"),
+    (lambda d, c: vg.construct_eps_vaccine_optimal_nu(1, 1e-3, c, d, True),
+     "m"),
+    (lambda d, c: vg.incentive_optimal_exists(c, d, 40.0), "m"),
+    (lambda d, c: vg.incentive_optimal_exists(c, d, True), "m"),
+    (lambda d, c: vg.construct_incentive_optimal_nu(c, d, 40.0), "m"),
+    (lambda d, c: vg.construct_incentive_optimal_nu(c, d, False), "m"),
+    (lambda d, c: vg.LeaderProblem(0.05, None, vg.ExpectationSampler()),
+     "cfg"),
+    (lambda d, c: vg.LeaderProblem(0.05, game_cfg(20), None), "sampler"),
+    (lambda d, c: vg.LeaderProblem(0.05, vg.ExpectationSampler(),
+                                   game_cfg(20)), "cfg")],
+    ids=["eps-inf", "eps-nan", "eps-zero", "k-float", "k-bool",
+         "eps-design-float", "eps-design-bool", "exists-float",
+         "exists-bool", "io-design-float", "io-design-bool",
+         "problem-cfg", "problem-sampler", "problem-swapped"])
+def test_leader_layer_rejects_bad_inputs(call, field):
+    # when called or built, with a ValueError naming the field
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        call(*_design_inputs())
+
+
+def test_joint_design_takes_numpy_integers():
+    dis, costs = _design_inputs()
+    assert (vg.vaccine_optimal_k(costs, dis, np.int64(40))
+            == vg.vaccine_optimal_k(costs, dis, 40))
+    assert (vg.incentive_optimal_exists(costs, dis, np.int32(40))
+            == vg.incentive_optimal_exists(costs, dis, 40))
 
 
 def theta_costs(s=0.5):
