@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DiseaseParams, ResponseParams, VaRatePolicy
+from .params import (DiseaseParams, ResponseParams, VaRatePolicy,
+                     require_finite)
 
 # Conditions this close to a degenerate corner (beta*psi* = 1,
 # beta = b*rho/nu_b, nu_e = b*rho - nu_b/theta*) are flagged and excluded.
@@ -34,10 +35,11 @@ class OdeState:
     eta: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.theta, self.psi, self.eta))):
-            raise ValueError("state components must be finite")
-        if self.theta < -SIMPLEX_TOL or self.psi < -SIMPLEX_TOL:
-            raise ValueError("theta and psi must be nonnegative")
+        for name in ("theta", "psi", "eta"):
+            require_finite(name, getattr(self, name))
+        for name in ("theta", "psi"):
+            if getattr(self, name) < -SIMPLEX_TOL:
+                raise ValueError(f"{name} must be nonnegative")
         if self.theta + self.psi > 1.0 + 1e-6:
             raise ValueError("theta + psi must not exceed 1")
         if self.eta <= 0:
@@ -230,12 +232,18 @@ def candidate_attractors(disease: DiseaseParams, nu: VaRatePolicy,
 
 @dataclass
 class IntegrationResult:
+    """A run of integrate_to_equilibrium. `t` and `states` are the accepted
+    steps. `limit` is the certified equilibrium when the run converged (the
+    chord-polished point, which the trajectory stops up to about 1e-6
+    short of) and the last state otherwise, with theta and psi clamped at
+    0 either way."""
+
     t: np.ndarray
     states: np.ndarray          # shape (n, 3)
     limit: OdeState
     converged: bool
     message: str
-    rhs_evals: int              # drift evaluations, Jacobians' included
+    rhs_evals: int              # drift evaluations: steps, Jacobians, chords
     jacobians: int              # central-difference Jacobians taken
 
 
@@ -260,9 +268,12 @@ _MAX_STEP = 1.0
 
 # The Jacobian certificate is tried once the rhs max-norm is below
 # _CERTIFY_BELOW (further out the linearisation is not trusted), and a run
-# converges once it puts the Newton distance below _TOL.
+# converges once it puts the Newton distance below _TOL. A stable Jacobian
+# whose Newton distance is also below _CERTIFY_BELOW starts a chord-Newton
+# polish of at most _CHORD_STEPS corrections.
 _CERTIFY_BELOW, _TOL = 1e-6, 1e-8
-_JAC_STEP = np.finfo(float).eps ** (1 / 3)
+_CHORD_STEPS = 4
+_JAC_STEP = float(np.finfo(float).eps) ** (1 / 3)
 
 
 def _rms(a: float, b: float, c: float) -> float:
@@ -325,15 +336,43 @@ def _stable_inverse(f, y):
              (j11 * j22 - j12 * j21) / det))
 
 
+def _newton_step(inv, fy) -> tuple[float, float, float]:
+    """J^-1 f(y) for inv = J^-1, as three floats."""
+    (a, b, c), (d, e, g), (p, q, r) = inv
+    f1, f2, f3 = fy
+    return (a * f1 + b * f2 + c * f3, d * f1 + e * f2 + g * f3,
+            p * f1 + q * f2 + r * f3)
+
+
 def _newton_distance(inv, fy) -> float:
     """max |J^-1 f(y)| for inv = J^-1. Near a hyperbolic stable equilibrium
     y* the Newton step J^-1 f(y) estimates y - y*, so this bounds how far y
     is from the point the flow settles at, however stiff the other modes
     are."""
-    (a, b, c), (d, e, g), (p, q, r) = inv
-    f1, f2, f3 = fy
-    return max(abs(a * f1 + b * f2 + c * f3), abs(d * f1 + e * f2 + g * f3),
-               abs(p * f1 + q * f2 + r * f3))
+    s0, s1, s2 = _newton_step(inv, fy)
+    return max(abs(s0), abs(s1), abs(s2))
+
+
+def _chord_polish(f, y, inv, step, d0):
+    """Chord (simplified) Newton from y: z <- z - J^-1 f(z) with the one
+    inverse inv = J^-1 taken at y. The first correction, `step` = J^-1 f(y)
+    of max-norm d0, is already known. A correction is applied only while
+    each is at most half the one before (the contraction test of
+    Deuflhard, Newton Methods for Nonlinear Problems, Sec. 2.1), and at
+    most _CHORD_STEPS are. Returns the last point z, its drift f(z) and
+    the number of drift evaluations, one per correction applied."""
+    z0, z1, z2 = y
+    s0, s1, s2 = step
+    last = d0
+    for evals in range(1, _CHORD_STEPS + 1):
+        z0, z1, z2 = z0 - s0, z1 - s1, z2 - s2
+        fz = f(z0, z1, z2)[:3]
+        s0, s1, s2 = _newton_step(inv, fz)
+        d = max(abs(s0), abs(s1), abs(s2))
+        if not 0.0 < d <= 0.5 * last:
+            break
+        last = d
+    return (z0, z1, z2), fz, evals
 
 
 def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
@@ -347,20 +386,34 @@ def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
     one's first. A rejected step is retried with the step scaled by
     0.9 * err^(-1/5), at least 0.2; after an accepted one the next step is
     scaled by the same factor, at most 10 (at most 1 after a rejection).
-    Every accepted step is recorded. Convergence is declared by one rule,
-    a certificate: once the rhs max-norm is below 1e-6, the central-
-    difference Jacobian there has only eigenvalues with negative real part
-    and the Newton distance max|J^-1 f| is below _TOL = 1e-8 (steps on
-    which the last stable Jacobian puts the distance at _TOL or more take
-    no new one). A small rhs alone is not trusted: near a slow point it can
-    sit below _TOL far from the equilibrium.
+    Every accepted step is recorded. Convergence is declared by a
+    certificate, checked once the rhs max-norm is below _CERTIFY_BELOW =
+    1e-6: a fresh central-difference Jacobian J has only eigenvalues with
+    negative real part, and the Newton distance max|J^-1 f| is small. The
+    last stable Jacobian screens each step, and a new one is taken only
+    where it puts the distance below 1e-6.
+
+    Where a fresh stable J puts the distance d0 below 1e-6 (the radius
+    gate), the equilibrium is located, and it is polished rather than
+    stepped towards: chord corrections y <- y - J^-1 f(y) with that one
+    inverse, each applied only if it is at most half the one before, at
+    most _CHORD_STEPS. The run converges if the polished point y* lies
+    within 2 d0 of y, the Jacobian at y* is stable and its Newton distance
+    is below _TOL = 1e-8; `limit` is then y*, and the trajectory ends at y.
+    If that fails, no polish is tried again: the run converges at y if d0
+    is below _TOL, and otherwise steps on, screening at _TOL, until a
+    fresh stable Jacobian puts a step's distance below _TOL; that step is
+    then `limit`. A small rhs alone is not trusted: near a slow point it
+    can sit below _TOL far from the equilibrium.
 
     A horizon overrun reports converged=False instead of raising, and so
     does a step size that falls below ten units in the last place of t;
-    non-hyperbolic equilibria (e.g. rho = 1) are never certified and run to
-    the horizon. `message` names the rule or the failure. `rhs_evals`
-    counts every drift evaluation (six per attempted step, six per
-    Jacobian, two to start) and `jacobians` the Jacobians taken.
+    non-hyperbolic equilibria (e.g. rho = 1) fail the radius gate and the
+    Newton distance, are never certified and run to the horizon. `message`
+    names the rule or the failure ("certificate" on convergence).
+    `rhs_evals` counts every drift evaluation (two to start, six per
+    attempted step, six per Jacobian, one per chord correction) and
+    `jacobians` the Jacobians taken, the one at y* included.
     """
     if not (math.isfinite(horizon) and horizon >= 0.0):
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
@@ -392,7 +445,8 @@ def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
     safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
     exponent = _ERROR_EXPONENT
     sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
-    inv = None
+    inv = polished = None
+    may_polish = True
     while t < horizon:
         # retry from (t, y) until a step passes the error test, or the step
         # falls below ten units in the last place of t
@@ -475,20 +529,42 @@ def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
         # this close to an equilibrium the Jacobian barely moves, so the
         # last stable one screens each step; only a fresh one certifies
         k = (k0, k1, k2)
-        if inv is None or _newton_distance(inv, k) < _TOL:
+        if inv is None or _newton_distance(inv, k) < (
+                _CERTIFY_BELOW if may_polish else _TOL):
             inv = _stable_inverse(f, y)
             jacobians += 1
-            dist = math.inf if inv is None else _newton_distance(inv, k)
+            if inv is None:
+                continue
+            step = _newton_step(inv, k)
+            dist = max(abs(step[0]), abs(step[1]), abs(step[2]))
+            if may_polish and dist < _CERTIFY_BELOW:
+                # the equilibrium is located: polish it rather than step
+                # towards it, and certify the polished point afresh; if
+                # that fails, the run goes on under the rule without it
+                may_polish = False
+                z, fz, chord = _chord_polish(f, y, inv, step, dist)
+                evals += chord
+                inv_z = _stable_inverse(f, z)
+                jacobians += 1
+                if inv_z is not None and max(
+                        abs(z[0] - y0), abs(z[1] - y1),
+                        abs(z[2] - y2)) <= 2.0 * dist:
+                    dist_z = _newton_distance(inv_z, fz)
+                    if dist_z < _TOL:
+                        converged, polished = True, z
+                        msg = (f"converged: Newton distance {dist_z:.3g} < "
+                               f"{_TOL} after {chord} chord corrections at "
+                               "a stable Jacobian (certificate)")
+                        break
             if dist < _TOL:
                 converged = True
                 msg = (f"converged: Newton distance {dist:.3g} < {_TOL} "
                        "at a stable Jacobian (certificate)")
                 break
-    states = np.array(ys)
-    yf = states[-1]
+    yf = ys[-1] if polished is None else polished
     limit = OdeState(max(yf[0], 0.0), max(yf[1], 0.0), yf[2])
-    return IntegrationResult(np.array(ts), states, limit, converged, msg,
-                             evals + 6 * jacobians, jacobians)
+    return IntegrationResult(np.array(ts), np.array(ys), limit, converged,
+                             msg, evals + 6 * jacobians, jacobians)
 
 
 # ---------------------------------------------------------------------------

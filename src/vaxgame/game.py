@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import bdtr, ndtr
 
+from .params import finite_tuple, require_finite
+
 try:
     # the ufunc behind scipy.stats.binom.pmf, here without importing
     # scipy.stats, which would more than double the package's import time
@@ -64,6 +66,38 @@ def _truncnorm_mean(mu: float, sigma: float) -> float:
     return mu * float(ndtr(a)) + sigma * pdf
 
 
+def _check_law(mean_param, sigma2, p0, values, probs,
+               names=("mean_param", "sigma2", "p0", "values", "probs")):
+    """Raise ValueError unless the fields give a valid XiModel, naming the
+    bad field by `names` (InfluencerGameConfig passes its own)."""
+    n_mean, n_sigma2, n_p0, n_values, n_probs = names
+    for name, v in ((n_mean, mean_param), (n_sigma2, sigma2), (n_p0, p0)):
+        require_finite(name, v)
+    if not 0.0 <= p0 < 1.0:
+        raise ValueError(f"{n_p0} must lie in [0, 1)")
+    if sigma2 < 0.0:
+        raise ValueError(f"{n_sigma2} must be nonnegative")
+    if (values is None) != (probs is None):
+        raise ValueError(f"{n_values} and {n_probs} must be given together")
+    if values is None:
+        return
+    values = finite_tuple(n_values, values)
+    probs = finite_tuple(n_probs, probs)
+    if not 0 < len(values) == len(probs):
+        raise ValueError(f"{n_values} and {n_probs} must be non-empty and of "
+                         "equal length")
+    if any(v < 0 for v in values):
+        raise ValueError(f"{n_values} (the xi support) must be nonnegative")
+    if not all(0.0 <= q <= 1.0 for q in probs):
+        raise ValueError(f"{n_probs} must lie in [0, 1]")
+    if abs(sum(probs) - 1.0) > 1e-12:
+        raise ValueError(f"{n_probs} must sum to 1")
+    if p0 > 0.0:
+        raise ValueError(
+            f"{n_p0} must be 0 when {n_values} are given (list an atom at "
+            f"zero as a support point), got {p0!r}")
+
+
 @dataclass(frozen=True)
 class XiModel:
     """Distribution of the daily side-effect data xi.
@@ -72,8 +106,9 @@ class XiModel:
     count as zero), optionally mixed with an atom at zero of mass p0.
     Discrete case: explicit support/probability pairs, used by the exact
     dynamic-programming oracle; p0 must then be 0, since an atom at zero is
-    one more support point. mean_param and sigma2 must be finite; a bad
-    field raises ValueError naming it.
+    one more support point. mean_param, sigma2, p0 and every value and
+    probability must be finite numbers (bool is not one); a bad field
+    raises ValueError naming it.
 
     Every law is drawn by one in-place routine, `_fill`: `sample` runs it
     on a new array, `final_gamma_draws` on its reused block of rows.
@@ -88,32 +123,8 @@ class XiModel:
     probs: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        for name in ("mean_param", "sigma2"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-        if not 0.0 <= self.p0 < 1.0:
-            raise ValueError("p0 must lie in [0, 1)")
-        if self.sigma2 < 0.0:
-            raise ValueError("sigma2 must be nonnegative")
-        if (self.values is None) != (self.probs is None):
-            raise ValueError("values and probs must be given together")
-        if self.values is not None:
-            if not 0 < len(self.values) == len(self.probs):
-                raise ValueError("values and probs must be non-empty and of "
-                                 "equal length")
-            if not all(math.isfinite(v) for v in self.values):
-                raise ValueError("values must be finite")
-            if any(v < 0 for v in self.values):
-                raise ValueError("xi support must be nonnegative")
-            if not all(0.0 <= q <= 1.0 for q in self.probs):
-                raise ValueError("probs must lie in [0, 1]")
-            if abs(sum(self.probs) - 1.0) > 1e-12:
-                raise ValueError("probs must sum to 1")
-            if self.p0 > 0.0:
-                raise ValueError(
-                    f"p0 must be 0 when values are given (list an atom at "
-                    f"zero as a support point), got {self.p0!r}")
+        _check_law(self.mean_param, self.sigma2, self.p0, self.values,
+                   self.probs)
 
     @property
     def is_exact(self) -> bool:
@@ -188,8 +199,8 @@ class InfluencerGameConfig:
     pre-threshold count pays g0 (only g0 matters at the wait-and-watch
     outcome). m, t_horizon and z_bar must be integers (numpy integers are
     taken, bool is not); every cost, data parameter and incentive must be
-    finite. A bad field raises ValueError naming it when the object is
-    built.
+    a finite number (bool is not one). A bad field raises ValueError
+    naming it, by this class's field names, when the object is built.
     """
 
     m: int
@@ -211,14 +222,16 @@ class InfluencerGameConfig:
             v = getattr(self, name)
             if not isinstance(v, numbers.Integral) or isinstance(v, bool):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
-        for name in ("c_v", "c_i", "c_se_1", "xi_mean", "xi_sigma2", "g0"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+        for name in ("c_v", "c_i", "c_se_1", "g0"):
+            require_finite(name, getattr(self, name))
+        _check_law(self.xi_mean, self.xi_sigma2, self.p0, self.xi_values,
+                   self.xi_probs,
+                   ("xi_mean", "xi_sigma2", "p0", "xi_values", "xi_probs"))
         if self.m < 1:
-            raise ValueError("need at least one influencer")
+            raise ValueError(f"m must be at least 1 influencer, got {self.m}")
         if self.t_horizon < 2:
-            raise ValueError("horizon must be at least 2 days")
+            raise ValueError(
+                f"t_horizon must be at least 2 days, got {self.t_horizon}")
         if not 1 <= self.z_bar <= self.m:
             raise ValueError("z_bar must lie in 1..m")
         if self.c_se_1 < 0:
@@ -226,11 +239,10 @@ class InfluencerGameConfig:
         if self.c_i <= 0:
             raise ValueError("c_i must be positive")
         if self.incentives is not None:
-            inc = tuple(float(v) for v in self.incentives)
+            inc = tuple(map(float, finite_tuple("incentives",
+                                                self.incentives)))
             if len(inc) != self.z_bar:
                 raise ValueError("incentives must list g_0..g_{z_bar-1}")
-            if not all(map(math.isfinite, inc)):
-                raise ValueError(f"incentives must be finite, got {inc!r}")
             object.__setattr__(self, "incentives", inc)
         if self.xi.mean <= 0.0:
             raise ValueError("side-effect data must have positive mean")

@@ -113,9 +113,14 @@ class ExpectationSampler:
         and sums[j] = sum over i < j of (gams[i] - center), centered at the
         median draw so that a difference of two sums loses little to
         cancellation. Both arrays are read-only, so a caller cannot put
-        them out of step."""
-        self.gamma_draws(cfg)
-        return self._cache[self._key(cfg)]
+        them out of step. A cache hit builds the key once; a miss fills the
+        entry through gamma_draws."""
+        key = self._key(cfg)
+        entry = self._cache.get(key)
+        if entry is None:
+            self.gamma_draws(cfg)
+            entry = self._cache[key]
+        return entry
 
     def ci_halfwidth(self, delta: float) -> float:
         if self.mode == PERFECT_INFO:

@@ -2,7 +2,35 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+
+
+def _finite_number(v) -> bool:
+    # bool is not a number here, so a flag cannot pass for a rate, a cost
+    # or a state
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def require_finite(name: str, v) -> None:
+    """Raise ValueError naming the field unless v is a finite real number
+    (not a bool)."""
+    if not _finite_number(v):
+        raise ValueError(f"{name} must be a finite number, got {v!r}")
+
+
+def finite_tuple(name: str, values) -> tuple:
+    """values as a tuple, or ValueError naming the field unless it is a
+    sequence of finite real numbers (not bools)."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        items = None
+    if items is None or not all(map(_finite_number, items)):
+        raise ValueError(
+            f"{name} must be a sequence of finite numbers, got {values!r}")
+    return items
 
 
 class InsufficientInfluenceError(ValueError):
@@ -32,8 +60,9 @@ class DiseaseParams:
     def __post_init__(self):
         for name in ("lam", "r", "b", "d"):
             v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
+            require_finite(name, v)
+            if v < 0:
+                raise ValueError(f"{name} must be nonnegative, got {v}")
         if self.lam <= 0 or self.r <= 0 or self.b <= 0:
             raise ValueError("lam, r and b must be strictly positive")
         if self.d >= self.b:
@@ -59,10 +88,11 @@ class VaRatePolicy:
     nu_e: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.nu_b) and math.isfinite(self.nu_e)):
-            raise ValueError("VA rates must be finite")
-        if self.nu_b < 0 or self.nu_e < 0:
-            raise ValueError("VA rates must be nonnegative")
+        for name in ("nu_b", "nu_e"):
+            v = getattr(self, name)
+            require_finite(name, v)
+            if v < 0:
+                raise ValueError(f"{name} must be nonnegative, got {v}")
 
     def rate(self, psi: float) -> float:
         return self.nu_b + self.nu_e * psi
@@ -75,8 +105,9 @@ class ResponseParams:
     beta: float
 
     def __post_init__(self):
-        if not math.isfinite(self.beta) or self.beta < 0:
-            raise ValueError("beta must be finite and nonnegative")
+        require_finite("beta", self.beta)
+        if self.beta < 0:
+            raise ValueError(f"beta must be nonnegative, got {self.beta}")
 
     def acceptance(self, psi: float) -> float:
         return min(1.0, self.beta * psi)
@@ -100,23 +131,23 @@ class PublicCostModel:
     c_f_table: tuple[float, ...] | None = field(default=None)
 
     def __post_init__(self):
-        for name in ("c_v1", "c_v2", "c_v2_bar", "c_i"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and nonnegative")
         if (self.s is None) == (self.c_f_table is None):
             raise ValueError("provide exactly one of s or c_f_table")
-        if self.s is not None and (not math.isfinite(self.s) or self.s < 0):
-            raise ValueError("sensitivity s must be finite and nonnegative")
+        for name in ("c_v1", "c_v2", "c_v2_bar", "c_i", "s"):
+            v = getattr(self, name)
+            if v is None:
+                continue
+            require_finite(name, v)
+            if v < 0:
+                raise ValueError(f"{name} must be nonnegative, got {v}")
         if self.c_f_table is not None:
-            tab = tuple(float(v) for v in self.c_f_table)
-            if not tab or not all(map(math.isfinite, tab)):
-                raise ValueError(
-                    f"c_f_table must be non-empty and finite, got {tab!r}")
+            tab = tuple(map(float, finite_tuple("c_f_table", self.c_f_table)))
+            if not tab:
+                raise ValueError("c_f_table must be non-empty")
             if tab[0] != 0.0:
-                raise ValueError("c_f(0) must be 0")
+                raise ValueError("c_f_table must start at c_f(0) = 0")
             if any(b < a for a, b in zip(tab, tab[1:])):
-                raise ValueError("c_f must be nondecreasing")
+                raise ValueError("c_f_table must be nondecreasing")
             object.__setattr__(self, "c_f_table", tab)
 
     def c_f(self, z: int) -> float:

@@ -13,6 +13,18 @@ from vaxgame.cli import (CONFIG_SECTIONS, build_parser, config_flag,
                          subcommand_flags)
 
 
+def child_env(**extra) -> dict:
+    """The environment for a child interpreter, with the directory this
+    process imported vaxgame from first on PYTHONPATH, so the child runs
+    the same source whether or not the package is installed."""
+    env = {k: v for k, v in os.environ.items() if k not in extra}
+    src = str(Path(vg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    env.update({k: v for k, v in extra.items() if v is not None})
+    return env
+
+
 def run_main(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -150,7 +162,7 @@ class TestSubcommands:
             [sys.executable, "-m", "vaxgame.cli", "optimize-leader",
              "--delta", "0.1", "--zbar", "1", "--mode", "perfect",
              "--csv", str(tmp_path / "sweep.csv")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["z_bar"] == 1
 
@@ -160,7 +172,7 @@ class TestSubcommands:
             [sys.executable, "-c", "import sys, vaxgame; print(sorted("
              "m for m in ('scipy.stats', 'scipy.optimize') if m in "
              "sys.modules))"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -169,9 +181,7 @@ class TestSubcommands:
         # the read end is closed before the child starts, so its output
         # fails as it does under `| head` once head has exited: at the first
         # print when unbuffered, and otherwise when the buffer is flushed
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
+        env = child_env(PYTHONUNBUFFERED="1" if unbuffered else None)
         r, w = os.pipe()
         os.close(r)
         try:

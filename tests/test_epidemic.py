@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -403,6 +404,84 @@ def _reference_integrate(init, disease, nu, beta, horizon):
     return np.array(ts), np.array(ys), converged, msg
 
 
+def _reference_polish(f, y, k, inv):
+    """The chord-Newton polish from a located equilibrium y, over tuples:
+    (y*, Newton distance at y*, corrections) once y* is certified, else
+    None."""
+    def newton_step(m, v):
+        return tuple(row[0] * v[0] + row[1] * v[1] + row[2] * v[2]
+                     for row in m)
+
+    step = newton_step(inv, k)
+    d0 = last = max(abs(v) for v in step)
+    z, n = y, 0
+    while n < epidemic._CHORD_STEPS:
+        z = tuple(a - b for a, b in zip(z, step))
+        n += 1
+        fz = f(*z)[:3]
+        step = newton_step(inv, fz)
+        size = max(abs(v) for v in step)
+        # keep going only while each correction at most halves
+        if not 0.0 < size <= last / 2:
+            break
+        last = size
+    inv_z = _stable_inverse(f, z)
+    if inv_z is None or not max(abs(a - b) for a, b in zip(z, y)) <= 2 * d0:
+        return None
+    dist = _newton_distance(inv_z, fz)
+    return (z, dist, n) if dist < epidemic._TOL else None
+
+
+def _reference_polished_integrate(init, disease, nu, beta, horizon):
+    """`integrate_to_equilibrium` under the polishing stop rule, as three
+    functions over tuples: returns t, states, converged, message and the
+    unclamped limit point."""
+    E = epidemic
+    f = _reference_field(disease, nu, beta)
+    t, y = 0.0, (float(init.theta), float(init.psi), float(init.eta))
+    ts, ys = [t], [y]
+    converged, limit = False, None
+    msg = (f"horizon {horizon} exceeded without a certified stable "
+           f"equilibrium within {E._TOL}")
+    k = f(*y)[:3]
+    h_abs = _initial_step(f, y, k, horizon) if horizon > 0.0 else 0.0
+    inv, polish = None, True
+    while t < horizon:
+        step = _reference_accepted_step(f, t, y, k, h_abs, horizon)
+        if step is None:
+            msg = f"step size collapsed at t = {t:.6g}"
+            break
+        t, y, k, h_abs = step
+        ts.append(t)
+        ys.append(y)
+        if max(abs(k[0]), abs(k[1]), abs(k[2])) >= E._CERTIFY_BELOW:
+            inv = None
+            continue
+        screen = E._CERTIFY_BELOW if polish else E._TOL
+        if inv is not None and _newton_distance(inv, k) >= screen:
+            continue
+        inv = _stable_inverse(f, y)
+        if inv is None:
+            continue
+        dist = _newton_distance(inv, k)
+        if polish and dist < E._CERTIFY_BELOW:
+            polish = False
+            done = _reference_polish(f, y, k, inv)
+            if done is not None:
+                converged, (limit, dist, n) = True, done
+                msg = (f"converged: Newton distance {dist:.3g} < {E._TOL} "
+                       f"after {n} chord corrections at a stable Jacobian "
+                       "(certificate)")
+                break
+        if dist < E._TOL:
+            converged = True
+            msg = (f"converged: Newton distance {dist:.3g} < {E._TOL} "
+                   "at a stable Jacobian (certificate)")
+            break
+    return (np.array(ts), np.array(ys), converged, msg,
+            ys[-1] if limit is None else limit)
+
+
 @st.composite
 def _perturbed_returns(draw):
     """A start 1e-2 off an active candidate of one stability row, drawn as
@@ -434,11 +513,38 @@ def _tiny_eta_start(eta):
 def test_flat_loop_equals_three_function_reference(case, horizon):
     init, dis, nu, beta = case
     got = vg.integrate_to_equilibrium(init, dis, nu, beta, horizon=horizon)
-    t, states, converged, msg = _reference_integrate(init, dis, nu, beta,
-                                                     horizon)
+    t, states, converged, msg, limit = _reference_polished_integrate(
+        init, dis, nu, beta, horizon)
     assert np.array_equal(got.t, t)
     assert np.array_equal(got.states, states)
     assert (got.converged, got.message) == (converged, msg)
+    assert (got.limit.theta, got.limit.psi, got.limit.eta) == (
+        max(limit[0], 0.0), max(limit[1], 0.0), limit[2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_perturbed_returns(), horizon=st.sampled_from((2.0, 400.0)))
+@example(case=_tiny_eta_start(1e-300), horizon=400.0)
+@example(case=_tiny_eta_start(5e-324), horizon=400.0)
+@example(case=_tiny_eta_start(1e-3), horizon=400.0)
+def test_polish_stops_on_a_prefix_of_the_old_rule(case, horizon):
+    # the old rule, which steps until the flow itself brings the Newton
+    # distance below 1e-8, is _reference_integrate; the polish may only
+    # stop it earlier, and lands on the equilibrium itself
+    init, dis, nu, beta = case
+    got = vg.integrate_to_equilibrium(init, dis, nu, beta, horizon=horizon)
+    t, states, converged, _ = _reference_integrate(init, dis, nu, beta,
+                                                   horizon)
+    n = len(got.t)
+    assert n <= len(t)
+    assert np.array_equal(got.t, t[:n])
+    assert np.array_equal(got.states, states[:n])
+    assert got.converged or not converged
+    if got.converged:
+        lim = got.limit.as_array()
+        assert min(np.max(np.abs(lim - cand.state().as_array()))
+                   for cand in vg.candidate_attractors(
+                       dis, nu, beta).active().values()) < 1e-10
 
 
 def test_tiny_eta_start_is_certified():
@@ -446,7 +552,7 @@ def test_tiny_eta_start_is_certified():
     # minimum step, and the run still reaches the certificate
     res = vg.integrate_to_equilibrium(*_tiny_eta_start(1e-300))
     assert res.converged and "certificate" in res.message
-    assert len(res.t) - 1 == 1740
+    assert len(res.t) - 1 == 1732
 
 
 def test_vanishing_eta_start_reports_step_collapse():
@@ -458,19 +564,23 @@ def test_vanishing_eta_start_reports_step_collapse():
 
 
 def test_counts_match_a_counting_spy(monkeypatch):
-    # one c02 attractor return: every drift evaluation goes through the
-    # spied f, every Jacobian through the spied _stable_inverse
+    # one c02 attractor return: every drift evaluation, the chord
+    # corrections' included, goes through the spied f, every Jacobian
+    # through the spied _stable_inverse
     evals, jacobians = [0], [0]
     field, stable_inverse = epidemic._field, epidemic._stable_inverse
 
-    def counting_field(*params):
-        f = field(*params)
+    def counting(field):
+        def counting_field(*params):
+            f = field(*params)
 
-        def spy(*y):
-            evals[0] += 1
-            return f(*y)
+            def spy(*y):
+                evals[0] += 1
+                return f(*y)
 
-        return spy
+            return spy
+
+        return counting_field
 
     def counting_inverse(f, y):
         jacobians[0] += 1
@@ -479,16 +589,51 @@ def test_counts_match_a_counting_spy(monkeypatch):
     rng = np.random.default_rng(202)
     dis, nu, beta = _row_draw(rng, "eradicating")
     cand = vg.candidate_attractors(dis, nu, beta).eradicating
-    monkeypatch.setattr(epidemic, "_field", counting_field)
+    start = vg.OdeState(cand.theta + 6e-3, cand.psi - 8e-3, cand.eta)
+    monkeypatch.setattr(epidemic, "_field", counting(field))
     monkeypatch.setattr(epidemic, "_stable_inverse", counting_inverse)
-    res = vg.integrate_to_equilibrium(
-        vg.OdeState(cand.theta + 6e-3, cand.psi - 8e-3, cand.eta), dis, nu,
-        beta, horizon=400.0)
-    assert res.converged
+    res = vg.integrate_to_equilibrium(start, dis, nu, beta, horizon=400.0)
+    assert res.converged and "chord corrections" in res.message
     assert res.rhs_evals == evals[0]
-    assert res.jacobians == jacobians[0] >= 1
-    # two to start, six per step tried, six per Jacobian
-    assert res.rhs_evals >= 2 + 6 * (len(res.t) - 1) + 6 * res.jacobians
+    assert res.jacobians == jacobians[0] >= 2
+    # two to start, six per step tried, six per Jacobian, one per chord
+    # correction (at least one)
+    assert res.rhs_evals >= 2 + 6 * (len(res.t) - 1) + 6 * res.jacobians + 1
+    # the old rule, which steps on until the flow brings the Newton
+    # distance below 1e-8, spends more on the same return
+    evals[0] = 0
+    monkeypatch.setattr(sys.modules[__name__], "_reference_field",
+                        counting(_reference_field))
+    _, _, converged, _ = _reference_integrate(start, dis, nu, beta, 400.0)
+    assert converged and res.rhs_evals < evals[0]
+
+
+def test_polish_landing_far_from_the_last_step_is_refused(monkeypatch):
+    # non-vaccinating and eradicating points are both stable here; a polish
+    # that lands on the other one is certified there, but lies far outside
+    # 2 d0 of the last step, so the run must go on under the rule without
+    # the polish and settle where the flow goes
+    dis = fig5_disease()
+    nu, beta = vg.VaRatePolicy(1.0, 20.0), vg.ResponseParams(2.0)
+    att = vg.candidate_attractors(dis, nu, beta)
+    assert list(att.active()) == ["non_vaccinating", "eradicating"]
+    nv, er = att.non_vaccinating, att.eradicating
+
+    def polish_elsewhere(f, y, inv, step, d0):
+        z = (er.theta, er.psi, er.eta)
+        return z, f(*z)[:3], 1
+
+    monkeypatch.setattr(epidemic, "_chord_polish", polish_elsewhere)
+    start = vg.OdeState(nv.theta - 0.01, 0.005, nv.eta)
+    res = vg.integrate_to_equilibrium(start, dis, nu, beta)
+    t, states, converged, _ = _reference_integrate(start, dis, nu, beta,
+                                                   600.0)
+    assert converged and res.converged
+    assert "certificate" in res.message and "chord" not in res.message
+    assert np.array_equal(res.t, t[:len(res.t)])
+    assert np.array_equal(res.states, states[:len(res.t)])
+    assert np.max(np.abs(res.limit.as_array()
+                         - nv.state().as_array())) < 1e-8
 
 
 def test_newton_distance_on_linear_fields():

@@ -519,6 +519,31 @@ class TestInputChecks:
         smp = vg.ExpectationSampler(n_samples=np.int64(10), seed=np.uint8(3))
         assert len(smp.gamma_draws(game_cfg(20))) == 10
 
+    def test_cached_sorted_draws_build_one_key(self, monkeypatch):
+        # a hit is one key and one lookup; the fill (and so the draw-fill
+        # span the benchmark's tracer records) stays inside gamma_draws
+        prob = mc_problem(0.05, 20, n=100)
+        keys, fills = [0], [0]
+        smp_cls = vg.ExpectationSampler
+        key, gamma_draws = smp_cls._key, smp_cls.gamma_draws
+
+        def counting_key(sampler, cfg):
+            keys[0] += 1
+            return key(sampler, cfg)
+
+        def counting_draws(sampler, cfg):
+            fills[0] += 1
+            return gamma_draws(sampler, cfg)
+
+        monkeypatch.setattr(smp_cls, "_key", counting_key)
+        monkeypatch.setattr(smp_cls, "gamma_draws", counting_draws)
+        first = prob.sampler.sorted_draws(prob.cfg)
+        assert fills[0] == 1 and len(prob.sampler._cache) == 1
+        keys[0] = 0
+        for _ in range(5):
+            assert prob.sampler.sorted_draws(prob.cfg) is first
+        assert keys[0] == 5 and fills[0] == 1
+
     def test_cached_draws_are_read_only(self):
         # a write to the draws would leave their prefix sums stale
         prob = mc_problem(0.05, 20, n=100)
