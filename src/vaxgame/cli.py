@@ -242,14 +242,16 @@ def reproduce_figure(fig_id: int, outdir: Path, seed: int = 0,
                      samples: int = 100_000) -> Path:
     """Emit the CSV for one canned parameter study (one of FIG_IDS).
 
-    See the README for the qualitative claim each file supports.
+    See the README for the qualitative claim each file supports. seed and
+    samples are checked for every figure, fig 4 included, which draws
+    nothing.
     """
+    smp = leader.ExpectationSampler(n_samples=samples, seed=seed)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     if fig_id in (1, 2):
         # the solve ignores cfg.z_bar, so one problem serves every threshold
-        smp = leader.ExpectationSampler(n_samples=samples, seed=seed)
         problem = leader.LeaderProblem(0.01, _fig_cfg(40), smp)
         if fig_id == 1:
             table = leader.compare_across_zbar(problem, range(1, 41),
@@ -269,7 +271,6 @@ def reproduce_figure(fig_id: int, outdir: Path, seed: int = 0,
         return out
 
     if fig_id == 3:
-        smp = leader.ExpectationSampler(n_samples=samples, seed=seed)
         pi = leader.ExpectationSampler(mode=leader.PERFECT_INFO)
         rows = []
         for delta in (0.01, 0.05):
@@ -309,7 +310,6 @@ def reproduce_figure(fig_id: int, outdir: Path, seed: int = 0,
 
     if fig_id == 5:
         dis = DiseaseParams(**FIG_S_DISEASE)
-        smp = leader.ExpectationSampler(n_samples=samples, seed=seed)
         rows = []
         for s in np.round(np.arange(0.02, 0.51, 0.02), 3):
             costs = PublicCostModel(s=float(s), **FIG_S_COSTS)

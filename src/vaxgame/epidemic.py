@@ -233,10 +233,13 @@ def candidate_attractors(disease: DiseaseParams, nu: VaRatePolicy,
 @dataclass
 class IntegrationResult:
     """A run of integrate_to_equilibrium. `t` and `states` are the accepted
-    steps. `limit` is the certified equilibrium when the run converged (the
-    chord-polished point, which the trajectory stops up to about 1e-6
-    short of) and the last state otherwise, with theta and psi clamped at
-    0 either way."""
+    steps, up to where the run stopped: under the basin certificate that
+    may be the start alone, up to the Lyapunov ellipsoid's extent short of
+    `limit`. `limit` is the certified equilibrium when the run converged
+    (the equilibrium located by the basin certificate, or the
+    chord-polished point, which the trajectory stops up to about 1e-6 short
+    of) and the last state otherwise, with theta and psi clamped at 0
+    either way."""
 
     t: np.ndarray
     states: np.ndarray          # shape (n, 3)
@@ -375,10 +378,251 @@ def _chord_polish(f, y, inv, step, d0):
     return (z0, z1, z2), fz, evals
 
 
+# ---------------------------------------------------------------------------
+# Basin certificate on the planar field
+# ---------------------------------------------------------------------------
+
+# A failed basin attempt is retried once the planar drift has fallen to
+# _BASIN_RETRY of its value at that attempt. Newton on the planar field stops
+# once a correction is below _BASIN_FLOOR (theta and psi are fractions, so
+# that is a few units in the last place), once corrections stop halving, or
+# after _BASIN_NEWTON corrections.
+_BASIN_RETRY = 0.25
+_BASIN_NEWTON = 12
+_BASIN_FLOOR = 1e-15
+
+
+def _iprod(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
+    """The product of the intervals [al, ah] and [bl, bh], rounded outward.
+    An inf or nan endpoint gives the whole line, so that min and max never
+    see a nan product, which they would drop."""
+    if (al + ah + bl + bh) * 0.0 != 0.0:
+        return -math.inf, math.inf
+    p, q, r, s = al * bl, al * bh, ah * bl, ah * bh
+    return (math.nextafter(min(p, q, r, s), -math.inf),
+            math.nextafter(max(p, q, r, s), math.inf))
+
+
+def _basin(disease: DiseaseParams, nu: VaRatePolicy, beta: ResponseParams):
+    """The basin certificate on the planar (theta, psi) field, with the
+    parameters bound. Returns (locate, certify).
+
+    The (theta, psi) drift of `_field` is g(theta, psi) / (eta varrho) with
+
+        g = (lam theta (phi - 1/rho),
+             phi min(1, beta psi) (nu_b + nu_e psi) - b psi),
+
+    which does not depend on eta. While eta > 0 and varrho > 0, (theta, psi)
+    therefore runs along the orbits of g at a positive speed, and eta obeys
+    the stable linear equation eta' = (b - d)/varrho - eta. The constants
+    are the floats `_field` uses (1/rho included), so g is the field the
+    stepper integrates.
+
+    `locate(theta, psi)` runs Newton on g with its analytic Jacobian Dg from
+    (theta, psi) and returns the last iterate.
+
+    `certify(centre, point)` is True only if the exact flow from every state
+    with eta > 0 whose (theta, psi) is `point` converges to one equilibrium
+    x of g, with |x - y*| <= 2 |P| |g(y*)| / m for y* = `centre` (P and m
+    below). The argument is the quadratic Lyapunov estimate of the region
+    of attraction (Khalil, Nonlinear Systems, 3rd ed., Sec. 8.2), with each
+    bound enclosed in interval arithmetic:
+
+    1. A = Dg(y*) in floats, with tr A < 0 < det A. P solves
+       A^T P + P A = -I in closed form (for A = [[a, b], [c, d]]:
+       P = -1/(2 tr det) [[det + c^2 + d^2, -(ac + bd)],
+                          [-(ac + bd), det + a^2 + b^2]]), and p11 > 0 and
+       det P > 0 are checked with det P rounded down. A and P are the
+       floats computed; every bound below is taken for those floats, so
+       their own rounding (Q below is -I only up to it) is charged where it
+       shows.
+    2. E = {y : (y - y*)^T P (y - y*) <= l}. The level l is an upper bound
+       on the level of `point`, whose offset from y* is enclosed by one
+       float either side of the rounded difference, so `point` lies in E.
+       E's bounding box B has half-widths sqrt(l (P^-1)_ii), rounded up; a
+       half-width above 1 refuses.
+    3. Over B, in interval arithmetic: varrho > 0, and an enclosure of Dg.
+       Across the kink beta psi = 1 of min(1, beta psi) the enclosure is
+       the hull of both branches. Delta_ij = max(hi_ij - A_ij,
+       A_ij - lo_ij) bounds |Dg(x) - A| entrywise on B. Q = P A + A^T P is
+       enclosed too, and lambda_max(Q) <= max_i Q_ii + |Q_12| (Gershgorin).
+    4. m = -(lambda_max(Q) + 2 |P| |Delta|_F), with |P| = lambda_max(P)
+       = (p11 + p22)/2 + sqrt(((p11 - p22)/2)^2 + p12^2) rounded up. For x, z
+       in E (convex, inside B), the mean value theorem along the segment (g
+       is Lipschitz; the hull covers the kink) gives g(x) - g(z) =
+       M (x - z) with |M - A| <= Delta, and |P (M - A)|_2 <= |P| |Delta|_F,
+       so 2 (x - z)^T P (g(x) - g(z)) <= -m |x - z|^2. If m > 0, E holds
+       at most one equilibrium.
+    5. On the boundary of E, |y - y*| >= sqrt(l / |P|). With r = g(y*), the
+       residual of Newton, enclosed at the point, the derivative of
+       V = (y - y*)^T P (y - y*) along g is at most
+       2 |P| |r| |y - y*| - m |y - y*|^2 there. The test
+       m sqrt(l / |P|) > 2 |P| |r| makes it negative, so E is forward
+       invariant and, being compact and convex, holds an equilibrium x. By
+       4, W = (y - x)^T P (y - x) falls at the rate m |y - x|^2 along g,
+       so every orbit in E converges to x, and 4 at (y*, x) gives the
+       bound on |x - y*|.
+    6. On B, varrho is bounded, and so is eta, by max(eta_0,
+       (b - d)/min varrho), with b > d (DiseaseParams); the time change
+       1/(eta varrho) thus stays above a positive constant. The ODE's
+       (theta, psi) therefore reaches x, and eta tends to (b - d)/varrho(x).
+
+    Rounding: every bound is a float expression whose operations are each
+    stepped one float outward by math.nextafter, down for a lower bound and
+    up for an upper one. A float operation returns its exact result rounded
+    to nearest, within half a unit in the last place, so the stepped result
+    encloses the exact one: directed rounding (Moore, Kearfott & Cloud,
+    Introduction to Interval Analysis, SIAM 2009, Sec. 4.1) applied after
+    each operation. Negation and doubling are exact and are not stepped.
+    An inf or nan anywhere refuses: every comparison is written so that a
+    nan fails it, and the enclosures are summed and tested finite.
+    """
+    lam, r, b, d = disease.lam, disease.r, disease.b, disease.d
+    inv_rho = 1.0 / disease.rho
+    nu_b, nu_e, bt = nu.nu_b, nu.nu_e, beta.beta
+    nx, up, dn = math.nextafter, math.inf, -math.inf
+    # 1 - 1/rho and b + d, enclosed
+    omr_l, omr_h = nx(1.0 - inv_rho, dn), nx(1.0 - inv_rho, up)
+    bd_l = nx(b + d, dn)
+
+    def dg(theta: float, psi: float):
+        phi = 1.0 - theta - psi
+        supply = nu_b + nu_e * psi
+        accept = bt * psi
+        if accept < 1.0:
+            return (lam * (phi - theta - inv_rho), -lam * theta,
+                    -accept * supply,
+                    -accept * supply + phi * (bt * supply + accept * nu_e) - b)
+        return (lam * (phi - theta - inv_rho), -lam * theta,
+                -supply, -supply + phi * nu_e - b)
+
+    def locate(theta: float, psi: float) -> tuple[float, float]:
+        last = math.inf
+        for _ in range(_BASIN_NEWTON):
+            phi = 1.0 - theta - psi
+            accept = bt * psi
+            g1 = lam * theta * (phi - inv_rho)
+            g2 = (phi * (accept if accept < 1.0 else 1.0)
+                  * (nu_b + nu_e * psi) - b * psi)
+            j11, j12, j21, j22 = dg(theta, psi)
+            det = j11 * j22 - j12 * j21
+            if det == 0.0:
+                break
+            s0 = (j22 * g1 - j12 * g2) / det
+            s1 = (j11 * g2 - j21 * g1) / det
+            theta, psi = theta - s0, psi - s1
+            size = abs(s0) if abs(s0) > abs(s1) else abs(s1)
+            if size <= _BASIN_FLOOR or not size <= 0.5 * last:
+                break
+            last = size
+        return theta, psi
+
+    def certify(centre: tuple[float, float],
+                point: tuple[float, float]) -> bool:
+        c0, c1 = centre
+        a11, a12, a21, a22 = dg(c0, c1)
+        tr, det = a11 + a22, a11 * a22 - a12 * a21
+        x = 2.0 * tr * det
+        if not (tr < 0.0 < det and x < 0.0):
+            return False
+        k = -1.0 / x
+        p11 = k * (det + a21 * a21 + a22 * a22)
+        p12 = -k * (a11 * a21 + a12 * a22)
+        p22 = k * (det + a11 * a11 + a12 * a12)
+        det_p = nx(nx(p11 * p22, dn) - nx(p12 * p12, up), dn)
+        if not (p11 > 0.0 and det_p > 0.0):
+            return False
+        # the level of `point`, and E's bounding box
+        x = point[0] - c0
+        e0l, e0h = nx(x, dn), nx(x, up)
+        x = point[1] - c1
+        e1l, e1h = nx(x, dn), nx(x, up)
+        m0, m1 = max(-e0l, e0h), max(-e1l, e1h)
+        el, eh = _iprod(e0l, e0h, e1l, e1h)
+        x = nx(2.0 * p12 * (eh if p12 > 0.0 else el), up)
+        level = nx(nx(nx(p11 * nx(m0 * m0, up), up) + x, up)
+                   + nx(p22 * nx(m1 * m1, up), up), up)
+        w0 = nx(math.sqrt(nx(nx(level * p22, up) / det_p, up)), up)
+        w1 = nx(math.sqrt(nx(nx(level * p11, up) / det_p, up)), up)
+        if not (w0 <= 1.0 and w1 <= 1.0):
+            return False
+        tl, th = nx(c0 - w0, dn), nx(c0 + w0, up)
+        sl, sh = nx(c1 - w1, dn), nx(c1 + w1, up)
+        # phi and the supply nu_b + nu_e psi (nu_e >= 0) over the box
+        fl, fh = nx(nx(1.0 - th, dn) - sh, dn), nx(nx(1.0 - tl, up) - sl, up)
+        ul = nx(nu_b + nx(nu_e * sl, dn), dn)
+        uh = nx(nu_b + nx(nu_e * sh, up), up)
+        # varrho = b + d + lam theta phi + supply phi + r theta, from below
+        x = nx(bd_l + nx(lam * _iprod(tl, th, fl, fh)[0], dn), dn)
+        x = nx(nx(x + _iprod(ul, uh, fl, fh)[0], dn) + nx(r * tl, dn), dn)
+        if not x > 0.0:
+            return False
+        # Dg over the box: lam (1 - 1/rho - 2 theta - psi), -lam theta, and
+        # the branches of min(1, beta psi) that the box reaches, hulled
+        j11l = nx(lam * nx(nx(omr_l - 2.0 * th, dn) - sh, dn), dn)
+        j11h = nx(lam * nx(nx(omr_h - 2.0 * tl, up) - sl, up), up)
+        j12l, j12h = nx(-lam * th, dn), nx(-lam * tl, up)
+        al, ah = nx(bt * sl, dn), nx(bt * sh, up)
+        j21l = j22l = up
+        j21h = j22h = dn
+        if al < 1.0:
+            # a = beta psi: -a s and -a s + phi (beta s + a nu_e) - b
+            xl, xh = _iprod(al, ah, ul, uh)
+            yl, yh = _iprod(fl, fh,
+                            nx(nx(bt * ul, dn) + nx(al * nu_e, dn), dn),
+                            nx(nx(bt * uh, up) + nx(ah * nu_e, up), up))
+            j21l, j21h = -xh, -xl
+            j22l = nx(nx(yl - xh, dn) - b, dn)
+            j22h = nx(nx(yh - xl, up) - b, up)
+        if not ah < 1.0:
+            # a = 1: -s and -s + phi nu_e - b
+            j21l, j21h = min(j21l, -uh), max(j21h, -ul)
+            j22l = min(j22l, nx(nx(nx(fl * nu_e, dn) - uh, dn) - b, dn))
+            j22h = max(j22h, nx(nx(nx(fh * nu_e, up) - ul, up) - b, up))
+        # Q = P A + A^T P: upper ends of the diagonal, both ends of Q_12
+        q11 = 2.0 * nx(nx(p11 * a11, up) + nx(p12 * a21, up), up)
+        q22 = 2.0 * nx(nx(p12 * a12, up) + nx(p22 * a22, up), up)
+        q12l = nx(nx(nx(p11 * a12, dn) + nx(p12 * a22, dn), dn)
+                  + nx(nx(p12 * a11, dn) + nx(p22 * a21, dn), dn), dn)
+        q12h = nx(nx(nx(p11 * a12, up) + nx(p12 * a22, up), up)
+                  + nx(nx(p12 * a11, up) + nx(p22 * a21, up), up), up)
+        # |g(y*)|: lam theta (phi - 1/rho), and phi a s - b psi with
+        # a = min(1, beta psi) monotone
+        fl, fh = nx(nx(1.0 - c0, dn) - c1, dn), nx(nx(1.0 - c0, up) - c1, up)
+        r0 = nx(nx(lam * abs(c0), up) * max(-nx(fl - inv_rho, dn),
+                                             nx(fh - inv_rho, up)), up)
+        xl, xh = _iprod(fl, fh, min(nx(bt * c1, dn), 1.0),
+                        min(nx(bt * c1, up), 1.0))
+        xl, xh = _iprod(xl, xh, nx(nu_b + nx(nu_e * c1, dn), dn),
+                        nx(nu_b + nx(nu_e * c1, up), up))
+        r1 = max(-nx(xl - nx(b * c1, up), dn), nx(xh - nx(b * c1, dn), up))
+        if not (j11l + j11h + j12l + j12h + j21l + j21h + j22l + j22h
+                + q11 + q22 + q12l + q12h + r0 + r1) * 0.0 == 0.0:
+            return False
+        x = 0.0
+        for lo, hi, a in ((j11l, j11h, a11), (j12l, j12h, a12),
+                          (j21l, j21h, a21), (j22l, j22h, a22)):
+            y = nx(max(hi - a, a - lo), up)
+            x = nx(x + nx(y * y, up), up)
+        delta = nx(math.sqrt(x), up)
+        lam_q = nx(max(q11, q22) + max(-q12l, q12h), up)
+        x = nx(abs(p11 - p22) * 0.5, up)
+        norm_p = nx(nx((p11 + p22) * 0.5, up) + nx(math.sqrt(
+            nx(nx(x * x, up) + nx(p12 * p12, up), up)), up), up)
+        margin = -nx(lam_q + 2.0 * nx(norm_p * delta, up), up)
+        res = nx(math.sqrt(nx(nx(r0 * r0, up) + nx(r1 * r1, up), up)), up)
+        return (margin > 0.0
+                and nx(margin * nx(math.sqrt(nx(level / norm_p, dn)), dn),
+                       dn) > nx(2.0 * nx(norm_p * res, up), up))
+
+    return locate, certify
+
+
 def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
                              nu: VaRatePolicy, beta: ResponseParams,
                              horizon: float = 600.0) -> IntegrationResult:
-    """Integrate the mean-field ODE until it settles or the horizon is hit.
+    """Integrate the mean-field ODE until its limit is certified or the
+    horizon is hit.
 
     The stepper is Dormand-Prince 5(4) over Python floats with scipy RK45's
     error norm, controller and first-step rule (_RTOL = 1e-9, _ATOL =
@@ -386,35 +630,61 @@ def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
     one's first. A rejected step is retried with the step scaled by
     0.9 * err^(-1/5), at least 0.2; after an accepted one the next step is
     scaled by the same factor, at most 10 (at most 1 after a rejection).
-    Every accepted step is recorded. Convergence is declared by a
-    certificate, checked once the rhs max-norm is below _CERTIFY_BELOW =
-    1e-6: a fresh central-difference Jacobian J has only eigenvalues with
-    negative real part, and the Newton distance max|J^-1 f| is small. The
-    last stable Jacobian screens each step, and a new one is taken only
-    where it puts the distance below 1e-6.
+    Every accepted step is recorded.
 
-    Where a fresh stable J puts the distance d0 below 1e-6 (the radius
-    gate), the equilibrium is located, and it is polished rather than
-    stepped towards: chord corrections y <- y - J^-1 f(y) with that one
-    inverse, each applied only if it is at most half the one before, at
-    most _CHORD_STEPS. The run converges if the polished point y* lies
-    within 2 d0 of y, the Jacobian at y* is stable and its Newton distance
-    is below _TOL = 1e-8; `limit` is then y*, and the trajectory ends at y.
-    If that fails, no polish is tried again: the run converges at y if d0
-    is below _TOL, and otherwise steps on, screening at _TOL, until a
-    fresh stable Jacobian puts a step's distance below _TOL; that step is
-    then `limit`. A small rhs alone is not trusted: near a slow point it
-    can sit below _TOL far from the equilibrium.
+    Basin certificate. Before the first step, and at each accepted step
+    whose planar drift max(|theta'|, |psi'|) has fallen to _BASIN_RETRY =
+    1/4 of its value at the last failed attempt, Newton on the planar
+    (theta, psi) field locates an equilibrium y*, and `_basin` tries to
+    prove that the ellipsoid of a quadratic Lyapunov function around y*,
+    through the current state, lies in y*'s region of attraction (Khalil,
+    Nonlinear Systems, Sec. 8.2, checked in interval arithmetic). If it
+    does, the run stops there as converged: `limit` is (theta*, psi*,
+    (b - d)/varrho(theta*, psi*)), and `t` and `states` end at the state
+    the proof started from, which may be the start alone and may lie as
+    far from the limit as the ellipsoid reaches.
+
+    Jacobian certificate (where no basin attempt succeeds). It is checked
+    once the rhs max-norm is below _CERTIFY_BELOW = 1e-6: a fresh
+    central-difference Jacobian J has only eigenvalues with negative real
+    part, and the Newton distance max|J^-1 f| is small. The last stable
+    Jacobian screens each step, and a new one is taken only where it puts
+    the distance below 1e-6. Where a fresh stable J puts the distance d0
+    below 1e-6 (the radius gate), the equilibrium is located, and it is
+    polished rather than stepped towards: chord corrections
+    y <- y - J^-1 f(y) with that one inverse, each applied only if it is
+    at most half the one before, at most _CHORD_STEPS. The run converges
+    if the polished point y* lies within 2 d0 of y, the Jacobian at y* is
+    stable and its Newton distance is below _TOL = 1e-8; `limit` is then
+    y*, and the trajectory ends at y. If that fails, no polish is tried
+    again: the run converges at y if d0 is below _TOL, and otherwise steps
+    on, screening at _TOL, until a fresh stable Jacobian puts a step's
+    distance below _TOL; that step is then `limit`. A small rhs alone is
+    not trusted: near a slow point it can sit below _TOL far from the
+    equilibrium.
 
     A horizon overrun reports converged=False instead of raising, and so
-    does a step size that falls below ten units in the last place of t;
-    non-hyperbolic equilibria (e.g. rho = 1) fail the radius gate and the
+    does a step size that falls below ten units in the last place of t; a
+    zero horizon takes no step and makes no basin attempt. Non-hyperbolic
+    equilibria (e.g. rho = 1) fail the basin test, the radius gate and the
     Newton distance, are never certified and run to the horizon. `message`
-    names the rule or the failure ("certificate" on convergence).
-    `rhs_evals` counts every drift evaluation (two to start, six per
-    attempted step, six per Jacobian, one per chord correction) and
-    `jacobians` the Jacobians taken, the one at y* included.
+    names the rule ("basin certificate", or "certificate" for the
+    Jacobian one) or the failure. `rhs_evals` counts every evaluation of
+    the drift (two to start, six per attempted step, six per Jacobian, one
+    per chord correction, one for the eta of a basin-certified limit) and
+    `jacobians` the Jacobians taken, the one at y* included; a basin
+    attempt evaluates the planar polynomial and its analytic Jacobian
+    instead, and is not counted in either.
     """
+    return _integrate(init, disease, nu, beta, horizon, basin=True)
+
+
+def _integrate(init: OdeState, disease: DiseaseParams, nu: VaRatePolicy,
+               beta: ResponseParams, horizon: float,
+               basin: bool) -> IntegrationResult:
+    """The one loop behind integrate_to_equilibrium. With basin=False it
+    makes no basin attempt, so that the path runs on to the horizon or to
+    the Jacobian certificate: `matched_ode` needs the path itself."""
     if not (math.isfinite(horizon) and horizon >= 0.0):
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
     f = _field(disease, nu, beta)
@@ -447,7 +717,26 @@ def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
     sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
     inv = polished = None
     may_polish = True
+    # a basin attempt is made where the planar drift is at most `retry`:
+    # at once, and never without the basin certificate (drift is >= 0)
+    retry, attempts = (inf, 0) if basin else (-1.0, None)
+    if basin:
+        locate, certify = _basin(disease, nu, beta)
     while t < horizon:
+        drift = abs(k0) if abs(k0) > abs(k1) else abs(k1)
+        if drift <= retry and y2 > 0.0:
+            attempts += 1
+            centre = locate(y0, y1)
+            if certify(centre, (y0, y1)):
+                converged = True
+                evals += 1
+                polished = (centre[0], centre[1], (disease.b - disease.d)
+                            / f(centre[0], centre[1], 1.0)[3])
+                msg = (f"converged: basin certificate at t = {t:.6g} "
+                       f"(attempt {attempts}): a Lyapunov ellipsoid through "
+                       "the state lies in the region of attraction")
+                break
+            retry = _BASIN_RETRY * drift
         # retry from (t, y) until a step passes the error test, or the step
         # falls below ten units in the last place of t
         min_step = 10 * (nextafter(t, inf) - t)
@@ -740,10 +1029,14 @@ def matched_ode(chain: JumpTrajectory, disease: DiseaseParams,
     last time. Returns the ODE result and the sup over the chain's record
     times of |theta| and |psi| differences, with the ODE interpolated
     linearly between its steps.
+
+    The comparison needs the ODE's path up to the horizon, so this run makes
+    no basin attempt: its path is integrate_to_equilibrium's stepper,
+    stopped only by the horizon or the Jacobian certificate.
     """
     start = OdeState(chain.theta[0], chain.psi[0], chain.eta[0])
-    ode = integrate_to_equilibrium(start, disease, nu, beta,
-                                   horizon=float(chain.t[-1]) + 1e-9)
+    ode = _integrate(start, disease, nu, beta,
+                     float(chain.t[-1]) + 1e-9, basin=False)
     th = np.interp(chain.t, ode.t, ode.states[:, 0])
     ps = np.interp(chain.t, ode.t, ode.states[:, 1])
     sup = max(float(np.max(np.abs(th - chain.theta))),

@@ -126,6 +126,16 @@ class XiModel:
         _check_law(self.mean_param, self.sigma2, self.p0, self.values,
                    self.probs)
 
+    @classmethod
+    def _checked(cls, mean_param, sigma2, p0, values, probs) -> XiModel:
+        """The model of fields that `_check_law` has already passed, built
+        without checking them again."""
+        model = object.__new__(cls)
+        for name, v in (("mean_param", mean_param), ("sigma2", sigma2),
+                        ("p0", p0), ("values", values), ("probs", probs)):
+            object.__setattr__(model, name, v)
+        return model
+
     @property
     def is_exact(self) -> bool:
         return self.values is not None or self.sigma2 == 0.0
@@ -167,8 +177,9 @@ class XiModel:
 
     def _fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         """Draw xi into the float array out and return it. The zero atom's
-        uniforms come after all normals, so row blocks of one matrix give
-        the values of a single fill only when p0 = 0."""
+        uniforms come after all of out's normals, so filling the row blocks
+        of a matrix one by one gives the values of a single fill of the
+        matrix only when p0 = 0."""
         if self.values is not None:
             out[...] = rng.choice(np.asarray(self.values, float),
                                   size=out.shape,
@@ -201,6 +212,7 @@ class InfluencerGameConfig:
     taken, bool is not); every cost, data parameter and incentive must be
     a finite number (bool is not one). A bad field raises ValueError
     naming it, by this class's field names, when the object is built.
+    The law of xi is checked once, then, and `xi` is that one XiModel.
     """
 
     m: int
@@ -227,6 +239,10 @@ class InfluencerGameConfig:
         _check_law(self.xi_mean, self.xi_sigma2, self.p0, self.xi_values,
                    self.xi_probs,
                    ("xi_mean", "xi_sigma2", "p0", "xi_values", "xi_probs"))
+        # not a field, so equality, hashing, repr and replace ignore it
+        object.__setattr__(self, "_xi", XiModel._checked(
+            self.xi_mean, self.xi_sigma2, self.p0, self.xi_values,
+            self.xi_probs))
         if self.m < 1:
             raise ValueError(f"m must be at least 1 influencer, got {self.m}")
         if self.t_horizon < 2:
@@ -249,8 +265,7 @@ class InfluencerGameConfig:
 
     @property
     def xi(self) -> XiModel:
-        return XiModel(self.xi_mean, self.xi_sigma2, self.p0,
-                       self.xi_values, self.xi_probs)
+        return self._xi
 
     @property
     def e_xi(self) -> float:
@@ -298,9 +313,10 @@ def final_gamma_draws(cfg: InfluencerGameConfig, rng: np.random.Generator,
 
     C_{T-1} = (t c + xi_{t+1} + ... + xi_{T-1}) / (T-1), so each draw sums
     T-1-t fresh data values taken from rng. XiModel draws them in place into
-    one reused block of rows: the block bounds the data matrix's memory and
-    consumes the stream as one (size, T-1-t) draw would. The zero atom's
-    mask follows all normals, so a law with p0 > 0 is one block of all rows.
+    one reused block of DRAW_BLOCK_ROWS rows, which bounds the data matrix's
+    memory for every law. Without an atom at zero the blocks consume the
+    stream as one (size, T-1-t) draw would; with one (p0 > 0), each block's
+    mask is drawn right after that block's normals.
     """
     T = cfg.t_horizon
     c = cfg.c_se_1 if c is None else c
@@ -308,10 +324,9 @@ def final_gamma_draws(cfg: InfluencerGameConfig, rng: np.random.Generator,
     xi = cfg.xi
     sums = np.zeros(size)
     if steps > 0:
-        block = max(size, 1) if xi.p0 > 0.0 else DRAW_BLOCK_ROWS
-        buf = np.empty((min(size, block), steps))
-        for start in range(0, size, block):
-            stop = min(start + block, size)
+        buf = np.empty((min(size, DRAW_BLOCK_ROWS), steps))
+        for start in range(0, size, DRAW_BLOCK_ROWS):
+            stop = min(start + DRAW_BLOCK_ROWS, size)
             xi._fill(rng, buf[:stop - start]).sum(axis=1, out=sums[start:stop])
     c_final = (t * c + sums) / (T - 1)
     return ((T - 1) / T) * c_final + cfg.e_xi / T

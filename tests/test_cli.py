@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shlex
@@ -353,6 +354,53 @@ class TestConfigFiles:
         for sec, keys in CONFIG_SECTIONS.items():
             for key in keys:
                 assert config_flag(key) in flags, (sec, key)
+
+
+# a value each numeric flag's field refuses; a numeric flag missing here
+# fails its case below
+_BAD_VALUES = {
+    "--lambda": "-1", "--r": "-1", "--b": "-1", "--d": "-1", "--nu-b": "-1",
+    "--nu-e": "-1", "--beta": "-1", "--cv1": "-1", "--cv2": "-1",
+    "--cv2-bar": "-1", "--ci-public": "-1", "--s": "-1", "--m": "0",
+    "--t": "1", "--cv": "nan", "--ci": "0", "--cse1": "-1", "--xi-mean": "nan",
+    "--xi-var": "-1", "--p0": "1.5", "--zbar": "0", "--g0": "nan",
+    "--delta": "1.5", "--seed": "-1", "--samples": "0", "--workers": "0",
+    "--n0": "0", "--theta0": "-0.5", "--psi0": "1.5", "--eta0": "-1",
+    "--events": "-1"}
+# required arguments, and sizes that keep a run short should a bad value
+# slip through
+_BASE_ARGS = {
+    "reproduce-fig": ["--id", "4"],
+    "sweep": ["--var", "s", "--grid", "0.1", "--samples", "200"],
+    "optimize-leader": ["--samples", "200"],
+    "solve-influencer-game": ["--samples", "200"],
+    "simulate": ["--events", "1000", "--n0", "1000"]}
+
+
+def _numeric_flags() -> list[tuple[str, str]]:
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    kinds = {(name, opt): a.type for name, p in sub.choices.items()
+             for a in p._actions for opt in a.option_strings}
+    return sorted((name, flag)
+                  for name, flags in subcommand_flags(parser).items()
+                  for flag in flags if kinds[name, flag] in (int, float))
+
+
+@pytest.mark.parametrize("command,flag", _numeric_flags())
+def test_every_numeric_flag_refuses_a_bad_value(capsys, tmp_path, monkeypatch,
+                                                command, flag):
+    # exit 2 with the error first on stderr, no traceback, and no output
+    # file written (default outputs land in the working directory)
+    monkeypatch.chdir(tmp_path)
+    flags = subcommand_flags(build_parser())[command]
+    out = ["--outdir", str(tmp_path / "out")] if "--outdir" in flags else []
+    code, _, err = run_main(capsys, command, *_BASE_ARGS.get(command, []),
+                            *out, flag, _BAD_VALUES[flag])
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
 
 class TestFigures:

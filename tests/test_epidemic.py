@@ -208,7 +208,10 @@ class TestIntegration:
     def test_matches_scipy_rk45(self):
         # scipy's RK45 on the same drift is the reference: same tableau,
         # controller and first step, so over a horizon too short for
-        # the convergence rule the end states agree to rounding
+        # the convergence rule the end states agree to rounding. The
+        # stepper is run through the path route matched_ode takes, which
+        # makes no basin attempt: the basin certificate would stop most
+        # of these runs before t = 2
         rng = np.random.default_rng(202)
         for row in ("non_vaccinating", "eradicating", "co_occurring"):
             for _ in range(10):
@@ -224,8 +227,8 @@ class TestIntegration:
                            t_bound=2.0, rtol=1e-9, atol=1e-12, max_step=1.0)
                 while ref.status == "running":
                     ref.step()
-                out = vg.integrate_to_equilibrium(init, dis, nu, beta,
-                                                  horizon=2.0)
+                out = epidemic._integrate(init, dis, nu, beta, 2.0,
+                                          basin=False)
                 assert not out.converged and out.t[-1] == 2.0
                 assert np.max(np.abs(out.states[-1] - ref.y)) < 1e-8
 
@@ -511,15 +514,27 @@ def _tiny_eta_start(eta):
 # (0.9/0.2)^5, so the retry takes the 0.2 floor of the step factor
 @example(case=_tiny_eta_start(1e-3), horizon=400.0)
 def test_flat_loop_equals_three_function_reference(case, horizon):
+    # the path route (no basin attempt) equals the reference to the bit;
+    # the basin certificate may only cut that path short
     init, dis, nu, beta = case
-    got = vg.integrate_to_equilibrium(init, dis, nu, beta, horizon=horizon)
+    path = epidemic._integrate(init, dis, nu, beta, horizon, basin=False)
     t, states, converged, msg, limit = _reference_polished_integrate(
         init, dis, nu, beta, horizon)
-    assert np.array_equal(got.t, t)
-    assert np.array_equal(got.states, states)
-    assert (got.converged, got.message) == (converged, msg)
-    assert (got.limit.theta, got.limit.psi, got.limit.eta) == (
+    assert np.array_equal(path.t, t)
+    assert np.array_equal(path.states, states)
+    assert (path.converged, path.message) == (converged, msg)
+    assert (path.limit.theta, path.limit.psi, path.limit.eta) == (
         max(limit[0], 0.0), max(limit[1], 0.0), limit[2])
+    got = vg.integrate_to_equilibrium(init, dis, nu, beta, horizon=horizon)
+    n = len(got.t)
+    assert np.array_equal(got.t, t[:n])
+    assert np.array_equal(got.states, states[:n])
+    if "basin certificate" in got.message:
+        assert got.converged and horizon > 0.0
+    else:
+        assert n == len(t)
+        assert (got.converged, got.message) == (converged, msg)
+        assert got.limit == path.limit
 
 
 @settings(max_examples=100, deadline=None)
@@ -549,10 +564,11 @@ def test_polish_stops_on_a_prefix_of_the_old_rule(case, horizon):
 
 def test_tiny_eta_start_is_certified():
     # h0 = 0.01 d0 / d1 underflows to 0 here; the first step is then the
-    # minimum step, and the run still reaches the certificate
+    # minimum step, and the run still reaches a certificate: the basin
+    # one, after 120 steps (the Jacobian one alone takes 1732)
     res = vg.integrate_to_equilibrium(*_tiny_eta_start(1e-300))
-    assert res.converged and "certificate" in res.message
-    assert len(res.t) - 1 == 1732
+    assert res.converged and "basin certificate" in res.message
+    assert len(res.t) - 1 == 120
 
 
 def test_vanishing_eta_start_reports_step_collapse():
@@ -566,7 +582,9 @@ def test_vanishing_eta_start_reports_step_collapse():
 def test_counts_match_a_counting_spy(monkeypatch):
     # one c02 attractor return: every drift evaluation, the chord
     # corrections' included, goes through the spied f, every Jacobian
-    # through the spied _stable_inverse
+    # through the spied _stable_inverse. The basin certificate ends the
+    # public run; the path route, which makes no basin attempt, still
+    # reaches the chord polish
     evals, jacobians = [0], [0]
     field, stable_inverse = epidemic._field, epidemic._stable_inverse
 
@@ -593,8 +611,17 @@ def test_counts_match_a_counting_spy(monkeypatch):
     monkeypatch.setattr(epidemic, "_field", counting(field))
     monkeypatch.setattr(epidemic, "_stable_inverse", counting_inverse)
     res = vg.integrate_to_equilibrium(start, dis, nu, beta, horizon=400.0)
-    assert res.converged and "chord corrections" in res.message
+    assert res.converged and "basin certificate" in res.message
     assert res.rhs_evals == evals[0]
+    assert res.jacobians == jacobians[0]
+    # a basin attempt evaluates no drift, only the planar polynomial; one
+    # drift evaluation gives the certified limit's eta
+    assert res.rhs_evals >= 2 + 6 * (len(res.t) - 1) + 6 * res.jacobians + 1
+    basin_evals = res.rhs_evals
+    evals[0] = jacobians[0] = 0
+    res = epidemic._integrate(start, dis, nu, beta, 400.0, basin=False)
+    assert res.converged and "chord corrections" in res.message
+    assert basin_evals < res.rhs_evals == evals[0]
     assert res.jacobians == jacobians[0] >= 2
     # two to start, six per step tried, six per Jacobian, one per chord
     # correction (at least one)
@@ -625,7 +652,8 @@ def test_polish_landing_far_from_the_last_step_is_refused(monkeypatch):
 
     monkeypatch.setattr(epidemic, "_chord_polish", polish_elsewhere)
     start = vg.OdeState(nv.theta - 0.01, 0.005, nv.eta)
-    res = vg.integrate_to_equilibrium(start, dis, nu, beta)
+    # without a basin attempt, which would certify this return first
+    res = epidemic._integrate(start, dis, nu, beta, 600.0, basin=False)
     t, states, converged, _ = _reference_integrate(start, dis, nu, beta,
                                                    600.0)
     assert converged and res.converged
@@ -634,6 +662,87 @@ def test_polish_landing_far_from_the_last_step_is_refused(monkeypatch):
     assert np.array_equal(res.states, states[:len(res.t)])
     assert np.max(np.abs(res.limit.as_array()
                          - nv.state().as_array())) < 1e-8
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_perturbed_returns())
+@example(case=_tiny_eta_start(1e-300))
+@example(case=_tiny_eta_start(1e-3))
+def test_basin_stop_is_where_the_old_rule_converges(case):
+    # from the state a basin certificate starts at, both oracles converge
+    # to the certified limit: the polishing rule within rounding, and the
+    # rule without the polish within twice _TOL, since it stops once its
+    # Newton distance (the first-order estimate of |y - y*|) is below _TOL
+    init, dis, nu, beta = case
+    got = vg.integrate_to_equilibrium(init, dis, nu, beta, horizon=400.0)
+    if "basin certificate" not in got.message:
+        return
+    assert got.converged
+    lim = got.limit.as_array()
+    start = vg.OdeState(*got.states[-1])
+    _, _, converged, _, limit = _reference_polished_integrate(
+        start, dis, nu, beta, 400.0)
+    assert converged
+    assert np.max(np.abs(np.array(limit) - lim)) < 1e-10
+    _, states, converged, _ = _reference_integrate(start, dis, nu, beta,
+                                                   400.0)
+    assert converged
+    assert np.max(np.abs(states[-1] - lim)) < 2 * epidemic._TOL
+
+
+def test_basin_refuses_an_ellipsoid_reaching_the_other_attractor():
+    # both the non-vaccinating and the eradicating point are stable here;
+    # an ellipsoid around one through the other would hold two equilibria
+    dis = fig5_disease()
+    nu, beta = vg.VaRatePolicy(1.0, 20.0), vg.ResponseParams(2.0)
+    att = vg.candidate_attractors(dis, nu, beta)
+    assert list(att.active()) == ["non_vaccinating", "eradicating"]
+    nv, er = (att.non_vaccinating.theta, att.non_vaccinating.psi), (
+        att.eradicating.theta, att.eradicating.psi)
+    _, certify = epidemic._basin(dis, nu, beta)
+    assert not certify(nv, er)
+    assert not certify(er, nv)
+    # near either point the certificate holds
+    assert certify(nv, (nv[0] - 3e-3, 1.5e-3))
+    assert certify(er, (3e-3, er[1] - 3e-3))
+
+
+def test_basin_refuses_a_box_straddling_the_kink():
+    # beta psi* = 1 + 1e-6: min(1, beta psi) has its kink 8.4e-7 below
+    # psi*, where the psi-row of Dg jumps by phi beta s. A box reaching
+    # past the kink is refused; the same offsets at beta psi* = 2 are not
+    dis, nu = fig5_disease(), vg.VaRatePolicy(8.0, 3.0)
+    psi_e = vg.psi_eradicating(nu, dis.b)
+    offsets = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8)
+    # a point 1e-6 or more below psi* puts the box past the kink; at 1e-8
+    # the box stays above it. Away from the kink only the ellipsoid
+    # through the farthest point is too large
+    for scale, want in ((2.0, [False] + [True] * 5),
+                        (1.0 + 1e-6, [False] * 5 + [True])):
+        beta = vg.ResponseParams(scale / psi_e)
+        er = vg.candidate_attractors(dis, nu, beta).eradicating
+        assert er.active
+        _, certify = epidemic._basin(dis, nu, beta)
+        assert [certify((er.theta, er.psi), (off, er.psi - off))
+                for off in offsets] == want
+    # and the run still reaches the limit of the rule without the basin
+    start = vg.OdeState(0.01, er.psi - 0.01, er.eta)
+    res = vg.integrate_to_equilibrium(start, dis, nu, beta)
+    _, _, converged, _, limit = _reference_polished_integrate(
+        start, dis, nu, beta, 600.0)
+    assert converged and res.converged
+    assert np.max(np.abs(res.limit.as_array() - np.array(limit))) < 1e-10
+
+
+def test_basin_refuses_the_non_hyperbolic_point():
+    # rho = 1 without vaccination: Dg at the origin is singular, and near
+    # it Newton only halves theta; no ellipsoid is certified
+    dis = vg.DiseaseParams(lam=4.0, r=2.0, b=2.0, d=0.5)
+    locate, certify = epidemic._basin(dis, vg.VaRatePolicy(0.0, 0.0),
+                                         vg.ResponseParams(0.0))
+    point = (5e-5, 0.0)
+    assert not certify((0.0, 0.0), point)
+    assert not certify(locate(*point), point)
 
 
 def test_newton_distance_on_linear_fields():
@@ -940,6 +1049,26 @@ class TestJumpProcess:
         assert np.array_equal(sol.t, ref.t)
         assert np.array_equal(sol.states, ref.states)
         assert sup == ref_sup
+
+    def test_matched_ode_keeps_the_path_to_the_horizon(self):
+        # a chain started next to the eradicating attractor: the basin
+        # certificate closes the public run at its start, while matched_ode
+        # follows the ODE to the chain's last time
+        dis = fig5_disease()
+        nu, beta = vg.VaRatePolicy(8.0, 3.0), vg.ResponseParams(2.0)
+        er = vg.candidate_attractors(dis, nu, beta).eradicating
+        n0 = 20_000
+        v0, i0 = int(round(er.psi * n0)), 20
+        traj = vg.simulate_jump_process((n0 - v0 - i0, v0, i0, n0), dis, nu,
+                                        beta, seed=1, n_events=20_000,
+                                        eta0=er.eta, record_every=100)
+        sol, _ = vg.matched_ode(traj, dis, nu, beta)
+        horizon = float(traj.t[-1]) + 1e-9
+        assert sol.t[-1] == horizon and not sol.converged
+        start = vg.OdeState(traj.theta[0], traj.psi[0], traj.eta[0])
+        res = vg.integrate_to_equilibrium(start, dis, nu, beta,
+                                          horizon=horizon)
+        assert list(res.t) == [0.0] and "basin certificate" in res.message
 
     def test_sup_distance_shrinks_like_inverse_root_n0(self):
         # density-dependent limit (Kurtz 1970): the chain's fluctuations

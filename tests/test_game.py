@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -426,9 +427,11 @@ class TestSampling:
            p0=st.floats(0.01, 0.9), t=st.integers(1, 19))
     def test_in_place_fill_equals_sampled_blocks(self, seed, n, family,
                                                  sigma2, xi_mean, p0, t):
-        # every law's in-place block fill against one (n, T-1-t) draw of
-        # the data written out with plain numpy calls: the row blocks must
-        # consume the stream as that single draw does
+        # every law's in-place block fill against the (n, T-1-t) data
+        # written out with plain numpy calls: without an atom at zero the
+        # row blocks consume the stream as one draw of the matrix does;
+        # with one, each block of DRAW_BLOCK_ROWS rows draws its normals
+        # and then its mask
         law = {"normal": dict(xi_sigma2=sigma2),
                "normal_atom": dict(xi_sigma2=sigma2, p0=p0),
                "point": dict(),
@@ -443,18 +446,42 @@ class TestSampling:
         if family == "discrete":
             x = rng.choice(np.array([0.0, 2.0, 7.5]), shape,
                            p=np.array([0.2, 0.5, 0.3]))
-        elif family.startswith("normal"):
-            x = np.maximum(rng.normal(xi_mean, math.sqrt(sigma2), shape), 0)
         else:
-            x = np.full(shape, xi_mean)
-        if family.endswith("atom"):
-            x = np.where(rng.random(shape) < p0, 0, x)
+            blocks = [np.empty((0, shape[1]))]
+            for start in range(0, n, DRAW_BLOCK_ROWS):
+                rows = (min(n - start, DRAW_BLOCK_ROWS), shape[1])
+                if family.startswith("normal"):
+                    x = np.maximum(
+                        rng.normal(xi_mean, math.sqrt(sigma2), rows), 0)
+                else:
+                    x = np.full(rows, xi_mean)
+                if family.endswith("atom"):
+                    x = np.where(rng.random(rows) < p0, 0, x)
+                blocks.append(x)
+            x = np.concatenate(blocks)
         c_final = (t * cfg.c_se_1 + x.sum(axis=1)) / 19
         want = (19 / 20) * c_final + cfg.e_xi / 20
         got_rng = np.random.default_rng(seed)
         got = final_gamma_draws(cfg, got_rng, n, t)
         assert np.array_equal(got, want)
         assert got_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_atom_fill_memory_is_bounded_by_one_block(self):
+        # a law with an atom at zero fills in the same blocks as one
+        # without; its extra peak is one block's uniforms and their mask
+        peaks = []
+        for p0 in (0.0, 0.3):
+            cfg = vg.InfluencerGameConfig(m=40, t_horizon=20, c_v=1.0,
+                                          c_i=5.0, c_se_1=3.0, xi_mean=5.0,
+                                          z_bar=20, xi_sigma2=2.0, p0=p0)
+            tracemalloc.start()
+            try:
+                final_gamma_draws(cfg, np.random.default_rng(1), 100_000)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # float64 uniforms and a bool mask for each of 8192 x 18 entries
+        assert peaks[1] - peaks[0] <= DRAW_BLOCK_ROWS * 18 * (8 + 1)
 
     def test_martingale_of_terminal_estimate(self):
         cfg = fig_cfg(40)
@@ -467,6 +494,26 @@ class TestSampling:
 
 
 class TestXiModel:
+    def test_config_builds_its_law_once(self, monkeypatch):
+        # the law is checked once, when the config is built, and `xi` is
+        # that one XiModel on every access
+        calls = []
+        check = game._check_law
+
+        def counting(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(game, "_check_law", counting)
+        cfg = vg.InfluencerGameConfig(m=40, t_horizon=20, c_v=1.0, c_i=5.0,
+                                      c_se_1=3.0, xi_mean=5.0, z_bar=20,
+                                      xi_sigma2=2.0, p0=0.1)
+        assert cfg.xi is cfg.xi
+        cfg.e_xi
+        assert len(calls) == 1
+        assert cfg.xi == XiModel(5.0, 2.0, 0.1)
+        assert cfg.e_xi == XiModel(5.0, 2.0, 0.1).mean
+
     def test_truncated_mean_formula(self):
         rng = np.random.default_rng(23)
         model = XiModel(mean_param=1.0, sigma2=4.0)
