@@ -85,8 +85,7 @@ class ExpectationSampler:
         return (cfg.c_se_1 + (T - 1) * cfg.e_xi) / T
 
     def _key(self, cfg: InfluencerGameConfig) -> tuple:
-        return (cfg.c_se_1, cfg.t_horizon, cfg.xi_mean, cfg.xi_sigma2,
-                cfg.p0, cfg.xi_values, cfg.xi_probs, self.n_samples, self.seed)
+        return (cfg.c_se_1, cfg.t_horizon, cfg.xi, self.n_samples, self.seed)
 
     def gamma_draws(self, cfg: InfluencerGameConfig) -> np.ndarray:
         """The sorted draws, read-only; the first call for a draw law fills
@@ -167,24 +166,25 @@ class LeaderSolution:
 
 @functools.lru_cache(maxsize=64)
 def _knot_tables(m: int, z_bar: int) -> tuple[np.ndarray, ...]:
-    """(w_k, p_k, f_k, sp_k, sf_k) for z_bar < m: a draw's p and its
+    """(w_k, p_k, f_k, sp_k, sf_k, dw_k) for z_bar < m: a draw's p and its
     F_M(z_bar-1; p) are piecewise linear in w = (C_v + Gamma - g)/C_i, with
     knots at w_k and values p_k and f_k there, and slopes sp_k and sf_k in
-    w on the segment [w_k, w_k+1) (0 where two knots coincide).
+    w on the segment [w_k, w_k+1) of width dw_k (slope 0 where two knots
+    coincide).
 
     p_from_gamma_vec inverts the table of F_{m-1}(z_bar-1; .), whose knots
     w_k = F_{m-1}(z_bar-1; p_k) carry the grid points p_k, and
     binom_cdf_vec_interp reads f_k = F_M(z_bar-1; p_k) on the same grid, so
     composing the two interpolations is linear between the same knots. The
-    first three are arrays of game._cdf_grid's cache; the slopes are
-    computed once per (m, z_bar).
+    first three are arrays of game._cdf_grid's cache; the slopes and widths
+    are computed once per (m, z_bar).
     """
     _, _, w, p = _cdf_grid(m - 1, z_bar - 1)
     f = _cdf_grid(m, z_bar - 1)[2]
     dw = np.diff(w)
     sp, sf = (np.divide(np.diff(v), dw, out=np.zeros_like(dw), where=dw > 0)
               for v in (p, f))
-    return w, p, f, sp, sf
+    return w, p, f, sp, sf, dw
 
 
 def _mixed_run(g: float, gams: np.ndarray,
@@ -224,9 +224,11 @@ def _knot_search(g: float, z_bar: int, cfg: InfluencerGameConfig,
     = 0 and 1 the table of p has segments narrower than the rounding of G_k
     and of the prefix sums, where that rounding times the slope would carry
     a sum far past the segment's values. So off_k is clipped to [0, cnt_k
-    (G_k+1 - G_k)] over the rounded G_k, which keeps every draw's value
-    within its segment's end values, up to the rounding of G_k+1 - G_k
-    against C_i (w_k+1 - w_k). Only the knots a.. from the last one at or
+    C_i dw_k], the segments' true widths, which keeps every draw's value
+    within its segment's end values. The difference of the rounded G_k
+    would not: it can be several times wider (8.9e-16 against 1.1e-16 at
+    C_i = 0.01), far enough for a steep segment of p to read a draw as a
+    negative probability. Only the knots a.. from the last one at or
     below the run's first draw to the first one above its last draw are
     searched; the others bound no draw of the run. head and tail count the
     run's draws below the first searched knot and from the last one on.
@@ -236,7 +238,8 @@ def _knot_search(g: float, z_bar: int, cfg: InfluencerGameConfig,
     lo, hi = _mixed_run(g, gams, cfg)
     if lo == hi:
         return lo, hi, 0, None, None, 0, 0
-    knots = cfg.c_i * _knot_tables(cfg.m, z_bar)[0] - cfg.c_v + g
+    w, _, _, _, _, dw = _knot_tables(cfg.m, z_bar)
+    knots = cfg.c_i * w - cfg.c_v + g
     a = max(int(np.searchsorted(knots, gams[lo], side="right")) - 1, 0)
     b = min(int(np.searchsorted(knots, gams[hi - 1], side="right")),
             len(knots) - 1)
@@ -247,7 +250,7 @@ def _knot_search(g: float, z_bar: int, cfg: InfluencerGameConfig,
     off = at[1:] - at[:-1]
     off -= cnt * (knots[:-1] - center)
     np.maximum(off, 0.0, out=off)
-    np.minimum(off, cnt * (knots[1:] - knots[:-1]), out=off)
+    np.minimum(off, cnt * (cfg.c_i * dw[a:b]), out=off)
     return lo, hi, a, cnt, off, int(pos[0]) - lo, hi - int(pos[-1])
 
 
@@ -315,7 +318,7 @@ def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
         search = _knot_search(g, z_bar, cfg, draws)
         if _searches is not None:
             _searches[g] = search
-        _, _, f, _, sf = _knot_tables(cfg.m, z_bar)
+        _, _, f, _, sf, _ = _knot_tables(cfg.m, z_bar)
         total, slope = _tabled_sum(search, f, sf, cfg.c_i)
         value, slope = (total + (n - search[1])) / n, slope / n
     return (value, slope) if with_slope else value
@@ -337,7 +340,7 @@ def _p_expectation(g: float, z_bar: int, problem: LeaderProblem,
         return int(np.searchsorted(gams, g - cfg.c_v + cfg.c_i)) / n
     if search is None:
         search = _knot_search(g, z_bar, cfg, draws)
-    _, p, _, sp, _ = _knot_tables(cfg.m, z_bar)
+    _, p, _, sp, _, _ = _knot_tables(cfg.m, z_bar)
     return (search[0] + _tabled_sum(search, p, sp, cfg.c_i)[0]) / n
 
 
@@ -384,7 +387,7 @@ def _one_point_root(z_bar: int, problem: LeaderProblem) -> float:
     the fused table (w_k, F_M(z_bar-1; p_k)) at delta. This is the
     perfect-information root at Gamma_med, on the table."""
     cfg = problem.cfg
-    w, _, f, _, _ = _knot_tables(cfg.m, z_bar)
+    w, _, f, _, _, _ = _knot_tables(cfg.m, z_bar)
     center = problem.sampler.sorted_draws(cfg)[2]
     return cfg.c_v + center - cfg.c_i * float(np.interp(problem.delta, f, w))
 

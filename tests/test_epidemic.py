@@ -10,8 +10,7 @@ from scipy.integrate import RK45
 
 import vaxgame as vg
 from vaxgame import epidemic
-from vaxgame.epidemic import (_field, _initial_step, _newton_distance, _rms,
-                              _stable_inverse, total_event_rate)
+from vaxgame.epidemic import _field, _initial_step, _rms, total_event_rate
 
 from test_acceptance import _row_draw
 
@@ -372,16 +371,62 @@ def _reference_accepted_step(f, t, y, k, h_abs, horizon):
     return None
 
 
+# The Jacobian certificate the library stopped at before the basin attempt
+# became its one stop decision, kept as an independent oracle: a run under
+# it ends once a fresh central-difference Jacobian with every eigenvalue in
+# the open left half-plane puts the Newton distance below _TOL.
+_TOL = 1e-8
+_JAC_STEP = float(np.finfo(float).eps) ** (1 / 3)
+
+
+def _stable_inverse(f, y):
+    """Inverse of the central-difference Jacobian J of the drift at y, as
+    three rows, or None unless every eigenvalue of J has a negative real
+    part: the Routh-Hurwitz criterion on the characteristic polynomial
+    l^3 + p2 l^2 + p1 l + p0 (all roots in the open left half-plane iff
+    p2 > 0, p0 > 0 and p2 p1 > p0), and the adjugate over the determinant.
+    """
+    cols = []
+    for j in range(3):
+        up, down = list(y), list(y)
+        up[j] += _JAC_STEP * max(1.0, abs(y[j]))
+        down[j] -= _JAC_STEP * max(1.0, abs(y[j]))
+        fu, fd, w = f(*up), f(*down), up[j] - down[j]
+        cols.append(((fu[0] - fd[0]) / w, (fu[1] - fd[1]) / w,
+                     (fu[2] - fd[2]) / w))
+    (j11, j21, j31), (j12, j22, j32), (j13, j23, j33) = cols
+    c11, c12, c13 = (j22 * j33 - j23 * j32, j23 * j31 - j21 * j33,
+                     j21 * j32 - j22 * j31)
+    det = j11 * c11 + j12 * c12 + j13 * c13
+    p2 = -(j11 + j22 + j33)
+    p1 = (j11 * j22 - j12 * j21) + (j11 * j33 - j13 * j31) + c11
+    if not (p2 > 0.0 and -det > 0.0 and p2 * p1 > -det):
+        return None
+    return ((c11 / det, (j13 * j32 - j12 * j33) / det,
+             (j12 * j23 - j13 * j22) / det),
+            (c12 / det, (j11 * j33 - j13 * j31) / det,
+             (j13 * j21 - j11 * j23) / det),
+            (c13 / det, (j12 * j31 - j11 * j32) / det,
+             (j11 * j22 - j12 * j21) / det))
+
+
+def _newton_distance(inv, fy):
+    """max |J^-1 f(y)| for inv = J^-1: near a hyperbolic stable equilibrium
+    y* the Newton step estimates y - y*, however stiff the other modes."""
+    return max(abs(row[0] * fy[0] + row[1] * fy[1] + row[2] * fy[2])
+               for row in inv)
+
+
 def _reference_integrate(init, disease, nu, beta, horizon):
-    """`integrate_to_equilibrium` as three functions over tuples: the
-    oracle the flat loop must equal to the bit."""
-    E = epidemic
+    """The run under the Jacobian certificate, as three functions over
+    tuples: it steps until a fresh stable Jacobian puts the Newton distance
+    below _TOL (once the rhs is below 1e-6, with the last stable Jacobian
+    screening each step). Returns t, states, converged and the message."""
     f = _reference_field(disease, nu, beta)
     t, y = 0.0, (float(init.theta), float(init.psi), float(init.eta))
     ts, ys = [t], [y]
     converged = False
-    msg = (f"horizon {horizon} exceeded without a certified stable "
-           f"equilibrium within {E._TOL}")
+    msg = f"horizon {horizon} exceeded"
     k = f(*y)[:3]
     h_abs = _initial_step(f, y, k, horizon) if horizon > 0.0 else 0.0
     inv = None
@@ -393,62 +438,30 @@ def _reference_integrate(init, disease, nu, beta, horizon):
         t, y, k, h_abs = step
         ts.append(t)
         ys.append(y)
-        if max(abs(k[0]), abs(k[1]), abs(k[2])) >= E._CERTIFY_BELOW:
+        if max(abs(k[0]), abs(k[1]), abs(k[2])) >= 1e-6:
             inv = None
             continue
-        if inv is None or _newton_distance(inv, k) < E._TOL:
+        if inv is None or _newton_distance(inv, k) < _TOL:
             inv = _stable_inverse(f, y)
             dist = math.inf if inv is None else _newton_distance(inv, k)
-            if dist < E._TOL:
+            if dist < _TOL:
                 converged = True
-                msg = (f"converged: Newton distance {dist:.3g} < {E._TOL} "
-                       "at a stable Jacobian (certificate)")
+                msg = f"converged: Newton distance {dist:.3g} < {_TOL}"
                 break
     return np.array(ts), np.array(ys), converged, msg
 
 
-def _reference_polish(f, y, k, inv):
-    """The chord-Newton polish from a located equilibrium y, over tuples:
-    (y*, Newton distance at y*, corrections) once y* is certified, else
-    None."""
-    def newton_step(m, v):
-        return tuple(row[0] * v[0] + row[1] * v[1] + row[2] * v[2]
-                     for row in m)
-
-    step = newton_step(inv, k)
-    d0 = last = max(abs(v) for v in step)
-    z, n = y, 0
-    while n < epidemic._CHORD_STEPS:
-        z = tuple(a - b for a, b in zip(z, step))
-        n += 1
-        fz = f(*z)[:3]
-        step = newton_step(inv, fz)
-        size = max(abs(v) for v in step)
-        # keep going only while each correction at most halves
-        if not 0.0 < size <= last / 2:
-            break
-        last = size
-    inv_z = _stable_inverse(f, z)
-    if inv_z is None or not max(abs(a - b) for a, b in zip(z, y)) <= 2 * d0:
-        return None
-    dist = _newton_distance(inv_z, fz)
-    return (z, dist, n) if dist < epidemic._TOL else None
-
-
-def _reference_polished_integrate(init, disease, nu, beta, horizon):
-    """`integrate_to_equilibrium` under the polishing stop rule, as three
-    functions over tuples: returns t, states, converged, message and the
-    unclamped limit point."""
-    E = epidemic
+def _reference_path(init, disease, nu, beta, horizon):
+    """The stepper alone, over tuples, to the horizon or a step size
+    collapse: the path `matched_ode` takes. Returns t, states and the
+    message."""
     f = _reference_field(disease, nu, beta)
     t, y = 0.0, (float(init.theta), float(init.psi), float(init.eta))
     ts, ys = [t], [y]
-    converged, limit = False, None
-    msg = (f"horizon {horizon} exceeded without a certified stable "
-           f"equilibrium within {E._TOL}")
+    msg = (f"horizon {horizon} exceeded without a certified or located "
+           "stable equilibrium")
     k = f(*y)[:3]
     h_abs = _initial_step(f, y, k, horizon) if horizon > 0.0 else 0.0
-    inv, polish = None, True
     while t < horizon:
         step = _reference_accepted_step(f, t, y, k, h_abs, horizon)
         if step is None:
@@ -457,32 +470,7 @@ def _reference_polished_integrate(init, disease, nu, beta, horizon):
         t, y, k, h_abs = step
         ts.append(t)
         ys.append(y)
-        if max(abs(k[0]), abs(k[1]), abs(k[2])) >= E._CERTIFY_BELOW:
-            inv = None
-            continue
-        screen = E._CERTIFY_BELOW if polish else E._TOL
-        if inv is not None and _newton_distance(inv, k) >= screen:
-            continue
-        inv = _stable_inverse(f, y)
-        if inv is None:
-            continue
-        dist = _newton_distance(inv, k)
-        if polish and dist < E._CERTIFY_BELOW:
-            polish = False
-            done = _reference_polish(f, y, k, inv)
-            if done is not None:
-                converged, (limit, dist, n) = True, done
-                msg = (f"converged: Newton distance {dist:.3g} < {E._TOL} "
-                       f"after {n} chord corrections at a stable Jacobian "
-                       "(certificate)")
-                break
-        if dist < E._TOL:
-            converged = True
-            msg = (f"converged: Newton distance {dist:.3g} < {E._TOL} "
-                   "at a stable Jacobian (certificate)")
-            break
-    return (np.array(ts), np.array(ys), converged, msg,
-            ys[-1] if limit is None else limit)
+    return np.array(ts), np.array(ys), msg
 
 
 @st.composite
@@ -501,6 +489,25 @@ def _perturbed_returns(draw):
     return vg.OdeState(theta0, psi0, cand.eta), dis, nu, beta
 
 
+@st.composite
+def _kink_returns(draw):
+    """An eradicating return on the kink beta psi* = 1: the fig-5 disease,
+    nu = (8, 3) and beta psi_e - 1 = +-10^U with U in [-13, -2], from a
+    start 1e-2 off (0, psi_e) drawn as c02 draws it."""
+    dis, nu = fig5_disease(), vg.VaRatePolicy(8.0, 3.0)
+    psi_e = vg.psi_eradicating(nu, dis.b)
+    gap = (draw(st.sampled_from((-1.0, 1.0)))
+           * 10.0 ** draw(st.floats(-13.0, -2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vec = rng.normal(size=2)
+    vec *= 1e-2 / np.linalg.norm(vec)
+    theta0 = min(max(vec[0], 1e-4), 0.98)
+    psi0 = min(max(psi_e + vec[1], 1e-4), 0.98 - theta0)
+    eta = (dis.b - dis.d) / total_event_rate(0.0, psi_e, dis, nu)
+    return (vg.OdeState(theta0, psi0, eta), dis, nu,
+            vg.ResponseParams((1.0 + gap) / psi_e))
+
+
 def _tiny_eta_start(eta):
     return (vg.OdeState(0.1, 0.1, eta), fig5_disease(),
             vg.VaRatePolicy(1.0, 1.0), vg.ResponseParams(2.0))
@@ -514,27 +521,27 @@ def _tiny_eta_start(eta):
 # (0.9/0.2)^5, so the retry takes the 0.2 floor of the step factor
 @example(case=_tiny_eta_start(1e-3), horizon=400.0)
 def test_flat_loop_equals_three_function_reference(case, horizon):
-    # the path route (no basin attempt) equals the reference to the bit;
-    # the basin certificate may only cut that path short
+    # the path route (no basin attempt, no stop rule) equals the reference
+    # stepper to the bit, up to the horizon; the public run follows the
+    # same path until a basin attempt stops it, and on these returns only
+    # the certificate does, never the located stop
     init, dis, nu, beta = case
     path = epidemic._integrate(init, dis, nu, beta, horizon, basin=False)
-    t, states, converged, msg, limit = _reference_polished_integrate(
-        init, dis, nu, beta, horizon)
+    t, states, msg = _reference_path(init, dis, nu, beta, horizon)
     assert np.array_equal(path.t, t)
     assert np.array_equal(path.states, states)
-    assert (path.converged, path.message) == (converged, msg)
+    assert (path.converged, path.message) == (False, msg)
     assert (path.limit.theta, path.limit.psi, path.limit.eta) == (
-        max(limit[0], 0.0), max(limit[1], 0.0), limit[2])
+        max(states[-1][0], 0.0), max(states[-1][1], 0.0), states[-1][2])
     got = vg.integrate_to_equilibrium(init, dis, nu, beta, horizon=horizon)
     n = len(got.t)
     assert np.array_equal(got.t, t[:n])
     assert np.array_equal(got.states, states[:n])
-    if "basin certificate" in got.message:
-        assert got.converged and horizon > 0.0
+    if got.converged:
+        assert "basin certificate" in got.message and horizon > 0.0
     else:
         assert n == len(t)
-        assert (got.converged, got.message) == (converged, msg)
-        assert got.limit == path.limit
+        assert got.message == msg and got.limit == path.limit
 
 
 @settings(max_examples=100, deadline=None)
@@ -542,10 +549,10 @@ def test_flat_loop_equals_three_function_reference(case, horizon):
 @example(case=_tiny_eta_start(1e-300), horizon=400.0)
 @example(case=_tiny_eta_start(5e-324), horizon=400.0)
 @example(case=_tiny_eta_start(1e-3), horizon=400.0)
-def test_polish_stops_on_a_prefix_of_the_old_rule(case, horizon):
-    # the old rule, which steps until the flow itself brings the Newton
-    # distance below 1e-8, is _reference_integrate; the polish may only
-    # stop it earlier, and lands on the equilibrium itself
+def test_stop_is_on_a_prefix_of_the_old_rule(case, horizon):
+    # the Jacobian rule, which steps until the flow itself brings the
+    # Newton distance below 1e-8, is _reference_integrate; the basin
+    # attempt may only stop it earlier, and lands on the equilibrium itself
     init, dis, nu, beta = case
     got = vg.integrate_to_equilibrium(init, dis, nu, beta, horizon=horizon)
     t, states, converged, _ = _reference_integrate(init, dis, nu, beta,
@@ -562,10 +569,31 @@ def test_polish_stops_on_a_prefix_of_the_old_rule(case, horizon):
                        dis, nu, beta).active().values()) < 1e-10
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=_kink_returns())
+def test_kink_returns_converge_where_the_old_rule_does(case):
+    # no ellipsoid clears the kink of min(1, beta psi), so many of these
+    # returns end at the located stop. Every one converges, and the
+    # Jacobian rule run from the same start lands within 2e-8 of the limit
+    # (it stops at a Newton distance below 1e-8); above the kink the limit
+    # is the closed-form eradicating point
+    init, dis, nu, beta = case
+    got = vg.integrate_to_equilibrium(init, dis, nu, beta)
+    assert got.converged
+    _, states, converged, _ = _reference_integrate(init, dis, nu, beta,
+                                                   600.0)
+    assert converged
+    lim = got.limit.as_array()
+    assert np.max(np.abs(states[-1] - lim)) < 2e-8
+    psi_e = vg.psi_eradicating(nu, dis.b)
+    if beta.beta * psi_e > 1.0:
+        assert np.max(np.abs(lim - (0.0, psi_e, init.eta))) < 1e-10
+
+
 def test_tiny_eta_start_is_certified():
     # h0 = 0.01 d0 / d1 underflows to 0 here; the first step is then the
-    # minimum step, and the run still reaches a certificate: the basin
-    # one, after 120 steps (the Jacobian one alone takes 1732)
+    # minimum step, and the run still reaches the basin certificate after
+    # 120 steps (the Jacobian rule of _reference_integrate takes 1732)
     res = vg.integrate_to_equilibrium(*_tiny_eta_start(1e-300))
     assert res.converged and "basin certificate" in res.message
     assert len(res.t) - 1 == 120
@@ -580,13 +608,11 @@ def test_vanishing_eta_start_reports_step_collapse():
 
 
 def test_counts_match_a_counting_spy(monkeypatch):
-    # one c02 attractor return: every drift evaluation, the chord
-    # corrections' included, goes through the spied f, every Jacobian
-    # through the spied _stable_inverse. The basin certificate ends the
-    # public run; the path route, which makes no basin attempt, still
-    # reaches the chord polish
-    evals, jacobians = [0], [0]
-    field, stable_inverse = epidemic._field, epidemic._stable_inverse
+    # one c02 attractor return: every drift evaluation goes through the
+    # spied f. The basin certificate ends the public run; the path route,
+    # which has no stop rule, runs on to the horizon
+    evals = [0]
+    field = epidemic._field
 
     def counting(field):
         def counting_field(*params):
@@ -600,68 +626,96 @@ def test_counts_match_a_counting_spy(monkeypatch):
 
         return counting_field
 
-    def counting_inverse(f, y):
-        jacobians[0] += 1
-        return stable_inverse(f, y)
-
     rng = np.random.default_rng(202)
     dis, nu, beta = _row_draw(rng, "eradicating")
     cand = vg.candidate_attractors(dis, nu, beta).eradicating
     start = vg.OdeState(cand.theta + 6e-3, cand.psi - 8e-3, cand.eta)
     monkeypatch.setattr(epidemic, "_field", counting(field))
-    monkeypatch.setattr(epidemic, "_stable_inverse", counting_inverse)
     res = vg.integrate_to_equilibrium(start, dis, nu, beta, horizon=400.0)
     assert res.converged and "basin certificate" in res.message
     assert res.rhs_evals == evals[0]
-    assert res.jacobians == jacobians[0]
-    # a basin attempt evaluates no drift, only the planar polynomial; one
-    # drift evaluation gives the certified limit's eta
-    assert res.rhs_evals >= 2 + 6 * (len(res.t) - 1) + 6 * res.jacobians + 1
+    # two to start, six per step tried and one for the limit's eta; a
+    # basin attempt evaluates no drift, only the planar polynomial
+    assert res.rhs_evals % 6 == 3
+    assert res.rhs_evals >= 3 + 6 * (len(res.t) - 1)
     basin_evals = res.rhs_evals
-    evals[0] = jacobians[0] = 0
+    evals[0] = 0
     res = epidemic._integrate(start, dis, nu, beta, 400.0, basin=False)
-    assert res.converged and "chord corrections" in res.message
+    assert not res.converged and res.t[-1] == 400.0
     assert basin_evals < res.rhs_evals == evals[0]
-    assert res.jacobians == jacobians[0] >= 2
-    # two to start, six per step tried, six per Jacobian, one per chord
-    # correction (at least one)
-    assert res.rhs_evals >= 2 + 6 * (len(res.t) - 1) + 6 * res.jacobians + 1
-    # the old rule, which steps on until the flow brings the Newton
+    assert res.rhs_evals % 6 == 2
+    assert res.rhs_evals >= 2 + 6 * (len(res.t) - 1)
+    # a zero horizon evaluates the drift at the start only
+    evals[0] = 0
+    res = vg.integrate_to_equilibrium(start, dis, nu, beta, horizon=0.0)
+    assert res.rhs_evals == evals[0] == 1
+    # the Jacobian rule, which steps on until the flow brings the Newton
     # distance below 1e-8, spends more on the same return
     evals[0] = 0
     monkeypatch.setattr(sys.modules[__name__], "_reference_field",
                         counting(_reference_field))
     _, _, converged, _ = _reference_integrate(start, dis, nu, beta, 400.0)
-    assert converged and res.rhs_evals < evals[0]
+    assert converged and basin_evals < evals[0]
 
 
-def test_polish_landing_far_from_the_last_step_is_refused(monkeypatch):
-    # non-vaccinating and eradicating points are both stable here; a polish
-    # that lands on the other one is certified there, but lies far outside
-    # 2 d0 of the last step, so the run must go on under the rule without
-    # the polish and settle where the flow goes
+def test_located_stop_refuses_a_far_newton_point(monkeypatch):
+    # non-vaccinating and eradicating points are both stable here. The
+    # located stop takes a state within 1e-6 of a Newton point with a
+    # stable planar Jacobian, and none farther: a run near the
+    # non-vaccinating point whose every attempt locates the eradicating
+    # one is never stopped, and follows the path route to the horizon
     dis = fig5_disease()
     nu, beta = vg.VaRatePolicy(1.0, 20.0), vg.ResponseParams(2.0)
     att = vg.candidate_attractors(dis, nu, beta)
     assert list(att.active()) == ["non_vaccinating", "eradicating"]
     nv, er = att.non_vaccinating, att.eradicating
+    centre = (er.theta, er.psi)
+    basin = epidemic._basin
+    _, _, located = basin(dis, nu, beta)
+    assert located(centre, (er.theta + 9e-7, er.psi - 9e-7))
+    assert not located(centre, (er.theta + 2e-6, er.psi))
+    assert not located(centre, (er.theta, er.psi - 2e-6))
+    assert not located(centre, (nv.theta, nv.psi))
 
-    def polish_elsewhere(f, y, inv, step, d0):
-        z = (er.theta, er.psi, er.eta)
-        return z, f(*z)[:3], 1
+    def locating_elsewhere(*params):
+        _, certify, located = basin(*params)
+        return (lambda theta, psi: centre), certify, located
 
-    monkeypatch.setattr(epidemic, "_chord_polish", polish_elsewhere)
+    monkeypatch.setattr(epidemic, "_basin", locating_elsewhere)
     start = vg.OdeState(nv.theta - 0.01, 0.005, nv.eta)
-    # without a basin attempt, which would certify this return first
-    res = epidemic._integrate(start, dis, nu, beta, 600.0, basin=False)
-    t, states, converged, _ = _reference_integrate(start, dis, nu, beta,
-                                                   600.0)
-    assert converged and res.converged
-    assert "certificate" in res.message and "chord" not in res.message
-    assert np.array_equal(res.t, t[:len(res.t)])
-    assert np.array_equal(res.states, states[:len(res.t)])
+    res = vg.integrate_to_equilibrium(start, dis, nu, beta)
+    path = epidemic._integrate(start, dis, nu, beta, 600.0, basin=False)
+    assert not res.converged and "horizon 600.0 exceeded" in res.message
+    assert np.array_equal(res.t, path.t)
+    assert np.array_equal(res.states, path.states)
+    assert np.max(np.abs(res.states[-1][:2] - (nv.theta, nv.psi))) < 1e-8
+
+
+def test_located_stop_needs_a_stable_point_and_a_small_drift():
+    dis, nu = fig5_disease(), vg.VaRatePolicy(8.0, 3.0)
+    # vaccination invades the non-vaccinating point here, a saddle of the
+    # planar field (det Dg < 0). 1e-7 off it the drift is tiny and Newton
+    # lands on it, but the run must leave it for the eradicating point
+    beta = vg.ResponseParams(2.0)
+    att = vg.candidate_attractors(dis, nu, beta)
+    assert list(att.active()) == ["eradicating"]
+    nv, er = att.non_vaccinating, att.eradicating
+    res = vg.integrate_to_equilibrium(vg.OdeState(nv.theta, 1e-7, nv.eta),
+                                      dis, nu, beta)
+    assert res.converged
     assert np.max(np.abs(res.limit.as_array()
-                         - nv.state().as_array())) < 1e-8
+                         - er.state().as_array())) < 1e-10
+    # on the kink, 5e-7 off the eradicating point with a small eta, the
+    # drift is still 1.9e-5: the located stop waits until it is below 1e-6
+    psi_e = vg.psi_eradicating(nu, dis.b)
+    beta = vg.ResponseParams((1.0 + 1e-9) / psi_e)
+    start = vg.OdeState(5e-7, psi_e - 5e-7, 1e-2)
+    assert max(np.abs(vg.ode_rhs(start, dis, nu, beta)[:2])) > 1e-5
+    res = vg.integrate_to_equilibrium(start, dis, nu, beta)
+    assert res.converged and "located" in res.message and len(res.t) > 1
+    assert max(np.abs(vg.ode_rhs(vg.OdeState(*res.states[-1]), dis, nu,
+                                 beta)[:2])) < 1e-6
+    assert np.max(np.abs(res.limit.as_array()[:2] - (0.0, psi_e))) < 1e-10
 
 
 @settings(max_examples=100, deadline=None)
@@ -669,25 +723,20 @@ def test_polish_landing_far_from_the_last_step_is_refused(monkeypatch):
 @example(case=_tiny_eta_start(1e-300))
 @example(case=_tiny_eta_start(1e-3))
 def test_basin_stop_is_where_the_old_rule_converges(case):
-    # from the state a basin certificate starts at, both oracles converge
-    # to the certified limit: the polishing rule within rounding, and the
-    # rule without the polish within twice _TOL, since it stops once its
-    # Newton distance (the first-order estimate of |y - y*|) is below _TOL
+    # from the state a basin certificate starts at, the Jacobian rule
+    # converges to the certified limit within twice 1e-8, since it stops
+    # once its Newton distance (the first-order estimate of |y - y*|) is
+    # below 1e-8
     init, dis, nu, beta = case
     got = vg.integrate_to_equilibrium(init, dis, nu, beta, horizon=400.0)
     if "basin certificate" not in got.message:
         return
     assert got.converged
-    lim = got.limit.as_array()
     start = vg.OdeState(*got.states[-1])
-    _, _, converged, _, limit = _reference_polished_integrate(
-        start, dis, nu, beta, 400.0)
-    assert converged
-    assert np.max(np.abs(np.array(limit) - lim)) < 1e-10
     _, states, converged, _ = _reference_integrate(start, dis, nu, beta,
                                                    400.0)
     assert converged
-    assert np.max(np.abs(states[-1] - lim)) < 2 * epidemic._TOL
+    assert np.max(np.abs(states[-1] - got.limit.as_array())) < 2 * _TOL
 
 
 def test_basin_refuses_an_ellipsoid_reaching_the_other_attractor():
@@ -699,7 +748,7 @@ def test_basin_refuses_an_ellipsoid_reaching_the_other_attractor():
     assert list(att.active()) == ["non_vaccinating", "eradicating"]
     nv, er = (att.non_vaccinating.theta, att.non_vaccinating.psi), (
         att.eradicating.theta, att.eradicating.psi)
-    _, certify = epidemic._basin(dis, nu, beta)
+    _, certify, _ = epidemic._basin(dis, nu, beta)
     assert not certify(nv, er)
     assert not certify(er, nv)
     # near either point the certificate holds
@@ -722,24 +771,27 @@ def test_basin_refuses_a_box_straddling_the_kink():
         beta = vg.ResponseParams(scale / psi_e)
         er = vg.candidate_attractors(dis, nu, beta).eradicating
         assert er.active
-        _, certify = epidemic._basin(dis, nu, beta)
+        _, certify, _ = epidemic._basin(dis, nu, beta)
         assert [certify((er.theta, er.psi), (off, er.psi - off))
                 for off in offsets] == want
-    # and the run still reaches the limit of the rule without the basin
+    # and the run still reaches the eradicating point, at the located
+    # stop, where the Jacobian rule converges too
     start = vg.OdeState(0.01, er.psi - 0.01, er.eta)
     res = vg.integrate_to_equilibrium(start, dis, nu, beta)
-    _, _, converged, _, limit = _reference_polished_integrate(
-        start, dis, nu, beta, 600.0)
-    assert converged and res.converged
-    assert np.max(np.abs(res.limit.as_array() - np.array(limit))) < 1e-10
+    _, states, converged, _ = _reference_integrate(start, dis, nu, beta,
+                                                   600.0)
+    assert converged and res.converged and "located" in res.message
+    assert np.max(np.abs(res.limit.as_array()
+                         - er.state().as_array())) < 1e-10
+    assert np.max(np.abs(res.limit.as_array() - states[-1])) < 2 * _TOL
 
 
 def test_basin_refuses_the_non_hyperbolic_point():
     # rho = 1 without vaccination: Dg at the origin is singular, and near
     # it Newton only halves theta; no ellipsoid is certified
     dis = vg.DiseaseParams(lam=4.0, r=2.0, b=2.0, d=0.5)
-    locate, certify = epidemic._basin(dis, vg.VaRatePolicy(0.0, 0.0),
-                                         vg.ResponseParams(0.0))
+    locate, certify, _ = epidemic._basin(dis, vg.VaRatePolicy(0.0, 0.0),
+                                            vg.ResponseParams(0.0))
     point = (5e-5, 0.0)
     assert not certify((0.0, 0.0), point)
     assert not certify(locate(*point), point)
@@ -1037,11 +1089,13 @@ class TestJumpProcess:
         sol, sup = vg.matched_ode(traj, dis, nu, beta)
         assert sup < 0.03
 
-        # reference: the ODE started by hand at the chain's clock index
+        # reference: the ODE's path route, started by hand at the chain's
+        # clock index (the public run could stop at a basin attempt before
+        # the chain's last time)
         k0 = max(int(round(n0 / er.eta)) - 1, 0)
         init = vg.OdeState(i0 / n0, v0 / n0, n0 / (1 + k0))
-        ref = vg.integrate_to_equilibrium(init, dis, nu, beta,
-                                          horizon=float(traj.t[-1]) + 1e-9)
+        ref = epidemic._integrate(init, dis, nu, beta,
+                                  float(traj.t[-1]) + 1e-9, basin=False)
         th = np.interp(traj.t, ref.t, ref.states[:, 0])
         ps = np.interp(traj.t, ref.t, ref.states[:, 1])
         ref_sup = max(np.max(np.abs(th - traj.theta)),

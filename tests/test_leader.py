@@ -221,7 +221,7 @@ def _reference_tabled_sum(w, v, sv, g, cfg, draws, lo, hi):
     cnt = np.diff(pos)
     offsets = np.clip(
         sums[pos[1:]] - sums[pos[:-1]] - cnt * (knots[:-1] - center),
-        0.0, cnt * np.diff(knots))
+        0.0, cnt * (cfg.c_i * np.diff(w[a:b + 1])))
     total = float(np.dot(cnt, v[:-1]) + np.dot(sv, offsets) / cfg.c_i)
     return (total + v[0] * (pos[0] - lo) + v[-1] * (hi - pos[-1]),
             -float(np.dot(cnt, sv)) / cfg.c_i)
@@ -234,7 +234,7 @@ def reference_sums(g, z_bar, problem):
     draws = problem.sampler.sorted_draws(cfg)
     n = len(draws[0])
     lo, hi = leader._mixed_run(g, draws[0], cfg)
-    w, p, f, sp, sf = leader._knot_tables(cfg.m, z_bar)
+    w, p, f, sp, sf, _ = leader._knot_tables(cfg.m, z_bar)
     total, slope = _reference_tabled_sum(w, f, sf, g, cfg, draws, lo, hi)
     p_sum = _reference_tabled_sum(w, p, sp, g, cfg, draws, lo, hi)[0]
     return (total + (n - hi)) / n, slope / n, (lo + p_sum) / n
@@ -356,6 +356,11 @@ class TestSlicedConstraint:
              costs=(1.129830488522662, 1.5651566049448058))
     @example(n=76, seed=175, z_bar=1, g_free=0.0, at=0.828125,
              costs=(0.0, 1.0))
+    # a draw at w = 1 up to rounding where C_i = 0.01 makes the difference
+    # of the rounded knots eight times the segment's width: clipped to that
+    # difference, the draw read as p = -0.000996
+    @example(n=128, seed=134, z_bar=7, g_free=0.0, at=0.25,
+             costs=(0.3569537147305233, 0.01))
     def test_tabled_sums_match_per_draw_means(self, n, seed, z_bar, g_free,
                                               at, costs):
         # g = Gamma_k + C_v puts draw k on the clamp w = 0 and g = Gamma_k
@@ -387,7 +392,7 @@ class TestSlicedConstraint:
            costs=st.one_of(st.just((1.0, 5.0)),
                            st.tuples(st.floats(0.0, 10.0),
                                      st.floats(0.01, 20.0))))
-    # segments where the clip to [0, cnt_k (G_k+1 - G_k)] binds, at each end
+    # segments where the clip to [0, cnt_k C_i dw_k] binds, at each end
     @example(n=138, seed=1, z_bar=6, g=0.0, at=0.75,
              costs=(1.129830488522662, 1.5651566049448058))
     @example(n=76, seed=175, z_bar=1, g=0.0, at=0.828125, costs=(0.0, 1.0))
