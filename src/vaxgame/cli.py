@@ -172,7 +172,8 @@ def _sweep_point(cfg: ScenarioConfig, idx: int, value: float) -> ReportRow:
         elif cfg.sweep_var == "delta":
             delta = float(value)
         else:
-            gc = dataclasses.replace(gc, xi_sigma2=float(value))
+            gc = dataclasses.replace(
+                gc, xi=dataclasses.replace(gc.xi, sigma2=float(value)))
         psi_e = epidemic.psi_eradicating(cfg.nu, cfg.disease.b)
     else:
         dis, costs = cfg.disease, cfg.costs
@@ -222,7 +223,7 @@ def run_scenario(cfg: ScenarioConfig) -> Path:
 
 FIG_IDS = (1, 2, 3, 4, 5)
 FIG_GAME = dict(m=40, t_horizon=20, c_v=1.0, c_i=5.0, c_se_1=3.0,
-                xi_mean=5.0, xi_sigma2=2.0)
+                xi=game.XiModel(5.0, 2.0))
 # theta-sweep cost set (infectious-fraction study)
 FIG_THETA_COSTS = dict(c_v1=6.0, c_v2=2.0, c_v2_bar=15.0, c_i=50.0, s=0.5)
 FIG_THETA_DISEASE = dict(r=5.0, b=2.0)
@@ -234,7 +235,7 @@ FIG_S_DISEASE = dict(lam=15.0, r=2.0, b=2.0)
 def _fig_cfg(z_bar: int, sigma2: float | None = None) -> game.InfluencerGameConfig:
     kw = dict(FIG_GAME)
     if sigma2 is not None:
-        kw["xi_sigma2"] = sigma2
+        kw["xi"] = dataclasses.replace(kw["xi"], sigma2=sigma2)
     return game.InfluencerGameConfig(z_bar=z_bar, **kw)
 
 
@@ -450,8 +451,9 @@ def _costs_from(args, m: int) -> PublicCostModel:
 def _game_cfg_from(args, z_bar: int) -> game.InfluencerGameConfig:
     return game.InfluencerGameConfig(
         m=args.m, t_horizon=args.t_horizon, c_v=args.cv, c_i=args.ci,
-        c_se_1=args.cse1, xi_mean=args.xi_mean, xi_sigma2=args.xi_var,
-        p0=args.p0, z_bar=z_bar, g0=args.g0)
+        c_se_1=args.cse1,
+        xi=game.XiModel(args.xi_mean, args.xi_var, args.p0),
+        z_bar=z_bar, g0=args.g0)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +533,7 @@ def cmd_optimize_leader(args) -> int:
         if new:
             w.writerow(["zbar", "delta", "sigma2", "g_star", "U_star", "NP_at_g"])
         w.writerow([_fmt(v) for v in
-                    [zb, args.delta, cfg.xi_sigma2, sol.g_star, sol.u_star,
+                    [zb, args.delta, cfg.xi.sigma2, sol.g_star, sol.u_star,
                      sol.np_at_g]])
     return 0
 

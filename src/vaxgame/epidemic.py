@@ -566,9 +566,10 @@ def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
     Every accepted step is recorded.
 
     The run stops as converged only at a basin attempt. One is made before
-    the first step, and at each accepted step whose planar drift
+    the first step, at each accepted step whose planar drift
     max(|theta'|, |psi'|) has fallen to _BASIN_RETRY = 1/4 of its value at
-    the last failed attempt. Newton on the planar (theta, psi) field
+    the last failed attempt, and a last one at the state that reaches the
+    horizon. Newton on the planar (theta, psi) field
     locates an equilibrium y*, and `_basin` tries to prove that the
     ellipsoid of a quadratic Lyapunov function around y*, through the
     current state, lies in y*'s region of attraction (Khalil, Nonlinear
@@ -583,9 +584,10 @@ def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
     kink. Either way `limit` is (theta*, psi*, (b - d)/varrho(theta*,
     psi*)).
 
-    A horizon overrun reports converged=False instead of raising, and so
-    does a step size that falls below ten units in the last place of t; a
-    zero horizon takes no step and makes no basin attempt. A
+    A run that reaches its horizon without a stop, that last attempt
+    included, reports converged=False instead of raising, and so does a
+    step size that falls below ten units in the last place of t; a zero
+    horizon takes no step and makes no basin attempt. A
     non-hyperbolic equilibrium (e.g. rho = 1) has a singular Dg and is
     never certified; its slow algebraic approach is located only once the
     state is within 1e-6 of the Newton point, so from farther out it runs
@@ -611,7 +613,6 @@ def _integrate(init: OdeState, disease: DiseaseParams, nu: VaRatePolicy,
     y0, y1, y2 = float(init.theta), float(init.psi), float(init.eta)
     t = 0.0
     ts, ys = [t], [(y0, y1, y2)]
-    converged = False
     msg = (f"horizon {horizon} exceeded without a certified or located "
            "stable equilibrium")
     k0, k1, k2, _ = f(y0, y1, y2)
@@ -635,35 +636,33 @@ def _integrate(init: OdeState, disease: DiseaseParams, nu: VaRatePolicy,
     safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
     exponent = _ERROR_EXPONENT
     sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
-    end = None
+    stop = None
     # a basin attempt is made where the planar drift is at most `retry`:
     # at once, and never on the path route (drift is >= 0)
-    retry, attempts = (inf, 0) if basin else (-1.0, None)
+    retry, attempts = (inf if basin else -1.0), 0
     if basin:
         locate, certify, located = _basin(disease, nu, beta)
+
+        def attempt(y0, y1, drift):
+            """The attempt's Newton point and its stop, None if refused."""
+            centre = locate(y0, y1)
+            if certify(centre, (y0, y1)):
+                return centre, ("basin certificate", "a Lyapunov ellipsoid "
+                                "through the state lies in the region of "
+                                "attraction")
+            if drift < _CERTIFY_BELOW and located(centre, (y0, y1)):
+                return centre, ("located", f"theta and psi lie within "
+                                f"{_CERTIFY_BELOW} of a Newton point where "
+                                "Dg is stable")
+            return centre, None
     while t < horizon:
         drift = abs(k0) if abs(k0) > abs(k1) else abs(k1)
         if drift <= retry and y2 > 0.0:
             attempts += 1
-            centre = locate(y0, y1)
-            if certify(centre, (y0, y1)):
-                stop = ("basin certificate", "a Lyapunov ellipsoid through "
-                        "the state lies in the region of attraction")
-            elif drift < _CERTIFY_BELOW and located(centre, (y0, y1)):
-                stop = ("located", f"theta and psi lie within "
-                        f"{_CERTIFY_BELOW} of a Newton point where Dg is "
-                        "stable")
-            else:
-                stop = None
-                retry = _BASIN_RETRY * drift
+            centre, stop = attempt(y0, y1, drift)
             if stop is not None:
-                converged = True
-                evals += 1
-                end = (centre[0], centre[1], (disease.b - disease.d)
-                       / f(centre[0], centre[1], 1.0)[3])
-                msg = (f"converged: {stop[0]} at t = {t:.6g} "
-                       f"(attempt {attempts}): {stop[1]}")
                 break
+            retry = _BASIN_RETRY * drift
         # retry from (t, y) until a step passes the error test, or the step
         # falls below ten units in the last place of t
         min_step = 10 * (nextafter(t, inf) - t)
@@ -738,7 +737,18 @@ def _integrate(init: OdeState, disease: DiseaseParams, nu: VaRatePolicy,
         y0, y1, y2, k0, k1, k2 = n0, n1, n2, l0, l1, l2
         ts.append(t)
         ys.append((y0, y1, y2))
-    yf = ys[-1] if end is None else end
+    else:
+        # a run that reaches its horizon makes one last attempt there
+        if basin and horizon > 0.0 and y2 > 0.0:
+            attempts += 1
+            centre, stop = attempt(y0, y1, max(abs(k0), abs(k1)))
+    converged, yf = stop is not None, ys[-1]
+    if converged:
+        evals += 1
+        yf = (centre[0], centre[1], (disease.b - disease.d)
+              / f(centre[0], centre[1], 1.0)[3])
+        msg = (f"converged: {stop[0]} at t = {t:.6g} "
+               f"(attempt {attempts}): {stop[1]}")
     limit = OdeState(max(yf[0], 0.0), max(yf[1], 0.0), yf[2])
     return IntegrationResult(np.array(ts), np.array(ys), limit, converged,
                              msg, evals)

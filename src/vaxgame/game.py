@@ -66,49 +66,19 @@ def _truncnorm_mean(mu: float, sigma: float) -> float:
     return mu * float(ndtr(a)) + sigma * pdf
 
 
-def _check_law(mean_param, sigma2, p0, values, probs,
-               names=("mean_param", "sigma2", "p0", "values", "probs")):
-    """Raise ValueError unless the fields give a valid XiModel, naming the
-    bad field by `names` (InfluencerGameConfig passes its own)."""
-    n_mean, n_sigma2, n_p0, n_values, n_probs = names
-    for name, v in ((n_mean, mean_param), (n_sigma2, sigma2), (n_p0, p0)):
-        require_finite(name, v)
-    if not 0.0 <= p0 < 1.0:
-        raise ValueError(f"{n_p0} must lie in [0, 1)")
-    if sigma2 < 0.0:
-        raise ValueError(f"{n_sigma2} must be nonnegative")
-    if (values is None) != (probs is None):
-        raise ValueError(f"{n_values} and {n_probs} must be given together")
-    if values is None:
-        return
-    values = finite_tuple(n_values, values)
-    probs = finite_tuple(n_probs, probs)
-    if not 0 < len(values) == len(probs):
-        raise ValueError(f"{n_values} and {n_probs} must be non-empty and of "
-                         "equal length")
-    if any(v < 0 for v in values):
-        raise ValueError(f"{n_values} (the xi support) must be nonnegative")
-    if not all(0.0 <= q <= 1.0 for q in probs):
-        raise ValueError(f"{n_probs} must lie in [0, 1]")
-    if abs(sum(probs) - 1.0) > 1e-12:
-        raise ValueError(f"{n_probs} must sum to 1")
-    if p0 > 0.0:
-        raise ValueError(
-            f"{n_p0} must be 0 when {n_values} are given (list an atom at "
-            f"zero as a support point), got {p0!r}")
-
-
 @dataclass(frozen=True)
 class XiModel:
-    """Distribution of the daily side-effect data xi.
+    """Distribution of the daily side-effect data xi, the one law behind
+    the estimate Gamma_{T-1} of the game and the leader.
 
     Continuous case: a normal draw truncated at zero (negative raw values
     count as zero), optionally mixed with an atom at zero of mass p0.
     Discrete case: explicit support/probability pairs, used by the exact
     dynamic-programming oracle; p0 must then be 0, since an atom at zero is
-    one more support point. mean_param, sigma2, p0 and every value and
-    probability must be finite numbers (bool is not one); a bad field
-    raises ValueError naming it.
+    one more support point. values and probs may be any sequences and are
+    kept as tuples of floats, so that models compare and hash by value.
+    mean_param, sigma2, p0 and every value and probability must be finite
+    numbers (bool is not one); a bad field raises ValueError naming it.
 
     Every law is drawn by one in-place routine, `_fill`: `sample` runs it
     on a new array, `final_gamma_draws` on its reused block of rows.
@@ -123,18 +93,33 @@ class XiModel:
     probs: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        _check_law(self.mean_param, self.sigma2, self.p0, self.values,
-                   self.probs)
-
-    @classmethod
-    def _checked(cls, mean_param, sigma2, p0, values, probs) -> XiModel:
-        """The model of fields that `_check_law` has already passed, built
-        without checking them again."""
-        model = object.__new__(cls)
-        for name, v in (("mean_param", mean_param), ("sigma2", sigma2),
-                        ("p0", p0), ("values", values), ("probs", probs)):
-            object.__setattr__(model, name, v)
-        return model
+        for name in ("mean_param", "sigma2", "p0"):
+            require_finite(name, getattr(self, name))
+        if not 0.0 <= self.p0 < 1.0:
+            raise ValueError("p0 must lie in [0, 1)")
+        if self.sigma2 < 0.0:
+            raise ValueError("sigma2 must be nonnegative")
+        if (self.values is None) != (self.probs is None):
+            raise ValueError("values and probs must be given together")
+        if self.values is None:
+            return
+        values = tuple(map(float, finite_tuple("values", self.values)))
+        probs = tuple(map(float, finite_tuple("probs", self.probs)))
+        if not 0 < len(values) == len(probs):
+            raise ValueError("values and probs must be non-empty and of "
+                             "equal length")
+        if any(v < 0 for v in values):
+            raise ValueError("values (the xi support) must be nonnegative")
+        if not all(0.0 <= q <= 1.0 for q in probs):
+            raise ValueError("probs must lie in [0, 1]")
+        if abs(sum(probs) - 1.0) > 1e-12:
+            raise ValueError("probs must sum to 1")
+        if self.p0 > 0.0:
+            raise ValueError(
+                "p0 must be 0 when values are given (list an atom at zero "
+                f"as a support point), got {self.p0!r}")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "probs", probs)
 
     @property
     def is_exact(self) -> bool:
@@ -148,8 +133,9 @@ class XiModel:
             return len(self.values) == 1
         return self.sigma2 == 0.0 and self.p0 == 0.0
 
-    @property
+    @functools.cached_property
     def mean(self) -> float:
+        """E[xi], computed on first use and then read as an attribute."""
         if self.values is not None:
             return float(sum(v * p for v, p in zip(self.values, self.probs)))
         return (1.0 - self.p0) * _truncnorm_mean(self.mean_param,
@@ -208,11 +194,12 @@ class InfluencerGameConfig:
     Incentives are paid per vaccination: g_z when z influencers were
     vaccinated by the previous day, zero from z_bar on. By default every
     pre-threshold count pays g0 (only g0 matters at the wait-and-watch
-    outcome). m, t_horizon and z_bar must be integers (numpy integers are
-    taken, bool is not); every cost, data parameter and incentive must be
-    a finite number (bool is not one). A bad field raises ValueError
-    naming it, by this class's field names, when the object is built.
-    The law of xi is checked once, then, and `xi` is that one XiModel.
+    outcome). xi is the law of the daily side-effect data, an XiModel
+    that checks its own fields when it is built; the config asks only that
+    its mean be positive. m, t_horizon and z_bar must be integers (numpy
+    integers are taken, bool is not); every cost and incentive must be a
+    finite number (bool is not one). A bad field raises ValueError naming
+    it when the object is built.
     """
 
     m: int
@@ -220,14 +207,10 @@ class InfluencerGameConfig:
     c_v: float
     c_i: float
     c_se_1: float
-    xi_mean: float
+    xi: XiModel
     z_bar: int
-    xi_sigma2: float = 0.0
-    p0: float = 0.0
     g0: float = 0.0
     incentives: tuple[float, ...] | None = None
-    xi_values: tuple[float, ...] | None = None
-    xi_probs: tuple[float, ...] | None = None
 
     def __post_init__(self):
         for name in ("m", "t_horizon", "z_bar"):
@@ -236,13 +219,8 @@ class InfluencerGameConfig:
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         for name in ("c_v", "c_i", "c_se_1", "g0"):
             require_finite(name, getattr(self, name))
-        _check_law(self.xi_mean, self.xi_sigma2, self.p0, self.xi_values,
-                   self.xi_probs,
-                   ("xi_mean", "xi_sigma2", "p0", "xi_values", "xi_probs"))
-        # not a field, so equality, hashing, repr and replace ignore it
-        object.__setattr__(self, "_xi", XiModel._checked(
-            self.xi_mean, self.xi_sigma2, self.p0, self.xi_values,
-            self.xi_probs))
+        if not isinstance(self.xi, XiModel):
+            raise ValueError(f"xi must be an XiModel, got {self.xi!r}")
         if self.m < 1:
             raise ValueError(f"m must be at least 1 influencer, got {self.m}")
         if self.t_horizon < 2:
@@ -261,11 +239,8 @@ class InfluencerGameConfig:
                 raise ValueError("incentives must list g_0..g_{z_bar-1}")
             object.__setattr__(self, "incentives", inc)
         if self.xi.mean <= 0.0:
-            raise ValueError("side-effect data must have positive mean")
-
-    @property
-    def xi(self) -> XiModel:
-        return self._xi
+            raise ValueError(
+                f"xi must have a positive mean, got {self.xi.mean!r}")
 
     @property
     def e_xi(self) -> float:
@@ -632,9 +607,8 @@ class SpecialStrategy:
     def __init__(self, cfg: InfluencerGameConfig, selector=WAIT_AND_WATCH):
         self.cfg = cfg
         self.selector = selector
-        self._xi = cfg.xi
-        self._xi_nodes = self._xi.nodes()
-        if not self._xi.is_exact and cfg.t_horizon > 8 and selector != WAIT_AND_WATCH:
+        self._xi_nodes = cfg.xi.nodes()
+        if not cfg.xi.is_exact and cfg.t_horizon > 8 and selector != WAIT_AND_WATCH:
             raise ValueError(
                 "exact backward recursion over a continuous side-effect "
                 "model is only supported for short horizons")
@@ -717,7 +691,7 @@ class SpecialStrategy:
         if z >= cfg.z_bar:
             return 0.0
         T = cfg.t_horizon
-        if self._xi.is_point:
+        if cfg.xi.is_point:
             cf = (t * c + (T - 1 - t) * self._xi_nodes[0][0]) / (T - 1)
             return min(cfg.c_v + gamma(T - 1, cf, cfg) - cfg.g(z), cfg.c_i)
         gm = final_gamma_draws(cfg, np.random.default_rng(XI_SEED + 7), 4096,
@@ -798,7 +772,8 @@ def verify_symmetric_ne(strategy, cfg: InfluencerGameConfig,
     """
     if not cfg.xi.is_exact:
         raise ValueError("exact verification needs a finite xi distribution "
-                         "(set xi_sigma2=0 or give xi_values/xi_probs)")
+                         "(an XiModel with sigma2=0, or with values and "
+                         "probs)")
     xi_v, xi_w = cfg.xi.nodes()
     nodes = _cost_nodes(cfg)
     T, M = cfg.t_horizon, cfg.m

@@ -18,7 +18,7 @@ FIG_DISEASE = dict(lam=15.0, r=2.0, b=2.0, d=0.5)
 
 def fig_cfg(z_bar, sigma2=2.0, **kw):
     base = dict(m=40, t_horizon=20, c_v=1.0, c_i=5.0, c_se_1=3.0,
-                xi_mean=5.0, xi_sigma2=sigma2, z_bar=z_bar)
+                xi=vg.XiModel(5.0, sigma2), z_bar=z_bar)
     base.update(kw)
     return vg.InfluencerGameConfig(**base)
 
@@ -54,7 +54,7 @@ def test_c01_perfect_info_closed_form_equivalence():
             gam = float(rng.uniform(1.0, 6.0))
             c_i = float(rng.uniform(0.5, c_v + gam - 1e-3))
             cfg = vg.InfluencerGameConfig(m=m, t_horizon=20, c_v=c_v, c_i=c_i,
-                                          c_se_1=gam, xi_mean=gam, z_bar=1)
+                                          c_se_1=gam, xi=vg.XiModel(gam), z_bar=1)
             smp = vg.ExpectationSampler(mode=PERFECT_INFO)
             gexact = smp.c_infinity(cfg)
             prob = vg.LeaderProblem(delta, cfg, smp)
@@ -187,7 +187,7 @@ def _ne_instances():
     regimes: forced vaccination, forced waiting, interior mixing, the
     above-threshold freeze, and the all-or-nothing branch with its tie."""
     mk = lambda **kw: vg.InfluencerGameConfig(
-        m=3, t_horizon=3, c_se_1=2.0, xi_mean=2.0, **kw)
+        m=3, t_horizon=3, c_se_1=2.0, xi=vg.XiModel(2.0), **kw)
     return [
         ("zb2 forced vaccinate", mk(c_v=1.0, c_i=5.0, z_bar=2, g0=10.0), 0.0),
         ("zb2 forced wait", mk(c_v=1.0, c_i=2.5, z_bar=2, g0=0.0), 1.0),

@@ -229,6 +229,27 @@ class TestSweep:
         # report: value, g*, U*, ...; leader CSV: zbar, delta, sigma2, g*, U*
         assert sweep.split(",")[1:3] == mc.split(",")[3:5]
 
+    def test_sweep_points_keep_the_rest_of_the_law(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # a sigma2 point replaces only the law's variance, and a point that
+        # picks its own threshold (an s sweep) keeps the whole law
+        seen = []
+        solve = vg.leader.solve_optimal_incentive
+
+        def spy(z_bar, prob):
+            seen.append(prob.cfg.xi)
+            return solve(z_bar, prob)
+
+        monkeypatch.setattr(vg.leader, "solve_optimal_incentive", spy)
+        law = ["--xi-mean", "4", "--xi-var", "3", "--p0", "0.2",
+               "--samples", "500", "--workers", "1", "--zbar", "20"]
+        for var, grid in (("sigma2", "0.5,2"), ("s", "0.05")):
+            code, _, _ = run_main(capsys, "sweep", "--var", var, "--grid",
+                                  grid, *law, "--outdir", str(tmp_path / var))
+            assert code == 0
+        assert seen == [vg.XiModel(4.0, 0.5, 0.2), vg.XiModel(4.0, 2.0, 0.2),
+                        vg.XiModel(4.0, 3.0, 0.2)]
+
     def test_empty_grid_is_config_error(self, capsys):
         code, _, err = run_main(capsys, "sweep", "--var", "delta",
                                 "--grid", ",", "--zbar", "40")

@@ -658,6 +658,30 @@ def test_counts_match_a_counting_spy(monkeypatch):
     assert converged and basin_evals < evals[0]
 
 
+def test_run_reaching_its_horizon_makes_a_last_attempt():
+    # a return to the eradicating point whose horizon falls inside the
+    # basin, between two attempts: the last attempt, at the state that
+    # reaches the horizon, certifies it. t and states are the path's to the
+    # horizon, and the path route (no basin attempt) stays unconverged
+    dis = vg.DiseaseParams(lam=25.97932575697618, r=3.945681374415519,
+                           b=2.445955352651623, d=1.1777617710381947)
+    nu = vg.VaRatePolicy(0.9089533513991312, 11.170952948491646)
+    beta = vg.ResponseParams(1.6485361456948795)
+    start = vg.OdeState(0.007782852357617384, 0.8075082421514962,
+                        0.2271328647251354)
+    horizon = 1.2306743263045068
+    res = vg.integrate_to_equilibrium(start, dis, nu, beta, horizon=horizon)
+    path = epidemic._integrate(start, dis, nu, beta, horizon, basin=False)
+    assert not path.converged and len(path.t) == 40
+    assert res.converged
+    assert res.message.startswith(
+        "converged: basin certificate at t = 1.23067 (attempt 4)")
+    assert np.array_equal(res.t, path.t)
+    assert np.array_equal(res.states, path.states)
+    er = vg.candidate_attractors(dis, nu, beta).eradicating
+    assert np.max(np.abs(res.limit.as_array() - er.state().as_array())) < 1e-10
+
+
 def test_located_stop_refuses_a_far_newton_point(monkeypatch):
     # non-vaccinating and eradicating points are both stable here. The
     # located stop takes a state within 1e-6 of a Newton point with a

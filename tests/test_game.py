@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -19,12 +20,13 @@ from vaxgame.game import (DRAW_BLOCK_ROWS, EAGER, WAIT_AND_WATCH,
 def perfect_cfg(m=3, t=3, c_v=1.0, c_i=5.0, c=2.0, z_bar=2, g0=0.0):
     """Known side-effect cost from day one: every estimate equals c."""
     return vg.InfluencerGameConfig(m=m, t_horizon=t, c_v=c_v, c_i=c_i,
-                                   c_se_1=c, xi_mean=c, z_bar=z_bar, g0=g0)
+                                   c_se_1=c, xi=XiModel(c), z_bar=z_bar,
+                                   g0=g0)
 
 
 def fig_cfg(z_bar, g0=0.0):
     return vg.InfluencerGameConfig(m=40, t_horizon=20, c_v=1.0, c_i=5.0,
-                                   c_se_1=3.0, xi_mean=5.0, xi_sigma2=2.0,
+                                   c_se_1=3.0, xi=XiModel(5.0, 2.0),
                                    z_bar=z_bar, g0=g0)
 
 
@@ -35,7 +37,7 @@ class TestGamma:
 
     def test_linear_blend(self):
         cfg = vg.InfluencerGameConfig(m=40, t_horizon=20, c_v=1.0, c_i=5.0,
-                                      c_se_1=3.0, xi_mean=5.0, z_bar=40)
+                                      c_se_1=3.0, xi=XiModel(5.0), z_bar=40)
         assert vg.gamma(19, 3.0, cfg) == pytest.approx(3.1)
 
     def test_tower_property_by_sampling(self):
@@ -258,9 +260,9 @@ class TestSpecialStrategy:
         # discrete data spreads the final estimate; early vaccination at an
         # indifferent stage forfeits the option value of the cap at C_i
         cfg = vg.InfluencerGameConfig(m=3, t_horizon=3, c_v=1.0, c_i=1.0,
-                                      c_se_1=5.0, xi_mean=5.0, z_bar=2,
-                                      g0=6.0, xi_values=(0.0, 10.0),
-                                      xi_probs=(0.5, 0.5))
+                                      c_se_1=5.0, z_bar=2, g0=6.0,
+                                      xi=XiModel(5.0, values=(0.0, 10.0),
+                                                 probs=(0.5, 0.5)))
         waw = vg.build_special_strategy(cfg, WAIT_AND_WATCH)
         v_w = waw.value(1, 0, cfg.c_se_1)
 
@@ -379,7 +381,7 @@ class TestSampling:
 
     def test_degenerate_data_gives_deterministic_path(self):
         cfg = vg.InfluencerGameConfig(m=5, t_horizon=6, c_v=1.0, c_i=5.0,
-                                      c_se_1=3.0, xi_mean=2.0, z_bar=3)
+                                      c_se_1=3.0, xi=XiModel(2.0), z_bar=3)
         path = vg.sample_cost_path(cfg, seed=0)
         for t in range(1, 6):
             assert path.c[t - 1] == pytest.approx((3.0 + (t - 1) * 2.0) / t)
@@ -432,15 +434,15 @@ class TestSampling:
         # row blocks consume the stream as one draw of the matrix does;
         # with one, each block of DRAW_BLOCK_ROWS rows draws its normals
         # and then its mask
-        law = {"normal": dict(xi_sigma2=sigma2),
-               "normal_atom": dict(xi_sigma2=sigma2, p0=p0),
+        law = {"normal": dict(sigma2=sigma2),
+               "normal_atom": dict(sigma2=sigma2, p0=p0),
                "point": dict(),
                "point_atom": dict(p0=p0),
-               "discrete": dict(xi_values=(0.0, 2.0, 7.5),
-                                xi_probs=(0.2, 0.5, 0.3))}[family]
+               "discrete": dict(values=(0.0, 2.0, 7.5),
+                                probs=(0.2, 0.5, 0.3))}[family]
         cfg = vg.InfluencerGameConfig(m=40, t_horizon=20, c_v=1.0, c_i=5.0,
-                                      c_se_1=3.0, xi_mean=xi_mean, z_bar=20,
-                                      **law)
+                                      c_se_1=3.0, xi=XiModel(xi_mean, **law),
+                                      z_bar=20)
         rng = np.random.default_rng(seed)
         shape = (n, 19 - t)
         if family == "discrete":
@@ -472,8 +474,8 @@ class TestSampling:
         peaks = []
         for p0 in (0.0, 0.3):
             cfg = vg.InfluencerGameConfig(m=40, t_horizon=20, c_v=1.0,
-                                          c_i=5.0, c_se_1=3.0, xi_mean=5.0,
-                                          z_bar=20, xi_sigma2=2.0, p0=p0)
+                                          c_i=5.0, c_se_1=3.0,
+                                          xi=XiModel(5.0, 2.0, p0), z_bar=20)
             tracemalloc.start()
             try:
                 final_gamma_draws(cfg, np.random.default_rng(1), 100_000)
@@ -494,25 +496,40 @@ class TestSampling:
 
 
 class TestXiModel:
-    def test_config_builds_its_law_once(self, monkeypatch):
-        # the law is checked once, when the config is built, and `xi` is
-        # that one XiModel on every access
-        calls = []
-        check = game._check_law
-
-        def counting(*args):
-            calls.append(args)
-            return check(*args)
-
-        monkeypatch.setattr(game, "_check_law", counting)
+    def test_config_builds_its_law_once(self):
+        # the config holds the one XiModel it was given, checked when the
+        # model was built; replacing another field keeps that model, and
+        # a replaced law is checked as it is built
+        xi = XiModel(5.0, 2.0, 0.1)
         cfg = vg.InfluencerGameConfig(m=40, t_horizon=20, c_v=1.0, c_i=5.0,
-                                      c_se_1=3.0, xi_mean=5.0, z_bar=20,
-                                      xi_sigma2=2.0, p0=0.1)
-        assert cfg.xi is cfg.xi
-        cfg.e_xi
-        assert len(calls) == 1
-        assert cfg.xi == XiModel(5.0, 2.0, 0.1)
-        assert cfg.e_xi == XiModel(5.0, 2.0, 0.1).mean
+                                      c_se_1=3.0, xi=xi, z_bar=20)
+        assert cfg.xi is xi
+        assert cfg.e_xi == xi.mean
+        assert dataclasses.replace(cfg, z_bar=3).xi is xi
+        with pytest.raises(ValueError, match="^sigma2 must be"):
+            dataclasses.replace(cfg, xi=dataclasses.replace(xi, sigma2=-1.0))
+
+    @pytest.mark.parametrize("seq", [list, np.array], ids=["list", "array"])
+    def test_discrete_law_from_any_sequence(self, seq):
+        # values and probs are kept as tuples of floats: a law given as a
+        # list or an array equals and hashes as the tuple law (the
+        # sampler's draw cache keys on it), draws the same values and
+        # gives the same Monte Carlo solve
+        law = XiModel(0.0, values=seq([1.0, 3.0]), probs=seq([0.5, 0.5]))
+        tup = XiModel(0.0, values=(1.0, 3.0), probs=(0.5, 0.5))
+        assert law == tup and hash(law) == hash(tup)
+        assert np.array_equal(law.sample(np.random.default_rng(3), 500),
+                              tup.sample(np.random.default_rng(3), 500))
+        sols = []
+        for xi in (law, tup):
+            cfg = vg.InfluencerGameConfig(m=40, t_horizon=20, c_v=1.0,
+                                          c_i=5.0, c_se_1=3.0, xi=xi,
+                                          z_bar=20)
+            smp = vg.ExpectationSampler(n_samples=2_000, seed=1)
+            sol = vg.solve_optimal_incentive(
+                20, vg.LeaderProblem(0.05, cfg, smp))
+            sols.append((sol.g_star, sol.u_star, sol.np_at_g))
+        assert sols[0] == sols[1]
 
     def test_truncated_mean_formula(self):
         rng = np.random.default_rng(23)
@@ -542,17 +559,17 @@ def test_agent_state_validation():
 
 
 def test_config_requires_positive_data_mean():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^xi must have a positive mean"):
         vg.InfluencerGameConfig(m=3, t_horizon=3, c_v=1.0, c_i=5.0,
-                                c_se_1=2.0, xi_mean=0.0, z_bar=2)
+                                c_se_1=2.0, xi=XiModel(0.0), z_bar=2)
 
 
 @pytest.mark.parametrize("bad", [dict(c_v=math.nan), dict(c_v=math.inf),
                                  dict(c_i=math.nan), dict(c_i=-math.inf),
                                  dict(c_i=0.0), dict(c_i=-1.0)])
 def test_config_rejects_bad_costs(bad):
-    kw = dict(m=3, t_horizon=3, c_v=1.0, c_i=5.0, c_se_1=2.0, xi_mean=2.0,
-              z_bar=2)
+    kw = dict(m=3, t_horizon=3, c_v=1.0, c_i=5.0, c_se_1=2.0,
+              xi=XiModel(2.0), z_bar=2)
     with pytest.raises(ValueError):
         vg.InfluencerGameConfig(**{**kw, **bad})
 
@@ -560,21 +577,21 @@ def test_config_rejects_bad_costs(bad):
 @pytest.mark.parametrize("field,value", [
     ("m", 2.5), ("m", True), ("t_horizon", 20.5), ("t_horizon", True),
     ("z_bar", 1.5), ("z_bar", True), ("c_se_1", math.nan),
-    ("c_se_1", math.inf), ("xi_mean", math.inf), ("xi_mean", math.nan),
-    ("xi_sigma2", math.inf), ("g0", math.nan), ("g0", -math.inf),
+    ("c_se_1", math.inf), ("xi", 2.0), ("xi", None), ("xi", True),
+    ("g0", math.nan), ("g0", -math.inf),
     ("incentives", (1.0, math.nan)), ("incentives", (math.inf, 0.0)),
 ])
 def test_config_rejects_bad_field(field, value):
-    kw = dict(m=3, t_horizon=3, c_v=1.0, c_i=5.0, c_se_1=2.0, xi_mean=2.0,
-              z_bar=2)
+    kw = dict(m=3, t_horizon=3, c_v=1.0, c_i=5.0, c_se_1=2.0,
+              xi=XiModel(2.0), z_bar=2)
     with pytest.raises(ValueError, match=f"^{field} must be"):
         vg.InfluencerGameConfig(**{**kw, field: value})
 
 
 def test_config_takes_numpy_integers():
     cfg = vg.InfluencerGameConfig(m=np.int64(3), t_horizon=np.int32(3),
-                                  c_v=1.0, c_i=5.0, c_se_1=2.0, xi_mean=2.0,
-                                  z_bar=np.int64(2))
+                                  c_v=1.0, c_i=5.0, c_se_1=2.0,
+                                  xi=XiModel(2.0), z_bar=np.int64(2))
     assert (cfg.m, cfg.t_horizon, cfg.z_bar) == (3, 3, 2)
 
 
@@ -620,9 +637,9 @@ def test_point_mass_rule(kw, point):
 @pytest.mark.parametrize("build", [
     lambda: XiModel(2.0, values=(3.0,), probs=(1.0,), p0=0.3),
     lambda: vg.InfluencerGameConfig(m=40, t_horizon=20, c_v=1.0, c_i=5.0,
-                                    c_se_1=3.0, xi_mean=5.0, z_bar=20,
-                                    xi_values=(0.0, 4.0),
-                                    xi_probs=(0.5, 0.5), p0=0.9)],
+                                    c_se_1=3.0, z_bar=20,
+                                    xi=XiModel(5.0, values=(0.0, 4.0),
+                                               probs=(0.5, 0.5), p0=0.9))],
     ids=["point", "config"])
 def test_zero_atom_with_support_rejected(build):
     # a discrete law draws from its support alone, so an atom p0 beside it
@@ -644,9 +661,10 @@ def test_binomial_pmf_is_scipy_stats_pmf():
 
 def test_config_incentive_override():
     cfg = vg.InfluencerGameConfig(m=3, t_horizon=3, c_v=1.0, c_i=5.0,
-                                  c_se_1=2.0, xi_mean=2.0, z_bar=2,
+                                  c_se_1=2.0, xi=XiModel(2.0), z_bar=2,
                                   incentives=(1.5, 0.5))
     assert cfg.g(0) == 1.5 and cfg.g(1) == 0.5 and cfg.g(2) == 0.0
     plain = vg.InfluencerGameConfig(m=3, t_horizon=3, c_v=1.0, c_i=5.0,
-                                    c_se_1=2.0, xi_mean=2.0, z_bar=2, g0=1.0)
+                                    c_se_1=2.0, xi=XiModel(2.0), z_bar=2,
+                                    g0=1.0)
     assert plain.g(0) == plain.g(1) == 1.0 and plain.g(2) == 0.0

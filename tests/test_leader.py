@@ -19,9 +19,9 @@ from vaxgame.leader import (MONTE_CARLO, PERFECT_INFO, JointDesignError,
                             g_floor, l_values)
 
 
-def game_cfg(z_bar, sigma2=2.0, **kw):
+def game_cfg(z_bar, sigma2=2.0, xi_mean=5.0, **kw):
     base = dict(m=40, t_horizon=20, c_v=1.0, c_i=5.0, c_se_1=3.0,
-                xi_mean=5.0, xi_sigma2=sigma2, z_bar=z_bar)
+                xi=vg.XiModel(xi_mean, sigma2), z_bar=z_bar)
     base.update(kw)
     return vg.InfluencerGameConfig(**base)
 

@@ -23,7 +23,7 @@ def test_design_price_sample_and_eradicate():
     # leader layer: price the incentive for that threshold
     delta = 0.05
     cfg = vg.InfluencerGameConfig(m=40, t_horizon=20, c_v=1.0, c_i=5.0,
-                                  c_se_1=3.0, xi_mean=5.0, xi_sigma2=2.0,
+                                  c_se_1=3.0, xi=vg.XiModel(5.0, 2.0),
                                   z_bar=z_bar)
     smp = vg.ExpectationSampler(n_samples=50_000, seed=41)
     sol = vg.solve_optimal_incentive(z_bar, vg.LeaderProblem(delta, cfg, smp))
