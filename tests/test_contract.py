@@ -28,10 +28,19 @@ def _leader(**kw):
     return vg.LeaderProblem(**dict(base, **kw))
 
 
+def _game_law(**law):
+    # the game built around an XiModel of these law fields, so that the law
+    # the game carries is held to the XiModel contract, for each shape of law
+    return vg.InfluencerGameConfig(**dict(_GAME, xi=vg.XiModel(**law)))
+
+
+_NORMAL = dict(mean_param=5.0, sigma2=2.0)
+_DISCRETE = dict(mean_param=0.0, values=(1.0, 3.0), probs=(0.5, 0.5))
+
 # (constructor, valid keywords, field, bad values); a tuple-valued field
 # gets each bad value as its last entry, and for mode, cfg and sampler
 # every number is of the wrong type; xi, the game's law, is one XiModel,
-# whose own fields have rows of their own
+# whose own fields have rows of their own, bare and inside the game
 _TABLE = [
     *[(vg.DiseaseParams, dict(lam=15.0, r=2.0, b=2.0, d=0.5), name,
        NONNEG + (0.0,)) for name in ("lam", "r", "b")],
@@ -47,13 +56,17 @@ _TABLE = [
     *[(vg.OdeState, dict(theta=0.1, psi=0.2, eta=0.3), name, FRACTION)
       for name in ("theta", "psi")],
     (vg.OdeState, dict(theta=0.1, psi=0.2, eta=0.3), "eta", NONNEG),
-    (vg.XiModel, dict(mean_param=5.0, sigma2=2.0), "mean_param", REAL),
-    (vg.XiModel, dict(mean_param=5.0, sigma2=2.0), "sigma2", NONNEG),
-    (vg.XiModel, dict(mean_param=5.0, sigma2=2.0), "p0", FRACTION),
-    (vg.XiModel, dict(mean_param=0.0, values=(1.0, 3.0), probs=(0.5, 0.5)),
-     "values", NONNEG),
-    (vg.XiModel, dict(mean_param=0.0, values=(1.0, 3.0), probs=(0.5, 0.5)),
-     "probs", FRACTION),
+    (vg.XiModel, _NORMAL, "mean_param", REAL),
+    (vg.XiModel, _NORMAL, "sigma2", NONNEG),
+    (vg.XiModel, _NORMAL, "p0", FRACTION),
+    # a discrete law lists an atom at zero as a support point
+    (vg.XiModel, _DISCRETE, "p0", FRACTION + (0.5,)),
+    (vg.XiModel, _DISCRETE, "values", NONNEG),
+    (vg.XiModel, _DISCRETE, "probs", FRACTION),
+    *[(_game_law, _NORMAL, name, bads) for name, bads in
+      (("mean_param", REAL), ("sigma2", NONNEG), ("p0", FRACTION))],
+    *[(_game_law, _DISCRETE, name, bads) for name, bads in
+      (("values", NONNEG), ("probs", FRACTION))],
     *[(vg.InfluencerGameConfig, _GAME, name, INTEGER)
       for name in ("m", "t_horizon", "z_bar")],
     *[(vg.InfluencerGameConfig, _GAME, name, REAL)
@@ -75,7 +88,8 @@ CASES = [(make, base, name, bad) for make, base, name, bads in _TABLE
 
 
 @pytest.mark.parametrize("make, base, name, bads", _TABLE,
-                         ids=[row[2] for row in _TABLE])
+                         ids=["xi_" * (make is _game_law) + name
+                              for make, _, name, _ in _TABLE])
 def test_table_starts_from_valid_objects(make, base, name, bads):
     make(**base)
 
@@ -93,9 +107,9 @@ def test_bad_field_is_refused_by_name(case):
 
 def test_every_public_field_has_a_row():
     # a field that is added to or renamed in a constructor cannot skip the
-    # contract; _leader builds a LeaderProblem
-    rows = {(vg.LeaderProblem if make is _leader else make, name)
-            for make, _, name, _ in _TABLE}
+    # contract; _leader builds a LeaderProblem, _game_law an XiModel's fields
+    cls_of = {_leader: vg.LeaderProblem, _game_law: vg.XiModel}
+    rows = {(cls_of.get(make, make), name) for make, _, name, _ in _TABLE}
     fields = {(cls, f.name) for cls in {cls for cls, _ in rows}
               for f in dataclasses.fields(cls) if not f.name.startswith("_")}
     assert rows == fields
