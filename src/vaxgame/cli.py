@@ -448,12 +448,25 @@ def _costs_from(args, m: int) -> PublicCostModel:
     return PublicCostModel(s=args.s, **kw)
 
 
+# the flags behind each field of the side-effect law, and behind its mean
+_LAW_FLAGS = {"mean_param": "--xi-mean", "sigma2": "--xi-var", "p0": "--p0",
+              "xi": "the law of --xi-mean, --xi-var and --p0"}
+
+
 def _game_cfg_from(args, z_bar: int) -> game.InfluencerGameConfig:
-    return game.InfluencerGameConfig(
-        m=args.m, t_horizon=args.t_horizon, c_v=args.cv, c_i=args.ci,
-        c_se_1=args.cse1,
-        xi=game.XiModel(args.xi_mean, args.xi_var, args.p0),
-        z_bar=z_bar, g0=args.g0)
+    """The game the flags describe. A side-effect law the library refuses
+    raises ConfigError naming the flags, not the library's field."""
+    try:
+        return game.InfluencerGameConfig(
+            m=args.m, t_horizon=args.t_horizon, c_v=args.cv, c_i=args.ci,
+            c_se_1=args.cse1,
+            xi=game.XiModel(args.xi_mean, args.xi_var, args.p0),
+            z_bar=z_bar, g0=args.g0)
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        if field not in _LAW_FLAGS:
+            raise
+        raise ConfigError(f"{_LAW_FLAGS[field]} {rest}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +556,13 @@ def cmd_simulate(args) -> int:
     nu = VaRatePolicy(args.nu_b, args.nu_e)
     beta = ResponseParams(args.beta)
     n0 = args.n0
-    v0 = int(round(args.psi0 * n0))
+    if args.theta0 + args.psi0 > 1.0:
+        raise ConfigError("--theta0 + --psi0 must not exceed 1")
     i0 = int(round(args.theta0 * n0))
+    # rounding half to even can take both counts up (0.3 and 0.7 of 5
+    # give 2 and 4), so the vaccinated count gives way to keep S0 >= 0
+    v0 = min(int(round(args.psi0 * n0)), n0 - i0)
     s0 = n0 - v0 - i0
-    if s0 < 0:
-        raise ConfigError("theta0 + psi0 must not exceed 1")
     eta0 = args.eta0
     if eta0 is None:
         att = epidemic.candidate_attractors(dis, nu, beta)

@@ -42,6 +42,12 @@ MONTE_CARLO = "monte_carlo"
 # of the incentive-optimal design.
 _PERFECT_INFO_EPS, _MAX_HALVINGS, _MARGIN = 1e-6, 200, 1e-3
 
+# The mid-quantile draws that the z_bar < m Newton start steps on: odd
+# multiples of n / (2 _QUANTILES) (see _quantile_start).
+_QUANTILES = 64
+_MID_QUANTILES = np.arange(1, 2 * _QUANTILES, 2)
+
+
 class BracketingError(RuntimeError):
     """Could not bracket the constraint root after the doubling budget."""
 
@@ -240,11 +246,11 @@ def _knot_search(g: float, z_bar: int, cfg: InfluencerGameConfig,
         return lo, hi, 0, None, None, 0, 0
     w, _, _, _, _, dw = _knot_tables(cfg.m, z_bar)
     knots = cfg.c_i * w - cfg.c_v + g
-    a = max(int(np.searchsorted(knots, gams[lo], side="right")) - 1, 0)
-    b = min(int(np.searchsorted(knots, gams[hi - 1], side="right")),
-            len(knots) - 1)
+    a, b = np.searchsorted(knots, (gams[lo], gams[hi - 1]), side="right")
+    a, b = max(int(a) - 1, 0), min(int(b), len(knots) - 1)
     knots = knots[a:b + 1]
-    pos = lo + np.searchsorted(gams[lo:hi], knots)
+    pos = np.searchsorted(gams[lo:hi], knots)
+    pos += lo
     at = sums[pos]
     cnt = pos[1:] - pos[:-1]
     off = at[1:] - at[:-1]
@@ -275,6 +281,15 @@ def _tabled_sum(search: tuple, v: np.ndarray, sv: np.ndarray,
     total = float(np.dot(cnt, v[:-1]) + np.dot(sv, off) / c_i)
     return (total + v[0] * head + v[-1] * tail,
             -float(np.dot(cnt, sv)) / c_i)
+
+
+def _np_from_search(search: tuple, n: int, z_bar: int,
+                    cfg: InfluencerGameConfig) -> tuple[float, float]:
+    """(N_P, N_P') over n draws from their knot search: the table of F
+    summed over the mixed run, plus one for each draw with w >= 1."""
+    _, _, f, _, sf, _ = _knot_tables(cfg.m, z_bar)
+    total, slope = _tabled_sum(search, f, sf, cfg.c_i)
+    return (total + (n - search[1])) / n, slope / n
 
 
 def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
@@ -318,9 +333,7 @@ def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
         search = _knot_search(g, z_bar, cfg, draws)
         if _searches is not None:
             _searches[g] = search
-        _, _, f, _, sf, _ = _knot_tables(cfg.m, z_bar)
-        total, slope = _tabled_sum(search, f, sf, cfg.c_i)
-        value, slope = (total + (n - search[1])) / n, slope / n
+        value, slope = _np_from_search(search, n, z_bar, cfg)
     return (value, slope) if with_slope else value
 
 
@@ -381,6 +394,17 @@ def _bracket_above(f, lo: float, delta: float, step: float) -> float:
     raise _unbracketed(delta, lo, step)
 
 
+def _binding_by_count(z_bar: int, problem: LeaderProblem) -> bool:
+    """Whether the draws with w >= 1 at g = 0 alone put N_P(0) above delta
+    (z_bar < m, Monte Carlo). N_P(0) = (total + (n - hi)) / n, where total
+    >= 0 sums the mixed run's F values and gams[hi:] are the draws with w
+    >= 1, so (n - hi) / n > delta proves the constraint binds without
+    searching the knots; False decides nothing."""
+    gams = problem.sampler.sorted_draws(problem.cfg)[0]
+    n = len(gams)
+    return (n - _mixed_run(0.0, gams, problem.cfg)[1]) / n > problem.delta
+
+
 def _one_point_root(z_bar: int, problem: LeaderProblem) -> float:
     """The root of N_P = delta when every draw sits at the median draw (the
     sorted cache's center): g = C_v + Gamma_med - C_i w*, with w* read off
@@ -390,6 +414,32 @@ def _one_point_root(z_bar: int, problem: LeaderProblem) -> float:
     w, _, f, _, _, _ = _knot_tables(cfg.m, z_bar)
     center = problem.sampler.sorted_draws(cfg)[2]
     return cfg.c_v + center - cfg.c_i * float(np.interp(problem.delta, f, w))
+
+
+def _quantile_start(z_bar: int, problem: LeaderProblem, lo: float,
+                    reach: float) -> float:
+    """The start of the z_bar < m Newton solve: one Newton step from the
+    one-point root g0 on the Q = _QUANTILES mid-quantile draws gams[((2j+1)
+    n) // (2Q)] of the sorted cache. N_P and N_P' of that subset at g0 come
+    from the same knot search and table as the full N_P, over the
+    subset's own prefix sums. g0 is kept where the subset's slope is not
+    negative, and where g0 or the step lies outside (lo, reach], which the
+    solve would replace with a doubling probe."""
+    g0 = _one_point_root(z_bar, problem)
+    if not lo < g0 <= reach:
+        return g0
+    cfg = problem.cfg
+    gams, _, center = problem.sampler.sorted_draws(cfg)
+    sub = gams[_MID_QUANTILES * len(gams) // (2 * _QUANTILES)]
+    sums = np.zeros(_QUANTILES + 1)
+    np.cumsum(sub - center, out=sums[1:])
+    value, slope = _np_from_search(
+        _knot_search(g0, z_bar, cfg, (sub, sums, center)), _QUANTILES,
+        z_bar, cfg)
+    if not slope < 0.0:
+        return g0
+    g1 = g0 - (value - problem.delta) / slope
+    return g1 if lo < g1 <= reach else g0
 
 
 def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolution:
@@ -402,18 +452,21 @@ def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolutio
 
     For z_bar < m, N_P is continuous and piecewise linear in g, and each
     evaluation of the tabled N_P (see non_eradication_probability), O(K
-    log n) for the K table knots, also gives its exact slope there. So
-    safeguarded Newton (game.bisect_decreasing with a slope, tolerances
-    1e-12) starts at the one-point root (_one_point_root) with the upper
-    end open until an iterate is feasible, and falls back to the doubling
-    probes g_floor + max(C_i, 1) 2^k where it cannot step: about 4.6
-    evaluations after N_P(0) on the fig-1 grid. E[p(g*)] reuses the knot
-    search of the evaluation at g*. For z_bar = m, N_P is a step function
-    with no slope to follow: the doubling probes bracket the root, the
-    first with N_P < delta, and bisection finds it, its midpoints deciding
-    on which side of the last jump g* lands. Perfect-information samplers
-    are dispatched to the closed treatment, where the constraint is flat
-    or jumps.
+    log n) for the K table knots, also gives its exact slope there. The
+    draws with w >= 1 at g = 0 bound N_P(0) from below, and decide that
+    the constraint binds without evaluating it (_binding_by_count); N_P(0)
+    is evaluated only where they do not. Safeguarded Newton
+    (game.bisect_decreasing with a slope, tolerances 1e-12) starts one
+    Newton step on 64 mid-quantile draws past the one-point root
+    (_quantile_start), with the upper end open until an iterate is
+    feasible, and falls back to the doubling probes g_floor + max(C_i, 1)
+    2^k where it cannot step: about 3.6 evaluations in all on the fig-1
+    grid. E[p(g*)] reuses the knot search of the evaluation at g*. For
+    z_bar = m, N_P is a step function with no slope to follow: the
+    doubling probes bracket the root, the first with N_P < delta, and
+    bisection finds it, its midpoints deciding on which side of the last
+    jump g* lands. Perfect-information samplers are dispatched to the
+    closed treatment, where the constraint is flat or jumps.
     """
     if problem.sampler.mode == PERFECT_INFO:
         return perfect_info_solution(z_bar, problem)
@@ -441,7 +494,8 @@ def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolutio
                               p_expectation=p_exp, np_at_g=np_g,
                               mode=problem.sampler.mode)
 
-    if np_at(0.0) <= delta:
+    if (not (z_bar < cfg.m and _binding_by_count(z_bar, problem))
+            and np_at(0.0) <= delta):
         return solution(0.0, binding=False)
 
     lo, step = g_floor(cfg), max(cfg.c_i, 1.0)
@@ -450,9 +504,11 @@ def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolutio
                                    _bracket_above(np_at, lo, delta, step),
                                    atol=1e-12, rtol=1e-12)
     else:
+        reach = lo + step * 2.0 ** (PROBES - 1)
         g_star = bisect_decreasing(np_and_slope, delta, lo, math.inf,
                                    atol=1e-12, rtol=1e-12, slope=True,
-                                   x0=_one_point_root(z_bar, problem),
+                                   x0=_quantile_start(z_bar, problem, lo,
+                                                      reach),
                                    step=step)
         if math.isnan(g_star):
             raise _unbracketed(delta, lo, step)

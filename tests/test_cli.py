@@ -114,6 +114,9 @@ class TestSubcommands:
          "--samples", "2000", "--outdir", "{tmp}"],
         ["sweep", "--var", "zbar", "--grid", "2", "--workers", "-3",
          "--samples", "2000", "--outdir", "{tmp}"],
+        # theta0 + psi0 = 1.1: an over-full start, whatever the rounding
+        ["simulate", "--theta0", "0.5", "--psi0", "0.6", "--n0", "7",
+         "--outdir", "{tmp}"],
     ])
     def test_rejected_parameters_exit_2(self, capsys, tmp_path, argv):
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -138,6 +141,45 @@ class TestSubcommands:
         assert code == 2
         assert err.startswith("error: ")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--xi-var", "-1"], "--xi-var must be nonnegative"),
+        (["--p0", "1.5"], "--p0 must lie in [0, 1)"),
+        (["--xi-mean", "nan"], "--xi-mean must be a finite number, got nan"),
+        (["--xi-mean", "-3", "--xi-var", "0"],
+         "the law of --xi-mean, --xi-var and --p0 must have a positive "
+         "mean, got 0.0"),
+    ], ids=["xi_var", "p0", "xi_mean", "mean"])
+    def test_law_errors_name_the_flag(self, capsys, tmp_path, flags,
+                                      message):
+        code, out, err = run_main(capsys, "optimize-leader", "--zbar", "1",
+                                  *flags, "--csv", str(tmp_path / "s.csv"))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("theta0,psi0,n0,counts", [
+        # round half to even takes both counts up: 2 + 4 of 5, 4 + 4 of 7
+        ("0.3", "0.7", "5", (0, 3, 2, 5)),
+        ("0.5", "0.5", "7", (0, 3, 4, 7)),
+        ("0.02", "0.8", "2000", (360, 1600, 40, 2000)),
+    ], ids=["5", "7", "defaults"])
+    def test_simulate_starts_inside_the_simplex(self, capsys, tmp_path,
+                                                monkeypatch, theta0, psi0,
+                                                n0, counts):
+        starts = []
+        orig = vg.epidemic.simulate_jump_process
+
+        def spy(start, *args, **kw):
+            starts.append(start)
+            return orig(start, *args, **kw)
+
+        monkeypatch.setattr(vg.epidemic, "simulate_jump_process", spy)
+        code, _, _ = run_main(capsys, "simulate", "--theta0", theta0,
+                              "--psi0", psi0, "--n0", n0, "--events", "50",
+                              "--outdir", str(tmp_path))
+        assert code == 0
+        assert starts == [counts]
 
     def test_non_finite_cf_table_exits_2(self, capsys, tmp_path):
         table = tmp_path / "cf.txt"

@@ -302,15 +302,24 @@ class TestSlicedConstraint:
 
     def test_newton_evaluations_per_solve(self, monkeypatch):
         # the fig-1 grid's z_bar < M solves on draw set 0: every N_P
-        # evaluation, with or without the slope, bracket and root alike
-        calls = []
+        # evaluation, with or without the slope, bracket and root alike,
+        # and every search of the knots into the full 1e5 draws. N_P(0) is
+        # decided by the count and the quantile start saves one Newton
+        # iterate: 118 such searches before either, 76 with both
+        calls, searches = [], []
         orig = leader.non_eradication_probability
+        orig_search = leader._knot_search
 
         def spy(*args, **kw):
             calls.append(kw.get("with_slope", False))
             return orig(*args, **kw)
 
+        def search_spy(g, z_bar, cfg, draws):
+            searches.append(len(draws[0]))
+            return orig_search(g, z_bar, cfg, draws)
+
         monkeypatch.setattr(leader, "non_eradication_probability", spy)
+        monkeypatch.setattr(leader, "_knot_search", search_spy)
         smp = vg.ExpectationSampler(n_samples=100_000, seed=0)
         solves = 0
         for delta in (0.01, 0.05, 0.1):
@@ -322,6 +331,7 @@ class TestSlicedConstraint:
                 solves += 1
         assert len(calls) / solves <= 7
         assert all(calls)
+        assert searches.count(100_000) <= 76
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
@@ -341,6 +351,38 @@ class TestSlicedConstraint:
             assert sol.g_star == pytest.approx(g, rel=1e-11)
             assert sol.u_star == vg.expected_incentive_cost(sol.g_star, z_bar,
                                                             prob)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
+           delta=st.floats(1e-3, 0.999), z_bar=st.integers(1, 39),
+           costs=st.tuples(st.floats(0.0, 10.0), st.floats(0.01, 20.0)))
+    def test_count_decision_and_quantile_start_keep_the_root(
+            self, n, seed, delta, z_bar, costs):
+        # the solve decides N_P(0) > delta from the draws with w >= 1 and
+        # starts Newton one step past the one-point root; the reference
+        # evaluates N_P(0) in full and starts at the one-point root. Each
+        # side ends within its Newton tolerance 1e-12 max(1, g*) of the root
+        prob = mc_problem(delta, z_bar, n=n, seed=seed, c_v=costs[0],
+                          c_i=costs[1])
+        cfg = prob.cfg
+
+        def np_and_slope(g):
+            return vg.non_eradication_probability(g, z_bar, prob,
+                                                  with_slope=True)
+
+        binding = np_and_slope(0.0)[0] > delta
+        if leader._binding_by_count(z_bar, prob):
+            assert binding
+        sol = vg.solve_optimal_incentive(z_bar, prob)
+        assert sol.binding == binding
+        if binding:
+            g = bisect_decreasing(np_and_slope, delta, g_floor(cfg), math.inf,
+                                  atol=1e-12, rtol=1e-12, slope=True,
+                                  x0=leader._one_point_root(z_bar, prob),
+                                  step=max(cfg.c_i, 1.0))
+            assert abs(sol.g_star - g) <= 2e-12 * max(1.0, g)
+        else:
+            assert sol.g_star == 0.0
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(2, 2000), seed=st.integers(0, 2**32 - 1),
@@ -421,24 +463,35 @@ class TestSlicedConstraint:
 
     @pytest.mark.parametrize("z_bar", [1, 20, 39])
     def test_one_knot_search_per_evaluation(self, z_bar, monkeypatch):
-        # a binding solve searches the knots once per N_P evaluation, and
-        # E[p(g*)] reuses the search of the evaluation at g*. After N_P(0),
-        # Newton starts at the one-point root
+        # a binding solve searches the knots of the 64 mid-quantile draws
+        # once, at the one-point root, for its Newton start; then the full
+        # draws once per N_P evaluation, and E[p(g*)] reuses the search of
+        # the evaluation at g*. The draws with w >= 1 already decide N_P(0)
+        # > delta, so Newton's first iterate is the quantile start
         calls = []
         for name in ("non_eradication_probability", "_knot_search"):
             def spy(g, *args, _orig=getattr(leader, name), _name=name, **kw):
-                calls.append((_name, g))
+                size = len(args[2][0]) if _name == "_knot_search" else None
+                calls.append((_name, g, size))
                 return _orig(g, *args, **kw)
 
             monkeypatch.setattr(leader, name, spy)
         prob = mc_problem(0.05, z_bar, n=20_000)
         sol = vg.solve_optimal_incentive(z_bar, prob)
-        names = [name for name, _ in calls]
-        gs = [g for name, g in calls if name == "non_eradication_probability"]
-        assert sol.binding and calls
-        assert names == ["non_eradication_probability",
-                         "_knot_search"] * len(gs)
-        assert gs[:2] == [0.0, leader._one_point_root(z_bar, prob)]
+        names = [name for name, _, _ in calls]
+        gs = [g for name, g, _ in calls
+              if name == "non_eradication_probability"]
+        assert sol.binding and gs
+        assert names == (["_knot_search"]
+                         + ["non_eradication_probability",
+                            "_knot_search"] * len(gs))
+        g0 = leader._one_point_root(z_bar, prob)
+        assert calls[0] == ("_knot_search", g0, 64)
+        assert all(size == 20_000 for _, _, size in calls[2::2])
+        cfg = prob.cfg
+        lo, step = g_floor(cfg), max(cfg.c_i, 1.0)
+        start = leader._quantile_start(z_bar, prob, lo, lo + step * 2 ** 59)
+        assert gs[0] == start != g0
 
     def test_mixed_solve_makes_no_per_draw_pass(self, monkeypatch):
         # a z_bar < M solve sums knot tables over the prefix sums of the
@@ -482,15 +535,16 @@ class TestUnbracketedRoot:
     def test_no_evaluation_past_the_doubling_reach(self, z_bar, monkeypatch):
         # a data mean of 1e300 puts the one-point root near 1e300, far past
         # the reach g_floor + max(C_i, 1) 2^59 of the doubling probes: were
-        # the start not capped there, the solve would return it
+        # the start not capped there, the solve would return it. The spy
+        # also sees every split of the draws into runs, the count that
+        # decides N_P(0) > delta for z_bar < M among them
         seen = []
-        orig = leader.non_eradication_probability
+        for name in ("non_eradication_probability", "_mixed_run"):
+            def spy(g, *args, _orig=getattr(leader, name), **kw):
+                seen.append(g)
+                return _orig(g, *args, **kw)
 
-        def spy(g, *args, **kw):
-            seen.append(g)
-            return orig(g, *args, **kw)
-
-        monkeypatch.setattr(leader, "non_eradication_probability", spy)
+            monkeypatch.setattr(leader, name, spy)
         prob = mc_problem(0.05, z_bar, n=1_000, xi_mean=1e300)
         cfg = prob.cfg
         reach = g_floor(cfg) + max(cfg.c_i, 1.0) * 2 ** 59
