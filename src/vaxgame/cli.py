@@ -448,14 +448,17 @@ def _costs_from(args, m: int) -> PublicCostModel:
     return PublicCostModel(s=args.s, **kw)
 
 
-# the flags behind each field of the side-effect law, and behind its mean
-_LAW_FLAGS = {"mean_param": "--xi-mean", "sigma2": "--xi-var", "p0": "--p0",
-              "xi": "the law of --xi-mean, --xi-var and --p0"}
+# the flag behind each field of the game and of its side-effect law, and
+# behind the law's mean
+_GAME_FLAGS = {"m": "--m", "t_horizon": "--t", "c_v": "--cv", "c_i": "--ci",
+               "c_se_1": "--cse1", "z_bar": "--zbar", "g0": "--g0",
+               "mean_param": "--xi-mean", "sigma2": "--xi-var", "p0": "--p0",
+               "xi": "the law of --xi-mean, --xi-var and --p0"}
 
 
 def _game_cfg_from(args, z_bar: int) -> game.InfluencerGameConfig:
-    """The game the flags describe. A side-effect law the library refuses
-    raises ConfigError naming the flags, not the library's field."""
+    """The game the flags describe. A game or side-effect law the library
+    refuses raises ConfigError naming the flag, not the library's field."""
     try:
         return game.InfluencerGameConfig(
             m=args.m, t_horizon=args.t_horizon, c_v=args.cv, c_i=args.ci,
@@ -464,9 +467,9 @@ def _game_cfg_from(args, z_bar: int) -> game.InfluencerGameConfig:
             z_bar=z_bar, g0=args.g0)
     except ValueError as exc:
         field, _, rest = str(exc).partition(" ")
-        if field not in _LAW_FLAGS:
+        if field not in _GAME_FLAGS:
             raise
-        raise ConfigError(f"{_LAW_FLAGS[field]} {rest}") from exc
+        raise ConfigError(f"{_GAME_FLAGS[field]} {rest}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,11 @@ except ImportError:  # older scipy: the public pmf, at scipy.stats' cost
 # Grid size of the interpolated binomial CDF behind the vectorized p(g, .).
 CDF_TABLE_POINTS = 4097
 
+# Largest trial count whose tables come from the pmf recurrence (_cdf_rows):
+# (1-p)^l at the grid's last inner point p = 1 - 2^-12 is 2^(-12 l), a
+# normal float up to l = 85. Larger counts take scipy's bdtr row.
+_RECURRENCE_TRIALS = 85
+
 # Doubling probes that bisect_decreasing may try to close an open upper end.
 PROBES = 60
 
@@ -450,15 +455,85 @@ def ne_outcome_probability(g: float, c: float, z_bar: int,
     return p_from_gamma(g, gamma(cfg.t_horizon - 1, c, cfg), z_bar, cfg)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# The p grid of the binomial tables, ascending and descending.
+_P_UP = _read_only(np.linspace(0.0, 1.0, CDF_TABLE_POINTS))
+_P_DOWN = _read_only(_P_UP[::-1].copy())
+
+
+@functools.lru_cache(maxsize=8)
+def _cdf_rows(trials: int) -> np.ndarray:
+    """F(j; p) = P(Bin(trials, p) <= j) for j = 0..trials-1 (rows) on the
+    descending grid _P_DOWN (columns), so that each row ascends in F.
+
+    One pass builds every row: the pmf ratio recurrence pmf_j = pmf_{j-1}
+    (l-j+1)/j p/(1-p) from pmf_0 = (1-p)^l over the grid's inner points,
+    and a running sum over j. Row j then carries at most 5j + 1 roundings
+    of positive terms, so it lies within (5l+2) 2^-53 of the exact tail
+    relative to its value, as long as (1-p)^l stays a normal float: at p =
+    1 - 2^-12 it is 2^(-12l), which bounds l by _RECURRENCE_TRIALS. The
+    rows are pinned to 1 at p = 0 and 0 at p = 1 (no division by 1 - p =
+    0), and each is clamped non-increasing in p by a running minimum from
+    p = 0, which only lowers a value to one taken at a smaller p, where
+    the exact tail is larger. Summing nonnegative terms makes the rows
+    non-decreasing in j, and the running minimum keeps that. The minimum
+    runs only as far as a row's last rise in p: rounding makes rises only
+    where F is within 3e-13 of 1, and past the last one the row only
+    needs the minimum so far.
+    """
+    l = int(trials)
+    p = _P_DOWN[1:-1]
+    rows = np.empty((l, CDF_TABLE_POINTS))
+    rows[:, 0] = 0.0
+    rows[:, -1] = 1.0
+    r = p / (1.0 - p)
+    pmf = np.power(1.0 - p, l)
+    rows[0, 1:-1] = pmf
+    for j in range(1, l):
+        pmf *= (l - j + 1) / j
+        pmf *= r
+        np.add(rows[j - 1, 1:-1], pmf, out=rows[j, 1:-1])
+    # a rise in p is a fall along the descending grid: from the grid's end
+    # (p = 0) back to a row's first fall, the running minimum; below it the
+    # row ascends, and only needs the minimum reached there
+    falls = rows[:, :-1] > rows[:, 1:]
+    for j in np.flatnonzero(falls.any(axis=1)):
+        first = int(falls[j].argmax())
+        row = rows[j]
+        tail = row[:first:-1]
+        np.minimum.accumulate(tail, out=tail)
+        np.minimum(row[:first + 1], row[first + 1], out=row[:first + 1])
+    return _read_only(rows)
+
+
 @functools.lru_cache(maxsize=64)
+def _bdtr_grid(trials: int, successes: int) -> np.ndarray:
+    """scipy's binomial tail on the descending grid (F ascending)."""
+    return _read_only(bdtr(int(successes), int(trials), _P_UP)[::-1].copy())
+
+
 def _cdf_grid(trials: int, successes: int
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The table p -> F(p) on CDF_TABLE_POINTS points, and its inverse as
-    contiguous reversed copies (F ascending, p descending): np.interp would
-    copy negative-stride views of the table on every call."""
-    p = np.linspace(0.0, 1.0, CDF_TABLE_POINTS)
-    f = bdtr(int(successes), int(trials), p)
-    return p, f, f[::-1].copy(), p[::-1].copy()
+    """The table p -> F(p) of F(p) = P(Bin(trials, p) <= successes) on
+    CDF_TABLE_POINTS points, (p, F) with p ascending, and its inverse
+    (F ascending, p descending). The inverse arrays are contiguous, since
+    np.interp would copy negative-stride views on every call; F is a
+    reversed view of the inverse's F. All four are read-only.
+
+    For 0 <= successes < trials <= _RECURRENCE_TRIALS this is a row of
+    _cdf_rows(trials), one pass per trial count for every threshold;
+    otherwise scipy's bdtr row, cached per (trials, successes). Nothing is
+    built before the first call.
+    """
+    if 0 <= successes < trials <= _RECURRENCE_TRIALS:
+        f_up = _cdf_rows(trials)[successes]
+    else:
+        f_up = _bdtr_grid(trials, successes)
+    return _P_UP, f_up[::-1], f_up, _P_DOWN
 
 
 def binom_cdf_vec_interp(l: int, m: int, p: np.ndarray) -> np.ndarray:

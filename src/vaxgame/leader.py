@@ -10,8 +10,11 @@ vaccination probability is a piecewise-linear function of w = (C_v + Gamma
 - g)/C_i on the binomial table's knots, and so is F_M(z_bar-1; p), so a
 Monte Carlo mean over the mixed draws is a sum over the K knots: one
 searchsorted of the knots into the draws and the prefix sums, O(K log n)
-rather than O(n). The z_bar = m count and the perfect-information forms
-are exact paths with no table.
+rather than O(n). The knots and values are rows of game's binomial
+tables, one pass per trial count for every threshold, built at the first
+evaluation, and the knots scaled to the costs are cached with them. The
+z_bar = m count and the perfect-information forms are exact paths with
+no table.
 """
 from __future__ import annotations
 
@@ -62,17 +65,20 @@ class ExpectationSampler:
 
     monte_carlo mode holds n_samples common-random-number draws of
     Gamma_{T-1}(C_{T-1}), sorted ascending (every consumer averages over
-    them, so order carries no meaning), with their prefix sums;
-    perfect_info collapses to the single point (c_se_1 + (T-1) E[xi]) / T,
-    which is the almost-sure value of Gamma_{T-1} when the data law is a
-    point mass (XiModel.is_point). n_samples must be an integer >= 1 and seed an integer >= 0; both
-    are checked when the sampler is built.
+    them, so order carries no meaning), with their prefix sums, and the
+    _QUANTILES mid-quantile draws with theirs (quantile_draws); both live
+    and die with the sampler. perfect_info collapses to the single point
+    (c_se_1 + (T-1) E[xi]) / T, which is the almost-sure value of
+    Gamma_{T-1} when the data law is a point mass (XiModel.is_point).
+    n_samples must be an integer >= 1 and seed an integer >= 0; both are
+    checked when the sampler is built.
     """
 
     mode: str = MONTE_CARLO
     n_samples: int = 100_000
     seed: int = 0
     _cache: dict = field(default_factory=dict, repr=False)
+    _quantiles: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.mode not in (MONTE_CARLO, PERFECT_INFO):
@@ -110,6 +116,11 @@ class ExpectationSampler:
             np.cumsum(sums[1:], out=sums[1:])
             gams.flags.writeable = sums.flags.writeable = False
             self._cache[key] = (gams, sums, center)
+            sub = gams[_MID_QUANTILES * len(gams) // (2 * _QUANTILES)]
+            sub_sums = np.zeros(_QUANTILES + 1)
+            np.cumsum(sub - center, out=sub_sums[1:])
+            sub.flags.writeable = sub_sums.flags.writeable = False
+            self._quantiles[key] = (sub, sub_sums, center)
         return self._cache[key][0]
 
     def sorted_draws(self, cfg: InfluencerGameConfig
@@ -120,11 +131,21 @@ class ExpectationSampler:
         cancellation. Both arrays are read-only, so a caller cannot put
         them out of step. A cache hit builds the key once; a miss fills the
         entry through gamma_draws."""
+        return self._entry(self._cache, cfg)
+
+    def quantile_draws(self, cfg: InfluencerGameConfig
+                       ) -> tuple[np.ndarray, np.ndarray, float]:
+        """(sub, sums, center) as sorted_draws has them, for the _QUANTILES
+        mid-quantile draws sub[j] = gams[((2j+1) n) // (2 _QUANTILES)] of
+        the sorted draws: built with them, once per draw set."""
+        return self._entry(self._quantiles, cfg)
+
+    def _entry(self, store: dict, cfg: InfluencerGameConfig) -> tuple:
         key = self._key(cfg)
-        entry = self._cache.get(key)
+        entry = store.get(key)
         if entry is None:
             self.gamma_draws(cfg)
-            entry = self._cache[key]
+            entry = store[key]
         return entry
 
     def ci_halfwidth(self, delta: float) -> float:
@@ -182,8 +203,10 @@ def _knot_tables(m: int, z_bar: int) -> tuple[np.ndarray, ...]:
     w_k = F_{m-1}(z_bar-1; p_k) carry the grid points p_k, and
     binom_cdf_vec_interp reads f_k = F_M(z_bar-1; p_k) on the same grid, so
     composing the two interpolations is linear between the same knots. The
-    first three are arrays of game._cdf_grid's cache; the slopes and widths
-    are computed once per (m, z_bar).
+    first three are read-only arrays of game._cdf_grid: the knots and f_k
+    are rows of the one-pass tables of m - 1 and m trials, which hold every
+    threshold. The slopes and widths are computed once per (m, z_bar), and
+    nothing is built before the first evaluation.
     """
     _, _, w, p = _cdf_grid(m - 1, z_bar - 1)
     f = _cdf_grid(m, z_bar - 1)[2]
@@ -193,26 +216,34 @@ def _knot_tables(m: int, z_bar: int) -> tuple[np.ndarray, ...]:
     return w, p, f, sp, sf, dw
 
 
+@functools.lru_cache(maxsize=64)
+def _cost_knots(m: int, z_bar: int, c_i: float, c_v: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(C_i w_k - C_v, C_i dw_k) on the knot tables of (m, z_bar): a
+    search at g adds g to the first for its knots G_k, and clips its
+    offsets to the second, the segments' widths in Gamma."""
+    w, _, _, _, _, dw = _knot_tables(m, z_bar)
+    return c_i * w - c_v, c_i * dw
+
+
 def _mixed_run(g: float, gams: np.ndarray,
                cfg: InfluencerGameConfig) -> tuple[int, int]:
     """(lo, hi) with w <= 0 on gams[:lo] and w >= 1 on gams[hi:], for w =
     (C_v + Gamma - g)/C_i rounded as p_from_gamma_vec rounds it, so that its
     clamps p = 1 and p = 0 fall on the same draws. w is non-decreasing in
-    Gamma; searchsorted on g - C_v and g - C_v + C_i lands within a few
-    draws of each end, and the steps below settle the rounding."""
-    def w(j: int) -> float:
-        return (cfg.c_v + gams[j] - g) / cfg.c_i
-
+    Gamma; one searchsorted of g - C_v and g - C_v + C_i lands within a few
+    draws of each end, and Python-float steps below settle the rounding."""
+    c_v, c_i, draw = cfg.c_v, cfg.c_i, gams.item
     n = len(gams)
-    lo = int(np.searchsorted(gams, g - cfg.c_v))
-    while lo < n and w(lo) <= 0.0:
+    lo, hi = gams.searchsorted((g - c_v, g - c_v + c_i)).tolist()
+    while lo < n and (c_v + draw(lo) - g) / c_i <= 0.0:
         lo += 1
-    while lo > 0 and w(lo - 1) > 0.0:
+    while lo > 0 and (c_v + draw(lo - 1) - g) / c_i > 0.0:
         lo -= 1
-    hi = max(int(np.searchsorted(gams, g - cfg.c_v + cfg.c_i)), lo)
-    while hi < n and w(hi) < 1.0:
+    hi = max(hi, lo)
+    while hi < n and (c_v + draw(hi) - g) / c_i < 1.0:
         hi += 1
-    while hi > lo and w(hi - 1) >= 1.0:
+    while hi > lo and (c_v + draw(hi - 1) - g) / c_i >= 1.0:
         hi -= 1
     return lo, hi
 
@@ -238,25 +269,28 @@ def _knot_search(g: float, z_bar: int, cfg: InfluencerGameConfig,
     below the run's first draw to the first one above its last draw are
     searched; the others bound no draw of the run. head and tail count the
     run's draws below the first searched knot and from the last one on.
-    cnt is None for an empty run.
+    cnt is None for an empty run. C_i w_k - C_v and C_i dw_k come from
+    _cost_knots, so a search adds g to the knots and makes its other
+    numpy calls on the searched knots alone.
     """
     gams, sums, center = draws
     lo, hi = _mixed_run(g, gams, cfg)
     if lo == hi:
         return lo, hi, 0, None, None, 0, 0
-    w, _, _, _, _, dw = _knot_tables(cfg.m, z_bar)
-    knots = cfg.c_i * w - cfg.c_v + g
-    a, b = np.searchsorted(knots, (gams[lo], gams[hi - 1]), side="right")
-    a, b = max(int(a) - 1, 0), min(int(b), len(knots) - 1)
+    base, width = _cost_knots(cfg.m, z_bar, cfg.c_i, cfg.c_v)
+    knots = base + g
+    a, b = knots.searchsorted((gams[lo], gams[hi - 1]), side="right").tolist()
+    a, b = max(a - 1, 0), min(b, len(knots) - 1)
     knots = knots[a:b + 1]
-    pos = np.searchsorted(gams[lo:hi], knots)
+    pos = gams[lo:hi].searchsorted(knots)
     pos += lo
     at = sums[pos]
-    cnt = pos[1:] - pos[:-1]
+    # float counts (exact) spare the products and dot products a cast
+    cnt = (pos[1:] - pos[:-1]).astype(float)
     off = at[1:] - at[:-1]
     off -= cnt * (knots[:-1] - center)
     np.maximum(off, 0.0, out=off)
-    np.minimum(off, cnt * (cfg.c_i * dw[a:b]), out=off)
+    np.minimum(off, cnt * width[a:b], out=off)
     return lo, hi, a, cnt, off, int(pos[0]) - lo, hi - int(pos[-1])
 
 
@@ -278,9 +312,8 @@ def _tabled_sum(search: tuple, v: np.ndarray, sv: np.ndarray,
     if cnt is None:
         return 0.0, 0.0
     v, sv = v[a:a + len(cnt) + 1], sv[a:a + len(cnt)]
-    total = float(np.dot(cnt, v[:-1]) + np.dot(sv, off) / c_i)
-    return (total + v[0] * head + v[-1] * tail,
-            -float(np.dot(cnt, sv)) / c_i)
+    total = float(cnt.dot(v[:-1]) + sv.dot(off) / c_i)
+    return (total + v[0] * head + v[-1] * tail, -float(cnt.dot(sv)) / c_i)
 
 
 def _np_from_search(search: tuple, n: int, z_bar: int,
@@ -327,7 +360,7 @@ def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
     gams = draws[0]
     n = len(gams)
     if z_bar == cfg.m:
-        value, slope = (n - int(np.searchsorted(gams, g - cfg.c_v + cfg.c_i))
+        value, slope = (n - int(gams.searchsorted(g - cfg.c_v + cfg.c_i))
                         ) / n, 0.0
     else:
         search = _knot_search(g, z_bar, cfg, draws)
@@ -350,7 +383,7 @@ def _p_expectation(g: float, z_bar: int, problem: LeaderProblem,
     gams = draws[0]
     n = len(gams)
     if z_bar == cfg.m:
-        return int(np.searchsorted(gams, g - cfg.c_v + cfg.c_i)) / n
+        return int(gams.searchsorted(g - cfg.c_v + cfg.c_i)) / n
     if search is None:
         search = _knot_search(g, z_bar, cfg, draws)
     _, p, _, sp, _, _ = _knot_tables(cfg.m, z_bar)
@@ -429,13 +462,9 @@ def _quantile_start(z_bar: int, problem: LeaderProblem, lo: float,
     if not lo < g0 <= reach:
         return g0
     cfg = problem.cfg
-    gams, _, center = problem.sampler.sorted_draws(cfg)
-    sub = gams[_MID_QUANTILES * len(gams) // (2 * _QUANTILES)]
-    sums = np.zeros(_QUANTILES + 1)
-    np.cumsum(sub - center, out=sums[1:])
     value, slope = _np_from_search(
-        _knot_search(g0, z_bar, cfg, (sub, sums, center)), _QUANTILES,
-        z_bar, cfg)
+        _knot_search(g0, z_bar, cfg, problem.sampler.quantile_draws(cfg)),
+        _QUANTILES, z_bar, cfg)
     if not slope < 0.0:
         return g0
     g1 = g0 - (value - problem.delta) / slope

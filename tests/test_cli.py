@@ -149,7 +149,16 @@ class TestSubcommands:
         (["--xi-mean", "-3", "--xi-var", "0"],
          "the law of --xi-mean, --xi-var and --p0 must have a positive "
          "mean, got 0.0"),
-    ], ids=["xi_var", "p0", "xi_mean", "mean"])
+        # the game's own fields, named by their flags as the law's are
+        (["--m", "0"], "--m must be at least 1 influencer, got 0"),
+        (["--t", "1"], "--t must be at least 2 days, got 1"),
+        (["--cv", "nan"], "--cv must be a finite number, got nan"),
+        (["--ci", "0"], "--ci must be positive"),
+        (["--cse1", "-1"], "--cse1 must be nonnegative"),
+        (["--zbar", "0"], "--zbar must lie in 1..m"),
+        (["--g0", "nan"], "--g0 must be a finite number, got nan"),
+    ], ids=["xi_var", "p0", "xi_mean", "mean", "m", "t", "cv", "ci", "cse1",
+            "zbar", "g0"])
     def test_law_errors_name_the_flag(self, capsys, tmp_path, flags,
                                       message):
         code, out, err = run_main(capsys, "optimize-leader", "--zbar", "1",

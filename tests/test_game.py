@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import bdtr
 
 import vaxgame as vg
 from vaxgame import game
@@ -83,6 +84,38 @@ class TestBinomCdf:
         vals = [vg.binom_cdf(l, m, p) for m in range(-1, l + 1)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
+
+
+class TestCdfTable:
+    # Row j of the one-pass table of l trials carries at most 5j + 1
+    # roundings: pmf_0 = (1-p)^l once; p/(1-p) once (1 - p is exact on the
+    # grid k/4096) but used in j steps; per step the ratio (l-j+1)/j and
+    # two products; and the j additions of the running sum. The terms are
+    # positive and normal for l <= 85, so each rounding is within 2^-53
+    # relative, and j <= l - 1 gives 5l - 4. (5l + 2) 2^-53 leaves six for
+    # bdtr's own error; the running minimum only lowers a value to one
+    # taken at a smaller p, whose exact tail is larger, so it stays inside
+    @settings(max_examples=100, deadline=None)
+    @given(l=st.integers(1, 85), data=st.data())
+    def test_rows_match_scipy(self, l, data):
+        j = data.draw(st.integers(0, l - 1))
+        p, f, f_up, p_down = game._cdf_grid(l, j)
+        want = bdtr(j, l, p)
+        assert np.all(np.abs(f - want)[1:-1]
+                      <= (5 * l + 2) * 2.0 ** -53 * want[1:-1])
+        assert f[0] == 1.0 and f[-1] == 0.0
+        assert np.all(np.diff(f) <= 0.0)
+        for k in (j - 1, j + 1):
+            if 0 <= k < l:
+                assert np.all((game._cdf_grid(l, k)[1] - f) * (k - j) >= 0.0)
+        assert np.array_equal(f_up[::-1], f)
+        assert np.array_equal(p_down[::-1], p)
+
+    @pytest.mark.parametrize("j", [0, 43, 85])
+    def test_past_85_trials_the_row_is_scipys(self, j):
+        # (1-p)^86 at p = 1 - 2^-12 is 2^-1032, below the normal range
+        p, f, _, _ = game._cdf_grid(86, j)
+        assert np.array_equal(f, bdtr(j, 86, p))
 
 
 class TestMixedProbability:

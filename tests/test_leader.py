@@ -2,6 +2,9 @@ import dataclasses
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -528,6 +531,56 @@ class TestSlicedConstraint:
         n = prob.sampler.n_samples
         assert (vg.non_eradication_probability(g + dg, z_bar, prob)
                 <= vg.non_eradication_probability(g, z_bar, prob) + n * EPS)
+
+
+class TestTableBuilds:
+    def test_import_and_set_up_build_no_table(self):
+        # the binomial and knot tables are built at a solve's first
+        # evaluation: importing the package, filling a draw set and building
+        # the problems of every threshold builds none of them
+        code = (
+            "import vaxgame as vg\n"
+            "from vaxgame import game, leader\n"
+            "from vaxgame.cli import FIG_GAME\n"
+            "smp = vg.ExpectationSampler(n_samples=1000, seed=0)\n"
+            "cfgs = [vg.InfluencerGameConfig(z_bar=z, **FIG_GAME)\n"
+            "        for z in range(1, 41)]\n"
+            "probs = [vg.LeaderProblem(0.05, cfg, smp) for cfg in cfgs]\n"
+            "smp.gamma_draws(cfgs[0])\n"
+            "print([f.cache_info().currsize for f in (\n"
+            "    game._cdf_rows, game._bdtr_grid, leader._knot_tables,\n"
+            "    leader._cost_knots)])\n")
+        src = str(Path(vg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(
+                os.pathsep) if p]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0, 0]"
+
+    def test_fig1_solves_build_two_passes_and_no_scipy_row(self,
+                                                             monkeypatch):
+        # every z_bar < M solve of the fig-1 grid reads rows of the one-pass
+        # tables of M - 1 = 39 and M = 40 trials, each built once, and asks
+        # scipy for no 4,097-point row
+        sizes = []
+
+        def spy(k, n, p, _orig=game.bdtr):
+            sizes.append(np.size(p))
+            return _orig(k, n, p)
+
+        monkeypatch.setattr(game, "bdtr", spy)
+        for cache in (game._cdf_rows, game._bdtr_grid, leader._knot_tables,
+                      leader._cost_knots):
+            cache.cache_clear()
+        smp = vg.ExpectationSampler(n_samples=2_000, seed=0)
+        for z_bar in range(1, 40):
+            cfg = vg.InfluencerGameConfig(z_bar=z_bar, **FIG_GAME)
+            vg.solve_optimal_incentive(z_bar, vg.LeaderProblem(0.05, cfg, smp))
+        assert game.CDF_TABLE_POINTS not in sizes
+        info = game._cdf_rows.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
 
 
 class TestUnbracketedRoot:
