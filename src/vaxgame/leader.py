@@ -59,26 +59,50 @@ class JointDesignError(RuntimeError):
     """Shrinking the supply margins did not reach the target regime."""
 
 
+@dataclass(frozen=True, eq=False)
+class GammaDraws:
+    """One law's common-random-number draws, sorted (gams), and sums[j] =
+    sum over i < j of (gams[i] - center), centered at the median draw so
+    that a difference of two sums loses little to cancellation; both
+    read-only, so a caller cannot put them out of step. quantiles holds
+    the _QUANTILES mid-quantile draws gams[((2j+1) n) // (2 _QUANTILES)]
+    as a GammaDraws of the same center, and is None on that subset."""
+
+    gams: np.ndarray
+    sums: np.ndarray
+    center: float
+    quantiles: GammaDraws | None
+
+    @staticmethod
+    def build(gams: np.ndarray, center: float,
+              quantiles: GammaDraws | None = None) -> GammaDraws:
+        """Takes sorted gams read-only; sums is one buffer, built in place."""
+        sums = np.empty(len(gams) + 1)
+        sums[0] = 0.0
+        np.subtract(gams, center, out=sums[1:])
+        np.cumsum(sums[1:], out=sums[1:])
+        gams.flags.writeable = sums.flags.writeable = False
+        return GammaDraws(gams, sums, center, quantiles)
+
+
 @dataclass
 class ExpectationSampler:
     """Draw cache for expectations over the final side-effect estimate.
 
-    monte_carlo mode holds n_samples common-random-number draws of
-    Gamma_{T-1}(C_{T-1}), sorted ascending (every consumer averages over
-    them, so order carries no meaning), with their prefix sums, and the
-    _QUANTILES mid-quantile draws with theirs (quantile_draws); both live
-    and die with the sampler. perfect_info collapses to the single point
-    (c_se_1 + (T-1) E[xi]) / T, which is the almost-sure value of
-    Gamma_{T-1} when the data law is a point mass (XiModel.is_point).
-    n_samples must be an integer >= 1 and seed an integer >= 0; both are
-    checked when the sampler is built.
+    draws(cfg) is the GammaDraws of cfg's law, filled at the first call and
+    kept for the sampler's life; gamma_draws(cfg) is its gams. monte_carlo
+    mode draws n_samples values of Gamma_{T-1}(C_{T-1}). perfect_info has
+    the one draw (c_se_1 + (T-1) E[xi]) / T, the almost-sure value of
+    Gamma_{T-1} when the data law is a point mass (XiModel.is_point). Only
+    mode, n_samples and seed are settings, and only they take part in ==;
+    n_samples must be an integer >= 1 and seed one >= 0, checked at build.
     """
 
     mode: str = MONTE_CARLO
     n_samples: int = 100_000
     seed: int = 0
-    _cache: dict = field(default_factory=dict, repr=False)
-    _quantiles: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if self.mode not in (MONTE_CARLO, PERFECT_INFO):
@@ -100,52 +124,29 @@ class ExpectationSampler:
         return (cfg.c_se_1, cfg.t_horizon, cfg.xi, self.n_samples, self.seed)
 
     def gamma_draws(self, cfg: InfluencerGameConfig) -> np.ndarray:
-        """The sorted draws, read-only; the first call for a draw law fills
-        the cache entry (see sorted_draws)."""
-        if self.mode == PERFECT_INFO:
-            return np.array([self.c_infinity(cfg)])
+        """The sorted draws, read-only: draws(cfg).gams. Every fill of the
+        cache happens here, and adds one entry."""
         key = self._key(cfg)
         if key not in self._cache:
-            gams = final_gamma_draws(cfg, np.random.default_rng(self.seed),
-                                     self.n_samples)
+            gams = (np.array([self.c_infinity(cfg)])
+                    if self.mode == PERFECT_INFO else final_gamma_draws(
+                        cfg, np.random.default_rng(self.seed),
+                        self.n_samples))
             gams.sort()
             center = float(gams[len(gams) // 2])
-            sums = np.empty(len(gams) + 1)
-            sums[0] = 0.0
-            np.subtract(gams, center, out=sums[1:])
-            np.cumsum(sums[1:], out=sums[1:])
-            gams.flags.writeable = sums.flags.writeable = False
-            self._cache[key] = (gams, sums, center)
             sub = gams[_MID_QUANTILES * len(gams) // (2 * _QUANTILES)]
-            sub_sums = np.zeros(_QUANTILES + 1)
-            np.cumsum(sub - center, out=sub_sums[1:])
-            sub.flags.writeable = sub_sums.flags.writeable = False
-            self._quantiles[key] = (sub, sub_sums, center)
-        return self._cache[key][0]
+            self._cache[key] = GammaDraws.build(
+                gams, center, GammaDraws.build(sub, center))
+        return self._cache[key].gams
 
-    def sorted_draws(self, cfg: InfluencerGameConfig
-                     ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Monte Carlo cache entry (gams, sums, center): the sorted draws,
-        and sums[j] = sum over i < j of (gams[i] - center), centered at the
-        median draw so that a difference of two sums loses little to
-        cancellation. Both arrays are read-only, so a caller cannot put
-        them out of step. A cache hit builds the key once; a miss fills the
-        entry through gamma_draws."""
-        return self._entry(self._cache, cfg)
-
-    def quantile_draws(self, cfg: InfluencerGameConfig
-                       ) -> tuple[np.ndarray, np.ndarray, float]:
-        """(sub, sums, center) as sorted_draws has them, for the _QUANTILES
-        mid-quantile draws sub[j] = gams[((2j+1) n) // (2 _QUANTILES)] of
-        the sorted draws: built with them, once per draw set."""
-        return self._entry(self._quantiles, cfg)
-
-    def _entry(self, store: dict, cfg: InfluencerGameConfig) -> tuple:
+    def draws(self, cfg: InfluencerGameConfig) -> GammaDraws:
+        """The draw set of cfg's law. A hit builds the key once; a miss
+        fills the entry through gamma_draws."""
         key = self._key(cfg)
-        entry = store.get(key)
+        entry = self._cache.get(key)
         if entry is None:
             self.gamma_draws(cfg)
-            entry = store[key]
+            entry = self._cache[key]
         return entry
 
     def ci_halfwidth(self, delta: float) -> float:
@@ -249,7 +250,7 @@ def _mixed_run(g: float, gams: np.ndarray,
 
 
 def _knot_search(g: float, z_bar: int, cfg: InfluencerGameConfig,
-                 draws: tuple[np.ndarray, np.ndarray, float]) -> tuple:
+                 draws: GammaDraws) -> tuple:
     """The draws' segments at g, shared by every knot table of (m, z_bar):
     (lo, hi, a, cnt, off, head, tail).
 
@@ -273,7 +274,7 @@ def _knot_search(g: float, z_bar: int, cfg: InfluencerGameConfig,
     _cost_knots, so a search adds g to the knots and makes its other
     numpy calls on the searched knots alone.
     """
-    gams, sums, center = draws
+    gams, sums, center = draws.gams, draws.sums, draws.center
     lo, hi = _mixed_run(g, gams, cfg)
     if lo == hi:
         return lo, hi, 0, None, None, 0, 0
@@ -337,12 +338,11 @@ def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
     g)/C_i: w <= 0 gives p = 1 and F = 0, w >= 1 gives p = 0 and F = 1, and
     the mixed run between sums the fused table (w_k, F_M(z_bar-1; p_k)) over
     its knots (see _knot_search and _tabled_sum): O(K log n) for the K =
-    4,097 knots, about 0.02 to 0.07 ms at n = 1e5 on a 2-vCPU Xeon, where
-    interpolating every draw took 1 ms. It agrees
-    with the per-draw mean of binom_cdf_vec_interp(p_from_gamma_vec) up to
-    rounding: within n * eps at the fig preset (C_v = 1, C_i = 5), and
-    within what rounding w can change over a draw's segment when a small
-    C_i magnifies it. N_P' is the slope of that piecewise-linear sum on
+    4,097 knots, about 0.02 to 0.07 ms at n = 1e5 on a 2-vCPU Xeon. It
+    agrees with the per-draw mean of binom_cdf_vec_interp(p_from_gamma_vec)
+    up to rounding: within n * eps at the fig preset (C_v = 1, C_i = 5),
+    and within what rounding w can change over a draw's segment when a
+    small C_i magnifies it. N_P' is the slope of that piecewise-linear sum on
     the segment at g (see _tabled_sum). For z_bar = m no draw is mixed:
     N_P is the count of draws with Gamma >= g - C_v + C_i, a step
     function, and N_P' = 0.
@@ -351,13 +351,14 @@ def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
     stores its knot search there under g, so that E[p(g)] reuses it.
     """
     cfg, sampler = problem.cfg, problem.sampler
+    _require_zbar(z_bar, cfg)
     if sampler.mode == PERFECT_INFO:
         if with_slope:
             raise ValueError("N_P' is computed for Monte Carlo samplers only")
         return float(binom_cdf(cfg.m, z_bar - 1, p_from_gamma(
             g, sampler.c_infinity(cfg), z_bar, cfg)))
-    draws = sampler.sorted_draws(cfg)
-    gams = draws[0]
+    draws = sampler.draws(cfg)
+    gams = draws.gams
     n = len(gams)
     if z_bar == cfg.m:
         value, slope = (n - int(gams.searchsorted(g - cfg.c_v + cfg.c_i))
@@ -379,8 +380,8 @@ def _p_expectation(g: float, z_bar: int, problem: LeaderProblem,
     cfg, sampler = problem.cfg, problem.sampler
     if sampler.mode == PERFECT_INFO:
         return p_from_gamma(g, sampler.c_infinity(cfg), z_bar, cfg)
-    draws = sampler.sorted_draws(cfg)
-    gams = draws[0]
+    draws = sampler.draws(cfg)
+    gams = draws.gams
     n = len(gams)
     if z_bar == cfg.m:
         return int(gams.searchsorted(g - cfg.c_v + cfg.c_i)) / n
@@ -393,6 +394,7 @@ def _p_expectation(g: float, z_bar: int, problem: LeaderProblem,
 def expected_incentive_cost(g: float, z_bar: int,
                             problem: LeaderProblem) -> float:
     """U(g) = M g E[p(g, C)], the expected incentive outlay."""
+    _require_zbar(z_bar, problem.cfg)
     return problem.cfg.m * g * _p_expectation(g, z_bar, problem)
 
 
@@ -408,8 +410,13 @@ def g_floor(cfg: InfluencerGameConfig) -> float:
 
 
 def _require_zbar(z_bar: int, cfg: InfluencerGameConfig) -> None:
-    if not 1 <= z_bar <= cfg.m:
-        raise ValueError(f"z_bar must lie in 1..{cfg.m}, got {z_bar}")
+    """z_bar must be an integer in 1..m (numpy integers are taken, bool
+    is not). Every N_P evaluation makes this check, so a plain int skips
+    the ABC check (about 0.6 us on a shared 2-vCPU Xeon)."""
+    if not ((type(z_bar) is int or isinstance(z_bar, numbers.Integral)
+             and not isinstance(z_bar, bool)) and 1 <= z_bar <= cfg.m):
+        raise ValueError(f"z_bar must be an integer in 1..{cfg.m}, "
+                         f"got {z_bar!r}")
 
 
 def _unbracketed(delta: float, lo: float, step: float) -> BracketingError:
@@ -427,44 +434,43 @@ def _bracket_above(f, lo: float, delta: float, step: float) -> float:
     raise _unbracketed(delta, lo, step)
 
 
-def _binding_by_count(z_bar: int, problem: LeaderProblem) -> bool:
+def _binding_by_count(draws: GammaDraws, problem: LeaderProblem) -> bool:
     """Whether the draws with w >= 1 at g = 0 alone put N_P(0) above delta
     (z_bar < m, Monte Carlo). N_P(0) = (total + (n - hi)) / n, where total
     >= 0 sums the mixed run's F values and gams[hi:] are the draws with w
     >= 1, so (n - hi) / n > delta proves the constraint binds without
     searching the knots; False decides nothing."""
-    gams = problem.sampler.sorted_draws(problem.cfg)[0]
-    n = len(gams)
+    gams, n = draws.gams, len(draws.gams)
     return (n - _mixed_run(0.0, gams, problem.cfg)[1]) / n > problem.delta
 
 
-def _one_point_root(z_bar: int, problem: LeaderProblem) -> float:
+def _one_point_root(z_bar: int, problem: LeaderProblem,
+                    draws: GammaDraws) -> float:
     """The root of N_P = delta when every draw sits at the median draw (the
-    sorted cache's center): g = C_v + Gamma_med - C_i w*, with w* read off
-    the fused table (w_k, F_M(z_bar-1; p_k)) at delta. This is the
+    draw set's center): g = C_v + Gamma_med - C_i w*, with w* read off the
+    fused table (w_k, F_M(z_bar-1; p_k)) at delta. This is the
     perfect-information root at Gamma_med, on the table."""
     cfg = problem.cfg
     w, _, f, _, _, _ = _knot_tables(cfg.m, z_bar)
-    center = problem.sampler.sorted_draws(cfg)[2]
-    return cfg.c_v + center - cfg.c_i * float(np.interp(problem.delta, f, w))
+    return (cfg.c_v + draws.center
+            - cfg.c_i * float(np.interp(problem.delta, f, w)))
 
 
-def _quantile_start(z_bar: int, problem: LeaderProblem, lo: float,
-                    reach: float) -> float:
+def _quantile_start(z_bar: int, problem: LeaderProblem, draws: GammaDraws,
+                    lo: float, reach: float) -> float:
     """The start of the z_bar < m Newton solve: one Newton step from the
-    one-point root g0 on the Q = _QUANTILES mid-quantile draws gams[((2j+1)
-    n) // (2Q)] of the sorted cache. N_P and N_P' of that subset at g0 come
-    from the same knot search and table as the full N_P, over the
-    subset's own prefix sums. g0 is kept where the subset's slope is not
-    negative, and where g0 or the step lies outside (lo, reach], which the
-    solve would replace with a doubling probe."""
-    g0 = _one_point_root(z_bar, problem)
+    one-point root g0 on the draw set's Q = _QUANTILES mid-quantile draws
+    (draws.quantiles). N_P and N_P' of that subset at g0 come from the same
+    knot search and table as the full N_P, over the subset's own prefix
+    sums. g0 is kept where the subset's slope is not negative, and where
+    g0 or the step lies outside (lo, reach], which the solve would replace
+    with a doubling probe."""
+    g0 = _one_point_root(z_bar, problem, draws)
     if not lo < g0 <= reach:
         return g0
     cfg = problem.cfg
     value, slope = _np_from_search(
-        _knot_search(g0, z_bar, cfg, problem.sampler.quantile_draws(cfg)),
-        _QUANTILES, z_bar, cfg)
+        _knot_search(g0, z_bar, cfg, draws.quantiles), _QUANTILES, z_bar, cfg)
     if not slope < 0.0:
         return g0
     g1 = g0 - (value - problem.delta) / slope
@@ -501,6 +507,7 @@ def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolutio
         return perfect_info_solution(z_bar, problem)
     cfg, delta = problem.cfg, problem.delta
     _require_zbar(z_bar, cfg)
+    draws = problem.sampler.draws(cfg)
 
     # the solution reports N_P(g*) and E[p(g*)], and the root finder has
     # already evaluated N_P there; every dict here belongs to this call
@@ -523,7 +530,7 @@ def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolutio
                               p_expectation=p_exp, np_at_g=np_g,
                               mode=problem.sampler.mode)
 
-    if (not (z_bar < cfg.m and _binding_by_count(z_bar, problem))
+    if (not (z_bar < cfg.m and _binding_by_count(draws, problem))
             and np_at(0.0) <= delta):
         return solution(0.0, binding=False)
 
@@ -536,8 +543,8 @@ def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolutio
         reach = lo + step * 2.0 ** (PROBES - 1)
         g_star = bisect_decreasing(np_and_slope, delta, lo, math.inf,
                                    atol=1e-12, rtol=1e-12, slope=True,
-                                   x0=_quantile_start(z_bar, problem, lo,
-                                                      reach),
+                                   x0=_quantile_start(z_bar, problem, draws,
+                                                      lo, reach),
                                    step=step)
         if math.isnan(g_star):
             raise _unbracketed(delta, lo, step)

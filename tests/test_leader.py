@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import json
 import math
@@ -214,7 +215,7 @@ def _reference_tabled_sum(w, v, sv, g, cfg, draws, lo, hi):
     oracle the split sums must equal to the bit."""
     if lo == hi:
         return 0.0, 0.0
-    gams, sums, center = draws
+    gams, sums, center = draws.gams, draws.sums, draws.center
     knots = cfg.c_i * w - cfg.c_v + g
     a = max(int(np.searchsorted(knots, gams[lo], side="right")) - 1, 0)
     b = min(int(np.searchsorted(knots, gams[hi - 1], side="right")),
@@ -234,9 +235,9 @@ def reference_sums(g, z_bar, problem):
     """(N_P, N_P', E[p]) for z_bar < M from _reference_tabled_sum, one
     search of the knots per table."""
     cfg = problem.cfg
-    draws = problem.sampler.sorted_draws(cfg)
-    n = len(draws[0])
-    lo, hi = leader._mixed_run(g, draws[0], cfg)
+    draws = problem.sampler.draws(cfg)
+    n = len(draws.gams)
+    lo, hi = leader._mixed_run(g, draws.gams, cfg)
     w, p, f, sp, sf, _ = leader._knot_tables(cfg.m, z_bar)
     total, slope = _reference_tabled_sum(w, f, sf, g, cfg, draws, lo, hi)
     p_sum = _reference_tabled_sum(w, p, sp, g, cfg, draws, lo, hi)[0]
@@ -318,7 +319,7 @@ class TestSlicedConstraint:
             return orig(*args, **kw)
 
         def search_spy(g, z_bar, cfg, draws):
-            searches.append(len(draws[0]))
+            searches.append(len(draws.gams))
             return orig_search(g, z_bar, cfg, draws)
 
         monkeypatch.setattr(leader, "non_eradication_probability", spy)
@@ -367,21 +368,22 @@ class TestSlicedConstraint:
         # side ends within its Newton tolerance 1e-12 max(1, g*) of the root
         prob = mc_problem(delta, z_bar, n=n, seed=seed, c_v=costs[0],
                           c_i=costs[1])
-        cfg = prob.cfg
+        cfg, draws = prob.cfg, prob.sampler.draws(prob.cfg)
 
         def np_and_slope(g):
             return vg.non_eradication_probability(g, z_bar, prob,
                                                   with_slope=True)
 
         binding = np_and_slope(0.0)[0] > delta
-        if leader._binding_by_count(z_bar, prob):
+        if leader._binding_by_count(draws, prob):
             assert binding
         sol = vg.solve_optimal_incentive(z_bar, prob)
         assert sol.binding == binding
         if binding:
             g = bisect_decreasing(np_and_slope, delta, g_floor(cfg), math.inf,
                                   atol=1e-12, rtol=1e-12, slope=True,
-                                  x0=leader._one_point_root(z_bar, prob),
+                                  x0=leader._one_point_root(z_bar, prob,
+                                                            draws),
                                   step=max(cfg.c_i, 1.0))
             assert abs(sol.g_star - g) <= 2e-12 * max(1.0, g)
         else:
@@ -474,7 +476,8 @@ class TestSlicedConstraint:
         calls = []
         for name in ("non_eradication_probability", "_knot_search"):
             def spy(g, *args, _orig=getattr(leader, name), _name=name, **kw):
-                size = len(args[2][0]) if _name == "_knot_search" else None
+                size = (len(args[2].gams) if _name == "_knot_search"
+                        else None)
                 calls.append((_name, g, size))
                 return _orig(g, *args, **kw)
 
@@ -488,12 +491,14 @@ class TestSlicedConstraint:
         assert names == (["_knot_search"]
                          + ["non_eradication_probability",
                             "_knot_search"] * len(gs))
-        g0 = leader._one_point_root(z_bar, prob)
+        cfg = prob.cfg
+        draws = prob.sampler.draws(cfg)
+        g0 = leader._one_point_root(z_bar, prob, draws)
         assert calls[0] == ("_knot_search", g0, 64)
         assert all(size == 20_000 for _, _, size in calls[2::2])
-        cfg = prob.cfg
         lo, step = g_floor(cfg), max(cfg.c_i, 1.0)
-        start = leader._quantile_start(z_bar, prob, lo, lo + step * 2 ** 59)
+        start = leader._quantile_start(z_bar, prob, draws, lo,
+                                       lo + step * 2 ** 59)
         assert gs[0] == start != g0
 
     def test_mixed_solve_makes_no_per_draw_pass(self, monkeypatch):
@@ -601,7 +606,8 @@ class TestUnbracketedRoot:
         prob = mc_problem(0.05, z_bar, n=1_000, xi_mean=1e300)
         cfg = prob.cfg
         reach = g_floor(cfg) + max(cfg.c_i, 1.0) * 2 ** 59
-        assert leader._one_point_root(min(z_bar, 39), prob) > 10 * reach
+        assert leader._one_point_root(min(z_bar, 39), prob,
+                                      prob.sampler.draws(cfg)) > 10 * reach
         with pytest.raises(leader.BracketingError,
                            match=r"^N_P stayed above delta=0\.05 up to g=\S"):
             vg.solve_optimal_incentive(z_bar, prob)
@@ -610,11 +616,16 @@ class TestUnbracketedRoot:
 
 class TestInputChecks:
     @pytest.mark.parametrize("make", [mc_problem, pi_problem])
-    @pytest.mark.parametrize("z_bar", [0, -1, 41])
+    @pytest.mark.parametrize("z_bar", [0, -1, 41, 1.5, True, 40.0])
     def test_zbar_outside_range_rejected(self, make, z_bar):
+        # an integer in 1..m only: a fraction, a flag or a whole float is
+        # refused as an out-of-range count is, by every public function
         prob = make(0.05, 20)
-        with pytest.raises(ValueError, match="z_bar"):
-            vg.solve_optimal_incentive(z_bar, prob)
+        for call in (vg.solve_optimal_incentive,
+                     functools.partial(vg.non_eradication_probability, 5.0),
+                     functools.partial(vg.expected_incentive_cost, 5.0)):
+            with pytest.raises(ValueError, match="z_bar"):
+                call(z_bar, prob)
 
     @pytest.mark.parametrize("kw", [dict(n_samples=0), dict(n_samples=-5),
                                     dict(mode="montecarlo"), dict(mode=None),
@@ -632,39 +643,108 @@ class TestInputChecks:
         assert len(smp.gamma_draws(game_cfg(20))) == 10
 
     def test_cached_sorted_draws_build_one_key(self, monkeypatch):
-        # a hit is one key and one lookup; the fill (and so the draw-fill
-        # span the benchmark's tracer records) stays inside gamma_draws
+        # a miss fills inside gamma_draws, adding one _cache entry there
+        # (the draw-fill span the benchmark's tracer records); a hit is one
+        # key and one lookup; a solve looks the draw set up once for itself
+        # and once for E[p(g*)], besides one lookup per N_P evaluation
         prob = mc_problem(0.05, 20, n=100)
-        keys, fills = [0], [0]
+        smp = prob.sampler
+        keys, fills, evals = [0], [], [0]
         smp_cls = vg.ExpectationSampler
         key, gamma_draws = smp_cls._key, smp_cls.gamma_draws
+        np_eval = leader.non_eradication_probability
 
         def counting_key(sampler, cfg):
             keys[0] += 1
             return key(sampler, cfg)
 
         def counting_draws(sampler, cfg):
-            fills[0] += 1
-            return gamma_draws(sampler, cfg)
+            before = len(sampler._cache)
+            out = gamma_draws(sampler, cfg)
+            fills.append(len(sampler._cache) - before)
+            return out
+
+        def counting_np(*args, **kw):
+            evals[0] += 1
+            return np_eval(*args, **kw)
 
         monkeypatch.setattr(smp_cls, "_key", counting_key)
         monkeypatch.setattr(smp_cls, "gamma_draws", counting_draws)
-        first = prob.sampler.sorted_draws(prob.cfg)
-        assert fills[0] == 1 and len(prob.sampler._cache) == 1
+        monkeypatch.setattr(leader, "non_eradication_probability",
+                            counting_np)
+        first = smp.draws(prob.cfg)
+        assert fills == [1] and len(smp._cache) == 1
+        assert smp._cache[key(smp, prob.cfg)] is first
         keys[0] = 0
         for _ in range(5):
-            assert prob.sampler.sorted_draws(prob.cfg) is first
-        assert keys[0] == 5 and fills[0] == 1
+            assert smp.draws(prob.cfg) is first
+        assert keys[0] == 5 and fills == [1]
+        keys[0] = 0
+        assert vg.solve_optimal_incentive(20, prob).binding
+        assert keys[0] == evals[0] + 2 and fills == [1]
 
     def test_cached_draws_are_read_only(self):
-        # a write to the draws would leave their prefix sums stale
+        # a write to the draws would leave their prefix sums stale, and so
+        # would one to the quantile subset
         prob = mc_problem(0.05, 20, n=100)
-        gams, sums, _ = prob.sampler.sorted_draws(prob.cfg)
-        for arr in (prob.sampler.gamma_draws(prob.cfg), gams, sums):
+        draws = prob.sampler.draws(prob.cfg)
+        sub = draws.quantiles
+        for arr in (prob.sampler.gamma_draws(prob.cfg), draws.gams,
+                    draws.sums, sub.gams, sub.sums):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
             with pytest.raises(ValueError, match="read-only"):
                 arr += 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            draws.center = 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+    def test_draw_set_holds_the_sorted_draws_and_their_sums(self, n, seed):
+        # bit for bit: the sorted draws of the seed, the centred prefix
+        # sums, and the 64 mid-quantile draws with sums of their own
+        cfg = game_cfg(20)
+        draws = vg.ExpectationSampler(n_samples=n, seed=seed).draws(cfg)
+
+        def centred_sums(x, center):
+            return np.concatenate(([0.0], np.cumsum(x - center)))
+
+        gams = np.sort(game.final_gamma_draws(cfg, np.random.default_rng(seed),
+                                              n))
+        assert np.array_equal(draws.gams, gams)
+        assert draws.center == gams[n // 2]
+        assert np.array_equal(draws.sums, centred_sums(gams, draws.center))
+        sub = draws.quantiles
+        want = gams[leader._MID_QUANTILES * n // 128]
+        assert len(want) == 64 and np.array_equal(sub.gams, want)
+        assert sub.center == draws.center
+        assert np.array_equal(sub.sums, centred_sums(want, draws.center))
+        assert sub.quantiles is None
+
+    def test_perfect_info_draws_are_the_one_point(self):
+        prob = pi_problem(0.05, 20)
+        draws = prob.sampler.draws(prob.cfg)
+        gam = prob.sampler.c_infinity(prob.cfg)
+        assert draws.gams.tolist() == [gam] and draws.center == gam
+        assert draws.sums.tolist() == [0.0, 0.0]
+        assert draws.quantiles.gams.tolist() == [gam] * 64
+        assert prob.sampler.gamma_draws(prob.cfg) is draws.gams
+
+    def test_samplers_compare_by_their_settings(self):
+        # the draw cache takes no part in ==, repr or __init__: filled or
+        # not, samplers and problems of equal settings are equal
+        a = vg.ExpectationSampler(n_samples=100, seed=0)
+        b = vg.ExpectationSampler(n_samples=100, seed=0)
+        cfg = game_cfg(20)
+        assert a == b
+        a.draws(cfg)
+        assert a == b
+        b.draws(cfg)
+        assert a == b and a != vg.ExpectationSampler(n_samples=100, seed=1)
+        assert vg.LeaderProblem(0.05, cfg, a) == vg.LeaderProblem(0.05, cfg, b)
+        assert "_cache" not in repr(a)
+        with pytest.raises(TypeError, match="_cache"):
+            vg.ExpectationSampler(_cache={})
 
 
 class TestPerfectInformation:
