@@ -162,6 +162,17 @@ def _theta_disease(theta: float, r: float, b: float,
     return DiseaseParams(lam=rho * (r + b), r=r, b=b, d=d)
 
 
+# how far above theta* the vaccine-optimal supply design may put psi_e
+DESIGN_EPS = 1e-3
+
+
+def _vaccine_optimal_design(costs: PublicCostModel, dis: DiseaseParams,
+                            m: int) -> leader.JointDesign:
+    """k_star and its supply policy, psi_e within DESIGN_EPS of theta*."""
+    k, _ = leader.vaccine_optimal_k(costs, dis, m)
+    return leader.construct_eps_vaccine_optimal_nu(k, DESIGN_EPS, costs, dis, m)
+
+
 def _sweep_point(cfg: ScenarioConfig, idx: int, value: float) -> ReportRow:
     t0 = time.perf_counter()
     gc, delta = cfg.game_cfg, cfg.delta
@@ -181,13 +192,11 @@ def _sweep_point(cfg: ScenarioConfig, idx: int, value: float) -> ReportRow:
             dis = _theta_disease(float(value), dis.r, dis.b, dis.d)
         else:
             costs = dataclasses.replace(costs, s=float(value))
-        zb, _ = leader.vaccine_optimal_k(costs, dis, gc.m)
-        design = leader.construct_eps_vaccine_optimal_nu(zb, 1e-3, costs, dis, gc.m)
-        psi_e = design.psi_e_achieved
+        design = _vaccine_optimal_design(costs, dis, gc.m)
+        zb, psi_e = design.k_star, design.psi_e_achieved
         gc = dataclasses.replace(gc, z_bar=zb)
 
-    mode = leader.PERFECT_INFO if gc.xi.is_point else leader.MONTE_CARLO
-    smp = leader.ExpectationSampler(mode=mode, n_samples=cfg.samples,
+    smp = leader.ExpectationSampler(n_samples=cfg.samples,
                                     seed=cfg.seed * 100_003 + idx)
     sol = leader.solve_optimal_incentive(zb, leader.LeaderProblem(delta, gc, smp))
     return ReportRow(float(value), sol.g_star, sol.u_star, zb, psi_e,
@@ -272,20 +281,18 @@ def reproduce_figure(fig_id: int, outdir: Path, seed: int = 0,
         return out
 
     if fig_id == 3:
-        pi = leader.ExpectationSampler(mode=leader.PERFECT_INFO)
-        rows = []
+        def g_star(z_bar: int, delta: float, sigma2: float) -> float:
+            return leader.solve_optimal_incentive(z_bar, leader.LeaderProblem(
+                delta, _fig_cfg(z_bar, sigma2), smp)).g_star
+
+        c_i, rows = FIG_GAME["c_i"], []
         for delta in (0.01, 0.05):
-            p1 = leader.perfect_info_solution(
-                1, leader.LeaderProblem(delta, _fig_cfg(1, 0.0), pi))
-            pM = leader.perfect_info_solution(
-                40, leader.LeaderProblem(delta, _fig_cfg(40, 0.0), pi))
+            # sigma2 = 0 is the point law, solved by the closed forms
+            g1_pi, gM_pi = g_star(1, delta, 0.0), g_star(40, delta, 0.0)
             for sigma2 in (1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 2.5):
-                s1 = leader.solve_optimal_incentive(
-                    1, leader.LeaderProblem(delta, _fig_cfg(1, sigma2), smp))
-                sM = leader.solve_optimal_incentive(
-                    40, leader.LeaderProblem(delta, _fig_cfg(40, sigma2), smp))
-                rows.append([delta, sigma2, s1.g_star, sM.g_star + FIG_GAME["c_i"],
-                             p1.g_star, pM.g_star + FIG_GAME["c_i"]])
+                rows.append([delta, sigma2, g_star(1, delta, sigma2),
+                             g_star(40, delta, sigma2) + c_i,
+                             g1_pi, gM_pi + c_i])
         out = outdir / "fig3_convergence_vs_sigma2.csv"
         write_csv(out, ["delta", "sigma2", "g1", "gM_plus_Ci",
                         "g1_perfect", "gM_plus_Ci_perfect"], rows)
@@ -314,8 +321,8 @@ def reproduce_figure(fig_id: int, outdir: Path, seed: int = 0,
         rows = []
         for s in np.round(np.arange(0.02, 0.51, 0.02), 3):
             costs = PublicCostModel(s=float(s), **FIG_S_COSTS)
-            k, _ = leader.vaccine_optimal_k(costs, dis, 40)
-            design = leader.construct_eps_vaccine_optimal_nu(k, 1e-3, costs, dis, 40)
+            design = _vaccine_optimal_design(costs, dis, 40)
+            k = design.k_star
             row = [s, k, design.psi_e_achieved,
                    1 if design.incentive_optimal_exists else 0]
             for delta in (0.01, 0.1):
@@ -537,9 +544,10 @@ def cmd_optimize_leader(args) -> int:
     else:
         raise ConfigError("give --zbar or --auto-zbar")
     cfg = _game_cfg_from(args, zb)
-    mode = leader.PERFECT_INFO if args.mode == "perfect" else leader.MONTE_CARLO
-    smp = leader.ExpectationSampler(mode=mode, n_samples=args.samples,
-                                    seed=args.seed)
+    if args.mode == "perfect":
+        # solve as if Gamma were known: the point law at the law's mean
+        cfg = dataclasses.replace(cfg, xi=game.XiModel(cfg.e_xi))
+    smp = leader.ExpectationSampler(n_samples=args.samples, seed=args.seed)
     sol = leader.solve_optimal_incentive(zb, leader.LeaderProblem(args.delta, cfg, smp))
     print(json.dumps(sol.to_dict(), indent=2))
     sweep = Path(args.csv)
@@ -549,7 +557,7 @@ def cmd_optimize_leader(args) -> int:
         if new:
             w.writerow(["zbar", "delta", "sigma2", "g_star", "U_star", "NP_at_g"])
         w.writerow([_fmt(v) for v in
-                    [zb, args.delta, cfg.xi.sigma2, sol.g_star, sol.u_star,
+                    [zb, args.delta, args.xi_var, sol.g_star, sol.u_star,
                      sol.np_at_g]])
     return 0
 
@@ -656,7 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--auto-zbar", action="store_true",
                    help="derive z_bar from the VA policy and costs")
-    p.add_argument("--mode", choices=("mc", "perfect"), default="mc")
+    p.add_argument("--mode", choices=("mc", "perfect"), default="mc",
+                   help="perfect: solve at the point law of the data's mean")
     p.add_argument("--csv", default="leader_sweep.csv",
                    help="sweep file to append the solution row to")
     common["seed"](p)

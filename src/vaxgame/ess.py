@@ -9,7 +9,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .epidemic import admissibility_gap, psi_co_occurring, psi_eradicating
-from .params import DiseaseParams, InsufficientInfluenceError, PublicCostModel, VaRatePolicy
+from .params import DiseaseParams, PublicCostModel, VaRatePolicy
 
 # Utility gaps this close to zero are classified by their exact sign but
 # flagged, since the strict/non-strict split is then numerically fragile.
@@ -39,14 +39,17 @@ def is_admissible(nu: VaRatePolicy, disease: DiseaseParams) -> Admissibility:
     return Admissibility.NOT_ADMISSIBLE
 
 
-def _infection_term(theta: float, va_rate: float, lam: float, c_i: float) -> float:
-    return lam * theta * c_i / (lam * theta + va_rate)
-
-
-def _side_effect_term(psi: float, costs: PublicCostModel) -> float:
-    if psi <= 0.0:
-        return costs.c_v2_bar
-    return min(costs.c_v2_bar, costs.c_v2 / psi)
+def _h_at(theta: float, psi: float, z: int, nu: VaRatePolicy,
+          costs: PublicCostModel, disease: DiseaseParams, m: int) -> float:
+    """Gap of vaccinating at the limit (theta, psi), z of m vaccinated: c_v1
+    + (1 - z/m) side - lam theta C_i / (lam theta + nu(psi)) - c_f(z), with
+    side = min(c_v2_bar, c_v2 / psi) (c_v2_bar at psi = 0) and the infection
+    term 0 at theta = 0 (where it is 0/0 if nu(psi) = 0)."""
+    side = (costs.c_v2_bar if psi <= 0.0
+            else min(costs.c_v2_bar, costs.c_v2 / psi))
+    lt = disease.lam * theta
+    infection = 0.0 if theta == 0.0 else lt * costs.c_i / (lt + nu.rate(psi))
+    return costs.c_v1 + (1.0 - z / m) * side - infection - costs.c_f(z)
 
 
 def _h_iv_only(z: int, nu: VaRatePolicy, costs: PublicCostModel,
@@ -54,14 +57,9 @@ def _h_iv_only(z: int, nu: VaRatePolicy, costs: PublicCostModel,
     """(h_i, h_v): the gaps at the non-vaccinating and eradicating limits."""
     if m < 1 or not 0 <= z <= m:
         raise ValueError("need m >= 1 and z in 0..m")
-    share = 1.0 - z / m
-    cf = costs.c_f(z)
-    h_i = (costs.c_v1 + share * costs.c_v2_bar
-           - _infection_term(disease.theta_star, nu.nu_b, disease.lam,
-                             costs.c_i) - cf)
-    h_v = costs.c_v1 + share * _side_effect_term(
-        psi_eradicating(nu, disease.b), costs) - cf
-    return h_i, h_v
+    return (_h_at(disease.theta_star, 0.0, z, nu, costs, disease, m),
+            _h_at(0.0, psi_eradicating(nu, disease.b), z, nu, costs,
+                  disease, m))
 
 
 def _eradicates(h_i: float, h_v: float) -> bool:
@@ -82,11 +80,8 @@ def h_values(z: int, nu: VaRatePolicy, costs: PublicCostModel,
     """
     h_i, h_v = _h_iv_only(z, nu, costs, disease, m)
     psi_o = psi_co_occurring(nu, disease)
-    theta_o = disease.theta_star - psi_o
-    h_v_o = (costs.c_v1 + (1.0 - z / m) * _side_effect_term(psi_o, costs)
-             - _infection_term(theta_o, nu.rate(psi_o), disease.lam, costs.c_i)
-             - costs.c_f(z))
-    return h_i, h_v, h_v_o
+    return h_i, h_v, _h_at(disease.theta_star - psi_o, psi_o, z, nu, costs,
+                           disease, m)
 
 
 def _warn_boundary(name: str, value: float) -> None:

@@ -13,8 +13,8 @@ searchsorted of the knots into the draws and the prefix sums, O(K log n)
 rather than O(n). The knots and values are rows of game's binomial
 tables, one pass per trial count for every threshold, built at the first
 evaluation, and the knots scaled to the costs are cached with them. The
-z_bar = m count and the perfect-information forms are exact paths with
-no table.
+z_bar = m count and the perfect-information forms, taken exactly when
+the law is a point (XiModel.is_point), are exact paths with no table.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .epidemic import psi_eradicating
-from .ess import eradication_threshold, is_admissible
+from .ess import eradication_threshold
 # binom_cdf_vec_interp and p_from_gamma_vec are the per-draw path that the
 # tabled sums below reproduce; they stay names of this module because the
 # benchmark's tracer (perfbench/tracing.py) wraps them here.
@@ -37,6 +37,7 @@ from .game import (PROBES, InfluencerGameConfig, _cdf_grid, _mixed_root,
                    p_from_gamma_vec)  # noqa: F401
 from .params import DiseaseParams, PublicCostModel, VaRatePolicy
 
+# the two values of LeaderSolution.mode: the method that solved
 PERFECT_INFO = "perfect_info"
 MONTE_CARLO = "monte_carlo"
 
@@ -89,36 +90,26 @@ class GammaDraws:
 class ExpectationSampler:
     """Draw cache for expectations over the final side-effect estimate.
 
-    draws(cfg) is the GammaDraws of cfg's law, filled at the first call and
-    kept for the sampler's life; gamma_draws(cfg) is its gams. monte_carlo
-    mode draws n_samples values of Gamma_{T-1}(C_{T-1}). perfect_info has
-    the one draw (c_se_1 + (T-1) E[xi]) / T, the almost-sure value of
-    Gamma_{T-1} when the data law is a point mass (XiModel.is_point). Only
-    mode, n_samples and seed are settings, and only they take part in ==;
-    n_samples must be an integer >= 1 and seed one >= 0, checked at build.
+    draws(cfg) is the GammaDraws of n_samples values of Gamma_{T-1}(C_{T-1})
+    under cfg's law, filled at the first call and kept for the sampler's
+    life; gamma_draws(cfg) is its gams. A point law (XiModel.is_point) is
+    solved by the closed forms and never draws. Only n_samples and seed are
+    settings, and only they take part in ==; n_samples must be an integer
+    >= 1 and seed one >= 0, checked at build.
     """
 
-    mode: str = MONTE_CARLO
     n_samples: int = 100_000
     seed: int = 0
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     def __post_init__(self):
-        if self.mode not in (MONTE_CARLO, PERFECT_INFO):
-            raise ValueError(
-                f"mode must be {MONTE_CARLO!r} or {PERFECT_INFO!r}, "
-                f"got {self.mode!r}")
         for name, least in (("n_samples", 1), ("seed", 0)):
             v = getattr(self, name)
             if (not isinstance(v, numbers.Integral) or isinstance(v, bool)
                     or v < least):
                 raise ValueError(
                     f"{name} must be an integer >= {least}, got {v!r}")
-
-    def c_infinity(self, cfg: InfluencerGameConfig) -> float:
-        T = cfg.t_horizon
-        return (cfg.c_se_1 + (T - 1) * cfg.e_xi) / T
 
     def _key(self, cfg: InfluencerGameConfig) -> tuple:
         return (cfg.c_se_1, cfg.t_horizon, cfg.xi, self.n_samples, self.seed)
@@ -128,10 +119,8 @@ class ExpectationSampler:
         cache happens here, and adds one entry."""
         key = self._key(cfg)
         if key not in self._cache:
-            gams = (np.array([self.c_infinity(cfg)])
-                    if self.mode == PERFECT_INFO else final_gamma_draws(
-                        cfg, np.random.default_rng(self.seed),
-                        self.n_samples))
+            gams = final_gamma_draws(cfg, np.random.default_rng(self.seed),
+                                     self.n_samples)
             gams.sort()
             center = float(gams[len(gams) // 2])
             sub = gams[_MID_QUANTILES * len(gams) // (2 * _QUANTILES)]
@@ -150,9 +139,14 @@ class ExpectationSampler:
         return entry
 
     def ci_halfwidth(self, delta: float) -> float:
-        if self.mode == PERFECT_INFO:
-            return 0.0
         return 3.0 * math.sqrt(delta * (1.0 - delta) / self.n_samples)
+
+
+def c_infinity(cfg: InfluencerGameConfig) -> float:
+    """(c_se_1 + (T-1) E[xi]) / T: the almost-sure value of Gamma_{T-1}
+    under a point law, and its mean under any law."""
+    T = cfg.t_horizon
+    return (cfg.c_se_1 + (T - 1) * cfg.e_xi) / T
 
 
 @dataclass
@@ -330,15 +324,16 @@ def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
                                 with_slope: bool = False, *,
                                 _searches: dict | None = None
                                 ) -> float | tuple[float, float]:
-    """N_P(g) = E[F_M(z_bar - 1; p(g, C))] under the sampler's law; with
-    with_slope, the pair (N_P(g), N_P'(g)) of a Monte Carlo sampler.
+    """N_P(g) = E[F_M(z_bar - 1; p(g, C))] under the game's law; with
+    with_slope, the pair (N_P(g), N_P'(g)) of a law that is not a point.
 
-    Perfect information evaluates the exact binomial tail at the one
-    point. Monte Carlo draws split into three runs by w = (C_v + Gamma -
-    g)/C_i: w <= 0 gives p = 1 and F = 0, w >= 1 gives p = 0 and F = 1, and
-    the mixed run between sums the fused table (w_k, F_M(z_bar-1; p_k)) over
-    its knots (see _knot_search and _tabled_sum): O(K log n) for the K =
-    4,097 knots, about 0.02 to 0.07 ms at n = 1e5 on a 2-vCPU Xeon. It
+    A point law (XiModel.is_point) evaluates the exact binomial tail at
+    c_infinity. Otherwise the sampler's draws split into three runs by w =
+    (C_v + Gamma - g)/C_i: w <= 0 gives p = 1 and F = 0, w >= 1 gives p = 0
+    and F = 1, and the mixed run between sums the fused table (w_k,
+    F_M(z_bar-1; p_k)) over its knots (see _knot_search and _tabled_sum):
+    O(K log n) for the K = 4,097 knots, about 0.02 to 0.07 ms at n = 1e5 on
+    a 2-vCPU Xeon. It
     agrees with the per-draw mean of binom_cdf_vec_interp(p_from_gamma_vec)
     up to rounding: within n * eps at the fig preset (C_v = 1, C_i = 5),
     and within what rounding w can change over a draw's segment when a
@@ -350,14 +345,14 @@ def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
     _searches is the solve's own dict: a z_bar < m Monte Carlo evaluation
     stores its knot search there under g, so that E[p(g)] reuses it.
     """
-    cfg, sampler = problem.cfg, problem.sampler
+    cfg = problem.cfg
     _require_zbar(z_bar, cfg)
-    if sampler.mode == PERFECT_INFO:
+    if cfg.xi.is_point:
         if with_slope:
-            raise ValueError("N_P' is computed for Monte Carlo samplers only")
+            raise ValueError("N_P' is not computed for a point law")
         return float(binom_cdf(cfg.m, z_bar - 1, p_from_gamma(
-            g, sampler.c_infinity(cfg), z_bar, cfg)))
-    draws = sampler.draws(cfg)
+            g, c_infinity(cfg), z_bar, cfg)))
+    draws = problem.sampler.draws(cfg)
     gams = draws.gams
     n = len(gams)
     if z_bar == cfg.m:
@@ -373,14 +368,14 @@ def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
 
 def _p_expectation(g: float, z_bar: int, problem: LeaderProblem,
                    search: tuple | None = None) -> float:
-    """E[p(g, C)]: exact at the perfect-information point, a count of the
+    """E[p(g, C)]: exact at c_infinity under a point law, a count of the
     draws with Gamma < g - C_v + C_i for z_bar = m, and otherwise the draws
     with w <= 0 plus the table (w_k, p_k) summed over the mixed run, on the
     knot search at g if the caller has it."""
-    cfg, sampler = problem.cfg, problem.sampler
-    if sampler.mode == PERFECT_INFO:
-        return p_from_gamma(g, sampler.c_infinity(cfg), z_bar, cfg)
-    draws = sampler.draws(cfg)
+    cfg = problem.cfg
+    if cfg.xi.is_point:
+        return p_from_gamma(g, c_infinity(cfg), z_bar, cfg)
+    draws = problem.sampler.draws(cfg)
     gams = draws.gams
     n = len(gams)
     if z_bar == cfg.m:
@@ -500,10 +495,10 @@ def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolutio
     z_bar = m, N_P is a step function with no slope to follow: the
     doubling probes bracket the root, the first with N_P < delta, and
     bisection finds it, its midpoints deciding on which side of the last
-    jump g* lands. Perfect-information samplers are dispatched to the
-    closed treatment, where the constraint is flat or jumps.
+    jump g* lands. A point law (XiModel.is_point) is dispatched to the
+    closed forms of perfect_info_solution, whatever the sampler.
     """
-    if problem.sampler.mode == PERFECT_INFO:
+    if problem.cfg.xi.is_point:
         return perfect_info_solution(z_bar, problem)
     cfg, delta = problem.cfg, problem.delta
     _require_zbar(z_bar, cfg)
@@ -528,7 +523,7 @@ def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolutio
         p_exp = _p_expectation(g, z_bar, problem, searches.get(g))
         return LeaderSolution(g, cfg.m * g * p_exp, z_bar, binding=binding,
                               p_expectation=p_exp, np_at_g=np_g,
-                              mode=problem.sampler.mode)
+                              mode=MONTE_CARLO)
 
     if (not (z_bar < cfg.m and _binding_by_count(draws, problem))
             and np_at(0.0) <= delta):
@@ -577,7 +572,7 @@ def perfect_info_solution(z_bar: int, problem: LeaderProblem) -> LeaderSolution:
     """
     cfg, delta = problem.cfg, problem.delta
     _require_zbar(z_bar, cfg)
-    gam = problem.sampler.c_infinity(cfg)
+    gam = c_infinity(cfg)
     p0 = p_from_gamma(0.0, gam, z_bar, cfg)
     np0 = binom_cdf(cfg.m, z_bar - 1, p0)
     if np0 <= delta:

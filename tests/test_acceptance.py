@@ -11,7 +11,7 @@ import pytest
 import vaxgame as vg
 from vaxgame.game import (WAIT_AND_WATCH, FunctionStrategy, binom_cdf_vec_interp,
                           mutate_strategy, p_from_gamma, p_from_gamma_vec)
-from vaxgame.leader import MONTE_CARLO, PERFECT_INFO, g_floor
+from vaxgame.leader import c_infinity, g_floor
 
 FIG_DISEASE = dict(lam=15.0, r=2.0, b=2.0, d=0.5)
 
@@ -55,9 +55,8 @@ def test_c01_perfect_info_closed_form_equivalence():
             c_i = float(rng.uniform(0.5, c_v + gam - 1e-3))
             cfg = vg.InfluencerGameConfig(m=m, t_horizon=20, c_v=c_v, c_i=c_i,
                                           c_se_1=gam, xi=vg.XiModel(gam), z_bar=1)
-            smp = vg.ExpectationSampler(mode=PERFECT_INFO)
-            gexact = smp.c_infinity(cfg)
-            prob = vg.LeaderProblem(delta, cfg, smp)
+            gexact = c_infinity(cfg)
+            prob = vg.LeaderProblem(delta, cfg, vg.ExpectationSampler())
 
             def np_at(g):
                 return vg.non_eradication_probability(g, 1, prob)
@@ -246,8 +245,7 @@ def test_c06_monotonicity_suite():
         # on the stretch where the empirical constraint is still positive
         for z_bar in (1, 20, 40):
             cfg = fig_cfg(z_bar)
-            smp = vg.ExpectationSampler(mode=MONTE_CARLO, n_samples=50_000,
-                                        seed=66)
+            smp = vg.ExpectationSampler(n_samples=50_000, seed=66)
             gams = smp.gamma_draws(cfg)
             lo = g_floor(cfg) + 1e-6
             hi = cfg.c_v + float(gams.max()) - 1e-6
@@ -265,7 +263,7 @@ def test_c06_monotonicity_suite():
 
 def test_c07_crossover_in_delta():
     with Stopwatch(7, "cost crossover between extreme thresholds", 180.0):
-        smp = vg.ExpectationSampler(mode=MONTE_CARLO, n_samples=100_000, seed=77)
+        smp = vg.ExpectationSampler(n_samples=100_000, seed=77)
 
         def costs_at(delta):
             u1 = vg.solve_optimal_incentive(
@@ -290,7 +288,7 @@ def test_c07_crossover_in_delta():
 
 def test_c08_incentive_gap_at_small_delta():
     with Stopwatch(8, "threshold gap approaches infection cost", 120.0):
-        smp = vg.ExpectationSampler(mode=MONTE_CARLO, n_samples=100_000, seed=88)
+        smp = vg.ExpectationSampler(n_samples=100_000, seed=88)
         delta = 1e-3
         g_m = vg.solve_optimal_incentive(
             40, vg.LeaderProblem(delta, fig_cfg(40), smp)).g_star
@@ -305,17 +303,16 @@ def test_c08_incentive_gap_at_small_delta():
 def test_c09_variance_to_zero_convergence():
     with Stopwatch(9, "small-variance solutions match closed forms", 60.0):
         delta = 0.05
-        smp = vg.ExpectationSampler(mode=MONTE_CARLO, n_samples=100_000, seed=99)
-        pi = vg.ExpectationSampler(mode=PERFECT_INFO)
+        smp = vg.ExpectationSampler(n_samples=100_000, seed=99)
         for zb in (1, 20, 39):
             g_mc = vg.solve_optimal_incentive(
                 zb, vg.LeaderProblem(delta, fig_cfg(zb, sigma2=1e-4), smp)).g_star
             g_pi = vg.perfect_info_solution(
-                zb, vg.LeaderProblem(delta, fig_cfg(zb, sigma2=0.0), pi)).g_star
+                zb, vg.LeaderProblem(delta, fig_cfg(zb, sigma2=0.0), smp)).g_star
             assert abs(g_mc - g_pi) <= 0.05, (zb, g_mc, g_pi)
         g_mc = vg.solve_optimal_incentive(
             40, vg.LeaderProblem(delta, fig_cfg(40, sigma2=1e-4), smp)).g_star
-        gam = pi.c_infinity(fig_cfg(40, sigma2=0.0))
+        gam = c_infinity(fig_cfg(40, sigma2=0.0))
         assert abs(g_mc - (1.0 + gam - 5.0)) <= 0.05
 
 

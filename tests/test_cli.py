@@ -66,6 +66,9 @@ class TestSubcommands:
         assert lines[0] == "zbar,delta,sigma2,g_star,U_star,NP_at_g"
         assert len(lines) == 3
         assert lines[1] == lines[2]
+        # --mode perfect solves at the law's mean, and the row still names
+        # the --xi-var the user gave (default 2)
+        assert lines[1].split(",")[2] == "2"
 
     def test_simulate_writes_both_sources(self, capsys, tmp_path):
         code, out, _ = run_main(capsys, "simulate", "--n0", "2000",
@@ -279,6 +282,27 @@ class TestSweep:
         mc = (tmp_path / "mc.csv").read_text().splitlines()[1]
         # report: value, g*, U*, ...; leader CSV: zbar, delta, sigma2, g*, U*
         assert sweep.split(",")[1:3] == mc.split(",")[3:5]
+
+    @pytest.mark.parametrize("zbar", ["39", "40"])
+    def test_point_law_is_solved_alike_by_both_commands(self, capsys,
+                                                        tmp_path, zbar):
+        # --xi-var 0 with --p0 0 is a point law: optimize-leader's default
+        # Monte Carlo sampler gives the closed form, as the sweep does
+        law = ["--zbar", zbar, "--xi-var", "0", "--delta", "0.05",
+               "--samples", "1000"]
+        code, out, _ = run_main(capsys, "optimize-leader", *law,
+                                "--csv", str(tmp_path / "leader.csv"))
+        assert code == 0
+        sol = json.loads(out)
+        assert sol["mode"] == "perfect_info"
+        assert sol["epsilon"] == (1e-6 if zbar == "40" else None)
+        code, _, _ = run_main(capsys, "sweep", "--var", "sigma2", "--grid",
+                              "0", *law, "--outdir", str(tmp_path))
+        assert code == 0
+        sweep = (tmp_path / "report.csv").read_text().splitlines()[1]
+        row = (tmp_path / "leader.csv").read_text().splitlines()[1]
+        # both CSVs write g* to 12 digits
+        assert sweep.split(",")[1] == row.split(",")[3]
 
     def test_sweep_points_keep_the_rest_of_the_law(self, capsys, tmp_path,
                                                    monkeypatch):

@@ -38,9 +38,9 @@ _NORMAL = dict(mean_param=5.0, sigma2=2.0)
 _DISCRETE = dict(mean_param=0.0, values=(1.0, 3.0), probs=(0.5, 0.5))
 
 # (constructor, valid keywords, field, bad values); a tuple-valued field
-# gets each bad value as its last entry, and for mode, cfg and sampler
-# every number is of the wrong type; xi, the game's law, is one XiModel,
-# whose own fields have rows of their own, bare and inside the game
+# gets each bad value as its last entry, and for cfg and sampler every
+# number is of the wrong type; xi, the game's law, is one XiModel, whose
+# own fields have rows of their own, bare and inside the game
 _TABLE = [
     *[(vg.DiseaseParams, dict(lam=15.0, r=2.0, b=2.0, d=0.5), name,
        NONNEG + (0.0,)) for name in ("lam", "r", "b")],
@@ -79,7 +79,6 @@ _TABLE = [
      "incentives", REAL),
     *[(vg.ExpectationSampler, dict(n_samples=10), name, INTEGER)
       for name in ("n_samples", "seed")],
-    (vg.ExpectationSampler, dict(n_samples=10), "mode", INTEGER),
     (_leader, {}, "delta", FRACTION),
     *[(_leader, {}, name, INTEGER) for name in ("cfg", "sampler")],
 ]

@@ -30,6 +30,16 @@ class TestHValues:
         _, h_v, _ = vg.h_values(M, ADMISSIBLE_NU, costs, dis, M)
         assert h_v == pytest.approx(costs.c_v1 - costs.c_f(M), rel=1e-14)
 
+    def test_no_supply_keeps_every_gap_finite(self):
+        # nu = 0 puts psi_e and psi_o at 0: the eradicating limit's infection
+        # term, 0/0 there by its formula, is 0 at theta = 0, and the
+        # co-occurring limit is the non-vaccinating one
+        dis, costs = fig5_disease(), fig5_costs(0.2)
+        h_i, h_v, h_v_o = vg.h_values(10, vg.VaRatePolicy(0.0, 0.0), costs,
+                                      dis, M)
+        assert h_v == costs.c_v1 + 0.75 * costs.c_v2_bar - costs.c_f(10)
+        assert h_v_o == h_i == pytest.approx(h_v - costs.c_i, rel=1e-14)
+
     def test_no_influencers_keeps_eradication_unattractive(self):
         dis = fig5_disease()
         for s in (0.05, 0.2, 1.0):

@@ -19,8 +19,7 @@ from vaxgame import game, leader
 from vaxgame.cli import FIG_GAME
 from vaxgame.game import (_cdf_grid, binom_cdf_vec_interp, bisect_decreasing,
                           p_from_gamma_vec)
-from vaxgame.leader import (MONTE_CARLO, PERFECT_INFO, JointDesignError,
-                            g_floor, l_values)
+from vaxgame.leader import JointDesignError, c_infinity, g_floor, l_values
 
 
 def game_cfg(z_bar, sigma2=2.0, xi_mean=5.0, **kw):
@@ -32,13 +31,13 @@ def game_cfg(z_bar, sigma2=2.0, xi_mean=5.0, **kw):
 
 def mc_problem(delta, z_bar, sigma2=2.0, n=60_000, seed=7, **kw):
     cfg = game_cfg(z_bar, sigma2=sigma2, **kw)
-    smp = vg.ExpectationSampler(mode=MONTE_CARLO, n_samples=n, seed=seed)
+    smp = vg.ExpectationSampler(n_samples=n, seed=seed)
     return vg.LeaderProblem(delta, cfg, smp)
 
 
 def pi_problem(delta, z_bar, **kw):
     cfg = game_cfg(z_bar, sigma2=0.0, **kw)
-    return vg.LeaderProblem(delta, cfg, vg.ExpectationSampler(mode=PERFECT_INFO))
+    return vg.LeaderProblem(delta, cfg, vg.ExpectationSampler())
 
 
 def bisect(f, lo, hi, iters=200):
@@ -62,12 +61,9 @@ class TestObjectiveAndConstraint:
 
     def test_perfect_info_single_threshold_matches_power_form(self):
         prob = pi_problem(0.1, 1)
-        gam = prob.sampler.c_infinity(prob.cfg)
+        gam = c_infinity(prob.cfg)
         for g in (2.0, 3.5, 5.0):
-            p = vg.ne_outcome_probability(
-                g, prob.cfg.c_se_1, 1, prob.cfg) if False else None
-            from vaxgame.game import p_from_gamma
-            p = p_from_gamma(g, gam, 1, prob.cfg)
+            p = game.p_from_gamma(g, gam, 1, prob.cfg)
             want = (1.0 - p) ** 40
             assert vg.non_eradication_probability(g, 1, prob) == pytest.approx(want, rel=1e-12)
 
@@ -628,7 +624,7 @@ class TestInputChecks:
                 call(z_bar, prob)
 
     @pytest.mark.parametrize("kw", [dict(n_samples=0), dict(n_samples=-5),
-                                    dict(mode="montecarlo"), dict(mode=None),
+                                    dict(n_samples=None), dict(seed="0"),
                                     dict(n_samples=1.5), dict(n_samples=True),
                                     dict(n_samples=np.float64(10.0)),
                                     dict(seed=-1), dict(seed=1.5),
@@ -721,15 +717,6 @@ class TestInputChecks:
         assert np.array_equal(sub.sums, centred_sums(want, draws.center))
         assert sub.quantiles is None
 
-    def test_perfect_info_draws_are_the_one_point(self):
-        prob = pi_problem(0.05, 20)
-        draws = prob.sampler.draws(prob.cfg)
-        gam = prob.sampler.c_infinity(prob.cfg)
-        assert draws.gams.tolist() == [gam] and draws.center == gam
-        assert draws.sums.tolist() == [0.0, 0.0]
-        assert draws.quantiles.gams.tolist() == [gam] * 64
-        assert prob.sampler.gamma_draws(prob.cfg) is draws.gams
-
     def test_samplers_compare_by_their_settings(self):
         # the draw cache takes no part in ==, repr or __init__: filled or
         # not, samplers and problems of equal settings are equal
@@ -752,7 +739,7 @@ class TestPerfectInformation:
         # p* = 1 - delta^(1/3) = 0.5, g* = C_v + Gamma - C_i F_2(0; p*)
         prob = pi_problem(0.125, 1, m=3, t_horizon=2, c_se_1=2.0, xi_mean=2.0,
                           c_v=1.0, c_i=5.0)
-        assert prob.sampler.c_infinity(prob.cfg) == pytest.approx(2.0)
+        assert c_infinity(prob.cfg) == pytest.approx(2.0)
         sol = vg.perfect_info_solution(1, prob)
         assert sol.p_expectation == pytest.approx(0.5, abs=1e-12)
         assert sol.g_star == pytest.approx(1.75, abs=1e-12)
@@ -771,7 +758,7 @@ class TestPerfectInformation:
     def test_closed_form_single_threshold_formula(self):
         for m, delta in [(3, 0.125), (40, 0.05), (17, 0.01)]:
             prob = pi_problem(delta, 1, m=m)
-            gam = prob.sampler.c_infinity(prob.cfg)
+            gam = c_infinity(prob.cfg)
             sol = vg.perfect_info_solution(1, prob)
             g_closed = 1.0 + gam - 5.0 * delta ** ((m - 1) / m)
             u_closed = m * g_closed * (1 - delta ** (1 / m))
@@ -782,7 +769,7 @@ class TestPerfectInformation:
         prob = pi_problem(0.05, 40)
         sol = vg.perfect_info_solution(40, prob)
         assert sol.epsilon == 1e-6
-        gam = prob.sampler.c_infinity(prob.cfg)
+        gam = c_infinity(prob.cfg)
         assert sol.g_star == pytest.approx(1.0 + gam - 5.0 + 1e-6, abs=1e-12)
         assert sol.u_star_raw == pytest.approx(40 * (1.0 + gam - 5.0), abs=1e-9)
 
@@ -790,6 +777,38 @@ class TestPerfectInformation:
         prob = pi_problem(0.05, 7)
         assert vg.solve_optimal_incentive(7, prob).g_star == pytest.approx(
             vg.perfect_info_solution(7, prob).g_star)
+
+    @settings(max_examples=40, deadline=None)
+    @given(law=st.sampled_from([
+               (dict(sigma2=0.0), True),
+               (dict(values=(3.5,), probs=(1.0,)), True),
+               (dict(sigma2=1.5), False),
+               (dict(sigma2=0.0, p0=0.3), False),
+               (dict(values=(1.0, 6.0), probs=(0.5, 0.5)), False)]),
+           n=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1),
+           z_bar=st.sampled_from((1, 20, 39, 40)),
+           delta=st.sampled_from((0.01, 0.05, 0.2)))
+    def test_the_law_alone_picks_the_closed_forms(self, law, n, seed, z_bar,
+                                                  delta):
+        # whatever the sampler: a point law is solved by the closed forms
+        # and draws nothing, and every other law on the sampler's draws
+        kw, point = law
+        cfg = game_cfg(z_bar, xi=vg.XiModel(5.0, **kw))
+        prob = vg.LeaderProblem(delta, cfg,
+                                vg.ExpectationSampler(n_samples=n, seed=seed))
+        assert cfg.xi.is_point is point
+        sol = vg.solve_optimal_incentive(z_bar, prob)
+        assert (sol.mode == leader.PERFECT_INFO) is point
+        if point:
+            assert sol.to_dict() == vg.perfect_info_solution(
+                z_bar, prob).to_dict()
+            assert not prob.sampler._cache
+            with pytest.raises(ValueError, match="point law"):
+                vg.non_eradication_probability(sol.g_star, z_bar, prob,
+                                               with_slope=True)
+        else:
+            assert sol.mode == leader.MONTE_CARLO
+            assert len(prob.sampler._cache) == 1
 
 
 class TestPStar:
