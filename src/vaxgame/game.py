@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import bdtr, ndtr
 
-from .params import finite_tuple, require_finite
+from .params import finite_tuple, require_finite, require_integer
 
 try:
     # the ufunc behind scipy.stats.binom.pmf, here without importing
@@ -219,9 +218,7 @@ class InfluencerGameConfig:
 
     def __post_init__(self):
         for name in ("m", "t_horizon", "z_bar"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+            require_integer(name, getattr(self, name))
         for name in ("c_v", "c_i", "c_se_1", "g0"):
             require_finite(name, getattr(self, name))
         if not isinstance(self.xi, XiModel):
@@ -313,10 +310,14 @@ def final_gamma_draws(cfg: InfluencerGameConfig, rng: np.random.Generator,
 
 
 def binom_cdf(l: int, m: int, p) -> float | np.ndarray:
-    """P(Bin(l, p) <= m), the standard lower tail summed from zero."""
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    if np.any(np.asarray(p) < 0) or np.any(np.asarray(p) > 1):
+    """P(Bin(l, p) <= m), the standard lower tail summed from zero.
+
+    l must be an integer >= 0 and m an integer (numpy integers are taken,
+    bool is not); every p must lie in [0, 1], so NaN is refused."""
+    require_integer("l", l, least=0)
+    require_integer("m", m)
+    pa = np.asarray(p)
+    if not np.all((pa >= 0) & (pa <= 1)):
         raise ValueError("p must lie in [0, 1]")
     if m < 0:
         return np.zeros_like(p, dtype=float) if np.ndim(p) else 0.0
@@ -333,83 +334,75 @@ def binom_pmf(ys: np.ndarray, l: int, p: float) -> np.ndarray:
 
 
 def bisect_decreasing(f, target: float, lo: float, hi: float, atol: float,
-                      rtol: float = 0.0, slope: bool = False,
-                      x0: float | None = None,
+                      rtol: float = 0.0, x0: float | None = None,
                       step: float | None = None) -> float:
-    """Root of a non-increasing f(x) = target, on the bracket [lo, hi].
+    """Root of a non-increasing f(x) = target on the bracket [lo, hi], by
+    safeguarded Newton (rtsafe; Press et al., Numerical Recipes, 9.4).
 
-    The caller supplies f(lo) > target >= f(hi); the bracket keeps that
-    invariant, so a monotone f never loses the root. Without a slope, f is
-    bisected: halving stops once hi - lo <= max(atol, rtol |hi|), after
-    200 halvings, or when the midpoint no longer splits the bracket in
-    floating point (further halvings would return that same midpoint).
-
-    With slope=True, f(x) returns (f(x), f'(x)) and the root is found by
-    safeguarded Newton (rtsafe; Press et al., Numerical Recipes, 9.4)
-    from x0, by default the midpoint: each evaluation narrows the bracket,
-    a Newton step that would leave it is replaced by halving, and the last
-    evaluated x is returned once its Newton step, or the bracket, is at
-    most max(atol, rtol |x|).
+    f(x) returns the pair (f(x), f'(x)). The caller supplies f(lo) > target
+    >= f(hi); each evaluation keeps that invariant as it narrows the
+    bracket, so a monotone f never loses the root. From x0, by default the
+    midpoint, the next x is the Newton step where the slope is negative and
+    the step lands inside the bracket, and the midpoint otherwise: a slope
+    of 0, where the caller knows none, makes the solve plain bisection.
+    With tol = max(atol, rtol |x|) at the evaluated x, a solve ends in one
+    of two ways: a Newton step of at most tol returns the x it steps from,
+    and a bracket of width at most tol, or one whose midpoint no longer
+    splits it in floating point, returns its midpoint. 200 evaluations at
+    most.
 
     hi = inf leaves the upper end open: it closes at the first x with f(x)
     <= target. Until then no x past the reach lo + step 2^(PROBES-1) is
-    evaluated. Where Newton cannot step (no descent, or a step past the
-    reach), and in place of an x0 outside (lo, reach], the next x is the
-    first doubling probe lo + step 2^k, k < PROBES, above every x
-    evaluated so far. If no probe is left, f stayed above target up to the
-    reach and the result is nan.
+    evaluated. Where Newton cannot step, and in place of an x0 outside
+    (lo, reach], the next x is the first doubling probe lo + step 2^k,
+    k < PROBES, above every x evaluated so far. If no probe is left, f
+    stayed above target up to the reach and the result is nan.
     """
-    if slope:
-        x = 0.5 * (lo + hi) if x0 is None else x0
-        if hi == math.inf:
-            base = lo
-            probes = (base + step * 2.0 ** k for k in range(PROBES))
-            reach = base + step * 2.0 ** (PROBES - 1)
-        for _ in range(200):
-            if hi == math.inf and not lo < x <= reach:
-                x = next((p for p in probes if p > lo), math.nan)
-                if math.isnan(x):
-                    return x
-            fx, dfx = f(x)
-            if fx > target:
-                lo = x
-            else:
-                hi = x
-            tol = max(atol, rtol * abs(x))
-            if hi - lo <= tol:
-                return x
-            if dfx < 0.0:
-                dx = (fx - target) / dfx
-                if abs(dx) <= tol:
-                    return x
-                x -= dx
-            if not (dfx < 0.0 and lo < x < hi):
-                # with the upper end open, x = inf: the next probe
-                x = 0.5 * (lo + hi)
-                if hi < math.inf and not lo < x < hi:
-                    return x
-        return x
+    x = 0.5 * (lo + hi) if x0 is None else x0
+    if hi == math.inf:
+        base = lo
+        probes = (base + step * 2.0 ** k for k in range(PROBES))
+        reach = base + step * 2.0 ** (PROBES - 1)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return mid
-        if f(mid) > target:
-            lo = mid
+        if hi == math.inf and not lo < x <= reach:
+            x = next((p for p in probes if p > lo), math.nan)
+            if math.isnan(x):
+                return x
+        fx, dfx = f(x)
+        if fx > target:
+            lo = x
         else:
-            hi = mid
-        if hi - lo <= atol or hi - lo <= rtol * abs(hi):
-            break
-    return 0.5 * (lo + hi)
+            hi = x
+        tol = max(atol, rtol * abs(x))
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi)
+        if dfx < 0.0:
+            dx = (fx - target) / dfx
+            if abs(dx) <= tol:
+                return x
+            x -= dx
+        if not (dfx < 0.0 and lo < x < hi):
+            # with the upper end open, x = inf: the next probe
+            x = 0.5 * (lo + hi)
+            if hi < math.inf and not lo < x < hi:
+                return x
+    return x
 
 
 def _mixed_root(w: float, trials: int, successes: int) -> float:
     """Unique p in (0,1) with binom_cdf(trials, successes, p) = w in (0,1).
 
-    The cdf is strictly decreasing in p, so bisection on [0, 1] pushes the
-    residual to float precision. Hot path: hits the cdf ufunc directly.
+    The cdf is strictly decreasing in p, with slope -trials
+    pmf_{trials-1}(successes; p), so Newton safeguarded on [0, 1] pushes the
+    residual to float precision in about 15 cdf evaluations. Hot path: hits
+    the cdf and pmf ufuncs directly.
     """
-    return bisect_decreasing(functools.partial(bdtr, int(successes), int(trials)),
-                             w, 0.0, 1.0, atol=1e-17)
+    k, n = int(successes), int(trials)
+
+    def cdf_and_slope(p: float) -> tuple[float, float]:
+        return bdtr(k, n, p), -n * _boost_binom_pmf(k, n - 1, p)
+
+    return bisect_decreasing(cdf_and_slope, w, 0.0, 1.0, atol=1e-17)
 
 
 def solve_mixed_probability(z: int, c: float, g_z: float,
@@ -417,9 +410,10 @@ def solve_mixed_probability(z: int, c: float, g_z: float,
     """Indifference probability at the final decision epoch.
 
     Solves C_v + Gamma_{T-1}(c) - g_z = C_i * F_{m-1-z}(z_bar-1-z; p) for
-    the state with z already-vaccinated influencers. Requires the interior
-    regime 0 < C_v + Gamma - g_z < C_i and z_bar < m.
+    the state with z already-vaccinated influencers, an integer in 0..m.
+    Requires the interior regime 0 < C_v + Gamma - g_z < C_i and z_bar < m.
     """
+    require_integer("z", z, 0, cfg.m)
     if cfg.z_bar >= cfg.m:
         raise NotMixedRegimeError("final-epoch mixing needs z_bar < m")
     if z >= cfg.z_bar:
@@ -451,7 +445,9 @@ def p_from_gamma(g: float, gam: float, z_bar: int,
 
 def ne_outcome_probability(g: float, c: float, z_bar: int,
                            cfg: InfluencerGameConfig) -> float:
-    """Wait-and-watch outcome: common vaccination probability p(g, c)."""
+    """Wait-and-watch outcome: common vaccination probability p(g, c);
+    z_bar must be an integer in 1..m."""
+    require_integer("z_bar", z_bar, 1, cfg.m)
     return p_from_gamma(g, gamma(cfg.t_horizon - 1, c, cfg), z_bar, cfg)
 
 
@@ -603,8 +599,8 @@ def _find_mix_roots(target: float, rhs) -> tuple[float, ...]:
             continue
         if fa * fb < 0.0:
             sign = 1.0 if fa > 0.0 else -1.0
-            r = bisect_decreasing(lambda p: sign * rhs(p), sign * target,
-                                  a, b, atol=0.0)
+            r = bisect_decreasing(lambda p: (sign * rhs(p), 0.0),
+                                  sign * target, a, b, atol=0.0)
             if 0.0 < r < 1.0:
                 roots.append(float(r))
     return tuple(roots)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,8 @@ from .game import (PROBES, InfluencerGameConfig, _cdf_grid, _mixed_root,
                    binom_cdf, binom_cdf_vec_interp, bisect_decreasing,
                    final_gamma_draws, p_from_gamma,
                    p_from_gamma_vec)  # noqa: F401
-from .params import DiseaseParams, PublicCostModel, VaRatePolicy
+from .params import (DiseaseParams, PublicCostModel, VaRatePolicy,
+                     require_integer)
 
 # the two values of LeaderSolution.mode: the method that solved
 PERFECT_INFO = "perfect_info"
@@ -105,11 +105,7 @@ class ExpectationSampler:
 
     def __post_init__(self):
         for name, least in (("n_samples", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if (not isinstance(v, numbers.Integral) or isinstance(v, bool)
-                    or v < least):
-                raise ValueError(
-                    f"{name} must be an integer >= {least}, got {v!r}")
+            require_integer(name, getattr(self, name), least)
 
     def _key(self, cfg: InfluencerGameConfig) -> tuple:
         return (cfg.c_se_1, cfg.t_horizon, cfg.xi, self.n_samples, self.seed)
@@ -346,7 +342,7 @@ def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
     stores its knot search there under g, so that E[p(g)] reuses it.
     """
     cfg = problem.cfg
-    _require_zbar(z_bar, cfg)
+    require_integer("z_bar", z_bar, 1, cfg.m)
     if cfg.xi.is_point:
         if with_slope:
             raise ValueError("N_P' is not computed for a point law")
@@ -389,7 +385,7 @@ def _p_expectation(g: float, z_bar: int, problem: LeaderProblem,
 def expected_incentive_cost(g: float, z_bar: int,
                             problem: LeaderProblem) -> float:
     """U(g) = M g E[p(g, C)], the expected incentive outlay."""
-    _require_zbar(z_bar, problem.cfg)
+    require_integer("z_bar", z_bar, 1, problem.cfg.m)
     return problem.cfg.m * g * _p_expectation(g, z_bar, problem)
 
 
@@ -402,31 +398,6 @@ def g_floor(cfg: InfluencerGameConfig) -> float:
     """
     T = cfg.t_horizon
     return max(cfg.c_v - cfg.c_i + (cfg.c_se_1 + cfg.e_xi) / T, 0.0)
-
-
-def _require_zbar(z_bar: int, cfg: InfluencerGameConfig) -> None:
-    """z_bar must be an integer in 1..m (numpy integers are taken, bool
-    is not). Every N_P evaluation makes this check, so a plain int skips
-    the ABC check (about 0.6 us on a shared 2-vCPU Xeon)."""
-    if not ((type(z_bar) is int or isinstance(z_bar, numbers.Integral)
-             and not isinstance(z_bar, bool)) and 1 <= z_bar <= cfg.m):
-        raise ValueError(f"z_bar must be an integer in 1..{cfg.m}, "
-                         f"got {z_bar!r}")
-
-
-def _unbracketed(delta: float, lo: float, step: float) -> BracketingError:
-    return BracketingError(f"N_P stayed above delta={delta} up to "
-                           f"g={lo + step * 2.0 ** PROBES:.3g}")
-
-
-def _bracket_above(f, lo: float, delta: float, step: float) -> float:
-    """Upper end hi = lo + step 2^k, k = 0, 1, ..., the first with f(hi) <
-    delta; BracketingError after PROBES = 60 tries."""
-    for k in range(PROBES):
-        hi = lo + step * 2.0 ** k
-        if f(hi) < delta:
-            return hi
-    raise _unbracketed(delta, lo, step)
 
 
 def _binding_by_count(draws: GammaDraws, problem: LeaderProblem) -> bool:
@@ -480,28 +451,27 @@ def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolutio
     evaluation past the reach g_floor + max(C_i, 1) 2^59 (BracketingError
     if N_P stays above delta up to there).
 
-    For z_bar < m, N_P is continuous and piecewise linear in g, and each
-    evaluation of the tabled N_P (see non_eradication_probability), O(K
-    log n) for the K table knots, also gives its exact slope there. The
-    draws with w >= 1 at g = 0 bound N_P(0) from below, and decide that
-    the constraint binds without evaluating it (_binding_by_count); N_P(0)
-    is evaluated only where they do not. Safeguarded Newton
-    (game.bisect_decreasing with a slope, tolerances 1e-12) starts one
-    Newton step on 64 mid-quantile draws past the one-point root
-    (_quantile_start), with the upper end open until an iterate is
-    feasible, and falls back to the doubling probes g_floor + max(C_i, 1)
-    2^k where it cannot step: about 3.6 evaluations in all on the fig-1
-    grid. E[p(g*)] reuses the knot search of the evaluation at g*. For
-    z_bar = m, N_P is a step function with no slope to follow: the
-    doubling probes bracket the root, the first with N_P < delta, and
-    bisection finds it, its midpoints deciding on which side of the last
+    One call of game.bisect_decreasing (tolerances 1e-12, upper end open)
+    finds the root for every z_bar; its doubling probes g_floor + max(C_i,
+    1) 2^k close the upper end where Newton cannot step. For z_bar < m, N_P
+    is continuous and piecewise linear in g, and each evaluation of the
+    tabled N_P (see non_eradication_probability), O(K log n) for the K
+    table knots, also gives its exact slope there. The draws with w >= 1
+    at g = 0 bound N_P(0) from below, and decide that the constraint binds
+    without evaluating it (_binding_by_count); N_P(0) is evaluated only
+    where they do not. Newton starts one step on 64 mid-quantile draws past
+    the one-point root (_quantile_start): about 3.6 evaluations in all on
+    the fig-1 grid. E[p(g*)] reuses the knot search of the evaluation at
+    g*. For z_bar = m, N_P is a step function whose slope is 0, so the
+    solve starts at the probes, the first with N_P <= delta closes the
+    bracket, and bisection's midpoints decide on which side of the last
     jump g* lands. A point law (XiModel.is_point) is dispatched to the
     closed forms of perfect_info_solution, whatever the sampler.
     """
     if problem.cfg.xi.is_point:
         return perfect_info_solution(z_bar, problem)
     cfg, delta = problem.cfg, problem.delta
-    _require_zbar(z_bar, cfg)
+    require_integer("z_bar", z_bar, 1, cfg.m)
     draws = problem.sampler.draws(cfg)
 
     # the solution reports N_P(g*) and E[p(g*)], and the root finder has
@@ -530,19 +500,14 @@ def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolutio
         return solution(0.0, binding=False)
 
     lo, step = g_floor(cfg), max(cfg.c_i, 1.0)
-    if z_bar == cfg.m:
-        g_star = bisect_decreasing(np_at, delta, lo,
-                                   _bracket_above(np_at, lo, delta, step),
-                                   atol=1e-12, rtol=1e-12)
-    else:
-        reach = lo + step * 2.0 ** (PROBES - 1)
-        g_star = bisect_decreasing(np_and_slope, delta, lo, math.inf,
-                                   atol=1e-12, rtol=1e-12, slope=True,
-                                   x0=_quantile_start(z_bar, problem, draws,
-                                                      lo, reach),
-                                   step=step)
-        if math.isnan(g_star):
-            raise _unbracketed(delta, lo, step)
+    reach = lo + step * 2.0 ** (PROBES - 1)
+    x0 = (_quantile_start(z_bar, problem, draws, lo, reach)
+          if z_bar < cfg.m else None)
+    g_star = bisect_decreasing(np_and_slope, delta, lo, math.inf, atol=1e-12,
+                               rtol=1e-12, x0=x0, step=step)
+    if math.isnan(g_star):
+        raise BracketingError(
+            f"N_P stayed above delta={delta} up to g={reach:.3g}")
     return solution(g_star, binding=True)
 
 
@@ -550,10 +515,11 @@ def p_star(k: int, m: int, delta: float) -> float:
     """Unique root of F_m(k-1; p) = delta; increasing in k.
 
     At k = m the root (1 - delta)^(1/m) tends to one as delta shrinks,
-    matching the all-or-nothing character of that regime.
+    matching the all-or-nothing character of that regime. m must be an
+    integer >= 1 and k one in 1..m.
     """
-    if not 1 <= k <= m:
-        raise ValueError("k must lie in 1..m")
+    require_integer("m", m, least=1)
+    require_integer("k", k, 1, m)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if k == m:
@@ -571,7 +537,7 @@ def perfect_info_solution(z_bar: int, problem: LeaderProblem) -> LeaderSolution:
     M (C_v + Gamma - C_i) by M*eps; `epsilon` reports eps.
     """
     cfg, delta = problem.cfg, problem.delta
-    _require_zbar(z_bar, cfg)
+    require_integer("z_bar", z_bar, 1, cfg.m)
     gam = c_infinity(cfg)
     p0 = p_from_gamma(0.0, gam, z_bar, cfg)
     np0 = binom_cdf(cfg.m, z_bar - 1, p0)
@@ -653,13 +619,6 @@ def l_values(costs: PublicCostModel, disease: DiseaseParams,
     )
 
 
-def _require_count(m: int) -> None:
-    """The joint design takes the influencer count m as an integer (numpy
-    integers are taken, bool is not)."""
-    if not isinstance(m, numbers.Integral) or isinstance(m, bool):
-        raise ValueError(f"m must be an integer, got {m!r}")
-
-
 def vaccine_optimal_k(costs: PublicCostModel, disease: DiseaseParams,
                       m: int) -> tuple[int, tuple[float, ...]]:
     """The unique influencer count targeted by a vaccine-optimal design.
@@ -669,7 +628,7 @@ def vaccine_optimal_k(costs: PublicCostModel, disease: DiseaseParams,
     missing or repeated crossing contradicts the monotonicity of both
     sides and raises. m must be an integer.
     """
-    _require_count(m)
+    require_integer("m", m)
     costs.require_influence(m)
     if disease.rho <= 1.0:
         raise ValueError("joint design needs rho > 1")
@@ -705,7 +664,7 @@ def construct_eps_vaccine_optimal_nu(k_star: int, eps: float,
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    _require_count(m)
+    require_integer("m", m)
     theta_star = disease.theta_star
     ceiling = disease.b * disease.rho * theta_star
     # strictly inside (ceiling - eps, ceiling) from the first iterate
@@ -737,7 +696,7 @@ def incentive_optimal_exists(costs: PublicCostModel, disease: DiseaseParams,
     side-effect cap binds at the infected-fraction floor and non-strictly
     otherwise. m must be an integer.
     """
-    _require_count(m)
+    require_integer("m", m)
     lhs = costs.c_v1 - costs.c_f(m - 1)
     rhs = -costs.c_v2_bar / m
     if costs.c_v2_bar > costs.c_v2 / disease.theta_star:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import bdtr
 
@@ -16,6 +16,8 @@ from vaxgame.game import (DRAW_BLOCK_ROWS, EAGER, WAIT_AND_WATCH,
                           NotMixedRegimeError, XiModel, _mixed_root,
                           bisect_decreasing, final_gamma_draws,
                           mutate_strategy, p_from_gamma, p_from_gamma_vec)
+
+EPS = np.finfo(float).eps
 
 
 def perfect_cfg(m=3, t=3, c_v=1.0, c_i=5.0, c=2.0, z_bar=2, g0=0.0):
@@ -86,6 +88,43 @@ class TestBinomCdf:
         assert all(0.0 <= v <= 1.0 for v in vals)
 
 
+class TestCountChecks:
+    # counts at the binomial entry points are integers (numpy integers are
+    # taken, bool is not) in range, and a probability is not NaN; each
+    # call below used to truncate or pass its bad input without a word
+    CFG = perfect_cfg()
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda cfg: vg.p_star(1.5, 3, 0.1), "k"),
+        (lambda cfg: vg.p_star(True, 3, 0.1), "k"),
+        (lambda cfg: vg.p_star(2, 3.5, 0.1), "m"),
+        (lambda cfg: vg.solve_mixed_probability(-1, 0.5, 0.0, cfg), "z"),
+        (lambda cfg: vg.solve_mixed_probability(1.5, 0.5, 0.0, cfg), "z"),
+        (lambda cfg: vg.solve_mixed_probability(True, 0.5, 0.0, cfg), "z"),
+        (lambda cfg: vg.ne_outcome_probability(0, 0.5, 1.5, cfg), "z_bar"),
+        (lambda cfg: vg.ne_outcome_probability(0, 0.5, True, cfg), "z_bar"),
+        (lambda cfg: vg.binom_cdf(3.5, 1, 0.5), "l"),
+        (lambda cfg: vg.binom_cdf(3, 1.5, 0.5), "m"),
+        (lambda cfg: vg.binom_cdf(3, True, 0.5), "m"),
+        (lambda cfg: vg.binom_cdf(3, 1, math.nan), "p"),
+        (lambda cfg: vg.binom_cdf(3, 1, np.array([0.5, math.nan])), "p"),
+    ], ids=["p_star-k-1.5", "p_star-k-True", "p_star-m-3.5", "mixed-z--1",
+            "mixed-z-1.5", "mixed-z-True", "outcome-zbar-1.5",
+            "outcome-zbar-True", "cdf-l-3.5", "cdf-m-1.5", "cdf-m-True",
+            "cdf-p-nan", "cdf-p-array-nan"])
+    def test_bad_count_or_probability_is_refused(self, call, name):
+        with pytest.raises(ValueError, match=rf"^{name} must "):
+            call(self.CFG)
+
+    def test_numpy_integers_are_counts(self):
+        cfg = self.CFG
+        assert vg.p_star(np.int64(2), np.int32(3), 0.1) == vg.p_star(2, 3, 0.1)
+        assert (vg.binom_cdf(np.int64(3), np.int64(1), 0.5)
+                == vg.binom_cdf(3, 1, 0.5))
+        assert (vg.ne_outcome_probability(0.0, 0.5, np.int64(1), cfg)
+                == vg.ne_outcome_probability(0.0, 0.5, 1, cfg))
+
+
 class TestCdfTable:
     # Row j of the one-pass table of l trials carries at most 5j + 1
     # roundings: pmf_0 = (1-p)^l once; p/(1-p) once (1 - p is exact on the
@@ -150,7 +189,7 @@ class TestMixedProbability:
 
         def f(x):
             seen.append(x)
-            return 10.0 - x ** 3
+            return 10.0 - x ** 3, 0.0
 
         root = bisect_decreasing(f, 2.0, 0.0, 5.0, atol=atol, rtol=rtol)
         assert root == pytest.approx(2.0, abs=max(atol, rtol * 2.0) + 1e-15)
@@ -165,8 +204,7 @@ class TestMixedProbability:
             seen.append(x)
             return 10.0 - x ** 3, -3.0 * x ** 2
 
-        root = bisect_decreasing(f, 2.0, 0.0, 5.0, atol=atol, rtol=rtol,
-                                 slope=True)
+        root = bisect_decreasing(f, 2.0, 0.0, 5.0, atol=atol, rtol=rtol)
         assert root == pytest.approx(2.0, abs=max(atol, rtol * 2.0) + 1e-15)
         assert all(0.0 < x < 5.0 for x in seen)
         # quadratic convergence: bisection needs about 42 halvings here
@@ -186,7 +224,7 @@ class TestMixedProbability:
                 return 1.0 - 0.01 * (x - 1.0), -0.01
             return 0.99 - 10.0 * (x - 2.0), -10.0
 
-        root = bisect_decreasing(f, 0.5, -3.0, 3.0, atol=1e-12, slope=True)
+        root = bisect_decreasing(f, 0.5, -3.0, 3.0, atol=1e-12)
         assert root == pytest.approx(2.049, abs=1e-12)
         assert seen[:3] == [0.0, 1.5, 2.25]
         assert all(-3.0 < x < 3.0 for x in seen) and len(seen) <= 6
@@ -205,19 +243,169 @@ class TestMixedProbability:
             return max(1.0 - (x - 6.0), -1.0), (-1.0 if x < 8.0 else 0.0)
 
         root = bisect_decreasing(f, 0.5, 0.5, math.inf, atol=1e-12,
-                                 slope=True, x0=1.0, step=1.0)
+                                 x0=1.0, step=1.0)
         assert root == pytest.approx(6.5, abs=1e-12)
         assert seen[:4] == [1.0, 1.5, 2.5, 4.5] and seen[4] == 8.5
         seen.clear()
         assert math.isnan(bisect_decreasing(
             lambda x: (seen.append(x) or 1.0, 0.0), 0.5, 0.5, math.inf,
-            atol=1e-12, slope=True, x0=1e300, step=1.0))
+            atol=1e-12, x0=1e300, step=1.0))
         assert seen == [0.5 + 2.0 ** k for k in range(60)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 85), data=st.data(),
+           w=st.floats(1e-12, 1 - 1e-12))
+    def test_newton_root_matches_bisection(self, n, data, w):
+        # q bisects bdtr itself, apart from the finder. Both stop within
+        # 1e-17 of a root of the computed cdf, which is known to about
+        # n eps relative; that error moves the root by itself over the
+        # slope n pmf_{n-1}(k; q)
+        k = data.draw(st.integers(0, n - 1))
+        lo, hi = 0.0, 1.0
+        for _ in range(200):
+            q = 0.5 * (lo + hi)
+            if not lo < q < hi:
+                break
+            if bdtr(k, n, q) > w:
+                lo = q
+            else:
+                hi = q
+            if hi - lo <= 1e-17:
+                q = 0.5 * (lo + hi)
+                break
+        p = _mixed_root(w, n, k)
+        slope = n * float(game._boost_binom_pmf(k, n - 1, q))
+        bound = 2e-17 + 4 * math.ulp(q) + (n * EPS * w / slope if slope > 0
+                                            else math.inf)
+        assert abs(p - q) <= bound
 
     def test_root_approaches_one_as_target_vanishes(self):
         ps = [_mixed_root(w, 9, 4) for w in (1e-2, 1e-4, 1e-8)]
         assert all(b > a for a, b in zip(ps, ps[1:]))
         assert ps[-1] > 0.99
+
+
+def plain_bisection(f, target, lo, hi, atol, rtol, step):
+    """The evaluated x and the result of the finder's contract for f' = 0,
+    written as a loop of its own: doubling probes lo + step 2^k close an
+    open upper end (nan once PROBES are spent), then halving, which stops
+    at a bracket of at most max(atol, rtol |x|) or one the midpoint no
+    longer splits, and returns the midpoint."""
+    xs, base = [], lo
+    while len(xs) < 200:
+        if hi == math.inf:
+            if len(xs) == game.PROBES:
+                return xs, math.nan
+            x = base + step * 2.0 ** len(xs)
+        else:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                return xs, x
+        xs.append(x)
+        if f(x)[0] > target:
+            lo = x
+        else:
+            hi = x
+        if hi - lo <= max(atol, rtol * abs(x)):
+            break
+    return xs, 0.5 * (lo + hi)
+
+
+@st.composite
+def monotone_problems(draw):
+    """A continuous non-increasing piecewise-linear f, flat outside its
+    knots, with a target and a bracket [lo, hi] around its root: hi is
+    finite or open (with a probe step), and an open end may hold a target
+    that f never meets. f(x) returns (f(x), slope), the slope being that
+    of the piece holding x, or 0 when the finder gets no slope."""
+    n = draw(st.integers(2, 6))
+    gaps = draw(st.lists(st.floats(0.01, 10.0), min_size=n - 1,
+                         max_size=n - 1))
+    drops = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+                          min_size=n - 1, max_size=n - 1))
+    assume(sum(drops) > 0.0)
+    x = [draw(st.floats(-50.0, 50.0))]
+    v = [draw(st.floats(-10.0, 10.0))]
+    for gap, drop in zip(gaps, drops):
+        x.append(x[-1] + gap)
+        v.append(v[-1] - drop)
+    slopes = [(b - a) / (xb - xa) for a, b, xa, xb in zip(v, v[1:], x, x[1:])]
+    with_slope = draw(st.booleans())
+    open_end = draw(st.booleans())
+    never_met = open_end and draw(st.booleans())
+    if never_met:
+        target = v[-1] - draw(st.floats(1e-3, 5.0))
+    else:
+        target = draw(st.one_of(st.sampled_from(v[1:]),
+                                st.floats(v[-1], v[0], exclude_max=True)))
+    assume(target < v[0])
+
+    def f(t):
+        i = int(np.searchsorted(x, t, side="right")) - 1
+        if i < 0:
+            return v[0], 0.0
+        if i >= n - 1:
+            return v[-1], 0.0
+        # clamped so that rounding keeps f non-increasing across a knot
+        return (max(v[i + 1], v[i] + (t - x[i]) * slopes[i]),
+                slopes[i] if with_slope else 0.0)
+
+    lo = x[0] - draw(st.floats(0.0, 10.0))
+    hi = math.inf if open_end else x[-1] + draw(st.floats(0.0, 10.0))
+    step = draw(st.floats(0.01, 10.0)) if open_end else None
+    atol = draw(st.sampled_from([0.0, 1e-12, 1e-6]))
+    rtol = draw(st.sampled_from([0.0, 1e-12, 1e-9]))
+    x0 = None
+    if with_slope and draw(st.booleans()):
+        x0 = draw(st.floats(lo, x[-1] + 20.0 if open_end else hi,
+                            exclude_min=True, exclude_max=not open_end))
+    return dict(f=f, target=target, lo=lo, hi=hi, atol=atol, rtol=rtol,
+                step=step, x0=x0, knots=(x, v), steepest=max(map(abs, slopes)),
+                with_slope=with_slope, never_met=never_met)
+
+
+class TestRootFinder:
+    @settings(max_examples=400, deadline=None)
+    @given(prob=monotone_problems())
+    def test_one_finder_keeps_its_contract(self, prob):
+        seen = []
+
+        def f(t):
+            seen.append(t)
+            return prob["f"](t)
+
+        lo, hi, step = prob["lo"], prob["hi"], prob["step"]
+        target, atol, rtol = prob["target"], prob["atol"], prob["rtol"]
+        root = bisect_decreasing(f, target, lo, hi, atol=atol, rtol=rtol,
+                                 x0=prob["x0"], step=step)
+        reach = hi if hi < math.inf else lo + step * 2.0 ** (game.PROBES - 1)
+        assert all(lo < t < hi and t <= reach for t in seen)
+        if prob["never_met"]:
+            assert math.isnan(root)
+        if not prob["with_slope"]:
+            xs, want = plain_bisection(prob["f"], target, lo, hi, atol, rtol,
+                                       step)
+            assert seen == xs
+            assert root == want or math.isnan(root) and math.isnan(want)
+            return
+        if prob["never_met"]:
+            return
+        # Some root lies within tol = max(atol, rtol |x|) of the result,
+        # widened by what rounding f can move the root by: eps (|f| +
+        # |target|) over the gentlest slope, plus the result's own ulps. A
+        # Newton step of at most tol cannot cross a knot whose value is not
+        # the target but within tol of it times the slope (checked below),
+        # so the step ends on the piece that holds the root.
+        x, v = prob["knots"]
+        tol = max(atol, rtol * abs(root))
+        assume(all(vk == target or abs(vk - target) > 4 * prob["steepest"]
+                   * tol for vk in v))
+        gentlest = min(abs((b - a) / (xb - xa))
+                       for a, b, xa, xb in zip(v, v[1:], x, x[1:]) if b < a)
+        slack = (8 * EPS * (max(map(abs, v)) + abs(target)) / gentlest
+                 + 4 * math.ulp(root))
+        t = (1 + 1e-9) * tol + slack
+        assert prob["f"](root - t)[0] >= target >= prob["f"](root + t)[0]
 
 
 class TestStageActionSets:

@@ -1,4 +1,5 @@
-"""Every name a vaxgame module imports is read somewhere in that module."""
+"""Every name a vaxgame module imports is read somewhere in that module,
+and every private module-level function has a caller in the package."""
 import ast
 from pathlib import Path
 
@@ -40,3 +41,48 @@ def test_no_unread_import(path):
 def test_unread_import_is_found():
     tree = ast.parse("import os\nfrom math import pi, tau\nx = tau\n")
     assert unread_imports(tree) == {"os", "pi"}
+
+
+def references(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
+    """The names the module reads, as a name, an attribute or an import,
+    outside the subtree skip."""
+    inside = set(map(id, ast.walk(skip))) if skip is not None else set()
+    out = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def uncalled_private_functions(trees: dict[str, ast.Module]) -> set[str]:
+    """Module-level functions named _x that no module refers to outside
+    their own definition, as "module.py:_x"."""
+    out = set()
+    for name, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")
+                    and not any(node.name in references(t, node)
+                                for t in trees.values())):
+                out.add(f"{name}:{node.name}")
+    return out
+
+
+def test_every_private_function_has_a_caller():
+    trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    assert not uncalled_private_functions(trees)
+
+
+def test_uncalled_private_function_is_found():
+    trees = {"a.py": ast.parse("def _used():\n    return _alone()\n"
+                               "def _alone():\n    return _alone()\n"
+                               "def _dead():\n    return _dead()\n"),
+             "b.py": ast.parse("from a import _used\nx = _used()\n")}
+    assert uncalled_private_functions(trees) == {"a.py:_dead"}

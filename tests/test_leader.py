@@ -172,15 +172,28 @@ def full_np(g, z_bar, problem):
 
 def bisection_solve(z_bar, problem, np_fn=full_np):
     """(g*, U*) from np_fn, by default the full-array N_P, bisected on the
-    bracket the doubling search from g_floor builds."""
+    bracket the doubling search from g_floor builds. The loop is this
+    test's own, apart from game.bisect_decreasing: it halves until the
+    bracket is at most 1e-12 max(1, |hi|) wide, or its midpoint no longer
+    splits it, and returns the midpoint."""
     cfg, delta = problem.cfg, problem.delta
     assert np_fn(0.0, z_bar, problem) > delta
     lo = g_floor(cfg)
     step = max(cfg.c_i, 1.0)
     while np_fn(lo + step, z_bar, problem) >= delta:
         step *= 2.0
-    g = bisect_decreasing(lambda x: np_fn(x, z_bar, problem), delta, lo,
-                          lo + step, atol=1e-12, rtol=1e-12)
+    hi = lo + step
+    for _ in range(200):
+        g = 0.5 * (lo + hi)
+        if not lo < g < hi:
+            break
+        if np_fn(g, z_bar, problem) > delta:
+            lo = g
+        else:
+            hi = g
+        if hi - lo <= 1e-12 or hi - lo <= 1e-12 * abs(hi):
+            g = 0.5 * (lo + hi)
+            break
     return g, vg.expected_incentive_cost(g, z_bar, problem)
 
 
@@ -377,7 +390,7 @@ class TestSlicedConstraint:
         assert sol.binding == binding
         if binding:
             g = bisect_decreasing(np_and_slope, delta, g_floor(cfg), math.inf,
-                                  atol=1e-12, rtol=1e-12, slope=True,
+                                  atol=1e-12, rtol=1e-12,
                                   x0=leader._one_point_root(z_bar, prob,
                                                             draws),
                                   step=max(cfg.c_i, 1.0))
