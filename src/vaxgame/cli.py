@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import json
-import numbers
 import os
 import sys
 import time
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import epidemic, ess, game, leader
 from .params import (DiseaseParams, InsufficientInfluenceError, PublicCostModel,
-                     ResponseParams, VaRatePolicy)
+                     ResponseParams, VaRatePolicy, require_integer)
 
 
 class ConfigError(ValueError):
@@ -71,10 +71,10 @@ class ScenarioConfig:
             raise ConfigError(f"sweep variable must be one of {SWEEP_VARS}")
         if len(self.grid) == 0:
             raise ConfigError("sweep grid is empty")
-        if (not isinstance(self.workers, numbers.Integral)
-                or isinstance(self.workers, bool) or self.workers < 1):
-            raise ConfigError(
-                f"workers must be an integer >= 1, got {self.workers!r}")
+        try:
+            require_integer("workers", self.workers, least=1)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.sweep_var == "zbar" and not all(
                 float(v).is_integer() and 1 <= v <= self.game_cfg.m
                 for v in self.grid):
@@ -462,21 +462,32 @@ _GAME_FLAGS = {"m": "--m", "t_horizon": "--t", "c_v": "--cv", "c_i": "--ci",
                "mean_param": "--xi-mean", "sigma2": "--xi-var", "p0": "--p0",
                "xi": "the law of --xi-mean, --xi-var and --p0"}
 
+# the flag behind each argument of the jump chain that `simulate` passes on
+_CHAIN_FLAGS = {"n_events": "--events", "eta0": "--eta0"}
+
+
+@contextlib.contextmanager
+def _named_by_flag(flags: dict[str, str]):
+    """Re-raise a library ValueError whose message starts with a field in
+    flags as a ConfigError that names the flag instead."""
+    try:
+        yield
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        if field not in flags:
+            raise
+        raise ConfigError(f"{flags[field]} {rest}") from exc
+
 
 def _game_cfg_from(args, z_bar: int) -> game.InfluencerGameConfig:
     """The game the flags describe. A game or side-effect law the library
     refuses raises ConfigError naming the flag, not the library's field."""
-    try:
+    with _named_by_flag(_GAME_FLAGS):
         return game.InfluencerGameConfig(
             m=args.m, t_horizon=args.t_horizon, c_v=args.cv, c_i=args.ci,
             c_se_1=args.cse1,
             xi=game.XiModel(args.xi_mean, args.xi_var, args.p0),
             z_bar=z_bar, g0=args.g0)
-    except ValueError as exc:
-        field, _, rest = str(exc).partition(" ")
-        if field not in _GAME_FLAGS:
-            raise
-        raise ConfigError(f"{_GAME_FLAGS[field]} {rest}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +578,12 @@ def cmd_simulate(args) -> int:
     nu = VaRatePolicy(args.nu_b, args.nu_e)
     beta = ResponseParams(args.beta)
     n0 = args.n0
+    if n0 < 1:
+        raise ConfigError(f"--n0 must be at least 1, got {n0}")
+    for flag, frac in (("--theta0", args.theta0), ("--psi0", args.psi0)):
+        # NaN fails the test too, before it reaches int(round(...))
+        if not 0.0 <= frac <= 1.0:
+            raise ConfigError(f"{flag} must lie in [0, 1], got {frac}")
     if args.theta0 + args.psi0 > 1.0:
         raise ConfigError("--theta0 + --psi0 must not exceed 1")
     i0 = int(round(args.theta0 * n0))
@@ -579,10 +596,11 @@ def cmd_simulate(args) -> int:
         att = epidemic.candidate_attractors(dis, nu, beta)
         active = att.active()
         eta0 = next(iter(active.values())).eta if active else 1.0
-    jump = epidemic.simulate_jump_process((s0, v0, i0, n0), dis, nu, beta,
-                                          seed=args.seed, n_events=args.events,
-                                          eta0=eta0,
-                                          record_every=max(args.events // 2000, 1))
+    with _named_by_flag(_CHAIN_FLAGS):
+        jump = epidemic.simulate_jump_process(
+            (s0, v0, i0, n0), dis, nu, beta, seed=args.seed,
+            n_events=args.events, eta0=eta0,
+            record_every=max(args.events // 2000, 1))
     ode, sup = epidemic.matched_ode(jump, dis, nu, beta)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -15,6 +15,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import length_hint
 
 import numpy as np
 
@@ -791,12 +793,25 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     Counts must be integer values (2.0 is taken, 2.5 or inf is rejected).
     The loop holds them as Python floats, which stay exact integers: the
     start is checked so that N and the clock index k stay below 2**53
-    for every event. Uniforms come in chunks of 16,384; each event takes
-    one or two, and a chunk with fewer than two left is dropped for a new
-    one. The loop runs in blocks that cannot outrun the chunk, and the
+    for every event. Uniforms come in chunks of 16,384, read through the
+    chunk list's iterator; each event takes one or two, and a chunk with
+    fewer than two left (its iterator's length hint) is dropped for a new
+    one. The spent iterator and its bound `__next__` both hold the old
+    list, so both are released before the next chunk is drawn and two
+    chunks are never alive at once. The loop runs in blocks that cannot
+    outrun the chunk, and a block in record intervals: each interval is
+    one inner loop over `itertools.repeat`, with the record after it, so
+    no per-event countdown runs. An extinction event's place in its
+    interval is the interval's length less the repeat's length hint. The
     clock of each block is summed afterwards by `np.add.accumulate` over
     the same terms 1/(1+k) in the same order, so every record is the
     double a per-event `t += 1/(1+k)` gives.
+
+    The products r*I, b*N and d*N are recomputed only in the branches
+    that move I or N, from the same operands, so each threshold is the
+    same double as a per-event computation. The offer is accepted when
+    u < beta*psi: u lies in [0, 1), so this is the same test as
+    u < min(1, beta*psi).
     """
     if not all(float(x).is_integer() for x in initial_counts):
         raise ValueError("counts must be finite integer values")
@@ -826,6 +841,8 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     rec_psi = [v / n]
     rec_eta = [n / (1 + k)]
     s, v, i, n = float(s), float(v), float(i), float(n)
+    # the rate products, recomputed only where their count moves
+    ri, bn, dn = r * i, b * n, d * n
     # 1 + k before the next block; after its j-th event 1 + k is base + j
     base = 1 + k
     extinct = False
@@ -833,63 +850,77 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     left = record_every          # events until the next record
 
     chunk = 16384
-    uniforms = rng.random(chunk).tolist()
-    u_pos = 0
+    it = iter(rng.random(chunk).tolist())
+    draw = it.__next__
 
     while done < n_events and not extinct:
-        if u_pos + 2 > chunk:
-            del uniforms             # so two chunks are never alive at once
-            uniforms = rng.random(chunk).tolist()
-            u_pos = 0
+        if length_hint(it) < 2:
+            # the bound method holds the spent list too; drop both so two
+            # chunks are never alive at once
+            del it, draw
+            it = iter(rng.random(chunk).tolist())
+            draw = it.__next__
         # an event takes at most two uniforms, so a block of this many
         # events needs no refill
-        run = min(n_events - done, (chunk - u_pos) // 2)
+        run = min(n_events - done, length_hint(it) // 2)
         first = left                 # clock entry of the block's first record
-        for j in range(1, run + 1):
-            psi = v / n
-            # cumulative rates of infection, recovery, birth and death; the
-            # rest of the total is vaccine offers at rate (nu_b + nu_e*psi)*S
-            c_inf = lam * s * i / n
-            c_rec = c_inf + r * i
-            c_birth = c_rec + b * n
-            c_death = c_birth + d * n
-            total = c_death + (nu_b + nu_e * psi) * s
+        j = 0                        # events of the block so far
+        while j < run:
+            todo = min(left, run - j)
+            events = repeat(None, todo)
+            for _ in events:
+                psi = v / n
+                # cumulative rates of infection, recovery, birth and death;
+                # the rest of the total is vaccine offers at rate
+                # (nu_b + nu_e*psi)*S
+                c_inf = lam * s * i / n
+                c_rec = c_inf + ri
+                c_birth = c_rec + bn
+                c_death = c_birth + dn
+                total = c_death + (nu_b + nu_e * psi) * s
 
-            # tested from the offer end, where most events fall; the
-            # thresholds are nondecreasing, so the partition is the same
-            u = uniforms[u_pos] * total
-            u_pos += 1
-            if u >= c_death:
-                accept = bt * psi
-                if uniforms[u_pos] < (accept if accept < 1.0 else 1.0):
-                    s -= 1.0
-                    v += 1.0
-                u_pos += 1
-            elif u >= c_birth:
-                u2 = uniforms[u_pos] * n
-                u_pos += 1
-                if u2 < s:
-                    s -= 1.0
-                elif u2 < s + v:
-                    v -= 1.0
-                else:
+                # tested from the offer end, where most events fall; the
+                # thresholds are nondecreasing, so the partition is the same
+                u = draw() * total
+                if u >= c_death:
+                    # a uniform is below 1, so this is u < min(1, beta*psi)
+                    if draw() < bt * psi:
+                        s -= 1.0
+                        v += 1.0
+                elif u >= c_birth:
+                    u2 = draw() * n
+                    if u2 < s:
+                        s -= 1.0
+                    elif u2 < s + v:
+                        v -= 1.0
+                    else:
+                        i -= 1.0
+                        ri = r * i
+                    n -= 1.0
+                    bn, dn = b * n, d * n
+                    if n == 0.0:
+                        extinct = True
+                        break
+                elif u >= c_rec:
+                    s += 1.0
+                    n += 1.0
+                    bn, dn = b * n, d * n
+                elif u >= c_inf:
+                    # recovered individuals rejoin the susceptible pool
                     i -= 1.0
-                n -= 1.0
-                if n == 0.0:
-                    extinct = True
-                    break
-            elif u >= c_rec:
-                s += 1.0
-                n += 1.0
-            elif u >= c_inf:
-                # recovered individuals rejoin the susceptible pool
-                i -= 1.0
-                s += 1.0
-            else:
-                s -= 1.0
-                i += 1.0
-
-            left -= 1
+                    s += 1.0
+                    ri = r * i
+                else:
+                    s -= 1.0
+                    i += 1.0
+                    ri = r * i
+            if extinct:
+                # the repeat has yielded todo - hint events, the last of
+                # them the extinction
+                j += todo - length_hint(events)
+                break
+            j += todo
+            left -= todo
             if not left:
                 left = record_every
                 rec_theta.append(i / n)

@@ -138,6 +138,17 @@ class XiModel:
         return self.sigma2 == 0.0 and self.p0 == 0.0
 
     @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.mean_param, self.sigma2, self.p0, self.values,
+                     self.probs))
+
+    def __hash__(self) -> int:
+        """The hash of the fields == compares, computed on first use: the
+        law keys every draw-set lookup, and a frozen dataclass would hash
+        its fields anew on each call."""
+        return self._hash
+
+    @functools.cached_property
     def mean(self) -> float:
         """E[xi], computed on first use and then read as an attribute."""
         if self.values is not None:
@@ -431,8 +442,10 @@ def p_from_gamma(g: float, gam: float, z_bar: int,
     """Equilibrium vaccination probability given the final-epoch estimate.
 
     gam is Gamma_{T-1}(c). For z_bar = m the choice is all-or-nothing with
-    the tie C_v - g + gam = C_i broken toward not vaccinating.
+    the tie C_v - g + gam = C_i broken toward not vaccinating. z_bar must
+    be an integer in 1..m.
     """
+    require_integer("z_bar", z_bar, 1, cfg.m)
     if z_bar == cfg.m:
         return 1.0 if cfg.c_v - g + gam < cfg.c_i else 0.0
     diff = gam - g
@@ -447,7 +460,6 @@ def ne_outcome_probability(g: float, c: float, z_bar: int,
                            cfg: InfluencerGameConfig) -> float:
     """Wait-and-watch outcome: common vaccination probability p(g, c);
     z_bar must be an integer in 1..m."""
-    require_integer("z_bar", z_bar, 1, cfg.m)
     return p_from_gamma(g, gamma(cfg.t_horizon - 1, c, cfg), z_bar, cfg)
 
 
@@ -553,8 +565,9 @@ def p_from_gamma_vec(g: float, gams: np.ndarray, z_bar: int,
     Interior solutions come from a monotone interpolation table of the
     binomial CDF, accurate to ~1e-7 in p; ample for Monte Carlo use and
     monotone in g sample-by-sample. Scalar exact evaluation lives in
-    p_from_gamma.
+    p_from_gamma. z_bar must be an integer in 1..m.
     """
+    require_integer("z_bar", z_bar, 1, cfg.m)
     gams = np.asarray(gams, dtype=float)
     if z_bar == cfg.m:
         return (gams < g - cfg.c_v + cfg.c_i).astype(float)

@@ -95,37 +95,73 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["events"] == 0
 
-    @pytest.mark.parametrize("argv", [
-        ["optimize-leader", "--delta", "0", "--zbar", "40", "--csv", "{tmp}/s.csv"],
-        ["optimize-leader", "--zbar", "50", "--m", "40", "--csv", "{tmp}/s.csv"],
-        ["optimize-leader", "--zbar", "40", "--xi-var", "-1", "--csv", "{tmp}/s.csv"],
-        ["optimize-leader", "--zbar", "40", "--samples", "0", "--csv", "{tmp}/s.csv"],
-        ["solve-influencer-game", "--zbar", "40", "--samples", "0", "--outdir", "{tmp}"],
-        ["analyze-ess", "--m", "0"],
-        ["sweep", "--var", "zbar", "--grid", "0", "--outdir", "{tmp}"],
-        ["simulate", "--n0", "2000", "--events", "-1", "--outdir", "{tmp}"],
+    # each rejected command line with the start of its one-line message
+    REJECTED = [
+        (["optimize-leader", "--delta", "0", "--zbar", "40", "--csv", "{tmp}/s.csv"],
+         "delta must lie in (0, 1)"),
+        (["optimize-leader", "--zbar", "50", "--m", "40", "--csv", "{tmp}/s.csv"],
+         "--zbar must lie in 1..m"),
+        (["optimize-leader", "--zbar", "40", "--xi-var", "-1", "--csv", "{tmp}/s.csv"],
+         "--xi-var must be nonnegative"),
+        (["optimize-leader", "--zbar", "40", "--samples", "0", "--csv", "{tmp}/s.csv"],
+         "n_samples must be an integer >= 1, got 0"),
+        (["solve-influencer-game", "--zbar", "40", "--samples", "0", "--outdir", "{tmp}"],
+         "--samples must be at least 1"),
+        (["analyze-ess", "--m", "0"], "need m >= 1 and z in 0..m"),
+        (["sweep", "--var", "zbar", "--grid", "0", "--outdir", "{tmp}"],
+         "zbar grid values must be integers in 1..40, got (0.0,)"),
+        (["simulate", "--n0", "2000", "--events", "-1", "--outdir", "{tmp}"],
+         "--events must be nonnegative"),
         # past 2**53 the chain's float counts would no longer be exact
-        ["simulate", "--n0", "9007199254740992", "--outdir", "{tmp}"],
-        ["simulate", "--n0", "2000", "--eta0", "0", "--outdir", "{tmp}"],
-        ["analyze-ess", "--m", "2", "--cf-table", "{tmp}/nosuch.txt"],
-        ["analyze-ess", "--m", "2", "--cf-table", "{tmp}"],
-        ["sweep", "--var", "theta_star", "--grid", "1", "--samples", "2000",
-         "--outdir", "{tmp}"],
-        ["sweep", "--var", "zbar", "--grid", "2.5", "--samples", "2000",
-         "--outdir", "{tmp}"],
-        ["sweep", "--var", "zbar", "--grid", "2", "--workers", "0",
-         "--samples", "2000", "--outdir", "{tmp}"],
-        ["sweep", "--var", "zbar", "--grid", "2", "--workers", "-3",
-         "--samples", "2000", "--outdir", "{tmp}"],
+        (["simulate", "--n0", "9007199254740992", "--outdir", "{tmp}"],
+         "N0 + n_events and the clock index k0 + n_events must stay below "
+         "2**53"),
+        (["simulate", "--n0", "2000", "--eta0", "0", "--outdir", "{tmp}"],
+         "--eta0 must be positive and finite, got 0.0"),
+        (["analyze-ess", "--m", "2", "--cf-table", "{tmp}/nosuch.txt"],
+         "cannot read c_f table"),
+        (["analyze-ess", "--m", "2", "--cf-table", "{tmp}"],
+         "cannot read c_f table"),
+        (["sweep", "--var", "theta_star", "--grid", "1", "--samples", "2000",
+          "--outdir", "{tmp}"], "theta_star must lie in (0, 1), got 1.0"),
+        (["sweep", "--var", "zbar", "--grid", "2.5", "--samples", "2000",
+          "--outdir", "{tmp}"],
+         "zbar grid values must be integers in 1..40, got (2.5,)"),
+        (["sweep", "--var", "zbar", "--grid", "2", "--workers", "0",
+          "--samples", "2000", "--outdir", "{tmp}"],
+         "workers must be an integer >= 1, got 0"),
+        (["sweep", "--var", "zbar", "--grid", "2", "--workers", "-3",
+          "--samples", "2000", "--outdir", "{tmp}"],
+         "workers must be an integer >= 1, got -3"),
         # theta0 + psi0 = 1.1: an over-full start, whatever the rounding
-        ["simulate", "--theta0", "0.5", "--psi0", "0.6", "--n0", "7",
-         "--outdir", "{tmp}"],
-    ])
-    def test_rejected_parameters_exit_2(self, capsys, tmp_path, argv):
+        (["simulate", "--theta0", "0.5", "--psi0", "0.6", "--n0", "7",
+          "--outdir", "{tmp}"], "--theta0 + --psi0 must not exceed 1"),
+        # the start's fractions are checked before they are rounded to
+        # counts, and the chain's own errors name the flags
+        (["simulate", "--theta0", "nan", "--outdir", "{tmp}"],
+         "--theta0 must lie in [0, 1], got nan"),
+        (["simulate", "--psi0", "nan", "--outdir", "{tmp}"],
+         "--psi0 must lie in [0, 1], got nan"),
+        (["simulate", "--theta0", "-0.1", "--outdir", "{tmp}"],
+         "--theta0 must lie in [0, 1], got -0.1"),
+        (["simulate", "--psi0", "inf", "--outdir", "{tmp}"],
+         "--psi0 must lie in [0, 1], got inf"),
+        (["simulate", "--n0", "0", "--outdir", "{tmp}"],
+         "--n0 must be at least 1, got 0"),
+        (["simulate", "--n0", "2000", "--events", "-5", "--outdir", "{tmp}"],
+         "--events must be nonnegative"),
+        (["simulate", "--n0", "2000", "--eta0", "nan", "--outdir", "{tmp}"],
+         "--eta0 must be positive and finite, got nan"),
+    ]
+
+    @pytest.mark.parametrize("argv,message", REJECTED,
+                             ids=[f"argv{j}" for j in range(len(REJECTED))])
+    def test_rejected_parameters_exit_2(self, capsys, tmp_path, argv,
+                                        message):
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         code, _, err = run_main(capsys, *argv)
         assert code == 2
-        assert err.startswith("error: ")
+        assert err.startswith(f"error: {message}"), err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [

@@ -962,6 +962,11 @@ _LATE_EXTINCTION = dict(counts=(16, 2, 2), rates=(0.5, 5.0, 0.5, 0.998),
                         supply=(0.1, 0.0), beta=0.5, eta0=None,
                         record_every=40, n_events=25_000, seed=39)
 
+_TINY_JUMP_CHAIN = dict(counts=(3400, 16000, 600),
+                        rates=(15.0, 2.0, 2.0, 0.25), supply=(8.0, 3.0),
+                        beta=2.0, eta0=0.3588060490816258, record_every=50,
+                        n_events=50_000, seed=10_007)
+
 
 @settings(max_examples=100, deadline=None)
 @given(counts=st.tuples(st.integers(0, 30), st.integers(0, 30),
@@ -975,6 +980,11 @@ _LATE_EXTINCTION = dict(counts=(16, 2, 2), rates=(0.5, 5.0, 0.5, 0.998),
        n_events=st.integers(0, 25_000),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(**_LATE_EXTINCTION)
+# the small `jump_chain` benchmark start (N0 = 2e4 at the eradicating
+# attractor's eta): four uniform refills, every offer accepted
+# (beta*psi 1.6 to 1.65), and with beta 0.3 most offers declined
+@example(**_TINY_JUMP_CHAIN)
+@example(**dict(_TINY_JUMP_CHAIN, beta=0.3))
 @example(counts=(800, 100, 100), rates=(15.0, 2.0, 2.0, 0.25),
          supply=(2.0, 1.0), beta=0.3, eta0=250.0, record_every=13,
          n_events=25_000, seed=3)

@@ -108,10 +108,20 @@ class TestCountChecks:
         (lambda cfg: vg.binom_cdf(3, True, 0.5), "m"),
         (lambda cfg: vg.binom_cdf(3, 1, math.nan), "p"),
         (lambda cfg: vg.binom_cdf(3, 1, np.array([0.5, math.nan])), "p"),
+        (lambda cfg: game.p_from_gamma(0.0, 2.0, 1.5, cfg), "z_bar"),
+        (lambda cfg: game.p_from_gamma(0.0, 2.0, True, cfg), "z_bar"),
+        (lambda cfg: game.p_from_gamma(0.0, 2.0, 0, cfg), "z_bar"),
+        (lambda cfg: game.p_from_gamma(0.0, 2.0, 4, cfg), "z_bar"),
+        (lambda cfg: game.p_from_gamma_vec(0.0, [2.0], 1.5, cfg), "z_bar"),
+        (lambda cfg: game.p_from_gamma_vec(0.0, [2.0], True, cfg), "z_bar"),
+        (lambda cfg: game.p_from_gamma_vec(0.0, [2.0], 0, cfg), "z_bar"),
+        (lambda cfg: game.p_from_gamma_vec(0.0, [2.0], 4, cfg), "z_bar"),
     ], ids=["p_star-k-1.5", "p_star-k-True", "p_star-m-3.5", "mixed-z--1",
             "mixed-z-1.5", "mixed-z-True", "outcome-zbar-1.5",
             "outcome-zbar-True", "cdf-l-3.5", "cdf-m-1.5", "cdf-m-True",
-            "cdf-p-nan", "cdf-p-array-nan"])
+            "cdf-p-nan", "cdf-p-array-nan", "p-zbar-1.5", "p-zbar-True",
+            "p-zbar-0", "p-zbar-4", "p-vec-zbar-1.5", "p-vec-zbar-True",
+            "p-vec-zbar-0", "p-vec-zbar-4"])
     def test_bad_count_or_probability_is_refused(self, call, name):
         with pytest.raises(ValueError, match=rf"^{name} must "):
             call(self.CFG)
@@ -751,6 +761,23 @@ class TestXiModel:
                 20, vg.LeaderProblem(0.05, cfg, smp))
             sols.append((sol.g_star, sol.u_star, sol.np_at_g))
         assert sols[0] == sols[1]
+
+    def test_equal_laws_hash_equal_and_share_one_draw_set(self):
+        # the hash is computed once, from the fields == compares, so two
+        # equal laws built apart key one entry of the sampler's draw cache
+        a, b = XiModel(5.0, 2.0, 0.1), XiModel(5.0, 2.0, 0.1)
+        fields = (5.0, 2.0, 0.1, None, None)
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash(fields) == hash(a)
+        assert "_hash" in vars(a)
+        other = dataclasses.replace(a, p0=0.2)
+        assert other != a and hash(other) == hash((5.0, 2.0, 0.2, None, None))
+        cfgs = [vg.InfluencerGameConfig(m=40, t_horizon=20, c_v=1.0, c_i=5.0,
+                                        c_se_1=3.0, xi=xi, z_bar=20)
+                for xi in (a, b)]
+        smp = vg.ExpectationSampler(n_samples=200, seed=1)
+        assert smp.draws(cfgs[0]) is smp.draws(cfgs[1])
+        assert len(smp._cache) == 1
 
     def test_truncated_mean_formula(self):
         rng = np.random.default_rng(23)

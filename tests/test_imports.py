@@ -1,5 +1,6 @@
 """Every name a vaxgame module imports is read somewhere in that module,
-and every private module-level function has a caller in the package."""
+and every private module-level function and constant is read somewhere in
+the package."""
 import ast
 from pathlib import Path
 
@@ -86,3 +87,47 @@ def test_uncalled_private_function_is_found():
                                "def _dead():\n    return _dead()\n"),
              "b.py": ast.parse("from a import _used\nx = _used()\n")}
     assert uncalled_private_functions(trees) == {"a.py:_dead"}
+
+
+def unread_private_constants(trees: dict[str, ast.Module]) -> set[str]:
+    """Module-level names _X bound by an assignment (each name of a tuple
+    target too) that no module reads outside that assignment, as
+    "module.py:_X"."""
+    refs = {name: references(tree) for name, tree in trees.items()}
+    out = set()
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            private = [sub.id for target in targets for sub in ast.walk(target)
+                       if isinstance(sub, ast.Name)
+                       and sub.id.startswith("_")
+                       and not sub.id.startswith("__")]
+            if not private:
+                continue
+            own = references(tree, node)
+            for const in private:
+                if const not in own and not any(
+                        const in r for m, r in refs.items() if m != name):
+                    out.add(f"{name}:{const}")
+    return out
+
+
+def test_every_private_constant_is_read():
+    trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    assert not unread_private_constants(trees)
+
+
+def test_unread_private_constant_is_found():
+    trees = {"a.py": ast.parse("_USED = 1\n_ALONE = _ALONE_TOO = 2\n"
+                               "_PAIR, (_LEFT, _RIGHT) = 3, (4, 5)\n"
+                               "_SELF: int = len([_SELF])\n"
+                               "__dunder__ = 6\nPUBLIC = 7\n"
+                               "def f():\n    return _PAIR + _LEFT\n"),
+             "b.py": ast.parse("from a import _USED\nx = _USED\n")}
+    assert unread_private_constants(trees) == {
+        "a.py:_ALONE", "a.py:_ALONE_TOO", "a.py:_RIGHT", "a.py:_SELF"}
