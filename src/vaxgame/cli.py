@@ -9,18 +9,18 @@ analyses of the three layers.
 
 Flags may be preloaded from --config FILE (or --config=FILE); INI-style
 sections or a JSON object with the same section/key names (see README).
-Exit codes: 0 ok, 2 invalid configuration, 3 infeasible model
-(insufficient influence, or no incentive that meets delta within the
-leader's bracket), 141 standard output closed before the output was
-written (as a shell reports a process ended by SIGPIPE, e.g. `| head`).
+Exit codes: 0 ok, 2 invalid configuration (naming the flag), 3 infeasible
+model (insufficient influence, no joint design, or no incentive that meets
+delta within the leader's bracket), 141 standard output closed before the
+output was written (as a shell reports a process ended by SIGPIPE).
 """
 from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -32,8 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from . import epidemic, ess, game, leader
-from .params import (DiseaseParams, InsufficientInfluenceError, PublicCostModel,
-                     ResponseParams, VaRatePolicy, require_integer)
+from .params import (MAX_DRAWS, DiseaseParams, InsufficientInfluenceError,
+                     PublicCostModel, ResponseParams, VaRatePolicy,
+                     require_integer)
 
 
 class ConfigError(ValueError):
@@ -47,10 +48,11 @@ SWEEP_VARS = ("zbar", "delta", "sigma2", "theta_star", "s")
 class ScenarioConfig:
     """One sweep over a single variable, everything else held fixed.
 
-    workers (threads of the pool every point runs on) must be an integer
-    >= 1, and a zbar grid must hold integers in 1..m; a bad field raises
-    ConfigError when the object is built. A theta_star value outside (0, 1)
-    raises when its point is built.
+    seed must be an integer >= 0, samples one in 1..MAX_DRAWS, workers
+    (threads of the pool every point runs on) one >= 1, delta in (0, 1), a
+    zbar grid integers in 1..m, and an s sweep's disease rho > 1; a bad
+    field raises ValueError when the object is built. A theta_star value
+    outside (0, 1) raises when its point is built.
     """
 
     sweep_var: str
@@ -71,10 +73,14 @@ class ScenarioConfig:
             raise ConfigError(f"sweep variable must be one of {SWEEP_VARS}")
         if len(self.grid) == 0:
             raise ConfigError("sweep grid is empty")
-        try:
-            require_integer("workers", self.workers, least=1)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        require_integer("seed", self.seed, least=0)
+        require_integer("samples", self.samples, 1, MAX_DRAWS)
+        require_integer("workers", self.workers, least=1)
+        if not 0.0 < self.delta < 1.0:
+            raise ConfigError(f"delta must lie in (0, 1), got {self.delta!r}")
+        if self.sweep_var == "s" and self.disease.rho <= 1.0:
+            raise ConfigError(f"disease must have rho > 1 for an s sweep, "
+                              f"got rho = {self.disease.rho!r}")
         if self.sweep_var == "zbar" and not all(
                 float(v).is_integer() and 1 <= v <= self.game_cfg.m
                 for v in self.grid):
@@ -101,12 +107,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path: Path, fieldnames, rows) -> None:
+def write_csv(path: Path, fieldnames, rows) -> Path:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(fieldnames)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        csv.writer(fh).writerows([_fmt(v) for v in row]
+                                 for row in [fieldnames, *rows])
+    return path
 
 
 def svg_line_chart(path: Path, xs, series: dict[str, list], title: str) -> None:
@@ -253,9 +258,10 @@ def reproduce_figure(fig_id: int, outdir: Path, seed: int = 0,
     """Emit the CSV for one canned parameter study (one of FIG_IDS).
 
     See the README for the qualitative claim each file supports. seed and
-    samples are checked for every figure, fig 4 included, which draws
-    nothing.
+    samples (an integer in 1..MAX_DRAWS) are checked for every figure, fig
+    4 included, which draws nothing.
     """
+    require_integer("samples", samples, 1, MAX_DRAWS)
     smp = leader.ExpectationSampler(n_samples=samples, seed=seed)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -266,19 +272,18 @@ def reproduce_figure(fig_id: int, outdir: Path, seed: int = 0,
         if fig_id == 1:
             table = leader.compare_across_zbar(problem, range(1, 41),
                                                (0.01, 0.05, 0.1))
-            out = outdir / "fig1_incentives_vs_zbar.csv"
-            write_csv(out, ["zbar", "delta", "g_star", "u_star", "np_at_g"],
-                      [[r.z_bar, r.delta, r.g_star, r.u_star, r.np_at_g]
-                       for r in table])
-            return out
+            return write_csv(
+                outdir / "fig1_incentives_vs_zbar.csv",
+                ["zbar", "delta", "g_star", "u_star", "np_at_g"],
+                [[r.z_bar, r.delta, r.g_star, r.u_star, r.np_at_g]
+                 for r in table])
         deltas = [float(d) for d in np.round(np.arange(0.01, 0.151, 0.01), 3)]
         table = leader.compare_across_zbar(problem, (1, 40), deltas)
         rows = [[r1.delta, r1.g_star, r1.u_star, rM.g_star, rM.u_star,
                  1 if rM.argmin else 0]
                 for r1, rM in zip(table[::2], table[1::2])]
-        out = outdir / "fig2_crossover_vs_delta.csv"
-        write_csv(out, ["delta", "g1", "u1", "gM", "uM", "uM_best"], rows)
-        return out
+        return write_csv(outdir / "fig2_crossover_vs_delta.csv",
+                         ["delta", "g1", "u1", "gM", "uM", "uM_best"], rows)
 
     if fig_id == 3:
         def g_star(z_bar: int, delta: float, sigma2: float) -> float:
@@ -293,10 +298,9 @@ def reproduce_figure(fig_id: int, outdir: Path, seed: int = 0,
                 rows.append([delta, sigma2, g_star(1, delta, sigma2),
                              g_star(40, delta, sigma2) + c_i,
                              g1_pi, gM_pi + c_i])
-        out = outdir / "fig3_convergence_vs_sigma2.csv"
-        write_csv(out, ["delta", "sigma2", "g1", "gM_plus_Ci",
-                        "g1_perfect", "gM_plus_Ci_perfect"], rows)
-        return out
+        return write_csv(outdir / "fig3_convergence_vs_sigma2.csv",
+                         ["delta", "sigma2", "g1", "gM_plus_Ci", "g1_perfect",
+                          "gM_plus_Ci_perfect"], rows)
 
     if fig_id == 4:
         # Two sweeps; the caption chain is ambiguous about which cost set
@@ -312,9 +316,8 @@ def reproduce_figure(fig_id: int, outdir: Path, seed: int = 0,
             costs = PublicCostModel(s=float(s), **FIG_S_COSTS)
             k, _ = leader.vaccine_optimal_k(costs, dis_s, 40)
             rows.append(["s", s, k])
-        out = outdir / "fig4_zbar_vs_theta_and_s.csv"
-        write_csv(out, ["sweep", "value", "zbar"], rows)
-        return out
+        return write_csv(outdir / "fig4_zbar_vs_theta_and_s.csv",
+                         ["sweep", "value", "zbar"], rows)
 
     if fig_id == 5:
         dis = DiseaseParams(**FIG_S_DISEASE)
@@ -335,10 +338,9 @@ def reproduce_figure(fig_id: int, outdir: Path, seed: int = 0,
                 psi_inc = epidemic.psi_eradicating(nu_inc, dis.b)
             row.append(psi_inc)
             rows.append(row)
-        out = outdir / "fig5_joint_design_vs_s.csv"
-        write_csv(out, ["s", "k_star", "psi_e_vaccine_opt", "incentive_opt_exists",
-                        "u_star_d0.01", "u_star_d0.1", "psi_e_incentive_opt"], rows)
-        return out
+        return write_csv(outdir / "fig5_joint_design_vs_s.csv",
+                         ["s", "k_star", "psi_e_vaccine_opt", "incentive_opt_exists",
+                          "u_star_d0.01", "u_star_d0.1", "psi_e_incentive_opt"], rows)
 
     raise ConfigError(f"unknown figure id {fig_id}")
 
@@ -421,7 +423,7 @@ def _add_cost_flags(p: argparse.ArgumentParser) -> None:
                    help="file with one c_f value per line (overrides --s)")
 
 
-def _add_game_flags(p: argparse.ArgumentParser) -> None:
+def _add_game_flags(p: argparse.ArgumentParser, need_zbar=False) -> None:
     p.add_argument("--m", type=int, default=40)
     p.add_argument("--t", dest="t_horizon", type=int, default=20)
     p.add_argument("--cv", type=float, default=1.0)
@@ -430,18 +432,46 @@ def _add_game_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--xi-mean", dest="xi_mean", type=float, default=5.0)
     p.add_argument("--xi-var", dest="xi_var", type=float, default=2.0)
     p.add_argument("--p0", type=float, default=0.0)
-    p.add_argument("--zbar", type=int, default=None)
+    p.add_argument("--zbar", type=int, default=None, required=need_zbar)
     p.add_argument("--g0", type=float, default=0.0)
 
 
-def _disease_from(args) -> DiseaseParams:
+def _add_run_flags(p: argparse.ArgumentParser, samples=100_000, outdir=True):
+    p.add_argument("--seed", type=int, default=0)
+    if outdir:
+        p.add_argument("--outdir", default="out")
+    if samples:
+        p.add_argument("--samples", type=int, default=samples)
+
+
+def _from_flags(args, fn, *pos, **fields):
+    """fn(*pos, **kw), each keyword of fn given the dest that feeds it
+    (read off args), or a pair (value, text) where {dest} in text stands
+    for the flag. A ValueError whose message starts with one of these
+    keywords is re-raised as a ConfigError naming the flag in its place,
+    looked up in args.flag_of, which build_parser sets."""
+    named = {f: (getattr(args, s), f"{{{s}}}") if isinstance(s, str) else s
+             for f, s in fields.items()}
+    try:
+        return fn(*pos, **{f: v for f, (v, _) in named.items()})
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        if field not in named:
+            raise
+        name = named[field][1].format_map(args.flag_of)
+        raise ConfigError(f"{name} {rest}") from exc
+
+
+def _disease_from(args) -> tuple[DiseaseParams, VaRatePolicy]:
+    """The disease and the supply policy of _add_disease_flags."""
     d = args.d if args.d is not None else args.b / 4.0
-    return DiseaseParams(lam=args.lam, r=args.r, b=args.b, d=d)
+    return (_from_flags(args, DiseaseParams, lam="lam", r="r", b="b",
+                        d=(d, "{d}")),
+            _from_flags(args, VaRatePolicy, nu_b="nu_b", nu_e="nu_e"))
 
 
 def _costs_from(args, m: int) -> PublicCostModel:
-    kw = dict(c_v1=args.cv1, c_v2=args.cv2, c_v2_bar=args.cv2_bar,
-              c_i=args.ci_public)
+    kw = dict(c_v1="cv1", c_v2="cv2", c_v2_bar="cv2_bar", c_i="ci_public")
     if getattr(args, "cf_table", None):
         try:
             text = Path(args.cf_table).read_text()
@@ -451,43 +481,19 @@ def _costs_from(args, m: int) -> PublicCostModel:
         vals = tuple(float(line) for line in text.split())
         if len(vals) != m + 1:
             raise ConfigError(f"c_f table must have {m + 1} entries")
-        return PublicCostModel(c_f_table=vals, **kw)
-    return PublicCostModel(s=args.s, **kw)
-
-
-# the flag behind each field of the game and of its side-effect law, and
-# behind the law's mean
-_GAME_FLAGS = {"m": "--m", "t_horizon": "--t", "c_v": "--cv", "c_i": "--ci",
-               "c_se_1": "--cse1", "z_bar": "--zbar", "g0": "--g0",
-               "mean_param": "--xi-mean", "sigma2": "--xi-var", "p0": "--p0",
-               "xi": "the law of --xi-mean, --xi-var and --p0"}
-
-# the flag behind each argument of the jump chain that `simulate` passes on
-_CHAIN_FLAGS = {"n_events": "--events", "eta0": "--eta0"}
-
-
-@contextlib.contextmanager
-def _named_by_flag(flags: dict[str, str]):
-    """Re-raise a library ValueError whose message starts with a field in
-    flags as a ConfigError that names the flag instead."""
-    try:
-        yield
-    except ValueError as exc:
-        field, _, rest = str(exc).partition(" ")
-        if field not in flags:
-            raise
-        raise ConfigError(f"{flags[field]} {rest}") from exc
+        return _from_flags(args, PublicCostModel,
+                           c_f_table=(vals, "{cf_table}"), **kw)
+    return _from_flags(args, PublicCostModel, s="s", **kw)
 
 
 def _game_cfg_from(args, z_bar: int) -> game.InfluencerGameConfig:
-    """The game the flags describe. A game or side-effect law the library
-    refuses raises ConfigError naming the flag, not the library's field."""
-    with _named_by_flag(_GAME_FLAGS):
-        return game.InfluencerGameConfig(
-            m=args.m, t_horizon=args.t_horizon, c_v=args.cv, c_i=args.ci,
-            c_se_1=args.cse1,
-            xi=game.XiModel(args.xi_mean, args.xi_var, args.p0),
-            z_bar=z_bar, g0=args.g0)
+    """The game the flags describe, with z_bar given by the command."""
+    law = _from_flags(args, game.XiModel, mean_param="xi_mean",
+                      sigma2="xi_var", p0="p0")
+    return _from_flags(
+        args, game.InfluencerGameConfig, m="m", t_horizon="t_horizon",
+        c_v="cv", c_i="ci", c_se_1="cse1", g0="g0", z_bar=(z_bar, "{zbar}"),
+        xi=(law, "the law of {xi_mean}, {xi_var} and {p0}"))
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +501,11 @@ def _game_cfg_from(args, z_bar: int) -> game.InfluencerGameConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze_ess(args) -> int:
-    dis = _disease_from(args)
-    nu = VaRatePolicy(args.nu_b, args.nu_e)
+    dis, nu = _disease_from(args)
     costs = _costs_from(args, args.m)
+    # z = 0 is classified for every m, so a bad m is refused there
+    reports = [_from_flags(args, ess.classify_esss, z, nu, costs, dis,
+                           m="m").to_dict() for z in range(max(args.m, 0) + 1)]
     status = ess.is_admissible(nu, dis)
     out = {"admissibility": status.value, "rho": dis.rho}
     if dis.rho > 1.0:
@@ -505,8 +513,6 @@ def cmd_analyze_ess(args) -> int:
         out["psi_e"] = epidemic.psi_eradicating(nu, dis.b)
     if status and costs.influence_sufficient(args.m):
         out["z_bar"] = ess.eradication_threshold(nu, costs, dis, args.m)
-    reports = [ess.classify_esss(z, nu, costs, dis, args.m).to_dict()
-               for z in range(args.m + 1)]
     out["per_z"] = reports
     print(json.dumps(out, indent=2))
     print(f"\n{'z':>4} {'h_i':>12} {'h_v':>12} {'erad':>5}  esss")
@@ -518,38 +524,34 @@ def cmd_analyze_ess(args) -> int:
 
 
 def cmd_solve_influencer_game(args) -> int:
-    if args.zbar is None:
-        raise ConfigError("--zbar is required for solve-influencer-game")
-    if args.samples < 1:
-        raise ConfigError("--samples must be at least 1")
     cfg = _game_cfg_from(args, args.zbar)
-    path = game.sample_cost_path(cfg, args.seed)
-    c_final = path.final()
+    c_final = _from_flags(args, game.sample_cost_path, cfg,
+                          seed="seed").final()
     p = game.ne_outcome_probability(args.g0, c_final, args.zbar, cfg)
-    zs = game.sample_z_t(args.g0, cfg, args.seed, size=args.samples)
+    zs = _from_flags(args, game.sample_z_t, args.g0, cfg, seed="seed",
+                     size="samples")
     hist = np.bincount(zs, minlength=cfg.m + 1)
+    gams = game.final_gamma_draws(cfg, np.random.default_rng(args.seed),
+                                  args.samples)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    out = outdir / "zt_histogram.csv"
-    write_csv(out, ["z", "count"], [[z, int(n)] for z, n in enumerate(hist)])
+    out = write_csv(outdir / "zt_histogram.csv", ["z", "count"],
+                    [[z, int(n)] for z, n in enumerate(hist)])
     print(json.dumps({
         "c_final_sampled": c_final,
         "p_at_sampled_path": p,
-        "p_mean": float(np.mean(game.p_from_gamma_vec(
-            args.g0,
-            game.final_gamma_draws(cfg, np.random.default_rng(args.seed),
-                                   args.samples),
-            args.zbar, cfg))),
+        "p_mean": float(np.mean(game.p_from_gamma_vec(args.g0, gams,
+                                                      args.zbar, cfg))),
         "histogram_csv": str(out)}, indent=2))
     return 0
 
 
 def cmd_optimize_leader(args) -> int:
-    dis = _disease_from(args)
+    dis, nu = _disease_from(args)
     costs = _costs_from(args, args.m)
     if args.auto_zbar:
-        nu = VaRatePolicy(args.nu_b, args.nu_e)
-        zb = ess.eradication_threshold(nu, costs, dis, args.m)
+        zb = _from_flags(args, ess.eradication_threshold, nu, costs, dis,
+                         m="m")
     elif args.zbar is not None:
         zb = args.zbar
     else:
@@ -558,8 +560,10 @@ def cmd_optimize_leader(args) -> int:
     if args.mode == "perfect":
         # solve as if Gamma were known: the point law at the law's mean
         cfg = dataclasses.replace(cfg, xi=game.XiModel(cfg.e_xi))
-    smp = leader.ExpectationSampler(n_samples=args.samples, seed=args.seed)
-    sol = leader.solve_optimal_incentive(zb, leader.LeaderProblem(args.delta, cfg, smp))
+    smp = _from_flags(args, leader.ExpectationSampler, n_samples="samples",
+                      seed="seed")
+    sol = leader.solve_optimal_incentive(zb, _from_flags(
+        args, lambda delta: leader.LeaderProblem(delta, cfg, smp), delta="delta"))
     print(json.dumps(sol.to_dict(), indent=2))
     sweep = Path(args.csv)
     new = not sweep.exists()
@@ -574,9 +578,8 @@ def cmd_optimize_leader(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    dis = _disease_from(args)
-    nu = VaRatePolicy(args.nu_b, args.nu_e)
-    beta = ResponseParams(args.beta)
+    dis, nu = _disease_from(args)
+    beta = _from_flags(args, ResponseParams, beta="beta")
     n0 = args.n0
     if n0 < 1:
         raise ConfigError(f"--n0 must be at least 1, got {n0}")
@@ -593,14 +596,14 @@ def cmd_simulate(args) -> int:
     s0 = n0 - v0 - i0
     eta0 = args.eta0
     if eta0 is None:
-        att = epidemic.candidate_attractors(dis, nu, beta)
-        active = att.active()
+        active = epidemic.candidate_attractors(dis, nu, beta).active()
         eta0 = next(iter(active.values())).eta if active else 1.0
-    with _named_by_flag(_CHAIN_FLAGS):
-        jump = epidemic.simulate_jump_process(
-            (s0, v0, i0, n0), dis, nu, beta, seed=args.seed,
-            n_events=args.events, eta0=eta0,
-            record_every=max(args.events // 2000, 1))
+    jump = _from_flags(
+        args, lambda initial_counts, **kw: epidemic.simulate_jump_process(
+            initial_counts, dis, nu, beta, **kw,
+            record_every=max(args.events // 2000, 1)),
+        initial_counts=((s0, v0, i0, n0), "{n0}"), seed="seed",
+        n_events="events", eta0=(eta0, "{eta0}"))
     ode, sup = epidemic.matched_ode(jump, dis, nu, beta)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -617,8 +620,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_reproduce_fig(args) -> int:
     ids = FIG_IDS if args.id == "all" else (int(args.id),)
-    outs = [reproduce_figure(i, Path(args.outdir), seed=args.seed,
-                             samples=args.samples) for i in ids]
+    outs = [_from_flags(args, reproduce_figure, i, Path(args.outdir),
+                        seed="seed", samples="samples") for i in ids]
     print(json.dumps({"csv": [str(out) for out in outs]}, indent=2))
     return 0
 
@@ -628,15 +631,17 @@ def cmd_sweep(args) -> int:
         grid = tuple(float(v) for v in args.grid.split(",") if v.strip())
     except ValueError as exc:
         raise ConfigError(f"bad sweep grid {args.grid!r}: {exc}") from exc
-    dis = _disease_from(args)
+    dis, nu = _disease_from(args)
     costs = _costs_from(args, args.m)
     zb = args.zbar if args.zbar is not None else args.m
-    cfg = ScenarioConfig(
-        sweep_var=args.var, grid=grid, disease=dis,
-        nu=VaRatePolicy(args.nu_b, args.nu_e), costs=costs,
-        game_cfg=_game_cfg_from(args, zb), delta=args.delta,
-        outdir=Path(args.outdir), seed=args.seed, samples=args.samples,
-        workers=args.workers, plot=args.plot)
+    scenario = functools.partial(
+        ScenarioConfig, sweep_var=args.var, grid=grid, nu=nu,
+        costs=costs, game_cfg=_game_cfg_from(args, zb),
+        outdir=Path(args.outdir), plot=args.plot)
+    cfg = _from_flags(args, scenario,
+                      disease=(dis, "the rates {lam}, {r} and {b}"),
+                      delta="delta", seed="seed", samples="samples",
+                      workers="workers")
     out = run_scenario(cfg)
     print(json.dumps({"csv": str(out)}, indent=2))
     return 0
@@ -657,11 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  parents=[_config_parser()])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    common = dict(seed=lambda p: p.add_argument("--seed", type=int, default=0),
-                  outdir=lambda p: p.add_argument("--outdir", default="out"),
-                  samples=lambda p: p.add_argument("--samples", type=int,
-                                                   default=100_000))
-
     p = sub.add_parser("analyze-ess", help="stability classification table")
     _add_disease_flags(p)
     _add_cost_flags(p)
@@ -669,10 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze_ess)
 
     p = sub.add_parser("solve-influencer-game", help="equilibrium outcome")
-    _add_game_flags(p)
-    common["seed"](p)
-    common["outdir"](p)
-    p.add_argument("--samples", type=int, default=10_000)
+    _add_game_flags(p, need_zbar=True)
+    _add_run_flags(p, samples=10_000)
     p.set_defaults(func=cmd_solve_influencer_game)
 
     p = sub.add_parser("optimize-leader", help="constrained incentive design")
@@ -686,8 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="perfect: solve at the point law of the data's mean")
     p.add_argument("--csv", default="leader_sweep.csv",
                    help="sweep file to append the solution row to")
-    common["seed"](p)
-    common["samples"](p)
+    _add_run_flags(p, outdir=False)
     p.set_defaults(func=cmd_optimize_leader)
 
     p = sub.add_parser("simulate", help="jump process vs ODE trajectories")
@@ -698,17 +695,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi0", type=float, default=0.8)
     p.add_argument("--eta0", type=float, default=None)
     p.add_argument("--events", type=int, default=500_000)
-    common["seed"](p)
-    common["outdir"](p)
+    _add_run_flags(p, samples=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reproduce-fig", help="canned parameter studies")
     p.add_argument("--id", required=True,
                    choices=[str(i) for i in FIG_IDS] + ["all"],
                    help="study to write, or all five")
-    common["seed"](p)
-    common["outdir"](p)
-    common["samples"](p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_reproduce_fig)
 
     p = sub.add_parser("sweep", help="single-variable scenario sweep")
@@ -720,10 +714,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--plot", action="store_true")
-    common["seed"](p)
-    common["outdir"](p)
-    common["samples"](p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_sweep)
+    for p in sub.choices.values():
+        # each dest's flag, for the refusals _from_flags names
+        p.set_defaults(flag_of={a.dest: a.option_strings[0]
+                                for a in p._actions if a.option_strings})
     return ap
 
 
@@ -760,7 +756,8 @@ def main(argv=None) -> int:
         # devnull so the flush at exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (InsufficientInfluenceError, leader.BracketingError) as exc:
+    except (InsufficientInfluenceError, leader.BracketingError,
+            leader.JointDesignError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -21,7 +21,7 @@ from operator import length_hint
 import numpy as np
 
 from .params import (DiseaseParams, ResponseParams, VaRatePolicy,
-                     require_finite)
+                     require_finite, require_integer)
 
 # Conditions this close to a degenerate corner (beta*psi* = 1,
 # beta = b*rho/nu_b, nu_e = b*rho - nu_b/theta*) are flagged and excluded.
@@ -790,10 +790,12 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     Extinction (N = 0) stops the run with a flag. Reproducible from seed.
     With n_events = 0 the trajectory is the initial point alone.
 
-    Counts must be integer values (2.0 is taken, 2.5 or inf is rejected).
-    The loop holds them as Python floats, which stay exact integers: the
-    start is checked so that N and the clock index k stay below 2**53
-    for every event. Uniforms come in chunks of 16,384, read through the
+    Counts must be integer values (2.0 is taken, 2.5 or inf is rejected),
+    and seed an integer >= 0. The loop holds the counts as Python floats,
+    which stay exact integers: N0, the clock index N0/eta0 and then both
+    plus n_events are checked against 2**53, in that order, so that N and
+    k stay below it for every event, and each refusal names the argument
+    that crossed it. Uniforms come in chunks of 16,384, read through the
     chunk list's iterator; each event takes one or two, and a chunk with
     fewer than two left (its iterator's length hint) is dropped for a new
     one. The spent iterator and its bound `__next__` both hold the old
@@ -818,19 +820,27 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     s, v, i, n = (int(x) for x in initial_counts)
     if n < 1 or s + v + i != n or min(s, v, i) < 0:
         raise ValueError("counts must be nonnegative with S+V+I == N >= 1")
+    if n >= 2 ** 53:
+        raise ValueError(f"initial_counts must keep N0 below 2**53, where "
+                         f"counts are exact as floats, got N0 = {n}")
     if n_events < 0:
         raise ValueError("n_events must be nonnegative")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
+    require_integer("seed", seed, least=0)
     if eta0 is None:
         eta0 = float(n)
     if not (math.isfinite(eta0) and eta0 > 0):
         raise ValueError(f"eta0 must be positive and finite, got {eta0}")
+    # compared before int(): a tiny eta0 takes n / eta0 to inf
+    if n / eta0 >= 2 ** 53:
+        raise ValueError(f"eta0 must keep the clock index N0 / eta0 below "
+                         f"2**53, got {eta0!r}")
     k = max(int(round(n / eta0)) - 1, 0)
     if max(n, k + 1) + n_events >= 2 ** 53:
-        raise ValueError("N0 + n_events and the clock index k0 + n_events "
-                         "must stay below 2**53, where counts are exact "
-                         "as floats")
+        raise ValueError(f"n_events must keep N0 + n_events and the clock "
+                         f"index k0 + n_events below 2**53, where counts "
+                         f"are exact as floats, got {n_events}")
     rng = np.random.default_rng(seed)
 
     lam, r, b, d = disease.lam, disease.r, disease.b, disease.d

@@ -9,7 +9,8 @@ import warnings
 from dataclasses import dataclass, field
 
 from .epidemic import admissibility_gap, psi_co_occurring, psi_eradicating
-from .params import DiseaseParams, PublicCostModel, VaRatePolicy
+from .params import (MAX_INFLUENCERS, DiseaseParams, PublicCostModel,
+                     VaRatePolicy, require_integer)
 
 # Utility gaps this close to zero are classified by their exact sign but
 # flagged, since the strict/non-strict split is then numerically fragile.
@@ -52,11 +53,16 @@ def _h_at(theta: float, psi: float, z: int, nu: VaRatePolicy,
     return costs.c_v1 + (1.0 - z / m) * side - infection - costs.c_f(z)
 
 
+def _require_counts(z: int, m: int) -> None:
+    """m must be an integer in 1..MAX_INFLUENCERS and z one in 0..m."""
+    require_integer("m", m, 1, MAX_INFLUENCERS)
+    require_integer("z", z, 0, m)
+
+
 def _h_iv_only(z: int, nu: VaRatePolicy, costs: PublicCostModel,
                disease: DiseaseParams, m: int) -> tuple[float, float]:
-    """(h_i, h_v): the gaps at the non-vaccinating and eradicating limits."""
-    if m < 1 or not 0 <= z <= m:
-        raise ValueError("need m >= 1 and z in 0..m")
+    """(h_i, h_v): the gaps at the non-vaccinating and eradicating limits;
+    its callers check z and m."""
     return (_h_at(disease.theta_star, 0.0, z, nu, costs, disease, m),
             _h_at(0.0, psi_eradicating(nu, disease.b), z, nu, costs,
                   disease, m))
@@ -75,9 +81,11 @@ def h_values(z: int, nu: VaRatePolicy, costs: PublicCostModel,
 
     h_i is evaluated at the non-vaccinating limit, h_v at the eradicating
     one, h_v_o at the co-occurring one. Negative h means vaccinating is
-    strictly preferred there. Raises when rho <= 1 (no endemic limit) or
-    when the co-occurring limit does not exist (b*rho - nu_e <= 0).
+    strictly preferred there. Raises when rho <= 1 (no endemic limit), when
+    the co-occurring limit does not exist (b*rho - nu_e <= 0), or for an m
+    outside 1..MAX_INFLUENCERS or a z outside 0..m.
     """
+    _require_counts(z, m)
     h_i, h_v = _h_iv_only(z, nu, costs, disease, m)
     psi_o = psi_co_occurring(nu, disease)
     return h_i, h_v, _h_at(disease.theta_star - psi_o, psi_o, z, nu, costs,
@@ -122,8 +130,10 @@ def classify_esss(z: int, nu: VaRatePolicy, costs: PublicCostModel,
 
     Classification does not need the crowd-sensitivity beta: each stable
     case admits a witness response (recorded in beta_witness). The set
-    holds 'none' when no candidate qualifies.
+    holds 'none' when no candidate qualifies. m must be an integer in
+    1..MAX_INFLUENCERS and z one in 0..m, for every rho.
     """
+    _require_counts(z, m)
     adm = is_admissible(nu, disease)
     witness: dict[str, str] = {}
 
@@ -159,9 +169,10 @@ def classify_esss(z: int, nu: VaRatePolicy, costs: PublicCostModel,
         witness["eradicating"] = f"beta > 1/psi_e = {1.0 / psi_e:.6g}"
     if h_v_o is not None:
         _warn_boundary("h_v_o", h_v_o)
-        if h_v_o < 0.0 and 0.0 <= nu.nu_e and gap < 0.0:
+        psi_o = psi_co_occurring(nu, disease)
+        # with nu_b = 0, psi_o is 0 and no beta gives beta psi_o > 1
+        if h_v_o < 0.0 and 0.0 <= nu.nu_e and gap < 0.0 and psi_o > 0.0:
             stable.add("co_occurring")
-            psi_o = psi_co_occurring(nu, disease)
             witness["co_occurring"] = f"beta > 1/psi_o = {1.0 / psi_o:.6g}"
 
     erad = int(_eradicates(h_i, h_v) and bool(adm))
@@ -173,7 +184,9 @@ def classify_esss(z: int, nu: VaRatePolicy, costs: PublicCostModel,
 
 def eradication_probability(z: int, nu: VaRatePolicy, costs: PublicCostModel,
                             disease: DiseaseParams, m: int) -> int:
-    """Conditional certainty of complete eradication given Z = z (0 or 1)."""
+    """Conditional certainty of complete eradication given Z = z (0 or 1);
+    m must be an integer in 1..MAX_INFLUENCERS and z one in 0..m."""
+    _require_counts(z, m)
     if not is_admissible(nu, disease):
         return 0
     return int(_eradicates(*_h_iv_only(z, nu, costs, disease, m)))
@@ -187,8 +200,9 @@ def eradication_threshold(nu: VaRatePolicy, costs: PublicCostModel,
     The scan over z = 0..m is cheap and safe at the boundaries; both gaps
     are monotone in z so the first hit is the threshold. Raises
     InsufficientInfluenceError when c_v1 - c_f(m) >= 0 and ValueError for
-    a non-admissible policy.
+    a non-admissible policy or an m outside 1..MAX_INFLUENCERS.
     """
+    require_integer("m", m, 1, MAX_INFLUENCERS)
     costs.require_influence(m)
     status = is_admissible(nu, disease)
     if not status:

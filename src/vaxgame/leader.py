@@ -34,8 +34,8 @@ from .game import (PROBES, InfluencerGameConfig, _cdf_grid, _mixed_root,
                    binom_cdf, binom_cdf_vec_interp, bisect_decreasing,
                    final_gamma_draws, p_from_gamma,
                    p_from_gamma_vec)  # noqa: F401
-from .params import (DiseaseParams, PublicCostModel, VaRatePolicy,
-                     require_integer)
+from .params import (MAX_DRAWS, DiseaseParams, PublicCostModel,
+                     VaRatePolicy, require_integer)
 
 # the two values of LeaderSolution.mode: the method that solved
 PERFECT_INFO = "perfect_info"
@@ -57,7 +57,7 @@ class BracketingError(RuntimeError):
 
 
 class JointDesignError(RuntimeError):
-    """Shrinking the supply margins did not reach the target regime."""
+    """No supply policy of the joint design reaches the target regime."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +95,7 @@ class ExpectationSampler:
     life; gamma_draws(cfg) is its gams. A point law (XiModel.is_point) is
     solved by the closed forms and never draws. Only n_samples and seed are
     settings, and only they take part in ==; n_samples must be an integer
-    >= 1 and seed one >= 0, checked at build.
+    in 1..MAX_DRAWS and seed one >= 0, checked at build.
     """
 
     n_samples: int = 100_000
@@ -104,8 +104,8 @@ class ExpectationSampler:
                          compare=False)
 
     def __post_init__(self):
-        for name, least in (("n_samples", 1), ("seed", 0)):
-            require_integer(name, getattr(self, name), least)
+        require_integer("n_samples", self.n_samples, 1, MAX_DRAWS)
+        require_integer("seed", self.seed, least=0)
 
     def _key(self, cfg: InfluencerGameConfig) -> tuple:
         return (cfg.c_se_1, cfg.t_horizon, cfg.xi, self.n_samples, self.seed)
@@ -626,12 +626,14 @@ def vaccine_optimal_k(costs: PublicCostModel, disease: DiseaseParams,
     Scans k = 1..M for the crossing of c_v1 - c_f(k) below L_k; the
     strict/non-strict split flips with the side-effect cap regime. A
     missing or repeated crossing contradicts the monotonicity of both
-    sides and raises. m must be an integer.
+    sides and raises JointDesignError. m must be an integer, and the
+    disease must have rho > 1.
     """
     require_integer("m", m)
     costs.require_influence(m)
     if disease.rho <= 1.0:
-        raise ValueError("joint design needs rho > 1")
+        raise ValueError(f"disease must have rho > 1 for a joint design, "
+                         f"got rho = {disease.rho!r}")
     table = l_values(costs, disease, m)
     strict_upper = costs.c_v2_bar > costs.c_v2 / disease.theta_star
     hits = []
@@ -645,7 +647,7 @@ def vaccine_optimal_k(costs: PublicCostModel, disease: DiseaseParams,
         if hit:
             hits.append(k)
     if len(hits) != 1:
-        raise RuntimeError(
+        raise JointDesignError(
             f"expected exactly one qualifying k, found {hits}; "
             "cost model violates the monotone crossing")
     return hits[0], table

@@ -1,4 +1,7 @@
-"""Parameter objects shared by the population, influencer, and leader layers."""
+"""Parameter objects shared by the population, influencer, and leader layers.
+
+Every rate and cost is checked by require_scaled when its object is built,
+and the size budgets below bound the arrays a run can ask for."""
 from __future__ import annotations
 
 import math
@@ -18,6 +21,40 @@ def require_finite(name: str, v) -> None:
     (not a bool)."""
     if not _finite_number(v):
         raise ValueError(f"{name} must be a finite number, got {v!r}")
+
+
+# A rate, cost or side-effect parameter has a magnitude of at most
+# SCALE_MAX, a factor 1e8 below the top of the float range (1.8e308): the
+# models sum up to MAX_DRAWS values of that size, and near the top the first
+# such sum overflows.
+SCALE_MAX = 1e300
+# The population's rates are at most MAX_RATE, and lam, r and b at least
+# 1 / MAX_RATE: the ODE the chain is checked against is integrated by
+# explicit RK45, whose steps shrink as the rates spread apart. A 1,000-event check
+# takes 0.02 s at a rate of 1e3 and 1 s at 1e6; at 1e9, or at b = 1e-308,
+# the path leaves the simplex, or the solve does not end.
+MAX_RATE = 1e6
+
+# Size budgets, each checked before an array of that size is built.
+# analyze-ess classifies every count 0..m, and the game keeps binomial
+# tables and a Z_T histogram per count: at 10,000 influencers analyze-ess
+# takes 0.4 s on a 2-vCPU Xeon.
+MAX_INFLUENCERS = 10_000
+# the side-effect draws fill a block of game.DRAW_BLOCK_ROWS rows of one
+# value per day: 8,192 x 1,000 floats are 66 MB
+MAX_DAYS = 1_000
+# a sampler keeps each law's draws and their prefix sums, and a fill holds
+# three more arrays of its length: 5 x 8 bytes a draw, 400 MB at 1e7
+MAX_DRAWS = 10_000_000
+
+
+def require_scaled(name: str, v, most: float = SCALE_MAX) -> None:
+    """require_finite, and then ValueError naming the field unless |v| is
+    at most `most`."""
+    require_finite(name, v)
+    if abs(v) > most:
+        raise ValueError(f"{name} must be at most {most:g} in magnitude, "
+                         f"got {v!r}")
 
 
 def require_integer(name: str, v, least: int | None = None,
@@ -67,7 +104,8 @@ class DiseaseParams:
     dynamics), r the recovery rate, b the birth rate and d the natural
     death rate. The reproduction-style ratio rho = lam / (r + b) separates
     the self-eradicating regime (rho <= 1) from the one that needs
-    intervention.
+    intervention. Each rate is at most MAX_RATE, lam, r and b are at least
+    1 / MAX_RATE, and d is below b.
     """
 
     lam: float
@@ -78,13 +116,15 @@ class DiseaseParams:
     def __post_init__(self):
         for name in ("lam", "r", "b", "d"):
             v = getattr(self, name)
-            require_finite(name, v)
+            require_scaled(name, v, MAX_RATE)
             if v < 0:
                 raise ValueError(f"{name} must be nonnegative, got {v}")
-        if self.lam <= 0 or self.r <= 0 or self.b <= 0:
-            raise ValueError("lam, r and b must be strictly positive")
+            if name != "d" and v < 1 / MAX_RATE:
+                raise ValueError(
+                    f"{name} must be at least {1 / MAX_RATE:g}, got {v}")
         if self.d >= self.b:
-            raise ValueError("death rate d must be below birth rate b")
+            raise ValueError(f"d must be below the birth rate {self.b!r}, "
+                             f"got {self.d!r}")
 
     @property
     def rho(self) -> float:
@@ -100,7 +140,8 @@ class DiseaseParams:
 
 @dataclass(frozen=True)
 class VaRatePolicy:
-    """Vaccine-availability rates: supply runs at nu_b + nu_e * psi."""
+    """Vaccine-availability rates: supply runs at nu_b + nu_e * psi, each
+    rate at most MAX_RATE."""
 
     nu_b: float
     nu_e: float = 0.0
@@ -108,7 +149,7 @@ class VaRatePolicy:
     def __post_init__(self):
         for name in ("nu_b", "nu_e"):
             v = getattr(self, name)
-            require_finite(name, v)
+            require_scaled(name, v, MAX_RATE)
             if v < 0:
                 raise ValueError(f"{name} must be nonnegative, got {v}")
 
@@ -123,7 +164,7 @@ class ResponseParams:
     beta: float
 
     def __post_init__(self):
-        require_finite("beta", self.beta)
+        require_scaled("beta", self.beta)
         if self.beta < 0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
 
@@ -155,7 +196,7 @@ class PublicCostModel:
             v = getattr(self, name)
             if v is None:
                 continue
-            require_finite(name, v)
+            require_scaled(name, v)
             if v < 0:
                 raise ValueError(f"{name} must be nonnegative, got {v}")
         if self.c_f_table is not None:

@@ -1,12 +1,18 @@
 import argparse
+import contextlib
+import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vaxgame as vg
 from vaxgame.cli import (CONFIG_SECTIONS, build_parser, config_flag,
@@ -98,24 +104,23 @@ class TestSubcommands:
     # each rejected command line with the start of its one-line message
     REJECTED = [
         (["optimize-leader", "--delta", "0", "--zbar", "40", "--csv", "{tmp}/s.csv"],
-         "delta must lie in (0, 1)"),
+         "--delta must lie in (0, 1)"),
         (["optimize-leader", "--zbar", "50", "--m", "40", "--csv", "{tmp}/s.csv"],
          "--zbar must lie in 1..m"),
         (["optimize-leader", "--zbar", "40", "--xi-var", "-1", "--csv", "{tmp}/s.csv"],
          "--xi-var must be nonnegative"),
         (["optimize-leader", "--zbar", "40", "--samples", "0", "--csv", "{tmp}/s.csv"],
-         "n_samples must be an integer >= 1, got 0"),
+         "--samples must be an integer in 1..10000000, got 0"),
         (["solve-influencer-game", "--zbar", "40", "--samples", "0", "--outdir", "{tmp}"],
-         "--samples must be at least 1"),
-        (["analyze-ess", "--m", "0"], "need m >= 1 and z in 0..m"),
+         "--samples must be an integer in 1..10000000, got 0"),
+        (["analyze-ess", "--m", "0"], "--m must be an integer in 1..10000, got 0"),
         (["sweep", "--var", "zbar", "--grid", "0", "--outdir", "{tmp}"],
          "zbar grid values must be integers in 1..40, got (0.0,)"),
         (["simulate", "--n0", "2000", "--events", "-1", "--outdir", "{tmp}"],
          "--events must be nonnegative"),
         # past 2**53 the chain's float counts would no longer be exact
         (["simulate", "--n0", "9007199254740992", "--outdir", "{tmp}"],
-         "N0 + n_events and the clock index k0 + n_events must stay below "
-         "2**53"),
+         "--n0 must keep N0 below 2**53"),
         (["simulate", "--n0", "2000", "--eta0", "0", "--outdir", "{tmp}"],
          "--eta0 must be positive and finite, got 0.0"),
         (["analyze-ess", "--m", "2", "--cf-table", "{tmp}/nosuch.txt"],
@@ -129,10 +134,10 @@ class TestSubcommands:
          "zbar grid values must be integers in 1..40, got (2.5,)"),
         (["sweep", "--var", "zbar", "--grid", "2", "--workers", "0",
           "--samples", "2000", "--outdir", "{tmp}"],
-         "workers must be an integer >= 1, got 0"),
+         "--workers must be an integer >= 1, got 0"),
         (["sweep", "--var", "zbar", "--grid", "2", "--workers", "-3",
           "--samples", "2000", "--outdir", "{tmp}"],
-         "workers must be an integer >= 1, got -3"),
+         "--workers must be an integer >= 1, got -3"),
         # theta0 + psi0 = 1.1: an over-full start, whatever the rounding
         (["simulate", "--theta0", "0.5", "--psi0", "0.6", "--n0", "7",
           "--outdir", "{tmp}"], "--theta0 + --psi0 must not exceed 1"),
@@ -152,6 +157,58 @@ class TestSubcommands:
          "--events must be nonnegative"),
         (["simulate", "--n0", "2000", "--eta0", "nan", "--outdir", "{tmp}"],
          "--eta0 must be positive and finite, got nan"),
+        # library messages that start with their field, so the flag can
+        # take its place; the 2**53 guard names the argument that crossed
+        (["simulate", "--lambda", "0", "--outdir", "{tmp}"],
+         "--lambda must be at least 1e-06, got 0.0"),
+        (["simulate", "--d", "3", "--outdir", "{tmp}"],
+         "--d must be below the birth rate 2.0, got 3.0"),
+        (["simulate", "--n0", "1000", "--events", "9007199254740992",
+          "--outdir", "{tmp}"], "--events must keep N0 + n_events"),
+        (["simulate", "--n0", "1000", "--events", "1000", "--eta0", "1e-308",
+          "--outdir", "{tmp}"], "--eta0 must keep the clock index"),
+        # the public's c_i, a name the game's c_i (--ci) shares
+        (["analyze-ess", "--ci-public", "-1"],
+         "--ci-public must be nonnegative, got -1.0"),
+        # sizes just past their budgets, refused before any array is built
+        (["solve-influencer-game", "--zbar", "1", "--samples", "10000001",
+          "--outdir", "{tmp}"],
+         "--samples must be an integer in 1..10000000, got 10000001"),
+        (["optimize-leader", "--zbar", "1", "--samples", "10000001",
+          "--csv", "{tmp}/s.csv"],
+         "--samples must be an integer in 1..10000000, got 10000001"),
+        (["solve-influencer-game", "--zbar", "1", "--m", "10001",
+          "--outdir", "{tmp}"], "--m must be at most 10000 influencers"),
+        (["analyze-ess", "--m", "10001"],
+         "--m must be an integer in 1..10000, got 10001"),
+        (["sweep", "--var", "s", "--grid", "0.1", "--m", "10001",
+          "--outdir", "{tmp}"], "--m must be at most 10000 influencers"),
+        (["optimize-leader", "--zbar", "1", "--t", "1001", "--csv", "{tmp}/s.csv"],
+         "--t must be at most 1000 days, got 1001"),
+        (["reproduce-fig", "--id", "4", "--samples", "0", "--outdir", "{tmp}"],
+         "--samples must be an integer in 1..10000000, got 0"),
+        # magnitudes past the float range's headroom
+        (["optimize-leader", "--zbar", "1", "--xi-mean", "1e308",
+          "--csv", "{tmp}/s.csv"],
+         "--xi-mean must be at most 1e+300 in magnitude, got 1e+308"),
+        (["simulate", "--lambda", "1e308", "--outdir", "{tmp}"],
+         "--lambda must be at most 1e+06 in magnitude, got 1e+308"),
+        # the seed the user gave, on every subcommand that draws
+        *[([command, *extra, "--seed", "-5", out, "{tmp}"],
+           "--seed must be an integer >= 0, got -5")
+          for command, extra, out in (
+              ("simulate", ["--events", "10"], "--outdir"),
+              ("solve-influencer-game", ["--zbar", "1"], "--outdir"),
+              ("optimize-leader", ["--zbar", "1"], "--csv"),
+              ("reproduce-fig", ["--id", "4"], "--outdir"),
+              ("sweep", ["--var", "delta", "--grid", "0.05"], "--outdir"))],
+        # a sweep refuses when it is built, not at its first point
+        (["sweep", "--var", "zbar", "--grid", "1", "--delta", "0",
+          "--outdir", "{tmp}"], "--delta must lie in (0, 1), got 0.0"),
+        (["sweep", "--var", "s", "--grid", "0.1", "--lambda", "1",
+          "--outdir", "{tmp}"],
+         "the rates --lambda, --r and --b must have rho > 1 for an s sweep, "
+         "got rho = 0.25"),
     ]
 
     @pytest.mark.parametrize("argv,message", REJECTED,
@@ -235,7 +292,7 @@ class TestSubcommands:
         code, out, err = run_main(capsys, "analyze-ess", "--m", "2",
                                   "--cf-table", str(table))
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and "c_f_table" in err
+        assert err.startswith("error: --cf-table must be a sequence of finite")
         assert list(tmp_path.iterdir()) == [table]
 
     def test_unbracketed_root_exits_3(self, capsys, tmp_path):
@@ -499,32 +556,34 @@ _BAD_VALUES = {
     "--delta": "1.5", "--seed": "-1", "--samples": "0", "--workers": "0",
     "--n0": "0", "--theta0": "-0.5", "--psi0": "1.5", "--eta0": "-1",
     "--events": "-1"}
-# required arguments, and sizes that keep a run short should a bad value
-# slip through
+# required arguments (--zbar too, so that no check of its absence answers
+# first), and sizes that keep a run short should a bad value slip through
 _BASE_ARGS = {
     "reproduce-fig": ["--id", "4"],
     "sweep": ["--var", "s", "--grid", "0.1", "--samples", "200"],
-    "optimize-leader": ["--samples", "200"],
-    "solve-influencer-game": ["--samples", "200"],
+    "optimize-leader": ["--zbar", "1", "--samples", "200"],
+    "solve-influencer-game": ["--zbar", "1", "--samples", "200"],
     "simulate": ["--events", "1000", "--n0", "1000"]}
 
 
+# the type each subcommand's flag converts its value to
+_KINDS = {(name, opt): a.type
+          for name, p in next(a for a in build_parser()._actions
+                              if isinstance(a, argparse._SubParsersAction)
+                              ).choices.items()
+          for a in p._actions for opt in a.option_strings}
+
+
 def _numeric_flags() -> list[tuple[str, str]]:
-    parser = build_parser()
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    kinds = {(name, opt): a.type for name, p in sub.choices.items()
-             for a in p._actions for opt in a.option_strings}
-    return sorted((name, flag)
-                  for name, flags in subcommand_flags(parser).items()
-                  for flag in flags if kinds[name, flag] in (int, float))
+    return sorted(key for key, kind in _KINDS.items() if kind in (int, float))
 
 
 @pytest.mark.parametrize("command,flag", _numeric_flags())
 def test_every_numeric_flag_refuses_a_bad_value(capsys, tmp_path, monkeypatch,
                                                 command, flag):
-    # exit 2 with the error first on stderr, no traceback, and no output
-    # file written (default outputs land in the working directory)
+    # exit 2 with the error, naming the flag, first on stderr, no
+    # traceback, and no output file written (default outputs land in the
+    # working directory)
     monkeypatch.chdir(tmp_path)
     flags = subcommand_flags(build_parser())[command]
     out = ["--outdir", str(tmp_path / "out")] if "--outdir" in flags else []
@@ -532,7 +591,65 @@ def test_every_numeric_flag_refuses_a_bad_value(capsys, tmp_path, monkeypatch,
                             *out, flag, _BAD_VALUES[flag])
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    assert _named_in(flag, err), err
     assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
+# What the property draws for a numeric flag: both ends of the float range,
+# 2**53 (past which floats skip integers), signs, zero, one and a
+# non-number, or else a small value the flag accepts (_IN_RANGE, or 0.5),
+# so that no run outgrows the base sizes of _PROPERTY_BASE. An integer
+# flag's parser refuses every non-integer alike, so it draws one of them.
+_EDGE_VALUES = {float: ("nan", "inf", "-inf", "-1", "0", "1", "1e308",
+                        "1e-308", str(2 ** 53), "abc"),
+                int: ("-1", "0", "1", str(2 ** 53), "1e308")}
+_IN_RANGE = {"--m": "3", "--t": "3", "--samples": "50", "--events": "100",
+             "--n0": "50", "--workers": "2", "--zbar": "2", "--seed": "7"}
+# the required flags, and small runs: a grid of two points, so that an
+# in-range --workers never exceeds it
+_PROPERTY_BASE = dict(_BASE_ARGS, sweep=["--var", "s", "--grid", "0.1,0.2",
+                                         "--samples", "200"])
+_PRESENT = subcommand_flags(build_parser())
+_NUMERIC = {}
+for _command, _flag in _numeric_flags():
+    _NUMERIC.setdefault(_command, []).append(_flag)
+
+
+def _named_in(flag: str, text: str) -> bool:
+    """Whether text names flag as a whole word (--t is not --theta0)."""
+    return re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text) is not None
+
+
+# ess warns, by design, where a utility gap sits on the strict/non-strict
+# boundary: that is output of a run, not a failure
+@pytest.mark.filterwarnings("ignore:h_\\w+ = .* sits within:UserWarning")
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_every_input_runs_or_names_its_flag(data):
+    """Any few numeric flags of any subcommand, at the edges of their range:
+    the run exits 0, 2 or 3 with no exception (a RuntimeWarning counts as
+    one, under the suite's warnings-as-errors), and an exit 2 names a flag
+    of its command line."""
+    command = data.draw(st.sampled_from(sorted(_NUMERIC)))
+    flags = data.draw(st.lists(st.sampled_from(_NUMERIC[command]),
+                               min_size=1, max_size=3, unique=True))
+    values = [data.draw(st.sampled_from(
+        _EDGE_VALUES[_KINDS[command, flag]] + (None,))) for flag in flags]
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, *_PROPERTY_BASE.get(command, [])]
+        for flag, value in zip(flags, values):
+            argv += [flag, value or _IN_RANGE.get(flag, "0.5")]
+        present = _PRESENT[command]
+        argv += ["--outdir", tmp] if "--outdir" in present else []
+        argv += ["--csv", f"{tmp}/s.csv"] if "--csv" in present else []
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    if code == 2:
+        assert any(_named_in(a, err.getvalue()) for a in argv
+                   if a.startswith("--")), (argv, err.getvalue())
 
 
 class TestFigures:

@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vaxgame as vg
+from vaxgame import ess, game, leader
+from vaxgame.params import (MAX_DAYS, MAX_DRAWS, MAX_INFLUENCERS, MAX_RATE,
+                            SCALE_MAX)
 
 NAN, INF = math.nan, math.inf
 # the bad values each kind of field must refuse; bool is refused everywhere
@@ -16,6 +19,9 @@ REAL = (NAN, INF, -INF, True)
 NONNEG = REAL + (-1,)
 FRACTION = NONNEG + (2.5,)
 INTEGER = (NAN, INF, -INF, 2.5, True, -1)
+# just past a budget or a scale, never an allocation of that size
+COST = REAL + (2 * SCALE_MAX, -2 * SCALE_MAX)
+RATE = NONNEG + (2 * MAX_RATE,)
 
 _GAME = dict(m=40, t_horizon=20, c_v=1.0, c_i=5.0, c_se_1=3.0,
              xi=vg.XiModel(5.0, 2.0), z_bar=2)
@@ -43,21 +49,21 @@ _DISCRETE = dict(mean_param=0.0, values=(1.0, 3.0), probs=(0.5, 0.5))
 # own fields have rows of their own, bare and inside the game
 _TABLE = [
     *[(vg.DiseaseParams, dict(lam=15.0, r=2.0, b=2.0, d=0.5), name,
-       NONNEG + (0.0,)) for name in ("lam", "r", "b")],
+       RATE + (0.0, 0.9 / MAX_RATE)) for name in ("lam", "r", "b")],
     (vg.DiseaseParams, dict(lam=15.0, r=2.0, b=2.0, d=0.5), "d",
-     NONNEG + (2.5,)),
-    *[(vg.VaRatePolicy, dict(nu_b=1.0, nu_e=1.0), name, NONNEG)
+     RATE + (2.5,)),
+    *[(vg.VaRatePolicy, dict(nu_b=1.0, nu_e=1.0), name, RATE)
       for name in ("nu_b", "nu_e")],
-    (vg.ResponseParams, dict(beta=2.0), "beta", NONNEG),
-    *[(vg.PublicCostModel, dict(_COSTS, s=0.2), name, NONNEG)
+    (vg.ResponseParams, dict(beta=2.0), "beta", COST + (-1,)),
+    *[(vg.PublicCostModel, dict(_COSTS, s=0.2), name, COST + (-1,))
       for name in ("c_v1", "c_v2", "c_v2_bar", "c_i", "s")],
     (vg.PublicCostModel, dict(_COSTS, c_f_table=(0.0, 1.0, 2.0)),
      "c_f_table", NONNEG),
     *[(vg.OdeState, dict(theta=0.1, psi=0.2, eta=0.3), name, FRACTION)
       for name in ("theta", "psi")],
     (vg.OdeState, dict(theta=0.1, psi=0.2, eta=0.3), "eta", NONNEG),
-    (vg.XiModel, _NORMAL, "mean_param", REAL),
-    (vg.XiModel, _NORMAL, "sigma2", NONNEG),
+    (vg.XiModel, _NORMAL, "mean_param", COST),
+    (vg.XiModel, _NORMAL, "sigma2", COST + (-1,)),
     (vg.XiModel, _NORMAL, "p0", FRACTION),
     # a discrete law lists an atom at zero as a support point
     (vg.XiModel, _DISCRETE, "p0", FRACTION + (0.5,)),
@@ -67,18 +73,20 @@ _TABLE = [
       (("mean_param", REAL), ("sigma2", NONNEG), ("p0", FRACTION))],
     *[(_game_law, _DISCRETE, name, bads) for name, bads in
       (("values", NONNEG), ("probs", FRACTION))],
-    *[(vg.InfluencerGameConfig, _GAME, name, INTEGER)
-      for name in ("m", "t_horizon", "z_bar")],
-    *[(vg.InfluencerGameConfig, _GAME, name, REAL)
+    (vg.InfluencerGameConfig, _GAME, "m", INTEGER + (MAX_INFLUENCERS + 1,)),
+    (vg.InfluencerGameConfig, _GAME, "t_horizon", INTEGER + (MAX_DAYS + 1,)),
+    (vg.InfluencerGameConfig, _GAME, "z_bar", INTEGER),
+    *[(vg.InfluencerGameConfig, _GAME, name, COST)
       for name in ("c_v", "g0")],
-    *[(vg.InfluencerGameConfig, _GAME, name, NONNEG)
+    *[(vg.InfluencerGameConfig, _GAME, name, COST + (-1,))
       for name in ("c_i", "c_se_1")],
     (vg.InfluencerGameConfig, _GAME, "xi",
      (5.0, True, None, vg.XiModel(-1.0))),
     (vg.InfluencerGameConfig, dict(_GAME, incentives=(1.0, 2.0)),
      "incentives", REAL),
-    *[(vg.ExpectationSampler, dict(n_samples=10), name, INTEGER)
-      for name in ("n_samples", "seed")],
+    (vg.ExpectationSampler, dict(n_samples=10), "n_samples",
+     INTEGER + (MAX_DRAWS + 1,)),
+    (vg.ExpectationSampler, dict(n_samples=10), "seed", INTEGER),
     (_leader, {}, "delta", FRACTION),
     *[(_leader, {}, name, INTEGER) for name in ("cfg", "sampler")],
 ]
@@ -112,3 +120,57 @@ def test_every_public_field_has_a_row():
     fields = {(cls, f.name) for cls in {cls for cls, _ in rows}
               for f in dataclasses.fields(cls) if not f.name.startswith("_")}
     assert rows == fields
+
+
+def test_objects_take_their_budgets_and_scales():
+    # the largest sizes and magnitudes are still taken; nothing is drawn
+    vg.InfluencerGameConfig(**dict(_GAME, m=MAX_INFLUENCERS,
+                                   t_horizon=MAX_DAYS,
+                                   xi=vg.XiModel(SCALE_MAX, SCALE_MAX)))
+    vg.ExpectationSampler(n_samples=MAX_DRAWS)
+    vg.DiseaseParams(lam=MAX_RATE, r=1 / MAX_RATE, b=1 / MAX_RATE)
+    vg.VaRatePolicy(MAX_RATE, MAX_RATE)
+    vg.PublicCostModel(**dict(_COSTS, c_i=SCALE_MAX), s=SCALE_MAX)
+
+
+_DIS = vg.DiseaseParams(lam=15.0, r=2.0, b=2.0, d=0.5)
+_NU = vg.VaRatePolicy(5.0, 0.7)
+_PUBLIC = vg.PublicCostModel(**_COSTS, s=0.2)
+_GAME_CFG = vg.InfluencerGameConfig(**_GAME)
+_START = dict(disease=_DIS, nu=_NU, beta=vg.ResponseParams(2.0), seed=0,
+              n_events=10)
+
+
+# refusals the command line names by their flag, so each message starts
+# with the field or argument at fault; a size just past its budget is
+# refused before any array of that size is built
+@pytest.mark.parametrize("call, field", [
+    (lambda: vg.DiseaseParams(0.0, 2.0, 2.0), "lam"),
+    (lambda: vg.DiseaseParams(15.0, 2.0, 2.0, 3.0), "d"),
+    (lambda: vg.classify_esss(0, _NU, _PUBLIC, _DIS, 0), "m"),
+    (lambda: vg.classify_esss(0, _NU, _PUBLIC, vg.DiseaseParams(1.0, 2.0, 2.0),
+                              MAX_INFLUENCERS + 1), "m"),
+    (lambda: vg.classify_esss(5, _NU, _PUBLIC, _DIS, 4), "z"),
+    (lambda: ess.eradication_threshold(_NU, _PUBLIC, _DIS, -1), "m"),
+    (lambda: leader.vaccine_optimal_k(_PUBLIC, vg.DiseaseParams(1.0, 2.0, 2.0),
+                                      40), "disease"),
+    (lambda: game.final_gamma_draws(_GAME_CFG, None, MAX_DRAWS + 1), "size"),
+    (lambda: vg.sample_z_t(1.0, _GAME_CFG, seed=0, size=0), "size"),
+    (lambda: vg.sample_z_t(1.0, _GAME_CFG, seed=-1), "seed"),
+    (lambda: vg.sample_cost_path(_GAME_CFG, seed=-1), "seed"),
+    (lambda: vg.simulate_jump_process((0, 0, 2 ** 53, 2 ** 53), **dict(
+        _START, n_events=0)), "initial_counts"),
+    (lambda: vg.simulate_jump_process((900, 0, 100, 1000), **dict(
+        _START, n_events=2 ** 53)), "n_events"),
+    # 1000 / 1e-308 is inf, refused before int() would overflow on it
+    (lambda: vg.simulate_jump_process((900, 0, 100, 1000), **_START,
+                                      eta0=1e-308), "eta0"),
+    (lambda: vg.simulate_jump_process((900, 0, 100, 1000), **dict(
+        _START, seed=-1)), "seed"),
+], ids=["lam", "d", "ess_m", "ess_m_budget", "ess_z", "threshold_m",
+        "design_rho", "draw_size", "z_t_size", "z_t_seed", "path_seed",
+        "chain_n0", "chain_events", "chain_eta0", "chain_seed"])
+def test_refusal_starts_with_its_field(call, field):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value).startswith(field + " "), str(info.value)

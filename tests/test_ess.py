@@ -235,3 +235,12 @@ def test_cf_table_must_be_non_empty_and_finite(table):
     with pytest.raises(ValueError, match="c_f_table"):
         vg.PublicCostModel(c_v1=0.2, c_v2=0.05, c_v2_bar=100.0, c_i=0.5,
                            c_f_table=table)
+
+
+def test_co_occurring_limit_without_basic_supply_is_not_stable():
+    # nu_b = 0 puts the co-occurring limit at psi_o = 0, where no crowd
+    # sensitivity gives beta psi_o > 1; it used to divide by psi_o there
+    dis, nu = fig5_disease(), vg.VaRatePolicy(0.0, 0.7)
+    rep = vg.classify_esss(39, nu, fig5_costs(0.1), dis, M)
+    assert rep.h_v_o < 0.0
+    assert "co_occurring" not in rep.esss_set

@@ -63,15 +63,19 @@ def references(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
 
 def uncalled_private_functions(trees: dict[str, ast.Module]) -> set[str]:
     """Module-level functions named _x that no module refers to outside
-    their own definition, as "module.py:_x"."""
+    their own definition, as "module.py:_x". The references of each
+    module-level statement are computed once, so no module is walked once
+    per function."""
+    refs = {(name, j): references(node) for name, tree in trees.items()
+            for j, node in enumerate(tree.body)}
     out = set()
     for name, tree in trees.items():
-        for node in tree.body:
+        for i, node in enumerate(tree.body):
             if (isinstance(node, ast.FunctionDef)
                     and node.name.startswith("_")
                     and not node.name.startswith("__")
-                    and not any(node.name in references(t, node)
-                                for t in trees.values())):
+                    and not any(node.name in r for key, r in refs.items()
+                                if key != (name, i))):
                 out.add(f"{name}:{node.name}")
     return out
 
