@@ -50,9 +50,10 @@ class ScenarioConfig:
 
     seed must be an integer >= 0, samples one in 1..MAX_DRAWS, workers
     (threads of the pool every point runs on) one >= 1, delta in (0, 1),
-    and an s sweep's disease rho > 1; a bad field raises ValueError when
-    the object is built. So does a grid value whose point (see `point`)
-    cannot be built, with a message that starts with "grid".
+    and an s sweep's disease rho > 1 and its costs linear (no c_f_table);
+    a bad field raises ValueError when the object is built. So does a grid
+    value whose point (see `point`) cannot be built, with a message that
+    starts with "grid".
     """
 
     sweep_var: str
@@ -81,6 +82,9 @@ class ScenarioConfig:
         if self.sweep_var == "s" and self.disease.rho <= 1.0:
             raise ConfigError(f"disease must have rho > 1 for an s sweep, "
                               f"got rho = {self.disease.rho!r}")
+        if self.sweep_var == "s" and self.costs.c_f_table is not None:
+            raise ConfigError("costs must be linear for an s sweep, which "
+                              "sets their slope s, but hold a c_f_table")
         for idx, v in enumerate(self.grid):
             try:
                 self.point(idx, v)
@@ -657,6 +661,8 @@ def cmd_sweep(args) -> int:
         outdir=Path(args.outdir), plot=args.plot)
     cfg = _from_flags(args, scenario, grid=(grid, "{grid}"),
                       disease=(dis, "the rates {lam}, {r} and {b}"),
+                      costs=(costs, "{cf_table} is refused with {var} s:"
+                             " costs"),
                       delta="delta", seed="seed", samples="samples",
                       workers="workers")
     out = run_scenario(cfg)

@@ -160,11 +160,6 @@ class AttractorSet:
         return out
 
 
-def _eta_at(theta: float, psi: float, disease: DiseaseParams,
-            nu: VaRatePolicy) -> float:
-    return (disease.b - disease.d) / total_event_rate(theta, psi, disease, nu)
-
-
 def candidate_attractors(disease: DiseaseParams, nu: VaRatePolicy,
                          beta: ResponseParams) -> AttractorSet:
     """Equilibria with acceptance probability 0 or 1, with activity flags.
@@ -173,9 +168,13 @@ def candidate_attractors(disease: DiseaseParams, nu: VaRatePolicy,
     conditions within DEGENERATE_BAND of equality mark the candidate
     degenerate and inactive. The eradicating and co-occurring candidates
     sit on opposite sides of nu_e = b*rho - nu_b/theta_star and are never
-    both active.
+    both active. Each candidate's eta is (b - d)/varrho there, with varrho
+    from one `_field` bound for all four: the double total_event_rate
+    gives. theta_star is 1 - 1/rho from the one rho read here, the
+    property's own double.
     """
     b, rho = disease.b, disease.rho
+    growth, rate = disease.b - disease.d, _field(disease, nu, _NO_RESPONSE)
     endemic = rho > 1.0
 
     # self-eradicating (0, 0): needs rho <= 1 and beta < b/nu_b
@@ -183,18 +182,18 @@ def candidate_attractors(disease: DiseaseParams, nu: VaRatePolicy,
     se_degenerate = math.isfinite(beta_gap) and abs(beta_gap) <= DEGENERATE_BAND
     se_active = (not endemic) and beta_gap > DEGENERATE_BAND
     self_erad = Candidate(
-        0.0, 0.0, _eta_at(0.0, 0.0, disease, nu),
+        0.0, 0.0, growth / rate(0.0, 0.0, 1.0)[3],
         active=se_active, degenerate=se_degenerate,
         condition="rho <= 1 and beta < b/nu_b")
 
     non_vacc = erad = co_occ = None
     if endemic:
-        theta_star = disease.theta_star
+        theta_star = 1.0 - 1.0 / rho
 
         nv_gap = math.inf if nu.nu_b == 0 else b * rho / nu.nu_b - beta.beta
         nv_degen = math.isfinite(nv_gap) and abs(nv_gap) <= DEGENERATE_BAND
         non_vacc = Candidate(
-            theta_star, 0.0, _eta_at(theta_star, 0.0, disease, nu),
+            theta_star, 0.0, growth / rate(theta_star, 0.0, 1.0)[3],
             active=nv_gap > DEGENERATE_BAND, degenerate=nv_degen,
             condition="beta < b*rho/nu_b")
 
@@ -206,7 +205,7 @@ def candidate_attractors(disease: DiseaseParams, nu: VaRatePolicy,
         er_active = (crowd_gap > DEGENERATE_BAND
                      and adm_gap > DEGENERATE_BAND and nu.nu_e >= 0.0)
         erad = Candidate(
-            0.0, psi_e, _eta_at(0.0, psi_e, disease, nu),
+            0.0, psi_e, growth / rate(0.0, psi_e, 1.0)[3],
             active=er_active, degenerate=er_degen,
             condition="beta*psi_e > 1 and nu_e > b*rho - nu_b/theta_star")
 
@@ -220,7 +219,7 @@ def candidate_attractors(disease: DiseaseParams, nu: VaRatePolicy,
                 co_active = (crowd_gap_o > DEGENERATE_BAND
                              and adm_gap < -DEGENERATE_BAND)
                 co_occ = Candidate(
-                    theta_o, psi_o, _eta_at(theta_o, psi_o, disease, nu),
+                    theta_o, psi_o, growth / rate(theta_o, psi_o, 1.0)[3],
                     active=co_active, degenerate=co_degen,
                     condition="beta*psi_o > 1 and 0 <= nu_e < b*rho - nu_b/theta_star")
 
@@ -567,8 +566,9 @@ def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
     scaled by the same factor, at most 10 (at most 1 after a rejection).
     Every accepted step is recorded.
 
-    The run stops as converged only at a basin attempt. One is made before
-    the first step, at each accepted step whose planar drift
+    The run stops as converged only at a basin attempt. One is made at the
+    start, right after the start's drift and before the first step size
+    and the stepper's constants, at each accepted step whose planar drift
     max(|theta'|, |psi'|) has fallen to _BASIN_RETRY = 1/4 of its value at
     the last failed attempt, and a last one at the state that reaches the
     horizon. Newton on the planar (theta, psi) field
@@ -594,9 +594,11 @@ def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
     never certified; its slow algebraic approach is located only once the
     state is within 1e-6 of the Newton point, so from farther out it runs
     to the horizon. `message` names the stop or the failure. `rhs_evals`
-    counts every evaluation of the drift: one at the start and one for the
-    first step size (none with a zero horizon), six per step tried, and
-    one for the eta of a converged limit. A basin attempt evaluates the
+    counts every evaluation of the drift: one at the start, one for the
+    first step size (none with a zero horizon, or when the attempt at the
+    start stops the run), six per step tried, and one for the eta of a
+    converged limit. So a run certified at its start counts 2, one that
+    converges after n tried steps 3 + 6n. A basin attempt evaluates the
     planar polynomial and its analytic Jacobian instead, and is not
     counted.
     """
@@ -618,30 +620,10 @@ def _integrate(init: OdeState, disease: DiseaseParams, nu: VaRatePolicy,
     msg = (f"horizon {horizon} exceeded without a certified or located "
            "stable equilibrium")
     k0, k1, k2, _ = f(y0, y1, y2)
-    evals, h_abs = 1, 0.0
-    if horizon > 0.0:
-        h_abs = _initial_step(f, (y0, y1, y2), (k0, k1, k2), horizon)
-        evals = 2
-    # One flat loop over scalar locals: each stage and the error norm are
-    # written out with the constants bound here, and builtin min/max are
-    # comparisons that give the same double. Every float operation keeps
-    # the operands and the order of the textbook step, so the result is
-    # bit-identical to a step function over tuples.
-    a21 = _A21
-    a31, a32 = _A31, _A32
-    a41, a42, a43 = _A41, _A42, _A43
-    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
-    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
-    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
-    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
-    atol, rtol, max_step = _ATOL, _RTOL, _MAX_STEP
-    safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
-    exponent = _ERROR_EXPONENT
-    sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
-    stop = None
+    evals, attempts, stop = 1, 0, None
     # a basin attempt is made where the planar drift is at most `retry`:
-    # at once, and never on the path route (drift is >= 0)
-    retry, attempts = (inf if basin else -1.0), 0
+    # at the start, and never on the path route (drift is >= 0)
+    retry = math.inf if basin else -1.0
     if basin:
         locate, certify, located = _basin(disease, nu, beta)
 
@@ -657,93 +639,125 @@ def _integrate(init: OdeState, disease: DiseaseParams, nu: VaRatePolicy,
                                 f"{_CERTIFY_BELOW} of a Newton point where "
                                 "Dg is stable")
             return centre, None
-    while t < horizon:
-        drift = abs(k0) if abs(k0) > abs(k1) else abs(k1)
-        if drift <= retry and y2 > 0.0:
-            attempts += 1
-            centre, stop = attempt(y0, y1, drift)
-            if stop is not None:
+    # the first attempt comes before the stepper's set-up, so that a start
+    # it closes pays for no first step size
+    drift = abs(k0) if abs(k0) > abs(k1) else abs(k1)
+    if horizon > 0.0 and drift <= retry and y2 > 0.0:
+        attempts = 1
+        centre, stop = attempt(y0, y1, drift)
+        retry = _BASIN_RETRY * drift
+    if stop is None and horizon > 0.0:
+        h_abs = _initial_step(f, (y0, y1, y2), (k0, k1, k2), horizon)
+        evals = 2
+        # One flat loop over scalar locals: each stage and the error norm
+        # are written out with the constants bound here, and builtin
+        # min/max are comparisons that give the same double. Every float
+        # operation keeps the operands and the order of the textbook step,
+        # so the result is bit-identical to a step function over tuples.
+        a21 = _A21
+        a31, a32 = _A31, _A32
+        a41, a42, a43 = _A41, _A42, _A43
+        a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+        a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+        b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+        e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
+        atol, rtol, max_step = _ATOL, _RTOL, _MAX_STEP
+        safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
+        exponent = _ERROR_EXPONENT
+        sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
+        while t < horizon:
+            # retry from (t, y) until a step passes the error test, or the
+            # step falls below ten units in the last place of t
+            min_step = 10 * (nextafter(t, inf) - t)
+            if h_abs > max_step:
+                h_abs = max_step
+            elif h_abs < min_step:
+                h_abs = min_step
+            rejected = False
+            while h_abs >= min_step:
+                t_new = t + h_abs
+                if t_new > horizon:
+                    t_new = horizon
+                h = t_new - t
+                evals += 6
+                p0, p1, p2, _ = f(y0 + a21 * k0 * h, y1 + a21 * k1 * h,
+                                  y2 + a21 * k2 * h)
+                q0, q1, q2, _ = f(y0 + (a31 * k0 + a32 * p0) * h,
+                                  y1 + (a31 * k1 + a32 * p1) * h,
+                                  y2 + (a31 * k2 + a32 * p2) * h)
+                r0, r1, r2, _ = f(
+                    y0 + (a41 * k0 + a42 * p0 + a43 * q0) * h,
+                    y1 + (a41 * k1 + a42 * p1 + a43 * q1) * h,
+                    y2 + (a41 * k2 + a42 * p2 + a43 * q2) * h)
+                s0, s1, s2, _ = f(
+                    y0 + (a51 * k0 + a52 * p0 + a53 * q0 + a54 * r0) * h,
+                    y1 + (a51 * k1 + a52 * p1 + a53 * q1 + a54 * r1) * h,
+                    y2 + (a51 * k2 + a52 * p2 + a53 * q2 + a54 * r2) * h)
+                u0, u1, u2, _ = f(
+                    y0 + (a61 * k0 + a62 * p0 + a63 * q0 + a64 * r0
+                          + a65 * s0) * h,
+                    y1 + (a61 * k1 + a62 * p1 + a63 * q1 + a64 * r1
+                          + a65 * s1) * h,
+                    y2 + (a61 * k2 + a62 * p2 + a63 * q2 + a64 * r2
+                          + a65 * s2) * h)
+                n0 = y0 + h * (b1 * k0 + b3 * q0 + b4 * r0 + b5 * s0
+                               + b6 * u0)
+                n1 = y1 + h * (b1 * k1 + b3 * q1 + b4 * r1 + b5 * s1
+                               + b6 * u1)
+                n2 = y2 + h * (b1 * k2 + b3 * q2 + b4 * r2 + b5 * s2
+                               + b6 * u2)
+                l0, l1, l2, _ = f(n0, n1, n2)
+                # RMS of the embedded error over
+                # _ATOL + _RTOL * max(|y|, |y_new|)
+                w0, x = abs(y0), abs(n0)
+                if x > w0:
+                    w0 = x
+                w1, x = abs(y1), abs(n1)
+                if x > w1:
+                    w1 = x
+                w2, x = abs(y2), abs(n2)
+                if x > w2:
+                    w2 = x
+                w0 = ((e1 * k0 + e3 * q0 + e4 * r0 + e5 * s0 + e6 * u0
+                       + e7 * l0) * h / (atol + w0 * rtol))
+                w1 = ((e1 * k1 + e3 * q1 + e4 * r1 + e5 * s1 + e6 * u1
+                       + e7 * l1) * h / (atol + w1 * rtol))
+                w2 = ((e1 * k2 + e3 * q2 + e4 * r2 + e5 * s2 + e6 * u2
+                       + e7 * l2) * h / (atol + w2 * rtol))
+                err = sqrt((w0 * w0 + w1 * w1 + w2 * w2) / 3.0)
+                if err < 1.0:
+                    break
+                x = safety * err ** exponent
+                h_abs = h * (x if x > min_factor else min_factor)
+                rejected = True
+            else:
+                msg = f"step size collapsed at t = {t:.6g}"
                 break
-            retry = _BASIN_RETRY * drift
-        # retry from (t, y) until a step passes the error test, or the step
-        # falls below ten units in the last place of t
-        min_step = 10 * (nextafter(t, inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while h_abs >= min_step:
-            t_new = t + h_abs
-            if t_new > horizon:
-                t_new = horizon
-            h = t_new - t
-            evals += 6
-            p0, p1, p2, _ = f(y0 + a21 * k0 * h, y1 + a21 * k1 * h,
-                              y2 + a21 * k2 * h)
-            q0, q1, q2, _ = f(y0 + (a31 * k0 + a32 * p0) * h,
-                              y1 + (a31 * k1 + a32 * p1) * h,
-                              y2 + (a31 * k2 + a32 * p2) * h)
-            r0, r1, r2, _ = f(y0 + (a41 * k0 + a42 * p0 + a43 * q0) * h,
-                              y1 + (a41 * k1 + a42 * p1 + a43 * q1) * h,
-                              y2 + (a41 * k2 + a42 * p2 + a43 * q2) * h)
-            s0, s1, s2, _ = f(
-                y0 + (a51 * k0 + a52 * p0 + a53 * q0 + a54 * r0) * h,
-                y1 + (a51 * k1 + a52 * p1 + a53 * q1 + a54 * r1) * h,
-                y2 + (a51 * k2 + a52 * p2 + a53 * q2 + a54 * r2) * h)
-            u0, u1, u2, _ = f(
-                y0 + (a61 * k0 + a62 * p0 + a63 * q0 + a64 * r0
-                      + a65 * s0) * h,
-                y1 + (a61 * k1 + a62 * p1 + a63 * q1 + a64 * r1
-                      + a65 * s1) * h,
-                y2 + (a61 * k2 + a62 * p2 + a63 * q2 + a64 * r2
-                      + a65 * s2) * h)
-            n0 = y0 + h * (b1 * k0 + b3 * q0 + b4 * r0 + b5 * s0 + b6 * u0)
-            n1 = y1 + h * (b1 * k1 + b3 * q1 + b4 * r1 + b5 * s1 + b6 * u1)
-            n2 = y2 + h * (b1 * k2 + b3 * q2 + b4 * r2 + b5 * s2 + b6 * u2)
-            l0, l1, l2, _ = f(n0, n1, n2)
-            # RMS of the embedded error over _ATOL + _RTOL * max(|y|, |y_new|)
-            w0, x = abs(y0), abs(n0)
-            if x > w0:
-                w0 = x
-            w1, x = abs(y1), abs(n1)
-            if x > w1:
-                w1 = x
-            w2, x = abs(y2), abs(n2)
-            if x > w2:
-                w2 = x
-            w0 = ((e1 * k0 + e3 * q0 + e4 * r0 + e5 * s0 + e6 * u0 + e7 * l0)
-                  * h / (atol + w0 * rtol))
-            w1 = ((e1 * k1 + e3 * q1 + e4 * r1 + e5 * s1 + e6 * u1 + e7 * l1)
-                  * h / (atol + w1 * rtol))
-            w2 = ((e1 * k2 + e3 * q2 + e4 * r2 + e5 * s2 + e6 * u2 + e7 * l2)
-                  * h / (atol + w2 * rtol))
-            err = sqrt((w0 * w0 + w1 * w1 + w2 * w2) / 3.0)
-            if err < 1.0:
-                break
-            x = safety * err ** exponent
-            h_abs = h * (x if x > min_factor else min_factor)
-            rejected = True
-        else:
-            msg = f"step size collapsed at t = {t:.6g}"
-            break
-        if err == 0.0:
-            x = max_factor
-        else:
-            x = safety * err ** exponent
-            if not x < max_factor:
+            if err == 0.0:
                 x = max_factor
-        if rejected and not x < 1.0:
-            x = 1.0
-        t, h_abs = t_new, h * x
-        y0, y1, y2, k0, k1, k2 = n0, n1, n2, l0, l1, l2
-        ts.append(t)
-        ys.append((y0, y1, y2))
-    else:
-        # a run that reaches its horizon makes one last attempt there
-        if basin and horizon > 0.0 and y2 > 0.0:
-            attempts += 1
-            centre, stop = attempt(y0, y1, max(abs(k0), abs(k1)))
+            else:
+                x = safety * err ** exponent
+                if not x < max_factor:
+                    x = max_factor
+            if rejected and not x < 1.0:
+                x = 1.0
+            t, h_abs = t_new, h * x
+            y0, y1, y2, k0, k1, k2 = n0, n1, n2, l0, l1, l2
+            ts.append(t)
+            ys.append((y0, y1, y2))
+            # a state at the horizon takes the last attempt below instead
+            drift = abs(k0) if abs(k0) > abs(k1) else abs(k1)
+            if drift <= retry and y2 > 0.0 and t < horizon:
+                attempts += 1
+                centre, stop = attempt(y0, y1, drift)
+                if stop is not None:
+                    break
+                retry = _BASIN_RETRY * drift
+        else:
+            # a run that reaches its horizon makes one last attempt there
+            if basin and y2 > 0.0:
+                attempts += 1
+                centre, stop = attempt(y0, y1, max(abs(k0), abs(k1)))
     converged, yf = stop is not None, ys[-1]
     if converged:
         evals += 1
@@ -815,7 +829,12 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     u < beta*psi: u lies in [0, 1), so this is the same test as
     u < min(1, beta*psi).
     """
-    if not all(float(x).is_integer() for x in initial_counts):
+    try:
+        whole = all(float(x).is_integer() for x in initial_counts)
+    except OverflowError:
+        # an int past the float range
+        whole = False
+    if not whole:
         raise ValueError("counts must be finite integer values")
     s, v, i, n = (int(x) for x in initial_counts)
     if n < 1 or s + v + i != n or min(s, v, i) < 0:

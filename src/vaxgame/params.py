@@ -11,8 +11,11 @@ from dataclasses import dataclass, field
 
 def _finite_number(v) -> bool:
     # bool is not a number here, so a flag cannot pass for a rate, a cost
-    # or a state
-    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+    # or a state. Every state and params object checks its fields, so a
+    # plain float skips the ABC check, as a plain int does in
+    # require_integer
+    return ((type(v) is float
+             or isinstance(v, numbers.Real) and not isinstance(v, bool))
             and math.isfinite(v))
 
 

@@ -329,6 +329,19 @@ class TestSubcommands:
         assert err.startswith("error: --cf-table must be a sequence of finite")
         assert list(tmp_path.iterdir()) == [table]
 
+    def test_s_sweep_refuses_a_cf_table(self, capsys, tmp_path):
+        # an s sweep sets the slope of linear costs, so a table has no s
+        # to replace: refused before any point is built
+        table = tmp_path / "cf.txt"
+        table.write_text("\n".join(str(0.5 * z) for z in range(5)))
+        code, out, err = run_main(capsys, "sweep", "--var", "s", "--grid",
+                                  "0.1,0.2", "--m", "4", "--cf-table",
+                                  str(table), "--outdir",
+                                  str(tmp_path / "out"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: --cf-table is refused with --var s:")
+        assert list(tmp_path.iterdir()) == [table]
+
     def test_unbracketed_root_exits_3(self, capsys, tmp_path):
         # finite but so large a data mean that N_P stays above delta over
         # the whole doubling budget of the leader's bracket
@@ -664,8 +677,11 @@ def test_every_input_runs_or_names_its_flag(data):
     """Any few numeric flags of any subcommand, and a sweep's grid, at the
     edges of their range: the run exits 0, 2 or 3 with no exception (a
     RuntimeWarning counts as one, under the suite's warnings-as-errors),
-    and an exit 2 names a flag of its command line."""
-    command = data.draw(st.sampled_from(sorted(_NUMERIC)))
+    and an exit 2 names a flag of its command line. The (subcommand,
+    flag) pair is drawn first, so that a flag of one subcommand alone is
+    drawn as often as any other, and up to two more flags of the same
+    subcommand join it."""
+    command, first = data.draw(st.sampled_from(_numeric_flags()))
     base = _BASE_ARGS.get(command, [])
     if command == "sweep":
         var = data.draw(st.sampled_from(SWEEP_VARS))
@@ -673,8 +689,9 @@ def test_every_input_runs_or_names_its_flag(data):
         low, high = _GRID[var]
         base = ["--var", var, "--grid", f"{low},{value or high}",
                 "--samples", "200"]
-    flags = data.draw(st.lists(st.sampled_from(_NUMERIC[command]),
-                               min_size=1, max_size=3, unique=True))
+    flags = [first, *data.draw(st.lists(st.sampled_from(
+        [f for f in _NUMERIC[command] if f != first]),
+        max_size=2, unique=True))]
     values = [data.draw(st.sampled_from(
         _EDGE_VALUES[_KINDS[command, flag]] + (None,))) for flag in flags]
     with tempfile.TemporaryDirectory() as tmp:

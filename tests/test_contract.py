@@ -2,7 +2,9 @@
 the object is built, with a ValueError whose message names the field."""
 import dataclasses
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 import vaxgame as vg
 from vaxgame import ess, game, leader
 from vaxgame.params import (MAX_DAYS, MAX_DRAWS, MAX_INFLUENCERS, MAX_RATE,
-                            SCALE_MAX)
+                            SCALE_MAX, require_finite)
 
 NAN, INF = math.nan, math.inf
 # the bad values each kind of field must refuse; bool is refused everywhere
@@ -174,3 +176,22 @@ def test_refusal_starts_with_its_field(call, field):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value).startswith(field + " "), str(info.value)
+
+
+@pytest.mark.parametrize("value,finite", [
+    (0.5, True), (-0.0, True), (3, True), (Fraction(1, 3), True),
+    # np.float64 subclasses float, so it takes the ABC check, not the
+    # plain-float path
+    (np.float64(0.5), True), (np.float64(NAN), False),
+    (np.float64(INF), False), (np.int64(3), True),
+    (True, False), (False, False), (np.bool_(True), False),
+    (NAN, False), (INF, False), (-INF, False), ("0.5", False), (None, False),
+], ids=["float", "neg_zero", "int", "fraction", "f64", "f64_nan", "f64_inf",
+        "i64", "true", "false", "np_bool", "nan", "inf", "-inf", "str",
+        "none"])
+def test_require_finite_takes_finite_reals_but_not_bools(value, finite):
+    if finite:
+        require_finite("x", value)
+    else:
+        with pytest.raises(ValueError, match="^x must be a finite number"):
+            require_finite("x", value)

@@ -629,11 +629,19 @@ def test_counts_match_a_counting_spy(monkeypatch):
     rng = np.random.default_rng(202)
     dis, nu, beta = _row_draw(rng, "eradicating")
     cand = vg.candidate_attractors(dis, nu, beta).eradicating
-    start = vg.OdeState(cand.theta + 6e-3, cand.psi - 8e-3, cand.eta)
     monkeypatch.setattr(epidemic, "_field", counting(field))
+    # a return certified at its start: the start's drift and the limit's
+    # eta, and no first step size, since the first attempt comes before it
+    near = vg.OdeState(cand.theta + 1e-4, cand.psi - 1e-4, cand.eta)
+    res = vg.integrate_to_equilibrium(near, dis, nu, beta, horizon=400.0)
+    assert res.converged and "basin certificate" in res.message
+    assert "(attempt 1)" in res.message and len(res.t) == 1
+    assert res.rhs_evals == evals[0] == 2
+    evals[0] = 0
+    start = vg.OdeState(cand.theta + 6e-3, cand.psi - 8e-3, cand.eta)
     res = vg.integrate_to_equilibrium(start, dis, nu, beta, horizon=400.0)
     assert res.converged and "basin certificate" in res.message
-    assert res.rhs_evals == evals[0]
+    assert len(res.t) > 1 and res.rhs_evals == evals[0]
     # two to start, six per step tried and one for the limit's eta; a
     # basin attempt evaluates no drift, only the planar polynomial
     assert res.rhs_evals % 6 == 3
@@ -740,6 +748,26 @@ def test_located_stop_needs_a_stable_point_and_a_small_drift():
     assert max(np.abs(vg.ode_rhs(vg.OdeState(*res.states[-1]), dis, nu,
                                  beta)[:2])) < 1e-6
     assert np.max(np.abs(res.limit.as_array()[:2] - (0.0, psi_e))) < 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_perturbed_returns())
+def test_a_return_closed_at_its_start_is_its_first_attempt(case):
+    # a run that records the start alone stopped at the first basin
+    # attempt, made before any step size was chosen: its limit is that
+    # attempt's Newton point from the start, with the eta of the rate there
+    init, dis, nu, beta = case
+    got = vg.integrate_to_equilibrium(init, dis, nu, beta, horizon=400.0)
+    if len(got.t) > 1:
+        return
+    assert got.converged and list(got.t) == [0.0]
+    assert got.states.tolist() == [[init.theta, init.psi, init.eta]]
+    locate, _, _ = epidemic._basin(dis, nu, beta)
+    theta, psi = locate(init.theta, init.psi)
+    eta = (dis.b - dis.d) / total_event_rate(theta, psi, dis, nu)
+    assert got.limit == vg.OdeState(max(theta, 0.0), max(psi, 0.0), eta)
+    assert " at t = 0 (attempt 1): " in got.message
+    assert got.rhs_evals == 2
 
 
 @settings(max_examples=100, deadline=None)
@@ -1069,8 +1097,10 @@ class TestJumpProcess:
             with pytest.raises(ValueError, match="eta0"):
                 vg.simulate_jump_process((800, 100, 100, 1000), dis, nu,
                                          beta, seed=0, n_events=10, eta0=eta0)
-        # a count that is not an integer value is rejected, not truncated
-        for counts in ((2.5, 0, 0, 2.5), (math.inf, 0, 0, math.inf)):
+        # a count that is not an integer value is rejected, not truncated,
+        # and so is an int past the float range, before its float() raises
+        for counts in ((2.5, 0, 0, 2.5), (math.inf, 0, 0, math.inf),
+                       (10 ** 310, 0, 0, 10 ** 310)):
             with pytest.raises(ValueError, match="integer"):
                 vg.simulate_jump_process(counts, dis, nu, beta, seed=0,
                                          n_events=10)
