@@ -8,11 +8,11 @@ from .epidemic import (AttractorSet, Candidate, IntegrationResult, JumpTrajector
                        simulate_jump_process)
 from .ess import (Admissibility, EssReport, classify_esss, eradication_probability,
                   eradication_threshold, h_values, is_admissible)
-from .game import (AgentState, CostPath, InfluencerGameConfig, NeCheck,
-                   SpecialStrategy, StageActionSet, XiModel, binom_cdf,
-                   build_special_strategy, gamma, ne_outcome_probability,
-                   sample_cost_path, sample_z_t, solve_mixed_probability,
-                   stage_action_set, verify_symmetric_ne)
+from .game import (CostPath, InfluencerGameConfig, NeCheck, SpecialStrategy,
+                   StageActionSet, XiModel, binom_cdf, gamma,
+                   ne_outcome_probability, sample_cost_path, sample_z_t,
+                   solve_mixed_probability, stage_action_set,
+                   verify_symmetric_ne)
 from .leader import (ComparisonRow, ExpectationSampler, JointDesign,
                      LeaderProblem, LeaderSolution, compare_across_zbar,
                      construct_eps_vaccine_optimal_nu,

@@ -383,8 +383,7 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     flat: dict = {}
     if text.lstrip().startswith("{"):
-        data = json.loads(text)
-        items = ((sec, dict(vals)) for sec, vals in data.items())
+        items = json.loads(text).items()
     else:
         cp = configparser.ConfigParser()
         try:
@@ -395,6 +394,9 @@ def load_config_file(path: str) -> dict:
     for sec, vals in items:
         if sec not in CONFIG_SECTIONS:
             raise ConfigError(f"unknown config section [{sec}]")
+        if not isinstance(vals, dict):
+            raise ConfigError(f"config section [{sec}] must be an object of "
+                              f"keys, got {json.dumps(vals)}")
         for key, val in vals.items():
             if key not in CONFIG_SECTIONS[sec]:
                 raise ConfigError(f"unknown key {key!r} in section [{sec}]")
@@ -474,6 +476,25 @@ def _from_flags(args, fn, *pos, **fields):
             raise
         name = named[field][1].format_map(args.flag_of)
         raise ConfigError(f"{name} {rest}") from exc
+
+
+def _check_output_paths(args) -> None:
+    """Refuse, before any work, an --outdir that cannot be made a directory
+    (it, or its first existing ancestor, is not one) and a --csv that is a
+    directory or whose directory does not exist."""
+    outdir, sheet = getattr(args, "outdir", None), getattr(args, "csv", None)
+    if outdir is not None:
+        path = Path(outdir)
+        base = next(p for p in (path, *path.parents) if p.exists())
+        if not base.is_dir():
+            raise ConfigError(f"{args.flag_of['outdir']} must name a directory "
+                              f"or a path where one can be made, but "
+                              f"{str(base)!r} is not a directory")
+    if sheet is not None:
+        path = Path(sheet)
+        if path.is_dir() or not path.parent.is_dir():
+            raise ConfigError(f"{args.flag_of['csv']} must name a file in an "
+                              f"existing directory, got {sheet!r}")
 
 
 def _disease_from(args) -> tuple[DiseaseParams, VaRatePolicy]:
@@ -575,7 +596,7 @@ def cmd_optimize_leader(args) -> int:
     cfg = _game_cfg_from(args, zb)
     if args.mode == "perfect":
         # solve as if Gamma were known: the point law at the law's mean
-        cfg = dataclasses.replace(cfg, xi=game.XiModel(cfg.e_xi))
+        cfg = dataclasses.replace(cfg, xi=game.XiModel(cfg.xi.mean))
     smp = _from_flags(args, leader.ExpectationSampler, n_samples="samples",
                       seed="seed")
     sol = leader.solve_optimal_incentive(zb, _from_flags(
@@ -770,6 +791,7 @@ def main(argv=None) -> int:
                 # for are left out, so one file serves every subcommand
                 argv[cmd + 1:cmd + 1] = _config_args(flat, flags[argv[cmd]])
         args = parser.parse_args(argv)
+        _check_output_paths(args)
         code = args.func(args)
         # a closed stdout shows up here, not in the flush at exit
         sys.stdout.flush()

@@ -23,8 +23,9 @@ import numpy as np
 from .params import (DiseaseParams, ResponseParams, VaRatePolicy,
                      require_finite, require_integer)
 
-# Conditions this close to a degenerate corner (beta*psi* = 1,
-# beta = b*rho/nu_b, nu_e = b*rho - nu_b/theta*) are flagged and excluded.
+# A candidate whose stability condition is this close to equality (a
+# degenerate corner: beta*psi* = 1, beta = b*rho/nu_b, or
+# nu_e = b*rho - nu_b/theta*) is inactive.
 DEGENERATE_BAND = 1e-9
 
 SIMPLEX_TOL = 1e-9
@@ -136,8 +137,6 @@ class Candidate:
     psi: float
     eta: float
     active: bool
-    degenerate: bool
-    condition: str
 
     def state(self) -> OdeState:
         return OdeState(self.theta, self.psi, self.eta)
@@ -164,64 +163,46 @@ def candidate_attractors(disease: DiseaseParams, nu: VaRatePolicy,
                          beta: ResponseParams) -> AttractorSet:
     """Equilibria with acceptance probability 0 or 1, with activity flags.
 
-    A candidate is active when its stability condition holds strictly;
-    conditions within DEGENERATE_BAND of equality mark the candidate
-    degenerate and inactive. The eradicating and co-occurring candidates
-    sit on opposite sides of nu_e = b*rho - nu_b/theta_star and are never
-    both active. Each candidate's eta is (b - d)/varrho there, with varrho
-    from one `_field` bound for all four: the double total_event_rate
-    gives. theta_star is 1 - 1/rho from the one rho read here, the
-    property's own double.
+    A candidate is active when its stability condition holds by more than
+    DEGENERATE_BAND; one within the band of equality is inactive. The
+    eradicating and co-occurring candidates sit on opposite sides of
+    nu_e = b*rho - nu_b/theta_star and are never both active. Each
+    candidate's eta is (b - d)/varrho there, with varrho from one `_field`
+    bound for all four: the double total_event_rate gives. theta_star is
+    1 - 1/rho from the one rho read here, the property's own double.
     """
     b, rho = disease.b, disease.rho
     growth, rate = disease.b - disease.d, _field(disease, nu, _NO_RESPONSE)
     endemic = rho > 1.0
 
-    # self-eradicating (0, 0): needs rho <= 1 and beta < b/nu_b
+    # self-eradicating (0, 0): rho <= 1 and beta < b/nu_b
     beta_gap = math.inf if nu.nu_b == 0 else b / nu.nu_b - beta.beta
-    se_degenerate = math.isfinite(beta_gap) and abs(beta_gap) <= DEGENERATE_BAND
-    se_active = (not endemic) and beta_gap > DEGENERATE_BAND
-    self_erad = Candidate(
-        0.0, 0.0, growth / rate(0.0, 0.0, 1.0)[3],
-        active=se_active, degenerate=se_degenerate,
-        condition="rho <= 1 and beta < b/nu_b")
+    self_erad = Candidate(0.0, 0.0, growth / rate(0.0, 0.0, 1.0)[3],
+                          (not endemic) and beta_gap > DEGENERATE_BAND)
 
     non_vacc = erad = co_occ = None
     if endemic:
         theta_star = 1.0 - 1.0 / rho
-
+        # non-vaccinating (theta*, 0): beta < b*rho/nu_b
         nv_gap = math.inf if nu.nu_b == 0 else b * rho / nu.nu_b - beta.beta
-        nv_degen = math.isfinite(nv_gap) and abs(nv_gap) <= DEGENERATE_BAND
-        non_vacc = Candidate(
-            theta_star, 0.0, growth / rate(theta_star, 0.0, 1.0)[3],
-            active=nv_gap > DEGENERATE_BAND, degenerate=nv_degen,
-            condition="beta < b*rho/nu_b")
-
+        non_vacc = Candidate(theta_star, 0.0,
+                             growth / rate(theta_star, 0.0, 1.0)[3],
+                             nv_gap > DEGENERATE_BAND)
+        # eradicating (0, psi_e): beta*psi_e > 1, nu_e > b*rho - nu_b/theta*
         psi_e = psi_eradicating(nu, b)
         adm_gap = admissibility_gap(nu, disease)
-        crowd_gap = beta.beta * psi_e - 1.0
-        er_degen = (abs(crowd_gap) <= DEGENERATE_BAND
-                    or abs(adm_gap) <= DEGENERATE_BAND)
-        er_active = (crowd_gap > DEGENERATE_BAND
-                     and adm_gap > DEGENERATE_BAND and nu.nu_e >= 0.0)
-        erad = Candidate(
-            0.0, psi_e, growth / rate(0.0, psi_e, 1.0)[3],
-            active=er_active, degenerate=er_degen,
-            condition="beta*psi_e > 1 and nu_e > b*rho - nu_b/theta_star")
-
+        erad = Candidate(0.0, psi_e, growth / rate(0.0, psi_e, 1.0)[3],
+                         beta.beta * psi_e - 1.0 > DEGENERATE_BAND
+                         and adm_gap > DEGENERATE_BAND and nu.nu_e >= 0.0)
+        # co-occurring: beta*psi_o > 1 and 0 <= nu_e < b*rho - nu_b/theta*
         if b * rho - nu.nu_e > 0:
             psi_o = psi_co_occurring(nu, disease)
             theta_o = theta_star - psi_o
             if theta_o >= 0.0:
-                crowd_gap_o = beta.beta * psi_o - 1.0
-                co_degen = (abs(crowd_gap_o) <= DEGENERATE_BAND
-                            or abs(adm_gap) <= DEGENERATE_BAND)
-                co_active = (crowd_gap_o > DEGENERATE_BAND
-                             and adm_gap < -DEGENERATE_BAND)
                 co_occ = Candidate(
                     theta_o, psi_o, growth / rate(theta_o, psi_o, 1.0)[3],
-                    active=co_active, degenerate=co_degen,
-                    condition="beta*psi_o > 1 and 0 <= nu_e < b*rho - nu_b/theta_star")
+                    beta.beta * psi_o - 1.0 > DEGENERATE_BAND
+                    and adm_gap < -DEGENERATE_BAND)
 
     return AttractorSet(non_vaccinating=non_vacc, eradicating=erad,
                         co_occurring=co_occ, self_eradicating=self_erad)

@@ -49,6 +49,9 @@ DRAW_BLOCK_ROWS = 8192
 _WAIT_DRAWS = 4096
 _WAIT_SEED = 1241
 
+# Largest gain of a one-shot deviation that verify_symmetric_ne passes.
+_NE_TOL = 1e-9
+
 
 class NotMixedRegimeError(ValueError):
     """Indifference equation has no interior solution at this state."""
@@ -266,27 +269,12 @@ class InfluencerGameConfig:
             raise ValueError(
                 f"xi must have a positive mean, got {self.xi.mean!r}")
 
-    @property
-    def e_xi(self) -> float:
-        return self.xi.mean
-
     def g(self, z: int) -> float:
         if z >= self.z_bar:
             return 0.0
         if self.incentives is not None:
             return self.incentives[z]
         return self.g0
-
-
-@dataclass(frozen=True)
-class AgentState:
-    status: str          # "S" or "V"
-    z: int
-    c: float
-
-    def __post_init__(self):
-        if self.status not in ("S", "V"):
-            raise ValueError("status must be 'S' or 'V'")
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +290,7 @@ def gamma(t: int, c: float, cfg: InfluencerGameConfig) -> float:
     if not 1 <= t <= cfg.t_horizon:
         raise ValueError("t must lie in 1..T")
     T = cfg.t_horizon
-    return (t / T) * c + ((T - t) / T) * cfg.e_xi
+    return (t / T) * c + ((T - t) / T) * cfg.xi.mean
 
 
 def final_gamma_draws(cfg: InfluencerGameConfig, rng: np.random.Generator,
@@ -330,7 +318,7 @@ def final_gamma_draws(cfg: InfluencerGameConfig, rng: np.random.Generator,
             stop = min(start + DRAW_BLOCK_ROWS, size)
             xi._fill(rng, buf[:stop - start]).sum(axis=1, out=sums[start:stop])
     c_final = (t * c + sums) / (T - 1)
-    return ((T - 1) / T) * c_final + cfg.e_xi / T
+    return ((T - 1) / T) * c_final + cfg.xi.mean / T
 
 
 def binom_cdf(l: int, m: int, p) -> float | np.ndarray:
@@ -455,18 +443,19 @@ def p_from_gamma(g: float, gam: float, z_bar: int,
     """Equilibrium vaccination probability given the final-epoch estimate.
 
     gam is Gamma_{T-1}(c). For z_bar = m the choice is all-or-nothing with
-    the tie C_v - g + gam = C_i broken toward not vaccinating. z_bar must
-    be an integer in 1..m.
+    the tie gam = g - C_v + C_i broken toward not vaccinating; otherwise w
+    = (C_v + gam - g)/C_i clamps p to 1 at w <= 0 and 0 at w >= 1, rounded
+    as p_from_gamma_vec rounds them. z_bar must be an integer in 1..m.
     """
     require_integer("z_bar", z_bar, 1, cfg.m)
     if z_bar == cfg.m:
-        return 1.0 if cfg.c_v - g + gam < cfg.c_i else 0.0
-    diff = gam - g
-    if diff <= -cfg.c_v:
+        return 1.0 if gam < g - cfg.c_v + cfg.c_i else 0.0
+    w = min(max(cfg.c_v + gam - g, 0.0), cfg.c_i) / cfg.c_i
+    if w <= 0.0:
         return 1.0
-    if diff >= cfg.c_i - cfg.c_v:
+    if w >= 1.0:
         return 0.0
-    return _mixed_root((cfg.c_v + gam - g) / cfg.c_i, cfg.m - 1, z_bar - 1)
+    return _mixed_root(w, cfg.m - 1, z_bar - 1)
 
 
 def ne_outcome_probability(g: float, c: float, z_bar: int,
@@ -637,19 +626,17 @@ def _find_mix_roots(target: float, rhs) -> tuple[float, ...]:
     return tuple(roots)
 
 
-def stage_action_set(t: int, x: AgentState, value_next,
+def stage_action_set(t: int, z: int, c: float, value_next,
                      cfg: InfluencerGameConfig) -> StageActionSet:
-    """Admissible symmetric choices at epoch t in state x = (S, z, c).
+    """Admissible symmetric choices of a susceptible agent at epoch t, with
+    z influencers vaccinated and side-effect estimate c.
 
     value_next(z', c') must return the stage-(t+1) continuation value of a
     susceptible agent; expectations over the opponents' binomial count and
     the next side-effect estimate are taken here, the latter over
     cfg.xi.nodes(), so before T-1 a continuous law raises ValueError.
-    Vaccinated agents have no choice and z >= z_bar forces waiting.
+    z >= z_bar forces waiting.
     """
-    if x.status != "S":
-        raise ValueError("action sets are defined for susceptible agents")
-    z, c = x.z, x.c
     T = cfg.t_horizon
     if z >= cfg.z_bar:
         return StageActionSet(pure=(0.0,))
@@ -697,11 +684,15 @@ EAGER = "eager"
 class SpecialStrategy:
     """Symmetric equilibrium strategy built backward from the last epoch.
 
-    The stage sets always contain 0 before the final epoch, so the
-    wait-and-watch preset (defer every decision to T-1) is always
-    available; it is the influencers' preferred equilibrium. Values and
-    decisions are computed on demand and memoized per queried state; the
-    side-effect estimate is real-valued, so no global table is built.
+    selector is one of the presets 'wait-and-watch' (defer until the final
+    epoch) and 'eager' (vaccinate whenever admissible), or a callable
+    (t, z, c, stage_set) -> probability whose choices are checked against
+    the stage sets, raising ConstructionError outside them. The stage sets
+    always contain 0 before the final epoch, so the wait-and-watch preset
+    (defer every decision to T-1) is always available; it is the
+    influencers' preferred equilibrium. Values and decisions are computed
+    on demand and memoized per queried state; the side-effect estimate is
+    real-valued, so no global table is built.
 
     Any other selector recurses over cfg.xi.nodes(), so it refuses a
     continuous law with ValueError when built, as it does a selector that
@@ -722,7 +713,7 @@ class SpecialStrategy:
 
     # -- decisions ---------------------------------------------------------
     def action_set(self, t: int, z: int, c: float) -> StageActionSet:
-        return stage_action_set(t, AgentState("S", z, c),
+        return stage_action_set(t, z, c,
                                 lambda zn, cn: self.value(t + 1, zn, cn),
                                 self.cfg)
 
@@ -756,7 +747,7 @@ class SpecialStrategy:
             if aset.mixed:
                 return max(aset.mixed)
             return 0.0
-        p = self.selector(t, AgentState("S", z, c), aset)
+        p = self.selector(t, z, c, aset)
         if not aset.contains(p):
             raise ConstructionError(
                 f"selector chose {p} outside the stage set at t={t}, z={z}")
@@ -802,18 +793,6 @@ class SpecialStrategy:
         gm = final_gamma_draws(cfg, np.random.default_rng(_WAIT_SEED),
                                _WAIT_DRAWS, t, c)
         return float(np.mean(np.minimum(cfg.c_v + gm - cfg.g(z), cfg.c_i)))
-
-
-def build_special_strategy(cfg: InfluencerGameConfig,
-                           selector=WAIT_AND_WATCH) -> SpecialStrategy:
-    """Construct a symmetric-equilibrium strategy.
-
-    selector is one of the presets 'wait-and-watch' (defer until the final
-    epoch) and 'eager' (vaccinate whenever admissible), or a callable
-    (t, state, stage_set) -> probability whose choices are validated
-    against the stage sets; see SpecialStrategy for the selectors refused.
-    """
-    return SpecialStrategy(cfg, selector)
 
 
 class FunctionStrategy:
@@ -862,16 +841,15 @@ def _cost_nodes(cfg: InfluencerGameConfig) -> list[dict[float, None]]:
     return nodes
 
 
-def verify_symmetric_ne(strategy, cfg: InfluencerGameConfig,
-                        tol: float = 1e-9) -> NeCheck:
+def verify_symmetric_ne(strategy, cfg: InfluencerGameConfig) -> NeCheck:
     """One-shot-deviation check of a symmetric profile by exact DP.
 
     Every reachable (epoch, vaccinated-count, estimate) state of a
     susceptible agent is tested: following the profile must match the
     better of vaccinating now versus waiting, both scored against the
-    profile's own continuation. The expectations run over the support of
-    a finite law (XiModel.nodes), so a continuous one raises ValueError;
-    intended for small m and T.
+    profile's own continuation, to within _NE_TOL = 1e-9. The expectations
+    run over the support of a finite law (XiModel.nodes), so a continuous
+    one raises ValueError; intended for small m and T.
     """
     xi_v, xi_w = cfg.xi.nodes()
     nodes = _cost_nodes(cfg)
@@ -936,7 +914,7 @@ def verify_symmetric_ne(strategy, cfg: InfluencerGameConfig,
                     worst_gain = gain
                     worst_state = (t, z, c)
 
-    return NeCheck(worst_gain <= tol, worst_gain, worst_state, vac_err)
+    return NeCheck(worst_gain <= _NE_TOL, worst_gain, worst_state, vac_err)
 
 
 # ---------------------------------------------------------------------------

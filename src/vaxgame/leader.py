@@ -142,7 +142,7 @@ def c_infinity(cfg: InfluencerGameConfig) -> float:
     """(c_se_1 + (T-1) E[xi]) / T: the almost-sure value of Gamma_{T-1}
     under a point law, and its mean under any law."""
     T = cfg.t_horizon
-    return (cfg.c_se_1 + (T - 1) * cfg.e_xi) / T
+    return (cfg.c_se_1 + (T - 1) * cfg.xi.mean) / T
 
 
 @dataclass
@@ -397,7 +397,7 @@ def g_floor(cfg: InfluencerGameConfig) -> float:
     move; root brackets start here.
     """
     T = cfg.t_horizon
-    return max(cfg.c_v - cfg.c_i + (cfg.c_se_1 + cfg.e_xi) / T, 0.0)
+    return max(cfg.c_v - cfg.c_i + (cfg.c_se_1 + cfg.xi.mean) / T, 0.0)
 
 
 def _binding_by_count(draws: GammaDraws, problem: LeaderProblem) -> bool:
@@ -599,11 +599,13 @@ def compare_across_zbar(problem: LeaderProblem, zbar_list, delta_list
 
 @dataclass(frozen=True)
 class JointDesign:
+    """An eps-vaccine-optimal supply policy nu_eps with eradication
+    threshold k_star (the L_k table is vaccine_optimal_k's to return)."""
+
     k_star: int
     nu_eps: VaRatePolicy
     psi_e_achieved: float
     incentive_optimal_exists: bool
-    l_table: tuple[float, ...]
 
 
 def l_values(costs: PublicCostModel, disease: DiseaseParams,
@@ -662,7 +664,8 @@ def construct_eps_vaccine_optimal_nu(k_star: int, eps: float,
     Starts from nu_b just below b*rho*theta_star and nu_e just above the
     admissibility line, then halves both margins, at most _MAX_HALVINGS =
     200 times, until psi_e lands in (theta_star, theta_star + eps] and the
-    threshold matches. eps must be positive and finite, m an integer.
+    threshold matches, and returns that policy as a JointDesign. eps must
+    be positive and finite, m an integer.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
@@ -681,8 +684,7 @@ def construct_eps_vaccine_optimal_nu(k_star: int, eps: float,
         history.append((e1, e2, psi_e, zb))
         if ok_psi and zb == k_star:
             return JointDesign(k_star, nu, psi_e,
-                               incentive_optimal_exists(costs, disease, m),
-                               l_values(costs, disease, m))
+                               incentive_optimal_exists(costs, disease, m))
         e1 *= 0.5
         e2 *= 0.5
     raise JointDesignError(

@@ -203,8 +203,8 @@ def _ne_instances():
 def test_c05_ne_oracle_on_small_instances():
     with Stopwatch(5, "equilibrium oracle pass / mutation fail", 10.0):
         for label, cfg, flip_to in _ne_instances():
-            strat = vg.build_special_strategy(cfg, WAIT_AND_WATCH)
-            check = vg.verify_symmetric_ne(strat, cfg, tol=1e-9)
+            strat = vg.SpecialStrategy(cfg, WAIT_AND_WATCH)
+            check = vg.verify_symmetric_ne(strat, cfg)
             assert check.passed, (label, check.worst_gain, check.worst_state)
             assert check.vaccinated_value_error < 1e-9, label
 
@@ -216,7 +216,7 @@ def test_c05_ne_oracle_on_small_instances():
             else:
                 bad = mutate_strategy(
                     strat, lambda t, z, c: t == 2 and z < cfg.z_bar, flip_to)
-            check = vg.verify_symmetric_ne(bad, cfg, tol=1e-9)
+            check = vg.verify_symmetric_ne(bad, cfg)
             assert not check.passed, label
             assert check.worst_gain > 1e-9, label
 

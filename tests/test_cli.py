@@ -205,14 +205,15 @@ class TestSubcommands:
         (["simulate", "--lambda", "1e308", "--outdir", "{tmp}"],
          "--lambda must be at most 1e+06 in magnitude, got 1e+308"),
         # the seed the user gave, on every subcommand that draws
-        *[([command, *extra, "--seed", "-5", out, "{tmp}"],
+        *[([command, *extra, "--seed", "-5", *out],
            "--seed must be an integer >= 0, got -5")
           for command, extra, out in (
-              ("simulate", ["--events", "10"], "--outdir"),
-              ("solve-influencer-game", ["--zbar", "1"], "--outdir"),
-              ("optimize-leader", ["--zbar", "1"], "--csv"),
-              ("reproduce-fig", ["--id", "4"], "--outdir"),
-              ("sweep", ["--var", "delta", "--grid", "0.05"], "--outdir"))],
+              ("simulate", ["--events", "10"], ("--outdir", "{tmp}")),
+              ("solve-influencer-game", ["--zbar", "1"], ("--outdir", "{tmp}")),
+              ("optimize-leader", ["--zbar", "1"], ("--csv", "{tmp}/s.csv")),
+              ("reproduce-fig", ["--id", "4"], ("--outdir", "{tmp}")),
+              ("sweep", ["--var", "delta", "--grid", "0.05"],
+               ("--outdir", "{tmp}")))],
         # a sweep refuses when it is built, not at its first point
         (["sweep", "--var", "zbar", "--grid", "1", "--delta", "0",
           "--outdir", "{tmp}"], "--delta must lie in (0, 1), got 0.0"),
@@ -243,6 +244,20 @@ class TestSubcommands:
         # this file's text is not one number per line
         (["analyze-ess", "--m", "1", "--cf-table", __file__],
          "--cf-table must list one number per line"),
+        # an output path the run could not write to is refused before any
+        # solve, sweep point or chain: this file is no directory
+        *[([*argv, "--outdir", outdir], "--outdir must name a directory or "
+           f"a path where one can be made, but {__file__!r} is not a "
+           "directory")
+          for argv, outdir in (
+              (["sweep", "--var", "s", "--grid", "0.1"], __file__),
+              (["reproduce-fig", "--id", "4"], __file__),
+              (["simulate"], __file__),
+              (["solve-influencer-game", "--zbar", "40"],
+               os.path.join(__file__, "out")))],
+        *[(["optimize-leader", "--zbar", "40", "--csv", sheet],
+           f"--csv must name a file in an existing directory, got '{sheet}'")
+          for sheet in ("{tmp}", "{tmp}/missing/s.csv")],
     ]
 
     @pytest.mark.parametrize("argv,message", REJECTED,
@@ -250,9 +265,11 @@ class TestSubcommands:
     def test_rejected_parameters_exit_2(self, capsys, tmp_path, argv,
                                         message):
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
-        code, _, err = run_main(capsys, *argv)
+        message = message.replace("{tmp}", str(tmp_path))
+        code, out, err = run_main(capsys, *argv)
         assert code == 2
         assert err.startswith(f"error: {message}"), err
+        assert not out
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
@@ -576,13 +593,21 @@ class TestConfigFiles:
         ["optimize-leader", "--config"],
         ["--config", "{tmp}/nosuch.ini", "optimize-leader"],
         ["--config", "{tmp}/nosection.ini", "optimize-leader"],
+        *[["--config", f"{{tmp}}/{name}.json", "optimize-leader"]
+          for name in ("list", "number", "null")],
     ])
     def test_unusable_config_exit_2(self, capsys, tmp_path, argv):
         (tmp_path / "nosection.ini").write_text("zbar = 1\n")
+        for name, section in (("list", "[1, 2]"), ("number", "5"),
+                              ("null", "null")):
+            (tmp_path / f"{name}.json").write_text(f'{{"game": {section}}}')
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         code, _, err = run_main(capsys, *argv)
         assert code == 2
         assert "error:" in err and "Traceback" not in err
+        if argv[1].endswith(".json"):
+            assert err.startswith("error: config section [game] must be an "
+                                  "object of keys"), err
 
     def test_every_config_key_is_a_flag(self):
         # the config filter keeps a key only where this flag exists
@@ -658,6 +683,9 @@ _IN_RANGE = {"--m": "3", "--t": "3", "--samples": "50", "--events": "100",
 _GRID = {var: ("1", "2") if var == "zbar" else ("0.1", "0.2")
          for var in SWEEP_VARS}
 _PRESENT = subcommand_flags(build_parser())
+# An --outdir or --csv is the run's temporary directory, a regular file in
+# it, or a path under a subdirectory that does not exist.
+_OUTPUT_PATHS = ("{tmp}", "{tmp}/file", "{tmp}/missing/out")
 _NUMERIC = {}
 for _command, _flag in _numeric_flags():
     _NUMERIC.setdefault(_command, []).append(_flag)
@@ -675,7 +703,8 @@ def _named_in(flag: str, text: str) -> bool:
 @given(data=st.data())
 def test_every_input_runs_or_names_its_flag(data):
     """Any few numeric flags of any subcommand, and a sweep's grid, at the
-    edges of their range: the run exits 0, 2 or 3 with no exception (a
+    edges of their range, with an output path of _OUTPUT_PATHS and
+    optimize-leader's --mode: the run exits 0, 2 or 3 with no exception (a
     RuntimeWarning counts as one, under the suite's warnings-as-errors),
     and an exit 2 names a flag of its command line. The (subcommand,
     flag) pair is drawn first, so that a flag of one subcommand alone is
@@ -694,13 +723,19 @@ def test_every_input_runs_or_names_its_flag(data):
         max_size=2, unique=True))]
     values = [data.draw(st.sampled_from(
         _EDGE_VALUES[_KINDS[command, flag]] + (None,))) for flag in flags]
+    for flag in ("--outdir", "--csv"):
+        if flag in _PRESENT[command]:
+            flags.append(flag)
+            values.append(data.draw(st.sampled_from(_OUTPUT_PATHS)))
+    if command == "optimize-leader":
+        flags.append("--mode")
+        values.append(data.draw(st.sampled_from(("mc", "perfect"))))
     with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "file").touch()
         argv = [command, *base]
         for flag, value in zip(flags, values):
-            argv += [flag, value or _IN_RANGE.get(flag, "0.5")]
-        present = _PRESENT[command]
-        argv += ["--outdir", tmp] if "--outdir" in present else []
-        argv += ["--csv", f"{tmp}/s.csv"] if "--csv" in present else []
+            value = value or _IN_RANGE.get(flag, "0.5")
+            argv += [flag, value.format(tmp=tmp)]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import bdtr
 
 import vaxgame as vg
-from vaxgame import game
+from vaxgame import game, leader
 from vaxgame.game import (DRAW_BLOCK_ROWS, EAGER, WAIT_AND_WATCH,
                           ConstructionError, FunctionStrategy,
                           NotMixedRegimeError, XiModel, _mixed_root,
@@ -50,7 +50,7 @@ class TestGamma:
         T = cfg.t_horizon
         xi = cfg.xi.sample(rng, 200_000)
         c_next = (t * c + xi) / (t + 1)
-        gam_next = ((t + 1) / T) * c_next + ((T - t - 1) / T) * cfg.e_xi
+        gam_next = ((t + 1) / T) * c_next + ((T - t - 1) / T) * cfg.xi.mean
         se = np.std(gam_next) / math.sqrt(len(xi))
         assert abs(np.mean(gam_next) - vg.gamma(t, c, cfg)) < 3 * se + 1e-12
 
@@ -421,25 +421,25 @@ class TestRootFinder:
 class TestStageActionSets:
     def test_threshold_reached_forces_waiting(self):
         cfg = perfect_cfg()
-        strat = vg.build_special_strategy(cfg)
+        strat = vg.SpecialStrategy(cfg)
         aset = strat.action_set(2, 2, 2.0)
         assert aset.pure == (0.0,) and not aset.mixed
 
     def test_final_epoch_cases(self):
         # q = C_v + Gamma - g against 0 and C_i
         cfg = perfect_cfg(m=3, t=3, c_v=1.0, c_i=5.0, c=2.0, z_bar=2, g0=0.0)
-        strat = vg.build_special_strategy(cfg)
+        strat = vg.SpecialStrategy(cfg)
         assert strat.action_set(2, 0, 2.0).mixed  # 0 < 3 < 5
         cfg_hi = perfect_cfg(g0=10.0)             # q = -7 <= 0
-        assert vg.build_special_strategy(cfg_hi).action_set(2, 0, 2.0).pure == (1.0,)
+        assert vg.SpecialStrategy(cfg_hi).action_set(2, 0, 2.0).pure == (1.0,)
         cfg_lo = perfect_cfg(c_i=2.5)             # q = 3 >= C_i
-        assert vg.build_special_strategy(cfg_lo).action_set(2, 0, 2.0).pure == (0.0,)
+        assert vg.SpecialStrategy(cfg_lo).action_set(2, 0, 2.0).pure == (0.0,)
 
     def test_waiting_always_available_before_final_epoch(self):
         for z_bar in (2, 3):
             for g0 in (0.0, 2.0, 10.0):
                 cfg = perfect_cfg(m=3, t=4, z_bar=z_bar, g0=g0)
-                strat = vg.build_special_strategy(cfg)
+                strat = vg.SpecialStrategy(cfg)
                 for z in range(3):
                     aset = strat.action_set(1, z, 2.0)
                     assert aset.contains(0.0)
@@ -447,21 +447,21 @@ class TestStageActionSets:
     def test_all_or_nothing_tie_allows_interval(self):
         # z_bar = m and q exactly C_i
         cfg = perfect_cfg(m=3, t=3, c_v=1.0, c_i=3.0, c=2.0, z_bar=3, g0=0.0)
-        aset = vg.build_special_strategy(cfg).action_set(2, 0, 2.0)
+        aset = vg.SpecialStrategy(cfg).action_set(2, 0, 2.0)
         assert aset.full_interval
 
 
 class TestSpecialStrategy:
     def test_wait_and_watch_defers(self):
         cfg = fig_cfg(20, g0=1.0)
-        strat = vg.build_special_strategy(cfg, WAIT_AND_WATCH)
+        strat = vg.SpecialStrategy(cfg, WAIT_AND_WATCH)
         for t in range(1, 19):
             assert strat.decision(t, 0, 3.0) == 0.0
         assert 0.0 < strat.decision(19, 0, 4.9) < 1.0
 
     def test_final_epoch_value_formula(self):
         cfg = perfect_cfg(m=3, t=3, c_v=1.0, c_i=5.0, c=2.0, z_bar=2, g0=0.5)
-        strat = vg.build_special_strategy(cfg)
+        strat = vg.SpecialStrategy(cfg)
         want = min(1.0 + 2.0 - 0.5, 5.0)
         assert strat.value(2, 0, 2.0) == pytest.approx(want)
         assert strat.value(2, 2, 2.0) == 0.0
@@ -469,7 +469,7 @@ class TestSpecialStrategy:
     def test_threshold_states_never_vaccinate(self):
         for selector in (WAIT_AND_WATCH, EAGER):
             cfg = perfect_cfg(m=4, t=4, z_bar=2, g0=3.0)
-            strat = vg.build_special_strategy(cfg, selector)
+            strat = vg.SpecialStrategy(cfg, selector)
             for t in (1, 2, 3):
                 for z in (2, 3):
                     assert strat.decision(t, z, 2.0) == 0.0
@@ -477,13 +477,13 @@ class TestSpecialStrategy:
     def test_equilibrium_utility_bound(self):
         for g0 in (0.0, 1.0, 4.0):
             cfg = perfect_cfg(m=3, t=3, z_bar=2, g0=g0)
-            strat = vg.build_special_strategy(cfg)
+            strat = vg.SpecialStrategy(cfg)
             bound = cfg.c_v + vg.gamma(1, cfg.c_se_1, cfg) - g0
             assert strat.value(1, 0, cfg.c_se_1) <= bound + 1e-12
 
     def test_custom_selector_validated(self):
         cfg = perfect_cfg(c_i=2.5)  # final-epoch set is {0}
-        strat = vg.build_special_strategy(cfg, lambda t, x, a: 0.7)
+        strat = vg.SpecialStrategy(cfg, lambda t, z, c, a: 0.7)
         with pytest.raises(ConstructionError):
             strat.decision(2, 0, 2.0)
 
@@ -494,21 +494,21 @@ class TestSpecialStrategy:
                                       c_se_1=5.0, z_bar=2, g0=6.0,
                                       xi=XiModel(5.0, values=(0.0, 10.0),
                                                  probs=(0.5, 0.5)))
-        waw = vg.build_special_strategy(cfg, WAIT_AND_WATCH)
+        waw = vg.SpecialStrategy(cfg, WAIT_AND_WATCH)
         v_w = waw.value(1, 0, cfg.c_se_1)
 
-        def prefer_one(t, x, aset):
+        def prefer_one(t, z, c, aset):
             return 1.0 if aset.contains(1.0) else (
                 aset.mixed[0] if aset.mixed else aset.pure[0])
 
-        def prefer_mixed(t, x, aset):
+        def prefer_mixed(t, z, c, aset):
             if aset.mixed:
                 return aset.mixed[0]
             return 0.0 if aset.contains(0.0) else aset.pure[0]
 
-        rivals = [vg.build_special_strategy(cfg, EAGER),
-                  vg.build_special_strategy(cfg, prefer_one),
-                  vg.build_special_strategy(cfg, prefer_mixed)]
+        rivals = [vg.SpecialStrategy(cfg, EAGER),
+                  vg.SpecialStrategy(cfg, prefer_one),
+                  vg.SpecialStrategy(cfg, prefer_mixed)]
         for rival in rivals:
             assert v_w <= rival.value(1, 0, cfg.c_se_1) + 1e-9
             assert vg.verify_symmetric_ne(rival, cfg).passed
@@ -519,14 +519,14 @@ class TestSpecialStrategy:
         # final-epoch sets need no expectation and the earlier values are
         # the Monte Carlo estimate, so the paper preset keeps its values;
         # only the stage sets before T-1, which no decision reads, refuse
-        strat = vg.build_special_strategy(fig_cfg(20, g0=1.0))
+        strat = vg.SpecialStrategy(fig_cfg(20, g0=1.0))
         assert strat.value(1, 0, 3.0) == 4.820471094589715
         assert strat.action_set(19, 0, 4.9).mixed
         with pytest.raises(ValueError, match="^xi must be a finite law"):
             strat.action_set(17, 0, 3.0)
 
     @pytest.mark.parametrize("t", [3, 4, 20])
-    @pytest.mark.parametrize("selector", [EAGER, lambda t, x, a: 0.0],
+    @pytest.mark.parametrize("selector", [EAGER, lambda t, z, c, a: 0.0],
                              ids=["eager", "callable"])
     def test_recursion_refuses_a_continuous_law_when_built(self, selector, t):
         # every other selector recurses over the next day's data, exactly
@@ -535,27 +535,27 @@ class TestSpecialStrategy:
                                       c_se_1=3.0, xi=XiModel(2.0, 1.0),
                                       z_bar=2)
         with pytest.raises(ValueError, match="^xi must be a finite law"):
-            vg.build_special_strategy(cfg, selector)
+            vg.SpecialStrategy(cfg, selector)
         with pytest.raises(ValueError, match="^xi must be a finite law"):
             vg.verify_symmetric_ne(FunctionStrategy(cfg, lambda *a: 0.0), cfg)
 
     @pytest.mark.parametrize("selector", ["eagr", None, 0.5])
     def test_unknown_selector_refused_when_built(self, selector):
         with pytest.raises(ValueError, match="^selector must be"):
-            vg.build_special_strategy(perfect_cfg(), selector)
+            vg.SpecialStrategy(perfect_cfg(), selector)
 
 
 class TestVerification:
     def test_special_strategy_passes(self):
         cfg = perfect_cfg(m=3, t=3, z_bar=2, g0=0.0)
-        strat = vg.build_special_strategy(cfg)
-        check = vg.verify_symmetric_ne(strat, cfg, tol=1e-9)
+        strat = vg.SpecialStrategy(cfg)
+        check = vg.verify_symmetric_ne(strat, cfg)
         assert check.passed
         assert check.vaccinated_value_error < 1e-10
 
     def test_flipped_final_decision_fails(self):
         cfg = perfect_cfg(m=3, t=3, c_i=2.5, z_bar=2, g0=0.0)  # P_{T-1} = {0}
-        strat = vg.build_special_strategy(cfg)
+        strat = vg.SpecialStrategy(cfg)
         bad = mutate_strategy(strat, lambda t, z, c: t == 2 and z < 2, 1.0)
         check = vg.verify_symmetric_ne(bad, cfg)
         assert not check.passed
@@ -629,6 +629,52 @@ class TestOutcomeProbability:
         vec = p_from_gamma_vec(1.3, gams, 20, cfg)
         sca = np.array([p_from_gamma(1.3, g, 20, cfg) for g in gams])
         assert np.max(np.abs(vec - sca)) < 1e-6
+
+    @staticmethod
+    def _assert_clamps_agree(g: float, gam: float, z_bar: int) -> None:
+        """p_from_gamma clamps p to 1 or 0 (or takes the step) at exactly the
+        Gamma where p_from_gamma_vec does, and where the leader's counts
+        (_mixed_run, or the step's searchsorted) put the draw. The scalar
+        root is stubbed to nan, so that a scalar p off the clamps shows as
+        nan whatever the root would round to."""
+        cfg = fig_cfg(z_bar)
+        gams = np.array([gam])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(game, "_mixed_root", lambda *args: math.nan)
+            p = p_from_gamma(g, gam, z_bar, cfg)
+        vec = float(p_from_gamma_vec(g, gams, z_bar, cfg)[0])
+        if z_bar == cfg.m:
+            count = float(gams.searchsorted(g - cfg.c_v + cfg.c_i))
+            assert p == vec == count, (p, vec, count)
+            return
+        lo, hi = leader._mixed_run(g, gams, cfg)
+        want = 1.0 if lo else 0.0 if not hi else math.nan
+        assert p == want or math.isnan(p) and math.isnan(want), (p, lo, hi)
+        if not math.isnan(p):
+            assert vec == p, (p, vec)
+
+    @pytest.mark.parametrize("g,gam,z_bar", [
+        (1.4362499146542294, 5.436249914654229, 20),
+        (1.1182162470025676, 5.118216247002567, 40)])
+    def test_scalar_and_vector_clamp_alike_at_seen_edges(self, g, gam, z_bar):
+        # these two disagreed when the scalar path tested Gamma - g against
+        # -C_v and C_i - C_v, and C_v - g + Gamma against C_i
+        self._assert_clamps_agree(g, gam, z_bar)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gam=st.floats(0.0, 12.0), edge=st.sampled_from((0.0, 1.0)),
+           ulps=st.integers(-4, 4), z_bar=st.sampled_from((1, 20, 39, 40)))
+    def test_scalar_and_vector_clamp_alike(self, gam, edge, ulps, z_bar):
+        # g a few ulps from an edge: w = (C_v + Gamma - g)/C_i at 0 or 1
+        # for z_bar < m, and Gamma = g - C_v + C_i for z_bar = m
+        cfg = fig_cfg(z_bar)
+        if z_bar == cfg.m:
+            g = gam + cfg.c_v - cfg.c_i
+        else:
+            g = cfg.c_v + gam - edge * cfg.c_i
+        for _ in range(abs(ulps)):
+            g = math.nextafter(g, math.copysign(math.inf, ulps))
+        self._assert_clamps_agree(g, gam, z_bar)
 
 
 class TestSampling:
@@ -722,7 +768,7 @@ class TestSampling:
                 blocks.append(x)
             x = np.concatenate(blocks)
         c_final = (t * cfg.c_se_1 + x.sum(axis=1)) / 19
-        want = (19 / 20) * c_final + cfg.e_xi / 20
+        want = (19 / 20) * c_final + cfg.xi.mean / 20
         got_rng = np.random.default_rng(seed)
         got = final_gamma_draws(cfg, got_rng, n, t)
         assert np.array_equal(got, want)
@@ -750,7 +796,7 @@ class TestSampling:
         rng = np.random.default_rng(17)
         t, c = 5, 3.4
         xi = cfg.xi.sample(rng, 150_000)
-        gnext = ((t + 1) / 20) * ((t * c + xi) / (t + 1)) + ((20 - t - 1) / 20) * cfg.e_xi
+        gnext = ((t + 1) / 20) * ((t * c + xi) / (t + 1)) + ((20 - t - 1) / 20) * cfg.xi.mean
         se = np.std(gnext) / math.sqrt(len(xi))
         assert abs(np.mean(gnext) - vg.gamma(t, c, cfg)) < 3 * se
 
@@ -764,7 +810,6 @@ class TestXiModel:
         cfg = vg.InfluencerGameConfig(m=40, t_horizon=20, c_v=1.0, c_i=5.0,
                                       c_se_1=3.0, xi=xi, z_bar=20)
         assert cfg.xi is xi
-        assert cfg.e_xi == xi.mean
         assert dataclasses.replace(cfg, z_bar=3).xi is xi
         with pytest.raises(ValueError, match="^sigma2 must be"):
             dataclasses.replace(cfg, xi=dataclasses.replace(xi, sigma2=-1.0))
@@ -840,12 +885,6 @@ class TestXiModel:
             assert not v.flags.writeable and not w.flags.writeable
         with pytest.raises(ValueError, match="^xi must be a finite law"):
             XiModel(5.0, 2.0).nodes()
-
-
-def test_agent_state_validation():
-    vg.AgentState("S", 0, 1.0)
-    with pytest.raises(ValueError):
-        vg.AgentState("X", 0, 1.0)
 
 
 def test_config_requires_positive_data_mean():

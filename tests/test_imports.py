@@ -1,6 +1,7 @@
 """Every name a vaxgame module imports is read somewhere in that module,
-and every private module-level function and constant is read somewhere in
-the package."""
+every private module-level function and constant is read somewhere in
+the package, and every dataclass field is read in the package or its
+tests."""
 import ast
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 import vaxgame
 
 SRC = Path(vaxgame.__file__).parent
+TESTS = Path(__file__).parent
 
 # __init__.py imports to re-export, and `annotations` is a compiler flag.
 # leader keeps the per-draw path that its tabled sums reproduce, since the
@@ -135,3 +137,79 @@ def test_unread_private_constant_is_found():
              "b.py": ast.parse("from a import _USED\nx = _USED\n")}
     assert unread_private_constants(trees) == {
         "a.py:_ALONE", "a.py:_ALONE_TOO", "a.py:_RIGHT", "a.py:_SELF"}
+
+
+# the dataclasses functions that read every field of the class they get
+SERIALISERS = {"fields", "astuple", "asdict"}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        if (isinstance(dec, ast.Name) and dec.id == "dataclass"
+                or isinstance(dec, ast.Attribute) and dec.attr == "dataclass"):
+            return True
+    return False
+
+
+def unread_dataclass_fields(src: dict[str, ast.Module],
+                            others: list[ast.Module]) -> set[str]:
+    """Fields of the dataclasses defined at module level in src, as
+    "module.py:Class.field", that no tree of src or others reads. A field
+    is read as an attribute, as a string constant equal to its name (for
+    getattr over a tuple of names), or with its whole class: a call of
+    fields, astuple or asdict on the class's name, or self.__dict__ in the
+    class's body."""
+    read, whole = set(), set()
+    for tree in [*src.values(), *others]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                read.add(node.value)
+            elif isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", getattr(node.func, "id", None)
+            ) in SERIALISERS:
+                whole.update(a.id for a in node.args
+                             if isinstance(a, ast.Name))
+            elif isinstance(node, ast.ClassDef) and any(
+                    isinstance(sub, ast.Attribute) and sub.attr == "__dict__"
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self" for sub in ast.walk(node)):
+                whole.add(node.name)
+    out = set()
+    for name, tree in src.items():
+        for node in tree.body:
+            if (not isinstance(node, ast.ClassDef) or not _is_dataclass(node)
+                    or node.name in whole):
+                continue
+            out.update(f"{name}:{node.name}.{stmt.target.id}"
+                       for stmt in node.body
+                       if isinstance(stmt, ast.AnnAssign)
+                       and isinstance(stmt.target, ast.Name)
+                       and stmt.target.id not in read)
+    return out
+
+
+def test_every_dataclass_field_is_read():
+    src = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    tests = [ast.parse(p.read_text()) for p in TESTS.glob("*.py")]
+    assert not unread_dataclass_fields(src, tests)
+
+
+def test_unread_dataclass_field_is_found():
+    src = {"a.py": ast.parse(
+        "import dataclasses\nfrom dataclasses import dataclass, fields\n"
+        "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int\n"
+        "    z: int\n    def get(self):\n        return getattr(self, 'y')\n"
+        "@dataclass\nclass Whole:\n    w: int\n"
+        "@dataclasses.dataclass\nclass Own:\n    o: int\n"
+        "    def d(self):\n        return self.__dict__\n"
+        "@dataclasses.dataclass\nclass Stored:\n    s: int\n"
+        "    def set(self):\n        self.s = 1\n"
+        "class Plain:\n    q: int\n"
+        "names = [f.name for f in fields(Whole)]\n")}
+    tests = [ast.parse("from a import P\nassert P(1, 2, 3).x == 1\n")]
+    assert unread_dataclass_fields(src, tests) == {"a.py:P.z", "a.py:Stored.s"}
