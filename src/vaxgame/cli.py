@@ -517,7 +517,8 @@ def _costs_from(args, m: int) -> PublicCostModel:
             raise ConfigError(f"{args.flag_of['cf_table']} must list one "
                               f"number per line: {exc}") from exc
         if len(vals) != m + 1:
-            raise ConfigError(f"c_f table must have {m + 1} entries")
+            raise ConfigError(f"{args.flag_of['cf_table']} must list m + 1 = "
+                              f"{m + 1} values for --m {m}, got {len(vals)}")
         return _from_flags(args, PublicCostModel,
                            c_f_table=(vals, "{cf_table}"), **kw)
     return _from_flags(args, PublicCostModel, s="s", **kw)
@@ -587,8 +588,11 @@ def cmd_optimize_leader(args) -> int:
     dis, nu = _disease_from(args)
     costs = _costs_from(args, args.m)
     if args.auto_zbar:
-        zb = _from_flags(args, ess.eradication_threshold, nu, costs, dis,
-                         m="m")
+        zb = _from_flags(
+            args, functools.partial(ess.eradication_threshold, costs=costs),
+            nu=(nu, "the policy of {nu_b} and {nu_e}, at the rates "
+                "{lam}, {r} and {b},"),
+            disease=(dis, "the rates {lam}, {r} and {b}"), m="m")
     elif args.zbar is not None:
         zb = args.zbar
     else:
@@ -648,8 +652,10 @@ def cmd_simulate(args) -> int:
     ode, sup = epidemic.matched_ode(jump, dis, nu, beta)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    out = outdir / "trajectory.csv"
-    epidemic.export_trajectory_csv(out, ode=ode, jump=jump)
+    rows = [(*r, "ode") for r in zip(ode.t, *ode.states.T)]
+    rows += [(*r, "jump") for r in zip(jump.t, jump.theta, jump.psi, jump.eta)]
+    out = write_csv(outdir / "trajectory.csv",
+                    ["t", "theta", "psi", "eta", "source"], rows)
     print(json.dumps({"trajectory_csv": str(out), "events": jump.events,
                       "extinct": jump.extinct,
                       "jump_final": [jump.theta[-1], jump.psi[-1], jump.eta[-1]],

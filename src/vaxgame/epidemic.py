@@ -12,16 +12,15 @@ that links the embedded event chain to the ODE.
 """
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from operator import length_hint
 
 import numpy as np
 
 from .params import (DiseaseParams, ResponseParams, VaRatePolicy,
-                     require_finite, require_integer)
+                     _finite_number, require_finite, require_integer)
 
 # A candidate whose stability condition is this close to equality (a
 # degenerate corner: beta*psi* = 1, beta = b*rho/nu_b, or
@@ -57,10 +56,10 @@ def _field(disease: DiseaseParams, nu: VaRatePolicy, beta: ResponseParams):
 
     Returns f(theta, psi, eta) -> (dtheta, dpsi, deta, varrho): the drift
     and the per-capita event rate at one state. This is the one place the
-    formulas are written; the supply rate nu.rate(psi) and the acceptance
-    beta.acceptance(psi) are inlined, since the integrator calls f six
-    times a step. min(1.0, beta*psi) is written as a comparison that gives
-    the same double without the builtin call.
+    formulas are written; the supply rate nu.rate(psi) is inlined, since
+    the integrator calls f six times a step. The acceptance probability
+    min(1, beta*psi) is written as a comparison that gives the same double
+    without the builtin call.
     """
     lam, r, b, d = disease.lam, disease.r, disease.b, disease.d
     inv_rho = 1.0 / disease.rho
@@ -144,19 +143,16 @@ class Candidate:
 
 @dataclass(frozen=True)
 class AttractorSet:
+    """The four candidate limits, each None where it does not exist."""
+
     non_vaccinating: Candidate | None
     eradicating: Candidate | None
     co_occurring: Candidate | None
     self_eradicating: Candidate | None
 
     def active(self) -> dict[str, Candidate]:
-        out = {}
-        for name in ("non_vaccinating", "eradicating", "co_occurring",
-                     "self_eradicating"):
-            cand = getattr(self, name)
-            if cand is not None and cand.active:
-                out[name] = cand
-        return out
+        return {f.name: c for f in fields(self)
+                if (c := getattr(self, f.name)) is not None and c.active}
 
 
 def candidate_attractors(disease: DiseaseParams, nu: VaRatePolicy,
@@ -785,24 +781,26 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     Extinction (N = 0) stops the run with a flag. Reproducible from seed.
     With n_events = 0 the trajectory is the initial point alone.
 
-    Counts must be integer values (2.0 is taken, 2.5 or inf is rejected),
-    and seed an integer >= 0. The loop holds the counts as Python floats,
-    which stay exact integers: N0, the clock index N0/eta0 and then both
-    plus n_events are checked against 2**53, in that order, so that N and
-    k stay below it for every event, and each refusal names the argument
-    that crossed it. Uniforms come in chunks of 16,384, read through the
-    chunk list's iterator; each event takes one or two, and a chunk with
-    fewer than two left (its iterator's length hint) is dropped for a new
-    one. The spent iterator and its bound `__next__` both hold the old
-    list, so both are released before the next chunk is drawn and two
-    chunks are never alive at once. The loop runs in blocks that cannot
-    outrun the chunk, and a block in record intervals: each interval is
-    one inner loop over `itertools.repeat`, with the record after it, so
-    no per-event countdown runs. An extinction event's place in its
-    interval is the interval's length less the repeat's length hint. The
-    clock of each block is summed afterwards by `np.add.accumulate` over
-    the same terms 1/(1+k) in the same order, so every record is the
-    double a per-event `t += 1/(1+k)` gives.
+    Counts must be integer values (2.0 is taken, 2.5 or inf is rejected);
+    n_events must be an integer >= 0, record_every one >= 1, seed one
+    >= 0, and eta0 a positive finite number (a bool is none of these), all
+    checked before the first draw. The loop holds the counts as Python
+    floats, which stay exact integers: N0, the clock index N0/eta0 and
+    then both plus n_events are checked against 2**53, in that order, so
+    that N and k stay below it for every event, and each refusal names the
+    argument that crossed it. Uniforms come in chunks of 16,384, read
+    through the chunk list's iterator; each event takes one or two, and a
+    chunk with fewer than two left (its iterator's length hint) is dropped
+    for a new one. The spent iterator and its bound `__next__` both hold
+    the old list, so both are released before the next chunk is drawn and
+    two chunks are never alive at once. The loop runs in blocks that
+    cannot outrun the chunk, and a block in record intervals: each
+    interval is one inner loop over `itertools.repeat`, with the record
+    after it, so no per-event countdown runs. An extinction event's place
+    in its interval is the interval's length less the repeat's length
+    hint. The clock of each block is summed afterwards by
+    `np.add.accumulate` over the same terms 1/(1+k) in the same order, so
+    every record is the double a per-event `t += 1/(1+k)` gives.
 
     The products r*I, b*N and d*N are recomputed only in the branches
     that move I or N, from the same operands, so each threshold is the
@@ -823,14 +821,14 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     if n >= 2 ** 53:
         raise ValueError(f"initial_counts must keep N0 below 2**53, where "
                          f"counts are exact as floats, got N0 = {n}")
+    require_integer("n_events", n_events)
     if n_events < 0:
         raise ValueError("n_events must be nonnegative")
-    if record_every < 1:
-        raise ValueError("record_every must be at least 1")
+    require_integer("record_every", record_every, least=1)
     require_integer("seed", seed, least=0)
     if eta0 is None:
         eta0 = float(n)
-    if not (math.isfinite(eta0) and eta0 > 0):
+    if not (_finite_number(eta0) and eta0 > 0):
         raise ValueError(f"eta0 must be positive and finite, got {eta0}")
     # compared before int(): a tiny eta0 takes n / eta0 to inf
     if n / eta0 >= 2 ** 53:
@@ -982,17 +980,3 @@ def matched_ode(chain: JumpTrajectory, disease: DiseaseParams,
     sup = max(float(np.max(np.abs(th - chain.theta))),
               float(np.max(np.abs(ps - chain.psi))))
     return ode, sup
-
-
-def export_trajectory_csv(path, ode: IntegrationResult,
-                          jump: JumpTrajectory) -> None:
-    """Write trajectories as CSV rows (t, theta, psi, eta, source)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "theta", "psi", "eta", "source"])
-        for t, (th, ps, et) in zip(ode.t, ode.states):
-            w.writerow([f"{t:.12g}", f"{th:.12g}", f"{ps:.12g}",
-                        f"{et:.12g}", "ode"])
-        for t, th, ps, et in zip(jump.t, jump.theta, jump.psi, jump.eta):
-            w.writerow([f"{t:.12g}", f"{th:.12g}", f"{ps:.12g}",
-                        f"{et:.12g}", "jump"])

@@ -199,14 +199,20 @@ def eradication_threshold(nu: VaRatePolicy, costs: PublicCostModel,
 
     The scan over z = 0..m is cheap and safe at the boundaries; both gaps
     are monotone in z so the first hit is the threshold. Raises
-    InsufficientInfluenceError when c_v1 - c_f(m) >= 0 and ValueError for
-    a non-admissible policy or an m outside 1..MAX_INFLUENCERS.
+    InsufficientInfluenceError when c_v1 - c_f(m) >= 0, and a ValueError
+    that starts with its argument for an m outside 1..MAX_INFLUENCERS, a
+    disease with rho <= 1 (it dies out unaided) or a nu not admissible.
     """
     require_integer("m", m, 1, MAX_INFLUENCERS)
     costs.require_influence(m)
     status = is_admissible(nu, disease)
+    if status is Admissibility.NO_INTERVENTION_NEEDED:
+        raise ValueError(f"disease must have rho > 1 to need a threshold, "
+                         f"got rho = {disease.rho!r}")
     if not status:
-        raise ValueError(f"policy is not admissible ({status.value})")
+        raise ValueError(f"nu must have nu_e > b*rho - nu_b/theta_star = "
+                         f"{nu.nu_e - admissibility_gap(nu, disease):.6g} "
+                         f"to be admissible, got nu_e = {nu.nu_e!r}")
     for z in range(m + 1):
         if _eradicates(*_h_iv_only(z, nu, costs, disease, m)):
             return z

@@ -216,13 +216,14 @@ class InfluencerGameConfig:
     Incentives are paid per vaccination: g_z when z influencers were
     vaccinated by the previous day, zero from z_bar on. By default every
     pre-threshold count pays g0 (only g0 matters at the wait-and-watch
-    outcome). xi is the law of the daily side-effect data, an XiModel
-    that checks its own fields when it is built; the config asks only that
-    its mean be positive. m, t_horizon and z_bar must be integers (numpy
-    integers are taken, bool is not), m at most MAX_INFLUENCERS and
-    t_horizon at most MAX_DAYS; every cost and incentive must pass
-    params.require_scaled. A bad field raises ValueError naming it when
-    the object is built.
+    outcome); `incentives` lists g_0..g_{z_bar-1} instead, and g0 must
+    then be 0, since the list holds g_0 itself. xi is the law of the daily
+    side-effect data, an XiModel that checks its own fields when it is
+    built; the config asks only that its mean be positive. m, t_horizon
+    and z_bar must be integers (numpy integers are taken, bool is not), m
+    at most MAX_INFLUENCERS and t_horizon at most MAX_DAYS; every cost and
+    incentive must pass params.require_scaled. A bad field raises
+    ValueError naming it when the object is built.
     """
 
     m: int
@@ -264,6 +265,8 @@ class InfluencerGameConfig:
                                                 self.incentives)))
             if len(inc) != self.z_bar:
                 raise ValueError("incentives must list g_0..g_{z_bar-1}")
+            if self.g0 != 0.0:
+                raise ValueError(f"g0 must be 0 beside incentives, got {self.g0!r}")
             object.__setattr__(self, "incentives", inc)
         if self.xi.mean <= 0.0:
             raise ValueError(

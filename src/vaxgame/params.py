@@ -171,9 +171,6 @@ class ResponseParams:
         if self.beta < 0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
 
-    def acceptance(self, psi: float) -> float:
-        return min(1.0, self.beta * psi)
-
 
 @dataclass(frozen=True)
 class PublicCostModel:

@@ -89,8 +89,10 @@ class TestSubcommands:
                                 "--events", "4000", "--nu-b", "8",
                                 "--nu-e", "3", "--outdir", str(tmp_path))
         assert code == 0
-        body = (tmp_path / "trajectory.csv").read_text()
-        assert ",ode" in body and ",jump" in body
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert lines[0] == "t,theta,psi,eta,source"
+        sources = {line.rsplit(",", 1)[1] for line in lines[1:]}
+        assert sources == {"ode", "jump"}
         # the reported sup-distance is matched_ode's on the same chain: the
         # defaults are d = b/4, beta 2, theta0 0.02, psi0 0.8, seed 0, and
         # eta0 is that of the one active candidate
@@ -102,6 +104,21 @@ class TestSubcommands:
                                          eta0=cand.eta, record_every=2)
         assert json.loads(out)["sup_dist"] == vg.matched_ode(
             chain, dis, nu, beta)[1]
+
+    def test_auto_zbar_solves_at_the_ess_threshold(self, capsys, tmp_path):
+        # --auto-zbar derives z_bar from the policy and the costs, as
+        # analyze-ess reports it at the same defaults
+        code, out, _ = run_main(capsys, "analyze-ess")
+        assert code == 0
+        z_bar = json.loads(out.split("\n\n")[0])["z_bar"]
+        assert z_bar == 39
+        sheet = tmp_path / "s.csv"
+        code, out, _ = run_main(capsys, "optimize-leader", "--auto-zbar",
+                                "--samples", "20000", "--csv", str(sheet))
+        assert code == 0
+        assert json.loads(out)["z_bar"] == z_bar
+        header, row = sheet.read_text().splitlines()
+        assert header.startswith("zbar,") and row.startswith(f"{z_bar},")
 
     def test_simulate_zero_events(self, capsys, tmp_path):
         code, out, _ = run_main(capsys, "simulate", "--n0", "2000",
@@ -258,6 +275,21 @@ class TestSubcommands:
         *[(["optimize-leader", "--zbar", "40", "--csv", sheet],
            f"--csv must name a file in an existing directory, got '{sheet}'")
           for sheet in ("{tmp}", "{tmp}/missing/s.csv")],
+        # a c_f table of the wrong length: the null device lists none
+        (["analyze-ess", "--m", "3", "--cf-table", os.devnull],
+         "--cf-table must list m + 1 = 4 values for --m 3, got 0"),
+        # --auto-zbar's threshold, refused naming the policy or the disease
+        (["optimize-leader", "--auto-zbar", "--nu-e", "0", "--csv",
+          "{tmp}/s.csv"],
+         "the policy of --nu-b and --nu-e, at the rates --lambda, --r and "
+         "--b, must have nu_e > b*rho - "
+         "nu_b/theta_star = 0.681818 to be admissible, got nu_e = 0.0"),
+        (["optimize-leader", "--auto-zbar", "--lambda", "1", "--csv",
+          "{tmp}/s.csv"],
+         "the rates --lambda, --r and --b must have rho > 1 to need a "
+         "threshold, got rho = 0.25"),
+        (["optimize-leader", "--csv", "{tmp}/s.csv"],
+         "give --zbar or --auto-zbar"),
     ]
 
     @pytest.mark.parametrize("argv,message", REJECTED,
@@ -704,12 +736,12 @@ def _named_in(flag: str, text: str) -> bool:
 def test_every_input_runs_or_names_its_flag(data):
     """Any few numeric flags of any subcommand, and a sweep's grid, at the
     edges of their range, with an output path of _OUTPUT_PATHS and
-    optimize-leader's --mode: the run exits 0, 2 or 3 with no exception (a
-    RuntimeWarning counts as one, under the suite's warnings-as-errors),
-    and an exit 2 names a flag of its command line. The (subcommand,
-    flag) pair is drawn first, so that a flag of one subcommand alone is
-    drawn as often as any other, and up to two more flags of the same
-    subcommand join it."""
+    optimize-leader's --mode, with or without --auto-zbar: the run exits
+    0, 2 or 3 with no exception (a RuntimeWarning counts as one, under the
+    suite's warnings-as-errors), and an exit 2 names a flag of its command
+    line. The (subcommand, flag) pair is drawn first, so that a flag of
+    one subcommand alone is drawn as often as any other, and up to two
+    more flags of the same subcommand join it."""
     command, first = data.draw(st.sampled_from(_numeric_flags()))
     base = _BASE_ARGS.get(command, [])
     if command == "sweep":
@@ -730,6 +762,8 @@ def test_every_input_runs_or_names_its_flag(data):
     if command == "optimize-leader":
         flags.append("--mode")
         values.append(data.draw(st.sampled_from(("mc", "perfect"))))
+        if data.draw(st.booleans()):
+            base = [*base, "--auto-zbar"]
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "file").touch()
         argv = [command, *base]

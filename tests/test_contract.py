@@ -169,9 +169,20 @@ _START = dict(disease=_DIS, nu=_NU, beta=vg.ResponseParams(2.0), seed=0,
                                       eta0=1e-308), "eta0"),
     (lambda: vg.simulate_jump_process((900, 0, 100, 1000), **dict(
         _START, seed=-1)), "seed"),
+    # g_0 is the first entry of incentives, so a g0 beside them is refused
+    (lambda: vg.InfluencerGameConfig(**dict(_GAME, g0=1.0,
+                                            incentives=(0.0, 0.5))), "g0"),
+    (lambda: vg.InfluencerGameConfig(**dict(_GAME, incentives=(1.0,))),
+     "incentives"),
+    (lambda: ess.eradication_threshold(vg.VaRatePolicy(5.0, 0.0), _PUBLIC,
+                                       _DIS, 40), "nu"),
+    (lambda: ess.eradication_threshold(_NU, _PUBLIC,
+                                       vg.DiseaseParams(1.0, 2.0, 2.0), 40),
+     "disease"),
 ], ids=["lam", "d", "ess_m", "ess_m_budget", "ess_z", "threshold_m",
         "design_rho", "draw_size", "z_t_size", "z_t_seed", "path_seed",
-        "chain_n0", "chain_events", "chain_eta0", "chain_seed"])
+        "chain_n0", "chain_events", "chain_eta0", "chain_seed", "game_g0",
+        "game_incentives", "threshold_nu", "threshold_rho"])
 def test_refusal_starts_with_its_field(call, field):
     with pytest.raises(ValueError) as info:
         call()

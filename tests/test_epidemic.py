@@ -1226,21 +1226,15 @@ def test_zero_events_gives_initial_point():
         vg.simulate_jump_process(*args, seed=0, n_events=-1)
     with pytest.raises(ValueError):
         vg.simulate_jump_process(*args, seed=0, n_events=10, record_every=0)
-
-
-def test_trajectory_csv_roundtrip(tmp_path):
-    dis = fig5_disease()
-    nu, beta = vg.VaRatePolicy(2.0, 1.0), vg.ResponseParams(1.5)
-    ode = vg.integrate_to_equilibrium(vg.OdeState(0.1, 0.1, 0.3), dis, nu,
-                                      beta, horizon=5.0)
-    jump = vg.simulate_jump_process((800, 100, 100, 1000), dis, nu, beta,
-                                    seed=0, n_events=500)
-    out = tmp_path / "traj.csv"
-    vg.export_trajectory_csv(out, ode=ode, jump=jump)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "t,theta,psi,eta,source"
-    sources = {line.rsplit(",", 1)[1] for line in lines[1:]}
-    assert sources == {"ode", "jump"}
+    # run arguments that are no integer (or, for eta0, no number) are
+    # refused by name before the first draw, bools included
+    for bad in (dict(n_events=2.5), dict(n_events=math.nan),
+                dict(n_events=True), dict(record_every=2.5),
+                dict(record_every=True), dict(eta0=True), dict(eta0="1")):
+        (name,) = bad
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            vg.simulate_jump_process(*args, seed=0,
+                                     **{"n_events": 10, **bad})
 
 
 def test_event_rate_matches_component_sum():

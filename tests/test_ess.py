@@ -167,6 +167,12 @@ class TestEradicationThreshold:
         with pytest.raises(ValueError):
             vg.eradication_threshold(vg.VaRatePolicy(1.0, 0.0),
                                      fig5_costs(0.2), dis, M)
+        # both gaps are negative at z = M, yet no count eradicates under a
+        # policy that is not admissible
+        nu = vg.VaRatePolicy(1.0, 0.0)
+        h_i, h_v, _ = vg.h_values(M, nu, fig5_costs(0.2), dis, M)
+        assert h_i < 0.0 and h_v < 0.0
+        assert vg.eradication_probability(M, nu, fig5_costs(0.2), dis, M) == 0
 
     def test_threshold_characterizes_certain_eradication(self):
         dis = fig5_disease()
@@ -230,11 +236,23 @@ def test_threshold_non_increasing_in_sensitivity(s1, s2, nu_b, extra):
 
 
 @pytest.mark.parametrize("table", [(), (0.0, math.nan, 1.0),
-                                   (0.0, 1.0, math.inf)])
+                                   (0.0, 1.0, math.inf),
+                                   # c_f(0) is 0, and a table or s is given
+                                   (1.0, 2.0), None])
 def test_cf_table_must_be_non_empty_and_finite(table):
     with pytest.raises(ValueError, match="c_f_table"):
         vg.PublicCostModel(c_v1=0.2, c_v2=0.05, c_v2_bar=100.0, c_i=0.5,
                            c_f_table=table)
+
+
+@pytest.mark.parametrize("costs,z,message", [
+    (fig5_costs(0.1), -1, "z must be nonnegative"),
+    (vg.PublicCostModel(c_v1=0.2, c_v2=0.05, c_v2_bar=100.0, c_i=0.5,
+                        c_f_table=(0.0, 1.0)), 2,
+     "c_f table has no entry for z=2")], ids=["negative", "past_table"])
+def test_c_f_refuses_counts_outside_its_range(costs, z, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        costs.c_f(z)
 
 
 def test_co_occurring_limit_without_basic_supply_is_not_stable():

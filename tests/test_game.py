@@ -116,12 +116,17 @@ class TestCountChecks:
         (lambda cfg: game.p_from_gamma_vec(0.0, [2.0], True, cfg), "z_bar"),
         (lambda cfg: game.p_from_gamma_vec(0.0, [2.0], 0, cfg), "z_bar"),
         (lambda cfg: game.p_from_gamma_vec(0.0, [2.0], 4, cfg), "z_bar"),
+        (lambda cfg: vg.gamma(0, 2.0, cfg), "t"),
+        (lambda cfg: vg.gamma(4, 2.0, cfg), "t"),
+        (lambda cfg: vg.p_star(2, 3, 1.0), "delta"),
+        (lambda cfg: vg.p_star(2, 3, math.nan), "delta"),
     ], ids=["p_star-k-1.5", "p_star-k-True", "p_star-m-3.5", "mixed-z--1",
             "mixed-z-1.5", "mixed-z-True", "outcome-zbar-1.5",
             "outcome-zbar-True", "cdf-l-3.5", "cdf-m-1.5", "cdf-m-True",
             "cdf-p-nan", "cdf-p-array-nan", "p-zbar-1.5", "p-zbar-True",
             "p-zbar-0", "p-zbar-4", "p-vec-zbar-1.5", "p-vec-zbar-True",
-            "p-vec-zbar-0", "p-vec-zbar-4"])
+            "p-vec-zbar-0", "p-vec-zbar-4", "gamma-t-0", "gamma-t-4",
+            "p_star-delta-1", "p_star-delta-nan"])
     def test_bad_count_or_probability_is_refused(self, call, name):
         with pytest.raises(ValueError, match=rf"^{name} must "):
             call(self.CFG)
@@ -181,6 +186,11 @@ class TestMixedProbability:
             vg.solve_mixed_probability(0, 2.0, 10.0, cfg)   # target <= 0
         with pytest.raises(NotMixedRegimeError):
             vg.solve_mixed_probability(0, 50.0, 0.0, cfg)   # target >= 1
+        with pytest.raises(NotMixedRegimeError, match="needs z_bar < m"):
+            vg.solve_mixed_probability(0, 2.0, 0.0, perfect_cfg(
+                m=3, t=2, c_v=1.0, c_i=4.0, c=2.0, z_bar=3))
+        with pytest.raises(NotMixedRegimeError, match="at or above the"):
+            vg.solve_mixed_probability(2, 2.0, 0.0, cfg)
 
     def test_residuals_against_cdf(self):
         rng = np.random.default_rng(3)
@@ -935,7 +945,9 @@ def test_xi_model_rejects_probs_outside_unit_interval(probs):
     ((0.0,), (0.5, 0.5), "values"), ((0.0, math.inf), (0.5, 0.5), "values"),
     ((0.0, math.nan), (0.5, 0.5), "values"),
     ((0.0, 2.0), (0.5, math.nan), "probs"),
-    ((0.0, 2.0), (math.inf, 0.5), "probs")])
+    ((0.0, 2.0), (math.inf, 0.5), "probs"),
+    ((0.0, 2.0), None, "values and probs must be given together"),
+    ((0.0, 2.0), (0.5, 0.25), "probs must sum to 1")])
 def test_xi_model_rejects_bad_support(values, probs, field):
     with pytest.raises(ValueError, match=field):
         XiModel(1.0, values=values, probs=probs)

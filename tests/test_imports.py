@@ -1,7 +1,7 @@
 """Every name a vaxgame module imports is read somewhere in that module,
 every private module-level function and constant is read somewhere in
-the package, and every dataclass field is read in the package or its
-tests."""
+the package, every dataclass field is read in the package or its tests,
+and every method is read in the package, its tests or the benchmark."""
 import ast
 from pathlib import Path
 
@@ -11,6 +11,7 @@ import vaxgame
 
 SRC = Path(vaxgame.__file__).parent
 TESTS = Path(__file__).parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 # __init__.py imports to re-export, and `annotations` is a compiler flag.
 # leader keeps the per-draw path that its tabled sums reproduce, since the
@@ -152,16 +153,11 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def unread_dataclass_fields(src: dict[str, ast.Module],
-                            others: list[ast.Module]) -> set[str]:
-    """Fields of the dataclasses defined at module level in src, as
-    "module.py:Class.field", that no tree of src or others reads. A field
-    is read as an attribute, as a string constant equal to its name (for
-    getattr over a tuple of names), or with its whole class: a call of
-    fields, astuple or asdict on the class's name, or self.__dict__ in the
-    class's body."""
-    read, whole = set(), set()
-    for tree in [*src.values(), *others]:
+def attribute_reads(trees: list[ast.Module]) -> set[str]:
+    """The names the trees read as an attribute, or hold as a string
+    constant (for getattr over a tuple of names)."""
+    read = set()
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx,
                                                               ast.Load):
@@ -169,7 +165,20 @@ def unread_dataclass_fields(src: dict[str, ast.Module],
             elif isinstance(node, ast.Constant) and isinstance(node.value,
                                                                str):
                 read.add(node.value)
-            elif isinstance(node, ast.Call) and getattr(
+    return read
+
+
+def unread_dataclass_fields(src: dict[str, ast.Module],
+                            others: list[ast.Module]) -> set[str]:
+    """Fields of the dataclasses defined at module level in src, as
+    "module.py:Class.field", that no tree of src or others reads. A field
+    is read as an attribute_reads name, or with its whole class: a call of
+    fields, astuple or asdict on the class's name, or self.__dict__ in the
+    class's body."""
+    read, whole = attribute_reads([*src.values(), *others]), set()
+    for tree in [*src.values(), *others]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(
                     node.func, "attr", getattr(node.func, "id", None)
             ) in SERIALISERS:
                 whole.update(a.id for a in node.args
@@ -213,3 +222,39 @@ def test_unread_dataclass_field_is_found():
         "names = [f.name for f in fields(Whole)]\n")}
     tests = [ast.parse("from a import P\nassert P(1, 2, 3).x == 1\n")]
     assert unread_dataclass_fields(src, tests) == {"a.py:P.z", "a.py:Stored.s"}
+
+
+def unread_methods(src: dict[str, ast.Module],
+                   others: list[ast.Module]) -> set[str]:
+    """Methods (properties too) of the classes defined in src, as
+    "module.py:Class.method", whose name is not among the attribute_reads
+    of src and others. A dunder method is called by the language, so none
+    is listed."""
+    read = attribute_reads([*src.values(), *others])
+    return {f"{name}:{cls.name}.{fn.name}"
+            for name, tree in src.items() for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+            and not (fn.name.startswith("__") and fn.name.endswith("__"))
+            and fn.name not in read}
+
+
+def test_every_method_is_read():
+    src = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    others = [ast.parse(p.read_text()) for p in [*TESTS.glob("*.py"),
+                                                 *PERFBENCH.glob("*.py")]]
+    assert not unread_methods(src, others)
+
+
+def test_unread_method_is_found():
+    src = {"a.py": ast.parse(
+        "class C:\n    def __post_init__(self):\n        pass\n"
+        "    def used(self):\n        return self.named()\n"
+        "    def named(self):\n        pass\n"
+        "    @property\n    def shown(self):\n        return 1\n"
+        "    def dead(self):\n        return 2\n"
+        "    def stored(self):\n        pass\n"
+        "    def by_string(self):\n        pass\n"
+        "def f(c):\n    c.stored = None\n    return getattr(c, 'by_string')\n")}
+    others = [ast.parse("from a import C\nC().used()\nC().shown\n")]
+    assert unread_methods(src, others) == {"a.py:C.dead", "a.py:C.stored"}

@@ -66,6 +66,8 @@ class TestObjectiveAndConstraint:
             p = game.p_from_gamma(g, gam, 1, prob.cfg)
             want = (1.0 - p) ** 40
             assert vg.non_eradication_probability(g, 1, prob) == pytest.approx(want, rel=1e-12)
+            # a point law's E[p] is p at c_infinity, drawn from no sampler
+            assert vg.expected_incentive_cost(g, 1, prob) == 40 * g * p
 
     def test_free_constraint_gives_zero_incentive(self):
         # C_i > C_v + Gamma and z_bar = M: everyone vaccinates unpaid
