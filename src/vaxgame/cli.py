@@ -32,9 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from . import epidemic, ess, game, leader
-from .params import (MAX_DRAWS, DiseaseParams, InsufficientInfluenceError,
-                     PublicCostModel, ResponseParams, VaRatePolicy,
-                     require_integer)
+from .params import (MAX_DRAWS, MAX_INFLUENCERS, DiseaseParams,
+                     InsufficientInfluenceError, PublicCostModel,
+                     ResponseParams, VaRatePolicy, require_integer)
 
 
 class ConfigError(ValueError):
@@ -204,7 +204,7 @@ DESIGN_EPS = 1e-3
 def _vaccine_optimal_design(costs: PublicCostModel, dis: DiseaseParams,
                             m: int) -> leader.JointDesign:
     """k_star and its supply policy, psi_e within DESIGN_EPS of theta*."""
-    k, _ = leader.vaccine_optimal_k(costs, dis, m)
+    k = leader.vaccine_optimal_k(costs, dis, m)
     return leader.construct_eps_vaccine_optimal_nu(k, DESIGN_EPS, costs, dis, m)
 
 
@@ -323,12 +323,12 @@ def reproduce_figure(fig_id: int, outdir: Path, seed: int = 0,
         for theta in np.round(np.arange(0.05, 0.96, 0.05), 3):
             dis = _theta_disease(float(theta), **FIG_THETA_DISEASE)
             costs = PublicCostModel(**FIG_THETA_COSTS)
-            k, _ = leader.vaccine_optimal_k(costs, dis, 40)
+            k = leader.vaccine_optimal_k(costs, dis, 40)
             rows.append(["theta_star", theta, k])
         dis_s = DiseaseParams(**FIG_S_DISEASE)
         for s in np.round(np.arange(0.05, 0.51, 0.05), 3):
             costs = PublicCostModel(s=float(s), **FIG_S_COSTS)
-            k, _ = leader.vaccine_optimal_k(costs, dis_s, 40)
+            k = leader.vaccine_optimal_k(costs, dis_s, 40)
             rows.append(["s", s, k])
         return write_csv(outdir / "fig4_zbar_vs_theta_and_s.csv",
                          ["sweep", "value", "zbar"], rows)
@@ -508,6 +508,10 @@ def _disease_from(args) -> tuple[DiseaseParams, VaRatePolicy]:
 def _costs_from(args, m: int) -> PublicCostModel:
     kw = dict(c_v1="cv1", c_v2="cv2", c_v2_bar="cv2_bar", c_i="ci_public")
     if getattr(args, "cf_table", None):
+        # m first: the table's length is checked against m + 1
+        _from_flags(args,
+                    lambda m: require_integer("m", m, 1, MAX_INFLUENCERS),
+                    m=(m, "{m}"))
         try:
             vals = tuple(map(float, Path(args.cf_table).read_text().split()))
         except OSError as exc:

@@ -792,34 +792,10 @@ class SpecialStrategy:
         T = cfg.t_horizon
         if cfg.xi.is_point:
             cf = (t * c + (T - 1 - t) * cfg.xi.nodes()[0][0]) / (T - 1)
-            return min(cfg.c_v + gamma(T - 1, cf, cfg) - cfg.g(z), cfg.c_i)
+            return self.value(T - 1, z, cf)
         gm = final_gamma_draws(cfg, np.random.default_rng(_WAIT_SEED),
                                _WAIT_DRAWS, t, c)
         return float(np.mean(np.minimum(cfg.c_v + gm - cfg.g(z), cfg.c_i)))
-
-
-class FunctionStrategy:
-    """Arbitrary symmetric strategy given by fn(t, z, c) -> probability.
-
-    Used to feed deviating or hand-built profiles to the equilibrium
-    verifier; no admissibility is enforced.
-    """
-
-    def __init__(self, cfg: InfluencerGameConfig, fn):
-        self.cfg = cfg
-        self._fn = fn
-
-    def decision(self, t: int, z: int, c: float) -> float:
-        return float(self._fn(t, z, c))
-
-
-def mutate_strategy(strategy, where, new_p: float) -> FunctionStrategy:
-    """Copy of a strategy with decisions overridden where `where(t,z,c)`."""
-    def fn(t, z, c):
-        if where(t, z, c):
-            return new_p
-        return strategy.decision(t, z, c)
-    return FunctionStrategy(strategy.cfg, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -844,15 +820,17 @@ def _cost_nodes(cfg: InfluencerGameConfig) -> list[dict[float, None]]:
     return nodes
 
 
-def verify_symmetric_ne(strategy, cfg: InfluencerGameConfig) -> NeCheck:
+def verify_symmetric_ne(decision, cfg: InfluencerGameConfig) -> NeCheck:
     """One-shot-deviation check of a symmetric profile by exact DP.
 
-    Every reachable (epoch, vaccinated-count, estimate) state of a
-    susceptible agent is tested: following the profile must match the
-    better of vaccinating now versus waiting, both scored against the
-    profile's own continuation, to within _NE_TOL = 1e-9. The expectations
-    run over the support of a finite law (XiModel.nodes), so a continuous
-    one raises ValueError; intended for small m and T.
+    The profile is its decision function (t, z, c) -> vaccination
+    probability, such as SpecialStrategy(cfg).decision. Every reachable
+    (epoch, vaccinated-count, estimate) state of a susceptible agent is
+    tested: following the profile must match the better of vaccinating now
+    versus waiting, both scored against the profile's own continuation, to
+    within _NE_TOL = 1e-9. The expectations run over the support of a
+    finite law (XiModel.nodes), so a continuous one raises ValueError;
+    intended for small m and T.
     """
     xi_v, xi_w = cfg.xi.nodes()
     nodes = _cost_nodes(cfg)
@@ -879,7 +857,7 @@ def verify_symmetric_ne(strategy, cfg: InfluencerGameConfig) -> NeCheck:
                 return v_v[(t + 1, z2, next_cs[i])]
 
             for z in range(M + 1):
-                q_opp = strategy.decision(t, z, c)
+                q_opp = decision(t, z, c)
                 if z >= 1:
                     # vaccinated agent: z counts itself, M - z susceptible opponents
                     n_op = M - z
@@ -909,7 +887,7 @@ def verify_symmetric_ne(strategy, cfg: InfluencerGameConfig) -> NeCheck:
                                              for i in range(len(xi_v))]))
                     q_vacc += py * gv
                     q_wait += py * gs
-                p_own = strategy.decision(t, z, c)
+                p_own = decision(t, z, c)
                 val = p_own * q_vacc + (1.0 - p_own) * q_wait
                 v_s[(t, z, c)] = val
                 gain = val - min(q_vacc, q_wait)

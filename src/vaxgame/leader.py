@@ -90,12 +90,12 @@ class GammaDraws:
 class ExpectationSampler:
     """Draw cache for expectations over the final side-effect estimate.
 
-    draws(cfg) is the GammaDraws of n_samples values of Gamma_{T-1}(C_{T-1})
-    under cfg's law, filled at the first call and kept for the sampler's
-    life; gamma_draws(cfg) is its gams. A point law (XiModel.is_point) is
-    solved by the closed forms and never draws. Only n_samples and seed are
-    settings, and only they take part in ==; n_samples must be an integer
-    in 1..MAX_DRAWS and seed one >= 0, checked at build.
+    gamma_draws(cfg) is the GammaDraws of n_samples values of
+    Gamma_{T-1}(C_{T-1}) under cfg's law, filled at the first call and kept
+    for the sampler's life. A point law (XiModel.is_point) is solved by the
+    closed forms and never draws. Only n_samples and seed are settings, and
+    only they take part in ==; n_samples must be an integer in
+    1..MAX_DRAWS and seed one >= 0, checked at build.
     """
 
     n_samples: int = 100_000
@@ -110,28 +110,19 @@ class ExpectationSampler:
     def _key(self, cfg: InfluencerGameConfig) -> tuple:
         return (cfg.c_se_1, cfg.t_horizon, cfg.xi, self.n_samples, self.seed)
 
-    def gamma_draws(self, cfg: InfluencerGameConfig) -> np.ndarray:
-        """The sorted draws, read-only: draws(cfg).gams. Every fill of the
-        cache happens here, and adds one entry."""
+    def gamma_draws(self, cfg: InfluencerGameConfig) -> GammaDraws:
+        """The draw set of cfg's law. A hit builds the key once; a miss
+        fills the set, adding one cache entry: every fill happens here."""
         key = self._key(cfg)
-        if key not in self._cache:
+        entry = self._cache.get(key)
+        if entry is None:
             gams = final_gamma_draws(cfg, np.random.default_rng(self.seed),
                                      self.n_samples)
             gams.sort()
             center = float(gams[len(gams) // 2])
             sub = gams[_MID_QUANTILES * len(gams) // (2 * _QUANTILES)]
-            self._cache[key] = GammaDraws.build(
+            entry = self._cache[key] = GammaDraws.build(
                 gams, center, GammaDraws.build(sub, center))
-        return self._cache[key].gams
-
-    def draws(self, cfg: InfluencerGameConfig) -> GammaDraws:
-        """The draw set of cfg's law. A hit builds the key once; a miss
-        fills the entry through gamma_draws."""
-        key = self._key(cfg)
-        entry = self._cache.get(key)
-        if entry is None:
-            self.gamma_draws(cfg)
-            entry = self._cache[key]
         return entry
 
     def ci_halfwidth(self, delta: float) -> float:
@@ -348,7 +339,7 @@ def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
             raise ValueError("N_P' is not computed for a point law")
         return float(binom_cdf(cfg.m, z_bar - 1, p_from_gamma(
             g, c_infinity(cfg), z_bar, cfg)))
-    draws = problem.sampler.draws(cfg)
+    draws = problem.sampler.gamma_draws(cfg)
     gams = draws.gams
     n = len(gams)
     if z_bar == cfg.m:
@@ -371,7 +362,7 @@ def _p_expectation(g: float, z_bar: int, problem: LeaderProblem,
     cfg = problem.cfg
     if cfg.xi.is_point:
         return p_from_gamma(g, c_infinity(cfg), z_bar, cfg)
-    draws = problem.sampler.draws(cfg)
+    draws = problem.sampler.gamma_draws(cfg)
     gams = draws.gams
     n = len(gams)
     if z_bar == cfg.m:
@@ -472,7 +463,7 @@ def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolutio
         return perfect_info_solution(z_bar, problem)
     cfg, delta = problem.cfg, problem.delta
     require_integer("z_bar", z_bar, 1, cfg.m)
-    draws = problem.sampler.draws(cfg)
+    draws = problem.sampler.gamma_draws(cfg)
 
     # the solution reports N_P(g*) and E[p(g*)], and the root finder has
     # already evaluated N_P there; every dict here belongs to this call
@@ -600,7 +591,7 @@ def compare_across_zbar(problem: LeaderProblem, zbar_list, delta_list
 @dataclass(frozen=True)
 class JointDesign:
     """An eps-vaccine-optimal supply policy nu_eps with eradication
-    threshold k_star (the L_k table is vaccine_optimal_k's to return)."""
+    threshold k_star (l_values gives the L_k table)."""
 
     k_star: int
     nu_eps: VaRatePolicy
@@ -622,7 +613,7 @@ def l_values(costs: PublicCostModel, disease: DiseaseParams,
 
 
 def vaccine_optimal_k(costs: PublicCostModel, disease: DiseaseParams,
-                      m: int) -> tuple[int, tuple[float, ...]]:
+                      m: int) -> int:
     """The unique influencer count targeted by a vaccine-optimal design.
 
     Scans k = 1..M for the crossing of c_v1 - c_f(k) below L_k; the
@@ -652,7 +643,7 @@ def vaccine_optimal_k(costs: PublicCostModel, disease: DiseaseParams,
         raise JointDesignError(
             f"expected exactly one qualifying k, found {hits}; "
             "cost model violates the monotone crossing")
-    return hits[0], table
+    return hits[0]
 
 
 def construct_eps_vaccine_optimal_nu(k_star: int, eps: float,

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import vaxgame as vg
-from vaxgame.game import (WAIT_AND_WATCH, FunctionStrategy, binom_cdf_vec_interp,
-                          mutate_strategy, p_from_gamma, p_from_gamma_vec)
+from vaxgame.game import (WAIT_AND_WATCH, binom_cdf_vec_interp, p_from_gamma,
+                          p_from_gamma_vec)
 from vaxgame.leader import c_infinity, g_floor
 
 FIG_DISEASE = dict(lam=15.0, r=2.0, b=2.0, d=0.5)
@@ -172,7 +172,7 @@ def test_c04_threshold_characterization_exhaustive():
                     got = vg.eradication_probability(z, nu, costs, dis, 40)
                     assert got == (1 if z >= zbar else 0)
             # the near-minimal designed policy must agree with its target
-            k, _ = vg.vaccine_optimal_k(costs, dis, 40)
+            k = vg.vaccine_optimal_k(costs, dis, 40)
             design = vg.construct_eps_vaccine_optimal_nu(k, 1e-3, costs, dis, 40)
             zbar = vg.eradication_threshold(design.nu_eps, costs, dis, 40)
             assert zbar == k
@@ -204,18 +204,19 @@ def test_c05_ne_oracle_on_small_instances():
     with Stopwatch(5, "equilibrium oracle pass / mutation fail", 10.0):
         for label, cfg, flip_to in _ne_instances():
             strat = vg.SpecialStrategy(cfg, WAIT_AND_WATCH)
-            check = vg.verify_symmetric_ne(strat, cfg)
+            check = vg.verify_symmetric_ne(strat.decision, cfg)
             assert check.passed, (label, check.worst_gain, check.worst_state)
             assert check.vaccinated_value_error < 1e-9, label
 
-            if label == "zbM tie":
-                # final-epoch set at z=0 is the whole interval; deviate at
-                # the z=1 state where the incentive forces vaccination
-                bad = mutate_strategy(strat,
-                                      lambda t, z, c: t == 2 and z == 1, 0.0)
-            else:
-                bad = mutate_strategy(
-                    strat, lambda t, z, c: t == 2 and z < cfg.z_bar, flip_to)
+            def bad(t, z, c):
+                if label == "zbM tie":
+                    # final-epoch set at z=0 is the whole interval; deviate
+                    # at the z=1 state where the incentive forces vaccination
+                    flip, p = t == 2 and z == 1, 0.0
+                else:
+                    flip, p = t == 2 and z < cfg.z_bar, flip_to
+                return p if flip else strat.decision(t, z, c)
+
             check = vg.verify_symmetric_ne(bad, cfg)
             assert not check.passed, label
             assert check.worst_gain > 1e-9, label
@@ -246,7 +247,7 @@ def test_c06_monotonicity_suite():
         for z_bar in (1, 20, 40):
             cfg = fig_cfg(z_bar)
             smp = vg.ExpectationSampler(n_samples=50_000, seed=66)
-            gams = smp.gamma_draws(cfg)
+            gams = smp.gamma_draws(cfg).gams
             lo = g_floor(cfg) + 1e-6
             hi = cfg.c_v + float(gams.max()) - 1e-6
             if z_bar == cfg.m:
@@ -334,12 +335,12 @@ def test_c10_joint_design():
             dis = vg.DiseaseParams(lam=rho * 4.0, r=2.0, b=2.0, d=0.5)
             if not costs.influence_sufficient(m):
                 continue
-            k, _ = vg.vaccine_optimal_k(costs, dis, m)  # raises unless unique
+            k = vg.vaccine_optimal_k(costs, dis, m)  # raises unless unique
             found += 1
 
         for s in (0.1, 0.2, 0.35):
             costs = fig5_costs(s)
-            k, _ = vg.vaccine_optimal_k(costs, dis_fig, 40)
+            k = vg.vaccine_optimal_k(costs, dis_fig, 40)
             for eps in (1e-2, 1e-3):
                 design = vg.construct_eps_vaccine_optimal_nu(
                     k, eps, costs, dis_fig, 40)
@@ -357,7 +358,7 @@ def test_c10_joint_design():
         for theta in thetas:
             rho = 1.0 / (1.0 - float(theta))
             dis = vg.DiseaseParams(lam=rho * 7.0, r=5.0, b=2.0, d=0.5)
-            ks.append(vg.vaccine_optimal_k(costs, dis, 40)[0])
+            ks.append(vg.vaccine_optimal_k(costs, dis, 40))
         assert len({k for t, k in zip(thetas, ks) if t <= 0.13}) == 1
         assert len({k for t, k in zip(thetas, ks) if t >= 0.86}) == 1
         assert len(set(ks)) > 1

@@ -290,6 +290,9 @@ class TestSubcommands:
          "threshold, got rho = 0.25"),
         (["optimize-leader", "--csv", "{tmp}/s.csv"],
          "give --zbar or --auto-zbar"),
+        # --m is checked before a table's length is set against m + 1
+        (["analyze-ess", "--m", "-1", "--cf-table", os.devnull],
+         "--m must be an integer in 1..10000, got -1"),
     ]
 
     @pytest.mark.parametrize("argv,message", REJECTED,

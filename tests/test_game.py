@@ -12,10 +12,9 @@ from scipy.special import bdtr
 import vaxgame as vg
 from vaxgame import game, leader
 from vaxgame.game import (DRAW_BLOCK_ROWS, EAGER, WAIT_AND_WATCH,
-                          ConstructionError, FunctionStrategy,
-                          NotMixedRegimeError, XiModel, _mixed_root,
-                          bisect_decreasing, final_gamma_draws,
-                          mutate_strategy, p_from_gamma, p_from_gamma_vec)
+                          ConstructionError, NotMixedRegimeError, XiModel,
+                          _mixed_root, bisect_decreasing, final_gamma_draws,
+                          p_from_gamma, p_from_gamma_vec)
 
 EPS = np.finfo(float).eps
 
@@ -521,9 +520,9 @@ class TestSpecialStrategy:
                   vg.SpecialStrategy(cfg, prefer_mixed)]
         for rival in rivals:
             assert v_w <= rival.value(1, 0, cfg.c_se_1) + 1e-9
-            assert vg.verify_symmetric_ne(rival, cfg).passed
+            assert vg.verify_symmetric_ne(rival.decision, cfg).passed
         assert v_w < rivals[0].value(1, 0, cfg.c_se_1) - 1e-9
-        assert vg.verify_symmetric_ne(waw, cfg).passed
+        assert vg.verify_symmetric_ne(waw.decision, cfg).passed
 
     def test_wait_and_watch_takes_a_continuous_law(self):
         # final-epoch sets need no expectation and the earlier values are
@@ -547,7 +546,7 @@ class TestSpecialStrategy:
         with pytest.raises(ValueError, match="^xi must be a finite law"):
             vg.SpecialStrategy(cfg, selector)
         with pytest.raises(ValueError, match="^xi must be a finite law"):
-            vg.verify_symmetric_ne(FunctionStrategy(cfg, lambda *a: 0.0), cfg)
+            vg.verify_symmetric_ne(lambda *a: 0.0, cfg)
 
     @pytest.mark.parametrize("selector", ["eagr", None, 0.5])
     def test_unknown_selector_refused_when_built(self, selector):
@@ -559,30 +558,29 @@ class TestVerification:
     def test_special_strategy_passes(self):
         cfg = perfect_cfg(m=3, t=3, z_bar=2, g0=0.0)
         strat = vg.SpecialStrategy(cfg)
-        check = vg.verify_symmetric_ne(strat, cfg)
+        check = vg.verify_symmetric_ne(strat.decision, cfg)
         assert check.passed
         assert check.vaccinated_value_error < 1e-10
 
     def test_flipped_final_decision_fails(self):
         cfg = perfect_cfg(m=3, t=3, c_i=2.5, z_bar=2, g0=0.0)  # P_{T-1} = {0}
         strat = vg.SpecialStrategy(cfg)
-        bad = mutate_strategy(strat, lambda t, z, c: t == 2 and z < 2, 1.0)
-        check = vg.verify_symmetric_ne(bad, cfg)
+        check = vg.verify_symmetric_ne(
+            lambda t, z, c: 1.0 if t == 2 and z < 2 else strat.decision(t, z, c),
+            cfg)
         assert not check.passed
         assert check.worst_gain > 1e-6
 
     def test_all_zero_fails_under_dominant_incentive(self):
         cfg = perfect_cfg(m=3, t=3, z_bar=2,
                           g0=1.0 + 2.0 + 5.0 + 1.0)  # g0 > C_v + Gamma + C_i
-        allzero = FunctionStrategy(cfg, lambda t, z, c: 0.0)
-        check = vg.verify_symmetric_ne(allzero, cfg)
+        check = vg.verify_symmetric_ne(lambda t, z, c: 0.0, cfg)
         assert not check.passed
 
     def test_continuous_model_rejected(self):
         cfg = fig_cfg(40)
-        strat = FunctionStrategy(cfg, lambda t, z, c: 0.0)
         with pytest.raises(ValueError):
-            vg.verify_symmetric_ne(strat, cfg)
+            vg.verify_symmetric_ne(lambda t, z, c: 0.0, cfg)
 
 
 class TestOutcomeProbability:
@@ -728,7 +726,7 @@ class TestSampling:
         rng = np.random.default_rng(3)
         draws = final_gamma_draws(cfg, rng, 500)
         # the sampler keeps its draws sorted; sample_z_t keeps draw order
-        assert np.array_equal(smp.gamma_draws(cfg), np.sort(draws))
+        assert np.array_equal(smp.gamma_draws(cfg).gams, np.sort(draws))
         ps = p_from_gamma_vec(1.0, draws, cfg.z_bar, cfg)
         assert np.array_equal(vg.sample_z_t(1.0, cfg, seed=3, size=500),
                               rng.binomial(cfg.m, ps))
@@ -860,7 +858,7 @@ class TestXiModel:
                                         c_se_1=3.0, xi=xi, z_bar=20)
                 for xi in (a, b)]
         smp = vg.ExpectationSampler(n_samples=200, seed=1)
-        assert smp.draws(cfgs[0]) is smp.draws(cfgs[1])
+        assert smp.gamma_draws(cfgs[0]) is smp.gamma_draws(cfgs[1])
         assert len(smp._cache) == 1
 
     def test_truncated_mean_formula(self):

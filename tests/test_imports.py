@@ -1,7 +1,9 @@
 """Every name a vaxgame module imports is read somewhere in that module,
 every private module-level function and constant is read somewhere in
-the package, every dataclass field is read in the package or its tests,
-and every method is read in the package, its tests or the benchmark."""
+the package, every public module-level function and class is exported or
+read somewhere in the package, every dataclass field is read in the
+package or its tests, and every method is read in the package, its tests
+or the benchmark."""
 import ast
 from pathlib import Path
 
@@ -64,23 +66,31 @@ def references(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
     return out
 
 
-def uncalled_private_functions(trees: dict[str, ast.Module]) -> set[str]:
-    """Module-level functions named _x that no module refers to outside
-    their own definition, as "module.py:_x". The references of each
-    module-level statement are computed once, so no module is walked once
-    per function."""
+def unreferenced_definitions(trees: dict[str, ast.Module],
+                             wanted) -> set[str]:
+    """Module-level definitions node with wanted(node) whose name no module
+    refers to outside the definition itself, as "module.py:name". An
+    import counts as a reference, so a name __init__.py exports is
+    referenced. The references of each module-level statement are computed
+    once, so no module is walked once per definition."""
     refs = {(name, j): references(node) for name, tree in trees.items()
             for j, node in enumerate(tree.body)}
     out = set()
     for name, tree in trees.items():
         for i, node in enumerate(tree.body):
-            if (isinstance(node, ast.FunctionDef)
-                    and node.name.startswith("_")
-                    and not node.name.startswith("__")
-                    and not any(node.name in r for key, r in refs.items()
-                                if key != (name, i))):
+            if wanted(node) and not any(node.name in r
+                                        for key, r in refs.items()
+                                        if key != (name, i)):
                 out.add(f"{name}:{node.name}")
     return out
+
+
+def uncalled_private_functions(trees: dict[str, ast.Module]) -> set[str]:
+    """Module-level functions named _x that no module refers to outside
+    their own definition, as "module.py:_x"."""
+    return unreferenced_definitions(
+        trees, lambda node: isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_") and not node.name.startswith("__"))
 
 
 def test_every_private_function_has_a_caller():
@@ -94,6 +104,39 @@ def test_uncalled_private_function_is_found():
                                "def _dead():\n    return _dead()\n"),
              "b.py": ast.parse("from a import _used\nx = _used()\n")}
     assert uncalled_private_functions(trees) == {"a.py:_dead"}
+
+
+# Public names that __init__.py does not export and no other code in the
+# package reads, each with its reason.
+UNEXPORTED = {
+    "epidemic.py:total_event_rate": "the spec's total event rate varrho, "
+    "which the tests read as the oracle of the jump chain's clock",
+}
+
+
+def unexported_public_names(trees: dict[str, ast.Module]) -> set[str]:
+    """Public module-level functions and classes, as "module.py:name",
+    that __init__.py does not export and no module refers to outside their
+    own definition."""
+    return unreferenced_definitions(
+        trees, lambda node: isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_"))
+
+
+def test_every_public_name_is_exported_or_called():
+    trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    assert unexported_public_names(trees) == set(UNEXPORTED)
+
+
+def test_unexported_public_name_is_found():
+    trees = {"a.py": ast.parse("class Shown:\n    pass\n"
+                               "class Helper:\n    pass\n"
+                               "def wrap():\n    return Helper()\n"
+                               "def alone():\n    return alone()\n"
+                               "def _private():\n    pass\n"
+                               "PUBLIC = 1\n"),
+             "__init__.py": ast.parse("from .a import Shown\n")}
+    assert unexported_public_names(trees) == {"a.py:wrap", "a.py:alone"}
 
 
 def unread_private_constants(trees: dict[str, ast.Module]) -> set[str]:

@@ -141,6 +141,32 @@ class TestSolveOptimalIncentive:
             assert best.z_bar in (1, 40)
             assert best.argmin
 
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(3, 40), t=st.integers(3, 20),
+           c_v=st.floats(0.1, 10.0), c_i=st.floats(0.1, 10.0),
+           c_se_1=st.floats(0.0, 10.0), xi_mean=st.floats(0.1, 10.0),
+           delta=st.floats(1e-3, 0.999))
+    def test_extremes_minimize_cost_under_perfect_information(
+            self, m, t, c_v, c_i, c_se_1, xi_mean, delta):
+        """The paper's claim that incentive schemes are optimal when the
+        threshold z_bar is M or 1: U*(z_bar) over 1..M is least at an end.
+
+        Assumed, as the paper's perfect-information model has it: the data
+        law is a point, so Gamma_{T-1} is c_infinity surely; the costs C_v
+        and C_i are positive, c_se_1 >= 0 and E[xi] > 0; the cap delta lies
+        in (0, 1); and M >= 3, so that some threshold is interior. U* is
+        perfect_info_solution's, whose z_bar = M cost is its eps-optimizer
+        M (g_inf + eps), above the infimum, so that end is held to the
+        stricter test. Ties pass: a cap met unpaid at an interior threshold
+        is met unpaid at z_bar = M too."""
+        cfg = vg.InfluencerGameConfig(m=m, t_horizon=t, c_v=c_v, c_i=c_i,
+                                      c_se_1=c_se_1, xi=vg.XiModel(xi_mean),
+                                      z_bar=1)
+        prob = vg.LeaderProblem(delta, cfg, vg.ExpectationSampler())
+        u = [vg.perfect_info_solution(zb, prob).u_star
+             for zb in range(1, m + 1)]
+        assert min(u[0], u[-1]) <= min(u[1:-1]), u
+
     def test_cost_increases_with_incentive_inside_feasible_range(self):
         prob = mc_problem(0.05, 20)
         gs = np.linspace(4.0, 6.5, 12)
@@ -150,7 +176,7 @@ class TestSolveOptimalIncentive:
     def test_per_sample_monotone_constraint(self):
         prob = mc_problem(0.05, 20, n=20_000)
         cfg = prob.cfg
-        gams = prob.sampler.gamma_draws(cfg)
+        gams = prob.sampler.gamma_draws(cfg).gams
         lo = g_floor(cfg)
         hi = cfg.c_v + gams.max() - 1e-9
         prev = None
@@ -168,7 +194,8 @@ EPS = np.finfo(float).eps
 def full_np(g, z_bar, problem):
     """N_P(g) as the mean over every draw, without slicing."""
     cfg = problem.cfg
-    ps = p_from_gamma_vec(g, problem.sampler.gamma_draws(cfg), z_bar, cfg)
+    gams = problem.sampler.gamma_draws(cfg).gams
+    ps = p_from_gamma_vec(g, gams, z_bar, cfg)
     return float(np.mean(binom_cdf_vec_interp(cfg.m, z_bar - 1, ps)))
 
 
@@ -211,7 +238,7 @@ def rounding_bound(g, problem, w_k, v_k):
     unit of w, and a small C_i widens the interval."""
     cfg = problem.cfg
     n = problem.sampler.n_samples
-    gams = problem.sampler.gamma_draws(cfg)
+    gams = problem.sampler.gamma_draws(cfg).gams
     w = (cfg.c_v + gams - g) / cfg.c_i
     mixed = (w > 0.0) & (w < 1.0)
     w, gams = w[mixed], gams[mixed]
@@ -246,7 +273,7 @@ def reference_sums(g, z_bar, problem):
     """(N_P, N_P', E[p]) for z_bar < M from _reference_tabled_sum, one
     search of the knots per table."""
     cfg = problem.cfg
-    draws = problem.sampler.draws(cfg)
+    draws = problem.sampler.gamma_draws(cfg)
     n = len(draws.gams)
     lo, hi = leader._mixed_run(g, draws.gams, cfg)
     w, p, f, sp, sf, _ = leader._knot_tables(cfg.m, z_bar)
@@ -264,7 +291,7 @@ class TestSlicedConstraint:
     def test_matches_full_array_mean(self, z_bar):
         prob = mc_problem(0.05, z_bar, n=N_SLICED)
         cfg = prob.cfg
-        gams = prob.sampler.gamma_draws(cfg)
+        gams = prob.sampler.gamma_draws(cfg).gams
         assert np.all(np.diff(gams) >= 0.0)
         edges = gams[[0, 1, N_SLICED // 2, N_SLICED - 2, N_SLICED - 1]]
         # g = Gamma_k + C_v puts draw k at w = 0, g = Gamma_k + C_v - C_i
@@ -301,7 +328,7 @@ class TestSlicedConstraint:
         prob = mc_problem(0.05, z_bar, n=n, seed=seed)
         cfg = prob.cfg
         w_k = _cdf_grid(cfg.m - 1, z_bar - 1)[2]
-        w = (cfg.c_v + prob.sampler.gamma_draws(cfg) - g) / cfg.c_i
+        w = (cfg.c_v + prob.sampler.gamma_draws(cfg).gams - g) / cfg.c_i
         i = np.clip(np.searchsorted(w_k, w), 1, len(w_k) - 1)
         d = cfg.c_i * float(np.min(np.minimum(np.abs(w - w_k[i - 1]),
                                               np.abs(w_k[i] - w))))
@@ -379,7 +406,7 @@ class TestSlicedConstraint:
         # side ends within its Newton tolerance 1e-12 max(1, g*) of the root
         prob = mc_problem(delta, z_bar, n=n, seed=seed, c_v=costs[0],
                           c_i=costs[1])
-        cfg, draws = prob.cfg, prob.sampler.draws(prob.cfg)
+        cfg, draws = prob.cfg, prob.sampler.gamma_draws(prob.cfg)
 
         def np_and_slope(g):
             return vg.non_eradication_probability(g, z_bar, prob,
@@ -430,7 +457,7 @@ class TestSlicedConstraint:
         prob = mc_problem(0.05, z_bar, n=n, seed=seed, c_v=costs[0],
                           c_i=costs[1])
         cfg = prob.cfg
-        gams = prob.sampler.gamma_draws(cfg)
+        gams = prob.sampler.gamma_draws(cfg).gams
         _, _, w_k, p_k = _cdf_grid(cfg.m - 1, z_bar - 1)
         f_k = _cdf_grid(cfg.m, z_bar - 1)[2]
         k = int(at * n)
@@ -465,7 +492,7 @@ class TestSlicedConstraint:
         prob = mc_problem(0.05, z_bar, n=n, seed=seed, c_v=costs[0],
                           c_i=costs[1])
         cfg = prob.cfg
-        gams = prob.sampler.gamma_draws(cfg)
+        gams = prob.sampler.gamma_draws(cfg).gams
         k = int(at * n)
         for x in (g, gams[k] + cfg.c_v, gams[k] + cfg.c_v - cfg.c_i):
             searches = {}
@@ -503,7 +530,7 @@ class TestSlicedConstraint:
                          + ["non_eradication_probability",
                             "_knot_search"] * len(gs))
         cfg = prob.cfg
-        draws = prob.sampler.draws(cfg)
+        draws = prob.sampler.gamma_draws(cfg)
         g0 = leader._one_point_root(z_bar, prob, draws)
         assert calls[0] == ("_knot_search", g0, 64)
         assert all(size == 20_000 for _, _, size in calls[2::2])
@@ -626,8 +653,8 @@ class TestUnbracketedRoot:
         prob = mc_problem(0.05, z_bar, n=1_000, xi_mean=1e300)
         cfg = prob.cfg
         reach = g_floor(cfg) + max(cfg.c_i, 1.0) * 2 ** 59
-        assert leader._one_point_root(min(z_bar, 39), prob,
-                                      prob.sampler.draws(cfg)) > 10 * reach
+        draws = prob.sampler.gamma_draws(cfg)
+        assert leader._one_point_root(min(z_bar, 39), prob, draws) > 10 * reach
         with pytest.raises(leader.BracketingError,
                            match=r"^N_P stayed above delta=0\.05 up to g=\S"):
             vg.solve_optimal_incentive(z_bar, prob)
@@ -660,7 +687,7 @@ class TestInputChecks:
 
     def test_sampler_takes_numpy_integers(self):
         smp = vg.ExpectationSampler(n_samples=np.int64(10), seed=np.uint8(3))
-        assert len(smp.gamma_draws(game_cfg(20))) == 10
+        assert len(smp.gamma_draws(game_cfg(20)).gams) == 10
 
     def test_cached_sorted_draws_build_one_key(self, monkeypatch):
         # a miss fills inside gamma_draws, adding one _cache entry there
@@ -692,25 +719,24 @@ class TestInputChecks:
         monkeypatch.setattr(smp_cls, "gamma_draws", counting_draws)
         monkeypatch.setattr(leader, "non_eradication_probability",
                             counting_np)
-        first = smp.draws(prob.cfg)
+        first = smp.gamma_draws(prob.cfg)
         assert fills == [1] and len(smp._cache) == 1
         assert smp._cache[key(smp, prob.cfg)] is first
         keys[0] = 0
         for _ in range(5):
-            assert smp.draws(prob.cfg) is first
-        assert keys[0] == 5 and fills == [1]
+            assert smp.gamma_draws(prob.cfg) is first
+        assert keys[0] == 5 and sum(fills) == 1
         keys[0] = 0
         assert vg.solve_optimal_incentive(20, prob).binding
-        assert keys[0] == evals[0] + 2 and fills == [1]
+        assert keys[0] == evals[0] + 2 and sum(fills) == 1
 
     def test_cached_draws_are_read_only(self):
         # a write to the draws would leave their prefix sums stale, and so
         # would one to the quantile subset
         prob = mc_problem(0.05, 20, n=100)
-        draws = prob.sampler.draws(prob.cfg)
+        draws = prob.sampler.gamma_draws(prob.cfg)
         sub = draws.quantiles
-        for arr in (prob.sampler.gamma_draws(prob.cfg), draws.gams,
-                    draws.sums, sub.gams, sub.sums):
+        for arr in (draws.gams, draws.sums, sub.gams, sub.sums):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
             with pytest.raises(ValueError, match="read-only"):
@@ -724,7 +750,7 @@ class TestInputChecks:
         # bit for bit: the sorted draws of the seed, the centred prefix
         # sums, and the 64 mid-quantile draws with sums of their own
         cfg = game_cfg(20)
-        draws = vg.ExpectationSampler(n_samples=n, seed=seed).draws(cfg)
+        draws = vg.ExpectationSampler(n_samples=n, seed=seed).gamma_draws(cfg)
 
         def centred_sums(x, center):
             return np.concatenate(([0.0], np.cumsum(x - center)))
@@ -748,9 +774,9 @@ class TestInputChecks:
         b = vg.ExpectationSampler(n_samples=100, seed=0)
         cfg = game_cfg(20)
         assert a == b
-        a.draws(cfg)
+        a.gamma_draws(cfg)
         assert a == b
-        b.draws(cfg)
+        b.gamma_draws(cfg)
         assert a == b and a != vg.ExpectationSampler(n_samples=100, seed=1)
         assert vg.LeaderProblem(0.05, cfg, a) == vg.LeaderProblem(0.05, cfg, b)
         assert "_cache" not in repr(a)
@@ -942,7 +968,8 @@ class TestJointDesign:
         # L_k = -0.1 (40 - k); brute-force inequality scan pins k = 17
         dis = disease_from_theta(0.5)
         costs = theta_costs(0.5)
-        k, table = vg.vaccine_optimal_k(costs, dis, 40)
+        k = vg.vaccine_optimal_k(costs, dis, 40)
+        table = l_values(costs, dis, 40)
         for kk in range(41):
             assert table[kk] == pytest.approx(-0.1 * (40 - kk), abs=1e-12)
         hits = [kk for kk in range(1, 41)
@@ -956,12 +983,12 @@ class TestJointDesign:
         table = (0.0,) + tuple(1000.0 + z for z in range(40))
         costs = vg.PublicCostModel(c_v1=6.0, c_v2=2.0, c_v2_bar=15.0,
                                    c_i=50.0, c_f_table=table)
-        k, _ = vg.vaccine_optimal_k(costs, dis, 40)
+        k = vg.vaccine_optimal_k(costs, dis, 40)
         assert k == 1
 
     def test_flat_outside_middle_band(self):
         thetas = np.round(np.arange(0.05, 0.96, 0.01), 4)
-        ks = [vg.vaccine_optimal_k(theta_costs(0.5), disease_from_theta(t), 40)[0]
+        ks = [vg.vaccine_optimal_k(theta_costs(0.5), disease_from_theta(t), 40)
               for t in thetas]
         lo_plateau = {k for t, k in zip(thetas, ks) if t <= 0.1}
         hi_plateau = {k for t, k in zip(thetas, ks) if t >= 0.9}
@@ -982,14 +1009,14 @@ class TestJointDesign:
             dis = disease_from_theta(float(rng.uniform(0.05, 0.95)))
             if not costs.influence_sufficient(m):
                 continue
-            k, _ = vg.vaccine_optimal_k(costs, dis, m)  # raises unless unique
+            k = vg.vaccine_optimal_k(costs, dis, m)  # raises unless unique
             assert 1 <= k <= m
             found += 1
 
     def test_construction_reaches_target_regime(self):
         dis = vg.DiseaseParams(lam=15.0, r=2.0, b=2.0, d=0.5)
         costs = fig5_costs(0.2)
-        k, _ = vg.vaccine_optimal_k(costs, dis, 40)
+        k = vg.vaccine_optimal_k(costs, dis, 40)
         for eps in (1e-2, 1e-3):
             design = vg.construct_eps_vaccine_optimal_nu(k, eps, costs, dis, 40)
             assert design.k_star == k
@@ -1001,7 +1028,7 @@ class TestJointDesign:
     def test_extra_rate_collapses_with_eps(self):
         dis = vg.DiseaseParams(lam=15.0, r=2.0, b=2.0, d=0.5)
         costs = fig5_costs(0.2)
-        k, _ = vg.vaccine_optimal_k(costs, dis, 40)
+        k = vg.vaccine_optimal_k(costs, dis, 40)
         slacks = []
         for eps in (1e-2, 1e-3, 1e-4):
             nu = vg.construct_eps_vaccine_optimal_nu(k, eps, costs, dis, 40).nu_eps

@@ -50,7 +50,7 @@ def test_design_price_sample_and_eradicate():
 
     # near-minimal design keeps the same guarantees with the least
     # vaccinated fraction
-    k, _ = vg.vaccine_optimal_k(costs, dis, 40)
+    k = vg.vaccine_optimal_k(costs, dis, 40)
     design = vg.construct_eps_vaccine_optimal_nu(k, 1e-3, costs, dis, 40)
     assert vg.eradication_threshold(design.nu_eps, costs, dis, 40) == k
     assert dis.theta_star < design.psi_e_achieved <= dis.theta_star + 1e-3
