@@ -267,22 +267,20 @@ def _fig_cfg(z_bar: int, sigma2: float | None = None) -> game.InfluencerGameConf
     return game.InfluencerGameConfig(z_bar=z_bar, **kw)
 
 
-def reproduce_figure(fig_id: int, outdir: Path, seed: int = 0,
-                     samples: int = 100_000) -> Path:
+def reproduce_figure(fig_id: int, outdir: Path,
+                     sampler: leader.ExpectationSampler) -> Path:
     """Emit the CSV for one canned parameter study (one of FIG_IDS).
 
-    See the README for the qualitative claim each file supports. seed and
-    samples (an integer in 1..MAX_DRAWS) are checked for every figure, fig
-    4 included, which draws nothing.
+    Every draw comes from sampler, the run's cache, so the figures that
+    share a law share its one draw set. See the README for the qualitative
+    claim each file supports.
     """
-    require_integer("samples", samples, 1, MAX_DRAWS)
-    smp = leader.ExpectationSampler(n_samples=samples, seed=seed)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     if fig_id in (1, 2):
         # the solve ignores cfg.z_bar, so one problem serves every threshold
-        problem = leader.LeaderProblem(0.01, _fig_cfg(40), smp)
+        problem = leader.LeaderProblem(0.01, _fig_cfg(40), sampler)
         if fig_id == 1:
             table = leader.compare_across_zbar(problem, range(1, 41),
                                                (0.01, 0.05, 0.1))
@@ -302,7 +300,7 @@ def reproduce_figure(fig_id: int, outdir: Path, seed: int = 0,
     if fig_id == 3:
         def g_star(z_bar: int, delta: float, sigma2: float) -> float:
             return leader.solve_optimal_incentive(z_bar, leader.LeaderProblem(
-                delta, _fig_cfg(z_bar, sigma2), smp)).g_star
+                delta, _fig_cfg(z_bar, sigma2), sampler)).g_star
 
         c_i, rows = FIG_GAME["c_i"], []
         for delta in (0.01, 0.05):
@@ -344,7 +342,7 @@ def reproduce_figure(fig_id: int, outdir: Path, seed: int = 0,
                    1 if design.incentive_optimal_exists else 0]
             for delta in (0.01, 0.1):
                 sol = leader.solve_optimal_incentive(
-                    k, leader.LeaderProblem(delta, _fig_cfg(k), smp))
+                    k, leader.LeaderProblem(delta, _fig_cfg(k), sampler))
                 row.append(sol.u_star)
             psi_inc = None
             if design.incentive_optimal_exists:
@@ -570,11 +568,9 @@ def cmd_solve_influencer_game(args) -> int:
     c_final = _from_flags(args, game.sample_cost_path, cfg,
                           seed="seed").final()
     p = game.ne_outcome_probability(args.g0, c_final, args.zbar, cfg)
-    zs = _from_flags(args, game.sample_z_t, args.g0, cfg, seed="seed",
-                     size="samples")
+    zs, ps = _from_flags(args, game.sample_z_t, args.g0, cfg, seed="seed",
+                         size="samples")
     hist = np.bincount(zs, minlength=cfg.m + 1)
-    gams = game.final_gamma_draws(cfg, np.random.default_rng(args.seed),
-                                  args.samples)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     out = write_csv(outdir / "zt_histogram.csv", ["z", "count"],
@@ -582,8 +578,7 @@ def cmd_solve_influencer_game(args) -> int:
     print(json.dumps({
         "c_final_sampled": c_final,
         "p_at_sampled_path": p,
-        "p_mean": float(np.mean(game.p_from_gamma_vec(args.g0, gams,
-                                                      args.zbar, cfg))),
+        "p_mean": float(np.mean(ps)),
         "histogram_csv": str(out)}, indent=2))
     return 0
 
@@ -611,7 +606,7 @@ def cmd_optimize_leader(args) -> int:
         args, lambda delta: leader.LeaderProblem(delta, cfg, smp), delta="delta"))
     print(json.dumps(sol.to_dict(), indent=2))
     sweep = Path(args.csv)
-    new = not sweep.exists()
+    new = not sweep.exists() or sweep.stat().st_size == 0
     with open(sweep, "a", newline="") as fh:
         w = csv.writer(fh)
         if new:
@@ -671,8 +666,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_reproduce_fig(args) -> int:
     ids = FIG_IDS if args.id == "all" else (int(args.id),)
-    outs = [_from_flags(args, reproduce_figure, i, Path(args.outdir),
-                        seed="seed", samples="samples") for i in ids]
+    smp = _from_flags(args, leader.ExpectationSampler, n_samples="samples",
+                      seed="seed")
+    outs = [reproduce_figure(i, Path(args.outdir), smp) for i in ids]
     print(json.dumps({"csv": [str(out) for out in outs]}, indent=2))
     return 0
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .epidemic import admissibility_gap, psi_co_occurring, psi_eradicating
 from .params import (MAX_INFLUENCERS, DiseaseParams, PublicCostModel,
@@ -112,16 +112,8 @@ class EssReport:
     beta_witness: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "z": self.z,
-            "h_i": self.h_i,
-            "h_v": self.h_v,
-            "h_v_o": self.h_v_o,
-            "esss_set": sorted(self.esss_set),
-            "eradication_conditional": self.eradication_conditional,
-            "admissibility": self.admissibility.value,
-            "beta_witness": dict(self.beta_witness),
-        }
+        return {**asdict(self), "esss_set": sorted(self.esss_set),
+                "admissibility": self.admissibility.value}
 
 
 def classify_esss(z: int, nu: VaRatePolicy, costs: PublicCostModel,

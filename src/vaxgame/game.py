@@ -857,11 +857,12 @@ def verify_symmetric_ne(decision, cfg: InfluencerGameConfig) -> NeCheck:
                 return v_v[(t + 1, z2, next_cs[i])]
 
             for z in range(M + 1):
-                q_opp = decision(t, z, c)
+                # symmetric: the opponents play what the agent plays
+                p = decision(t, z, c)
                 if z >= 1:
                     # vaccinated agent: z counts itself, M - z susceptible opponents
                     n_op = M - z
-                    pmf = binom_pmf(np.arange(n_op + 1), n_op, q_opp)
+                    pmf = binom_pmf(np.arange(n_op + 1), n_op, p)
                     ev = 0.0
                     for y, py in enumerate(pmf):
                         if py == 0.0:
@@ -875,7 +876,7 @@ def verify_symmetric_ne(decision, cfg: InfluencerGameConfig) -> NeCheck:
                     continue
                 # susceptible agent: z vaccinated opponents, M-1-z susceptible
                 n_op = M - 1 - z
-                pmf = binom_pmf(np.arange(n_op + 1), n_op, q_opp)
+                pmf = binom_pmf(np.arange(n_op + 1), n_op, p)
                 q_vacc = cfg.c_v - cfg.g(z)
                 q_wait = 0.0
                 for y, py in enumerate(pmf):
@@ -887,8 +888,7 @@ def verify_symmetric_ne(decision, cfg: InfluencerGameConfig) -> NeCheck:
                                              for i in range(len(xi_v))]))
                     q_vacc += py * gv
                     q_wait += py * gs
-                p_own = decision(t, z, c)
-                val = p_own * q_vacc + (1.0 - p_own) * q_wait
+                val = p * q_vacc + (1.0 - p) * q_wait
                 v_s[(t, z, c)] = val
                 gain = val - min(q_vacc, q_wait)
                 if gain > worst_gain:
@@ -925,8 +925,9 @@ def sample_cost_path(cfg: InfluencerGameConfig, seed: int) -> CostPath:
 
 
 def sample_z_t(g: float, cfg: InfluencerGameConfig, seed: int,
-               size: int = 1) -> np.ndarray:
-    """Final vaccinated counts Z_T under the wait-and-watch outcome.
+               size: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(zs, ps): final vaccinated counts Z_T under the wait-and-watch
+    outcome, and the vaccination probability each was drawn from.
 
     Each replicate draws Gamma_{T-1}, evaluates p(g, .) there, and draws
     Z_T ~ Bin(m, p). seed must be an integer >= 0, and size one in
@@ -936,4 +937,4 @@ def sample_z_t(g: float, cfg: InfluencerGameConfig, seed: int,
     require_integer("size", size, 1, MAX_DRAWS)
     rng = np.random.default_rng(seed)
     ps = p_from_gamma_vec(g, final_gamma_draws(cfg, rng, size), cfg.z_bar, cfg)
-    return rng.binomial(cfg.m, ps)
+    return rng.binomial(cfg.m, ps), ps

@@ -76,6 +76,19 @@ class TestSubcommands:
         # the --xi-var the user gave (default 2)
         assert lines[1].split(",")[2] == "2"
 
+    def test_optimize_leader_heads_an_empty_sweep_file(self, capsys,
+                                                       tmp_path):
+        # a file that exists but holds nothing gets the header, as a new
+        # one does
+        csv_path = tmp_path / "s.csv"
+        csv_path.touch()
+        code, _, _ = run_main(capsys, "optimize-leader", "--zbar", "40",
+                              "--samples", "2000", "--csv", str(csv_path))
+        assert code == 0
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "zbar,delta,sigma2,g_star,U_star,NP_at_g"
+        assert len(lines) == 2 and lines[1].startswith("40,0.05,2,")
+
     def test_optimize_leader_past_the_recurrence_is_quiet(self, capsys,
                                                           tmp_path):
         # 200 influencers: knot tables with subnormal widths
@@ -785,16 +798,18 @@ def test_every_input_runs_or_names_its_flag(data):
 
 class TestFigures:
     def test_reproductions_byte_identical(self, tmp_path):
+        # a fresh sampler, then the same one warm: a cache hit gives the
+        # bytes a fill gives
         for fig_id, samples in ((4, 100), (2, 4000)):
-            bodies = []
-            for name in ("a", "b"):
-                out = reproduce_figure(fig_id, tmp_path / name, seed=5,
-                                       samples=samples)
-                bodies.append(out.read_bytes())
+            smp = vg.ExpectationSampler(n_samples=samples, seed=5)
+            bodies = [reproduce_figure(fig_id, tmp_path / name,
+                                       smp).read_bytes()
+                      for name in ("a", "b")]
             assert bodies[0] == bodies[1]
 
     def test_fig4_shape(self, tmp_path):
-        out = reproduce_figure(4, tmp_path, seed=0, samples=1000)
+        out = reproduce_figure(4, tmp_path,
+                               vg.ExpectationSampler(n_samples=1000))
         rows = out.read_text().splitlines()
         assert rows[0] == "sweep,value,zbar"
         theta_rows = [r for r in rows[1:] if r.startswith("theta_star")]
@@ -804,8 +819,9 @@ class TestFigures:
         assert all(b <= a for a, b in zip(ks, ks[1:]))
 
     def test_unknown_figure_id(self, tmp_path):
-        with pytest.raises(Exception):
-            reproduce_figure(9, tmp_path)
+        with pytest.raises(ValueError, match="unknown figure id 9"):
+            reproduce_figure(9, tmp_path,
+                             vg.ExpectationSampler(n_samples=100))
 
     def test_all_matches_each_id(self, capsys, tmp_path):
         code, out, _ = run_main(capsys, "reproduce-fig", "--id", "all",
@@ -825,6 +841,27 @@ class TestFigures:
             (single,) = json.loads(out)["csv"]
             assert Path(single).name == path.name
             assert Path(single).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("argv,fills", [
+    # laws: the preset (figs 1, 2, 5 and fig 3's sigma2 = 2) and fig 3's
+    # seven other variances; fig 3's sigma2 = 0 is the point law, which
+    # draws nothing
+    (["reproduce-fig", "--id", "all", "--samples", "500"], 8),
+    (["solve-influencer-game", "--zbar", "20", "--g0", "1.5",
+      "--samples", "500"], 1),
+], ids=["reproduce-fig", "solve-influencer-game"])
+def test_a_run_fills_each_law_once(capsys, tmp_path, monkeypatch, argv,
+                                   fills):
+    laws = []
+    for module in (vg.game, vg.leader):
+        def spy(cfg, *args, fill=module.final_gamma_draws, **kw):
+            laws.append(cfg.xi)
+            return fill(cfg, *args, **kw)
+        monkeypatch.setattr(module, "final_gamma_draws", spy)
+    code, _, _ = run_main(capsys, *argv, "--outdir", str(tmp_path))
+    assert code == 0
+    assert len(laws) == fills and len(set(laws)) == fills, laws
 
 
 def readme_commands() -> list[str]:

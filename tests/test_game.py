@@ -702,14 +702,14 @@ class TestSampling:
 
     def test_huge_incentive_vaccinates_everybody(self):
         cfg = fig_cfg(20, g0=100.0)
-        zs = vg.sample_z_t(100.0, cfg, seed=2, size=200)
-        assert np.all(zs == cfg.m)
+        zs, ps = vg.sample_z_t(100.0, cfg, seed=2, size=200)
+        assert np.all(zs == cfg.m) and np.all(ps == 1.0)
 
     def test_reproducible(self):
         cfg = fig_cfg(20, g0=1.0)
-        a = vg.sample_z_t(1.0, cfg, seed=3, size=500)
-        b = vg.sample_z_t(1.0, cfg, seed=3, size=500)
-        assert np.array_equal(a, b)
+        (za, pa), (zb, pb) = (vg.sample_z_t(1.0, cfg, seed=3, size=500)
+                              for _ in range(2))
+        assert np.array_equal(za, zb) and np.array_equal(pa, pb)
 
     @pytest.mark.parametrize("t,c", [(1, None), (4, 1.5), (18, 7.0), (19, 2.0)])
     def test_final_gamma_draws_average_to_gamma(self, t, c):
@@ -728,8 +728,10 @@ class TestSampling:
         # the sampler keeps its draws sorted; sample_z_t keeps draw order
         assert np.array_equal(smp.gamma_draws(cfg).gams, np.sort(draws))
         ps = p_from_gamma_vec(1.0, draws, cfg.z_bar, cfg)
-        assert np.array_equal(vg.sample_z_t(1.0, cfg, seed=3, size=500),
-                              rng.binomial(cfg.m, ps))
+        zs, z_ps = vg.sample_z_t(1.0, cfg, seed=3, size=500)
+        # the counts, and the probabilities they were drawn from
+        assert np.array_equal(zs, rng.binomial(cfg.m, ps))
+        assert np.array_equal(z_ps, ps)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),

@@ -211,13 +211,26 @@ def attribute_reads(trees: list[ast.Module]) -> set[str]:
     return read
 
 
+def _is_self(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _reads_whole_self(node: ast.AST) -> bool:
+    """Whether node is self.__dict__, or fields, astuple or asdict of self."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "__dict__" and _is_self(node.value)
+    return isinstance(node, ast.Call) and getattr(
+        node.func, "attr", getattr(node.func, "id", None)
+    ) in SERIALISERS and any(map(_is_self, node.args))
+
+
 def unread_dataclass_fields(src: dict[str, ast.Module],
                             others: list[ast.Module]) -> set[str]:
     """Fields of the dataclasses defined at module level in src, as
     "module.py:Class.field", that no tree of src or others reads. A field
     is read as an attribute_reads name, or with its whole class: a call of
-    fields, astuple or asdict on the class's name, or self.__dict__ in the
-    class's body."""
+    fields, astuple or asdict on the class's name, or in the class's body
+    self.__dict__ or such a call on self."""
     read, whole = attribute_reads([*src.values(), *others]), set()
     for tree in [*src.values(), *others]:
         for node in ast.walk(tree):
@@ -227,9 +240,7 @@ def unread_dataclass_fields(src: dict[str, ast.Module],
                 whole.update(a.id for a in node.args
                              if isinstance(a, ast.Name))
             elif isinstance(node, ast.ClassDef) and any(
-                    isinstance(sub, ast.Attribute) and sub.attr == "__dict__"
-                    and isinstance(sub.value, ast.Name)
-                    and sub.value.id == "self" for sub in ast.walk(node)):
+                    _reads_whole_self(sub) for sub in ast.walk(node)):
                 whole.add(node.name)
     out = set()
     for name, tree in src.items():
@@ -259,6 +270,8 @@ def test_unread_dataclass_field_is_found():
         "@dataclass\nclass Whole:\n    w: int\n"
         "@dataclasses.dataclass\nclass Own:\n    o: int\n"
         "    def d(self):\n        return self.__dict__\n"
+        "@dataclass\nclass Serial:\n    a: int\n"
+        "    def d(self):\n        return dataclasses.asdict(self)\n"
         "@dataclasses.dataclass\nclass Stored:\n    s: int\n"
         "    def set(self):\n        self.s = 1\n"
         "class Plain:\n    q: int\n"

@@ -31,7 +31,7 @@ def test_design_price_sample_and_eradicate():
 
     # game layer: sampled outcomes clear the threshold at rate ~ 1 - delta
     n = 40_000
-    zs = vg.sample_z_t(sol.g_star, cfg, seed=17, size=n)
+    zs, _ = vg.sample_z_t(sol.g_star, cfg, seed=17, size=n)
     coverage = float(np.mean(zs >= z_bar))
     ci = 4.0 * math.sqrt(delta * (1 - delta) / n)
     assert abs(coverage - (1.0 - delta)) < ci + 0.003
