@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import repeat
-from operator import length_hint
 
 import numpy as np
 
@@ -751,6 +749,116 @@ def _integrate(init: OdeState, disease: DiseaseParams, nu: VaRatePolicy,
 # Jump process
 # ---------------------------------------------------------------------------
 
+# Events are decided in numpy windows of _WINDOW uniforms (`_window`). At
+# N near 1e5 a window keeps about a thousand events, and longer windows
+# were no faster there (README); at small N a window keeps few.
+_WINDOW = 2048
+_POSITIONS = np.arange(_WINDOW)
+
+# An event has one of eight outcomes: infection, recovery, birth, the death
+# of an S, a V or an I, and an offer accepted or declined. The first three
+# take one uniform, the others two. _STEP[:, o] is outcome o's change of
+# (S, V, I, N).
+_STEP = np.array([(-1, 0, 1, 0), (1, 0, -1, 0), (1, 0, 0, 1),
+                  (-1, 0, 0, -1), (0, -1, 0, -1), (0, 0, -1, -1),
+                  (-1, 1, 0, 0), (0, 0, 0, 0)], dtype=float).T.copy()
+# _OUTCOME[6*branch + 2*death + declined] is the outcome, where branch is
+# the first uniform's (0 infection, 1 recovery, 2 birth, 3 death, 4 offer),
+# death the dying compartment (0 S, 1 V, 2 I), and declined whether an offer
+# is declined; a branch ignores the parts that are not its own
+_OUTCOME = np.array([0] * 6 + [1] * 6 + [2] * 6 + [3, 3, 4, 4, 5, 5]
+                    + [6, 7] * 3)
+for _table in (_POSITIONS, _STEP, _OUTCOME):
+    _table.flags.writeable = False
+
+
+def _outcomes(u, second, c_inf, c_rec, c_birth, c_death, s, v, n, accept):
+    """The outcome of each event whose first uniform times the total rate
+    is u and whose next uniform is second, under the thresholds given, each
+    a scalar or one per event: u picks the branch, second*n the dying
+    compartment, and second < accept accepts an offer."""
+    branch = ((u >= c_inf).view(np.int8) + (u >= c_rec).view(np.int8)
+              + (u >= c_birth).view(np.int8) + (u >= c_death).view(np.int8))
+    u2 = second * n
+    death = (u2 >= s).view(np.int8) + (u2 >= s + v).view(np.int8)
+    return _OUTCOME.take(6 * branch + 2 * death
+                         + (second >= accept).view(np.int8))
+
+
+def _window(w, cap: int, counts: tuple[float, float, float, float],
+            rates: tuple[float, ...]):
+    """Decide the events that start in the uniforms w, at most cap of them,
+    from the exact counts (S, V, I, N) before the first; w[0] starts an
+    event and each event starts with a second uniform left in w.
+
+    Returns the number a >= 1 of events decided, the number of uniforms
+    they take, and an array whose columns 0..a are the counts before the
+    first event and after each.
+
+    Every event is guessed from the thresholds at the start, and every
+    guess is then checked against the thresholds of the counts the guesses
+    before it give: the events up to the first wrong guess are exact, and
+    so is the state before that one, which is then decided from it. Each
+    threshold is computed from its state as one event alone would compute
+    it, left to right: c_inf = lam*S*I/N, c_rec = c_inf + r*I,
+    c_birth = c_rec + b*N, c_death = c_birth + d*N and
+    total = c_death + (nu_b + nu_e*psi)*S, with psi = V/N.
+    """
+    s, v, i, n = counts
+    lam, r, b, d, nu_b, nu_e, bt = rates
+    psi = v / n
+    c_inf = lam * s * i / n
+    c_rec = c_inf + r * i
+    c_birth = c_rec + b * n
+    c_death = c_birth + d * n
+    u = w * (c_death + (nu_b + nu_e * psi) * s)
+    # An event takes a second uniform exactly when u >= c_birth, so a
+    # position starts an event iff its distance to the last position that
+    # follows a one-uniform draw is even; w[0] counts as such a position.
+    last = len(w) - 1                 # positions that can start an event
+    follows = np.empty(last, np.intp)
+    follows[0] = 0
+    np.multiply(_POSITIONS[1:last], u[:last - 1] < c_birth,
+                out=follows[1:])
+    np.maximum.accumulate(follows, out=follows)
+    at = np.flatnonzero(((_POSITIONS[1:last + 1] + follows) & 1) != 0)[:cap]
+    second = w[at + 1]
+    guess = _outcomes(u[at], second, c_inf, c_rec, c_birth, c_death,
+                      s, v, n, bt * psi)
+    states = np.empty((4, len(at) + 1))
+    states[:, 0] = counts
+    _STEP.take(guess, axis=1, out=states[:, 1:])
+    np.cumsum(states, axis=1, out=states)
+    if n <= len(at):
+        # N moves by one an event, so only here can a guessed N reach 0;
+        # no event is guessed past the first such state
+        zero = np.flatnonzero(states[3, 1:] == 0.0)
+        if zero.size:
+            at, guess = at[:zero[0] + 1], guess[:zero[0] + 1]
+    e = len(at)
+    S, V, I, N = states[:, :e]
+    psi = V / N
+    c_inf = lam * S
+    c_inf *= I
+    c_inf /= N
+    c_rec = c_inf + r * I
+    c_birth = c_rec + b * N
+    c_death = c_birth + d * N
+    total = nu_e * psi
+    total += nu_b
+    total *= S
+    total += c_death
+    exact = _outcomes(w[at] * total, second[:e], c_inf, c_rec, c_birth,
+                      c_death, S, V, N, bt * psi)
+    wrong = guess != exact
+    a = int(wrong.argmax())
+    if wrong[a]:
+        states[:, a + 1] = states[:, a] + _STEP[:, exact[a]]
+    else:
+        a = e - 1
+    return a + 1, int(at[a]) + 1 + int(exact[a] >= 3), states
+
+
 @dataclass
 class JumpTrajectory:
     t: np.ndarray               # algorithmic time, t=0 at the start
@@ -788,23 +896,25 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     floats, which stay exact integers: N0, the clock index N0/eta0 and
     then both plus n_events are checked against 2**53, in that order, so
     that N and k stay below it for every event, and each refusal names the
-    argument that crossed it. Uniforms come in chunks of 16,384, read
-    through the chunk list's iterator; each event takes one or two, and a
-    chunk with fewer than two left (its iterator's length hint) is dropped
-    for a new one. The spent iterator and its bound `__next__` both hold
-    the old list, so both are released before the next chunk is drawn and
-    two chunks are never alive at once. The loop runs in blocks that
-    cannot outrun the chunk, and a block in record intervals: each
-    interval is one inner loop over `itertools.repeat`, with the record
-    after it, so no per-event countdown runs. An extinction event's place
-    in its interval is the interval's length less the repeat's length
-    hint. The clock of each block is summed afterwards by
-    `np.add.accumulate` over the same terms 1/(1+k) in the same order, so
-    every record is the double a per-event `t += 1/(1+k)` gives.
+    argument that crossed it. Uniforms come in chunks of 16,384; each
+    event takes one or two, and a chunk with fewer than two left is dropped
+    for a new one, which is drawn only after the spent one is released, so
+    two chunks are never alive at once.
 
-    The products r*I, b*N and d*N are recomputed only in the branches
-    that move I or N, from the same operands, so each threshold is the
-    same double as a per-event computation. The offer is accepted when
+    Numpy windows of _WINDOW uniforms decide the events (`_window`). A
+    window guesses every event from the thresholds at its start, sums the
+    guessed count changes into the state before each event, recomputes
+    every threshold and test from those states with the operands and order
+    of a per-event computation, and keeps the events up to the first whose
+    outcome (and so its uniform count) the guess got wrong, that one
+    decided from its exact state. At N near 1e5 a window keeps about a
+    thousand events; at small N only a few, so there a chain runs slower
+    than a per-event loop would.
+
+    The clock of each block (the windows of one chunk) is summed
+    afterwards by `np.add.accumulate` over the same terms 1/(1+k) in the
+    same order, so every record is the double a per-event `t += 1/(1+k)`
+    gives. The rates are read as floats once. The offer is accepted when
     u < beta*psi: u lies in [0, 1), so this is the same test as
     u < min(1, beta*psi).
     """
@@ -841,16 +951,14 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
                          f"are exact as floats, got {n_events}")
     rng = np.random.default_rng(seed)
 
-    lam, r, b, d = disease.lam, disease.r, disease.b, disease.d
-    nu_b, nu_e, bt = nu.nu_b, nu.nu_e, beta.beta
+    rates = tuple(map(float, (disease.lam, disease.r, disease.b, disease.d,
+                              nu.nu_b, nu.nu_e, beta.beta)))
     t = 0.0
     rec_t = [0.0]
     rec_theta = [i / n]
     rec_psi = [v / n]
     rec_eta = [n / (1 + k)]
     s, v, i, n = float(s), float(v), float(i), float(n)
-    # the rate products, recomputed only where their count moves
-    ri, bn, dn = r * i, b * n, d * n
     # 1 + k before the next block; after its j-th event 1 + k is base + j
     base = 1 + k
     extinct = False
@@ -858,82 +966,31 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     left = record_every          # events until the next record
 
     chunk = 16384
-    it = iter(rng.random(chunk).tolist())
-    draw = it.__next__
-
+    # each pass spends a chunk of uniforms, w[pos:] the ones left: its
+    # windows stop only with fewer than two left, at the n_events cut or at
+    # extinction. The spent chunk is released before the next is drawn, so
+    # two are never alive at once.
     while done < n_events and not extinct:
-        if length_hint(it) < 2:
-            # the bound method holds the spent list too; drop both so two
-            # chunks are never alive at once
-            del it, draw
-            it = iter(rng.random(chunk).tolist())
-            draw = it.__next__
-        # an event takes at most two uniforms, so a block of this many
-        # events needs no refill
-        run = min(n_events - done, length_hint(it) // 2)
+        w = None
+        w, pos = rng.random(chunk), 0
         first = left                 # clock entry of the block's first record
         j = 0                        # events of the block so far
-        while j < run:
-            todo = min(left, run - j)
-            events = repeat(None, todo)
-            for _ in events:
-                psi = v / n
-                # cumulative rates of infection, recovery, birth and death;
-                # the rest of the total is vaccine offers at rate
-                # (nu_b + nu_e*psi)*S
-                c_inf = lam * s * i / n
-                c_rec = c_inf + ri
-                c_birth = c_rec + bn
-                c_death = c_birth + dn
-                total = c_death + (nu_b + nu_e * psi) * s
-
-                # tested from the offer end, where most events fall; the
-                # thresholds are nondecreasing, so the partition is the same
-                u = draw() * total
-                if u >= c_death:
-                    # a uniform is below 1, so this is u < min(1, beta*psi)
-                    if draw() < bt * psi:
-                        s -= 1.0
-                        v += 1.0
-                elif u >= c_birth:
-                    u2 = draw() * n
-                    if u2 < s:
-                        s -= 1.0
-                    elif u2 < s + v:
-                        v -= 1.0
-                    else:
-                        i -= 1.0
-                        ri = r * i
-                    n -= 1.0
-                    bn, dn = b * n, d * n
-                    if n == 0.0:
-                        extinct = True
-                        break
-                elif u >= c_rec:
-                    s += 1.0
-                    n += 1.0
-                    bn, dn = b * n, d * n
-                elif u >= c_inf:
-                    # recovered individuals rejoin the susceptible pool
-                    i -= 1.0
-                    s += 1.0
-                    ri = r * i
-                else:
-                    s -= 1.0
-                    i += 1.0
-                    ri = r * i
+        while j < n_events - done and chunk - pos >= 2:
+            a, used, states = _window(w[pos:pos + _WINDOW],
+                                      n_events - done - j, (s, v, i, n), rates)
+            s, v, i, n = states[:, a].tolist()
+            extinct = n == 0.0
+            # the window's events, counted from 1, that are records
+            q = np.arange(left, a + 1 - extinct, record_every)
+            if q.size:
+                rec_theta.extend((states[2, q] / states[3, q]).tolist())
+                rec_psi.extend((states[1, q] / states[3, q]).tolist())
+                rec_eta.extend((states[3, q] / (base + j + q)).tolist())
+            left = (left - a - 1) % record_every + 1
+            pos += used
+            j += a
             if extinct:
-                # the repeat has yielded todo - hint events, the last of
-                # them the extinction
-                j += todo - length_hint(events)
                 break
-            j += todo
-            left -= todo
-            if not left:
-                left = record_every
-                rec_theta.append(i / n)
-                rec_psi.append(v / n)
-                rec_eta.append(n / (base + j))
 
         # clock[j] is t after the block's j-th event
         clock = np.add.accumulate(np.concatenate(

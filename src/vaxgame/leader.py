@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .epidemic import psi_eradicating
-from .ess import eradication_threshold
+from .ess import Admissibility, eradication_threshold, is_admissible
 # binom_cdf_vec_interp and p_from_gamma_vec are the per-draw path that the
 # tabled sums below reproduce; they stay names of this module because the
 # benchmark's tracer (perfbench/tracing.py) wraps them here.
@@ -655,8 +655,12 @@ def construct_eps_vaccine_optimal_nu(k_star: int, eps: float,
     Starts from nu_b just below b*rho*theta_star and nu_e just above the
     admissibility line, then halves both margins, at most _MAX_HALVINGS =
     200 times, until psi_e lands in (theta_star, theta_star + eps] and the
-    threshold matches, and returns that policy as a JointDesign. eps must
-    be positive and finite, m an integer.
+    threshold matches, and returns that policy as a JointDesign. It raises
+    JointDesignError when the margins run out, or once they no longer keep
+    the policy admissible in floats: nu_e's margin above the admissibility
+    line has then fallen below the rounding of b*rho - nu_b/theta_star,
+    and halving it further follows only that rounding. eps must be
+    positive and finite, m an integer.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
@@ -669,6 +673,8 @@ def construct_eps_vaccine_optimal_nu(k_star: int, eps: float,
     history = []
     for _ in range(_MAX_HALVINGS):
         nu = VaRatePolicy(ceiling - e1, e1 / theta_star + e2)
+        if is_admissible(nu, disease) is Admissibility.NOT_ADMISSIBLE:
+            break
         psi_e = psi_eradicating(nu, disease.b)
         ok_psi = theta_star < psi_e <= theta_star + eps
         zb = eradication_threshold(nu, costs, disease, m) if ok_psi else None

@@ -78,7 +78,8 @@ def test_a_tie_of_the_crossing_is_designed_for():
     the threshold every near-minimal policy has. In floats 0.9 - 0.05 * 19
     is -0.050000000000000044, so vaccine_optimal_k answers 19, which no
     design reaches: construct_eps_vaccine_optimal_nu halves its margins
-    200 times and raises JointDesignError."""
+    until they no longer keep the policy admissible in floats (43 times)
+    and raises JointDesignError."""
     costs = vg.PublicCostModel(c_v1=0.9, c_v2=1.0, c_v2_bar=1.0, c_i=1.0,
                                s=0.05)
     dis = vg.DiseaseParams(lam=4.0, r=1.0, b=1.0)

@@ -542,6 +542,20 @@ class TestSweep:
                                 "--outdir", str(tmp_path))
         assert code == 3
 
+    def test_design_margins_below_rounding_exit_3(self, capsys, tmp_path):
+        # every flag is valid; the design's halved margins reach the
+        # rounding of the admissibility line before the threshold they aim
+        # at (k = 19, which no design reaches), and the run says so
+        code, _, err = run_main(
+            capsys, "sweep", "--var", "s", "--grid", "0.05", "--cv1", "0.9",
+            "--cv2", "1", "--cv2-bar", "1", "--ci-public", "1", "--m", "20",
+            "--zbar", "20", "--lambda", "8.226652580551361", "--r", "1",
+            "--b", "3.3875480429607263", "--d", "0", "--samples", "1000",
+            "--outdir", str(tmp_path / "out"))
+        assert code == 3
+        assert err.startswith("infeasible: margins exhausted without "
+                              "reaching k=19")
+
     def test_workers_do_not_change_results(self, capsys, tmp_path):
         rows = []
         for w, name in ((1, "w1"), (3, "w3")):

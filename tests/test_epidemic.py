@@ -996,6 +996,14 @@ _TINY_JUMP_CHAIN = dict(counts=(3400, 16000, 600),
                         n_events=50_000, seed=10_007)
 
 
+# the `jump_chain` benchmark's start, N0 = 1e5 at the eradicating
+# attractor's eta
+_BENCH_JUMP_CHAIN = dict(counts=(17_000, 80_000, 3_000),
+                         rates=(15.0, 2.0, 2.0, 0.25), supply=(8.0, 3.0),
+                         beta=2.0, eta0=0.3588060490816258, record_every=50,
+                         n_events=40_000, seed=20_014)
+
+
 @settings(max_examples=100, deadline=None)
 @given(counts=st.tuples(st.integers(0, 30), st.integers(0, 30),
                         st.integers(0, 30)).filter(lambda c: sum(c) > 0),
@@ -1016,10 +1024,26 @@ _TINY_JUMP_CHAIN = dict(counts=(3400, 16000, 600),
 @example(counts=(800, 100, 100), rates=(15.0, 2.0, 2.0, 0.25),
          supply=(2.0, 1.0), beta=0.3, eta0=250.0, record_every=13,
          n_events=25_000, seed=3)
+# N0 = 1e5, where a window keeps about a thousand events: 40,000 events
+# cross two refills, with every offer accepted, with most declined, and
+# with records every 13 events
+@example(**_BENCH_JUMP_CHAIN)
+@example(**dict(_BENCH_JUMP_CHAIN, beta=0.3))
+@example(**dict(_BENCH_JUMP_CHAIN, record_every=13))
+# dies out at event 28, mid-window: the guesses run on past the first
+# state with N = 0 and are cut there
+@example(counts=(2, 1, 2), rates=(0.5, 5.0, 0.5, 0.998), supply=(0.1, 0.0),
+         beta=0.5, eta0=None, record_every=1, n_events=1_000, seed=2)
+# a window ends two uniforms before its chunk does, and the next window
+# is those two
+@example(counts=(800, 100, 100), rates=(15.0, 2.0, 2.0, 0.25),
+         supply=(2.0, 1.0), beta=0.3, eta0=250.0, record_every=13,
+         n_events=25_000, seed=19)
 def test_chain_equals_per_event_reference(counts, rates, supply, beta, eta0,
                                           record_every, n_events, seed):
     # beta < 1 declines some offers at every psi; 25,000 events cross the
-    # 16,384-uniform refill; small counts with d near b die out mid-block
+    # 16,384-uniform refill; small counts with d near b die out mid-block,
+    # and small N refuses many guesses a window makes
     s, v, i = counts
     lam, r, b, d_frac = rates
     args = ((s, v, i, s + v + i), vg.DiseaseParams(lam, r, b, d_frac * b),
@@ -1031,6 +1055,21 @@ def test_chain_equals_per_event_reference(counts, rates, supply, beta, eta0,
     for name in ("t", "theta", "psi", "eta"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert (got.extinct, got.events) == (want.extinct, want.events)
+
+
+def test_window_guesses_stop_at_the_first_empty_state():
+    # from (S, V, I, N) = (1, 0, 1, 2) the start thresholds are c_inf 1,
+    # c_rec 1, c_birth 3, c_death 5 and total 6: the guesses are two
+    # infections (the second wrong, as S is then 0), then two deaths of an
+    # S, which leave N = 0 with I = 3. No later guess is checked, so nothing
+    # divides by that N (warnings are errors here); the second event, from
+    # its exact state (0, 0, 2, 2), is a birth
+    w = np.array([0.1, 0.1, 0.6, 0.1, 0.6, 0.1, 0.1, 0.1])
+    a, used, states = epidemic._window(
+        w, 100, (1.0, 0.0, 1.0, 2.0), (2.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0))
+    assert (a, used) == (2, 2)
+    assert states[:, :3].tolist() == [[1, 0, 1], [0, 0, 0], [1, 2, 2],
+                                      [2, 2, 3]]
 
 
 class TestJumpProcess:
@@ -1107,8 +1146,9 @@ class TestJumpProcess:
 
     def test_memory_does_not_grow_with_n_events(self):
         # the working set is one 16,384-uniform chunk (the spent one is
-        # released before the next is drawn; about 0.73 MB traced) and a
-        # block's clock; nothing may be sized by n_events
+        # released before the next is drawn), one window's arrays and a
+        # block's clock, about 0.5 MB traced; nothing may be sized by
+        # n_events
         runs = [
             # 25,000 events take more than one chunk of uniforms
             ((160, 800, 40, 1000), fig5_disease(), vg.VaRatePolicy(8.0, 3.0),
@@ -1117,6 +1157,9 @@ class TestJumpProcess:
             # asked for would be all that grows
             ((2, 1, 2, 5), vg.DiseaseParams(lam=0.5, r=5.0, b=0.5, d=0.499),
              vg.VaRatePolicy(0.1, 0.0), vg.ResponseParams(0.5), 5_000_000, 7),
+            # N0 = 1e5, where a window keeps about a thousand events
+            ((17_000, 80_000, 3_000, 100_000), fig5_disease(),
+             vg.VaRatePolicy(8.0, 3.0), vg.ResponseParams(2.0), 40_000, 400),
         ]
         for counts, dis, nu, beta, events, every in runs:
             tracemalloc.start()

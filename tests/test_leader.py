@@ -1042,6 +1042,25 @@ class TestJointDesign:
         with pytest.raises(JointDesignError):
             vg.construct_eps_vaccine_optimal_nu(40, 1e-3, costs, dis, 40)
 
+    @pytest.mark.parametrize("rates, k, eps", [
+        # the sweep of the CLI test of the same name: k = 19 is a tie
+        ((8.226652580551361, 1.0, 3.3875480429607263), 19, 1e-3),
+        # small theta*: b*rho rounds 20 times coarser than the ceiling
+        ((8.56392145339026, 4.147987942671733, 3.970403239847089), 7, 1e-3),
+        ((14.823157577069551, 3.4274324443651976, 4.191056093507008), 4,
+         1e-2),
+    ])
+    def test_margins_below_rounding_raise_joint_design_error(self, rates, k,
+                                                             eps):
+        # no iterate reaches k before the halved margins fall below the
+        # rounding of b*rho - nu_b/theta*; the design stops there with its
+        # own error, not eradication_threshold's refusal of the policy
+        dis = vg.DiseaseParams(*rates, d=0.0)
+        costs = vg.PublicCostModel(c_v1=0.9, c_v2=1.0, c_v2_bar=1.0, c_i=1.0,
+                                   s=0.05)
+        with pytest.raises(JointDesignError, match="margins exhausted"):
+            vg.construct_eps_vaccine_optimal_nu(k, eps, costs, dis, 20)
+
 
 class TestIncentiveOptimality:
     def test_low_sensitivity_allows_both(self):

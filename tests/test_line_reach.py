@@ -1,4 +1,6 @@
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +43,72 @@ def test_line_reach_lists_a_line_no_test_reaches(tmp_path):
     assert (_line_of("return self.s * z")
             not in missed.get("params.py PublicCostModel.c_f", ()))
     assert "params.py <module>" not in missed
+
+
+
+def test_line_map_gives_a_cached_line_to_every_test(tmp_path):
+    # both tests ask for the same lru_cached grid; without a clear before
+    # each test only the first would run its body
+    (tmp_path / "test_tiny.py").write_text(
+        "from vaxgame import game\n\n"
+        "def test_first():\n"
+        "    assert game._bdtr_grid(5, 2)[0] == 0.0\n\n"
+        "def test_second():\n"
+        "    assert game._bdtr_grid(5, 2)[-1] == 1.0\n")
+    out = tmp_path / "map.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PARAMS.parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-p", "tests.tools.line_reach", f"--line-map={out}",
+         str(tmp_path / "test_tiny.py")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    game = PARAMS.with_name("game.py").read_text().splitlines()
+    (line,) = [n for n, row in enumerate(game, 1)
+               if "return _read_only(bdtr(" in row]
+    ids = json.loads(out.read_text())["game.py"][str(line)]
+    assert sorted(name.rsplit("::", 1)[1] for name in ids) == [
+        "test_first", "test_second"]
+
+def test_mutation_runner_kills_a_known_mutant(tmp_path):
+    # a checkout of params.py alone, under a package that imports nothing
+    # (so each of the runner's pytest runs starts fast), the two tools and
+    # one test file: c_f(2) is 1.0, and c_f(-1) is refused. The runner
+    # copies the checkout it sits in, so it is run from this one
+    (tmp_path / "src" / "vaxgame").mkdir(parents=True)
+    (tmp_path / "src" / "vaxgame" / "__init__.py").write_text("")
+    shutil.copy2(PARAMS, tmp_path / "src" / "vaxgame")
+    shutil.copy2(ROOT / "pyproject.toml", tmp_path)
+    (tmp_path / "tests" / "tools").mkdir(parents=True)
+    for tool in ("line_reach.py", "mutate.py"):
+        shutil.copy2(ROOT / "tests" / "tools" / tool,
+                     tmp_path / "tests" / "tools")
+    (tmp_path / "tests" / "test_tiny.py").write_text(
+        "import pytest\n"
+        "from vaxgame.params import PublicCostModel\n\n"
+        "COSTS = PublicCostModel(0.2, 0.05, 100.0, 0.5, s=0.5)\n\n"
+        "def test_linear_costs():\n"
+        "    assert COSTS.c_f(2) == 1.0\n\n"
+        "def test_negative_count_is_refused():\n"
+        "    with pytest.raises(ValueError):\n"
+        "        COSTS.c_f(-1)\n")
+    sign = _line_of("if z < 0:")
+    table = _line_of("if z >= len(self.c_f_table):")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tests.tools.mutate", "params.py",
+         "--lines", f"{sign},{table}", "tests/test_tiny.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    rows = {row.split(" (")[0] for row in proc.stdout.splitlines()}
+    # z >= 0 refuses c_f(2), z < -1 takes c_f(-1); z < 1 passes both tests
+    # (no test asks for c_f(0)), and no test reaches the table's lines
+    assert rows >= {f"params.py:{sign} flip < to >=: killed",
+                    f"params.py:{sign} shift 0 to -1: killed",
+                    f"params.py:{sign} shift 0 to 1: survived",
+                    f"params.py:{table} flip >= to <: unreached",
+                    "4 mutants, 1 survived"}
+    assert f"  params.py:{sign} shift 0 to 1" in proc.stdout.splitlines()
+    # the checkout itself is never changed
+    assert (tmp_path / "src" / "vaxgame" / "params.py").read_text() == \
+        PARAMS.read_text()
