@@ -71,7 +71,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.sweep_var not in SWEEP_VARS:
-            raise ConfigError(f"sweep variable must be one of {SWEEP_VARS}")
+            raise ConfigError(f"sweep_var must be one of {SWEEP_VARS}")
         if len(self.grid) == 0:
             raise ConfigError("grid must hold at least one value")
         require_integer("seed", self.seed, least=0)
@@ -338,14 +338,14 @@ def reproduce_figure(fig_id: int, outdir: Path,
             costs = PublicCostModel(s=float(s), **FIG_S_COSTS)
             design = _vaccine_optimal_design(costs, dis, 40)
             k = design.k_star
-            row = [s, k, design.psi_e_achieved,
-                   1 if design.incentive_optimal_exists else 0]
+            exists = leader.incentive_optimal_exists(costs, dis, 40)
+            row = [s, k, design.psi_e_achieved, 1 if exists else 0]
             for delta in (0.01, 0.1):
                 sol = leader.solve_optimal_incentive(
                     k, leader.LeaderProblem(delta, _fig_cfg(k), sampler))
                 row.append(sol.u_star)
             psi_inc = None
-            if design.incentive_optimal_exists:
+            if exists:
                 nu_inc = leader.construct_incentive_optimal_nu(costs, dis, 40)
                 psi_inc = epidemic.psi_eradicating(nu_inc, dis.b)
             row.append(psi_inc)

@@ -34,16 +34,16 @@ from .game import (PROBES, InfluencerGameConfig, _cdf_grid, _mixed_root,
                    binom_cdf, binom_cdf_vec_interp, bisect_decreasing,
                    final_gamma_draws, p_from_gamma,
                    p_from_gamma_vec)  # noqa: F401
-from .params import (MAX_DRAWS, DiseaseParams, PublicCostModel,
-                     VaRatePolicy, require_integer)
+from .params import (MAX_DRAWS, MAX_INFLUENCERS, MAX_RATE, DiseaseParams,
+                     PublicCostModel, VaRatePolicy, require_integer)
 
 # the two values of LeaderSolution.mode: the method that solved
 PERFECT_INFO = "perfect_info"
 MONTE_CARLO = "monte_carlo"
 
 # The perfect-information incentive's excess over the infimum at z_bar = M,
-# the halvings the vaccine-optimal design may take, and the supply margin
-# of the incentive-optimal design.
+# the halvings of the near-minimal policy walk, and the supply margin of
+# the incentive-optimal design.
 _PERFECT_INFO_EPS, _MAX_HALVINGS, _MARGIN = 1e-6, 200, 1e-3
 
 # The mid-quantile draws that the z_bar < m Newton start steps on: odd
@@ -590,13 +590,12 @@ def compare_across_zbar(problem: LeaderProblem, zbar_list, delta_list
 
 @dataclass(frozen=True)
 class JointDesign:
-    """An eps-vaccine-optimal supply policy nu_eps with eradication
-    threshold k_star (l_values gives the L_k table)."""
+    """An eps-vaccine-optimal supply policy nu_eps, its eradication threshold
+    k_star and its psi_e_achieved (l_values gives the L_k table)."""
 
     k_star: int
     nu_eps: VaRatePolicy
     psi_e_achieved: float
-    incentive_optimal_exists: bool
 
 
 def l_values(costs: PublicCostModel, disease: DiseaseParams,
@@ -619,10 +618,10 @@ def vaccine_optimal_k(costs: PublicCostModel, disease: DiseaseParams,
     Scans k = 1..M for the crossing of c_v1 - c_f(k) below L_k; the
     strict/non-strict split flips with the side-effect cap regime. A
     missing or repeated crossing contradicts the monotonicity of both
-    sides and raises JointDesignError. m must be an integer, and the
-    disease must have rho > 1.
+    sides and raises JointDesignError. m must be an integer in
+    1..MAX_INFLUENCERS, and the disease must have rho > 1.
     """
-    require_integer("m", m)
+    require_integer("m", m, 1, MAX_INFLUENCERS)
     costs.require_influence(m)
     if disease.rho <= 1.0:
         raise ValueError(f"disease must have rho > 1 for a joint design, "
@@ -646,44 +645,48 @@ def vaccine_optimal_k(costs: PublicCostModel, disease: DiseaseParams,
     return hits[0]
 
 
+def _near_minimal_policies(margin: float, disease: DiseaseParams):
+    """The near-minimal supply policies (b rho theta* - e, e/theta* + e),
+    each with its e, from e = min(margin, b rho theta*)/2 halved at most
+    _MAX_HALVINGS = 200 times, up to the first that is not admissible in
+    floats: e is then below the rounding of b rho - nu_b/theta*."""
+    theta_star = disease.theta_star
+    ceiling = disease.b * disease.rho * theta_star
+    # nu_b strictly inside (ceiling - margin, ceiling) from the first policy
+    e = min(margin, ceiling) / 2
+    for _ in range(_MAX_HALVINGS):
+        nu = VaRatePolicy(ceiling - e, e / theta_star + e)
+        if is_admissible(nu, disease) is Admissibility.NOT_ADMISSIBLE:
+            return
+        yield e, nu
+        e *= 0.5
+
+
 def construct_eps_vaccine_optimal_nu(k_star: int, eps: float,
                                      costs: PublicCostModel,
                                      disease: DiseaseParams, m: int) -> JointDesign:
     """Supply policy pushing the eradicating vaccinated fraction within
     eps of its lower bound while keeping the threshold at k_star.
 
-    Starts from nu_b just below b*rho*theta_star and nu_e just above the
-    admissibility line, then halves both margins, at most _MAX_HALVINGS =
-    200 times, until psi_e lands in (theta_star, theta_star + eps] and the
-    threshold matches, and returns that policy as a JointDesign. It raises
-    JointDesignError when the margins run out, or once they no longer keep
-    the policy admissible in floats: nu_e's margin above the admissibility
-    line has then fallen below the rounding of b*rho - nu_b/theta_star,
-    and halving it further follows only that rounding. eps must be
-    positive and finite, m an integer.
+    Returns the first near-minimal policy from the margin eps
+    (_near_minimal_policies) whose psi_e lies in (theta_star, theta_star +
+    eps] and whose threshold is k_star, or raises JointDesignError when the
+    walk ends first. eps must be positive and finite, m an integer in
+    1..MAX_INFLUENCERS and k_star one in 0..m.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    require_integer("m", m)
+    require_integer("m", m, 1, MAX_INFLUENCERS)
+    require_integer("k_star", k_star, 0, m)
     theta_star = disease.theta_star
-    ceiling = disease.b * disease.rho * theta_star
-    # strictly inside (ceiling - eps, ceiling) from the first iterate
-    e1 = min(eps, ceiling) / 2
-    e2 = e1
     history = []
-    for _ in range(_MAX_HALVINGS):
-        nu = VaRatePolicy(ceiling - e1, e1 / theta_star + e2)
-        if is_admissible(nu, disease) is Admissibility.NOT_ADMISSIBLE:
-            break
+    for e, nu in _near_minimal_policies(eps, disease):
         psi_e = psi_eradicating(nu, disease.b)
         ok_psi = theta_star < psi_e <= theta_star + eps
         zb = eradication_threshold(nu, costs, disease, m) if ok_psi else None
-        history.append((e1, e2, psi_e, zb))
+        history.append((e, psi_e, zb))
         if ok_psi and zb == k_star:
-            return JointDesign(k_star, nu, psi_e,
-                               incentive_optimal_exists(costs, disease, m))
-        e1 *= 0.5
-        e2 *= 0.5
+            return JointDesign(k_star, nu, psi_e)
     raise JointDesignError(
         f"margins exhausted without reaching k={k_star}; last iterations: "
         f"{history[-3:]}")
@@ -695,9 +698,9 @@ def incentive_optimal_exists(costs: PublicCostModel, disease: DiseaseParams,
 
     Compares c_v1 - c_f(M-1) against -c_v2_bar/M, strictly when the
     side-effect cap binds at the infected-fraction floor and non-strictly
-    otherwise. m must be an integer.
+    otherwise. m must be an integer in 1..MAX_INFLUENCERS.
     """
-    require_integer("m", m)
+    require_integer("m", m, 1, MAX_INFLUENCERS)
     lhs = costs.c_v1 - costs.c_f(m - 1)
     rhs = -costs.c_v2_bar / m
     if costs.c_v2_bar > costs.c_v2 / disease.theta_star:
@@ -709,38 +712,34 @@ def construct_incentive_optimal_nu(costs: PublicCostModel,
                                    disease: DiseaseParams, m: int) -> VaRatePolicy:
     """Admissible supply policy whose eradication threshold sits at M.
 
-    Tries the near-minimal policy first (smallest vaccinated fraction);
-    if that fails to pin the threshold, raises the basic rate until the
-    endemic limit stays attractive at M-1 vaccinated influencers. Both
-    start from the supply margin _MARGIN = 1e-3. Among validated
-    candidates the one with the smaller vaccinated fraction is returned.
-    m must be an integer (incentive_optimal_exists checks it first).
+    Returns the candidate with the smaller vaccinated fraction of two: the
+    first near-minimal policy from the supply margin _MARGIN = 1e-3 with
+    threshold M (_near_minimal_policies), and a policy whose basic rate is
+    raised until the endemic limit stays attractive at M-1 vaccinated
+    influencers. m must be an integer in 1..MAX_INFLUENCERS.
     """
     if not incentive_optimal_exists(costs, disease, m):
         raise JointDesignError("no incentive-optimal policy for this model")
-    theta_star = disease.theta_star
-    ceiling = disease.b * disease.rho * theta_star
     candidates = []
-
-    e = _MARGIN
-    for _ in range(60):
-        nu = VaRatePolicy(ceiling - e / 2, e / (2 * theta_star) + e / 2)
+    for _, nu in _near_minimal_policies(_MARGIN, disease):
         if eradication_threshold(nu, costs, disease, m) == m:
             candidates.append(nu)
             break
-        e *= 0.5
 
+    theta_star = disease.theta_star
     denom = costs.c_v1 + costs.c_v2_bar / m - costs.c_f(m - 1)
     if denom > 0:
         if denom - costs.c_i > 0:
-            nu_b = ceiling * (1.0 + _MARGIN)
+            nu_b = disease.b * disease.rho * theta_star * (1.0 + _MARGIN)
         else:
             lam_t = disease.lam * theta_star
             nu_b = (lam_t * costs.c_i / denom - lam_t) * (1.0 + _MARGIN) + _MARGIN
         gap = disease.b * disease.rho - nu_b / theta_star
-        nu = VaRatePolicy(nu_b, max(gap, 0.0) + _MARGIN)
-        if eradication_threshold(nu, costs, disease, m) == m:
-            candidates.append(nu)
+        # denom near 0 (the existence boundary) can put nu_b past MAX_RATE
+        if nu_b <= MAX_RATE:
+            nu = VaRatePolicy(nu_b, max(gap, 0.0) + _MARGIN)
+            if eradication_threshold(nu, costs, disease, m) == m:
+                candidates.append(nu)
 
     if not candidates:
         raise JointDesignError(

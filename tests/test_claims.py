@@ -11,13 +11,17 @@ Both properties here draw their instances from the same ranges:
   [0.01, 5], c_v2_bar in [1, 50], c_i in [0.1, 10] and s in [0.05, 3],
   such that influence suffices: c_v1 - c_f(M) < 0. An instance without it
   is outside the paper's assumption and is not drawn.
+
+The incentive-optimal design is checked over the same ranges, on the
+instances where it exists.
 """
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import vaxgame as vg
-from vaxgame.leader import l_values
+from vaxgame.leader import JointDesignError, l_values
+from vaxgame.params import MAX_RATE
 
 
 @st.composite
@@ -105,3 +109,51 @@ def test_a_sensitive_public_can_always_eradicate(data, m, dis, nu_b, excess):
     assert 0 <= k <= m
     assert [vg.eradication_probability(z, nu, costs, dis, m)
             for z in range(m + 1)] == [0] * k + [1] * (m + 1 - k)
+
+
+@st.composite
+def incentive_optimal_instance(draw):
+    """(M, disease, costs) from the ranges above on which
+    incentive_optimal_exists: c_f(M-1) - c_v2_bar/M < c_v1 < c_f(M). About
+    7 % of sufficient_costs' draws are such, too few to filter for, so s
+    is drawn below the slope that leaves that band room under c_v1's top of
+    3, and c_v1 is drawn inside the band."""
+    m, dis = draw(st.integers(2, 59)), draw(endemic_disease())
+    c_v2_bar = draw(st.floats(1.0, 50.0))
+    s = draw(st.floats(0.05, min(3.0, (3.0 + c_v2_bar / m) / (m - 1))))
+    lo, hi = max(0.05, s * (m - 1) - c_v2_bar / m), min(3.0, s * m)
+    costs = vg.PublicCostModel(
+        c_v1=lo + (hi - lo) * draw(st.floats(0.0, 1.0, exclude_min=True,
+                                             exclude_max=True)),
+        c_v2=draw(st.floats(0.01, 5.0)), c_v2_bar=c_v2_bar,
+        c_i=draw(st.floats(0.1, 10.0)), s=s)
+    # rounding can put c_v1 on either side of the band's ends
+    assume(costs.influence_sufficient(m)
+           and vg.incentive_optimal_exists(costs, dis, m))
+    return m, dis, costs
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=incentive_optimal_instance())
+# near fig 5 (its disease with r = 1, c_i = 10): the near-minimal policies
+# keep the threshold below M, so only the raised basic rate pins it there
+@example(instance=(40, vg.DiseaseParams(lam=15.0, r=1.0, b=2.0, d=0.5),
+                   vg.PublicCostModel(c_v1=0.2, c_v2=0.05, c_v2_bar=100.0,
+                                      c_i=10.0, s=0.05)))
+def test_an_existing_incentive_optimal_design_is_built(instance):
+    """Wherever incentive_optimal_exists, construct_incentive_optimal_nu
+    returns an admissible supply policy whose eradication threshold is M.
+    The one exception is c_v1 within about lam theta* C_i / MAX_RATE of
+    the band's lower end, where keeping the endemic limit attractive at
+    M-1 takes a basic rate past MAX_RATE, if the near-minimal policies do
+    not pin M: there it raises JointDesignError, and no other error."""
+    m, dis, costs = instance
+    try:
+        nu = vg.construct_incentive_optimal_nu(costs, dis, m)
+    except JointDesignError:
+        excess = costs.c_v1 + costs.c_v2_bar / m - costs.c_f(m - 1)
+        rate = dis.lam * dis.theta_star * costs.c_i / max(excess, 1e-300)
+        assert rate > 0.99 * MAX_RATE
+        return
+    assert vg.is_admissible(nu, dis)
+    assert vg.eradication_threshold(nu, costs, dis, m) == m

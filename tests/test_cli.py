@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import vaxgame as vg
 from vaxgame.cli import (CONFIG_SECTIONS, SWEEP_VARS, build_parser,
                          config_flag, load_config_file, main,
-                         reproduce_figure, subcommand_flags)
+                         reproduce_figure, subcommand_flags, svg_line_chart)
 
 
 def child_env(**extra) -> dict:
@@ -576,6 +577,23 @@ class TestSweep:
         assert code == 0
         svg = (tmp_path / "report.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    @pytest.mark.parametrize("xs,ys,drawn", [
+        ([0.1], [2.0], False),                  # one grid point
+        ([0.1, 0.2], [float("nan")] * 2, False),  # no finite value
+        ([0.1, 0.1], [2.0, 3.0], True),         # flat x range
+        ([0.1, 0.2], [2.0, 2.0], True),         # flat y range
+    ], ids=["one-point", "no-finite", "flat-x", "flat-y"])
+    def test_degenerate_chart(self, tmp_path, xs, ys, drawn):
+        # a chart needs two points and a finite value; a flat range is
+        # widened by 1, so no coordinate divides by zero
+        path = tmp_path / "chart.svg"
+        svg_line_chart(path, xs, {"u": ys}, "t")
+        assert path.exists() == drawn
+        if drawn:
+            points = re.search(r'points="([^"]*)"', path.read_text())[1]
+            coords = [float(v) for p in points.split() for v in p.split(",")]
+            assert len(coords) == 4 and all(map(math.isfinite, coords))
 
 
 class TestConfigFiles:

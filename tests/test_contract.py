@@ -3,6 +3,7 @@ the object is built, with a ValueError whose message names the field."""
 import dataclasses
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vaxgame as vg
-from vaxgame import ess, game, leader
+from vaxgame import cli, ess, game, leader
 from vaxgame.params import (MAX_DAYS, MAX_DRAWS, MAX_INFLUENCERS, MAX_RATE,
                             SCALE_MAX, require_finite)
 
@@ -179,10 +180,19 @@ _START = dict(disease=_DIS, nu=_NU, beta=vg.ResponseParams(2.0), seed=0,
     (lambda: ess.eradication_threshold(_NU, _PUBLIC,
                                        vg.DiseaseParams(1.0, 2.0, 2.0), 40),
      "disease"),
+    (lambda: vg.PublicCostModel(**_COSTS, c_f_table=5), "c_f_table"),
+    # a dip that a comparison two entries apart would miss
+    (lambda: vg.PublicCostModel(**_COSTS, c_f_table=(0.0, 2.0, 1.0, 3.0)),
+     "c_f_table"),
+    (lambda: vg.DiseaseParams(1.0, 2.0, 2.0).theta_star, "theta_star"),
+    # the CLI's --var takes only SWEEP_VARS; a library caller can pass any
+    (lambda: cli.ScenarioConfig("m", (1.0,), _DIS, _NU, _PUBLIC, _GAME_CFG,
+                                0.05, Path("out")), "sweep_var"),
 ], ids=["lam", "d", "ess_m", "ess_m_budget", "ess_z", "threshold_m",
         "design_rho", "draw_size", "z_t_size", "z_t_seed", "path_seed",
         "chain_n0", "chain_events", "chain_eta0", "chain_seed", "game_g0",
-        "game_incentives", "threshold_nu", "threshold_rho"])
+        "game_incentives", "threshold_nu", "threshold_rho", "cf_table_scalar",
+        "cf_table_dip", "theta_star_rho", "sweep_var"])
 def test_refusal_starts_with_its_field(call, field):
     with pytest.raises(ValueError) as info:
         call()

@@ -926,6 +926,20 @@ def _design_inputs():
     (lambda d, c: vg.incentive_optimal_exists(c, d, True), "m"),
     (lambda d, c: vg.construct_incentive_optimal_nu(c, d, 40.0), "m"),
     (lambda d, c: vg.construct_incentive_optimal_nu(c, d, False), "m"),
+    # m in 1..MAX_INFLUENCERS, as ess takes it, and k_star in 0..m, each
+    # refused before the design's scan or walk starts
+    (lambda d, c: vg.vaccine_optimal_k(c, d, 0), "m"),
+    (lambda d, c: vg.vaccine_optimal_k(c, d, 20_000), "m"),
+    (lambda d, c: vg.incentive_optimal_exists(c, d, 0), "m"),
+    (lambda d, c: vg.construct_incentive_optimal_nu(c, d, 20_000), "m"),
+    (lambda d, c: vg.construct_eps_vaccine_optimal_nu(17, 1e-3, c, d, 0),
+     "m"),
+    (lambda d, c: vg.construct_eps_vaccine_optimal_nu(41, 1e-3, c, d, 40),
+     "k_star"),
+    (lambda d, c: vg.construct_eps_vaccine_optimal_nu(-1, 1e-3, c, d, 40),
+     "k_star"),
+    (lambda d, c: vg.construct_eps_vaccine_optimal_nu(2.5, 1e-3, c, d, 40),
+     "k_star"),
     (lambda d, c: vg.LeaderProblem(0.05, None, vg.ExpectationSampler()),
      "cfg"),
     (lambda d, c: vg.LeaderProblem(0.05, game_cfg(20), None), "sampler"),
@@ -933,7 +947,9 @@ def _design_inputs():
                                    game_cfg(20)), "cfg")],
     ids=["eps-inf", "eps-nan", "eps-zero", "k-float", "k-bool",
          "eps-design-float", "eps-design-bool", "exists-float",
-         "exists-bool", "io-design-float", "io-design-bool",
+         "exists-bool", "io-design-float", "io-design-bool", "k-zero",
+         "k-budget", "exists-zero", "io-design-budget", "eps-design-zero",
+         "k-star-above-m", "k-star-negative", "k-star-float",
          "problem-cfg", "problem-sampler", "problem-swapped"])
 def test_leader_layer_rejects_bad_inputs(call, field):
     # when called or built, with a ValueError naming the field
@@ -970,6 +986,7 @@ class TestJointDesign:
         costs = theta_costs(0.5)
         k = vg.vaccine_optimal_k(costs, dis, 40)
         table = l_values(costs, dis, 40)
+        assert len(table) == 41
         for kk in range(41):
             assert table[kk] == pytest.approx(-0.1 * (40 - kk), abs=1e-12)
         hits = [kk for kk in range(1, 41)
@@ -1037,10 +1054,40 @@ class TestJointDesign:
         assert all(b < a for a, b in zip(slacks, slacks[1:]))
 
     def test_mismatched_target_errors(self):
+        # k* is 39 here; k_star = 0 is taken but no policy reaches it
         dis = vg.DiseaseParams(lam=15.0, r=2.0, b=2.0, d=0.5)
         costs = fig5_costs(0.2)
-        with pytest.raises(JointDesignError):
-            vg.construct_eps_vaccine_optimal_nu(40, 1e-3, costs, dis, 40)
+        for k in (0, 40):
+            with pytest.raises(JointDesignError):
+                vg.construct_eps_vaccine_optimal_nu(k, 1e-3, costs, dis, 40)
+
+    @pytest.mark.parametrize("c_v1, c_v2, s, k", [
+        (1.0, 1.0, 0.75, 3),   # c_v2_bar = 1 below c_v2/theta*: no crossing
+        (0.75, 0.25, 0.5, 2),  # c_v2_bar = 1 above c_v2/theta*: the crossing
+    ], ids=["cap-below", "cap-above"])
+    def test_exact_tie_of_the_crossing(self, c_v1, c_v2, s, k):
+        # theta* = 0.5, M = 4 and L_k = -a (4 - k) / 4, a = min(c_v2_bar,
+        # c_v2/theta*): c_v1 - c_f(2) equals L_2 exactly in floats, and the
+        # side-effect cap regime decides whether that tie is the crossing
+        dis = vg.DiseaseParams(lam=4.0, r=1.0, b=1.0)
+        costs = vg.PublicCostModel(c_v1=c_v1, c_v2=c_v2, c_v2_bar=1.0,
+                                   c_i=10.0, s=s)
+        assert costs.c_v1 - costs.c_f(2) == l_values(costs, dis, 4)[2]
+        assert vg.vaccine_optimal_k(costs, dis, 4) == k
+        design = vg.construct_eps_vaccine_optimal_nu(k, 1e-3, costs, dis, 4)
+        assert vg.eradication_threshold(design.nu_eps, costs, dis, 4) == k
+
+    def test_one_influencer(self):
+        # M = 1, the smallest count every joint-design function takes
+        dis = vg.DiseaseParams(lam=4.0, r=1.0, b=1.0)
+        costs = vg.PublicCostModel(c_v1=0.5, c_v2=1.0, c_v2_bar=1.0, c_i=1.0,
+                                   s=1.0)
+        assert vg.vaccine_optimal_k(costs, dis, 1) == 1
+        design = vg.construct_eps_vaccine_optimal_nu(1, 1e-3, costs, dis, 1)
+        assert vg.eradication_threshold(design.nu_eps, costs, dis, 1) == 1
+        assert vg.incentive_optimal_exists(costs, dis, 1)
+        nu = vg.construct_incentive_optimal_nu(costs, dis, 1)
+        assert vg.eradication_threshold(nu, costs, dis, 1) == 1
 
     @pytest.mark.parametrize("rates, k, eps", [
         # the sweep of the CLI test of the same name: k = 19 is a tie
@@ -1077,12 +1124,39 @@ class TestIncentiveOptimality:
 
     def test_construction_refused_when_absent(self):
         dis = vg.DiseaseParams(lam=15.0, r=2.0, b=2.0, d=0.5)
-        with pytest.raises(JointDesignError):
+        with pytest.raises(JointDesignError, match="^no incentive-optimal"):
             vg.construct_incentive_optimal_nu(fig5_costs(0.2), dis, 40)
 
     def test_high_sensitivity_blocks_it(self):
         dis = vg.DiseaseParams(lam=15.0, r=2.0, b=2.0, d=0.5)
         assert not vg.incentive_optimal_exists(fig5_costs(0.2), dis, 40)
+
+    @pytest.mark.parametrize("c_v2, c_v1, exists", [
+        (1.0, 1.25, True),    # c_v2_bar = 1 below c_v2/theta*: a tie exists
+        (1.0, 1.0, False),
+        (0.25, 1.25, False),  # c_v2_bar = 1 above c_v2/theta*: a tie does not
+        (0.25, 1.5, True),
+    ], ids=["tie-cap-below", "under-cap-below", "tie-cap-above",
+            "over-cap-above"])
+    def test_existence_boundary(self, c_v2, c_v1, exists):
+        # theta* = 0.5, M = 4, s = 0.5: c_v1 - c_f(3) = c_v1 - 1.5 against
+        # -c_v2_bar/M = -0.25, both exact in floats
+        dis = vg.DiseaseParams(lam=4.0, r=1.0, b=1.0)
+        costs = vg.PublicCostModel(c_v1=c_v1, c_v2=c_v2, c_v2_bar=1.0,
+                                   c_i=1.0, s=0.5)
+        assert vg.incentive_optimal_exists(costs, dis, 4) is exists
+
+    def test_smaller_vaccinated_fraction_wins(self):
+        # both candidates pin M = 2: the walk's first policy (1 - 5e-4,
+        # 5e-4/theta* + 5e-4), psi_e 0.50006, and the raised basic rate
+        # (2.003, 1e-3), psi_e 0.667; the first is returned
+        dis = vg.DiseaseParams(lam=4.0, r=1.0, b=1.0)
+        costs = vg.PublicCostModel(c_v1=0.5, c_v2=0.5, c_v2_bar=1.0, c_i=1.0,
+                                   s=0.5)
+        assert vg.eradication_threshold(vg.VaRatePolicy(2.003, 1e-3), costs,
+                                        dis, 2) == 2
+        assert (vg.construct_incentive_optimal_nu(costs, dis, 2)
+                == vg.VaRatePolicy(1.0 - 5e-4, 5e-4 / 0.5 + 5e-4))
 
     def test_minimal_influence_trivially_qualifies(self):
         dis = vg.DiseaseParams(lam=15.0, r=2.0, b=2.0, d=0.5)
