@@ -585,7 +585,12 @@ def _integrate(init: OdeState, disease: DiseaseParams, nu: VaRatePolicy,
                basin: bool) -> IntegrationResult:
     """The one loop behind integrate_to_equilibrium. With basin=False it
     makes no basin attempt, so that the path runs on to the horizon (or a
-    step size collapse): `matched_ode` needs the path itself."""
+    step size collapse): `matched_ode` needs the path itself.
+
+    Both loops end. A rejection scales the step by at most 0.9 (err >= 1,
+    or nan, gives a factor in [0.2, 0.9]), so the retries stop once it is
+    below ten units in the last place of t; an accepted step moves t up by
+    at least that much, and the horizon is finite."""
     if not (math.isfinite(horizon) and horizon >= 0.0):
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
     f = _field(disease, nu, beta)
@@ -909,7 +914,11 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     outcome (and so its uniform count) the guess got wrong, that one
     decided from its exact state. At N near 1e5 a window keeps about a
     thousand events; at small N only a few, so there a chain runs slower
-    than a per-event loop would.
+    than a per-event loop would. Both loops end: a window that decides no
+    event raises RuntimeError naming its place (no correct window does),
+    so each window spends at least one uniform, at most 16,383 windows a
+    chunk, and each chunk decides at least one event, at most n_events
+    chunks.
 
     The clock of each block (the windows of one chunk) is summed
     afterwards by `np.add.accumulate` over the same terms 1/(1+k) in the
@@ -978,6 +987,9 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
         while j < n_events - done and chunk - pos >= 2:
             a, used, states = _window(w[pos:pos + _WINDOW],
                                       n_events - done - j, (s, v, i, n), rates)
+            if a < 1:
+                raise RuntimeError(f"the window at uniform {pos} of its "
+                                   "chunk decided no event")
             s, v, i, n = states[:, a].tolist()
             extinct = n == 0.0
             # the window's events, counted from 1, that are records

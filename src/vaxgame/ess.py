@@ -29,13 +29,13 @@ class Admissibility(enum.Enum):
 def is_admissible(nu: VaRatePolicy, disease: DiseaseParams) -> Admissibility:
     """Whether the VA policy can support eradication at all.
 
-    Requires nu_e > b*rho - nu_b/theta_star (strict) and nu_e >= 0. For
-    rho <= 1 the disease dies out on its own and the question is moot;
-    a distinguished status is returned instead of a boolean.
+    Requires nu_e > b*rho - nu_b/theta_star (strict). For rho <= 1 the
+    disease dies out on its own and the question is moot; a distinguished
+    status is returned instead of a boolean.
     """
     if disease.rho <= 1.0:
         return Admissibility.NO_INTERVENTION_NEEDED
-    if nu.nu_e >= 0.0 and admissibility_gap(nu, disease) > 0.0:
+    if admissibility_gap(nu, disease) > 0.0:
         return Admissibility.ADMISSIBLE
     return Admissibility.NOT_ADMISSIBLE
 
@@ -139,13 +139,12 @@ def classify_esss(z: int, nu: VaRatePolicy, costs: PublicCostModel,
 
     stable: set[str] = set()
     gap = admissibility_gap(nu, disease)
-    co_exists = disease.b * disease.rho - nu.nu_e > 0
-
-    if co_exists:
-        h_i, h_v, h_v_o = h_values(z, nu, costs, disease, m)
-    else:
-        h_i, h_v = _h_iv_only(z, nu, costs, disease, m)
-        h_v_o = None
+    h_i, h_v = _h_iv_only(z, nu, costs, disease, m)
+    h_v_o = None
+    if disease.b * disease.rho - nu.nu_e > 0:  # the co-occurring limit exists
+        psi_o = psi_co_occurring(nu, disease)
+        h_v_o = _h_at(disease.theta_star - psi_o, psi_o, z, nu, costs,
+                      disease, m)
 
     _warn_boundary("h_i", h_i)
     _warn_boundary("h_v", h_v)
@@ -155,15 +154,14 @@ def classify_esss(z: int, nu: VaRatePolicy, costs: PublicCostModel,
         witness["non_vaccinating"] = (
             f"beta < b*rho/nu_b = {disease.b * disease.rho / nu.nu_b:.6g}"
             if nu.nu_b > 0 else "any beta")
-    if h_v < 0.0 and gap > 0.0 and nu.nu_e >= 0.0:
+    if h_v < 0.0 and gap > 0.0:
         stable.add("eradicating")
         psi_e = psi_eradicating(nu, disease.b)
         witness["eradicating"] = f"beta > 1/psi_e = {1.0 / psi_e:.6g}"
     if h_v_o is not None:
         _warn_boundary("h_v_o", h_v_o)
-        psi_o = psi_co_occurring(nu, disease)
         # with nu_b = 0, psi_o is 0 and no beta gives beta psi_o > 1
-        if h_v_o < 0.0 and 0.0 <= nu.nu_e and gap < 0.0 and psi_o > 0.0:
+        if h_v_o < 0.0 and gap < 0.0 and psi_o > 0.0:
             stable.add("co_occurring")
             witness["co_occurring"] = f"beta > 1/psi_o = {1.0 / psi_o:.6g}"
 
@@ -189,8 +187,8 @@ def eradication_threshold(nu: VaRatePolicy, costs: PublicCostModel,
     """Least z with h_v(z) < 0 and h_i(z) <= 0; eradication is certain
     exactly from this count upward.
 
-    The scan over z = 0..m is cheap and safe at the boundaries; both gaps
-    are monotone in z so the first hit is the threshold. Raises
+    Both gaps fall with z, so the first hit is the threshold; z = m always
+    hits (h_i <= h_v = c_v1 - c_f(m) < 0 there), as asserted. Raises
     InsufficientInfluenceError when c_v1 - c_f(m) >= 0, and a ValueError
     that starts with its argument for an m outside 1..MAX_INFLUENCERS, a
     disease with rho <= 1 (it dies out unaided) or a nu not admissible.
@@ -205,7 +203,8 @@ def eradication_threshold(nu: VaRatePolicy, costs: PublicCostModel,
         raise ValueError(f"nu must have nu_e > b*rho - nu_b/theta_star = "
                          f"{nu.nu_e - admissibility_gap(nu, disease):.6g} "
                          f"to be admissible, got nu_e = {nu.nu_e!r}")
-    for z in range(m + 1):
+    for z in range(m):
         if _eradicates(*_h_iv_only(z, nu, costs, disease, m)):
             return z
-    raise AssertionError("unreachable: h_i(m) < h_v(m) < 0 under A.1")
+    assert _eradicates(*_h_iv_only(m, nu, costs, disease, m))
+    return m

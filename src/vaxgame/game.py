@@ -617,7 +617,7 @@ def _find_mix_roots(target: float, rhs) -> tuple[float, ...]:
     vals = np.array([rhs(p) for p in ps]) - target
     roots = []
     for a, b, fa, fb in zip(ps[:-1], ps[1:], vals[:-1], vals[1:]):
-        if fa == 0.0 and 0.0 < a < 1.0:
+        if fa == 0.0 and 0.0 < a:
             roots.append(float(a))
             continue
         if fa * fb < 0.0:
@@ -638,23 +638,28 @@ def stage_action_set(t: int, z: int, c: float, value_next,
     susceptible agent; expectations over the opponents' binomial count and
     the next side-effect estimate are taken here, the latter over
     cfg.xi.nodes(), so before T-1 a continuous law raises ValueError.
-    z >= z_bar forces waiting.
+    z >= z_bar forces waiting. At T-1 the set is rounded as p_from_gamma
+    rounds its clamps and its z_bar = m tie, so that at z = 0 the two agree
+    to the bit.
     """
     T = cfg.t_horizon
     if z >= cfg.z_bar:
         return StageActionSet(pure=(0.0,))
-    q = cfg.c_v + gamma(t, c, cfg) - cfg.g(z)
+    gam, g = gamma(t, c, cfg), cfg.g(z)
+    q = cfg.c_v + gam - g
 
     if t == T - 1:
         if cfg.z_bar < cfg.m:
-            if q <= 0.0:
+            w = min(max(q, 0.0), cfg.c_i) / cfg.c_i
+            if w <= 0.0:
                 return StageActionSet(pure=(1.0,))
-            if q >= cfg.c_i:
+            if w >= 1.0:
                 return StageActionSet(pure=(0.0,))
-            return StageActionSet(mixed=(solve_mixed_probability(z, c, cfg.g(z), cfg),))
-        if q < cfg.c_i:
+            return StageActionSet(mixed=(
+                _mixed_root(w, cfg.m - 1 - z, cfg.z_bar - 1 - z),))
+        if gam < g - cfg.c_v + cfg.c_i:
             return StageActionSet(pure=(1.0,))
-        if q > cfg.c_i:
+        if gam > g - cfg.c_v + cfg.c_i:
             return StageActionSet(pure=(0.0,))
         return StageActionSet(full_interval=True)
 

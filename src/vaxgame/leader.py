@@ -214,14 +214,14 @@ def _mixed_run(g: float, gams: np.ndarray,
     (C_v + Gamma - g)/C_i rounded as p_from_gamma_vec rounds it, so that its
     clamps p = 1 and p = 0 fall on the same draws. w is non-decreasing in
     Gamma; one searchsorted of g - C_v and g - C_v + C_i lands within a few
-    draws of each end, and Python-float steps below settle the rounding."""
+    draws of each end, and Python-float steps below settle the rounding,
+    each walk one way, so within len(gams) steps. lo never walks back:
+    rounding is monotone, so Gamma < fl(g - C_v) gives w <= 0."""
     c_v, c_i, draw = cfg.c_v, cfg.c_i, gams.item
     n = len(gams)
     lo, hi = gams.searchsorted((g - c_v, g - c_v + c_i)).tolist()
     while lo < n and (c_v + draw(lo) - g) / c_i <= 0.0:
         lo += 1
-    while lo > 0 and (c_v + draw(lo - 1) - g) / c_i > 0.0:
-        lo -= 1
     hi = max(hi, lo)
     while hi < n and (c_v + draw(hi) - g) / c_i < 1.0:
         hi += 1

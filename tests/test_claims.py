@@ -14,12 +14,21 @@ Both properties here draw their instances from the same ranges:
 
 The incentive-optimal design is checked over the same ranges, on the
 instances where it exists.
+
+The middle layer's answer, SpecialStrategy, is checked on small games
+under the paper's assumptions: M symmetric influencers decide at t =
+1..T-1 whether to vaccinate, at cost C_v >= 0 less an incentive g_z >= 0
+paid while fewer than z_bar of them are vaccinated, plus the side-effect
+cost Gamma_t(c) that the running average c of i.i.d. nonnegative daily
+data xi (of positive mean) predicts; an influencer still unvaccinated at
+T pays C_i > 0 when fewer than z_bar are vaccinated.
 """
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import vaxgame as vg
+from vaxgame.game import EAGER, WAIT_AND_WATCH, p_from_gamma
 from vaxgame.leader import JointDesignError, l_values
 from vaxgame.params import MAX_RATE
 
@@ -157,3 +166,67 @@ def test_an_existing_incentive_optimal_design_is_built(instance):
         return
     assert vg.is_admissible(nu, dis)
     assert vg.eradication_threshold(nu, costs, dis, m) == m
+
+
+@st.composite
+def small_game(draw) -> vg.InfluencerGameConfig:
+    """A game the exact oracle can check: m in 1..6, T in 2..5, a law of
+    1-3 support points in [0, 10] (positive mean), C_v in [0, 5], C_i in
+    [0.1, 10], c_se_1 in [0, 10], z_bar in 1..m, and incentives in [0, 5],
+    either one g0 for every count below z_bar or a list g_0..g_{z_bar-1}."""
+    m, k = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    values = draw(st.lists(st.floats(0.0, 10.0), min_size=k, max_size=k,
+                           unique=True))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k))
+    probs = [w / sum(weights) for w in weights]
+    assume(sum(v * q for v, q in zip(values, probs)) > 0.0)
+    z_bar = draw(st.integers(1, m))
+    pay = st.floats(0.0, 5.0)
+    if draw(st.booleans()):
+        incentives = dict(incentives=draw(st.lists(pay, min_size=z_bar,
+                                                   max_size=z_bar)))
+    else:
+        incentives = dict(g0=draw(pay))
+    return vg.InfluencerGameConfig(
+        m=m, t_horizon=draw(st.integers(2, 5)), c_v=draw(st.floats(0.0, 5.0)),
+        c_i=draw(st.floats(0.1, 10.0)), c_se_1=draw(st.floats(0.0, 10.0)),
+        xi=vg.XiModel(1.0, values=values, probs=probs), z_bar=z_bar,
+        **incentives)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=small_game(), selector=st.sampled_from([WAIT_AND_WATCH, EAGER]))
+def test_the_special_strategy_is_a_symmetric_equilibrium(cfg, selector):
+    """Wait-and-watch and eager are symmetric Nash equilibria: at every
+    reachable state no one-shot deviation gains more than 1e-9, by the
+    exact dynamic programme over the law's support; and a vaccinated
+    influencer's expected cost is Gamma_t(c) there."""
+    check = vg.verify_symmetric_ne(
+        vg.SpecialStrategy(cfg, selector).decision, cfg)
+    assert check.passed, check
+    assert check.vaccinated_value_error < 1e-9
+
+
+def _point_game(m, c_v, c_i, xi, z_bar):
+    return vg.InfluencerGameConfig(
+        m=m, t_horizon=2, c_v=c_v, c_i=c_i, c_se_1=0.0,
+        xi=vg.XiModel(1.0, values=(xi,), probs=(1.0,)), z_bar=z_bar)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=small_game(), c=st.floats(0.0, 10.0))
+# z_bar = M: C_v + Gamma = 1 + 0.1 rounds to C_i = 1.1, a tie that the
+# stage set broke toward waiting, while Gamma = 0.1 lies below g - C_v +
+# C_i = 0.10000000000000009, so p_from_gamma vaccinates
+@example(cfg=_point_game(1, 1.0, 1.1, 0.1, 1), c=0.1)
+# z_bar < M: (C_v + Gamma - g)/C_i = 5e-324/10 underflows to 0, which the
+# stage set refused with NotMixedRegimeError and p_from_gamma reads as 1
+@example(cfg=_point_game(2, 5e-324, 10.0, 5e-324, 1), c=0.0)
+def test_the_last_decision_is_the_leaders_closed_form(cfg, c):
+    """At T-1 with nobody vaccinated, wait-and-watch vaccinates with
+    p_from_gamma(g_0, Gamma_{T-1}(c)), the closed form the leader prices
+    the incentive with, to the bit."""
+    T = cfg.t_horizon
+    assert (vg.SpecialStrategy(cfg).decision(T - 1, 0, c)
+            == p_from_gamma(cfg.g(0), vg.gamma(T - 1, c, cfg), cfg.z_bar,
+                            cfg))

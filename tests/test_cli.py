@@ -543,6 +543,16 @@ class TestSweep:
                                 "--outdir", str(tmp_path))
         assert code == 3
 
+    def test_auto_zbar_without_enough_influence_exit_3(self, capsys):
+        # s = 0 leaves c_v1 - c_f(40) = c_v1 >= 0: the threshold refuses
+        # with a message that names no flag, which passes through as an
+        # infeasible run rather than an argument error
+        code, out, err = run_main(capsys, "optimize-leader", "--auto-zbar",
+                                  "--s", "0", "--samples", "200")
+        assert code == 3 and out == ""
+        assert err == ("infeasible: c_v1 - c_f(40) = 0.2 >= 0; eradication "
+                       "unreachable for every influencer count\n")
+
     def test_design_margins_below_rounding_exit_3(self, capsys, tmp_path):
         # every flag is valid; the design's halved margins reach the
         # rounding of the admissibility line before the threshold they aim

@@ -154,7 +154,12 @@ _START = dict(disease=_DIS, nu=_NU, beta=vg.ResponseParams(2.0), seed=0,
     (lambda: vg.classify_esss(0, _NU, _PUBLIC, vg.DiseaseParams(1.0, 2.0, 2.0),
                               MAX_INFLUENCERS + 1), "m"),
     (lambda: vg.classify_esss(5, _NU, _PUBLIC, _DIS, 4), "z"),
+    # below rho = 1 no gap is evaluated, so only the count check refuses
+    (lambda: vg.classify_esss(-1, _NU, _PUBLIC,
+                              vg.DiseaseParams(1.0, 2.0, 2.0), 4), "z"),
     (lambda: ess.eradication_threshold(_NU, _PUBLIC, _DIS, -1), "m"),
+    # m = 0 is refused by its range, before the influence check
+    (lambda: ess.eradication_threshold(_NU, _PUBLIC, _DIS, 0), "m"),
     (lambda: leader.vaccine_optimal_k(_PUBLIC, vg.DiseaseParams(1.0, 2.0, 2.0),
                                       40), "disease"),
     (lambda: game.final_gamma_draws(_GAME_CFG, None, MAX_DRAWS + 1), "size"),
@@ -188,7 +193,8 @@ _START = dict(disease=_DIS, nu=_NU, beta=vg.ResponseParams(2.0), seed=0,
     # the CLI's --var takes only SWEEP_VARS; a library caller can pass any
     (lambda: cli.ScenarioConfig("m", (1.0,), _DIS, _NU, _PUBLIC, _GAME_CFG,
                                 0.05, Path("out")), "sweep_var"),
-], ids=["lam", "d", "ess_m", "ess_m_budget", "ess_z", "threshold_m",
+], ids=["lam", "d", "ess_m", "ess_m_budget", "ess_z", "ess_z_subcritical",
+        "threshold_m", "threshold_m_zero",
         "design_rho", "draw_size", "z_t_size", "z_t_seed", "path_seed",
         "chain_n0", "chain_events", "chain_eta0", "chain_seed", "game_g0",
         "game_incentives", "threshold_nu", "threshold_rho", "cf_table_scalar",

@@ -849,6 +849,56 @@ def test_basin_refuses_the_non_hyperbolic_point():
     assert not certify(locate(*point), point)
 
 
+def test_resting_start_at_a_singular_point():
+    # rho = 1 exactly and no supply: at (0, 0) with eta = (b - d)/varrho
+    # the drift is 0, so the first step comes from the rule's flat case,
+    # max(1e-6, 1e-3 h0) with h0 = 1e-6; Dg(0, 0) is singular (its
+    # theta entry lam (1 - 1/rho) is 0), so Newton stops where it starts
+    dis = vg.DiseaseParams(lam=2.0, r=1.0, b=1.0)
+    nu, beta = vg.VaRatePolicy(0.0), vg.ResponseParams(0.0)
+    assert dis.rho == 1.0
+    f = _field(dis, nu, beta)
+    eta = (dis.b - dis.d) / f(0.0, 0.0, 1.0)[3]
+    assert f(0.0, 0.0, eta)[:3] == (0.0, 0.0, 0.0)
+    assert _initial_step(f, (0.0, 0.0, eta), (0.0, 0.0, 0.0), 5.0) == 1e-6
+    locate, certify, located = epidemic._basin(dis, nu, beta)
+    assert locate(0.0, 0.0) == (0.0, 0.0)
+    assert not certify((0.0, 0.0), (0.0, 0.0))
+    assert not located((0.0, 0.0), (0.0, 0.0))
+    res = vg.integrate_to_equilibrium(vg.OdeState(0.0, 0.0, eta), dis, nu,
+                                      beta, horizon=5.0)
+    assert not res.converged and res.t[-1] == 5.0
+    assert np.all(res.states == (0.0, 0.0, eta))
+
+
+def test_certificate_refuses_bounds_past_the_float_range():
+    # points no return reaches, built so that a bound of the certificate
+    # is not finite; each is refused, never certified
+    fig = vg.DiseaseParams(lam=15.0, r=2.0, b=2.0)
+    locate, certify, _ = epidemic._basin(fig, vg.VaRatePolicy(5.0, 0.7),
+                                         vg.ResponseParams(3.0))
+    centre = locate(0.1, 0.5)
+    # a state at infinity: its offset from a stable centre encloses to the
+    # whole line, which _iprod gives for an inf or nan endpoint
+    assert epidemic._iprod(-math.inf, 1.0, 0.0, 1.0) == (-math.inf,
+                                                          math.inf)
+    assert epidemic._iprod(0.0, 1.0, math.nan, 1.0) == (-math.inf, math.inf)
+    for theta in (math.inf, math.nan):
+        assert not certify(centre, (theta, centre[1]))
+    # a centre far past the simplex: det Dg overflows, and so P is not
+    # finite
+    _, certify, _ = epidemic._basin(fig, vg.VaRatePolicy(5.0, 0.7),
+                                    vg.ResponseParams(0.0))
+    assert not certify((1e200, 0.0), (1e200, 0.0))
+    # theta = 2^528 and psi = -2^529 give phi = theta exactly, a finite P
+    # and box, and a positive varrho, but the residual lam theta (phi -
+    # 1/rho) overflows
+    _, certify, _ = epidemic._basin(vg.DiseaseParams(1e-6, 1e-6, 1e6),
+                                    vg.VaRatePolicy(1.0, 0.0),
+                                    vg.ResponseParams(0.0))
+    assert not certify((2.0 ** 528, -2.0 ** 529), (2.0 ** 528, -2.0 ** 529))
+
+
 def test_newton_distance_on_linear_fields():
     # for f(y) = A (y - y*) the central differences are exact, so the
     # distance is max|y - y*| when every eigenvalue of A has Re < 0; for
@@ -1057,6 +1107,28 @@ def test_chain_equals_per_event_reference(counts, rates, supply, beta, eta0,
     assert (got.extinct, got.events) == (want.extinct, want.events)
 
 
+def test_a_window_that_decides_no_event_is_refused(monkeypatch):
+    # a window that decided no event would leave the chain where it is
+    # forever; the third window here decides none, and the chain names it
+    spent, real = [], epidemic._window
+
+    def third_stalls(w, cap, counts, rates):
+        if len(spent) == 2:
+            return 0, 0, np.array(counts, float)[:, None]
+        a, used, states = real(w, cap, counts, rates)
+        spent.append(used)
+        return a, used, states
+
+    monkeypatch.setattr(epidemic, "_window", third_stalls)
+    with pytest.raises(RuntimeError) as info:
+        vg.simulate_jump_process((800, 100, 100, 1000), fig5_disease(),
+                                 vg.VaRatePolicy(2.0, 1.0),
+                                 vg.ResponseParams(1.5), seed=0,
+                                 n_events=10_000)
+    assert str(info.value) == (f"the window at uniform {sum(spent)} of its "
+                               "chunk decided no event")
+
+
 def test_window_guesses_stop_at_the_first_empty_state():
     # from (S, V, I, N) = (1, 0, 1, 2) the start thresholds are c_inf 1,
     # c_rec 1, c_birth 3, c_death 5 and total 6: the guesses are two
@@ -1141,6 +1213,13 @@ class TestJumpProcess:
         for counts in ((2.5, 0, 0, 2.5), (math.inf, 0, 0, math.inf),
                        (10 ** 310, 0, 0, 10 ** 310)):
             with pytest.raises(ValueError, match="integer"):
+                vg.simulate_jump_process(counts, dis, nu, beta, seed=0,
+                                         n_events=10)
+        # whole counts that are no population: a negative count, parts
+        # that do not sum to N, and N = 0
+        for counts in ((-1, 1, 0, 0), (1, 0, 0, 2), (0, 0, 0, 0)):
+            with pytest.raises(ValueError, match="^counts must be "
+                               "nonnegative with S\\+V\\+I == N >= 1$"):
                 vg.simulate_jump_process(counts, dis, nu, beta, seed=0,
                                          n_events=10)
 

@@ -127,6 +127,52 @@ class TestClassification:
         assert rep.h_v_o is None
         assert rep.esss_set == frozenset({"none"})
 
+    def test_co_occurring_limit_is_stable_below_the_admissibility_line(self):
+        # nu = (1, 0.5) is not admissible (gap -5.6), and b rho - nu_e = 7
+        # > 0 gives a co-occurring limit at psi_o = 1/7; from z = 10 its
+        # gap is negative, so a public with beta > 7 settles there
+        dis, nu = fig5_disease(), vg.VaRatePolicy(1.0, 0.5)
+        rep = vg.classify_esss(39, nu, fig5_costs(0.2), dis, M)
+        assert rep.admissibility is Admissibility.NOT_ADMISSIBLE
+        assert rep.h_v_o < 0.0 and rep.h_v < 0.0 < -rep.h_i
+        assert rep.esss_set == frozenset({"co_occurring"})
+        assert rep.beta_witness == {"co_occurring": "beta > 1/psi_o = 7"}
+        assert rep.eradication_conditional == 0
+        # an admissible nu with b rho - nu_e = 0.5 has a co-occurring limit
+        # too, with a negative gap, but the eradicating limit is the stable
+        # one there
+        rep = vg.classify_esss(39, vg.VaRatePolicy(0.5, 7.0),
+                               fig5_costs(0.2), dis, M)
+        assert rep.h_v_o < 0.0
+        assert rep.esss_set == frozenset({"eradicating"})
+
+    @pytest.mark.parametrize("nu_b,self_erad,non_vacc", [
+        (0.5, "beta < b/nu_b = 3", "beta < b*rho/nu_b = 15"),
+        (0.0, "any beta", "any beta")], ids=["basic-rate", "no-basic-rate"])
+    def test_witnesses_bound_beta_by_the_basic_rate(self, nu_b, self_erad,
+                                                    non_vacc):
+        # below rho = 1 and at the non-vaccinating limit a stable case
+        # holds for beta below a bound set by nu_b, or for any beta without
+        # basic supply
+        nu = vg.VaRatePolicy(nu_b, 7.0)
+        sub = vg.DiseaseParams(lam=3.0, r=2.0, b=1.5, d=0.1)
+        rep = vg.classify_esss(5, nu, fig5_costs(0.2), sub, M)
+        assert rep.beta_witness == {"self_eradicating": self_erad}
+        rep = vg.classify_esss(0, nu, fig5_costs(0.2), fig5_disease(), M)
+        assert rep.beta_witness == {"non_vaccinating": non_vacc}
+
+    def test_a_gap_on_the_boundary_warns_at_the_caller(self):
+        # c_v1 = c_f(M) puts h_v(M) at exactly 0, where strict and
+        # non-strict differ: the classification flags it, at its caller
+        costs = vg.PublicCostModel(c_v1=8.0, c_v2=0.05, c_v2_bar=100.0,
+                                   c_i=0.5, s=0.2)
+        with pytest.warns(UserWarning, match=r"^h_v = 0\.000e\+00 sits "
+                          "within 1e-12 of the strict/non-strict boundary; "
+                          "classification may be fragile$") as record:
+            rep = vg.classify_esss(M, ADMISSIBLE_NU, costs, fig5_disease(), M)
+        assert rep.h_v == 0.0 and "eradicating" not in rep.esss_set
+        assert [w.filename for w in record] == [__file__]
+
     def test_report_serializes(self):
         dis = fig5_disease()
         rep = vg.classify_esss(3, ADMISSIBLE_NU, fig5_costs(0.1), dis, M)

@@ -1,7 +1,10 @@
 import dataclasses
+import importlib.util
 import itertools
 import math
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -62,6 +65,17 @@ class TestBinomCdf:
     def test_point_mass_at_top(self):
         assert vg.binom_cdf(4, 2, 1.0) == 0.0
 
+    @pytest.mark.parametrize("l,m,want", [(5, -1, 0.0), (5, -7, 0.0),
+                                          (5, 5, 1.0), (5, 9, 1.0),
+                                          (0, 0, 1.0)])
+    def test_interpolated_tail_off_the_table(self, l, m, want):
+        # a threshold below 0 or at or past the trial count has no table:
+        # the tail is 0 or 1 at every p, as binom_cdf's
+        p = np.array([0.0, 1e-4, 0.5, 1.0])
+        got = game.binom_cdf_vec_interp(l, m, p)
+        assert got.dtype == float and np.array_equal(got, np.full(4, want))
+        assert np.array_equal(got, vg.binom_cdf(l, m, p))
+
     def test_enumeration_oracle_two_trials(self):
         # enumerate the four outcomes of two fair coins
         want = sum(0.5 * 0.5 for bits in itertools.product([0, 1], repeat=2)
@@ -85,6 +99,28 @@ class TestBinomCdf:
         vals = [vg.binom_cdf(l, m, p) for m in range(-1, l + 1)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
+
+
+def test_a_scipy_without_the_private_pmf_takes_the_public_one(monkeypatch):
+    # game imports the ufunc behind scipy.stats.binom.pmf from
+    # scipy.special._ufuncs, where older scipy releases do not have it; a
+    # copy of the module loaded over a stand-in without it takes
+    # scipy.stats' pmf instead, and computes the same pmf to the bit on
+    # the support (off it the ufunc gives nan and scipy.stats 0; no caller
+    # asks there)
+    import scipy.stats  # noqa: F401 (loaded before the stand-in)
+    monkeypatch.setitem(sys.modules, "scipy.special._ufuncs",
+                        types.ModuleType("scipy.special._ufuncs"))
+    name = "vaxgame._game_without_private_pmf"
+    spec = importlib.util.spec_from_file_location(name, game.__file__)
+    older = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, older)
+    spec.loader.exec_module(older)
+    assert older._boost_binom_pmf == scipy.stats.binom.pmf
+    for l, p in ((1, 0.0), (7, 0.3), (40, 0.999), (85, 1.0)):
+        ys = np.arange(l + 1)
+        assert np.array_equal(older.binom_pmf(ys, l, p),
+                              game.binom_pmf(ys, l, p))
 
 
 class TestCountChecks:
@@ -247,6 +283,21 @@ class TestMixedProbability:
         assert root == pytest.approx(2.049, abs=1e-12)
         assert seen[:3] == [0.0, 1.5, 2.25]
         assert all(-3.0 < x < 3.0 for x in seen) and len(seen) <= 6
+
+    def test_two_hundred_evaluations_at_most(self):
+        # with no tolerance, a root at 0+ of [0, 1e300] halves the bracket
+        # every evaluation, and floats are dense enough near 0 that it
+        # never closes (1e300 / 2^200 is about 6e239): the cap stops the
+        # solve, at the next midpoint
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return (1.0 if x == 0.0 else -1.0), 0.0
+
+        root = bisect_decreasing(f, 0.0, 0.0, 1e300, atol=0.0, rtol=0.0)
+        assert seen == [1e300 / 2.0 ** k for k in range(1, 201)]
+        assert root == seen[-1] / 2
 
     def test_open_upper_end_probes_within_the_reach(self):
         # from x0 = 1 the upper end is open: a flat piece gives Newton no
@@ -453,6 +504,25 @@ class TestStageActionSets:
                     aset = strat.action_set(1, z, 2.0)
                     assert aset.contains(0.0)
 
+    # Before T-1 the mixes solve rhs(p) = q, rhs the expected value of
+    # waiting when each of n opponents vaccinates with p. A value of 1 when
+    # exactly j opponents vaccinate and 0 otherwise makes rhs the binomial
+    # pmf at j, and q = C_v + c - g0 = 3 - g0 (a point law at c = 2): the
+    # roots fall inside the grid's first and last cells, in the middle of a
+    # cell, and on its points p = 1/2, 1/4 and 3/4, where no cell changes
+    # sign
+    @pytest.mark.parametrize("n,j,g0,roots", [
+        (1, 0, 2.999, (0.999,)), (1, 0, 2.001, (0.001,)),
+        (1, 0, 2.7, (0.7,)), (1, 0, 2.5, (0.5,)),
+        (2, 1, 2.625, (0.25, 0.75)), (2, 1, 2.58, (0.3, 0.7))])
+    def test_mixes_before_the_final_epoch(self, n, j, g0, roots):
+        cfg = perfect_cfg(m=n + 1, t=3, c_v=1.0, c=2.0, z_bar=1, g0=g0)
+        aset = vg.stage_action_set(1, 0, 2.0,
+                                   lambda z, c: float(z == j), cfg)
+        assert aset.pure == (0.0,)
+        assert len(aset.mixed) == len(roots)
+        assert np.allclose(aset.mixed, roots, rtol=0.0, atol=1e-12)
+
     def test_all_or_nothing_tie_allows_interval(self):
         # z_bar = m and q exactly C_i
         cfg = perfect_cfg(m=3, t=3, c_v=1.0, c_i=3.0, c=2.0, z_bar=3, g0=0.0)
@@ -474,6 +544,36 @@ class TestSpecialStrategy:
         want = min(1.0 + 2.0 - 0.5, 5.0)
         assert strat.value(2, 0, 2.0) == pytest.approx(want)
         assert strat.value(2, 2, 2.0) == 0.0
+        # waiting is the choice where q = 2.5 passes C_i = 2, and the
+        # value is C_i
+        strat = vg.SpecialStrategy(perfect_cfg(c_i=2.0, g0=0.5))
+        assert strat.decision(2, 0, 2.0) == 0.0
+        assert strat.value(2, 0, 2.0) == 2.0
+
+    def test_wait_value_on_a_point_law(self):
+        # with xi = 2 known, C_{T-1} given C_t = c is (t c + (T-1-t) 2) /
+        # (T-1): from c = 4 at T = 4 that is 8/3 from t = 1 and 10/3 from
+        # t = 2, where Gamma_3 = (3/4) C + 1/2 is 2.5 and 3, and waiting is
+        # worth C_v + Gamma_3 - g0 = Gamma_3 + 0.5
+        strat = vg.SpecialStrategy(perfect_cfg(m=3, t=4, c_v=1.0, c_i=5.0,
+                                               c=2.0, z_bar=2, g0=0.5))
+        assert strat.value(1, 0, 4.0) == pytest.approx(3.0, abs=1e-14)
+        assert strat.value(2, 0, 4.0) == pytest.approx(3.5, abs=1e-14)
+
+    def test_eager_takes_the_largest_mix(self, monkeypatch):
+        # with waiting the only pure choice, eager vaccinates as much as
+        # its stage set lets it: the largest of the mixes
+        strat = vg.SpecialStrategy(perfect_cfg(m=3, t=4), EAGER)
+        monkeypatch.setattr(strat, "action_set", lambda t, z, c:
+                            game.StageActionSet(pure=(0.0,),
+                                                mixed=(0.25, 0.75)))
+        assert strat.decision(1, 0, 2.0) == 0.75
+
+    def test_value_at_the_horizon_is_the_score(self):
+        # at T the game is scored: C_i below the threshold, 0 from it on
+        strat = vg.SpecialStrategy(perfect_cfg(m=3, t=3, z_bar=2, g0=0.5))
+        assert [strat.value(3, z, 2.0) for z in range(4)] == [5.0, 5.0, 0.0,
+                                                              0.0]
 
     def test_threshold_states_never_vaccinate(self):
         for selector in (WAIT_AND_WATCH, EAGER):
@@ -547,6 +647,36 @@ class TestSpecialStrategy:
             vg.SpecialStrategy(cfg, selector)
         with pytest.raises(ValueError, match="^xi must be a finite law"):
             vg.verify_symmetric_ne(lambda *a: 0.0, cfg)
+
+    # Three stage sets that only the eager selector (or a callable) reads,
+    # each on a two-point law of mean 1 and checked by the exact oracle:
+    # the z_bar = M tie q = C_i at T-1 (the whole interval, eager takes 1);
+    # z_bar = M before T-1 with q above the value w(M-1) of waiting for
+    # everyone else (only waiting); and z_bar < M at T-1 with 0 < q < C_i
+    # (one mix, F_2(1; p) = 1 - p^2 = q/C_i = 1/2, which eager takes).
+    # Each set is the one at t = 1 (T-1 for T = 2) with nobody vaccinated.
+    @pytest.mark.parametrize("kw,aset,eager", [
+        (dict(m=2, t_horizon=2, c_v=1.0, c_i=2.0, z_bar=2),
+         game.StageActionSet(full_interval=True), 1.0),
+        (dict(m=2, t_horizon=3, c_v=5.0, c_i=1.0, z_bar=2),
+         game.StageActionSet(pure=(0.0,)), 0.0),
+        (dict(m=3, t_horizon=2, c_v=1.0, c_i=1.0, z_bar=2, g0=1.5),
+         game.StageActionSet(mixed=(math.sqrt(0.5),)), math.sqrt(0.5)),
+    ], ids=["tie-at-T-1", "above-w-before-T-1", "mixed-only-at-T-1"])
+    def test_eager_reads_every_kind_of_stage_set(self, kw, aset, eager):
+        cfg = vg.InfluencerGameConfig(
+            c_se_1=1.0, xi=XiModel(1.0, values=(0.0, 2.0), probs=(0.5, 0.5)),
+            **kw)
+        strat = vg.SpecialStrategy(cfg, EAGER)
+        got = strat.action_set(1, 0, 1.0)
+        assert got.full_interval == aset.full_interval
+        assert got.pure == aset.pure
+        assert np.allclose(got.mixed, aset.mixed, rtol=0.0, atol=1e-15)
+        assert strat.decision(1, 0, 1.0) == pytest.approx(eager, abs=1e-15)
+        for selector in (EAGER, WAIT_AND_WATCH):
+            check = vg.verify_symmetric_ne(
+                vg.SpecialStrategy(cfg, selector).decision, cfg)
+            assert check.passed and check.vaccinated_value_error < 1e-9
 
     @pytest.mark.parametrize("selector", ["eagr", None, 0.5])
     def test_unknown_selector_refused_when_built(self, selector):

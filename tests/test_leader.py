@@ -282,6 +282,32 @@ def reference_sums(g, z_bar, problem):
     return (total + (n - hi)) / n, slope / n, (lo + p_sum) / n
 
 
+@settings(max_examples=300, deadline=None)
+@given(c_v=st.floats(0.0, 10.0), c_i=st.floats(0.01, 20.0),
+       g=st.floats(0.0, 12.0), data=st.data())
+def test_mixed_run_ends_where_w_leaves_the_interior(c_v, c_i, g, data):
+    # draws within a few units in the last place of both ends of the run,
+    # where the rounding of g - C_v and C_v + Gamma - g decides: lo counts
+    # the draws with w <= 0 and hi the ones below w >= 1, so lo never has
+    # to walk back from the searchsorted of g - C_v
+    ends = (g - c_v, g - c_v + c_i)
+    steps = data.draw(st.lists(st.tuples(st.sampled_from(ends),
+                                         st.integers(-4, 4)), max_size=12))
+    gams = []
+    for end, k in steps:
+        x = end
+        for _ in range(abs(k)):
+            x = math.nextafter(x, math.copysign(math.inf, k))
+        gams.append(max(x, 0.0))
+    gams = np.sort(np.array(gams, dtype=float))
+    cfg = game_cfg(20, c_v=c_v, c_i=c_i)
+    w = [(c_v + x - g) / c_i for x in gams.tolist()]
+    below = sum(x < g - c_v for x in gams.tolist())
+    assert all(v <= 0.0 for v in w[:below])
+    assert leader._mixed_run(g, gams, cfg) == (
+        sum(v <= 0.0 for v in w), len(w) - sum(v >= 1.0 for v in w))
+
+
 N_SLICED = 20_000
 SMALL_PROBLEMS = {zb: mc_problem(0.05, zb, n=2_000) for zb in (1, 20, 39, 40)}
 
@@ -398,6 +424,10 @@ class TestSlicedConstraint:
     @given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
            delta=st.floats(1e-3, 0.999), z_bar=st.integers(1, 39),
            costs=st.tuples(st.floats(0.0, 10.0), st.floats(0.01, 20.0)))
+    # C_i = 0.01 makes the mixed run at the one-point root narrower than
+    # the gap between the mid-quantile draws next to the median: the
+    # subset has no mixed draw and no slope, and the start stays at g0
+    @example(n=400, seed=352, delta=0.9, z_bar=17, costs=(7.76, 0.01))
     def test_count_decision_and_quantile_start_keep_the_root(
             self, n, seed, delta, z_bar, costs):
         # the solve decides N_P(0) > delta from the draws with w >= 1 and

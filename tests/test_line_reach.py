@@ -6,9 +6,11 @@ import sys
 from pathlib import Path
 
 import vaxgame as vg
+from tests.tools.line_reach import executable_lines
 
 ROOT = Path(__file__).resolve().parents[1]
 PARAMS = Path(vg.__file__).with_name("params.py")
+UNREACHED = ROOT / "tests" / "tools" / "unreached.txt"
 
 
 def _line_of(text: str) -> int:
@@ -112,3 +114,24 @@ def test_mutation_runner_kills_a_known_mutant(tmp_path):
     # the checkout itself is never changed
     assert (tmp_path / "src" / "vaxgame" / "params.py").read_text() == \
         PARAMS.read_text()
+
+
+def test_unreached_list_names_executable_lines_with_reasons():
+    # each entry is a row of the plugin's report, "module.py function:
+    # lines", then "  # " and why no test reaches it; the lines are
+    # executable lines of that function, in order, and the rows come one a
+    # function in the plugin's order, by module and first line
+    src = Path(vg.__file__).parent
+    keys = []
+    for row in UNREACHED.read_text().splitlines():
+        entry, sep, reason = row.partition("  # ")
+        assert sep and reason.strip() and "#" not in entry, row
+        module, _, rest = entry.partition(" ")
+        owner, _, lines = rest.rpartition(": ")
+        numbers = [int(n) for n in lines.split()]
+        assert numbers and numbers == sorted(set(numbers)), row
+        owners = executable_lines(src / module)
+        assert [owners.get(n) for n in numbers] == [owner] * len(numbers), row
+        keys.append((module, numbers[0], owner))
+    assert keys == sorted(keys)
+    assert len({(module, owner) for module, _, owner in keys}) == len(keys)
