@@ -10,8 +10,7 @@ from .ess import (Admissibility, EssReport, classify_esss, eradication_probabili
 from .game import (CostPath, InfluencerGameConfig, NeCheck, SpecialStrategy,
                    StageActionSet, XiModel, binom_cdf, gamma,
                    ne_outcome_probability, sample_cost_path, sample_z_t,
-                   solve_mixed_probability, stage_action_set,
-                   verify_symmetric_ne)
+                   stage_action_set, verify_symmetric_ne)
 from .leader import (ComparisonRow, ExpectationSampler, JointDesign,
                      LeaderProblem, LeaderSolution, compare_across_zbar,
                      construct_eps_vaccine_optimal_nu,

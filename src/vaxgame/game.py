@@ -53,10 +53,6 @@ _WAIT_SEED = 1241
 _NE_TOL = 1e-9
 
 
-class NotMixedRegimeError(ValueError):
-    """Indifference equation has no interior solution at this state."""
-
-
 class ConstructionError(ValueError):
     """Selector proposed an action outside the admissible stage set."""
 
@@ -343,9 +339,16 @@ def binom_cdf(l: int, m: int, p) -> float | np.ndarray:
 
 
 def binom_pmf(ys: np.ndarray, l: int, p: float) -> np.ndarray:
-    """P(Bin(l, p) = y) over the counts ys, as scipy.stats.binom.pmf
-    computes it: boost's pmf, clipped to [0, 1]."""
+    """P(Bin(l, p) = y) for the counts ys in 0..l, as scipy.stats.binom.pmf
+    computes it there: boost's pmf, clipped to [0, 1]."""
     return np.clip(_boost_binom_pmf(ys, l, p), 0.0, 1.0)
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    """(lo + hi) / 2, halved term by term only where the sum overflows, so
+    that a finite bracket's midpoint stays finite and inside it."""
+    mid = 0.5 * (lo + hi)
+    return mid if math.isfinite(mid) else 0.5 * lo + 0.5 * hi
 
 
 def bisect_decreasing(f, target: float, lo: float, hi: float, atol: float,
@@ -363,8 +366,8 @@ def bisect_decreasing(f, target: float, lo: float, hi: float, atol: float,
     With tol = max(atol, rtol |x|) at the evaluated x, a solve ends in one
     of two ways: a Newton step of at most tol returns the x it steps from,
     and a bracket of width at most tol, or one whose midpoint no longer
-    splits it in floating point, returns its midpoint. 200 evaluations at
-    most.
+    splits it in floating point, returns its midpoint. The 200th evaluation
+    ends any other solve, with the next x, strictly inside a finite bracket.
 
     hi = inf leaves the upper end open: it closes at the first x with f(x)
     <= target. Until then no x past the reach lo + step 2^(PROBES-1) is
@@ -373,7 +376,7 @@ def bisect_decreasing(f, target: float, lo: float, hi: float, atol: float,
     k < PROBES, above every x evaluated so far. If no probe is left, f
     stayed above target up to the reach and the result is nan.
     """
-    x = 0.5 * (lo + hi) if x0 is None else x0
+    x = _midpoint(lo, hi) if x0 is None else x0
     if hi == math.inf:
         base = lo
         probes = (base + step * 2.0 ** k for k in range(PROBES))
@@ -390,7 +393,7 @@ def bisect_decreasing(f, target: float, lo: float, hi: float, atol: float,
             hi = x
         tol = max(atol, rtol * abs(x))
         if hi - lo <= tol:
-            return 0.5 * (lo + hi)
+            return _midpoint(lo, hi)
         if dfx < 0.0:
             dx = (fx - target) / dfx
             if abs(dx) <= tol:
@@ -398,7 +401,7 @@ def bisect_decreasing(f, target: float, lo: float, hi: float, atol: float,
             x -= dx
         if not (dfx < 0.0 and lo < x < hi):
             # with the upper end open, x = inf: the next probe
-            x = 0.5 * (lo + hi)
+            x = _midpoint(lo, hi)
             if hi < math.inf and not lo < x < hi:
                 return x
     return x
@@ -407,58 +410,71 @@ def bisect_decreasing(f, target: float, lo: float, hi: float, atol: float,
 def _mixed_root(w: float, trials: int, successes: int) -> float:
     """Unique p in (0,1) with binom_cdf(trials, successes, p) = w in (0,1).
 
-    The cdf is strictly decreasing in p, with slope -trials
+    The cdf F is strictly decreasing in p, with slope -trials
     pmf_{trials-1}(successes; p), so Newton safeguarded on [0, 1] pushes the
     residual to float precision in about 15 cdf evaluations. Hot path: hits
-    the cdf and pmf ufuncs directly.
+    the cdf and pmf ufuncs directly. For w far below F(1/2) each Newton
+    step lowers ln F by only about 1, and the 200 evaluations run out (at
+    39 trials, for w below about 1e-99), the one ending that leaves the
+    result strictly inside a bracket wider than the tolerance. The solve
+    then goes on by Newton on ln F, which is concave in p (F is the
+    survival function of a Beta(successes + 1, trials - successes) law).
     """
     k, n = int(successes), int(trials)
+    lo, hi = 0.0, 1.0
 
     def cdf_and_slope(p: float) -> tuple[float, float]:
-        return bdtr(k, n, p), -n * _boost_binom_pmf(k, n - 1, p)
+        nonlocal lo, hi
+        f = bdtr(k, n, p)
+        lo, hi = (p, hi) if f > w else (lo, p)
+        return f, -n * _boost_binom_pmf(k, n - 1, p)
 
-    return bisect_decreasing(cdf_and_slope, w, 0.0, 1.0, atol=1e-17)
+    p = bisect_decreasing(cdf_and_slope, w, 0.0, 1.0, atol=1e-17)
+    if not (lo < p < hi and hi - lo > 1e-17):
+        return p
+
+    def log_cdf_and_slope(p: float) -> tuple[float, float]:
+        f, df = cdf_and_slope(p)
+        return (math.log(f), df / f) if f > 0.0 else (-math.inf, 0.0)
+
+    return bisect_decreasing(log_cdf_and_slope, math.log(w), lo, hi,
+                             atol=1e-17, x0=p)
 
 
-def solve_mixed_probability(z: int, c: float, g_z: float,
-                            cfg: InfluencerGameConfig) -> float:
-    """Indifference probability at the final decision epoch.
+def _final_choice(g: float, gam: float, z: int, z_bar: int,
+                  cfg: InfluencerGameConfig) -> tuple[float, str]:
+    """(p, kind): the last-epoch choice of a susceptible influencer with z
+    of m vaccinated, at incentive g and estimate gam = Gamma_{T-1}(c); a
+    kind other than 'tie' names the StageActionSet field that holds p.
 
-    Solves C_v + Gamma_{T-1}(c) - g_z = C_i * F_{m-1-z}(z_bar-1-z; p) for
-    the state with z already-vaccinated influencers, an integer in 0..m.
-    Requires the interior regime 0 < C_v + Gamma - g_z < C_i and z_bar < m.
-    """
-    require_integer("z", z, 0, cfg.m)
-    if cfg.z_bar >= cfg.m:
-        raise NotMixedRegimeError("final-epoch mixing needs z_bar < m")
-    if z >= cfg.z_bar:
-        raise NotMixedRegimeError("no mixing at or above the threshold")
-    q = cfg.c_v + gamma(cfg.t_horizon - 1, c, cfg) - g_z
-    w = q / cfg.c_i
-    if not 0.0 < w < 1.0:
-        raise NotMixedRegimeError(
-            f"(C_v + Gamma - g)/C_i = {w:.6g} outside (0, 1)")
-    return _mixed_root(w, cfg.m - 1 - z, cfg.z_bar - 1 - z)
+    For z_bar = m, p is 1 below the edge gam = g - C_v + C_i and 0 above
+    it ('pure'); on it every p is a best reply ('tie'), and p = 0 waits.
+    Otherwise w = (C_v + gam - g)/C_i, its numerator clipped to [0, C_i]
+    as p_from_gamma_vec clips it, gives p = 1 at w <= 0 and 0 at w >= 1
+    ('pure'), and between them the root of F_{m-1-z}(z_bar-1-z; p) = w
+    ('mixed')."""
+    if z_bar == cfg.m:
+        edge = g - cfg.c_v + cfg.c_i
+        if gam < edge:
+            return 1.0, "pure"
+        if gam > edge:
+            return 0.0, "pure"
+        return 0.0, "tie"
+    w = min(max(cfg.c_v + gam - g, 0.0), cfg.c_i) / cfg.c_i
+    if w <= 0.0:
+        return 1.0, "pure"
+    if w >= 1.0:
+        return 0.0, "pure"
+    return _mixed_root(w, cfg.m - 1 - z, z_bar - 1 - z), "mixed"
 
 
 def p_from_gamma(g: float, gam: float, z_bar: int,
                  cfg: InfluencerGameConfig) -> float:
-    """Equilibrium vaccination probability given the final-epoch estimate.
-
-    gam is Gamma_{T-1}(c). For z_bar = m the choice is all-or-nothing with
-    the tie gam = g - C_v + C_i broken toward not vaccinating; otherwise w
-    = (C_v + gam - g)/C_i clamps p to 1 at w <= 0 and 0 at w >= 1, rounded
-    as p_from_gamma_vec rounds them. z_bar must be an integer in 1..m.
-    """
+    """Equilibrium vaccination probability given the final-epoch estimate
+    gam = Gamma_{T-1}(c): _final_choice's p with nobody vaccinated, a tie
+    going to waiting. z_bar must be an integer in 1..m."""
     require_integer("z_bar", z_bar, 1, cfg.m)
-    if z_bar == cfg.m:
-        return 1.0 if gam < g - cfg.c_v + cfg.c_i else 0.0
-    w = min(max(cfg.c_v + gam - g, 0.0), cfg.c_i) / cfg.c_i
-    if w <= 0.0:
-        return 1.0
-    if w >= 1.0:
-        return 0.0
-    return _mixed_root(w, cfg.m - 1, z_bar - 1)
+    return _final_choice(g, gam, 0, z_bar, cfg)[0]
 
 
 def ne_outcome_probability(g: float, c: float, z_bar: int,
@@ -638,31 +654,21 @@ def stage_action_set(t: int, z: int, c: float, value_next,
     susceptible agent; expectations over the opponents' binomial count and
     the next side-effect estimate are taken here, the latter over
     cfg.xi.nodes(), so before T-1 a continuous law raises ValueError.
-    z >= z_bar forces waiting. At T-1 the set is rounded as p_from_gamma
-    rounds its clamps and its z_bar = m tie, so that at z = 0 the two agree
-    to the bit.
+    z >= z_bar forces waiting. At T-1 the set is the last-epoch rule
+    (_final_choice), the one p_from_gamma reads: its tie is the whole
+    interval, its root the one mix and its clamp the one pure action.
     """
-    T = cfg.t_horizon
     if z >= cfg.z_bar:
         return StageActionSet(pure=(0.0,))
     gam, g = gamma(t, c, cfg), cfg.g(z)
+
+    if t == cfg.t_horizon - 1:
+        p, kind = _final_choice(g, gam, z, cfg.z_bar, cfg)
+        if kind == "tie":
+            return StageActionSet(full_interval=True)
+        return StageActionSet(**{kind: (p,)})
+
     q = cfg.c_v + gam - g
-
-    if t == T - 1:
-        if cfg.z_bar < cfg.m:
-            w = min(max(q, 0.0), cfg.c_i) / cfg.c_i
-            if w <= 0.0:
-                return StageActionSet(pure=(1.0,))
-            if w >= 1.0:
-                return StageActionSet(pure=(0.0,))
-            return StageActionSet(mixed=(
-                _mixed_root(w, cfg.m - 1 - z, cfg.z_bar - 1 - z),))
-        if gam < g - cfg.c_v + cfg.c_i:
-            return StageActionSet(pure=(1.0,))
-        if gam > g - cfg.c_v + cfg.c_i:
-            return StageActionSet(pure=(0.0,))
-        return StageActionSet(full_interval=True)
-
     xi_v, xi_w = cfg.xi.nodes()
     n_opp = cfg.m - z - 1
     next_c = (t * c + xi_v) / (t + 1)
@@ -704,8 +710,8 @@ class SpecialStrategy:
 
     Any other selector recurses over cfg.xi.nodes(), so it refuses a
     continuous law with ValueError when built, as it does a selector that
-    is neither a preset nor callable. Wait-and-watch takes any law: only
-    its stage sets before T-1, which it never reads, need nodes.
+    is neither a preset nor callable. Wait-and-watch takes any law: it
+    reads no stage set, only the last-epoch rule at T-1.
     """
 
     def __init__(self, cfg: InfluencerGameConfig, selector=WAIT_AND_WATCH):
@@ -733,22 +739,16 @@ class SpecialStrategy:
         cfg = self.cfg
         if z >= cfg.z_bar:
             p = 0.0
-        elif self.selector == WAIT_AND_WATCH and t < cfg.t_horizon - 1:
-            p = 0.0
+        elif self.selector == WAIT_AND_WATCH:
+            # wait until T-1, then take the last-epoch rule, a tie waiting
+            p = 0.0 if t < cfg.t_horizon - 1 else _final_choice(
+                cfg.g(z), gamma(t, c, cfg), z, cfg.z_bar, cfg)[0]
         else:
-            aset = self.action_set(t, z, c)
-            p = self._select(t, z, c, aset)
+            p = self._select(t, z, c, self.action_set(t, z, c))
         self._dec[key] = p
         return p
 
     def _select(self, t, z, c, aset: StageActionSet) -> float:
-        if self.selector == WAIT_AND_WATCH:
-            # final epoch; ties broken toward waiting
-            if aset.full_interval:
-                return 0.0
-            if aset.mixed:
-                return aset.mixed[0]
-            return aset.pure[0]
         if self.selector == EAGER:
             if aset.contains(1.0):
                 return 1.0

@@ -21,15 +21,20 @@ under the paper's assumptions: M symmetric influencers decide at t =
 paid while fewer than z_bar of them are vaccinated, plus the side-effect
 cost Gamma_t(c) that the running average c of i.i.d. nonnegative daily
 data xi (of positive mean) predicts; an influencer still unvaccinated at
-T pays C_i > 0 when fewer than z_bar are vaccinated.
+T pays C_i > 0 when fewer than z_bar are vaccinated. Where the leader
+prices the incentive (the game and leader layers' agreement), the law of
+xi is a point, so the final estimate Gamma_{T-1} is known.
 """
+import math
+
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import vaxgame as vg
 from vaxgame.game import EAGER, WAIT_AND_WATCH, p_from_gamma
-from vaxgame.leader import JointDesignError, l_values
+from vaxgame.leader import JointDesignError, c_infinity, l_values
 from vaxgame.params import MAX_RATE
 
 
@@ -220,7 +225,7 @@ def _point_game(m, c_v, c_i, xi, z_bar):
 # C_i = 0.10000000000000009, so p_from_gamma vaccinates
 @example(cfg=_point_game(1, 1.0, 1.1, 0.1, 1), c=0.1)
 # z_bar < M: (C_v + Gamma - g)/C_i = 5e-324/10 underflows to 0, which the
-# stage set refused with NotMixedRegimeError and p_from_gamma reads as 1
+# stage set once refused as no interior mix and p_from_gamma reads as 1
 @example(cfg=_point_game(2, 5e-324, 10.0, 5e-324, 1), c=0.0)
 def test_the_last_decision_is_the_leaders_closed_form(cfg, c):
     """At T-1 with nobody vaccinated, wait-and-watch vaccinates with
@@ -230,3 +235,46 @@ def test_the_last_decision_is_the_leaders_closed_form(cfg, c):
     assert (vg.SpecialStrategy(cfg).decision(T - 1, 0, c)
             == p_from_gamma(cfg.g(0), vg.gamma(T - 1, c, cfg), cfg.z_bar,
                             cfg))
+
+
+# Sampled influencers per example of the coverage property.
+_COVERAGE_DRAWS = 20_000
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 40), t=st.integers(2, 20), c_v=st.floats(0.0, 5.0),
+       c_i=st.floats(0.1, 10.0), c_se_1=st.floats(0.0, 10.0),
+       xi=st.floats(0.01, 10.0), data=st.data(), u=st.floats(-0.2, 1.2),
+       seed=st.integers(0, 2**32 - 1))
+def test_sampled_coverage_is_the_leaders_closed_form(m, t, c_v, c_i, c_se_1,
+                                                     xi, data, u, seed):
+    """Under a point law the wait-and-watch outcome sample_z_t draws clears
+    z_bar at the rate 1 - N_P(g) of the leader's closed form.
+
+    z_bar is m in half the examples, the all-or-nothing case, and the
+    incentive is g = C_v + Gamma - u C_i, so that u in (0, 1) mixes and
+    the clamps lie at u = 0 and 1. u stays 1e-6 from them, a margin of at
+    least 1e-7 in g: the draws and c_infinity round Gamma apart by a few
+    ulps, which at an edge can flip p. The draws share one p, so the
+    coverage is a binomial mean of n = _COVERAGE_DRAWS trials: by
+    Bernstein's inequality it lies within sqrt(2 q (1-q) L / n) + 2 L /
+    (3 n) of its mean with probability 1 - 2 exp(-L), L = ln(2e9). That
+    mean is q = 1 - N_P(g) but for p_from_gamma_vec's interpolated table,
+    whose p moves F_m(z_bar-1; p) by at most 1.2e-5 for m <= 40 (measured
+    across the table's cells; the worst lies in the first, at p < 2.5e-4),
+    so 2e-5 is added.
+    """
+    z_bar = m if data.draw(st.booleans()) else data.draw(st.integers(1, m))
+    assume(min(abs(u), abs(u - 1.0)) > 1e-6)
+    cfg = vg.InfluencerGameConfig(m=m, t_horizon=t, c_v=c_v, c_i=c_i,
+                                  c_se_1=c_se_1, xi=vg.XiModel(xi),
+                                  z_bar=z_bar)
+    g = c_v + c_infinity(cfg) - u * c_i
+    problem = vg.LeaderProblem(0.05, cfg, vg.ExpectationSampler())
+    q = 1.0 - vg.non_eradication_probability(g, z_bar, problem)
+    zs, _ = vg.sample_z_t(g, cfg, seed, _COVERAGE_DRAWS)
+    coverage = float(np.mean(zs >= z_bar))
+    n, big_l = _COVERAGE_DRAWS, math.log(2e9)
+    bound = (math.sqrt(2 * q * (1 - q) * big_l / n) + 2 * big_l / (3 * n)
+             + 2e-5)
+    assert abs(coverage - q) <= bound, (coverage, q, g)

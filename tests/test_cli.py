@@ -77,6 +77,18 @@ class TestSubcommands:
         # the --xi-var the user gave (default 2)
         assert lines[1].split(",")[2] == "2"
 
+    def test_perfect_information_meets_a_vanishing_delta(self, capsys,
+                                                         tmp_path):
+        # p* solves F_40(0; p) = (1-p)^40 = delta, which 200 Newton steps
+        # on F from p = 1/2 do not reach: they end near 0.99684, where N_P
+        # is 9.9e-101
+        code, out, _ = run_main(capsys, "optimize-leader", "--mode", "perfect",
+                                "--zbar", "1", "--delta", "1e-150",
+                                "--csv", str(tmp_path / "s.csv"))
+        assert code == 0
+        assert json.loads(out)["np_at_g"] == pytest.approx(1e-150, rel=1e-6,
+                                                        abs=0.0)
+
     def test_optimize_leader_heads_an_empty_sweep_file(self, capsys,
                                                        tmp_path):
         # a file that exists but holds nothing gets the header, as a new

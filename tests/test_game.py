@@ -15,9 +15,9 @@ from scipy.special import bdtr
 import vaxgame as vg
 from vaxgame import game, leader
 from vaxgame.game import (DRAW_BLOCK_ROWS, EAGER, WAIT_AND_WATCH,
-                          ConstructionError, NotMixedRegimeError, XiModel,
-                          _mixed_root, bisect_decreasing, final_gamma_draws,
-                          p_from_gamma, p_from_gamma_vec)
+                          ConstructionError, XiModel, _mixed_root,
+                          bisect_decreasing, final_gamma_draws, p_from_gamma,
+                          p_from_gamma_vec)
 
 EPS = np.finfo(float).eps
 
@@ -133,9 +133,6 @@ class TestCountChecks:
         (lambda cfg: vg.p_star(1.5, 3, 0.1), "k"),
         (lambda cfg: vg.p_star(True, 3, 0.1), "k"),
         (lambda cfg: vg.p_star(2, 3.5, 0.1), "m"),
-        (lambda cfg: vg.solve_mixed_probability(-1, 0.5, 0.0, cfg), "z"),
-        (lambda cfg: vg.solve_mixed_probability(1.5, 0.5, 0.0, cfg), "z"),
-        (lambda cfg: vg.solve_mixed_probability(True, 0.5, 0.0, cfg), "z"),
         (lambda cfg: vg.ne_outcome_probability(0, 0.5, 1.5, cfg), "z_bar"),
         (lambda cfg: vg.ne_outcome_probability(0, 0.5, True, cfg), "z_bar"),
         (lambda cfg: vg.binom_cdf(3.5, 1, 0.5), "l"),
@@ -155,13 +152,12 @@ class TestCountChecks:
         (lambda cfg: vg.gamma(4, 2.0, cfg), "t"),
         (lambda cfg: vg.p_star(2, 3, 1.0), "delta"),
         (lambda cfg: vg.p_star(2, 3, math.nan), "delta"),
-    ], ids=["p_star-k-1.5", "p_star-k-True", "p_star-m-3.5", "mixed-z--1",
-            "mixed-z-1.5", "mixed-z-True", "outcome-zbar-1.5",
-            "outcome-zbar-True", "cdf-l-3.5", "cdf-m-1.5", "cdf-m-True",
-            "cdf-p-nan", "cdf-p-array-nan", "p-zbar-1.5", "p-zbar-True",
-            "p-zbar-0", "p-zbar-4", "p-vec-zbar-1.5", "p-vec-zbar-True",
-            "p-vec-zbar-0", "p-vec-zbar-4", "gamma-t-0", "gamma-t-4",
-            "p_star-delta-1", "p_star-delta-nan"])
+    ], ids=["p_star-k-1.5", "p_star-k-True", "p_star-m-3.5",
+            "outcome-zbar-1.5", "outcome-zbar-True", "cdf-l-3.5", "cdf-m-1.5",
+            "cdf-m-True", "cdf-p-nan", "cdf-p-array-nan", "p-zbar-1.5",
+            "p-zbar-True", "p-zbar-0", "p-zbar-4", "p-vec-zbar-1.5",
+            "p-vec-zbar-True", "p-vec-zbar-0", "p-vec-zbar-4", "gamma-t-0",
+            "gamma-t-4", "p_star-delta-1", "p_star-delta-nan"])
     def test_bad_count_or_probability_is_refused(self, call, name):
         with pytest.raises(ValueError, match=rf"^{name} must "):
             call(self.CFG)
@@ -209,23 +205,25 @@ class TestCdfTable:
 
 class TestMixedProbability:
     def test_closed_form_two_opponents(self):
-        # F_2(1; p) = 1 - p^2 = 0.75  =>  p = 0.5
+        # w = (C_v + Gamma - g)/C_i = 3/4: with nobody vaccinated F_2(1; p)
+        # = 1 - p^2 = 3/4 gives p = 1/2; with one vaccinated F_1(0; p) =
+        # 1 - p = 3/4 gives p = 1/4
         cfg = perfect_cfg(m=3, t=2, c_v=1.0, c_i=4.0, c=2.0, z_bar=2)
         assert vg.gamma(1, 2.0, cfg) == pytest.approx(2.0)
-        p = vg.solve_mixed_probability(0, 2.0, 0.0, cfg)
-        assert p == pytest.approx(0.5, abs=1e-12)
+        for z, want in ((0, 0.5), (1, 0.25)):
+            p, kind = game._final_choice(0.0, 2.0, z, 2, cfg)
+            assert kind == "mixed"
+            assert p == pytest.approx(want, abs=1e-12)
 
-    def test_rejects_non_interior_targets(self):
+    def test_the_rule_clamps_outside_the_interior(self):
+        # w <= 0 vaccinates and w >= 1 waits, both pure; for z_bar = m the
+        # edge Gamma = g - C_v + C_i = 3 is a tie, and the tie's p waits
         cfg = perfect_cfg(m=3, t=2, c_v=1.0, c_i=4.0, c=2.0, z_bar=2)
-        with pytest.raises(NotMixedRegimeError):
-            vg.solve_mixed_probability(0, 2.0, 10.0, cfg)   # target <= 0
-        with pytest.raises(NotMixedRegimeError):
-            vg.solve_mixed_probability(0, 50.0, 0.0, cfg)   # target >= 1
-        with pytest.raises(NotMixedRegimeError, match="needs z_bar < m"):
-            vg.solve_mixed_probability(0, 2.0, 0.0, perfect_cfg(
-                m=3, t=2, c_v=1.0, c_i=4.0, c=2.0, z_bar=3))
-        with pytest.raises(NotMixedRegimeError, match="at or above the"):
-            vg.solve_mixed_probability(2, 2.0, 0.0, cfg)
+        assert game._final_choice(10.0, 2.0, 0, 2, cfg) == (1.0, "pure")
+        assert game._final_choice(0.0, 26.0, 0, 2, cfg) == (0.0, "pure")
+        assert game._final_choice(0.0, 2.0, 0, 3, cfg) == (1.0, "pure")
+        assert game._final_choice(0.0, 3.0, 0, 3, cfg) == (0.0, "tie")
+        assert game._final_choice(0.0, 3.5, 0, 3, cfg) == (0.0, "pure")
 
     def test_residuals_against_cdf(self):
         rng = np.random.default_rng(3)
@@ -236,6 +234,29 @@ class TestMixedProbability:
             w = rng.uniform(1e-6, 1 - 1e-6)
             p = _mixed_root(w, m - 1 - z, z_bar - 1 - z)
             assert abs(vg.binom_cdf(m - 1 - z, z_bar - 1 - z, p) - w) < 1e-10
+        # w log-uniform down to 1e-300, where Newton on F alone crawls: the
+        # result lies within d = 1e-17 + 4 ulp(p), the solve's tolerance and
+        # the float spacing at p, of the root, so w lies between F(p - d)
+        # and F(p + d), widened by the cdf's own rounding (n eps relative)
+        for _ in range(500):
+            n = int(rng.integers(1, 86))
+            k = int(rng.integers(0, n))
+            w = 10.0 ** rng.uniform(-300.0, -1e-6)
+            p = _mixed_root(w, n, k)
+            d = 1e-17 + 4 * math.ulp(p)
+            slack = 1.0 + 4 * n * EPS
+            assert (vg.binom_cdf(n, k, max(p - d, 0.0)) * slack >= w
+                    >= vg.binom_cdf(n, k, min(p + d, 1.0)) / slack), (n, k, w)
+
+    @pytest.mark.parametrize("w,trials,want", [
+        (1e-150, 39, 1.0 - 1e-150 ** (1 / 39)),
+        (1e-300, 1, 1.0), (1e-300, 85, 1.0 - 1e-300 ** (1 / 85))])
+    def test_a_vanishing_target_is_solved(self, w, trials, want):
+        # F_n(0; p) = (1-p)^n: each Newton step on F from p = 1/2 lowers ln
+        # F by about 1, so at 39 trials 200 steps end near 0.99723, far from
+        # the root 0.99986 of 1e-150
+        assert _mixed_root(w, trials, 0) == pytest.approx(want, rel=1e-15,
+                                                         abs=0.0)
 
     @pytest.mark.parametrize("atol,rtol", [(1e-12, 0.0), (1e-3, 0.0),
                                            (0.0, 1e-10)])
@@ -298,6 +319,21 @@ class TestMixedProbability:
         root = bisect_decreasing(f, 0.0, 0.0, 1e300, atol=0.0, rtol=0.0)
         assert seen == [1e300 / 2.0 ** k for k in range(1, 201)]
         assert root == seen[-1] / 2
+
+    def test_midpoints_near_the_float_range_stay_in_the_bracket(self):
+        # lo + hi passes the float range from the third evaluation on; the
+        # midpoints are halved term by term there, so the solve closes on
+        # the top of the bracket
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return 1.0, 0.0
+
+        root = bisect_decreasing(f, 0.0, 0.0, 1e308, atol=0.0)
+        assert seen[:3] == [5e307, 7.5e307, 8.75e307]
+        assert all(0.0 < x < 1e308 for x in seen)
+        assert 0.0 <= root <= 1e308
 
     def test_open_upper_end_probes_within_the_reach(self):
         # from x0 = 1 the upper end is open: a flat piece gives Newton no

@@ -911,6 +911,12 @@ class TestPStar:
         for m, k, delta in [(40, 13, 0.07), (11, 5, 0.4), (25, 24, 0.002)]:
             p = vg.p_star(k, m, delta)
             assert vg.binom_cdf(m, k - 1, p) == pytest.approx(delta, abs=1e-12)
+        # deltas far below F_40(0; 1/2) = 2^-40, which 200 Newton steps on
+        # F from p = 1/2 do not reach, are met to a relative 1e-6
+        for delta in (1e-100, 1e-150, 1e-300):
+            p = vg.p_star(1, 40, delta)
+            assert vg.binom_cdf(40, 0, p) == pytest.approx(delta, rel=1e-6,
+                                                           abs=0.0)
 
 
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"

@@ -1,9 +1,13 @@
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 import vaxgame as vg
 from tests.tools.line_reach import executable_lines
@@ -114,6 +118,47 @@ def test_mutation_runner_kills_a_known_mutant(tmp_path):
     # the checkout itself is never changed
     assert (tmp_path / "src" / "vaxgame" / "params.py").read_text() == \
         PARAMS.read_text()
+
+
+def test_mutation_runner_cleans_up_on_sigterm(tmp_path):
+    # the runner's traced pytest run reaches a test that records its pid
+    # and sleeps; SIGTERM then kills that pytest and removes the runner's
+    # copy of the checkout from TMPDIR
+    checkout, tmp, pid_file = (tmp_path / "checkout", tmp_path / "tmp",
+                               tmp_path / "pid")
+    (checkout / "tests" / "tools").mkdir(parents=True)
+    (checkout / "src" / "vaxgame").mkdir(parents=True)
+    (checkout / "src" / "vaxgame" / "__init__.py").write_text("")
+    tmp.mkdir()
+    for tool in ("line_reach.py", "mutate.py"):
+        shutil.copy2(ROOT / "tests" / "tools" / tool,
+                     checkout / "tests" / "tools")
+    (checkout / "tests" / "test_sleeps.py").write_text(
+        "import os\nimport time\n\n"
+        "def test_sleeps():\n"
+        f"    with open({str(pid_file)!r}, 'w') as out:\n"
+        "        out.write(str(os.getpid()))\n"
+        "    time.sleep(60)\n")
+    runner = subprocess.Popen(
+        [sys.executable, "-m", "tests.tools.mutate", "params.py",
+         "tests/test_sleeps.py"], cwd=checkout,
+        env=dict(os.environ, TMPDIR=str(tmp)), stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        while not pid_file.exists() or not pid_file.read_text():
+            assert time.monotonic() < deadline and runner.poll() is None
+            time.sleep(0.02)
+        child = int(pid_file.read_text())
+        assert list(tmp.glob("mutate-*"))
+        runner.send_signal(signal.SIGTERM)
+        assert runner.wait(timeout=30) == 143
+    finally:
+        runner.kill()
+        runner.wait()
+    assert not list(tmp.glob("mutate-*"))
+    with pytest.raises(ProcessLookupError):
+        os.kill(child, 0)
 
 
 def test_unreached_list_names_executable_lines_with_reasons():

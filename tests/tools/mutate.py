@@ -29,7 +29,9 @@ pass, and is unreached when no test reaches its lines, so it is never
 run. Each mutant is one line of the report,
 the survivors are listed again at the end, and the exit status is 1 if
 any mutant survived. Mutants run one after another, from sources that
-are never cached as bytecode, so no mutant sees another's module.
+are never cached as bytecode, so no mutant sees another's module. SIGTERM
+ends a run as an error would: the running pytest is killed, the copy is
+removed, and the exit status is 143.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ import ast
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -220,7 +223,12 @@ def _lines(spec: str) -> set[int]:
     return out
 
 
+def _exit_on_signal(signum, frame):
+    sys.exit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
+    signal.signal(signal.SIGTERM, _exit_on_signal)
     ap = argparse.ArgumentParser(prog="python -m tests.tools.mutate",
                                  description=__doc__.split("\n\n")[0])
     ap.add_argument("module", help="file under src/vaxgame, e.g. params.py")
