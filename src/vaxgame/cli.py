@@ -338,18 +338,15 @@ def reproduce_figure(fig_id: int, outdir: Path,
             costs = PublicCostModel(s=float(s), **FIG_S_COSTS)
             design = _vaccine_optimal_design(costs, dis, 40)
             k = design.k_star
-            exists = leader.incentive_optimal_exists(costs, dis, 40)
-            row = [s, k, design.psi_e_achieved, 1 if exists else 0]
-            for delta in (0.01, 0.1):
-                sol = leader.solve_optimal_incentive(
-                    k, leader.LeaderProblem(delta, _fig_cfg(k), sampler))
-                row.append(sol.u_star)
-            psi_inc = None
-            if exists:
+            try:
                 nu_inc = leader.construct_incentive_optimal_nu(costs, dis, 40)
                 psi_inc = epidemic.psi_eradicating(nu_inc, dis.b)
-            row.append(psi_inc)
-            rows.append(row)
+            except leader.JointDesignError:
+                psi_inc = None
+            u_stars = [leader.solve_optimal_incentive(k, leader.LeaderProblem(
+                delta, _fig_cfg(k), sampler)).u_star for delta in (0.01, 0.1)]
+            rows.append([s, k, design.psi_e_achieved, int(psi_inc is not None),
+                         *u_stars, psi_inc])
         return write_csv(outdir / "fig5_joint_design_vs_s.csv",
                          ["s", "k_star", "psi_e_vaccine_opt", "incentive_opt_exists",
                           "u_star_d0.01", "u_star_d0.1", "psi_e_incentive_opt"], rows)

@@ -586,10 +586,12 @@ def p_from_gamma_vec(g: float, gams: np.ndarray, z_bar: int,
                      cfg: InfluencerGameConfig) -> np.ndarray:
     """Vectorized p(g, .) over an array of Gamma values.
 
-    Interior solutions come from a monotone interpolation table of the
-    binomial CDF, accurate to ~1e-7 in p; ample for Monte Carlo use and
-    monotone in g sample-by-sample. Scalar exact evaluation lives in
-    p_from_gamma. z_bar must be an integer in 1..m.
+    Interior solutions interpolate the inverse of the table of
+    F_{m-1}(z_bar-1; .), so p is monotone in g sample-by-sample. Measured
+    against p_from_gamma's root for every z_bar at m <= 60, F_{m-1}(z_bar-1;
+    p) misses w, and F_m(z_bar-1; p) its exact value, by under 2.7e-5, and
+    p misses by under 1.3e-4 for w in (1e-12, 1 - 1e-12), most in the
+    table's end cells. z_bar must be an integer in 1..m.
     """
     require_integer("z_bar", z_bar, 1, cfg.m)
     gams = np.asarray(gams, dtype=float)

@@ -42,9 +42,11 @@ PERFECT_INFO = "perfect_info"
 MONTE_CARLO = "monte_carlo"
 
 # The perfect-information incentive's excess over the infimum at z_bar = M,
-# the halvings of the near-minimal policy walk, and the supply margin of
-# the incentive-optimal design.
+# the halvings of the near-minimal policy walk, the supply margin of the
+# incentive-optimal design, and the rounding band of the joint design's
+# comparisons relative to their terms (_certain_sign), 16 u for u = 2^-53.
 _PERFECT_INFO_EPS, _MAX_HALVINGS, _MARGIN = 1e-6, 200, 1e-3
+_ROUNDING = 8 * math.ulp(1.0)
 
 # The mid-quantile draws that the z_bar < m Newton start steps on: odd
 # multiples of n / (2 _QUANTILES) (see _quantile_start).
@@ -571,16 +573,11 @@ def compare_across_zbar(problem: LeaderProblem, zbar_list, delta_list
     rows = []
     for delta in delta_list:
         prob = dataclasses.replace(problem, delta=delta)
-        best = None
-        batch = []
-        for zb in zbar_list:
-            sol = solve_optimal_incentive(zb, prob)
-            batch.append(ComparisonRow(zb, delta, sol.g_star, sol.u_star,
-                                       sol.np_at_g))
-            if best is None or sol.u_star < best[1]:
-                best = (zb, sol.u_star)
-        rows.extend(dataclasses.replace(r, argmin=(r.z_bar == best[0]))
-                    for r in batch)
+        sols = [solve_optimal_incentive(zb, prob) for zb in zbar_list]
+        best = min(sols, key=lambda sol: sol.u_star, default=None)
+        rows.extend(ComparisonRow(sol.z_bar, delta, sol.g_star, sol.u_star,
+                                  sol.np_at_g, argmin=sol.z_bar == best.z_bar)
+                    for sol in sols)
     return rows
 
 
@@ -611,38 +608,43 @@ def l_values(costs: PublicCostModel, disease: DiseaseParams,
     )
 
 
+def _certain_sign(lhs: float, rhs: float, scale: float) -> int:
+    """The sign of lhs - rhs where rounding cannot have set it, else 0. scale
+    bounds the magnitudes of all the terms of both sides, each at most eight
+    roundings from the difference, whose error is then below gamma_8 scale
+    < _ROUNDING scale (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3; a filtered predicate as in Shewchuk, 1997)."""
+    gap, band = lhs - rhs, _ROUNDING * scale
+    return int(gap > band) - int(gap < -band)
+
+
 def vaccine_optimal_k(costs: PublicCostModel, disease: DiseaseParams,
                       m: int) -> int:
-    """The unique influencer count targeted by a vaccine-optimal design.
-
-    Scans k = 1..M for the crossing of c_v1 - c_f(k) below L_k; the
-    strict/non-strict split flips with the side-effect cap regime. A
-    missing or repeated crossing contradicts the monotonicity of both
-    sides and raises JointDesignError. m must be an integer in
-    1..MAX_INFLUENCERS, and the disease must have rho > 1.
+    """The influencer count targeted by a vaccine-optimal design: the least
+    k in 1..M with c_v1 - c_f(k) certainly below L_k (_certain_sign; a <=
+    c_v2_bar and lim_infect <= C_i bound L_k's terms), the one crossing of
+    two sides monotone in k, as c_v1 - c_f(M) < 0 = L_M. If a tie (sign 0)
+    comes first, k* is the threshold of the first near-minimal policy from
+    _MARGIN, which the design reaches (JointDesignError if that policy is
+    not admissible in floats). m must be in 1..MAX_INFLUENCERS, rho > 1.
     """
     require_integer("m", m, 1, MAX_INFLUENCERS)
     costs.require_influence(m)
     if disease.rho <= 1.0:
         raise ValueError(f"disease must have rho > 1 for a joint design, "
                          f"got rho = {disease.rho!r}")
-    table = l_values(costs, disease, m)
-    strict_upper = costs.c_v2_bar > costs.c_v2 / disease.theta_star
-    hits = []
-    for k in range(1, m + 1):
-        ok_k = costs.c_v1 - costs.c_f(k)
-        ok_prev = costs.c_v1 - costs.c_f(k - 1)
-        if strict_upper:
-            hit = ok_k <= table[k] and ok_prev > table[k - 1]
-        else:
-            hit = ok_k < table[k] and ok_prev >= table[k - 1]
-        if hit:
-            hits.append(k)
-    if len(hits) != 1:
-        raise JointDesignError(
-            f"expected exactly one qualifying k, found {hits}; "
-            "cost model violates the monotone crossing")
-    return hits[0]
+    for k, bound in enumerate(l_values(costs, disease, m)[1:], 1):
+        sign = _certain_sign(costs.c_v1 - costs.c_f(k), bound,
+                             costs.c_v1 + costs.c_f(k) + costs.c_i
+                             + 2 * costs.c_v2_bar * (m - k) / m)
+        if sign < 0:
+            return k
+        if sign == 0:
+            break
+    for _, nu in _near_minimal_policies(_MARGIN, disease):
+        return eradication_threshold(nu, costs, disease, m)
+    raise JointDesignError("the crossing ties, and no near-minimal policy is "
+                           "admissible in floats to decide it")
 
 
 def _near_minimal_policies(margin: float, disease: DiseaseParams):
@@ -694,31 +696,30 @@ def construct_eps_vaccine_optimal_nu(k_star: int, eps: float,
 
 def incentive_optimal_exists(costs: PublicCostModel, disease: DiseaseParams,
                              m: int) -> bool:
-    """Whether a threshold-at-M design with minimal incentive cost exists.
-
-    Compares c_v1 - c_f(M-1) against -c_v2_bar/M, strictly when the
-    side-effect cap binds at the infected-fraction floor and non-strictly
-    otherwise. m must be an integer in 1..MAX_INFLUENCERS.
-    """
-    require_integer("m", m, 1, MAX_INFLUENCERS)
-    lhs = costs.c_v1 - costs.c_f(m - 1)
-    rhs = -costs.c_v2_bar / m
-    if costs.c_v2_bar > costs.c_v2 / disease.theta_star:
-        return lhs > rhs
-    return lhs >= rhs
+    """Whether a threshold-at-M design with minimal incentive cost exists:
+    whether construct_incentive_optimal_nu returns (its other errors pass)."""
+    try:
+        construct_incentive_optimal_nu(costs, disease, m)
+    except JointDesignError:
+        return False
+    return True
 
 
 def construct_incentive_optimal_nu(costs: PublicCostModel,
                                    disease: DiseaseParams, m: int) -> VaRatePolicy:
     """Admissible supply policy whose eradication threshold sits at M.
 
-    Returns the candidate with the smaller vaccinated fraction of two: the
+    Unless c_v1 - c_f(M-1) lies certainly below -c_v2_bar/M (_certain_sign),
+    returns the candidate with the smaller vaccinated fraction of two: the
     first near-minimal policy from the supply margin _MARGIN = 1e-3 with
-    threshold M (_near_minimal_policies), and a policy whose basic rate is
-    raised until the endemic limit stays attractive at M-1 vaccinated
-    influencers. m must be an integer in 1..MAX_INFLUENCERS.
+    threshold M (_near_minimal_policies), and a policy whose basic rate, at
+    most MAX_RATE, is raised until the endemic limit stays attractive at M-1
+    vaccinated influencers. Otherwise, or with neither, JointDesignError. m
+    must be an integer in 1..MAX_INFLUENCERS.
     """
-    if not incentive_optimal_exists(costs, disease, m):
+    require_integer("m", m, 1, MAX_INFLUENCERS)
+    fixed, side = costs.c_v1 - costs.c_f(m - 1), costs.c_v2_bar / m
+    if _certain_sign(fixed, -side, costs.c_v1 + costs.c_f(m - 1) + side) < 0:
         raise JointDesignError("no incentive-optimal policy for this model")
     candidates = []
     for _, nu in _near_minimal_policies(_MARGIN, disease):
@@ -727,7 +728,7 @@ def construct_incentive_optimal_nu(costs: PublicCostModel,
             break
 
     theta_star = disease.theta_star
-    denom = costs.c_v1 + costs.c_v2_bar / m - costs.c_f(m - 1)
+    denom = costs.c_v1 + side - costs.c_f(m - 1)
     if denom > 0:
         if denom - costs.c_i > 0:
             nu_b = disease.b * disease.rho * theta_star * (1.0 + _MARGIN)
@@ -743,6 +744,6 @@ def construct_incentive_optimal_nu(costs: PublicCostModel,
 
     if not candidates:
         raise JointDesignError(
-            "condition holds but no constructed policy pinned the threshold "
-            "at M; the model sits on the existence boundary")
+            "no constructed policy pins the threshold at M; the model sits "
+            "on the existence boundary")
     return min(candidates, key=lambda nu: psi_eradicating(nu, disease.b))

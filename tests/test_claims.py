@@ -28,7 +28,6 @@ xi is a point, so the final estimate Gamma_{T-1} is known.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -56,15 +55,6 @@ def sufficient_costs(draw, m: int) -> vg.PublicCostModel:
     return costs
 
 
-def off_the_knife_edge(costs: vg.PublicCostModel, dis: vg.DiseaseParams,
-                       m: int) -> bool:
-    """Whether every count k keeps c_v1 - c_f(k) more than 1e-9 from L_k,
-    the table whose crossing defines k*. At an exact tie the design misses
-    k* (test_a_tie_of_the_crossing_is_designed_for, which fails today)."""
-    return all(abs(costs.c_v1 - costs.c_f(k) - bound) > 1e-9
-               for k, bound in enumerate(l_values(costs, dis, m)))
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), m=st.integers(2, 59), dis=endemic_disease(),
        eps=st.floats(1e-6, 0.1))
@@ -73,13 +63,10 @@ def test_minimal_vaccinated_fraction_depends_only_on_the_disease(
     """Claim 2: whatever the costs, the eps vaccine-optimal design at the
     vaccine-optimal count k* keeps the eradication threshold at k* and puts
     the eradicating vaccinated fraction psi_e in (theta*, theta* + eps],
-    theta* = 1 - 1/rho a function of the disease alone. vaccine_optimal_k
-    raises unless the crossing that defines k* is unique. Costs whose
-    crossing ties exactly (a set of measure zero, which hypothesis's simple
-    decimals hit) are left out here and pinned by the test below (FOUND
-    in CHANGES.md)."""
+    theta* = 1 - 1/rho a function of the disease alone. Costs whose
+    crossing ties exactly, which hypothesis's simple decimals hit, are
+    drawn too; test_an_exact_tie_is_designed_for draws only such."""
     costs = data.draw(sufficient_costs(m))
-    assume(off_the_knife_edge(costs, dis, m))
     k = vg.vaccine_optimal_k(costs, dis, m)
     design = vg.construct_eps_vaccine_optimal_nu(k, eps, costs, dis, m)
     assert design.k_star == k
@@ -88,22 +75,63 @@ def test_minimal_vaccinated_fraction_depends_only_on_the_disease(
     assert vg.eradication_threshold(design.nu_eps, costs, dis, m) == k
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="vaccine_optimal_k breaks an exact tie by rounding")
 def test_a_tie_of_the_crossing_is_designed_for():
-    """c_v1 - c_f(19) = 0.9 - 0.95 is L_19 = -0.05 exactly, and with
-    c_v2_bar = 1 below c_v2/theta* = 2 a tie is no crossing, so k* is 20,
-    the threshold every near-minimal policy has. In floats 0.9 - 0.05 * 19
-    is -0.050000000000000044, so vaccine_optimal_k answers 19, which no
-    design reaches: construct_eps_vaccine_optimal_nu halves its margins
-    until they no longer keep the policy admissible in floats (43 times)
-    and raises JointDesignError."""
+    """c_v1 - c_f(19) = 0.9 - 0.95 is L_19 = -0.05 exactly, and every
+    near-minimal policy has threshold 20. In floats 0.9 - 0.05 * 19 is
+    -0.050000000000000044, which a bare comparison once read as a crossing
+    at 19, a count no design reaches. The gap is inside the rounding band,
+    so the near-minimal policies decide: k* is 20."""
     costs = vg.PublicCostModel(c_v1=0.9, c_v2=1.0, c_v2_bar=1.0, c_i=1.0,
                                s=0.05)
     dis = vg.DiseaseParams(lam=4.0, r=1.0, b=1.0)
     assert vg.vaccine_optimal_k(costs, dis, 20) == 20
     design = vg.construct_eps_vaccine_optimal_nu(20, 0.0625, costs, dis, 20)
     assert vg.eradication_threshold(design.nu_eps, costs, dis, 20) == 20
+
+
+@st.composite
+def exact_tie(draw):
+    """(M, disease, costs) from the ranges above, with c_v1 solved in floats
+    so that a comparison of the joint design ties: c_v1 = L_k + c_f(k) at
+    a random k in 1..M (the crossing that defines k*), or, in a quarter of
+    the draws, c_v1 = c_f(M-1) - c_v2_bar/M (the incentive-optimal
+    design's). c_v1 must come out nonnegative, and influence must
+    suffice."""
+    m, dis = draw(st.integers(2, 59)), draw(endemic_disease())
+    kw = dict(c_v2=draw(st.floats(0.01, 5.0)),
+              c_v2_bar=draw(st.floats(1.0, 50.0)),
+              c_i=draw(st.floats(0.1, 10.0)), s=draw(st.floats(0.05, 3.0)))
+    base = vg.PublicCostModel(c_v1=0.0, **kw)
+    k = draw(st.integers(1, m))
+    c_v1 = (base.c_f(m - 1) - base.c_v2_bar / m
+            if draw(st.integers(0, 3)) == 0
+            else l_values(base, dis, m)[k] + base.c_f(k))
+    assume(c_v1 >= 0.0)
+    costs = vg.PublicCostModel(c_v1=c_v1, **kw)
+    assume(costs.influence_sufficient(m))
+    return m, dis, costs
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=exact_tie(), eps=st.floats(1e-6, 0.1))
+def test_an_exact_tie_is_designed_for(instance, eps):
+    """At an exact tie the joint design's comparisons are inside their
+    rounding band, and the constructions decide: wherever
+    vaccine_optimal_k returns k, the eps vaccine-optimal design at k keeps
+    the eradication threshold at k, and incentive_optimal_exists holds
+    exactly where construct_incentive_optimal_nu returns a policy, whose
+    threshold is then M."""
+    m, dis, costs = instance
+    k = vg.vaccine_optimal_k(costs, dis, m)
+    design = vg.construct_eps_vaccine_optimal_nu(k, eps, costs, dis, m)
+    assert vg.eradication_threshold(design.nu_eps, costs, dis, m) == k
+    try:
+        nu = vg.construct_incentive_optimal_nu(costs, dis, m)
+    except JointDesignError:
+        nu = None
+    assert vg.incentive_optimal_exists(costs, dis, m) is (nu is not None)
+    if nu is not None:
+        assert vg.eradication_threshold(nu, costs, dis, m) == m
 
 
 @settings(max_examples=200, deadline=None)
@@ -127,11 +155,11 @@ def test_a_sensitive_public_can_always_eradicate(data, m, dis, nu_b, excess):
 
 @st.composite
 def incentive_optimal_instance(draw):
-    """(M, disease, costs) from the ranges above on which
-    incentive_optimal_exists: c_f(M-1) - c_v2_bar/M < c_v1 < c_f(M). About
-    7 % of sufficient_costs' draws are such, too few to filter for, so s
-    is drawn below the slope that leaves that band room under c_v1's top of
-    3, and c_v1 is drawn inside the band."""
+    """(M, disease, costs) from the ranges above with c_v1 inside the band
+    c_f(M-1) - c_v2_bar/M < c_v1 < c_f(M) of the incentive-optimal design.
+    About 7 % of sufficient_costs' draws lie in it, too few to filter for,
+    so s is drawn below the slope that leaves that band room under c_v1's
+    top of 3, and c_v1 is drawn inside the band."""
     m, dis = draw(st.integers(2, 59)), draw(endemic_disease())
     c_v2_bar = draw(st.floats(1.0, 50.0))
     s = draw(st.floats(0.05, min(3.0, (3.0 + c_v2_bar / m) / (m - 1))))
@@ -143,7 +171,7 @@ def incentive_optimal_instance(draw):
         c_i=draw(st.floats(0.1, 10.0)), s=s)
     # rounding can put c_v1 on either side of the band's ends
     assume(costs.influence_sufficient(m)
-           and vg.incentive_optimal_exists(costs, dis, m))
+           and costs.c_f(m - 1) - costs.c_v2_bar / m < costs.c_v1)
     return m, dis, costs
 
 
@@ -157,18 +185,17 @@ def incentive_optimal_instance(draw):
 def test_an_existing_incentive_optimal_design_is_built(instance):
     """Wherever incentive_optimal_exists, construct_incentive_optimal_nu
     returns an admissible supply policy whose eradication threshold is M.
-    The one exception is c_v1 within about lam theta* C_i / MAX_RATE of
-    the band's lower end, where keeping the endemic limit attractive at
+    Inside the band it exists but within about lam theta* C_i / MAX_RATE
+    of the band's lower end, where keeping the endemic limit attractive at
     M-1 takes a basic rate past MAX_RATE, if the near-minimal policies do
-    not pin M: there it raises JointDesignError, and no other error."""
+    not pin M."""
     m, dis, costs = instance
-    try:
-        nu = vg.construct_incentive_optimal_nu(costs, dis, m)
-    except JointDesignError:
+    if not vg.incentive_optimal_exists(costs, dis, m):
         excess = costs.c_v1 + costs.c_v2_bar / m - costs.c_f(m - 1)
         rate = dis.lam * dis.theta_star * costs.c_i / max(excess, 1e-300)
         assert rate > 0.99 * MAX_RATE
         return
+    nu = vg.construct_incentive_optimal_nu(costs, dis, m)
     assert vg.is_admissible(nu, dis)
     assert vg.eradication_threshold(nu, costs, dis, m) == m
 

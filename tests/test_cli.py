@@ -565,19 +565,21 @@ class TestSweep:
         assert err == ("infeasible: c_v1 - c_f(40) = 0.2 >= 0; eradication "
                        "unreachable for every influencer count\n")
 
-    def test_design_margins_below_rounding_exit_3(self, capsys, tmp_path):
-        # every flag is valid; the design's halved margins reach the
-        # rounding of the admissibility line before the threshold they aim
-        # at (k = 19, which no design reaches), and the run says so
+    def test_a_tie_of_the_crossing_is_designed_by_the_sweep(self, capsys,
+                                                            tmp_path):
+        # c_v1 - c_f(19) = 0.9 - 0.95 ties L_19 = -0.05, which rounding
+        # once read as a crossing at k = 19, a threshold no design reaches
+        # (exit 3). The tie is left to the near-minimal policies, whose
+        # threshold is 20, and the design at 20 is built
         code, _, err = run_main(
             capsys, "sweep", "--var", "s", "--grid", "0.05", "--cv1", "0.9",
             "--cv2", "1", "--cv2-bar", "1", "--ci-public", "1", "--m", "20",
             "--zbar", "20", "--lambda", "8.226652580551361", "--r", "1",
             "--b", "3.3875480429607263", "--d", "0", "--samples", "1000",
             "--outdir", str(tmp_path / "out"))
-        assert code == 3
-        assert err.startswith("infeasible: margins exhausted without "
-                              "reaching k=19")
+        assert code == 0, err
+        head, row = (tmp_path / "out" / "report.csv").read_text().splitlines()
+        assert dict(zip(head.split(","), row.split(",")))["z_bar"] == "20"
 
     def test_workers_do_not_change_results(self, capsys, tmp_path):
         rows = []

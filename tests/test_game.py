@@ -804,6 +804,41 @@ class TestOutcomeProbability:
         sca = np.array([p_from_gamma(1.3, g, 20, cfg) for g in gams])
         assert np.max(np.abs(vec - sca)) < 1e-6
 
+    def test_vectorized_error_within_its_stated_bound(self):
+        # p_from_gamma_vec's docstring: against the exact root, F_{m-1}(z_bar
+        # -1; p) misses w and F_m(z_bar-1; p) its exact value by under
+        # 2.7e-5, and p misses by under 1.3e-4 for w in (1e-12, 1 - 1e-12).
+        # Roots in the table's end cells (spacing 1/4096), where F is far
+        # from linear in p, and in its middle; C_v = g = 0 and C_i = 1 make
+        # w the estimate itself
+        cell = np.linspace(0.05, 0.95, 8) / 4096
+        roots = np.concatenate([cell, np.linspace(0.1, 0.9, 5), 1 - cell])
+        for m in (40, 60):
+            for z_bar in range(1, m):
+                cfg = vg.InfluencerGameConfig(
+                    m=m, t_horizon=2, c_v=0.0, c_i=1.0, c_se_1=1.0,
+                    xi=XiModel(1.0), z_bar=z_bar)
+                w = vg.binom_cdf(m - 1, z_bar - 1, roots)
+                w = w[(w > 0.0) & (w < 1.0)]
+                vec = p_from_gamma_vec(0.0, w, z_bar, cfg)
+                exact = np.array([p_from_gamma(0.0, x, z_bar, cfg)
+                                  for x in w])
+                assert np.all(np.abs(vg.binom_cdf(m - 1, z_bar - 1, vec) - w)
+                              < 2.7e-5)
+                assert np.all(np.abs(vg.binom_cdf(m, z_bar - 1, vec)
+                                     - vg.binom_cdf(m, z_bar - 1, exact))
+                              < 2.7e-5)
+                inner = (w > 1e-12) & (w < 1.0 - 1e-12)
+                assert np.all(np.abs(vec - exact)[inner] < 1.3e-4)
+        # the docstring's example, far past the ~1e-7 once claimed
+        cfg = vg.InfluencerGameConfig(m=40, t_horizon=2, c_v=0.0, c_i=1.0,
+                                      c_se_1=1.0, xi=XiModel(1.0), z_bar=2)
+        w = 0.9999780490317396
+        assert p_from_gamma_vec(0.0, [w], 2, cfg)[0] == pytest.approx(
+            1.2207e-4, abs=1e-8)
+        assert p_from_gamma(0.0, w, 2, cfg) == pytest.approx(1.7248e-4,
+                                                             abs=1e-8)
+
     @staticmethod
     def _assert_clamps_agree(g: float, gam: float, z_bar: int) -> None:
         """p_from_gamma clamps p to 1 or 0 (or takes the step) at exactly the

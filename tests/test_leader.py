@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import vaxgame as vg
 from vaxgame import game, leader
-from vaxgame.cli import FIG_GAME
+from vaxgame.cli import (FIG_GAME, FIG_THETA_COSTS, FIG_THETA_DISEASE,
+                         _theta_disease)
 from vaxgame.game import (_cdf_grid, binom_cdf_vec_interp, bisect_decreasing,
                           p_from_gamma_vec)
 from vaxgame.leader import JointDesignError, c_infinity, g_floor, l_values
@@ -1113,6 +1114,79 @@ class TestJointDesign:
         design = vg.construct_eps_vaccine_optimal_nu(k, 1e-3, costs, dis, 4)
         assert vg.eradication_threshold(design.nu_eps, costs, dis, 4) == k
 
+    def test_a_tie_the_first_policy_decides(self):
+        # c_v1 - c_f(19) = L_19 = -0.625 exactly (cap binding). Along the
+        # walk from the supply margin the threshold reads 19 for 38 halvings
+        # and 20 for the last 2: the first policy decides, and k* = 19 is
+        # reached, where reading the walk's end would say 20
+        dis = vg.DiseaseParams(lam=15.0, r=2.0, b=2.0)
+        costs = vg.PublicCostModel(c_v1=0.325, c_v2=0.5, c_v2_bar=5.0,
+                                   c_i=3.0, s=0.05)
+        assert costs.c_v1 - costs.c_f(19) == l_values(costs, dis, 40)[19]
+        assert vg.vaccine_optimal_k(costs, dis, 40) == 19
+        design = vg.construct_eps_vaccine_optimal_nu(19, 1e-3, costs, dis, 40)
+        assert vg.eradication_threshold(design.nu_eps, costs, dis, 40) == 19
+
+    def test_away_from_the_band_the_scan_decides(self):
+        # the same model with c_v1 1e-6 higher: c_v1 - c_f(19) lies
+        # certainly above L_19, so k* = 20, the exact crossing, which the
+        # design reaches 6 halvings in; the walk's first policy still holds
+        # 19, so reading k* from the walk everywhere would change answers
+        dis = vg.DiseaseParams(lam=15.0, r=2.0, b=2.0)
+        costs = vg.PublicCostModel(c_v1=0.325001, c_v2=0.5, c_v2_bar=5.0,
+                                   c_i=3.0, s=0.05)
+        first = next(leader._near_minimal_policies(1e-3, dis))[1]
+        assert vg.eradication_threshold(first, costs, dis, 40) == 19
+        assert vg.vaccine_optimal_k(costs, dis, 40) == 20
+        design = vg.construct_eps_vaccine_optimal_nu(20, 1e-3, costs, dis, 40)
+        assert vg.eradication_threshold(design.nu_eps, costs, dis, 40) == 20
+
+    @pytest.mark.parametrize("excess, k", [(1.5e-14, 19), (1.8e-14, 20)])
+    def test_the_band_is_16_u_of_the_terms(self, excess, k):
+        # the same model with c_v1 raised by excess: c_v1 - c_f(19) - L_19
+        # is then 14.07 u and 17.01 u (u = 2^-53) of the bound on L_19's
+        # terms, c_v1 + c_f(19) + C_i + 2 c_v2_bar 21/40 = 9.525, inside
+        # and outside the band of 16 u. Inside it the walk's first policy
+        # decides (19); outside it the sign does (the crossing, 20)
+        dis = vg.DiseaseParams(lam=15.0, r=2.0, b=2.0)
+        costs = vg.PublicCostModel(c_v1=0.325 + excess, c_v2=0.5,
+                                   c_v2_bar=5.0, c_i=3.0, s=0.05)
+        assert vg.vaccine_optimal_k(costs, dis, 40) == k
+        design = vg.construct_eps_vaccine_optimal_nu(k, 1e-3, costs, dis, 40)
+        assert vg.eradication_threshold(design.nu_eps, costs, dis, 40) == k
+
+    def test_free_vaccination_is_designed_for(self):
+        # c_v1 - c_f(0) = 0.0 meets L_0 = -0.0, a tie at k = 0 that a
+        # crossing of bare comparisons could not find; k = 1 is certainly
+        # below L_1, and its design is built
+        dis = vg.DiseaseParams(lam=15.0, r=2.0, b=2.0, d=0.5)
+        costs = vg.PublicCostModel(c_v1=0.0, c_v2=0.0, c_v2_bar=1.0, c_i=5.0,
+                                   s=0.1)
+        assert vg.vaccine_optimal_k(costs, dis, 10) == 1
+        design = vg.construct_eps_vaccine_optimal_nu(1, 1e-3, costs, dis, 10)
+        assert vg.eradication_threshold(design.nu_eps, costs, dis, 10) == 1
+
+    def test_fig4_tie_keeps_its_count(self):
+        # fig 4's theta* = 0.25 point ties exactly at k = 20; the walk
+        # answers 20, as the figure has always read
+        dis = _theta_disease(0.25, **FIG_THETA_DISEASE)
+        costs = vg.PublicCostModel(**FIG_THETA_COSTS)
+        assert costs.c_v1 - costs.c_f(20) == l_values(costs, dis, 40)[20]
+        assert vg.vaccine_optimal_k(costs, dis, 40) == 20
+        design = vg.construct_eps_vaccine_optimal_nu(20, 1e-3, costs, dis, 40)
+        assert vg.eradication_threshold(design.nu_eps, costs, dis, 40) == 20
+
+    def test_a_tie_with_no_policy_to_decide_it_is_refused(self, monkeypatch):
+        # the tie of test_a_tie_of_the_crossing_is_designed_for, with a walk
+        # that yields no policy: JointDesignError, not StopIteration
+        monkeypatch.setattr(leader, "_near_minimal_policies",
+                            lambda margin, disease: iter(()))
+        dis = vg.DiseaseParams(lam=4.0, r=1.0, b=1.0)
+        costs = vg.PublicCostModel(c_v1=0.9, c_v2=1.0, c_v2_bar=1.0, c_i=1.0,
+                                   s=0.05)
+        with pytest.raises(JointDesignError, match="crossing ties"):
+            vg.vaccine_optimal_k(costs, dis, 20)
+
     def test_one_influencer(self):
         # M = 1, the smallest count every joint-design function takes
         dis = vg.DiseaseParams(lam=4.0, r=1.0, b=1.0)
@@ -1181,6 +1255,32 @@ class TestIncentiveOptimality:
         costs = vg.PublicCostModel(c_v1=c_v1, c_v2=c_v2, c_v2_bar=1.0,
                                    c_i=1.0, s=0.5)
         assert vg.incentive_optimal_exists(costs, dis, 4) is exists
+
+    def test_a_tie_of_the_band_end_has_no_design(self):
+        # c_v1 = 2 - 1/3 in floats: c_v1 - c_f(2) = -0.33333333333333326
+        # ties -c_v2_bar/M = -0.3333333333333333 (cap binding). A bare
+        # comparison said the design exists, and the construction then
+        # raised; the candidates decide the tie, none pins M, and both say no
+        dis = vg.DiseaseParams(lam=4.0, r=1.0, b=1.0)
+        costs = vg.PublicCostModel(c_v1=2 - 1 / 3, c_v2=0.25, c_v2_bar=1.0,
+                                   c_i=1.0, s=1.0)
+        assert not vg.incentive_optimal_exists(costs, dis, 3)
+        with pytest.raises(JointDesignError, match="no constructed policy"):
+            vg.construct_incentive_optimal_nu(costs, dis, 3)
+
+    @pytest.mark.parametrize("below, refusal", [
+        (6e-15, "no constructed policy"), (8e-15, "no incentive-optimal")])
+    def test_the_band_is_16_u_of_the_terms(self, below, refusal):
+        # the model above with c_v1 lowered by below: c_v1 - c_f(2) lies
+        # 13.4 u and 17.9 u (u = 2^-53) below -c_v2_bar/M, in units of the
+        # terms' c_v1 + c_f(2) + c_v2_bar/M = 4, inside and outside the band
+        # of 16 u. Inside it the candidates decide, and neither pins M;
+        # outside it the certain sign refuses
+        dis = vg.DiseaseParams(lam=4.0, r=1.0, b=1.0)
+        costs = vg.PublicCostModel(c_v1=2 - 1 / 3 - below, c_v2=0.25,
+                                   c_v2_bar=1.0, c_i=1.0, s=1.0)
+        with pytest.raises(JointDesignError, match=f"^{refusal}"):
+            vg.construct_incentive_optimal_nu(costs, dis, 3)
 
     def test_smaller_vaccinated_fraction_wins(self):
         # both candidates pin M = 2: the walk's first policy (1 - 5e-4,

@@ -90,7 +90,10 @@ def test_mutation_runner_kills_a_known_mutant(tmp_path):
     for tool in ("line_reach.py", "mutate.py"):
         shutil.copy2(ROOT / "tests" / "tools" / tool,
                      tmp_path / "tests" / "tools")
+    # test_runs_untraced fails only under the traced run's line tracing,
+    # as a wall-clock budget can: it is named, and the run goes on
     (tmp_path / "tests" / "test_tiny.py").write_text(
+        "import sys\n\n"
         "import pytest\n"
         "from vaxgame.params import PublicCostModel\n\n"
         "COSTS = PublicCostModel(0.2, 0.05, 100.0, 0.5, s=0.5)\n\n"
@@ -98,7 +101,9 @@ def test_mutation_runner_kills_a_known_mutant(tmp_path):
         "    assert COSTS.c_f(2) == 1.0\n\n"
         "def test_negative_count_is_refused():\n"
         "    with pytest.raises(ValueError):\n"
-        "        COSTS.c_f(-1)\n")
+        "        COSTS.c_f(-1)\n\n"
+        "def test_runs_untraced():\n"
+        "    assert sys.gettrace() is None\n")
     sign = _line_of("if z < 0:")
     table = _line_of("if z >= len(self.c_f_table):")
     proc = subprocess.run(
@@ -115,13 +120,17 @@ def test_mutation_runner_kills_a_known_mutant(tmp_path):
                     f"params.py:{table} flip >= to <: unreached",
                     "4 mutants, 1 survived"}
     assert f"  params.py:{sign} shift 0 to 1" in proc.stdout.splitlines()
+    assert [row.split(" - ")[0] for row in proc.stdout.splitlines()
+            if row.startswith("failed only under tracing: ")] == [
+        "failed only under tracing: FAILED "
+        "tests/test_tiny.py::test_runs_untraced"]
     # the checkout itself is never changed
     assert (tmp_path / "src" / "vaxgame" / "params.py").read_text() == \
         PARAMS.read_text()
 
 
 def test_mutation_runner_cleans_up_on_sigterm(tmp_path):
-    # the runner's traced pytest run reaches a test that records its pid
+    # the runner's first pytest run reaches a test that records its pid
     # and sleeps; SIGTERM then kills that pytest and removes the runner's
     # copy of the checkout from TMPDIR
     checkout, tmp, pid_file = (tmp_path / "checkout", tmp_path / "tmp",

@@ -9,10 +9,11 @@ From the root of a source checkout:
 
 It copies the checkout (without .git, caches and benchmark outputs) to a
 temporary directory and runs the tests given (pytest arguments, tests/ if
-none) there once under the line-reach plugin (tests/tools/line_reach.py),
-which maps each line of src/vaxgame to the tests that reach it. Then, one
-mutant at a time, it changes one site on the chosen lines of the module
-in the copy:
+none) there twice: plainly, where they must pass, and under the line-reach
+plugin (tests/tools/line_reach.py), which maps each line of src/vaxgame to
+the tests that reach it; a test that fails only under its tracing is
+named in the report. Then, one mutant at a time, it changes one site on
+the chosen lines of the module in the copy:
 
 - flip a comparison: < and >=, <= and >, == and !=, is and is not, in and
   not in (one mutant for each operator of a chained comparison);
@@ -153,15 +154,25 @@ def copy_checkout(root: Path, dest: Path) -> None:
 def line_map(copy: Path, tests: list[str]
              ) -> tuple[dict[str, dict[int, list]], float]:
     """The tests that reach each line, from one traced run of tests, and
-    the seconds that run took."""
+    the seconds that run took. The tests must first pass untraced, as a
+    plain pytest run takes them; the traced run is read for its map alone,
+    and a test that fails only there (a wall-clock budget that tracing
+    overruns, say) is named, not taken for a failure."""
+    proc = _pytest(copy, tests)
+    if proc.returncode != 0:
+        raise SystemExit("the unmutated tests do not pass:\n"
+                         + proc.stdout[-4000:] + proc.stderr[-4000:])
     out = copy / "line-map.json"
     start = time.monotonic()
     proc = _pytest(copy, ["-p", "tests.tools.line_reach",
                           f"--line-map={out}", *tests])
     seconds = time.monotonic() - start
-    if proc.returncode != 0:
-        raise SystemExit("the unmutated tests do not pass:\n"
+    if not out.exists():
+        raise SystemExit("the traced run wrote no line map:\n"
                          + proc.stdout[-4000:] + proc.stderr[-4000:])
+    for row in proc.stdout.splitlines():
+        if row.startswith(("FAILED", "ERROR")):
+            print(f"failed only under tracing: {row}", flush=True)
     return ({name: {int(line): ids for line, ids in rows.items()}
              for name, rows in json.loads(out.read_text()).items()}, seconds)
 
