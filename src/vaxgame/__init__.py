@@ -6,7 +6,7 @@ from .epidemic import (AttractorSet, Candidate, IntegrationResult, JumpTrajector
                        matched_ode, ode_rhs, psi_co_occurring, psi_eradicating,
                        simulate_jump_process)
 from .ess import (Admissibility, EssReport, classify_esss, eradication_probability,
-                  eradication_threshold, h_values, is_admissible)
+                  eradication_threshold, is_admissible)
 from .game import (CostPath, InfluencerGameConfig, NeCheck, SpecialStrategy,
                    StageActionSet, XiModel, binom_cdf, gamma,
                    ne_outcome_probability, sample_cost_path, sample_z_t,
@@ -15,8 +15,8 @@ from .leader import (ComparisonRow, ExpectationSampler, JointDesign,
                      LeaderProblem, LeaderSolution, compare_across_zbar,
                      construct_eps_vaccine_optimal_nu,
                      construct_incentive_optimal_nu, expected_incentive_cost,
-                     incentive_optimal_exists, non_eradication_probability,
-                     p_star, perfect_info_solution, solve_optimal_incentive,
+                     non_eradication_probability, p_star,
+                     perfect_info_solution, solve_optimal_incentive,
                      vaccine_optimal_k)
 from .params import (DiseaseParams, InsufficientInfluenceError, PublicCostModel,
                      ResponseParams, VaRatePolicy)

@@ -119,11 +119,11 @@ class ScenarioConfig:
 @dataclass
 class ReportRow:
     sweep_value: float
-    g_star: float | None
-    u_star: float | None
-    z_bar: int | None
-    psi_e: float | None
-    np_at_g: float | None
+    g_star: float
+    u_star: float
+    z_bar: int
+    psi_e: float
+    np_at_g: float
     runtime_ms: float
 
 
@@ -232,15 +232,10 @@ def run_scenario(cfg: ScenarioConfig) -> Path:
     fields = [f.name for f in dataclasses.fields(ReportRow)]
     write_csv(out, fields, [dataclasses.astuple(r) for r in rows])
     if cfg.plot:
-        xs = [r.sweep_value for r in rows]
-        series = {}
-        if any(r.u_star is not None for r in rows):
-            series["U*"] = [r.u_star if r.u_star is not None else float("nan")
-                            for r in rows]
-        if any(r.psi_e is not None for r in rows):
-            series["psi_e"] = [r.psi_e if r.psi_e is not None else float("nan")
-                               for r in rows]
-        svg_line_chart(cfg.outdir / "report.svg", xs, series,
+        svg_line_chart(cfg.outdir / "report.svg",
+                       [r.sweep_value for r in rows],
+                       {"U*": [r.u_star for r in rows],
+                        "psi_e": [r.psi_e for r in rows]},
                        f"sweep over {cfg.sweep_var}")
     return out
 
@@ -554,7 +549,10 @@ def cmd_analyze_ess(args) -> int:
     print(json.dumps(out, indent=2))
     print(f"\n{'z':>4} {'h_i':>12} {'h_v':>12} {'erad':>5}  esss")
     for rep in reports:
-        print(f"{rep['z']:>4} {rep['h_i']:>12.5g} {rep['h_v']:>12.5g} "
+        # a gap whose limit does not exist is null in the JSON, nan here
+        h_i, h_v = (float("nan") if rep[k] is None else rep[k]
+                    for k in ("h_i", "h_v"))
+        print(f"{rep['z']:>4} {h_i:>12.5g} {h_v:>12.5g} "
               f"{rep['eradication_conditional']:>5}  "
               f"{','.join(rep['esss_set'])}")
     return 0

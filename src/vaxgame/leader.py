@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .epidemic import psi_eradicating
-from .ess import Admissibility, eradication_threshold, is_admissible
+from .ess import (Admissibility, _certain_sign, eradication_threshold,
+                  is_admissible)
 # binom_cdf_vec_interp and p_from_gamma_vec are the per-draw path that the
 # tabled sums below reproduce; they stay names of this module because the
 # benchmark's tracer (perfbench/tracing.py) wraps them here.
@@ -42,11 +43,9 @@ PERFECT_INFO = "perfect_info"
 MONTE_CARLO = "monte_carlo"
 
 # The perfect-information incentive's excess over the infimum at z_bar = M,
-# the halvings of the near-minimal policy walk, the supply margin of the
-# incentive-optimal design, and the rounding band of the joint design's
-# comparisons relative to their terms (_certain_sign), 16 u for u = 2^-53.
+# the halvings of the near-minimal policy walk and the supply margin of the
+# incentive-optimal design.
 _PERFECT_INFO_EPS, _MAX_HALVINGS, _MARGIN = 1e-6, 200, 1e-3
-_ROUNDING = 8 * math.ulp(1.0)
 
 # The mid-quantile draws that the z_bar < m Newton start steps on: odd
 # multiples of n / (2 _QUANTILES) (see _quantile_start).
@@ -608,16 +607,6 @@ def l_values(costs: PublicCostModel, disease: DiseaseParams,
     )
 
 
-def _certain_sign(lhs: float, rhs: float, scale: float) -> int:
-    """The sign of lhs - rhs where rounding cannot have set it, else 0. scale
-    bounds the magnitudes of all the terms of both sides, each at most eight
-    roundings from the difference, whose error is then below gamma_8 scale
-    < _ROUNDING scale (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3; a filtered predicate as in Shewchuk, 1997)."""
-    gap, band = lhs - rhs, _ROUNDING * scale
-    return int(gap > band) - int(gap < -band)
-
-
 def vaccine_optimal_k(costs: PublicCostModel, disease: DiseaseParams,
                       m: int) -> int:
     """The influencer count targeted by a vaccine-optimal design: the least
@@ -692,17 +681,6 @@ def construct_eps_vaccine_optimal_nu(k_star: int, eps: float,
     raise JointDesignError(
         f"margins exhausted without reaching k={k_star}; last iterations: "
         f"{history[-3:]}")
-
-
-def incentive_optimal_exists(costs: PublicCostModel, disease: DiseaseParams,
-                             m: int) -> bool:
-    """Whether a threshold-at-M design with minimal incentive cost exists:
-    whether construct_incentive_optimal_nu returns (its other errors pass)."""
-    try:
-        construct_incentive_optimal_nu(costs, disease, m)
-    except JointDesignError:
-        return False
-    return True
 
 
 def construct_incentive_optimal_nu(costs: PublicCostModel,

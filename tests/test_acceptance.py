@@ -11,7 +11,7 @@ import pytest
 import vaxgame as vg
 from vaxgame.game import (WAIT_AND_WATCH, binom_cdf_vec_interp, p_from_gamma,
                           p_from_gamma_vec)
-from vaxgame.leader import c_infinity, g_floor
+from vaxgame.leader import JointDesignError, c_infinity, g_floor
 
 FIG_DISEASE = dict(lam=15.0, r=2.0, b=2.0, d=0.5)
 
@@ -364,11 +364,21 @@ def test_c10_joint_design():
         assert len(set(ks)) > 1
 
 
+def _incentive_optimal_built(costs, dis) -> bool:
+    """Whether the threshold-at-M design exists at M = 40: whether
+    construct_incentive_optimal_nu returns it."""
+    try:
+        vg.construct_incentive_optimal_nu(costs, dis, 40)
+    except JointDesignError:
+        return False
+    return True
+
+
 def test_c11_incentive_optimality_boundary():
     dis = vg.DiseaseParams(**FIG_DISEASE)
     with Stopwatch(11, "incentive-optimal regime boundary in s", 10.0):
         grid = np.round(np.arange(0.03, 0.1001, 0.001), 4)
-        flags = [vg.incentive_optimal_exists(fig5_costs(float(s)), dis, 40)
+        flags = [_incentive_optimal_built(fig5_costs(float(s)), dis)
                  for s in grid]
         # one downward flip, inside [0.05, 0.08]
         flips = [(grid[i], grid[i + 1]) for i in range(len(grid) - 1)

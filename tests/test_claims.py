@@ -118,9 +118,8 @@ def test_an_exact_tie_is_designed_for(instance, eps):
     """At an exact tie the joint design's comparisons are inside their
     rounding band, and the constructions decide: wherever
     vaccine_optimal_k returns k, the eps vaccine-optimal design at k keeps
-    the eradication threshold at k, and incentive_optimal_exists holds
-    exactly where construct_incentive_optimal_nu returns a policy, whose
-    threshold is then M."""
+    the eradication threshold at k, and where
+    construct_incentive_optimal_nu returns a policy, its threshold is M."""
     m, dis, costs = instance
     k = vg.vaccine_optimal_k(costs, dis, m)
     design = vg.construct_eps_vaccine_optimal_nu(k, eps, costs, dis, m)
@@ -129,7 +128,6 @@ def test_an_exact_tie_is_designed_for(instance, eps):
         nu = vg.construct_incentive_optimal_nu(costs, dis, m)
     except JointDesignError:
         nu = None
-    assert vg.incentive_optimal_exists(costs, dis, m) is (nu is not None)
     if nu is not None:
         assert vg.eradication_threshold(nu, costs, dis, m) == m
 
@@ -183,19 +181,19 @@ def incentive_optimal_instance(draw):
                    vg.PublicCostModel(c_v1=0.2, c_v2=0.05, c_v2_bar=100.0,
                                       c_i=10.0, s=0.05)))
 def test_an_existing_incentive_optimal_design_is_built(instance):
-    """Wherever incentive_optimal_exists, construct_incentive_optimal_nu
-    returns an admissible supply policy whose eradication threshold is M.
-    Inside the band it exists but within about lam theta* C_i / MAX_RATE
-    of the band's lower end, where keeping the endemic limit attractive at
-    M-1 takes a basic rate past MAX_RATE, if the near-minimal policies do
-    not pin M."""
+    """Wherever construct_incentive_optimal_nu returns, its supply policy is
+    admissible and its eradication threshold is M. Inside the band it
+    returns but within about lam theta* C_i / MAX_RATE of the band's lower
+    end, where keeping the endemic limit attractive at M-1 takes a basic
+    rate past MAX_RATE, if the near-minimal policies do not pin M."""
     m, dis, costs = instance
-    if not vg.incentive_optimal_exists(costs, dis, m):
+    try:
+        nu = vg.construct_incentive_optimal_nu(costs, dis, m)
+    except JointDesignError:
         excess = costs.c_v1 + costs.c_v2_bar / m - costs.c_f(m - 1)
         rate = dis.lam * dis.theta_star * costs.c_i / max(excess, 1e-300)
         assert rate > 0.99 * MAX_RATE
         return
-    nu = vg.construct_incentive_optimal_nu(costs, dis, m)
     assert vg.is_admissible(nu, dis)
     assert vg.eradication_threshold(nu, costs, dis, m) == m
 

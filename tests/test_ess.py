@@ -1,11 +1,15 @@
 import math
+import re
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import vaxgame as vg
+from vaxgame.cli import FIG_THETA_COSTS, FIG_THETA_DISEASE, _theta_disease
 from vaxgame.ess import Admissibility
 from vaxgame.params import InsufficientInfluenceError
 
@@ -27,7 +31,7 @@ class TestHValues:
     def test_full_vaccination_drops_side_effect_term(self):
         dis = fig5_disease()
         costs = fig5_costs(0.2)
-        _, h_v, _ = vg.h_values(M, ADMISSIBLE_NU, costs, dis, M)
+        h_v = vg.classify_esss(M, ADMISSIBLE_NU, costs, dis, M).h_v
         assert h_v == pytest.approx(costs.c_v1 - costs.c_f(M), rel=1e-14)
 
     def test_no_supply_keeps_every_gap_finite(self):
@@ -35,16 +39,16 @@ class TestHValues:
         # term, 0/0 there by its formula, is 0 at theta = 0, and the
         # co-occurring limit is the non-vaccinating one
         dis, costs = fig5_disease(), fig5_costs(0.2)
-        h_i, h_v, h_v_o = vg.h_values(10, vg.VaRatePolicy(0.0, 0.0), costs,
-                                      dis, M)
-        assert h_v == costs.c_v1 + 0.75 * costs.c_v2_bar - costs.c_f(10)
-        assert h_v_o == h_i == pytest.approx(h_v - costs.c_i, rel=1e-14)
+        rep = vg.classify_esss(10, vg.VaRatePolicy(0.0, 0.0), costs, dis, M)
+        assert rep.h_v == costs.c_v1 + 0.75 * costs.c_v2_bar - costs.c_f(10)
+        assert rep.h_v_o == rep.h_i == pytest.approx(rep.h_v - costs.c_i,
+                                                     rel=1e-14)
 
     def test_no_influencers_keeps_eradication_unattractive(self):
         dis = fig5_disease()
         for s in (0.05, 0.2, 1.0):
-            _, h_v, _ = vg.h_values(0, ADMISSIBLE_NU, fig5_costs(s), dis, M)
-            assert h_v > 0.0
+            rep = vg.classify_esss(0, ADMISSIBLE_NU, fig5_costs(s), dis, M)
+            assert rep.h_v > 0.0
 
     def test_hand_evaluated_endemic_gap(self):
         # c_v1 + (1 - z/M) cbar - lam theta* c_i / (lam theta* + nu_b) - c_f(z)
@@ -53,20 +57,27 @@ class TestHValues:
                                    c_i=0.5, s=0.1)
         theta_star = 1.0 - 1.0 / 3.75
         want = 0.2 + 0.75 * 100.0 - (15.0 * theta_star * 0.5) / (15.0 * theta_star + 5.0) - 1.0
-        h_i, _, _ = vg.h_values(10, vg.VaRatePolicy(5.0, 0.7), costs, dis, M)
+        h_i = vg.classify_esss(10, vg.VaRatePolicy(5.0, 0.7), costs, dis,
+                               M).h_i
         assert h_i == pytest.approx(want, rel=1e-14)
         assert h_i == pytest.approx(73.85625, rel=1e-12)
 
     def test_co_occurring_gap_needs_existing_limit(self):
+        # b rho - nu_e <= 0: no co-occurring limit, so no gap there
         dis = fig5_disease()
         nu = vg.VaRatePolicy(1.0, dis.b * dis.rho + 1.0)
-        with pytest.raises(ValueError):
-            vg.h_values(5, nu, fig5_costs(0.1), dis, M)
+        rep = vg.classify_esss(5, nu, fig5_costs(0.1), dis, M)
+        assert rep.h_v_o is None
+        assert rep.h_i is not None and rep.h_v is not None
+        with pytest.raises(ValueError, match="^co-occurring equilibrium "
+                           "undefined: b\\*rho - nu_e <= 0$"):
+            vg.psi_co_occurring(nu, dis)
 
-    def test_subcritical_rejected(self):
+    def test_subcritical_has_no_gaps(self):
+        # rho <= 1 has no endemic limit, so none of the three gaps exists
         dis = vg.DiseaseParams(lam=1.0, r=2.0, b=2.0, d=0.5)
-        with pytest.raises(ValueError):
-            vg.h_values(5, ADMISSIBLE_NU, fig5_costs(0.1), dis, M)
+        rep = vg.classify_esss(5, ADMISSIBLE_NU, fig5_costs(0.1), dis, M)
+        assert (rep.h_i, rep.h_v, rep.h_v_o) == (None, None, None)
 
 
 class TestAdmissibility:
@@ -163,12 +174,17 @@ class TestClassification:
 
     def test_a_gap_on_the_boundary_warns_at_the_caller(self):
         # c_v1 = c_f(M) puts h_v(M) at exactly 0, where strict and
-        # non-strict differ: the classification flags it, at its caller
+        # non-strict differ: the classification flags it, at its caller,
+        # with its band, 16 u of its terms' magnitudes: c_v1, the side
+        # effect c_v2/psi_e, no infection at theta = 0, and c_f(M)
         costs = vg.PublicCostModel(c_v1=8.0, c_v2=0.05, c_v2_bar=100.0,
                                    c_i=0.5, s=0.2)
-        with pytest.warns(UserWarning, match=r"^h_v = 0\.000e\+00 sits "
-                          "within 1e-12 of the strict/non-strict boundary; "
-                          "classification may be fragile$") as record:
+        psi_e = vg.psi_eradicating(ADMISSIBLE_NU, fig5_disease().b)
+        band = 16 * 2.0 ** -53 * (8.0 + 0.05 / psi_e + 0.0 + 8.0)
+        with pytest.warns(UserWarning, match="^" + re.escape(
+                f"h_v = 0.000e+00 lies within {band:.3e} of 0, where "
+                "rounding may have set its sign; classification may be "
+                "fragile") + "$") as record:
             rep = vg.classify_esss(M, ADMISSIBLE_NU, costs, fig5_disease(), M)
         assert rep.h_v == 0.0 and "eradicating" not in rep.esss_set
         assert [w.filename for w in record] == [__file__]
@@ -216,8 +232,8 @@ class TestEradicationThreshold:
         # both gaps are negative at z = M, yet no count eradicates under a
         # policy that is not admissible
         nu = vg.VaRatePolicy(1.0, 0.0)
-        h_i, h_v, _ = vg.h_values(M, nu, fig5_costs(0.2), dis, M)
-        assert h_i < 0.0 and h_v < 0.0
+        rep = vg.classify_esss(M, nu, fig5_costs(0.2), dis, M)
+        assert rep.h_i < 0.0 and rep.h_v < 0.0
         assert vg.eradication_probability(M, nu, fig5_costs(0.2), dis, M) == 0
 
     def test_threshold_characterizes_certain_eradication(self):
@@ -233,8 +249,8 @@ class TestEradicationThreshold:
     def test_gaps_at_full_count_are_ordered_negative(self):
         dis = fig5_disease()
         for s in (0.05, 0.2, 1.0):
-            h_i, h_v, _ = vg.h_values(M, ADMISSIBLE_NU, fig5_costs(s), dis, M)
-            assert h_i < h_v < 0.0
+            rep = vg.classify_esss(M, ADMISSIBLE_NU, fig5_costs(s), dis, M)
+            assert rep.h_i < rep.h_v < 0.0
 
 
 def test_gaps_strictly_decreasing_for_increasing_insecurity():
@@ -242,9 +258,9 @@ def test_gaps_strictly_decreasing_for_increasing_insecurity():
     costs = fig5_costs(0.25)
     his, hvs = [], []
     for z in range(M + 1):
-        h_i, h_v, _ = vg.h_values(z, ADMISSIBLE_NU, costs, dis, M)
-        his.append(h_i)
-        hvs.append(h_v)
+        rep = vg.classify_esss(z, ADMISSIBLE_NU, costs, dis, M)
+        his.append(rep.h_i)
+        hvs.append(rep.h_v)
     assert np.all(np.diff(his) < 0)
     assert np.all(np.diff(hvs) < 0)
 
@@ -308,3 +324,138 @@ def test_co_occurring_limit_without_basic_supply_is_not_stable():
     rep = vg.classify_esss(39, nu, fig5_costs(0.1), dis, M)
     assert rep.h_v_o < 0.0
     assert "co_occurring" not in rep.esss_set
+
+
+def exact_gap(theta, psi, z, nu, costs, dis, m) -> Fraction:
+    """The gap at the limit (theta, psi) in exact arithmetic on the same
+    floats, theta and psi taken as given, for linear c_f: c_v1 + (1 - z/m)
+    side - lam theta C_i / (lam theta + nu(psi)) - s z."""
+    q = Fraction
+    side = (q(costs.c_v2_bar) if psi <= 0.0
+            else min(q(costs.c_v2_bar), q(costs.c_v2) / q(psi)))
+    lt = q(dis.lam) * q(theta)
+    infection = (0 if theta == 0.0 else
+                 lt * q(costs.c_i) / (lt + q(nu.nu_b) + q(nu.nu_e) * q(psi)))
+    return (q(costs.c_v1) + (1 - q(z, m)) * side - infection
+            - q(costs.s) * z)
+
+
+def classify_recording(z, nu, costs, dis, m, name="h_v"):
+    """classify_esss's report and the messages of its warnings of the gap
+    name."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        rep = vg.classify_esss(z, nu, costs, dis, m)
+    return rep, [str(w.message) for w in record
+                 if str(w.message).startswith(f"{name} = ")]
+
+
+@st.composite
+def h_v_tie(draw):
+    """(z, M, costs) with h_v(z) = 0 solved in floats, or nudged off it:
+    side = c_v2_bar (c_v2 = 10 c_v2_bar), the middle term a random share
+    of c_f(z) = s z, c_v1 their difference, times 1 + nudge (nudge 0 or
+    +-10^-e, e in 1..16), and every cost then scaled by 10^k, k in
+    -14..9. M runs to 10,000, where 1 - z/m is least accurate."""
+    m = draw(st.integers(2, 10_000))
+    z, s = draw(st.integers(1, m - 1)), draw(st.floats(0.01, 10.0))
+    share = draw(st.floats(0.0, 1.0))
+    c_v2_bar = share * s * z / (1.0 - z / m)
+    c_v1 = s * z - (1.0 - z / m) * c_v2_bar
+    assume(c_v1 >= 0.0)
+    nudge = draw(st.sampled_from([0.0] + [sign * 10.0 ** -e for e in
+                                          range(1, 17) for sign in (1, -1)]))
+    scale = 10.0 ** draw(st.integers(-14, 9))
+    costs = vg.PublicCostModel(
+        c_v1=c_v1 * (1.0 + nudge) * scale, c_v2=10.0 * c_v2_bar * scale,
+        c_v2_bar=c_v2_bar * scale, c_i=draw(st.floats(0.1, 10.0)) * scale,
+        s=s * scale)
+    return z, m, costs
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=h_v_tie())
+# the scale holds side, not (1 - z/m) side: h_v = 4.7e-15 lies within 16 u
+# of c_v1 + side + c_f(1) = 2.95, not of c_v1 + side/2 + c_f(1) = 2.0
+@example(instance=(1, 2, vg.PublicCostModel(
+    c_v1=0.046875000000004684, c_v2=19.0625, c_v2_bar=1.90625, c_i=1.0,
+    s=1.0)))
+def test_an_uncertain_sign_of_h_v_warns(instance):
+    """classify_esss warns of h_v exactly where _certain_sign gives 0:
+    where the gap lies within 16 u (u = 2^-53) of its scale, c_v1 + side
+    + c_f(z) here (no infection at theta = 0). The float gap lies within
+    half that band of the exact gap on the same floats, so wherever the
+    two signs differ it warns, and where the exact gap lies beyond the
+    band and that bound it does not."""
+    z, m, costs = instance
+    dis = fig5_disease()
+    rep, warned = classify_recording(z, ADMISSIBLE_NU, costs, dis, m)
+    exact = exact_gap(0.0, vg.psi_eradicating(ADMISSIBLE_NU, dis.b), z,
+                      ADMISSIBLE_NU, costs, dis, m)
+    band = 16 * 2.0 ** -53 * (costs.c_v1 + costs.c_v2_bar + costs.c_f(z))
+    assert bool(warned) is (abs(rep.h_v) <= band)
+    assert abs(Fraction(rep.h_v) - exact) <= Fraction(band) / 2
+    if (rep.h_v > 0) - (rep.h_v < 0) != (exact > 0) - (exact < 0):
+        assert warned
+    if abs(exact) > 1.5 * band:
+        assert not warned
+
+
+def test_a_fragile_gap_above_the_old_band_warns():
+    # h_v(21) computes to -4.66e-10, so the eradicating limit is stable and
+    # eradication certain, while its exact value on the same floats is
+    # +1.32e-10. An absolute band of 1e-12 let it pass; the gap's own
+    # band, 16 u of its terms' 1.18e7, is 2.1e-8
+    dis = vg.DiseaseParams(lam=8.226652580551361, r=1.0,
+                           b=3.3875480429607263, d=0.0)
+    costs = vg.PublicCostModel(
+        c_v1=2656754.3712905096, c_v2=54717471.9606007,
+        c_v2_bar=5471747.19606007, c_i=3463131.136746879,
+        s=176619.68797409083)
+    nu = vg.VaRatePolicy(5.0, 5.0)
+    rep, warned = classify_recording(21, nu, costs, dis, 26)
+    assert warned == ["h_v = -4.657e-10 lies within 2.103e-08 of 0, where "
+                      "rounding may have set its sign; classification may "
+                      "be fragile"]
+    assert rep.h_v < 0.0 < exact_gap(0.0, vg.psi_eradicating(nu, dis.b), 21,
+                                     nu, costs, dis, 26)
+    assert "eradicating" in rep.esss_set and rep.eradication_conditional == 1
+
+
+def test_tiny_costs_with_certain_signs_do_not_warn():
+    # fig 4's theta* cost set scaled by 1e-14, at theta* = 0.25 and the
+    # first near-minimal policy: every gap lies below 1e-12, and an
+    # absolute band of 1e-12 flagged all 123 of counts 0..40, h_i(20) =
+    # -3.5e-13 among them; each sign is certain
+    costs = vg.PublicCostModel(**{k: v * 1e-14
+                                  for k, v in FIG_THETA_COSTS.items()})
+    dis = _theta_disease(0.25, **FIG_THETA_DISEASE)
+    nu = vg.VaRatePolicy(dis.b * dis.rho * dis.theta_star - 5e-4,
+                         5e-4 / dis.theta_star + 5e-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reps = [vg.classify_esss(z, nu, costs, dis, M) for z in range(M + 1)]
+    gaps = [h for rep in reps for h in (rep.h_i, rep.h_v, rep.h_v_o)]
+    assert len(gaps) == 123 and max(map(abs, gaps)) < 1e-12
+    assert reps[20].h_i == pytest.approx(-3.54e-13, rel=1e-3)
+
+
+def test_a_cancelling_infection_term_widens_the_band():
+    # an admissible policy puts the co-occurring limit at psi_o = 1.714 >
+    # theta* = 0.857, so theta = theta* - psi_o < 0, and lam theta + nu(psi_o)
+    # cancels to 1.9e-6 of its terms: the infection term carries their
+    # rounding 5.2e5 times over. h_v_o computes to +3.4e-6, exactly it is
+    # -1.6e-6, and 16 u of the plain magnitudes, 9.2e-10, would not cover
+    # it; its band, with the infection term times that factor, is 2.4e-4
+    dis = vg.DiseaseParams(lam=14.0, r=1.0, b=1.0)
+    nu = vg.VaRatePolicy(11.1429, 0.5)
+    costs = vg.PublicCostModel(c_v1=260002.25000859934, c_v2=2.0,
+                               c_v2_bar=1.0, c_i=1.0, s=1.0)
+    psi_o = vg.psi_co_occurring(nu, dis)
+    rep, warned = classify_recording(1, nu, costs, dis, 4, name="h_v_o")
+    assert warned == ["h_v_o = 3.375e-06 lies within 2.402e-04 of 0, where "
+                      "rounding may have set its sign; classification may "
+                      "be fragile"]
+    exact = exact_gap(dis.theta_star - psi_o, psi_o, 1, nu, costs, dis, 4)
+    assert exact < 0.0 < rep.h_v_o
+    assert abs(rep.h_v_o) > 16 * 2.0 ** -53 * 5.2e5

@@ -959,15 +959,14 @@ def _design_inputs():
      "m"),
     (lambda d, c: vg.construct_eps_vaccine_optimal_nu(1, 1e-3, c, d, True),
      "m"),
-    (lambda d, c: vg.incentive_optimal_exists(c, d, 40.0), "m"),
-    (lambda d, c: vg.incentive_optimal_exists(c, d, True), "m"),
     (lambda d, c: vg.construct_incentive_optimal_nu(c, d, 40.0), "m"),
     (lambda d, c: vg.construct_incentive_optimal_nu(c, d, False), "m"),
+    (lambda d, c: vg.construct_incentive_optimal_nu(c, d, True), "m"),
     # m in 1..MAX_INFLUENCERS, as ess takes it, and k_star in 0..m, each
     # refused before the design's scan or walk starts
     (lambda d, c: vg.vaccine_optimal_k(c, d, 0), "m"),
     (lambda d, c: vg.vaccine_optimal_k(c, d, 20_000), "m"),
-    (lambda d, c: vg.incentive_optimal_exists(c, d, 0), "m"),
+    (lambda d, c: vg.construct_incentive_optimal_nu(c, d, 0), "m"),
     (lambda d, c: vg.construct_incentive_optimal_nu(c, d, 20_000), "m"),
     (lambda d, c: vg.construct_eps_vaccine_optimal_nu(17, 1e-3, c, d, 0),
      "m"),
@@ -983,9 +982,9 @@ def _design_inputs():
     (lambda d, c: vg.LeaderProblem(0.05, vg.ExpectationSampler(),
                                    game_cfg(20)), "cfg")],
     ids=["eps-inf", "eps-nan", "eps-zero", "k-float", "k-bool",
-         "eps-design-float", "eps-design-bool", "exists-float",
-         "exists-bool", "io-design-float", "io-design-bool", "k-zero",
-         "k-budget", "exists-zero", "io-design-budget", "eps-design-zero",
+         "eps-design-float", "eps-design-bool", "io-design-float",
+         "io-design-bool", "io-design-true", "k-zero", "k-budget",
+         "io-design-zero", "io-design-budget", "eps-design-zero",
          "k-star-above-m", "k-star-negative", "k-star-float",
          "problem-cfg", "problem-sampler", "problem-swapped"])
 def test_leader_layer_rejects_bad_inputs(call, field):
@@ -998,8 +997,9 @@ def test_joint_design_takes_numpy_integers():
     dis, costs = _design_inputs()
     assert (vg.vaccine_optimal_k(costs, dis, np.int64(40))
             == vg.vaccine_optimal_k(costs, dis, 40))
-    assert (vg.incentive_optimal_exists(costs, dis, np.int32(40))
-            == vg.incentive_optimal_exists(costs, dis, 40))
+    for m in (np.int32(40), 40):  # refused alike
+        with pytest.raises(JointDesignError, match="^no incentive-optimal"):
+            vg.construct_incentive_optimal_nu(costs, dis, m)
 
 
 def theta_costs(s=0.5):
@@ -1195,7 +1195,6 @@ class TestJointDesign:
         assert vg.vaccine_optimal_k(costs, dis, 1) == 1
         design = vg.construct_eps_vaccine_optimal_nu(1, 1e-3, costs, dis, 1)
         assert vg.eradication_threshold(design.nu_eps, costs, dis, 1) == 1
-        assert vg.incentive_optimal_exists(costs, dis, 1)
         nu = vg.construct_incentive_optimal_nu(costs, dis, 1)
         assert vg.eradication_threshold(nu, costs, dis, 1) == 1
 
@@ -1222,7 +1221,8 @@ class TestJointDesign:
 class TestIncentiveOptimality:
     def test_low_sensitivity_allows_both(self):
         dis = vg.DiseaseParams(lam=15.0, r=2.0, b=2.0, d=0.5)
-        assert vg.incentive_optimal_exists(fig5_costs(0.06), dis, 40)
+        nu = vg.construct_incentive_optimal_nu(fig5_costs(0.06), dis, 40)
+        assert vg.eradication_threshold(nu, fig5_costs(0.06), dis, 40) == 40
 
     def test_constructed_policy_pins_threshold_at_m(self):
         dis = vg.DiseaseParams(lam=15.0, r=2.0, b=2.0, d=0.5)
@@ -1239,7 +1239,8 @@ class TestIncentiveOptimality:
 
     def test_high_sensitivity_blocks_it(self):
         dis = vg.DiseaseParams(lam=15.0, r=2.0, b=2.0, d=0.5)
-        assert not vg.incentive_optimal_exists(fig5_costs(0.2), dis, 40)
+        with pytest.raises(JointDesignError):
+            vg.construct_incentive_optimal_nu(fig5_costs(0.1), dis, 40)
 
     @pytest.mark.parametrize("c_v2, c_v1, exists", [
         (1.0, 1.25, True),    # c_v2_bar = 1 below c_v2/theta*: a tie exists
@@ -1254,17 +1255,21 @@ class TestIncentiveOptimality:
         dis = vg.DiseaseParams(lam=4.0, r=1.0, b=1.0)
         costs = vg.PublicCostModel(c_v1=c_v1, c_v2=c_v2, c_v2_bar=1.0,
                                    c_i=1.0, s=0.5)
-        assert vg.incentive_optimal_exists(costs, dis, 4) is exists
+        if not exists:
+            with pytest.raises(JointDesignError):
+                vg.construct_incentive_optimal_nu(costs, dis, 4)
+            return
+        nu = vg.construct_incentive_optimal_nu(costs, dis, 4)
+        assert vg.eradication_threshold(nu, costs, dis, 4) == 4
 
     def test_a_tie_of_the_band_end_has_no_design(self):
         # c_v1 = 2 - 1/3 in floats: c_v1 - c_f(2) = -0.33333333333333326
         # ties -c_v2_bar/M = -0.3333333333333333 (cap binding). A bare
         # comparison said the design exists, and the construction then
-        # raised; the candidates decide the tie, none pins M, and both say no
+        # raised; the candidates decide the tie, and none pins M
         dis = vg.DiseaseParams(lam=4.0, r=1.0, b=1.0)
         costs = vg.PublicCostModel(c_v1=2 - 1 / 3, c_v2=0.25, c_v2_bar=1.0,
                                    c_i=1.0, s=1.0)
-        assert not vg.incentive_optimal_exists(costs, dis, 3)
         with pytest.raises(JointDesignError, match="no constructed policy"):
             vg.construct_incentive_optimal_nu(costs, dis, 3)
 
@@ -1299,7 +1304,8 @@ class TestIncentiveOptimality:
         table = (0.0,) * 40 + (1.0,)
         costs = vg.PublicCostModel(c_v1=0.2, c_v2=0.05, c_v2_bar=100.0,
                                    c_i=0.5, c_f_table=table)
-        assert vg.incentive_optimal_exists(costs, dis, 40)
+        nu = vg.construct_incentive_optimal_nu(costs, dis, 40)
+        assert vg.eradication_threshold(nu, costs, dis, 40) == 40
 
 
 class TestVarianceLimit:
