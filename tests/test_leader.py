@@ -959,6 +959,10 @@ def _design_inputs():
      "m"),
     (lambda d, c: vg.construct_eps_vaccine_optimal_nu(1, 1e-3, c, d, True),
      "m"),
+    # existence is answered by the construction itself, which refuses a
+    # numpy float of integral value as it refuses a Python one
+    (lambda d, c: vg.construct_incentive_optimal_nu(c, d, np.float64(40.0)),
+     "m"),
     (lambda d, c: vg.construct_incentive_optimal_nu(c, d, 40.0), "m"),
     (lambda d, c: vg.construct_incentive_optimal_nu(c, d, False), "m"),
     (lambda d, c: vg.construct_incentive_optimal_nu(c, d, True), "m"),
@@ -982,7 +986,8 @@ def _design_inputs():
     (lambda d, c: vg.LeaderProblem(0.05, vg.ExpectationSampler(),
                                    game_cfg(20)), "cfg")],
     ids=["eps-inf", "eps-nan", "eps-zero", "k-float", "k-bool",
-         "eps-design-float", "eps-design-bool", "io-design-float",
+         "eps-design-float", "eps-design-bool", "exists-float",
+         "io-design-float",
          "io-design-bool", "io-design-true", "k-zero", "k-budget",
          "io-design-zero", "io-design-budget", "eps-design-zero",
          "k-star-above-m", "k-star-negative", "k-star-float",
