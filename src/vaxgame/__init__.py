@@ -3,7 +3,7 @@ the influencers' stochastic game, and the leader's incentive/supply design."""
 
 from .epidemic import (AttractorSet, Candidate, IntegrationResult, JumpTrajectory,
                        OdeState, candidate_attractors, integrate_to_equilibrium,
-                       matched_ode, ode_rhs, psi_co_occurring, psi_eradicating,
+                       matched_ode, psi_co_occurring, psi_eradicating,
                        simulate_jump_process)
 from .ess import (Admissibility, EssReport, classify_esss, eradication_probability,
                   eradication_threshold, is_admissible)

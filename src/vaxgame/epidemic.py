@@ -20,9 +20,10 @@ import numpy as np
 from .params import (DiseaseParams, ResponseParams, VaRatePolicy,
                      _finite_number, require_finite, require_integer)
 
-# A candidate whose stability condition is this close to equality (a
-# degenerate corner: beta*psi* = 1, beta = b*rho/nu_b, or
-# nu_e = b*rho - nu_b/theta*) is inactive.
+# A candidate whose stability condition holds by at most this is inactive:
+# at a degenerate corner (beta*psi* = 1, beta = b*rho/nu_b, or nu_e =
+# b*rho - nu_b/theta*) the field kinks or a rate of return vanishes. The
+# band is a margin on the dynamics, not a rounding band, hence absolute.
 DEGENERATE_BAND = 1e-9
 
 SIMPLEX_TOL = 1e-9
@@ -78,21 +79,17 @@ def _field(disease: DiseaseParams, nu: VaRatePolicy, beta: ResponseParams):
     return f
 
 
-# varrho does not depend on the response
-_NO_RESPONSE = ResponseParams(0.0)
+_ROUNDING = 8 * math.ulp(1.0)  # _certain_sign's band per unit scale: 16 u
 
 
-def total_event_rate(theta: float, psi: float, disease: DiseaseParams,
-                     nu: VaRatePolicy) -> float:
-    """Per-capita event rate varrho at proportions (theta, psi)."""
-    return _field(disease, nu, _NO_RESPONSE)(theta, psi, 1.0)[3]
-
-
-def ode_rhs(state: OdeState, disease: DiseaseParams, nu: VaRatePolicy,
-            beta: ResponseParams) -> np.ndarray:
-    """Time derivative (dtheta, dpsi, deta) at the given state."""
-    return np.array(_field(disease, nu, beta)(
-        state.theta, state.psi, state.eta)[:3])
+def _certain_sign(lhs: float, rhs: float, scale: float) -> int:
+    """The sign of lhs - rhs where rounding cannot have set it, else 0. scale
+    bounds the magnitudes of all the terms of both sides, each at most eight
+    roundings from the difference, whose error is then below gamma_8 scale
+    < _ROUNDING scale (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3; a filtered predicate as in Shewchuk, 1997)."""
+    gap, band = lhs - rhs, _ROUNDING * scale
+    return int(gap > band) - int(gap < -band)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +123,22 @@ def psi_co_occurring(nu: VaRatePolicy, disease: DiseaseParams) -> float:
 def admissibility_gap(nu: VaRatePolicy, disease: DiseaseParams) -> float:
     """nu_e - (b*rho - nu_b/theta_star); positive for admissible policies."""
     return nu.nu_e - (disease.b * disease.rho - nu.nu_b / disease.theta_star)
+
+
+def co_occurring_limit(nu: VaRatePolicy,
+                       disease: DiseaseParams) -> tuple[float, float] | None:
+    """(theta_o, psi_o) of the co-occurring equilibrium, theta_o = theta* -
+    psi_o, or None where it is no state: rho <= 1, b*rho - nu_e <= 0, the
+    admissible side (admissibility_gap > 0, as is_admissible decides it),
+    or theta_o certainly below 0 (_certain_sign), which the gap, rounding
+    by u b*rho, can miss by the line where nu_b / theta* << b*rho."""
+    if (disease.rho <= 1.0 or admissibility_gap(nu, disease) > 0.0
+            or disease.b * disease.rho - nu.nu_e <= 0.0):
+        return None
+    theta_star, psi_o = disease.theta_star, psi_co_occurring(nu, disease)
+    if _certain_sign(theta_star, psi_o, theta_star + psi_o) < 0:
+        return None
+    return theta_star - psi_o, psi_o
 
 
 @dataclass(frozen=True)
@@ -162,16 +175,19 @@ def candidate_attractors(disease: DiseaseParams, nu: VaRatePolicy,
     eradicating and co-occurring candidates sit on opposite sides of
     nu_e = b*rho - nu_b/theta_star and are never both active. Each
     candidate's eta is (b - d)/varrho there, with varrho from one `_field`
-    bound for all four: the double total_event_rate gives. theta_star is
-    1 - 1/rho from the one rho read here, the property's own double.
+    bound for all four. theta_star is 1 - 1/rho from the one rho read
+    here, the property's own double.
     """
     b, rho = disease.b, disease.rho
-    growth, rate = disease.b - disease.d, _field(disease, nu, _NO_RESPONSE)
+    growth, field = disease.b - disease.d, _field(disease, nu, beta)
     endemic = rho > 1.0
+
+    def eta(theta: float, psi: float) -> float:  # varrho reads no beta
+        return growth / field(theta, psi, 1.0)[3]
 
     # self-eradicating (0, 0): rho <= 1 and beta < b/nu_b
     beta_gap = math.inf if nu.nu_b == 0 else b / nu.nu_b - beta.beta
-    self_erad = Candidate(0.0, 0.0, growth / rate(0.0, 0.0, 1.0)[3],
+    self_erad = Candidate(0.0, 0.0, eta(0.0, 0.0),
                           (not endemic) and beta_gap > DEGENERATE_BAND)
 
     non_vacc = erad = co_occ = None
@@ -179,24 +195,20 @@ def candidate_attractors(disease: DiseaseParams, nu: VaRatePolicy,
         theta_star = 1.0 - 1.0 / rho
         # non-vaccinating (theta*, 0): beta < b*rho/nu_b
         nv_gap = math.inf if nu.nu_b == 0 else b * rho / nu.nu_b - beta.beta
-        non_vacc = Candidate(theta_star, 0.0,
-                             growth / rate(theta_star, 0.0, 1.0)[3],
+        non_vacc = Candidate(theta_star, 0.0, eta(theta_star, 0.0),
                              nv_gap > DEGENERATE_BAND)
         # eradicating (0, psi_e): beta*psi_e > 1, nu_e > b*rho - nu_b/theta*
         psi_e = psi_eradicating(nu, b)
         adm_gap = admissibility_gap(nu, disease)
-        erad = Candidate(0.0, psi_e, growth / rate(0.0, psi_e, 1.0)[3],
+        erad = Candidate(0.0, psi_e, eta(0.0, psi_e),
                          beta.beta * psi_e - 1.0 > DEGENERATE_BAND
                          and adm_gap > DEGENERATE_BAND and nu.nu_e >= 0.0)
         # co-occurring: beta*psi_o > 1 and 0 <= nu_e < b*rho - nu_b/theta*
-        if b * rho - nu.nu_e > 0:
-            psi_o = psi_co_occurring(nu, disease)
-            theta_o = theta_star - psi_o
-            if theta_o >= 0.0:
-                co_occ = Candidate(
-                    theta_o, psi_o, growth / rate(theta_o, psi_o, 1.0)[3],
-                    beta.beta * psi_o - 1.0 > DEGENERATE_BAND
-                    and adm_gap < -DEGENERATE_BAND)
+        if (limit := co_occurring_limit(nu, disease)) is not None:
+            theta_o, psi_o = limit
+            co_occ = Candidate(theta_o, psi_o, eta(theta_o, psi_o),
+                               beta.beta * psi_o - 1.0 > DEGENERATE_BAND
+                               and adm_gap < -DEGENERATE_BAND)
 
     return AttractorSet(non_vaccinating=non_vacc, eradicating=erad,
                         co_occurring=co_occ, self_eradicating=self_erad)

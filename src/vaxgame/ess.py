@@ -4,17 +4,13 @@ threshold on the number of vaccinated influencers."""
 from __future__ import annotations
 
 import enum
-import math
 import warnings
 from dataclasses import asdict, dataclass, field
 
-from .epidemic import admissibility_gap, psi_co_occurring, psi_eradicating
+from .epidemic import (_ROUNDING, _certain_sign, admissibility_gap,
+                       co_occurring_limit, psi_eradicating)
 from .params import (MAX_INFLUENCERS, DiseaseParams, PublicCostModel,
                      VaRatePolicy, require_integer)
-
-# The rounding band of a comparison relative to its terms (_certain_sign),
-# 16 u for u = 2^-53.
-_ROUNDING = 8 * math.ulp(1.0)
 
 
 class Admissibility(enum.Enum):
@@ -42,48 +38,36 @@ def is_admissible(nu: VaRatePolicy, disease: DiseaseParams) -> Admissibility:
 
 def _limit(theta: float, psi: float, nu: VaRatePolicy,
            costs: PublicCostModel,
-           disease: DiseaseParams) -> tuple[float, float, float]:
-    """(side, infection, weight): the terms of the gaps at the limit (theta,
-    psi) that no count changes. side = min(c_v2_bar, c_v2 / psi) (c_v2_bar
-    at psi = 0); the infection term lam theta C_i / (lam theta + nu(psi))
-    is 0 at theta = 0 (where it is 0/0 if nu(psi) = 0); weight is its
-    magnitude times kappa = (|lam theta| + nu(psi)) / |lam theta +
-    nu(psi)|, 1 unless theta < 0 (the co-occurring limit of an admissible
-    policy), where the denominator cancels.
+           disease: DiseaseParams) -> tuple[float, float]:
+    """(side, infection): the terms of the gaps at the limit (theta, psi)
+    that no count changes. side = min(c_v2_bar, c_v2 / psi) (c_v2_bar at
+    psi = 0); the infection term lam theta C_i / (lam theta + nu(psi)) is 0
+    at theta = 0 (where it is 0/0 if nu(psi) = 0).
 
-    A gap's scale for _certain_sign is c_v1 + side + weight + c_f(z).
+    A gap's scale for _certain_sign is c_v1 + side + |infection| + c_f(z).
     Taking theta and psi as given floats, each term is at most eight
     roundings from the gap: c_v1 three (the sum's), c_f(z) two, and the
-    infection term six and two, relative to weight. The middle term has
-    three and three too, but z/m rounds before 1 - z/m, by up to u
-    absolutely, which near z = m is up to m u/2 of 1 - z/m; so its error
-    is below gamma_7 side, and side stands for it.
+    infection term six and two. The middle term has three and three too,
+    but z/m rounds before 1 - z/m, by up to u absolutely, which near z = m
+    is up to m u/2 of 1 - z/m; so its error is below gamma_7 side, and
+    side stands for it. lam theta + nu(psi) does not cancel: theta >= 0,
+    or theta_o > -33 u theta* (co_occurring_limit), where nu(psi_o) > 270
+    |lam theta_o| within DiseaseParams' bounds (b rho / lam >= 1e-12).
     """
     side = (costs.c_v2_bar if psi <= 0.0
             else min(costs.c_v2_bar, costs.c_v2 / psi))
     if theta == 0.0:
-        return side, 0.0, 0.0
-    lt, rate = disease.lam * theta, nu.rate(psi)
-    infection = lt * costs.c_i / (lt + rate)
-    return side, infection, abs(infection) * (abs(lt) + rate) / abs(lt + rate)
+        return side, 0.0
+    lt = disease.lam * theta
+    return side, lt * costs.c_i / (lt + nu.rate(psi))
 
 
 def _gap(z: int, m: int, costs: PublicCostModel,
-         limit: tuple[float, float, float]) -> float:
+         limit: tuple[float, float]) -> float:
     """Gap of vaccinating at a limit (_limit), z of m vaccinated: c_v1 +
     (1 - z/m) side - infection - c_f(z); its callers check z and m."""
-    side, infection, _ = limit
+    side, infection = limit
     return costs.c_v1 + (1.0 - z / m) * side - infection - costs.c_f(z)
-
-
-def _certain_sign(lhs: float, rhs: float, scale: float) -> int:
-    """The sign of lhs - rhs where rounding cannot have set it, else 0. scale
-    bounds the magnitudes of all the terms of both sides, each at most eight
-    roundings from the difference, whose error is then below gamma_8 scale
-    < _ROUNDING scale (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3; a filtered predicate as in Shewchuk, 1997)."""
-    gap, band = lhs - rhs, _ROUNDING * scale
-    return int(gap > band) - int(gap < -band)
 
 
 def _require_counts(z: int, m: int) -> None:
@@ -155,15 +139,13 @@ def classify_esss(z: int, nu: VaRatePolicy, costs: PublicCostModel,
     gap = admissibility_gap(nu, disease)
     iv = _iv_limits(nu, costs, disease)
     limits = dict(zip(("h_i", "h_v"), iv))
-    if disease.b * disease.rho - nu.nu_e > 0:  # the co-occurring limit exists
-        psi_o = psi_co_occurring(nu, disease)
-        limits["h_v_o"] = _limit(disease.theta_star - psi_o, psi_o, nu, costs,
-                                 disease)
+    if (co_occurring := co_occurring_limit(nu, disease)) is not None:
+        limits["h_v_o"] = _limit(*co_occurring, nu, costs, disease)
     gaps = {}
     for name, limit in limits.items():
-        side, _, weight = limit
+        side, infection = limit
         h = gaps[name] = _gap(z, m, costs, limit)
-        scale = costs.c_v1 + side + weight + costs.c_f(z)  # see _limit
+        scale = costs.c_v1 + side + abs(infection) + costs.c_f(z)
         if not _certain_sign(h, 0.0, scale):
             warnings.warn(f"{name} = {h:.3e} lies within {_ROUNDING * scale:.3e}"
                           " of 0, where rounding may have set its sign; "
@@ -180,9 +162,10 @@ def classify_esss(z: int, nu: VaRatePolicy, costs: PublicCostModel,
         psi_e = psi_eradicating(nu, disease.b)
         witness["eradicating"] = f"beta > 1/psi_e = {1.0 / psi_e:.6g}"
     # with nu_b = 0, psi_o is 0 and no beta gives beta psi_o > 1
-    if h_v_o is not None and h_v_o < 0.0 and gap < 0.0 and psi_o > 0.0:
+    if h_v_o is not None and h_v_o < 0.0 and gap < 0.0 < co_occurring[1]:
         stable.add("co_occurring")
-        witness["co_occurring"] = f"beta > 1/psi_o = {1.0 / psi_o:.6g}"
+        witness["co_occurring"] = (f"beta > 1/psi_o = "
+                                   f"{1.0 / co_occurring[1]:.6g}")
 
     erad = int(_eradicates(z, m, costs, iv) and bool(adm))
     return EssReport(z, h_i, h_v, h_v_o,

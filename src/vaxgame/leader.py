@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .epidemic import psi_eradicating
-from .ess import (Admissibility, _certain_sign, eradication_threshold,
-                  is_admissible)
+from .epidemic import _certain_sign, psi_eradicating
+from .ess import Admissibility, eradication_threshold, is_admissible
 # binom_cdf_vec_interp and p_from_gamma_vec are the per-draw path that the
 # tabled sums below reproduce; they stay names of this module because the
 # benchmark's tracer (perfbench/tracing.py) wraps them here.
@@ -374,11 +373,16 @@ def _p_expectation(g: float, z_bar: int, problem: LeaderProblem,
     return (search[0] + _tabled_sum(search, p, sp, cfg.c_i)[0]) / n
 
 
+def _outlay(m: int, g: float, p: float) -> float:
+    """M g E[p] for E[p] = p, rounded as (M g) p by every solution."""
+    return m * g * p
+
+
 def expected_incentive_cost(g: float, z_bar: int,
                             problem: LeaderProblem) -> float:
     """U(g) = M g E[p(g, C)], the expected incentive outlay."""
     require_integer("z_bar", z_bar, 1, problem.cfg.m)
-    return problem.cfg.m * g * _p_expectation(g, z_bar, problem)
+    return _outlay(problem.cfg.m, g, _p_expectation(g, z_bar, problem))
 
 
 def g_floor(cfg: InfluencerGameConfig) -> float:
@@ -483,9 +487,9 @@ def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolutio
     def solution(g: float, binding: bool) -> LeaderSolution:
         np_g = np_at(g)
         p_exp = _p_expectation(g, z_bar, problem, searches.get(g))
-        return LeaderSolution(g, cfg.m * g * p_exp, z_bar, binding=binding,
-                              p_expectation=p_exp, np_at_g=np_g,
-                              mode=MONTE_CARLO)
+        return LeaderSolution(g, _outlay(cfg.m, g, p_exp), z_bar,
+                              binding=binding, p_expectation=p_exp,
+                              np_at_g=np_g, mode=MONTE_CARLO)
 
     if (not (z_bar < cfg.m and _binding_by_count(draws, problem))
             and np_at(0.0) <= delta):
@@ -539,16 +543,16 @@ def perfect_info_solution(z_bar: int, problem: LeaderProblem) -> LeaderSolution:
     if z_bar < cfg.m:
         ps = p_star(z_bar, cfg.m, delta)
         g = cfg.c_v + gam - cfg.c_i * binom_cdf(cfg.m - 1, z_bar - 1, ps)
-        return LeaderSolution(g, cfg.m * g * ps, z_bar, binding=True,
+        return LeaderSolution(g, _outlay(cfg.m, g, ps), z_bar, binding=True,
                               p_expectation=ps,
                               np_at_g=float(binom_cdf(cfg.m, z_bar - 1, ps)),
                               mode=PERFECT_INFO)
     g_inf = cfg.c_v + gam - cfg.c_i
     g = g_inf + _PERFECT_INFO_EPS
-    return LeaderSolution(g, cfg.m * g, z_bar, binding=True, p_expectation=1.0,
-                          np_at_g=0.0, mode=PERFECT_INFO,
+    return LeaderSolution(g, _outlay(cfg.m, g, 1.0), z_bar, binding=True,
+                          p_expectation=1.0, np_at_g=0.0, mode=PERFECT_INFO,
                           epsilon=_PERFECT_INFO_EPS,
-                          u_star_raw=cfg.m * g_inf)
+                          u_star_raw=_outlay(cfg.m, g_inf, 1.0))
 
 
 @dataclass(frozen=True)

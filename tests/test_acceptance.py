@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import vaxgame as vg
+from vaxgame.epidemic import _field
 from vaxgame.game import (WAIT_AND_WATCH, binom_cdf_vec_interp, p_from_gamma,
                           p_from_gamma_vec)
 from vaxgame.leader import JointDesignError, c_infinity, g_floor
@@ -121,7 +122,8 @@ def test_c02_attractor_residuals_and_return():
                 att = vg.candidate_attractors(dis, nu, beta)
                 cand = getattr(att, row)
                 assert cand is not None and cand.active, (row, dis, nu, beta)
-                res = vg.ode_rhs(cand.state(), dis, nu, beta)
+                res = _field(dis, nu, beta)(cand.theta, cand.psi,
+                                            cand.eta)[:3]
                 assert np.max(np.abs(res)) < 1e-10
 
             # integration budget: re-draw and integrate a perturbed start

@@ -51,6 +51,21 @@ class TestSubcommands:
         assert data["z_bar"] == 37
         assert "esss" in out
 
+    @pytest.mark.parametrize("flags", [
+        ["--lambda", "7", "--r", "1", "--b", "1", "--nu-b", "5", "--nu-e", "0"],
+        ["--lambda", "15", "--r", "2", "--b", "2", "--nu-b", "5",
+         "--nu-e", "0.7", "--m", "40"]], ids=["cancelling", "fig5"])
+    def test_an_admissible_policy_has_no_co_occurring_gap(self, capsys,
+                                                          flags):
+        # admissible means psi_o > theta*, so the co-occurring point has
+        # theta < 0 and is no state; at lam 7, r 1, b 1, nu_b 5, nu_e 0,
+        # lam theta + nu(psi_o) there is exactly 0, which raised
+        code, out, _ = run_main(capsys, "analyze-ess", *flags)
+        assert code == 0
+        data = json.loads(out.split("\n\n")[0])
+        assert data["admissibility"] == "admissible"
+        assert [row["h_v_o"] for row in data["per_z"]] == [None] * 41
+
     def test_analyze_ess_prints_strict_json(self, capsys):
         # rho = 1/4: no gap has a limit, so each is null, as JSON (RFC 8259)
         # has no NaN; the table still prints nan

@@ -10,7 +10,7 @@ from scipy.integrate import RK45
 
 import vaxgame as vg
 from vaxgame import epidemic
-from vaxgame.epidemic import _field, _initial_step, _rms, total_event_rate
+from vaxgame.epidemic import _field, _initial_step, _rms
 
 from test_acceptance import _row_draw
 
@@ -22,16 +22,15 @@ def fig5_disease(d=0.5):
 class TestOdeRhs:
     def test_origin_is_equilibrium_of_infection_and_vaccination(self):
         dis = fig5_disease()
-        rhs = vg.ode_rhs(vg.OdeState(0.0, 0.0, 0.3), dis,
-                         vg.VaRatePolicy(1.0, 1.0), vg.ResponseParams(2.0))
+        rhs = _field(dis, vg.VaRatePolicy(1.0, 1.0),
+                     vg.ResponseParams(2.0))(0.0, 0.0, 0.3)
         assert rhs[0] == 0.0
         assert rhs[1] == 0.0
 
     def test_endemic_point_kills_theta_flow(self):
         dis = fig5_disease()
         nu, beta = vg.VaRatePolicy(1.0, 1.0), vg.ResponseParams(2.0)
-        st = vg.OdeState(dis.theta_star, 0.0, 0.2)
-        rhs = vg.ode_rhs(st, dis, nu, beta)
+        rhs = _field(dis, nu, beta)(dis.theta_star, 0.0, 0.2)
         assert rhs[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_evaluated_derivative_vector(self):
@@ -47,9 +46,9 @@ class TestOdeRhs:
         want_psi = (phi * accept * (nu_b + nu_e * psi) - b * psi) / (eta * varrho)
         want_eta = (b - d) / varrho - eta
 
-        rhs = vg.ode_rhs(vg.OdeState(theta, psi, eta),
-                         vg.DiseaseParams(lam, r, b, d),
-                         vg.VaRatePolicy(nu_b, nu_e), vg.ResponseParams(beta))
+        rhs = _field(vg.DiseaseParams(lam, r, b, d),
+                     vg.VaRatePolicy(nu_b, nu_e),
+                     vg.ResponseParams(beta))(theta, psi, eta)[:3]
         assert rhs == pytest.approx([want_theta, want_psi, want_eta], rel=1e-14)
         # frozen values from the longhand arithmetic
         assert rhs[0] == pytest.approx(0.47204066811910678, rel=1e-12)
@@ -114,7 +113,8 @@ class TestCandidates:
             beta = vg.ResponseParams(rng.uniform(0, 12))
             att = vg.candidate_attractors(dis, nu, beta)
             for cand in att.active().values():
-                res = vg.ode_rhs(cand.state(), dis, nu, beta)
+                res = _field(dis, nu, beta)(cand.theta, cand.psi,
+                                            cand.eta)[:3]
                 assert np.max(np.abs(res)) < 1e-10
                 checked += 1
 
@@ -277,7 +277,8 @@ class TestIntegration:
         dis = vg.DiseaseParams(lam=4.0, r=2.0, b=2.0, d=0.5)
         nu = vg.VaRatePolicy(0.0, 0.0)
         theta0 = 5e-5
-        eta0 = (dis.b - dis.d) / total_event_rate(theta0, 0.0, dis, nu)
+        eta0 = (dis.b - dis.d) / _field(dis, nu, vg.ResponseParams(0.0))(
+            theta0, 0.0, 1.0)[3]
         res = vg.integrate_to_equilibrium(vg.OdeState(theta0, 0.0, eta0),
                                           dis, nu, vg.ResponseParams(0.0))
         assert not res.converged
@@ -503,7 +504,8 @@ def _kink_returns(draw):
     vec *= 1e-2 / np.linalg.norm(vec)
     theta0 = min(max(vec[0], 1e-4), 0.98)
     psi0 = min(max(psi_e + vec[1], 1e-4), 0.98 - theta0)
-    eta = (dis.b - dis.d) / total_event_rate(0.0, psi_e, dis, nu)
+    eta = (dis.b - dis.d) / _field(dis, nu, vg.ResponseParams(0.0))(
+        0.0, psi_e, 1.0)[3]
     return (vg.OdeState(theta0, psi0, eta), dis, nu,
             vg.ResponseParams((1.0 + gap) / psi_e))
 
@@ -742,11 +744,11 @@ def test_located_stop_needs_a_stable_point_and_a_small_drift():
     psi_e = vg.psi_eradicating(nu, dis.b)
     beta = vg.ResponseParams((1.0 + 1e-9) / psi_e)
     start = vg.OdeState(5e-7, psi_e - 5e-7, 1e-2)
-    assert max(np.abs(vg.ode_rhs(start, dis, nu, beta)[:2])) > 1e-5
+    assert max(map(abs, _field(dis, nu, beta)(start.theta, start.psi,
+                                              start.eta)[:2])) > 1e-5
     res = vg.integrate_to_equilibrium(start, dis, nu, beta)
     assert res.converged and "located" in res.message and len(res.t) > 1
-    assert max(np.abs(vg.ode_rhs(vg.OdeState(*res.states[-1]), dis, nu,
-                                 beta)[:2])) < 1e-6
+    assert max(map(abs, _field(dis, nu, beta)(*res.states[-1])[:2])) < 1e-6
     assert np.max(np.abs(res.limit.as_array()[:2] - (0.0, psi_e))) < 1e-10
 
 
@@ -764,7 +766,7 @@ def test_a_return_closed_at_its_start_is_its_first_attempt(case):
     assert got.states.tolist() == [[init.theta, init.psi, init.eta]]
     locate, _, _ = epidemic._basin(dis, nu, beta)
     theta, psi = locate(init.theta, init.psi)
-    eta = (dis.b - dis.d) / total_event_rate(theta, psi, dis, nu)
+    eta = (dis.b - dis.d) / _field(dis, nu, beta)(theta, psi, 1.0)[3]
     assert got.limit == vg.OdeState(max(theta, 0.0), max(psi, 0.0), eta)
     assert " at t = 0 (attempt 1): " in got.message
     assert got.rhs_evals == 2
@@ -1366,4 +1368,5 @@ def test_event_rate_matches_component_sum():
     phi = 0.5
     want = (dis.b + dis.d + dis.lam * theta * phi
             + (1.5 + 0.7 * psi) * phi + dis.r * theta)
-    assert total_event_rate(theta, psi, dis, nu) == pytest.approx(want)
+    got = _field(dis, nu, vg.ResponseParams(0.0))(theta, psi, 1.0)[3]
+    assert got == pytest.approx(want)

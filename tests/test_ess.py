@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import vaxgame as vg
 from vaxgame.cli import FIG_THETA_COSTS, FIG_THETA_DISEASE, _theta_disease
+from vaxgame.epidemic import admissibility_gap
 from vaxgame.ess import Admissibility
 from vaxgame.params import InsufficientInfluenceError
 
@@ -149,12 +150,12 @@ class TestClassification:
         assert rep.esss_set == frozenset({"co_occurring"})
         assert rep.beta_witness == {"co_occurring": "beta > 1/psi_o = 7"}
         assert rep.eradication_conditional == 0
-        # an admissible nu with b rho - nu_e = 0.5 has a co-occurring limit
-        # too, with a negative gap, but the eradicating limit is the stable
-        # one there
+        # an admissible nu with b rho - nu_e = 0.5 puts psi_o = 1 above
+        # theta*, so theta_o < 0: no co-occurring limit, no gap there, and
+        # the eradicating limit is the stable one
         rep = vg.classify_esss(39, vg.VaRatePolicy(0.5, 7.0),
                                fig5_costs(0.2), dis, M)
-        assert rep.h_v_o < 0.0
+        assert rep.h_v_o is None
         assert rep.esss_set == frozenset({"eradicating"})
 
     @pytest.mark.parametrize("nu_b,self_erad,non_vacc", [
@@ -326,28 +327,23 @@ def test_co_occurring_limit_without_basic_supply_is_not_stable():
     assert "co_occurring" not in rep.esss_set
 
 
-def exact_gap(theta, psi, z, nu, costs, dis, m) -> Fraction:
-    """The gap at the limit (theta, psi) in exact arithmetic on the same
-    floats, theta and psi taken as given, for linear c_f: c_v1 + (1 - z/m)
-    side - lam theta C_i / (lam theta + nu(psi)) - s z."""
+def exact_gap(psi, z, costs, m) -> Fraction:
+    """The gap at the limit (0, psi) in exact arithmetic on the same floats,
+    psi taken as given, for linear c_f: c_v1 + (1 - z/m) side - s z (no
+    infection at theta = 0)."""
     q = Fraction
     side = (q(costs.c_v2_bar) if psi <= 0.0
             else min(q(costs.c_v2_bar), q(costs.c_v2) / q(psi)))
-    lt = q(dis.lam) * q(theta)
-    infection = (0 if theta == 0.0 else
-                 lt * q(costs.c_i) / (lt + q(nu.nu_b) + q(nu.nu_e) * q(psi)))
-    return (q(costs.c_v1) + (1 - q(z, m)) * side - infection
-            - q(costs.s) * z)
+    return q(costs.c_v1) + (1 - q(z, m)) * side - q(costs.s) * z
 
 
-def classify_recording(z, nu, costs, dis, m, name="h_v"):
-    """classify_esss's report and the messages of its warnings of the gap
-    name."""
+def classify_recording(z, nu, costs, dis, m):
+    """classify_esss's report and the messages of its warnings of h_v."""
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
         rep = vg.classify_esss(z, nu, costs, dis, m)
     return rep, [str(w.message) for w in record
-                 if str(w.message).startswith(f"{name} = ")]
+                 if str(w.message).startswith("h_v = ")]
 
 
 @st.composite
@@ -390,8 +386,7 @@ def test_an_uncertain_sign_of_h_v_warns(instance):
     z, m, costs = instance
     dis = fig5_disease()
     rep, warned = classify_recording(z, ADMISSIBLE_NU, costs, dis, m)
-    exact = exact_gap(0.0, vg.psi_eradicating(ADMISSIBLE_NU, dis.b), z,
-                      ADMISSIBLE_NU, costs, dis, m)
+    exact = exact_gap(vg.psi_eradicating(ADMISSIBLE_NU, dis.b), z, costs, m)
     band = 16 * 2.0 ** -53 * (costs.c_v1 + costs.c_v2_bar + costs.c_f(z))
     assert bool(warned) is (abs(rep.h_v) <= band)
     assert abs(Fraction(rep.h_v) - exact) <= Fraction(band) / 2
@@ -417,16 +412,17 @@ def test_a_fragile_gap_above_the_old_band_warns():
     assert warned == ["h_v = -4.657e-10 lies within 2.103e-08 of 0, where "
                       "rounding may have set its sign; classification may "
                       "be fragile"]
-    assert rep.h_v < 0.0 < exact_gap(0.0, vg.psi_eradicating(nu, dis.b), 21,
-                                     nu, costs, dis, 26)
+    assert rep.h_v < 0.0 < exact_gap(vg.psi_eradicating(nu, dis.b), 21,
+                                     costs, 26)
     assert "eradicating" in rep.esss_set and rep.eradication_conditional == 1
 
 
 def test_tiny_costs_with_certain_signs_do_not_warn():
     # fig 4's theta* cost set scaled by 1e-14, at theta* = 0.25 and the
-    # first near-minimal policy: every gap lies below 1e-12, and an
-    # absolute band of 1e-12 flagged all 123 of counts 0..40, h_i(20) =
-    # -3.5e-13 among them; each sign is certain
+    # first near-minimal policy, which is admissible, so no co-occurring
+    # limit: every gap h_i and h_v of counts 0..40 lies below 1e-12, and an
+    # absolute band of 1e-12 flagged them all, h_i(20) = -3.5e-13 among
+    # them; each sign is certain
     costs = vg.PublicCostModel(**{k: v * 1e-14
                                   for k, v in FIG_THETA_COSTS.items()})
     dis = _theta_disease(0.25, **FIG_THETA_DISEASE)
@@ -435,27 +431,86 @@ def test_tiny_costs_with_certain_signs_do_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         reps = [vg.classify_esss(z, nu, costs, dis, M) for z in range(M + 1)]
-    gaps = [h for rep in reps for h in (rep.h_i, rep.h_v, rep.h_v_o)]
-    assert len(gaps) == 123 and max(map(abs, gaps)) < 1e-12
+    assert all(rep.h_v_o is None for rep in reps)
+    gaps = [h for rep in reps for h in (rep.h_i, rep.h_v)]
+    assert len(gaps) == 82 and max(map(abs, gaps)) < 1e-12
     assert reps[20].h_i == pytest.approx(-3.54e-13, rel=1e-3)
 
 
-def test_a_cancelling_infection_term_widens_the_band():
-    # an admissible policy puts the co-occurring limit at psi_o = 1.714 >
-    # theta* = 0.857, so theta = theta* - psi_o < 0, and lam theta + nu(psi_o)
-    # cancels to 1.9e-6 of its terms: the infection term carries their
-    # rounding 5.2e5 times over. h_v_o computes to +3.4e-6, exactly it is
-    # -1.6e-6, and 16 u of the plain magnitudes, 9.2e-10, would not cover
-    # it; its band, with the infection term times that factor, is 2.4e-4
-    dis = vg.DiseaseParams(lam=14.0, r=1.0, b=1.0)
-    nu = vg.VaRatePolicy(11.1429, 0.5)
-    costs = vg.PublicCostModel(c_v1=260002.25000859934, c_v2=2.0,
-                               c_v2_bar=1.0, c_i=1.0, s=1.0)
+def test_no_co_occurring_limit_where_its_theta_is_certainly_negative():
+    # the gap computes to exactly 0, so the policy is not admissible, but
+    # nu_b / theta* lies within the gap's rounding of b rho: psi_o = 1.24
+    # theta*, and at theta_o = -0.24 theta* lam theta_o + nu(psi_o) is
+    # exactly 0. The classification divided by it; now neither layer has
+    # the limit
+    dis = vg.DiseaseParams(lam=13.132526520732565, r=1.116020913134459,
+                           b=0.26365889362278044)
+    nu = vg.VaRatePolicy(4.913273969426824e-16, 2.5096456409450174)
     psi_o = vg.psi_co_occurring(nu, dis)
-    rep, warned = classify_recording(1, nu, costs, dis, 4, name="h_v_o")
-    assert warned == ["h_v_o = 3.375e-06 lies within 2.402e-04 of 0, where "
-                      "rounding may have set its sign; classification may "
-                      "be fragile"]
-    exact = exact_gap(dis.theta_star - psi_o, psi_o, 1, nu, costs, dis, 4)
-    assert exact < 0.0 < rep.h_v_o
-    assert abs(rep.h_v_o) > 16 * 2.0 ** -53 * 5.2e5
+    theta_o = dis.theta_star - psi_o
+    assert dis.lam * theta_o + nu.rate(psi_o) == 0.0
+    assert admissibility_gap(nu, dis) == 0.0
+    assert theta_o < -0.2 * dis.theta_star
+    rep = vg.classify_esss(1, nu, fig5_costs(0.1), dis, 4)
+    assert rep.admissibility is Admissibility.NOT_ADMISSIBLE
+    assert rep.h_v_o is None and rep.esss_set == frozenset({"non_vaccinating"})
+    beta = vg.ResponseParams(2.0 / psi_o)
+    assert vg.candidate_attractors(dis, nu, beta).co_occurring is None
+
+
+@st.composite
+def near_line_policy(draw):
+    """(disease, nu): rho in 0.5..50, r and b over six decades; nu_b 0 or
+    over 19 decades down to 1e-16, where nu_b / theta* can lie within the
+    admissibility gap's rounding of b rho; nu_e on the line nu_e = b rho -
+    nu_b / theta*, up to 4 ulps either side of it, or anywhere in 0..2 b
+    rho."""
+    decades = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+    r, b = draw(decades), draw(decades)
+    dis = vg.DiseaseParams(lam=draw(st.floats(0.5, 50.0)) * (r + b), r=r, b=b)
+    nu_b = draw(st.one_of(st.just(0.0),
+                          st.floats(-16.0, 3.0).map(lambda e: 10.0 ** e)))
+    if dis.rho > 1.0 and draw(st.booleans()):
+        nu_e = dis.b * dis.rho - nu_b / dis.theta_star
+        ulps = draw(st.integers(-4, 4))
+        for _ in range(abs(ulps)):
+            nu_e = math.nextafter(nu_e, math.copysign(math.inf, ulps))
+    else:
+        nu_e = draw(st.floats(0.0, 2.0)) * dis.b * dis.rho
+    assume(0.0 <= nu_e <= 1e6)
+    return dis, vg.VaRatePolicy(nu_b, nu_e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=near_line_policy(), z=st.integers(0, 4),
+       beta=st.floats(0.0, 1e3))
+# an admissible policy where lam theta_o + nu(psi_o) = -5 + 5, which raised
+@example(case=(vg.DiseaseParams(lam=7.0, r=1.0, b=1.0),
+               vg.VaRatePolicy(5.0, 0.0)), z=1, beta=1.0)
+def test_the_layers_agree_on_the_co_occurring_limit(case, z, beta):
+    """classify_esss has h_v_o exactly where candidate_attractors has the
+    co-occurring candidate, and neither raises. The limit exists on the
+    side of the line that the gap's float sign gives, is a state there
+    (OdeState takes it), and is missing on that side only where theta_o is
+    certainly below 0."""
+    dis, nu = case
+    costs = vg.PublicCostModel(c_v1=1.0, c_v2=2.0, c_v2_bar=1.0, c_i=1.0,
+                               s=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = vg.classify_esss(z, nu, costs, dis, 4)
+    cand = vg.candidate_attractors(dis, nu, vg.ResponseParams(beta))
+    assert (rep.h_v_o is None) is (cand.co_occurring is None)
+    if dis.rho <= 1.0:
+        assert cand.co_occurring is None
+        return
+    gap = admissibility_gap(nu, dis)
+    if cand.co_occurring is not None:
+        assert gap <= 0.0
+        # the bound that _limit's argument takes
+        theta_o = cand.co_occurring.state().theta
+        assert theta_o > -33 * 2.0 ** -53 * dis.theta_star
+    elif gap <= 0.0 and dis.b * dis.rho - nu.nu_e > 0.0:
+        psi_o = vg.psi_co_occurring(nu, dis)
+        band = 16 * 2.0 ** -53 * (dis.theta_star + psi_o)
+        assert dis.theta_star - psi_o < -band

@@ -108,10 +108,7 @@ def test_uncalled_private_function_is_found():
 
 # Public names that __init__.py does not export and no other code in the
 # package reads, each with its reason.
-UNEXPORTED = {
-    "epidemic.py:total_event_rate": "the spec's total event rate varrho, "
-    "which the tests read as the oracle of the jump chain's clock",
-}
+UNEXPORTED: dict[str, str] = {}
 
 
 def unexported_public_names(trees: dict[str, ast.Module]) -> set[str]:
