@@ -5,8 +5,8 @@ from .epidemic import (AttractorSet, Candidate, IntegrationResult, JumpTrajector
                        OdeState, candidate_attractors, integrate_to_equilibrium,
                        matched_ode, psi_co_occurring, psi_eradicating,
                        simulate_jump_process)
-from .ess import (Admissibility, EssReport, classify_esss, eradication_probability,
-                  eradication_threshold, is_admissible)
+from .ess import (Admissibility, EssReport, classify_esss, eradication_threshold,
+                  is_admissible)
 from .game import (CostPath, InfluencerGameConfig, NeCheck, SpecialStrategy,
                    StageActionSet, XiModel, binom_cdf, gamma,
                    ne_outcome_probability, sample_cost_path, sample_z_t,

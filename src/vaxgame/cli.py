@@ -554,7 +554,7 @@ def cmd_analyze_ess(args) -> int:
                     for k in ("h_i", "h_v"))
         print(f"{rep['z']:>4} {h_i:>12.5g} {h_v:>12.5g} "
               f"{rep['eradication_conditional']:>5}  "
-              f"{','.join(rep['esss_set'])}")
+              f"{','.join(rep['esss_set'] + ['fragile:' + n for n in rep['fragile']])}")
     return 0
 
 

@@ -4,11 +4,10 @@ threshold on the number of vaccinated influencers."""
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import asdict, dataclass, field
 
-from .epidemic import (_ROUNDING, _certain_sign, admissibility_gap,
-                       co_occurring_limit, psi_eradicating)
+from .epidemic import (_certain_sign, admissibility_gap, co_occurring_limit,
+                       psi_eradicating)
 from .params import (MAX_INFLUENCERS, DiseaseParams, PublicCostModel,
                      VaRatePolicy, require_integer)
 
@@ -25,9 +24,11 @@ class Admissibility(enum.Enum):
 def is_admissible(nu: VaRatePolicy, disease: DiseaseParams) -> Admissibility:
     """Whether the VA policy can support eradication at all.
 
-    Requires nu_e > b*rho - nu_b/theta_star (strict). For rho <= 1 the
-    disease dies out on its own and the question is moot; a distinguished
-    status is returned instead of a boolean.
+    Requires nu_e > b*rho - nu_b/theta_star (strict), decided by the float
+    sign of admissibility_gap; classify_esss flags the decisions that
+    rounding may have set. For rho <= 1 the disease dies out on its own and
+    the question is moot; a distinguished status is returned instead of a
+    boolean.
     """
     if disease.rho <= 1.0:
         return Admissibility.NO_INTERVENTION_NEEDED
@@ -101,12 +102,14 @@ class EssReport:
     h_v: float | None
     h_v_o: float | None
     esss_set: frozenset[str]
+    fragile: frozenset[str]
     eradication_conditional: int
     admissibility: Admissibility
     beta_witness: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "esss_set": sorted(self.esss_set),
+                "fragile": sorted(self.fragile),
                 "admissibility": self.admissibility.value}
 
 
@@ -118,10 +121,11 @@ def classify_esss(z: int, nu: VaRatePolicy, costs: PublicCostModel,
     case admits a witness response (recorded in beta_witness). The set
     holds 'none' when no candidate qualifies. A gap is None where its
     limit does not exist: all three for rho <= 1, and h_v_o without a
-    co-occurring limit. A gap whose sign rounding may have set
-    (_certain_sign over its scale, see _limit, is 0) is classified by its float
-    sign and warned of at the caller. m must be an integer in
-    1..MAX_INFLUENCERS and z one in 0..m, for every rho.
+    co-occurring limit. Every decision takes its float sign. fragile names
+    each one whose sign rounding may have set, where _certain_sign is 0: a
+    gap over its scale (see _limit), and for rho > 1 'admissibility', the
+    admissibility gap over nu_e + b*rho + nu_b/theta_star. m must be an
+    integer in 1..MAX_INFLUENCERS and z one in 0..m, for every rho.
     """
     _require_counts(z, m)
     adm = is_admissible(nu, disease)
@@ -131,7 +135,7 @@ def classify_esss(z: int, nu: VaRatePolicy, costs: PublicCostModel,
         witness["self_eradicating"] = f"beta < b/nu_b = {disease.b / nu.nu_b:.6g}" \
             if nu.nu_b > 0 else "any beta"
         return EssReport(z, None, None, None,
-                         frozenset({"self_eradicating"}),
+                         frozenset({"self_eradicating"}), frozenset(),
                          eradication_conditional=0, admissibility=adm,
                          beta_witness=witness)
 
@@ -141,15 +145,16 @@ def classify_esss(z: int, nu: VaRatePolicy, costs: PublicCostModel,
     limits = dict(zip(("h_i", "h_v"), iv))
     if (co_occurring := co_occurring_limit(nu, disease)) is not None:
         limits["h_v_o"] = _limit(*co_occurring, nu, costs, disease)
-    gaps = {}
+    gaps, fragile = {}, set()
+    if not _certain_sign(gap, 0.0, nu.nu_e + disease.b * disease.rho
+                         + nu.nu_b / disease.theta_star):
+        fragile.add("admissibility")
     for name, limit in limits.items():
         side, infection = limit
         h = gaps[name] = _gap(z, m, costs, limit)
-        scale = costs.c_v1 + side + abs(infection) + costs.c_f(z)
-        if not _certain_sign(h, 0.0, scale):
-            warnings.warn(f"{name} = {h:.3e} lies within {_ROUNDING * scale:.3e}"
-                          " of 0, where rounding may have set its sign; "
-                          "classification may be fragile", stacklevel=2)
+        if not _certain_sign(h, 0.0, costs.c_v1 + side + abs(infection)
+                             + costs.c_f(z)):
+            fragile.add(name)
     h_i, h_v, h_v_o = (gaps.get(name) for name in ("h_i", "h_v", "h_v_o"))
 
     if h_i > 0.0:
@@ -170,18 +175,8 @@ def classify_esss(z: int, nu: VaRatePolicy, costs: PublicCostModel,
     erad = int(_eradicates(z, m, costs, iv) and bool(adm))
     return EssReport(z, h_i, h_v, h_v_o,
                      frozenset(stable) if stable else frozenset({"none"}),
-                     eradication_conditional=erad, admissibility=adm,
-                     beta_witness=witness)
-
-
-def eradication_probability(z: int, nu: VaRatePolicy, costs: PublicCostModel,
-                            disease: DiseaseParams, m: int) -> int:
-    """Conditional certainty of complete eradication given Z = z (0 or 1);
-    m must be an integer in 1..MAX_INFLUENCERS and z one in 0..m."""
-    _require_counts(z, m)
-    if not is_admissible(nu, disease):
-        return 0
-    return int(_eradicates(z, m, costs, _iv_limits(nu, costs, disease)))
+                     frozenset(fragile), eradication_conditional=erad,
+                     admissibility=adm, beta_witness=witness)
 
 
 def eradication_threshold(nu: VaRatePolicy, costs: PublicCostModel,

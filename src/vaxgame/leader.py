@@ -139,7 +139,9 @@ def c_infinity(cfg: InfluencerGameConfig) -> float:
 @dataclass
 class LeaderProblem:
     """The leader's constraint N_P(g) <= delta on one game and draw law;
-    delta must lie in (0, 1), and cfg and sampler must be of their types.
+    delta must lie in (0, 1) and cfg must be an InfluencerGameConfig. The
+    solve reads only sampler.gamma_draws(cfg) -> GammaDraws, so any object
+    with a callable gamma_draws will do, an ExpectationSampler among them.
     A bad field raises ValueError naming it when the problem is built."""
 
     delta: float
@@ -149,12 +151,12 @@ class LeaderProblem:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        for name, kind in (("cfg", InfluencerGameConfig),
-                           ("sampler", ExpectationSampler)):
-            v = getattr(self, name)
-            if not isinstance(v, kind):
-                raise ValueError(f"{name} must be an {kind.__name__}, "
-                                 f"got {v!r}")
+        if not isinstance(self.cfg, InfluencerGameConfig):
+            raise ValueError(f"cfg must be an InfluencerGameConfig, "
+                             f"got {self.cfg!r}")
+        if not callable(getattr(self.sampler, "gamma_draws", None)):
+            raise ValueError(f"sampler must have a callable gamma_draws, "
+                             f"got {self.sampler!r}")
 
 
 @dataclass

@@ -171,7 +171,8 @@ def test_c04_threshold_characterization_exhaustive():
             for nu in (fixed_nu,):
                 zbar = vg.eradication_threshold(nu, costs, dis, 40)
                 for z in range(41):
-                    got = vg.eradication_probability(z, nu, costs, dis, 40)
+                    got = vg.classify_esss(z, nu, costs, dis,
+                                           40).eradication_conditional
                     assert got == (1 if z >= zbar else 0)
             # the near-minimal designed policy must agree with its target
             k = vg.vaccine_optimal_k(costs, dis, 40)
@@ -179,7 +180,8 @@ def test_c04_threshold_characterization_exhaustive():
             zbar = vg.eradication_threshold(design.nu_eps, costs, dis, 40)
             assert zbar == k
             for z in range(41):
-                got = vg.eradication_probability(z, design.nu_eps, costs, dis, 40)
+                got = vg.classify_esss(z, design.nu_eps, costs, dis,
+                                       40).eradication_conditional
                 assert got == (1 if z >= k else 0)
 
 

@@ -147,7 +147,7 @@ def test_a_sensitive_public_can_always_eradicate(data, m, dis, nu_b, excess):
     assert vg.is_admissible(nu, dis)
     k = vg.eradication_threshold(nu, costs, dis, m)
     assert 0 <= k <= m
-    assert [vg.eradication_probability(z, nu, costs, dis, m)
+    assert [vg.classify_esss(z, nu, costs, dis, m).eradication_conditional
             for z in range(m + 1)] == [0] * k + [1] * (m + 1 - k)
 
 

@@ -66,6 +66,33 @@ class TestSubcommands:
         assert data["admissibility"] == "admissible"
         assert [row["h_v_o"] for row in data["per_z"]] == [None] * 41
 
+    def test_a_gap_within_its_band_is_reported(self, capsys):
+        # with c_v2 = 0 at the other defaults, h_v(2) = c_v1 - 2 s = 0.2 -
+        # 0.2 lies within its band of 0: the row names it, in the JSON and
+        # in the table, and nothing goes to stderr
+        code, out, err = run_main(capsys, "analyze-ess", "--cv2", "0")
+        assert code == 0 and err == ""
+        report, table = out.split("\n\n")
+        rows = json.loads(report)["per_z"]
+        assert [row["fragile"] for row in rows] == ([[]] * 2 + [["h_v"]]
+                                                    + [[]] * 38)
+        assert table.splitlines()[3].endswith(",fragile:h_v")
+
+    def test_a_zero_admissibility_gap_is_reported(self, capsys):
+        # b rho - nu_b / theta* = 4 - 1 is nu_e: the gap is exactly 0, so
+        # the policy is refused and every row says that rounding may have
+        # set that sign
+        code, out, err = run_main(capsys, "analyze-ess", "--lambda", "8",
+                                  "--r", "1", "--b", "1", "--nu-b", "0.75",
+                                  "--nu-e", "3", "--m", "4")
+        assert code == 0 and err == ""
+        report, table = out.split("\n\n")
+        data = json.loads(report)
+        assert data["admissibility"] == "not-admissible"
+        assert all("admissibility" in row["fragile"]
+                   for row in data["per_z"])
+        assert table.count("fragile:admissibility") == 5
+
     def test_analyze_ess_prints_strict_json(self, capsys):
         # rho = 1/4: no gap has a limit, so each is null, as JSON (RFC 8259)
         # has no NaN; the table still prints nan
@@ -853,9 +880,6 @@ def _named_in(flag: str, text: str) -> bool:
     return re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text) is not None
 
 
-# ess warns, by design, where rounding may have set a utility gap's sign:
-# that is output of a run, not a failure
-@pytest.mark.filterwarnings("ignore:h_\\w+ = .* lies within:UserWarning")
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_every_input_runs_or_names_its_flag(data):

@@ -1,6 +1,4 @@
 import math
-import re
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -173,28 +171,25 @@ class TestClassification:
         rep = vg.classify_esss(0, nu, fig5_costs(0.2), fig5_disease(), M)
         assert rep.beta_witness == {"non_vaccinating": non_vacc}
 
-    def test_a_gap_on_the_boundary_warns_at_the_caller(self):
+    def test_a_gap_on_the_boundary_is_fragile(self):
         # c_v1 = c_f(M) puts h_v(M) at exactly 0, where strict and
-        # non-strict differ: the classification flags it, at its caller,
-        # with its band, 16 u of its terms' magnitudes: c_v1, the side
-        # effect c_v2/psi_e, no infection at theta = 0, and c_f(M)
+        # non-strict differ: the report flags it, as it lies within its
+        # band, 16 u of its terms' magnitudes: c_v1, the side effect
+        # c_v2/psi_e, no infection at theta = 0, and c_f(M)
         costs = vg.PublicCostModel(c_v1=8.0, c_v2=0.05, c_v2_bar=100.0,
                                    c_i=0.5, s=0.2)
         psi_e = vg.psi_eradicating(ADMISSIBLE_NU, fig5_disease().b)
         band = 16 * 2.0 ** -53 * (8.0 + 0.05 / psi_e + 0.0 + 8.0)
-        with pytest.warns(UserWarning, match="^" + re.escape(
-                f"h_v = 0.000e+00 lies within {band:.3e} of 0, where "
-                "rounding may have set its sign; classification may be "
-                "fragile") + "$") as record:
-            rep = vg.classify_esss(M, ADMISSIBLE_NU, costs, fig5_disease(), M)
+        rep = vg.classify_esss(M, ADMISSIBLE_NU, costs, fig5_disease(), M)
+        assert rep.fragile == frozenset({"h_v"}) and abs(rep.h_v) <= band
         assert rep.h_v == 0.0 and "eradicating" not in rep.esss_set
-        assert [w.filename for w in record] == [__file__]
 
     def test_report_serializes(self):
         dis = fig5_disease()
         rep = vg.classify_esss(3, ADMISSIBLE_NU, fig5_costs(0.1), dis, M)
         d = rep.to_dict()
         assert d["z"] == 3 and isinstance(d["esss_set"], list)
+        assert d["fragile"] == []
 
 
 class TestEradicationThreshold:
@@ -235,7 +230,7 @@ class TestEradicationThreshold:
         nu = vg.VaRatePolicy(1.0, 0.0)
         rep = vg.classify_esss(M, nu, fig5_costs(0.2), dis, M)
         assert rep.h_i < 0.0 and rep.h_v < 0.0
-        assert vg.eradication_probability(M, nu, fig5_costs(0.2), dis, M) == 0
+        assert rep.eradication_conditional == 0
 
     def test_threshold_characterizes_certain_eradication(self):
         dis = fig5_disease()
@@ -244,8 +239,8 @@ class TestEradicationThreshold:
             zbar = vg.eradication_threshold(ADMISSIBLE_NU, costs, dis, M)
             for z in range(M + 1):
                 want = 1 if z >= zbar else 0
-                assert vg.eradication_probability(z, ADMISSIBLE_NU, costs,
-                                                  dis, M) == want
+                assert vg.classify_esss(z, ADMISSIBLE_NU, costs, dis,
+                                        M).eradication_conditional == want
 
     def test_gaps_at_full_count_are_ordered_negative(self):
         dis = fig5_disease()
@@ -337,15 +332,6 @@ def exact_gap(psi, z, costs, m) -> Fraction:
     return q(costs.c_v1) + (1 - q(z, m)) * side - q(costs.s) * z
 
 
-def classify_recording(z, nu, costs, dis, m):
-    """classify_esss's report and the messages of its warnings of h_v."""
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        rep = vg.classify_esss(z, nu, costs, dis, m)
-    return rep, [str(w.message) for w in record
-                 if str(w.message).startswith("h_v = ")]
-
-
 @st.composite
 def h_v_tie(draw):
     """(z, M, costs) with h_v(z) = 0 solved in floats, or nudged off it:
@@ -376,27 +362,28 @@ def h_v_tie(draw):
 @example(instance=(1, 2, vg.PublicCostModel(
     c_v1=0.046875000000004684, c_v2=19.0625, c_v2_bar=1.90625, c_i=1.0,
     s=1.0)))
-def test_an_uncertain_sign_of_h_v_warns(instance):
-    """classify_esss warns of h_v exactly where _certain_sign gives 0:
+def test_an_uncertain_sign_of_h_v_is_fragile(instance):
+    """classify_esss names h_v fragile exactly where _certain_sign gives 0:
     where the gap lies within 16 u (u = 2^-53) of its scale, c_v1 + side
     + c_f(z) here (no infection at theta = 0). The float gap lies within
     half that band of the exact gap on the same floats, so wherever the
-    two signs differ it warns, and where the exact gap lies beyond the
-    band and that bound it does not."""
+    two signs differ it is fragile, and where the exact gap lies beyond
+    the band and that bound it is not."""
     z, m, costs = instance
     dis = fig5_disease()
-    rep, warned = classify_recording(z, ADMISSIBLE_NU, costs, dis, m)
+    rep = vg.classify_esss(z, ADMISSIBLE_NU, costs, dis, m)
+    fragile = "h_v" in rep.fragile
     exact = exact_gap(vg.psi_eradicating(ADMISSIBLE_NU, dis.b), z, costs, m)
     band = 16 * 2.0 ** -53 * (costs.c_v1 + costs.c_v2_bar + costs.c_f(z))
-    assert bool(warned) is (abs(rep.h_v) <= band)
+    assert fragile is (abs(rep.h_v) <= band)
     assert abs(Fraction(rep.h_v) - exact) <= Fraction(band) / 2
     if (rep.h_v > 0) - (rep.h_v < 0) != (exact > 0) - (exact < 0):
-        assert warned
+        assert fragile
     if abs(exact) > 1.5 * band:
-        assert not warned
+        assert not fragile
 
 
-def test_a_fragile_gap_above_the_old_band_warns():
+def test_a_fragile_gap_above_the_old_band_is_reported():
     # h_v(21) computes to -4.66e-10, so the eradicating limit is stable and
     # eradication certain, while its exact value on the same floats is
     # +1.32e-10. An absolute band of 1e-12 let it pass; the gap's own
@@ -408,16 +395,15 @@ def test_a_fragile_gap_above_the_old_band_warns():
         c_v2_bar=5471747.19606007, c_i=3463131.136746879,
         s=176619.68797409083)
     nu = vg.VaRatePolicy(5.0, 5.0)
-    rep, warned = classify_recording(21, nu, costs, dis, 26)
-    assert warned == ["h_v = -4.657e-10 lies within 2.103e-08 of 0, where "
-                      "rounding may have set its sign; classification may "
-                      "be fragile"]
+    rep = vg.classify_esss(21, nu, costs, dis, 26)
+    assert rep.fragile == frozenset({"h_v"})
+    assert rep.h_v == pytest.approx(-4.657e-10, rel=1e-3)
     assert rep.h_v < 0.0 < exact_gap(vg.psi_eradicating(nu, dis.b), 21,
                                      costs, 26)
     assert "eradicating" in rep.esss_set and rep.eradication_conditional == 1
 
 
-def test_tiny_costs_with_certain_signs_do_not_warn():
+def test_tiny_costs_with_certain_signs_are_not_fragile():
     # fig 4's theta* cost set scaled by 1e-14, at theta* = 0.25 and the
     # first near-minimal policy, which is admissible, so no co-occurring
     # limit: every gap h_i and h_v of counts 0..40 lies below 1e-12, and an
@@ -428,24 +414,25 @@ def test_tiny_costs_with_certain_signs_do_not_warn():
     dis = _theta_disease(0.25, **FIG_THETA_DISEASE)
     nu = vg.VaRatePolicy(dis.b * dis.rho * dis.theta_star - 5e-4,
                          5e-4 / dis.theta_star + 5e-4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        reps = [vg.classify_esss(z, nu, costs, dis, M) for z in range(M + 1)]
-    assert all(rep.h_v_o is None for rep in reps)
+    reps = [vg.classify_esss(z, nu, costs, dis, M) for z in range(M + 1)]
+    assert all(rep.h_v_o is None and not rep.fragile for rep in reps)
     gaps = [h for rep in reps for h in (rep.h_i, rep.h_v)]
     assert len(gaps) == 82 and max(map(abs, gaps)) < 1e-12
     assert reps[20].h_i == pytest.approx(-3.54e-13, rel=1e-3)
 
 
+# the admissibility gap computes to exactly 0, so the policy is not
+# admissible, but nu_b / theta* lies within the gap's rounding of b rho
+ZERO_GAP = (vg.DiseaseParams(lam=13.132526520732565, r=1.116020913134459,
+                             b=0.26365889362278044),
+            vg.VaRatePolicy(4.913273969426824e-16, 2.5096456409450174))
+
+
 def test_no_co_occurring_limit_where_its_theta_is_certainly_negative():
-    # the gap computes to exactly 0, so the policy is not admissible, but
-    # nu_b / theta* lies within the gap's rounding of b rho: psi_o = 1.24
-    # theta*, and at theta_o = -0.24 theta* lam theta_o + nu(psi_o) is
-    # exactly 0. The classification divided by it; now neither layer has
-    # the limit
-    dis = vg.DiseaseParams(lam=13.132526520732565, r=1.116020913134459,
-                           b=0.26365889362278044)
-    nu = vg.VaRatePolicy(4.913273969426824e-16, 2.5096456409450174)
+    # at ZERO_GAP, psi_o = 1.24 theta*, and at theta_o = -0.24 theta* lam
+    # theta_o + nu(psi_o) is exactly 0. The classification divided by it;
+    # now neither layer has the limit
+    dis, nu = ZERO_GAP
     psi_o = vg.psi_co_occurring(nu, dis)
     theta_o = dis.theta_star - psi_o
     assert dis.lam * theta_o + nu.rate(psi_o) == 0.0
@@ -456,6 +443,17 @@ def test_no_co_occurring_limit_where_its_theta_is_certainly_negative():
     assert rep.h_v_o is None and rep.esss_set == frozenset({"non_vaccinating"})
     beta = vg.ResponseParams(2.0 / psi_o)
     assert vg.candidate_attractors(dis, nu, beta).co_occurring is None
+
+
+def test_a_zero_admissibility_gap_is_fragile():
+    # the float sign still refuses the policy at every count, and the
+    # report says that rounding may have set that sign
+    dis, nu = ZERO_GAP
+    for z in range(5):
+        rep = vg.classify_esss(z, nu, fig5_costs(0.1), dis, 4)
+        assert rep.admissibility is Admissibility.NOT_ADMISSIBLE
+        assert "admissibility" in rep.fragile
+        assert rep.to_dict()["fragile"] == sorted(rep.fragile)
 
 
 @st.composite
@@ -496,9 +494,7 @@ def test_the_layers_agree_on_the_co_occurring_limit(case, z, beta):
     dis, nu = case
     costs = vg.PublicCostModel(c_v1=1.0, c_v2=2.0, c_v2_bar=1.0, c_i=1.0,
                                s=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = vg.classify_esss(z, nu, costs, dis, 4)
+    rep = vg.classify_esss(z, nu, costs, dis, 4)
     cand = vg.candidate_attractors(dis, nu, vg.ResponseParams(beta))
     assert (rep.h_v_o is None) is (cand.co_occurring is None)
     if dis.rho <= 1.0:
@@ -514,3 +510,33 @@ def test_the_layers_agree_on_the_co_occurring_limit(case, z, beta):
         psi_o = vg.psi_co_occurring(nu, dis)
         band = 16 * 2.0 ** -53 * (dis.theta_star + psi_o)
         assert dis.theta_star - psi_o < -band
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=near_line_policy())
+# 22 ulps above the line: the gap, 1.95e-14, lies within 16 u of nu_e + b
+# rho + nu_b / theta* = 15.0, not of b rho + nu_b / theta* alone
+@example(case=(fig5_disease(), vg.VaRatePolicy(0.7, 6.545454545454565)))
+def test_admissibility_is_fragile_exactly_within_its_band(case):
+    """For rho > 1, classify_esss names 'admissibility' fragile exactly
+    where the admissibility gap lies within 16 u (u = 2^-53) of nu_e + b
+    rho + nu_b / theta*. The gap's four roundings err by at most 3 u of
+    that scale, so it lies within a quarter of the band of the exact value
+    on the same floats, and outside the band its float sign is the exact
+    one. For rho <= 1 nothing is fragile."""
+    dis, nu = case
+    costs = vg.PublicCostModel(c_v1=1.0, c_v2=2.0, c_v2_bar=1.0, c_i=1.0,
+                               s=1.0)
+    rep = vg.classify_esss(0, nu, costs, dis, 4)
+    if dis.rho <= 1.0:
+        assert rep.fragile == frozenset()
+        return
+    q = Fraction
+    gap = admissibility_gap(nu, dis)
+    exact = q(nu.nu_e) - q(dis.b) * q(dis.rho) + q(nu.nu_b) / q(dis.theta_star)
+    band = 16 * 2.0 ** -53 * (nu.nu_e + dis.b * dis.rho
+                              + nu.nu_b / dis.theta_star)
+    assert ("admissibility" in rep.fragile) is (abs(gap) <= band)
+    assert abs(q(gap) - exact) <= q(band) / 4
+    if abs(gap) > band:
+        assert (gap > 0.0) is (exact > 0)

@@ -117,6 +117,21 @@ class TestSolveOptimalIncentive:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("z_bar", [1, 20, 40])
+    def test_a_stand_in_sampler_is_solved_alike(self, z_bar):
+        # the solve reads only gamma_draws(cfg): an object with that one
+        # method, handing back an ExpectationSampler's draw set, gets that
+        # sampler's solution bit for bit
+        prob = mc_problem(0.05, z_bar, n=20_000)
+
+        class StandIn:
+            def gamma_draws(self, cfg):
+                return prob.sampler.gamma_draws(cfg)
+
+        got = vg.solve_optimal_incentive(
+            z_bar, vg.LeaderProblem(prob.delta, prob.cfg, StandIn()))
+        assert repr(got) == repr(vg.solve_optimal_incentive(z_bar, prob))
+
     def test_root_residual_small(self):
         for zb, delta in [(1, 0.05), (20, 0.01), (40, 0.05), (39, 0.001)]:
             prob = mc_problem(delta, zb, n=100_000)
