@@ -212,13 +212,14 @@ def _sweep_point(cfg: ScenarioConfig, idx: int, value: float) -> ReportRow:
     t0 = time.perf_counter()
     problem, dis, costs = cfg.point(idx, value)
     if cfg.sweep_var in ("theta_star", "s"):
-        # the solve reads its threshold from zb, not from problem.cfg
         design = _vaccine_optimal_design(costs, dis, problem.cfg.m)
-        zb, psi_e = design.k_star, design.psi_e_achieved
+        problem = dataclasses.replace(problem, cfg=dataclasses.replace(
+            problem.cfg, z_bar=design.k_star))
+        psi_e = design.psi_e_achieved
     else:
-        zb, psi_e = problem.cfg.z_bar, epidemic.psi_eradicating(cfg.nu, dis.b)
-    sol = leader.solve_optimal_incentive(zb, problem)
-    return ReportRow(float(value), sol.g_star, sol.u_star, zb, psi_e,
+        psi_e = epidemic.psi_eradicating(cfg.nu, dis.b)
+    sol = leader.solve_optimal_incentive(problem.cfg.z_bar, problem)
+    return ReportRow(float(value), sol.g_star, sol.u_star, sol.z_bar, psi_e,
                      sol.np_at_g, (time.perf_counter() - t0) * 1e3)
 
 
@@ -274,7 +275,6 @@ def reproduce_figure(fig_id: int, outdir: Path,
     outdir.mkdir(parents=True, exist_ok=True)
 
     if fig_id in (1, 2):
-        # the solve ignores cfg.z_bar, so one problem serves every threshold
         problem = leader.LeaderProblem(0.01, _fig_cfg(40), sampler)
         if fig_id == 1:
             table = leader.compare_across_zbar(problem, range(1, 41),
@@ -562,7 +562,7 @@ def cmd_solve_influencer_game(args) -> int:
     cfg = _game_cfg_from(args, args.zbar)
     c_final = _from_flags(args, game.sample_cost_path, cfg,
                           seed="seed").final()
-    p = game.ne_outcome_probability(args.g0, c_final, args.zbar, cfg)
+    p = game.ne_outcome_probability(args.g0, c_final, cfg)
     zs, ps = _from_flags(args, game.sample_z_t, args.g0, cfg, seed="seed",
                          size="samples")
     hist = np.bincount(zs, minlength=cfg.m + 1)

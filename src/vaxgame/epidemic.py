@@ -54,11 +54,15 @@ def _field(disease: DiseaseParams, nu: VaRatePolicy, beta: ResponseParams):
     """The dynamics over plain floats, with the parameters bound.
 
     Returns f(theta, psi, eta) -> (dtheta, dpsi, deta, varrho): the drift
-    and the per-capita event rate at one state. This is the one place the
-    formulas are written; the supply rate nu.rate(psi) is inlined, since
-    the integrator calls f six times a step. The acceptance probability
-    min(1, beta*psi) is written as a comparison that gives the same double
-    without the builtin call.
+    and the per-capita event rate at one state. nu.rate(psi) is inlined,
+    since the integrator calls f six times a step, and min(1, beta*psi) is
+    a comparison that gives the same double without the builtin call. The
+    rates are written three more times, each rounded for its use: in
+    `_basin`, locate's planar drift from the same floats (Newton zeroes
+    the field the stepper integrates) and certify's outward-stepped
+    enclosure of it (a proof bounds the exact values); and `_window`'s
+    thresholds in counts, left to right as one event computes them (a
+    window decides the one-at-a-time chain's events to the bit).
     """
     lam, r, b, d = disease.lam, disease.r, disease.b, disease.d
     inv_rho = 1.0 / disease.rho

@@ -78,9 +78,9 @@ class XiModel:
     Continuous case: a normal draw truncated at zero (negative raw values
     count as zero), optionally mixed with an atom at zero of mass p0.
     Discrete case: explicit support/probability pairs, used by the exact
-    dynamic-programming oracle; p0 must then be 0, since an atom at zero is
-    one more support point. values and probs may be any sequences and are
-    kept as tuples of floats, so that models compare and hash by value.
+    dynamic-programming oracle; sigma2 and p0 must then be 0 (list an atom
+    at zero as a support point). Any sequences of values and probs are kept
+    as tuples of floats, so that models compare and hash by value.
     mean_param, sigma2 and p0 must pass params.require_scaled, and every
     value and probability must be a finite number (bool is not one); a bad
     field raises ValueError naming it.
@@ -123,6 +123,9 @@ class XiModel:
             raise ValueError(
                 "p0 must be 0 when values are given (list an atom at zero "
                 f"as a support point), got {self.p0!r}")
+        if self.sigma2 != 0.0:
+            raise ValueError(f"sigma2 must be 0 when values are given (they "
+                             f"alone make the law), got {self.sigma2!r}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "probs", probs)
 
@@ -441,7 +444,7 @@ def _mixed_root(w: float, trials: int, successes: int) -> float:
                              atol=1e-17, x0=p)
 
 
-def _final_choice(g: float, gam: float, z: int, z_bar: int,
+def _final_choice(g: float, gam: float, z: int,
                   cfg: InfluencerGameConfig) -> tuple[float, str]:
     """(p, kind): the last-epoch choice of a susceptible influencer with z
     of m vaccinated, at incentive g and estimate gam = Gamma_{T-1}(c); a
@@ -453,7 +456,7 @@ def _final_choice(g: float, gam: float, z: int, z_bar: int,
     as p_from_gamma_vec clips it, gives p = 1 at w <= 0 and 0 at w >= 1
     ('pure'), and between them the root of F_{m-1-z}(z_bar-1-z; p) = w
     ('mixed')."""
-    if z_bar == cfg.m:
+    if cfg.z_bar == cfg.m:
         edge = g - cfg.c_v + cfg.c_i
         if gam < edge:
             return 1.0, "pure"
@@ -465,23 +468,20 @@ def _final_choice(g: float, gam: float, z: int, z_bar: int,
         return 1.0, "pure"
     if w >= 1.0:
         return 0.0, "pure"
-    return _mixed_root(w, cfg.m - 1 - z, z_bar - 1 - z), "mixed"
+    return _mixed_root(w, cfg.m - 1 - z, cfg.z_bar - 1 - z), "mixed"
 
 
-def p_from_gamma(g: float, gam: float, z_bar: int,
-                 cfg: InfluencerGameConfig) -> float:
+def p_from_gamma(g: float, gam: float, cfg: InfluencerGameConfig) -> float:
     """Equilibrium vaccination probability given the final-epoch estimate
     gam = Gamma_{T-1}(c): _final_choice's p with nobody vaccinated, a tie
-    going to waiting. z_bar must be an integer in 1..m."""
-    require_integer("z_bar", z_bar, 1, cfg.m)
-    return _final_choice(g, gam, 0, z_bar, cfg)[0]
+    going to waiting."""
+    return _final_choice(g, gam, 0, cfg)[0]
 
 
-def ne_outcome_probability(g: float, c: float, z_bar: int,
+def ne_outcome_probability(g: float, c: float,
                            cfg: InfluencerGameConfig) -> float:
-    """Wait-and-watch outcome: common vaccination probability p(g, c);
-    z_bar must be an integer in 1..m."""
-    return p_from_gamma(g, gamma(cfg.t_horizon - 1, c, cfg), z_bar, cfg)
+    """Wait-and-watch outcome: common vaccination probability p(g, c)."""
+    return p_from_gamma(g, gamma(cfg.t_horizon - 1, c, cfg), cfg)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -582,7 +582,7 @@ def binom_cdf_vec_interp(l: int, m: int, p: np.ndarray) -> np.ndarray:
     return np.interp(p, grid, f)
 
 
-def p_from_gamma_vec(g: float, gams: np.ndarray, z_bar: int,
+def p_from_gamma_vec(g: float, gams: np.ndarray,
                      cfg: InfluencerGameConfig) -> np.ndarray:
     """Vectorized p(g, .) over an array of Gamma values.
 
@@ -591,16 +591,15 @@ def p_from_gamma_vec(g: float, gams: np.ndarray, z_bar: int,
     against p_from_gamma's root for every z_bar at m <= 60, F_{m-1}(z_bar-1;
     p) misses w, and F_m(z_bar-1; p) its exact value, by under 2.7e-5, and
     p misses by under 1.3e-4 for w in (1e-12, 1 - 1e-12), most in the
-    table's end cells. z_bar must be an integer in 1..m.
+    table's end cells.
     """
-    require_integer("z_bar", z_bar, 1, cfg.m)
     gams = np.asarray(gams, dtype=float)
-    if z_bar == cfg.m:
+    if cfg.z_bar == cfg.m:
         return (gams < g - cfg.c_v + cfg.c_i).astype(float)
     # a w outside (0, 1) only picks p = 1 or 0: clipping its numerator to
     # [0, c_i] keeps the division finite however small c_i is
     w = np.clip(cfg.c_v + gams - g, 0.0, cfg.c_i) / cfg.c_i
-    _, _, f_up, grid_down = _cdf_grid(cfg.m - 1, z_bar - 1)
+    _, _, f_up, grid_down = _cdf_grid(cfg.m - 1, cfg.z_bar - 1)
     p = np.interp(w, f_up, grid_down)
     p[w <= 0.0] = 1.0
     p[w >= 1.0] = 0.0
@@ -665,7 +664,7 @@ def stage_action_set(t: int, z: int, c: float, value_next,
     gam, g = gamma(t, c, cfg), cfg.g(z)
 
     if t == cfg.t_horizon - 1:
-        p, kind = _final_choice(g, gam, z, cfg.z_bar, cfg)
+        p, kind = _final_choice(g, gam, z, cfg)
         if kind == "tie":
             return StageActionSet(full_interval=True)
         return StageActionSet(**{kind: (p,)})
@@ -744,7 +743,7 @@ class SpecialStrategy:
         elif self.selector == WAIT_AND_WATCH:
             # wait until T-1, then take the last-epoch rule, a tie waiting
             p = 0.0 if t < cfg.t_horizon - 1 else _final_choice(
-                cfg.g(z), gamma(t, c, cfg), z, cfg.z_bar, cfg)[0]
+                cfg.g(z), gamma(t, c, cfg), z, cfg)[0]
         else:
             p = self._select(t, z, c, self.action_set(t, z, c))
         self._dec[key] = p
@@ -943,5 +942,5 @@ def sample_z_t(g: float, cfg: InfluencerGameConfig, seed: int,
     require_integer("seed", seed, least=0)
     require_integer("size", size, 1, MAX_DRAWS)
     rng = np.random.default_rng(seed)
-    ps = p_from_gamma_vec(g, final_gamma_draws(cfg, rng, size), cfg.z_bar, cfg)
+    ps = p_from_gamma_vec(g, final_gamma_draws(cfg, rng, size), cfg)
     return rng.binomial(cfg.m, ps), ps

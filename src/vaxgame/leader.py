@@ -232,7 +232,7 @@ def _mixed_run(g: float, gams: np.ndarray,
     return lo, hi
 
 
-def _knot_search(g: float, z_bar: int, cfg: InfluencerGameConfig,
+def _knot_search(g: float, cfg: InfluencerGameConfig,
                  draws: GammaDraws) -> tuple:
     """The draws' segments at g, shared by every knot table of (m, z_bar):
     (lo, hi, a, cnt, off, head, tail).
@@ -261,7 +261,7 @@ def _knot_search(g: float, z_bar: int, cfg: InfluencerGameConfig,
     lo, hi = _mixed_run(g, gams, cfg)
     if lo == hi:
         return lo, hi, 0, None, None, 0, 0
-    base, width = _cost_knots(cfg.m, z_bar, cfg.c_i, cfg.c_v)
+    base, width = _cost_knots(cfg.m, cfg.z_bar, cfg.c_i, cfg.c_v)
     knots = base + g
     a, b = knots.searchsorted((gams[lo], gams[hi - 1]), side="right").tolist()
     a, b = max(a - 1, 0), min(b, len(knots) - 1)
@@ -300,11 +300,11 @@ def _tabled_sum(search: tuple, v: np.ndarray, sv: np.ndarray,
     return (total + v[0] * head + v[-1] * tail, -float(cnt.dot(sv)) / c_i)
 
 
-def _np_from_search(search: tuple, n: int, z_bar: int,
+def _np_from_search(search: tuple, n: int,
                     cfg: InfluencerGameConfig) -> tuple[float, float]:
     """(N_P, N_P') over n draws from their knot search: the table of F
     summed over the mixed run, plus one for each draw with w >= 1."""
-    _, _, f, _, sf, _ = _knot_tables(cfg.m, z_bar)
+    _, _, f, _, sf, _ = _knot_tables(cfg.m, cfg.z_bar)
     total, slope = _tabled_sum(search, f, sf, cfg.c_i)
     return (total + (n - search[1])) / n, slope / n
 
@@ -315,6 +315,7 @@ def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
                                 ) -> float | tuple[float, float]:
     """N_P(g) = E[F_M(z_bar - 1; p(g, C))] under the game's law; with
     with_slope, the pair (N_P(g), N_P'(g)) of a law that is not a point.
+    z_bar must be problem.cfg.z_bar, which the evaluation reads.
 
     A point law (XiModel.is_point) evaluates the exact binomial tail at
     c_infinity. Otherwise the sampler's draws split into three runs by w =
@@ -322,25 +323,24 @@ def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
     and F = 1, and the mixed run between sums the fused table (w_k,
     F_M(z_bar-1; p_k)) over its knots (see _knot_search and _tabled_sum):
     O(K log n) for the K = 4,097 knots, about 0.02 to 0.07 ms at n = 1e5 on
-    a 2-vCPU Xeon. It
-    agrees with the per-draw mean of binom_cdf_vec_interp(p_from_gamma_vec)
-    up to rounding: within n * eps at the fig preset (C_v = 1, C_i = 5),
-    and within what rounding w can change over a draw's segment when a
-    small C_i magnifies it. N_P' is the slope of that piecewise-linear sum on
-    the segment at g (see _tabled_sum). For z_bar = m no draw is mixed:
-    N_P is the count of draws with Gamma >= g - C_v + C_i, a step
-    function, and N_P' = 0.
+    a 2-vCPU Xeon. It agrees with the per-draw mean of
+    binom_cdf_vec_interp(p_from_gamma_vec) up to rounding: within n * eps
+    at the fig preset (C_v = 1, C_i = 5), and within what rounding w can
+    change over a draw's segment when a small C_i magnifies it. N_P' is
+    the slope of that piecewise-linear sum on the segment at g (see
+    _tabled_sum). For z_bar = m no draw is mixed: N_P is the count of draws
+    with Gamma >= g - C_v + C_i, a step function, and N_P' = 0.
 
     _searches is the solve's own dict: a z_bar < m Monte Carlo evaluation
     stores its knot search there under g, so that E[p(g)] reuses it.
     """
     cfg = problem.cfg
-    require_integer("z_bar", z_bar, 1, cfg.m)
+    require_integer("z_bar", z_bar, cfg.z_bar, cfg.z_bar)
     if cfg.xi.is_point:
         if with_slope:
             raise ValueError("N_P' is not computed for a point law")
         return float(binom_cdf(cfg.m, z_bar - 1, p_from_gamma(
-            g, c_infinity(cfg), z_bar, cfg)))
+            g, c_infinity(cfg), cfg)))
     draws = problem.sampler.gamma_draws(cfg)
     gams = draws.gams
     n = len(gams)
@@ -348,14 +348,14 @@ def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
         value, slope = (n - int(gams.searchsorted(g - cfg.c_v + cfg.c_i))
                         ) / n, 0.0
     else:
-        search = _knot_search(g, z_bar, cfg, draws)
+        search = _knot_search(g, cfg, draws)
         if _searches is not None:
             _searches[g] = search
-        value, slope = _np_from_search(search, n, z_bar, cfg)
+        value, slope = _np_from_search(search, n, cfg)
     return (value, slope) if with_slope else value
 
 
-def _p_expectation(g: float, z_bar: int, problem: LeaderProblem,
+def _p_expectation(g: float, problem: LeaderProblem,
                    search: tuple | None = None) -> float:
     """E[p(g, C)]: exact at c_infinity under a point law, a count of the
     draws with Gamma < g - C_v + C_i for z_bar = m, and otherwise the draws
@@ -363,15 +363,15 @@ def _p_expectation(g: float, z_bar: int, problem: LeaderProblem,
     knot search at g if the caller has it."""
     cfg = problem.cfg
     if cfg.xi.is_point:
-        return p_from_gamma(g, c_infinity(cfg), z_bar, cfg)
+        return p_from_gamma(g, c_infinity(cfg), cfg)
     draws = problem.sampler.gamma_draws(cfg)
     gams = draws.gams
     n = len(gams)
-    if z_bar == cfg.m:
+    if cfg.z_bar == cfg.m:
         return int(gams.searchsorted(g - cfg.c_v + cfg.c_i)) / n
     if search is None:
-        search = _knot_search(g, z_bar, cfg, draws)
-    _, p, _, sp, _, _ = _knot_tables(cfg.m, z_bar)
+        search = _knot_search(g, cfg, draws)
+    _, p, _, sp, _, _ = _knot_tables(cfg.m, cfg.z_bar)
     return (search[0] + _tabled_sum(search, p, sp, cfg.c_i)[0]) / n
 
 
@@ -380,11 +380,9 @@ def _outlay(m: int, g: float, p: float) -> float:
     return m * g * p
 
 
-def expected_incentive_cost(g: float, z_bar: int,
-                            problem: LeaderProblem) -> float:
+def expected_incentive_cost(g: float, problem: LeaderProblem) -> float:
     """U(g) = M g E[p(g, C)], the expected incentive outlay."""
-    require_integer("z_bar", z_bar, 1, problem.cfg.m)
-    return _outlay(problem.cfg.m, g, _p_expectation(g, z_bar, problem))
+    return _outlay(problem.cfg.m, g, _p_expectation(g, problem))
 
 
 def g_floor(cfg: InfluencerGameConfig) -> float:
@@ -408,20 +406,19 @@ def _binding_by_count(draws: GammaDraws, problem: LeaderProblem) -> bool:
     return (n - _mixed_run(0.0, gams, problem.cfg)[1]) / n > problem.delta
 
 
-def _one_point_root(z_bar: int, problem: LeaderProblem,
-                    draws: GammaDraws) -> float:
+def _one_point_root(problem: LeaderProblem, draws: GammaDraws) -> float:
     """The root of N_P = delta when every draw sits at the median draw (the
     draw set's center): g = C_v + Gamma_med - C_i w*, with w* read off the
     fused table (w_k, F_M(z_bar-1; p_k)) at delta. This is the
     perfect-information root at Gamma_med, on the table."""
     cfg = problem.cfg
-    w, _, f, _, _, _ = _knot_tables(cfg.m, z_bar)
+    w, _, f, _, _, _ = _knot_tables(cfg.m, cfg.z_bar)
     return (cfg.c_v + draws.center
             - cfg.c_i * float(np.interp(problem.delta, f, w)))
 
 
-def _quantile_start(z_bar: int, problem: LeaderProblem, draws: GammaDraws,
-                    lo: float, reach: float) -> float:
+def _quantile_start(problem: LeaderProblem, draws: GammaDraws, lo: float,
+                    reach: float) -> float:
     """The start of the z_bar < m Newton solve: one Newton step from the
     one-point root g0 on the draw set's Q = _QUANTILES mid-quantile draws
     (draws.quantiles). N_P and N_P' of that subset at g0 come from the same
@@ -429,12 +426,12 @@ def _quantile_start(z_bar: int, problem: LeaderProblem, draws: GammaDraws,
     sums. g0 is kept where the subset's slope is not negative, and where
     g0 or the step lies outside (lo, reach], which the solve would replace
     with a doubling probe."""
-    g0 = _one_point_root(z_bar, problem, draws)
+    g0 = _one_point_root(problem, draws)
     if not lo < g0 <= reach:
         return g0
     cfg = problem.cfg
     value, slope = _np_from_search(
-        _knot_search(g0, z_bar, cfg, draws.quantiles), _QUANTILES, z_bar, cfg)
+        _knot_search(g0, cfg, draws.quantiles), _QUANTILES, cfg)
     if not slope < 0.0:
         return g0
     g1 = g0 - (value - problem.delta) / slope
@@ -464,12 +461,13 @@ def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolutio
     solve starts at the probes, the first with N_P <= delta closes the
     bracket, and bisection's midpoints decide on which side of the last
     jump g* lands. A point law (XiModel.is_point) is dispatched to the
-    closed forms of perfect_info_solution, whatever the sampler.
+    closed forms of perfect_info_solution, whatever the sampler. z_bar
+    must be problem.cfg.z_bar, which the solve reads.
     """
-    if problem.cfg.xi.is_point:
-        return perfect_info_solution(z_bar, problem)
     cfg, delta = problem.cfg, problem.delta
-    require_integer("z_bar", z_bar, 1, cfg.m)
+    require_integer("z_bar", z_bar, cfg.z_bar, cfg.z_bar)
+    if cfg.xi.is_point:
+        return perfect_info_solution(problem)
     draws = problem.sampler.gamma_draws(cfg)
 
     # the solution reports N_P(g*) and E[p(g*)], and the root finder has
@@ -483,23 +481,20 @@ def solve_optimal_incentive(z_bar: int, problem: LeaderProblem) -> LeaderSolutio
                 g, z_bar, problem, with_slope=True, _searches=searches)
         return seen[g]
 
-    def np_at(g: float) -> float:
-        return np_and_slope(g)[0]
-
     def solution(g: float, binding: bool) -> LeaderSolution:
-        np_g = np_at(g)
-        p_exp = _p_expectation(g, z_bar, problem, searches.get(g))
+        np_g = np_and_slope(g)[0]
+        p_exp = _p_expectation(g, problem, searches.get(g))
         return LeaderSolution(g, _outlay(cfg.m, g, p_exp), z_bar,
                               binding=binding, p_expectation=p_exp,
                               np_at_g=np_g, mode=MONTE_CARLO)
 
     if (not (z_bar < cfg.m and _binding_by_count(draws, problem))
-            and np_at(0.0) <= delta):
+            and np_and_slope(0.0)[0] <= delta):
         return solution(0.0, binding=False)
 
     lo, step = g_floor(cfg), max(cfg.c_i, 1.0)
     reach = lo + step * 2.0 ** (PROBES - 1)
-    x0 = (_quantile_start(z_bar, problem, draws, lo, reach)
+    x0 = (_quantile_start(problem, draws, lo, reach)
           if z_bar < cfg.m else None)
     g_star = bisect_decreasing(np_and_slope, delta, lo, math.inf, atol=1e-12,
                                rtol=1e-12, x0=x0, step=step)
@@ -525,7 +520,7 @@ def p_star(k: int, m: int, delta: float) -> float:
     return _mixed_root(delta, m, k - 1)
 
 
-def perfect_info_solution(z_bar: int, problem: LeaderProblem) -> LeaderSolution:
+def perfect_info_solution(problem: LeaderProblem) -> LeaderSolution:
     """Optimal incentive when the side-effect cost is known from day one.
 
     For z_bar < m the target probability p* solves F_M(z_bar-1; p) = delta
@@ -534,10 +529,9 @@ def perfect_info_solution(z_bar: int, problem: LeaderProblem) -> LeaderSolution:
     _PERFECT_INFO_EPS = 1e-6, whose cost exceeds the infimum
     M (C_v + Gamma - C_i) by M*eps; `epsilon` reports eps.
     """
-    cfg, delta = problem.cfg, problem.delta
-    require_integer("z_bar", z_bar, 1, cfg.m)
+    cfg, delta, z_bar = problem.cfg, problem.delta, problem.cfg.z_bar
     gam = c_infinity(cfg)
-    p0 = p_from_gamma(0.0, gam, z_bar, cfg)
+    p0 = p_from_gamma(0.0, gam, cfg)
     np0 = binom_cdf(cfg.m, z_bar - 1, p0)
     if np0 <= delta:
         return LeaderSolution(0.0, 0.0, z_bar, binding=False, p_expectation=p0,
@@ -571,14 +565,17 @@ def compare_across_zbar(problem: LeaderProblem, zbar_list, delta_list
                         ) -> list[ComparisonRow]:
     """Optimal incentives across threshold choices, sharing one draw set.
 
-    Flags the cost-minimizing threshold per delta; with small delta the
-    minimum sits at the extremes (all influencers or a single one), never
-    in the middle.
+    Each zb is solved on problem with cfg.z_bar = zb, all on one draw set.
+    A cfg's incentives are fixed to its own threshold, so there any other
+    zb raises the config's ValueError naming incentives. Flags the
+    cost-minimizing threshold per delta; with small delta the minimum sits
+    at the extremes (all influencers or a single one), never in the middle.
     """
+    cfgs = [dataclasses.replace(problem.cfg, z_bar=zb) for zb in zbar_list]
     rows = []
     for delta in delta_list:
-        prob = dataclasses.replace(problem, delta=delta)
-        sols = [solve_optimal_incentive(zb, prob) for zb in zbar_list]
+        sols = [solve_optimal_incentive(cfg.z_bar, dataclasses.replace(
+            problem, delta=delta, cfg=cfg)) for cfg in cfgs]
         best = min(sols, key=lambda sol: sol.u_star, default=None)
         rows.extend(ComparisonRow(sol.z_bar, delta, sol.g_star, sol.u_star,
                                   sol.np_at_g, argmin=sol.z_bar == best.z_bar)

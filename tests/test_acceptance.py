@@ -236,9 +236,9 @@ def test_c06_monotonicity_suite():
                 c = float(rng.uniform(0.0, 10.0))
                 dg = float(rng.uniform(1e-4, 2.0))
                 dc = float(rng.uniform(1e-4, 2.0))
-                p0 = vg.ne_outcome_probability(g, c, z_bar, cfg)
-                pg = vg.ne_outcome_probability(g + dg, c, z_bar, cfg)
-                pc = vg.ne_outcome_probability(g, c + dc, z_bar, cfg)
+                p0 = vg.ne_outcome_probability(g, c, cfg)
+                pg = vg.ne_outcome_probability(g + dg, c, cfg)
+                pc = vg.ne_outcome_probability(g, c + dc, cfg)
                 assert pg >= p0 - 1e-12
                 assert pc <= p0 + 1e-12
                 if z_bar < 40 and 0.0 < p0 < 1.0:
@@ -258,7 +258,7 @@ def test_c06_monotonicity_suite():
                 hi -= cfg.c_i
             prev = None
             for g in np.linspace(lo, hi, 40):
-                ps = p_from_gamma_vec(g, gams, z_bar, cfg)
+                ps = p_from_gamma_vec(g, gams, cfg)
                 vals = binom_cdf_vec_interp(cfg.m, z_bar - 1, ps)
                 if prev is not None:
                     assert int(np.sum(vals > prev + 1e-12)) == 0
@@ -313,7 +313,7 @@ def test_c09_variance_to_zero_convergence():
             g_mc = vg.solve_optimal_incentive(
                 zb, vg.LeaderProblem(delta, fig_cfg(zb, sigma2=1e-4), smp)).g_star
             g_pi = vg.perfect_info_solution(
-                zb, vg.LeaderProblem(delta, fig_cfg(zb, sigma2=0.0), smp)).g_star
+                vg.LeaderProblem(delta, fig_cfg(zb, sigma2=0.0), smp)).g_star
             assert abs(g_mc - g_pi) <= 0.05, (zb, g_mc, g_pi)
         g_mc = vg.solve_optimal_incentive(
             40, vg.LeaderProblem(delta, fig_cfg(40, sigma2=1e-4), smp)).g_star

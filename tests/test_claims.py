@@ -258,8 +258,7 @@ def test_the_last_decision_is_the_leaders_closed_form(cfg, c):
     the incentive with, to the bit."""
     T = cfg.t_horizon
     assert (vg.SpecialStrategy(cfg).decision(T - 1, 0, c)
-            == p_from_gamma(cfg.g(0), vg.gamma(T - 1, c, cfg), cfg.z_bar,
-                            cfg))
+            == p_from_gamma(cfg.g(0), vg.gamma(T - 1, c, cfg), cfg))
 
 
 # Sampled influencers per example of the coverage property.

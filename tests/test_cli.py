@@ -560,6 +560,27 @@ class TestSweep:
         # report: value, g*, U*, ...; leader CSV: zbar, delta, sigma2, g*, U*
         assert sweep.split(",")[1:3] == mc.split(",")[3:5]
 
+    def test_an_s_sweep_solves_at_the_designed_threshold(self, capsys,
+                                                         tmp_path):
+        # at s = 0.1 the design's k* is 39, not the game's --zbar (m = 40):
+        # the point is solved on its game at k*, as optimize-leader solves
+        # --zbar 39 on the same draws (a one-point grid's sampler seed is
+        # the run's --seed)
+        law = ["--delta", "0.05", "--samples", "2000", "--seed", "0"]
+        code, _, _ = run_main(capsys, "sweep", "--var", "s", "--grid", "0.1",
+                              *law, "--outdir", str(tmp_path))
+        assert code == 0
+        head, row = (tmp_path / "report.csv").read_text().splitlines()
+        row = dict(zip(head.split(","), row.split(",")))
+        assert row["z_bar"] == "39"
+        code, _, _ = run_main(capsys, "optimize-leader", "--zbar", "39",
+                              *law, "--csv", str(tmp_path / "leader.csv"))
+        assert code == 0
+        leader_row = (tmp_path / "leader.csv").read_text().splitlines()[1]
+        # leader CSV: zbar, delta, sigma2, g*, U*, NP_at_g
+        assert (leader_row.split(",")[3:] == [row["g_star"], row["u_star"],
+                                              row["np_at_g"]])
+
     @pytest.mark.parametrize("zbar", ["39", "40"])
     def test_point_law_is_solved_alike_by_both_commands(self, capsys,
                                                         tmp_path, zbar):

@@ -180,6 +180,8 @@ _START = dict(disease=_DIS, nu=_NU, beta=vg.ResponseParams(2.0), seed=0,
                                             incentives=(0.0, 0.5))), "g0"),
     (lambda: vg.InfluencerGameConfig(**dict(_GAME, incentives=(1.0,))),
      "incentives"),
+    # a finite law is its support alone, with no normal part to scale
+    (lambda: vg.XiModel(5.0, 2.0, values=(1.0,), probs=(1.0,)), "sigma2"),
     (lambda: ess.eradication_threshold(vg.VaRatePolicy(5.0, 0.0), _PUBLIC,
                                        _DIS, 40), "nu"),
     (lambda: ess.eradication_threshold(_NU, _PUBLIC,
@@ -197,7 +199,7 @@ _START = dict(disease=_DIS, nu=_NU, beta=vg.ResponseParams(2.0), seed=0,
         "threshold_m", "threshold_m_zero",
         "design_rho", "draw_size", "z_t_size", "z_t_seed", "path_seed",
         "chain_n0", "chain_events", "chain_eta0", "chain_seed", "game_g0",
-        "game_incentives", "threshold_nu", "threshold_rho", "cf_table_scalar",
+        "game_incentives", "xi_finite_sigma2", "threshold_nu", "threshold_rho", "cf_table_scalar",
         "cf_table_dip", "theta_star_rho", "sweep_var"])
 def test_refusal_starts_with_its_field(call, field):
     with pytest.raises(ValueError) as info:

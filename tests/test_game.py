@@ -29,6 +29,12 @@ def perfect_cfg(m=3, t=3, c_v=1.0, c_i=5.0, c=2.0, z_bar=2, g0=0.0):
                                    g0=g0)
 
 
+def at(cfg, z_bar):
+    """cfg at threshold z_bar, the one door by which a threshold reaches
+    the last-epoch rule: a bad z_bar is refused here, by the config."""
+    return dataclasses.replace(cfg, z_bar=z_bar)
+
+
 def fig_cfg(z_bar, g0=0.0):
     return vg.InfluencerGameConfig(m=40, t_horizon=20, c_v=1.0, c_i=5.0,
                                    c_se_1=3.0, xi=XiModel(5.0, 2.0),
@@ -126,28 +132,30 @@ def test_a_scipy_without_the_private_pmf_takes_the_public_one(monkeypatch):
 class TestCountChecks:
     # counts at the binomial entry points are integers (numpy integers are
     # taken, bool is not) in range, and a probability is not NaN; each
-    # call below used to truncate or pass its bad input without a word
+    # call below used to truncate or pass its bad input without a word.
+    # The last-epoch rule reads its threshold from its config, so a bad
+    # z_bar is refused where that config is built (see `at`)
     CFG = perfect_cfg()
 
     @pytest.mark.parametrize("call,name", [
         (lambda cfg: vg.p_star(1.5, 3, 0.1), "k"),
         (lambda cfg: vg.p_star(True, 3, 0.1), "k"),
         (lambda cfg: vg.p_star(2, 3.5, 0.1), "m"),
-        (lambda cfg: vg.ne_outcome_probability(0, 0.5, 1.5, cfg), "z_bar"),
-        (lambda cfg: vg.ne_outcome_probability(0, 0.5, True, cfg), "z_bar"),
+        (lambda cfg: vg.ne_outcome_probability(0, 0.5, at(cfg, 1.5)), "z_bar"),
+        (lambda cfg: vg.ne_outcome_probability(0, 0.5, at(cfg, True)), "z_bar"),
         (lambda cfg: vg.binom_cdf(3.5, 1, 0.5), "l"),
         (lambda cfg: vg.binom_cdf(3, 1.5, 0.5), "m"),
         (lambda cfg: vg.binom_cdf(3, True, 0.5), "m"),
         (lambda cfg: vg.binom_cdf(3, 1, math.nan), "p"),
         (lambda cfg: vg.binom_cdf(3, 1, np.array([0.5, math.nan])), "p"),
-        (lambda cfg: game.p_from_gamma(0.0, 2.0, 1.5, cfg), "z_bar"),
-        (lambda cfg: game.p_from_gamma(0.0, 2.0, True, cfg), "z_bar"),
-        (lambda cfg: game.p_from_gamma(0.0, 2.0, 0, cfg), "z_bar"),
-        (lambda cfg: game.p_from_gamma(0.0, 2.0, 4, cfg), "z_bar"),
-        (lambda cfg: game.p_from_gamma_vec(0.0, [2.0], 1.5, cfg), "z_bar"),
-        (lambda cfg: game.p_from_gamma_vec(0.0, [2.0], True, cfg), "z_bar"),
-        (lambda cfg: game.p_from_gamma_vec(0.0, [2.0], 0, cfg), "z_bar"),
-        (lambda cfg: game.p_from_gamma_vec(0.0, [2.0], 4, cfg), "z_bar"),
+        (lambda cfg: game.p_from_gamma(0.0, 2.0, at(cfg, 1.5)), "z_bar"),
+        (lambda cfg: game.p_from_gamma(0.0, 2.0, at(cfg, True)), "z_bar"),
+        (lambda cfg: game.p_from_gamma(0.0, 2.0, at(cfg, 0)), "z_bar"),
+        (lambda cfg: game.p_from_gamma(0.0, 2.0, at(cfg, 4)), "z_bar"),
+        (lambda cfg: game.p_from_gamma_vec(0.0, [2.0], at(cfg, 1.5)), "z_bar"),
+        (lambda cfg: game.p_from_gamma_vec(0.0, [2.0], at(cfg, True)), "z_bar"),
+        (lambda cfg: game.p_from_gamma_vec(0.0, [2.0], at(cfg, 0)), "z_bar"),
+        (lambda cfg: game.p_from_gamma_vec(0.0, [2.0], at(cfg, 4)), "z_bar"),
         (lambda cfg: vg.gamma(0, 2.0, cfg), "t"),
         (lambda cfg: vg.gamma(4, 2.0, cfg), "t"),
         (lambda cfg: vg.p_star(2, 3, 1.0), "delta"),
@@ -167,8 +175,8 @@ class TestCountChecks:
         assert vg.p_star(np.int64(2), np.int32(3), 0.1) == vg.p_star(2, 3, 0.1)
         assert (vg.binom_cdf(np.int64(3), np.int64(1), 0.5)
                 == vg.binom_cdf(3, 1, 0.5))
-        assert (vg.ne_outcome_probability(0.0, 0.5, np.int64(1), cfg)
-                == vg.ne_outcome_probability(0.0, 0.5, 1, cfg))
+        assert (vg.ne_outcome_probability(0.0, 0.5, at(cfg, np.int64(1)))
+                == vg.ne_outcome_probability(0.0, 0.5, at(cfg, 1)))
 
 
 class TestCdfTable:
@@ -211,7 +219,7 @@ class TestMixedProbability:
         cfg = perfect_cfg(m=3, t=2, c_v=1.0, c_i=4.0, c=2.0, z_bar=2)
         assert vg.gamma(1, 2.0, cfg) == pytest.approx(2.0)
         for z, want in ((0, 0.5), (1, 0.25)):
-            p, kind = game._final_choice(0.0, 2.0, z, 2, cfg)
+            p, kind = game._final_choice(0.0, 2.0, z, cfg)
             assert kind == "mixed"
             assert p == pytest.approx(want, abs=1e-12)
 
@@ -219,11 +227,11 @@ class TestMixedProbability:
         # w <= 0 vaccinates and w >= 1 waits, both pure; for z_bar = m the
         # edge Gamma = g - C_v + C_i = 3 is a tie, and the tie's p waits
         cfg = perfect_cfg(m=3, t=2, c_v=1.0, c_i=4.0, c=2.0, z_bar=2)
-        assert game._final_choice(10.0, 2.0, 0, 2, cfg) == (1.0, "pure")
-        assert game._final_choice(0.0, 26.0, 0, 2, cfg) == (0.0, "pure")
-        assert game._final_choice(0.0, 2.0, 0, 3, cfg) == (1.0, "pure")
-        assert game._final_choice(0.0, 3.0, 0, 3, cfg) == (0.0, "tie")
-        assert game._final_choice(0.0, 3.5, 0, 3, cfg) == (0.0, "pure")
+        assert game._final_choice(10.0, 2.0, 0, cfg) == (1.0, "pure")
+        assert game._final_choice(0.0, 26.0, 0, cfg) == (0.0, "pure")
+        assert game._final_choice(0.0, 2.0, 0, at(cfg, 3)) == (1.0, "pure")
+        assert game._final_choice(0.0, 3.0, 0, at(cfg, 3)) == (0.0, "tie")
+        assert game._final_choice(0.0, 3.5, 0, at(cfg, 3)) == (0.0, "pure")
 
     def test_residuals_against_cdf(self):
         rng = np.random.default_rng(3)
@@ -753,19 +761,19 @@ class TestOutcomeProbability:
     def test_saturated_regimes(self):
         cfg = perfect_cfg(m=3, t=2, c_v=1.0, c_i=4.0, c=2.0, z_bar=2)
         # Gamma - g <= -C_v
-        assert vg.ne_outcome_probability(3.5, 2.0, 2, cfg) == 1.0
+        assert vg.ne_outcome_probability(3.5, 2.0, cfg) == 1.0
         # Gamma - g >= C_i - C_v
-        assert vg.ne_outcome_probability(-1.5, 2.0, 2, cfg) == 0.0
+        assert vg.ne_outcome_probability(-1.5, 2.0, cfg) == 0.0
 
     def test_interior_closed_form(self):
         cfg = perfect_cfg(m=3, t=2, c_v=1.0, c_i=4.0, c=2.0, z_bar=2)
-        assert vg.ne_outcome_probability(0.0, 2.0, 2, cfg) == pytest.approx(0.5, abs=1e-12)
+        assert vg.ne_outcome_probability(0.0, 2.0, cfg) == pytest.approx(0.5, abs=1e-12)
 
     def test_all_or_nothing_with_tie_toward_waiting(self):
         cfg = perfect_cfg(m=3, t=2, c_v=1.0, c_i=4.0, c=2.0, z_bar=3)
-        assert p_from_gamma(0.5, 2.0, 3, cfg) == 1.0   # 1 - 0.5 + 2 < 4
-        assert p_from_gamma(-1.0, 2.0, 3, cfg) == 0.0  # 1 + 1 + 2 = 4 tie
-        assert p_from_gamma(-2.0, 2.0, 3, cfg) == 0.0
+        assert p_from_gamma(0.5, 2.0, cfg) == 1.0   # 1 - 0.5 + 2 < 4
+        assert p_from_gamma(-1.0, 2.0, cfg) == 0.0  # 1 + 1 + 2 = 4 tie
+        assert p_from_gamma(-2.0, 2.0, cfg) == 0.0
 
     def test_monotone_in_incentive_and_estimate(self):
         cfg = fig_cfg(20)
@@ -775,9 +783,9 @@ class TestOutcomeProbability:
             c = rng.uniform(0, 10)
             dg = rng.uniform(0, 2)
             dc = rng.uniform(0, 2)
-            p0 = vg.ne_outcome_probability(g, c, 20, cfg)
-            p_gu = vg.ne_outcome_probability(g + dg, c, 20, cfg)
-            p_cu = vg.ne_outcome_probability(g, c + dc, 20, cfg)
+            p0 = vg.ne_outcome_probability(g, c, cfg)
+            p_gu = vg.ne_outcome_probability(g + dg, c, cfg)
+            p_cu = vg.ne_outcome_probability(g, c + dc, cfg)
             assert p_gu >= p0 - 1e-12
             assert p_cu <= p0 + 1e-12
             if 0.0 < p0 < 1.0 and dg > 1e-9:
@@ -793,15 +801,15 @@ class TestOutcomeProbability:
                                                            gam, dgam):
         cfg = fig_cfg(z_bar)
         gams = np.array([gam, gam + dgam])
-        p = p_from_gamma_vec(g, gams, z_bar, cfg)
+        p = p_from_gamma_vec(g, gams, cfg)
         assert p[1] <= p[0]
-        assert np.all(p_from_gamma_vec(g + dg, gams, z_bar, cfg) >= p)
+        assert np.all(p_from_gamma_vec(g + dg, gams, cfg) >= p)
 
     def test_vectorized_matches_scalar(self):
         cfg = fig_cfg(20)
         gams = np.linspace(2.0, 9.0, 200)
-        vec = p_from_gamma_vec(1.3, gams, 20, cfg)
-        sca = np.array([p_from_gamma(1.3, g, 20, cfg) for g in gams])
+        vec = p_from_gamma_vec(1.3, gams, cfg)
+        sca = np.array([p_from_gamma(1.3, g, cfg) for g in gams])
         assert np.max(np.abs(vec - sca)) < 1e-6
 
     def test_vectorized_error_within_its_stated_bound(self):
@@ -820,9 +828,8 @@ class TestOutcomeProbability:
                     xi=XiModel(1.0), z_bar=z_bar)
                 w = vg.binom_cdf(m - 1, z_bar - 1, roots)
                 w = w[(w > 0.0) & (w < 1.0)]
-                vec = p_from_gamma_vec(0.0, w, z_bar, cfg)
-                exact = np.array([p_from_gamma(0.0, x, z_bar, cfg)
-                                  for x in w])
+                vec = p_from_gamma_vec(0.0, w, cfg)
+                exact = np.array([p_from_gamma(0.0, x, cfg) for x in w])
                 assert np.all(np.abs(vg.binom_cdf(m - 1, z_bar - 1, vec) - w)
                               < 2.7e-5)
                 assert np.all(np.abs(vg.binom_cdf(m, z_bar - 1, vec)
@@ -834,10 +841,9 @@ class TestOutcomeProbability:
         cfg = vg.InfluencerGameConfig(m=40, t_horizon=2, c_v=0.0, c_i=1.0,
                                       c_se_1=1.0, xi=XiModel(1.0), z_bar=2)
         w = 0.9999780490317396
-        assert p_from_gamma_vec(0.0, [w], 2, cfg)[0] == pytest.approx(
+        assert p_from_gamma_vec(0.0, [w], cfg)[0] == pytest.approx(
             1.2207e-4, abs=1e-8)
-        assert p_from_gamma(0.0, w, 2, cfg) == pytest.approx(1.7248e-4,
-                                                             abs=1e-8)
+        assert p_from_gamma(0.0, w, cfg) == pytest.approx(1.7248e-4, abs=1e-8)
 
     @staticmethod
     def _assert_clamps_agree(g: float, gam: float, z_bar: int) -> None:
@@ -850,8 +856,8 @@ class TestOutcomeProbability:
         gams = np.array([gam])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(game, "_mixed_root", lambda *args: math.nan)
-            p = p_from_gamma(g, gam, z_bar, cfg)
-        vec = float(p_from_gamma_vec(g, gams, z_bar, cfg)[0])
+            p = p_from_gamma(g, gam, cfg)
+        vec = float(p_from_gamma_vec(g, gams, cfg)[0])
         if z_bar == cfg.m:
             count = float(gams.searchsorted(g - cfg.c_v + cfg.c_i))
             assert p == vec == count, (p, vec, count)
@@ -928,7 +934,7 @@ class TestSampling:
         draws = final_gamma_draws(cfg, rng, 500)
         # the sampler keeps its draws sorted; sample_z_t keeps draw order
         assert np.array_equal(smp.gamma_draws(cfg).gams, np.sort(draws))
-        ps = p_from_gamma_vec(1.0, draws, cfg.z_bar, cfg)
+        ps = p_from_gamma_vec(1.0, draws, cfg)
         zs, z_ps = vg.sample_z_t(1.0, cfg, seed=3, size=500)
         # the counts, and the probabilities they were drawn from
         assert np.array_equal(zs, rng.binomial(cfg.m, ps))
@@ -1193,6 +1199,16 @@ def test_zero_atom_with_support_rejected(build):
     # would be dropped without a word; the support lists a zero atom itself
     with pytest.raises(ValueError, match="^p0 must be 0"):
         build()
+
+
+def test_variance_with_support_rejected():
+    # a finite law draws from its support alone, so a sigma2 beside it
+    # would be dropped without a word, yet compare and hash apart from the
+    # same support without it and so key a draw set of its own
+    with pytest.raises(ValueError, match="^sigma2 must be 0"):
+        XiModel(5.0, 2.0, values=(1.0,), probs=(1.0,))
+    law = XiModel(5.0, values=(1.0,), probs=(1.0,))
+    assert law.is_point and law.mean == 1.0
 
 
 def test_binomial_pmf_is_scipy_stats_pmf():

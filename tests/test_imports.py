@@ -2,8 +2,9 @@
 every private module-level function and constant is read somewhere in
 the package, every public module-level function and class is exported or
 read somewhere in the package, every dataclass field is read in the
-package or its tests, and every method is read in the package, its tests
-or the benchmark."""
+package or its tests, every method is read in the package, its tests or
+the benchmark, and no function takes a threshold z_bar beside the config
+that holds one."""
 import ast
 from pathlib import Path
 
@@ -311,3 +312,44 @@ def test_unread_method_is_found():
         "def f(c):\n    c.stored = None\n    return getattr(c, 'by_string')\n")}
     others = [ast.parse("from a import C\nC().used()\nC().shown\n")]
     assert unread_methods(src, others) == {"a.py:C.dead", "a.py:C.stored"}
+
+
+# The functions that still take z_bar beside the problem whose config holds
+# it, each with the benchmark's calls that pass it so; both refuse any
+# z_bar other than problem.cfg.z_bar.
+PINNED_THRESHOLDS = {
+    "leader.py:solve_optimal_incentive": "perfbench/workloads.py:145",
+    "leader.py:non_eradication_probability":
+        "perfbench/workloads.py:97 and :104",
+}
+
+
+def thresholds_beside_configs(trees: dict[str, ast.Module]) -> set[str]:
+    """Functions and methods, as "module.py:name", with a z_bar parameter
+    beside a cfg or problem one."""
+    out = set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = {p.arg for p in [*a.posonlyargs, *a.args,
+                                          *a.kwonlyargs]}
+                if "z_bar" in params and params & {"cfg", "problem"}:
+                    out.add(f"{name}:{node.name}")
+    return out
+
+
+def test_no_threshold_beside_its_config():
+    trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    assert thresholds_beside_configs(trees) == set(PINNED_THRESHOLDS)
+
+
+def test_threshold_beside_config_is_found():
+    trees = {"a.py": ast.parse(
+        "def both(g, z_bar, problem):\n    pass\n"
+        "def keyword(cfg, *, z_bar=1):\n    pass\n"
+        "def alone(m, z_bar):\n    pass\n"
+        "def read(cfg):\n    return cfg.z_bar\n"
+        "class C:\n    def method(self, cfg, z_bar, /):\n        pass\n")}
+    assert thresholds_beside_configs(trees) == {"a.py:both", "a.py:keyword",
+                                                "a.py:method"}

@@ -58,17 +58,17 @@ class TestObjectiveAndConstraint:
         prob = mc_problem(0.05, 20)
         g = 60.0  # beyond C_v + max Gamma
         assert vg.non_eradication_probability(g, 20, prob) == 0.0
-        assert vg.expected_incentive_cost(g, 20, prob) == pytest.approx(40 * g)
+        assert vg.expected_incentive_cost(g, prob) == pytest.approx(40 * g)
 
     def test_perfect_info_single_threshold_matches_power_form(self):
         prob = pi_problem(0.1, 1)
         gam = c_infinity(prob.cfg)
         for g in (2.0, 3.5, 5.0):
-            p = game.p_from_gamma(g, gam, 1, prob.cfg)
+            p = game.p_from_gamma(g, gam, prob.cfg)
             want = (1.0 - p) ** 40
             assert vg.non_eradication_probability(g, 1, prob) == pytest.approx(want, rel=1e-12)
             # a point law's E[p] is p at c_infinity, drawn from no sampler
-            assert vg.expected_incentive_cost(g, 1, prob) == 40 * g * p
+            assert vg.expected_incentive_cost(g, prob) == 40 * g * p
 
     def test_free_constraint_gives_zero_incentive(self):
         # C_i > C_v + Gamma and z_bar = M: everyone vaccinates unpaid
@@ -157,6 +157,42 @@ class TestSolveOptimalIncentive:
             assert best.z_bar in (1, 40)
             assert best.argmin
 
+    def test_compare_solves_each_threshold_on_its_own_config(self,
+                                                            monkeypatch):
+        # one draw set serves every threshold, each solve gets the problem
+        # at its own threshold, and the rows are those of solving each
+        # threshold alone, to the bit
+        prob = mc_problem(0.05, 1, n=20_000)
+        zbars, deltas = [1, 7, 20, 39, 40], [0.01, 0.1]
+        solved = []
+        solve = leader.solve_optimal_incentive
+
+        def spy(z_bar, problem):
+            solved.append(problem)
+            return solve(z_bar, problem)
+
+        monkeypatch.setattr(leader, "solve_optimal_incentive", spy)
+        rows = vg.compare_across_zbar(prob, zbars, deltas)
+        monkeypatch.undo()
+        assert len(prob.sampler._cache) == 1
+        own = [vg.LeaderProblem(delta, game_cfg(zb), prob.sampler)
+               for delta in deltas for zb in zbars]
+        assert solved == own
+        sols = [vg.solve_optimal_incentive(p.cfg.z_bar, p) for p in own]
+        assert len(prob.sampler._cache) == 1
+        assert [repr((r.z_bar, r.delta, r.g_star, r.u_star, r.np_at_g))
+                for r in rows] == [
+            repr((s.z_bar, p.delta, s.g_star, s.u_star, s.np_at_g))
+            for s, p in zip(sols, own)]
+
+    def test_compare_refuses_thresholds_its_incentives_do_not_fit(self):
+        # incentives list g_0..g_{z_bar-1} of the config's own threshold,
+        # so a config that holds them cannot be moved to another one
+        prob = mc_problem(0.05, 2, n=100, incentives=(0.5, 0.25))
+        with pytest.raises(ValueError, match="^incentives must"):
+            vg.compare_across_zbar(prob, [2, 3], [0.05])
+        assert not prob.sampler._cache
+
     @settings(max_examples=200, deadline=None)
     @given(m=st.integers(3, 40), t=st.integers(3, 20),
            c_v=st.floats(0.1, 10.0), c_i=st.floats(0.1, 10.0),
@@ -179,14 +215,15 @@ class TestSolveOptimalIncentive:
                                       c_se_1=c_se_1, xi=vg.XiModel(xi_mean),
                                       z_bar=1)
         prob = vg.LeaderProblem(delta, cfg, vg.ExpectationSampler())
-        u = [vg.perfect_info_solution(zb, prob).u_star
+        u = [vg.perfect_info_solution(dataclasses.replace(
+                 prob, cfg=dataclasses.replace(cfg, z_bar=zb))).u_star
              for zb in range(1, m + 1)]
         assert min(u[0], u[-1]) <= min(u[1:-1]), u
 
     def test_cost_increases_with_incentive_inside_feasible_range(self):
         prob = mc_problem(0.05, 20)
         gs = np.linspace(4.0, 6.5, 12)
-        us = [vg.expected_incentive_cost(g, 20, prob) for g in gs]
+        us = [vg.expected_incentive_cost(g, prob) for g in gs]
         assert np.all(np.diff(us) > 0)
 
     def test_per_sample_monotone_constraint(self):
@@ -197,7 +234,7 @@ class TestSolveOptimalIncentive:
         hi = cfg.c_v + gams.max() - 1e-9
         prev = None
         for g in np.linspace(lo + 1e-9, hi, 25):
-            vals = binom_cdf_vec_interp(cfg.m, 19, p_from_gamma_vec(g, gams, 20, cfg))
+            vals = binom_cdf_vec_interp(cfg.m, 19, p_from_gamma_vec(g, gams, cfg))
             if prev is not None:
                 assert np.all(vals <= prev + 1e-12)
                 assert vals.mean() < prev.mean()
@@ -211,7 +248,7 @@ def full_np(g, z_bar, problem):
     """N_P(g) as the mean over every draw, without slicing."""
     cfg = problem.cfg
     gams = problem.sampler.gamma_draws(cfg).gams
-    ps = p_from_gamma_vec(g, gams, z_bar, cfg)
+    ps = p_from_gamma_vec(g, gams, cfg)
     return float(np.mean(binom_cdf_vec_interp(cfg.m, z_bar - 1, ps)))
 
 
@@ -239,7 +276,7 @@ def bisection_solve(z_bar, problem, np_fn=full_np):
         if hi - lo <= 1e-12 or hi - lo <= 1e-12 * abs(hi):
             g = 0.5 * (lo + hi)
             break
-    return g, vg.expected_incentive_cost(g, z_bar, problem)
+    return g, vg.expected_incentive_cost(g, problem)
 
 
 def rounding_bound(g, problem, w_k, v_k):
@@ -398,9 +435,9 @@ class TestSlicedConstraint:
             calls.append(kw.get("with_slope", False))
             return orig(*args, **kw)
 
-        def search_spy(g, z_bar, cfg, draws):
+        def search_spy(g, cfg, draws):
             searches.append(len(draws.gams))
-            return orig_search(g, z_bar, cfg, draws)
+            return orig_search(g, cfg, draws)
 
         monkeypatch.setattr(leader, "non_eradication_probability", spy)
         monkeypatch.setattr(leader, "_knot_search", search_spy)
@@ -433,8 +470,7 @@ class TestSlicedConstraint:
         if sol.binding:
             g, _ = bisection_solve(z_bar, prob, vg.non_eradication_probability)
             assert sol.g_star == pytest.approx(g, rel=1e-11)
-            assert sol.u_star == vg.expected_incentive_cost(sol.g_star, z_bar,
-                                                            prob)
+            assert sol.u_star == vg.expected_incentive_cost(sol.g_star, prob)
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
@@ -466,8 +502,7 @@ class TestSlicedConstraint:
         if binding:
             g = bisect_decreasing(np_and_slope, delta, g_floor(cfg), math.inf,
                                   atol=1e-12, rtol=1e-12,
-                                  x0=leader._one_point_root(z_bar, prob,
-                                                            draws),
+                                  x0=leader._one_point_root(prob, draws),
                                   step=max(cfg.c_i, 1.0))
             assert abs(sol.g_star - g) <= 2e-12 * max(1.0, g)
         else:
@@ -512,8 +547,8 @@ class TestSlicedConstraint:
             tol = (n * EPS if costs == (1.0, 5.0)
                    else rounding_bound(g, prob, w_k, f_k))
             assert abs(got - full_np(g, z_bar, prob)) <= tol
-            got = leader._p_expectation(g, z_bar, prob)
-            want = float(np.mean(p_from_gamma_vec(g, gams, z_bar, cfg)))
+            got = leader._p_expectation(g, prob)
+            want = float(np.mean(p_from_gamma_vec(g, gams, cfg)))
             assert abs(got - want) <= rounding_bound(g, prob, w_k, p_k)
 
     @settings(max_examples=100, deadline=None)
@@ -545,10 +580,8 @@ class TestSlicedConstraint:
             value, slope = vg.non_eradication_probability(
                 x, z_bar, prob, with_slope=True, _searches=searches)
             want = reference_sums(x, z_bar, prob)
-            assert (value, slope,
-                    leader._p_expectation(x, z_bar, prob)) == want
-            assert leader._p_expectation(x, z_bar, prob,
-                                         searches[x]) == want[2]
+            assert (value, slope, leader._p_expectation(x, prob)) == want
+            assert leader._p_expectation(x, prob, searches[x]) == want[2]
 
     @pytest.mark.parametrize("z_bar", [1, 20, 39])
     def test_one_knot_search_per_evaluation(self, z_bar, monkeypatch):
@@ -560,7 +593,7 @@ class TestSlicedConstraint:
         calls = []
         for name in ("non_eradication_probability", "_knot_search"):
             def spy(g, *args, _orig=getattr(leader, name), _name=name, **kw):
-                size = (len(args[2].gams) if _name == "_knot_search"
+                size = (len(args[1].gams) if _name == "_knot_search"
                         else None)
                 calls.append((_name, g, size))
                 return _orig(g, *args, **kw)
@@ -577,12 +610,11 @@ class TestSlicedConstraint:
                             "_knot_search"] * len(gs))
         cfg = prob.cfg
         draws = prob.sampler.gamma_draws(cfg)
-        g0 = leader._one_point_root(z_bar, prob, draws)
+        g0 = leader._one_point_root(prob, draws)
         assert calls[0] == ("_knot_search", g0, 64)
         assert all(size == 20_000 for _, _, size in calls[2::2])
         lo, step = g_floor(cfg), max(cfg.c_i, 1.0)
-        start = leader._quantile_start(z_bar, prob, draws, lo,
-                                       lo + step * 2 ** 59)
+        start = leader._quantile_start(prob, draws, lo, lo + step * 2 ** 59)
         assert gs[0] == start != g0
 
     def test_mixed_solve_makes_no_per_draw_pass(self, monkeypatch):
@@ -700,7 +732,9 @@ class TestUnbracketedRoot:
         cfg = prob.cfg
         reach = g_floor(cfg) + max(cfg.c_i, 1.0) * 2 ** 59
         draws = prob.sampler.gamma_draws(cfg)
-        assert leader._one_point_root(min(z_bar, 39), prob, draws) > 10 * reach
+        one_point = dataclasses.replace(prob, cfg=dataclasses.replace(
+            cfg, z_bar=min(z_bar, 39)))
+        assert leader._one_point_root(one_point, draws) > 10 * reach
         with pytest.raises(leader.BracketingError,
                            match=r"^N_P stayed above delta=0\.05 up to g=\S"):
             vg.solve_optimal_incentive(z_bar, prob)
@@ -709,16 +743,20 @@ class TestUnbracketedRoot:
 
 class TestInputChecks:
     @pytest.mark.parametrize("make", [mc_problem, pi_problem])
-    @pytest.mark.parametrize("z_bar", [0, -1, 41, 1.5, True, 40.0])
+    @pytest.mark.parametrize("z_bar", [0, -1, 41, 1.5, True, 40.0,
+                                       1, 19, 21, 40, np.int64(21)])
     def test_zbar_outside_range_rejected(self, make, z_bar):
-        # an integer in 1..m only: a fraction, a flag or a whole float is
-        # refused as an out-of-range count is, by every public function
+        # the threshold is the config's, so the two functions that still
+        # take z_bar beside the problem take problem.cfg.z_bar alone: a
+        # fraction, a flag, a whole float, an out-of-range count and a
+        # count in 1..m that is not the config's are refused before any draw
         prob = make(0.05, 20)
         for call in (vg.solve_optimal_incentive,
-                     functools.partial(vg.non_eradication_probability, 5.0),
-                     functools.partial(vg.expected_incentive_cost, 5.0)):
-            with pytest.raises(ValueError, match="z_bar"):
+                     functools.partial(vg.non_eradication_probability, 5.0)):
+            with pytest.raises(ValueError, match=r"^z_bar must be an integer "
+                               r"in 20\.\.20, got"):
                 call(z_bar, prob)
+        assert not prob.sampler._cache
 
     @pytest.mark.parametrize("kw", [dict(n_samples=0), dict(n_samples=-5),
                                     dict(n_samples=None), dict(seed="0"),
@@ -836,7 +874,7 @@ class TestPerfectInformation:
         prob = pi_problem(0.125, 1, m=3, t_horizon=2, c_se_1=2.0, xi_mean=2.0,
                           c_v=1.0, c_i=5.0)
         assert c_infinity(prob.cfg) == pytest.approx(2.0)
-        sol = vg.perfect_info_solution(1, prob)
+        sol = vg.perfect_info_solution(prob)
         assert sol.p_expectation == pytest.approx(0.5, abs=1e-12)
         assert sol.g_star == pytest.approx(1.75, abs=1e-12)
         assert sol.u_star == pytest.approx(2.625, abs=1e-12)
@@ -855,7 +893,7 @@ class TestPerfectInformation:
         for m, delta in [(3, 0.125), (40, 0.05), (17, 0.01)]:
             prob = pi_problem(delta, 1, m=m)
             gam = c_infinity(prob.cfg)
-            sol = vg.perfect_info_solution(1, prob)
+            sol = vg.perfect_info_solution(prob)
             g_closed = 1.0 + gam - 5.0 * delta ** ((m - 1) / m)
             u_closed = m * g_closed * (1 - delta ** (1 / m))
             assert sol.g_star == pytest.approx(g_closed, abs=1e-9)
@@ -863,7 +901,7 @@ class TestPerfectInformation:
 
     def test_all_threshold_eps_optimizer(self):
         prob = pi_problem(0.05, 40)
-        sol = vg.perfect_info_solution(40, prob)
+        sol = vg.perfect_info_solution(prob)
         assert sol.epsilon == 1e-6
         gam = c_infinity(prob.cfg)
         assert sol.g_star == pytest.approx(1.0 + gam - 5.0 + 1e-6, abs=1e-12)
@@ -872,7 +910,7 @@ class TestPerfectInformation:
     def test_dispatched_from_generic_solver(self):
         prob = pi_problem(0.05, 7)
         assert vg.solve_optimal_incentive(7, prob).g_star == pytest.approx(
-            vg.perfect_info_solution(7, prob).g_star)
+            vg.perfect_info_solution(prob).g_star)
 
     @settings(max_examples=40, deadline=None)
     @given(law=st.sampled_from([
@@ -896,8 +934,7 @@ class TestPerfectInformation:
         sol = vg.solve_optimal_incentive(z_bar, prob)
         assert (sol.mode == leader.PERFECT_INFO) is point
         if point:
-            assert sol.to_dict() == vg.perfect_info_solution(
-                z_bar, prob).to_dict()
+            assert sol.to_dict() == vg.perfect_info_solution(prob).to_dict()
             assert not prob.sampler._cache
             with pytest.raises(ValueError, match="point law"):
                 vg.non_eradication_probability(sol.g_star, z_bar, prob,
@@ -1332,7 +1369,7 @@ class TestVarianceLimit:
     def test_convergence_toward_perfect_info(self):
         gs0 = {}
         for zb in (1, 20):
-            gs0[zb] = vg.perfect_info_solution(zb, pi_problem(0.05, zb)).g_star
+            gs0[zb] = vg.perfect_info_solution(pi_problem(0.05, zb)).g_star
         diffs = {1: [], 20: []}
         for sigma2 in (1e-1, 1e-2, 1e-3, 1e-4):
             for zb in (1, 20):
