@@ -50,10 +50,12 @@ class ScenarioConfig:
 
     seed must be an integer >= 0, samples one in 1..MAX_DRAWS, workers
     (threads of the pool every point runs on) one >= 1, delta in (0, 1),
-    and an s sweep's disease rho > 1 and its costs linear (no c_f_table);
-    a bad field raises ValueError when the object is built. So does a grid
-    value whose point (see `point`) cannot be built, with a message that
-    starts with "grid".
+    an s sweep's disease rho > 1 and its costs linear (no c_f_table), and
+    the game of a theta_star or s sweep must list no incentives, which fix
+    it to its own z_bar while such a sweep solves each point at its
+    design's k*; a bad field raises ValueError when the object is built.
+    So does a grid value whose point (see `point`) cannot be built, with a
+    message that starts with "grid".
     """
 
     sweep_var: str
@@ -85,6 +87,12 @@ class ScenarioConfig:
         if self.sweep_var == "s" and self.costs.c_f_table is not None:
             raise ConfigError("costs must be linear for an s sweep, which "
                               "sets their slope s, but hold a c_f_table")
+        if (self.sweep_var in ("theta_star", "s")
+                and self.game_cfg.incentives is not None):
+            raise ConfigError(
+                f"game_cfg must list no incentives for a {self.sweep_var} "
+                f"sweep, which solves each point at its design's threshold "
+                f"k*, but lists them for z_bar = {self.game_cfg.z_bar}")
         for idx, v in enumerate(self.grid):
             try:
                 self.point(idx, v)

@@ -770,11 +770,19 @@ def _integrate(init: OdeState, disease: DiseaseParams, nu: VaRatePolicy,
 # Jump process
 # ---------------------------------------------------------------------------
 
-# Events are decided in numpy windows of _WINDOW uniforms (`_window`). At
-# N near 1e5 a window keeps about a thousand events, and longer windows
-# were no faster there (README); at small N a window keeps few.
-_WINDOW = 2048
-_POSITIONS = np.arange(_WINDOW)
+# Events are decided in numpy windows (`_window`) whose width, in uniforms,
+# each chain sets from what its windows keep, held to _NARROWEST.._WIDEST.
+# A window of L uniforms keeps min(R, L) of them, R being where its first
+# guess fails, and costs about as much as _OVERHEAD + L uniforms: at
+# N0 = 1e5, 0.027 us a uniform and 70 us a window, 50 of them in
+# `_window`'s numpy calls and the rest in the chain's loop. Kept uniforms
+# per cost are greatest where P(R > L) = E[min(R, L)] / (_OVERHEAD + L), so
+# after each whole window the width moves by _GAIN times that window's own
+# sample of the difference (Robbins and Monro 1951). The first width is
+# 1.75 N0^(2/3), as the run of right guesses grows like N^(2/3) (README).
+_NARROWEST, _WIDEST = 64, 4096
+_OVERHEAD, _GAIN = 2600.0, 0.1
+_POSITIONS = np.arange(_WIDEST)
 
 # An event has one of eight outcomes: infection, recovery, birth, the death
 # of an S, a V or an I, and an offer accepted or declined. The first three
@@ -848,8 +856,14 @@ def _window(w, cap: int, counts: tuple[float, float, float, float],
                       s, v, n, bt * psi)
     states = np.empty((4, len(at) + 1))
     states[:, 0] = counts
-    _STEP.take(guess, axis=1, out=states[:, 1:])
-    np.cumsum(states, axis=1, out=states)
+    # the counts are exact integers, and each outcome moves N by the sum of
+    # its S, V and I changes, so N = S + V + I gives the same doubles as a
+    # fourth cumsum
+    svi = states[:3]
+    _STEP[:3].take(guess, axis=1, out=svi[:, 1:])
+    np.cumsum(svi, axis=1, out=svi)
+    np.add(states[0], states[1], out=states[3])
+    states[3] += states[2]
     if n <= len(at):
         # N moves by one an event, so only here can a guessed N reach 0;
         # no event is guessed past the first such state
@@ -922,19 +936,21 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     for a new one, which is drawn only after the spent one is released, so
     two chunks are never alive at once.
 
-    Numpy windows of _WINDOW uniforms decide the events (`_window`). A
-    window guesses every event from the thresholds at its start, sums the
+    Numpy windows of 64 to 4,096 uniforms decide the events (`_window`).
+    A window guesses every event from the thresholds at its start, sums the
     guessed count changes into the state before each event, recomputes
     every threshold and test from those states with the operands and order
     of a per-event computation, and keeps the events up to the first whose
     outcome (and so its uniform count) the guess got wrong, that one
-    decided from its exact state. At N near 1e5 a window keeps about a
-    thousand events; at small N only a few, so there a chain runs slower
-    than a per-event loop would. Both loops end: a window that decides no
-    event raises RuntimeError naming its place (no correct window does),
-    so each window spends at least one uniform, at most 16,383 windows a
-    chunk, and each chunk decides at least one event, at most n_events
-    chunks.
+    decided from its exact state. The width starts at 1.75 N0^(2/3) and
+    then follows what the windows keep (see _OVERHEAD); as every window's
+    events are exact, the width moves the speed alone, never a result. At
+    N near 1e5 a window keeps about a thousand events; at small N only a
+    few, so there a chain runs slower than a per-event loop would. Both
+    loops end: a window that decides no event raises RuntimeError naming
+    its place (no correct window does), so each window spends at least one
+    uniform, at most 16,383 windows a chunk, and each chunk decides at
+    least one event, at most n_events chunks.
 
     The clock of each block (the windows of one chunk) is summed
     afterwards by `np.add.accumulate` over the same terms 1/(1+k) in the
@@ -991,6 +1007,7 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     left = record_every          # events until the next record
 
     chunk = 16384
+    width = min(max(1.75 * n ** (2 / 3), _NARROWEST), _WIDEST)
     # each pass spends a chunk of uniforms, w[pos:] the ones left: its
     # windows stop only with fewer than two left, at the n_events cut or at
     # extinction. The spent chunk is released before the next is drawn, so
@@ -1001,8 +1018,14 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
         first = left                 # clock entry of the block's first record
         j = 0                        # events of the block so far
         while j < n_events - done and chunk - pos >= 2:
-            a, used, states = _window(w[pos:pos + _WINDOW],
-                                      n_events - done - j, (s, v, i, n), rates)
+            span = w[pos:pos + int(width)]
+            a, used, states = _window(span, n_events - done - j,
+                                      (s, v, i, n), rates)
+            if len(span) == int(width):
+                # a window cut short by its chunk's end samples no width
+                full = used >= len(span) - 1
+                width *= 1.0 + _GAIN * (full - used / (_OVERHEAD + len(span)))
+                width = min(max(width, _NARROWEST), _WIDEST)
             if a < 1:
                 raise RuntimeError(f"the window at uniform {pos} of its "
                                    "chunk decided no event")

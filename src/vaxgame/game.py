@@ -79,8 +79,10 @@ class XiModel:
     count as zero), optionally mixed with an atom at zero of mass p0.
     Discrete case: explicit support/probability pairs, used by the exact
     dynamic-programming oracle; sigma2 and p0 must then be 0 (list an atom
-    at zero as a support point). Any sequences of values and probs are kept
-    as tuples of floats, so that models compare and hash by value.
+    at zero as a support point), and mean_param is set to the support's
+    mean, which the values alone fix. Any sequences of values and probs are
+    kept as tuples of floats, so that models compare and hash by value:
+    two laws of one support are equal whatever mean_param they were given.
     mean_param, sigma2 and p0 must pass params.require_scaled, and every
     value and probability must be a finite number (bool is not one); a bad
     field raises ValueError naming it.
@@ -128,6 +130,8 @@ class XiModel:
                              f"alone make the law), got {self.sigma2!r}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "mean_param",
+                           float(sum(v * p for v, p in zip(values, probs))))
 
     @property
     def is_point(self) -> bool:
@@ -152,7 +156,7 @@ class XiModel:
     def mean(self) -> float:
         """E[xi], computed on first use and then read as an attribute."""
         if self.values is not None:
-            return float(sum(v * p for v, p in zip(self.values, self.probs)))
+            return self.mean_param
         return (1.0 - self.p0) * _truncnorm_mean(self.mean_param,
                                                  math.sqrt(self.sigma2))
 
@@ -319,8 +323,13 @@ def final_gamma_draws(cfg: InfluencerGameConfig, rng: np.random.Generator,
         for start in range(0, size, DRAW_BLOCK_ROWS):
             stop = min(start + DRAW_BLOCK_ROWS, size)
             xi._fill(rng, buf[:stop - start]).sum(axis=1, out=sums[start:stop])
-    c_final = (t * c + sums) / (T - 1)
-    return ((T - 1) / T) * c_final + cfg.xi.mean / T
+    # C_{T-1}, then Gamma_{T-1}, in place: the operands and order of
+    # ((T-1)/T) * ((t c + sums) / (T-1)) + mean/T, with no array but sums
+    sums += t * c
+    sums /= T - 1
+    sums *= (T - 1) / T
+    sums += cfg.xi.mean / T
+    return sums
 
 
 def binom_cdf(l: int, m: int, p) -> float | np.ndarray:

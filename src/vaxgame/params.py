@@ -47,7 +47,8 @@ MAX_INFLUENCERS = 10_000
 # value per day: 8,192 x 1,000 floats are 66 MB
 MAX_DAYS = 1_000
 # a sampler keeps each law's draws and their prefix sums, and a fill holds
-# three more arrays of its length: 5 x 8 bytes a draw, 400 MB at 1e7
+# no other array of its length (it works in the draws' own array, beside
+# one block of rows): 2 x 8 bytes a draw, 160 MB at 1e7
 MAX_DRAWS = 10_000_000
 
 

@@ -195,12 +195,20 @@ _START = dict(disease=_DIS, nu=_NU, beta=vg.ResponseParams(2.0), seed=0,
     # the CLI's --var takes only SWEEP_VARS; a library caller can pass any
     (lambda: cli.ScenarioConfig("m", (1.0,), _DIS, _NU, _PUBLIC, _GAME_CFG,
                                 0.05, Path("out")), "sweep_var"),
+    # a theta_star or s point is solved at its design's k*, where
+    # incentives listed for the game's own z_bar do not apply
+    *[(lambda var=var, v=v: cli.ScenarioConfig(
+        var, (v,), _DIS, _NU, _PUBLIC,
+        dataclasses.replace(_GAME_CFG, incentives=(0.0, 1.0)), 0.05,
+        Path("out")), "game_cfg") for var, v in (("s", 0.1),
+                                                 ("theta_star", 0.5))],
 ], ids=["lam", "d", "ess_m", "ess_m_budget", "ess_z", "ess_z_subcritical",
         "threshold_m", "threshold_m_zero",
         "design_rho", "draw_size", "z_t_size", "z_t_seed", "path_seed",
         "chain_n0", "chain_events", "chain_eta0", "chain_seed", "game_g0",
         "game_incentives", "xi_finite_sigma2", "threshold_nu", "threshold_rho", "cf_table_scalar",
-        "cf_table_dip", "theta_star_rho", "sweep_var"])
+        "cf_table_dip", "theta_star_rho", "sweep_var",
+        "s_sweep_incentives", "theta_star_sweep_incentives"])
 def test_refusal_starts_with_its_field(call, field):
     with pytest.raises(ValueError) as info:
         call()

@@ -1086,6 +1086,14 @@ _BENCH_JUMP_CHAIN = dict(counts=(17_000, 80_000, 3_000),
 # state with N = 0 and are cut there
 @example(counts=(2, 1, 2), rates=(0.5, 5.0, 0.5, 0.998), supply=(0.1, 0.0),
          beta=0.5, eta0=None, record_every=1, n_events=1_000, seed=2)
+# the window width moves mid-chunk at both of its bounds: from N0 = 10 it
+# starts at the floor of 64 uniforms, climbs off it and falls back to it
+# at window 145; from N0 = 1e6 it starts at the cap of 4,096, leaves it
+# when a guess fails and climbs back to it, within a chunk at windows 3
+# and 17
+@example(counts=(6, 2, 2), rates=(15.0, 2.0, 2.0, 0.9), supply=(2.0, 1.0),
+         beta=0.3, eta0=None, record_every=7, n_events=5_000, seed=87)
+@example(**dict(_BENCH_JUMP_CHAIN, counts=(170_000, 800_000, 30_000)))
 # a window ends two uniforms before its chunk does, and the next window
 # is those two
 @example(counts=(800, 100, 100), rates=(15.0, 2.0, 2.0, 0.25),
@@ -1129,6 +1137,51 @@ def test_a_window_that_decides_no_event_is_refused(monkeypatch):
                                  n_events=10_000)
     assert str(info.value) == (f"the window at uniform {sum(spent)} of its "
                                "chunk decided no event")
+
+
+@pytest.mark.parametrize("counts,beta,seed,kinds", [
+    # a wrong guess ends one window of this chain two uniforms short of
+    # its end, which is no full window
+    ((6, 2, 2), 0.3, 10, {"full", "failed", "cut", "two short"}),
+    ((17_000, 80_000, 3_000), 0.3, 5, {"full", "failed", "cut"}),
+    ((170_000, 800_000, 30_000), 2.0, 5, {"full", "failed", "cut"}),
+], ids=["floor", "n0_1e5", "cap"])
+def test_window_width_follows_its_rule(monkeypatch, counts, beta, seed,
+                                       kinds):
+    # the width moves the speed alone, so no result shows it: replay the
+    # rule on the windows a chain asks for. The first is 1.75 N0^(2/3)
+    # wide, held to 64..4,096; a window its chunk's end cuts short is the
+    # uniforms left, and each whole one scales the width by
+    # 1 + 0.1*(full - used/(2600 + L)), full when it used all but at
+    # most one of its uniforms
+    calls, real = [], epidemic._window
+
+    def spy(w, cap, state, rates):
+        a, used, states = real(w, cap, state, rates)
+        calls.append((len(w), used))
+        return a, used, states
+
+    monkeypatch.setattr(epidemic, "_window", spy)
+    vg.simulate_jump_process((*counts, sum(counts)), fig5_disease(),
+                             vg.VaRatePolicy(8.0, 3.0),
+                             vg.ResponseParams(beta), seed=seed,
+                             n_events=40_000)
+    width = min(max(1.75 * sum(counts) ** (2 / 3), 64), 4096)
+    pos, shown = 0, set()
+    for length, used in calls:
+        assert length == min(int(width), 16_384 - pos)
+        if length == int(width):
+            width *= 1.0 + 0.1 * ((used >= length - 1)
+                                  - used / (2600.0 + length))
+            width = min(max(width, 64), 4096)
+            shown.add("full" if used >= length - 1 else
+                      "two short" if used == length - 2 else "failed")
+        else:
+            shown.add("cut")
+        pos += used
+        if 16_384 - pos < 2:
+            pos = 0
+    assert shown == kinds
 
 
 def test_window_guesses_stop_at_the_first_empty_state():
@@ -1227,9 +1280,9 @@ class TestJumpProcess:
 
     def test_memory_does_not_grow_with_n_events(self):
         # the working set is one 16,384-uniform chunk (the spent one is
-        # released before the next is drawn), one window's arrays and a
-        # block's clock, about 0.5 MB traced; nothing may be sized by
-        # n_events
+        # released before the next is drawn), one window's arrays (at most
+        # 4,096 uniforms wide) and a block's clock, 0.15-0.7 MB traced;
+        # nothing may be sized by n_events
         runs = [
             # 25,000 events take more than one chunk of uniforms
             ((160, 800, 40, 1000), fig5_disease(), vg.VaRatePolicy(8.0, 3.0),

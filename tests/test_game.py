@@ -949,14 +949,16 @@ class TestSampling:
            family=st.sampled_from(["normal", "normal_atom", "point",
                                    "point_atom", "discrete"]),
            sigma2=st.floats(0.01, 10.0), xi_mean=st.floats(0.1, 10.0),
-           p0=st.floats(0.01, 0.9), t=st.integers(1, 19))
+           p0=st.floats(0.01, 0.9), t=st.integers(1, 19),
+           c=st.none() | st.floats(0.0, 10.0))
     def test_in_place_fill_equals_sampled_blocks(self, seed, n, family,
-                                                 sigma2, xi_mean, p0, t):
+                                                 sigma2, xi_mean, p0, t, c):
         # every law's in-place block fill against the (n, T-1-t) data
         # written out with plain numpy calls: without an atom at zero the
         # row blocks consume the stream as one draw of the matrix does;
         # with one, each block of DRAW_BLOCK_ROWS rows draws its normals
-        # and then its mask
+        # and then its mask. The fill scales its sums in place, to the
+        # bytes of the array formula below from any start (t, c)
         law = {"normal": dict(sigma2=sigma2),
                "normal_atom": dict(sigma2=sigma2, p0=p0),
                "point": dict(),
@@ -984,11 +986,12 @@ class TestSampling:
                     x = np.where(rng.random(rows) < p0, 0, x)
                 blocks.append(x)
             x = np.concatenate(blocks)
-        c_final = (t * cfg.c_se_1 + x.sum(axis=1)) / 19
+        c_final = (t * (cfg.c_se_1 if c is None else c)
+                   + x.sum(axis=1)) / 19
         want = (19 / 20) * c_final + cfg.xi.mean / 20
         got_rng = np.random.default_rng(seed)
-        got = final_gamma_draws(cfg, got_rng, n, t)
-        assert np.array_equal(got, want)
+        got = final_gamma_draws(cfg, got_rng, n, t, c)
+        assert got.tobytes() == want.tobytes()
         assert got_rng.bit_generator.state == rng.bit_generator.state
 
     def test_atom_fill_memory_is_bounded_by_one_block(self):
@@ -1007,6 +1010,18 @@ class TestSampling:
                 tracemalloc.stop()
         # float64 uniforms and a bool mask for each of 8192 x 18 entries
         assert peaks[1] - peaks[0] <= DRAW_BLOCK_ROWS * 18 * (8 + 1)
+
+    def test_fill_holds_one_array_of_its_length(self):
+        # a fill's traced peak is its draws' array and one block of rows,
+        # with no temporary of the draws' length
+        cfg = fig_cfg(40)
+        tracemalloc.start()
+        try:
+            final_gamma_draws(cfg, np.random.default_rng(1), 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100_000 * 8 + DRAW_BLOCK_ROWS * 18 * 8 + 65_536
 
     def test_martingale_of_terminal_estimate(self):
         cfg = fig_cfg(40)
@@ -1209,6 +1224,20 @@ def test_variance_with_support_rejected():
         XiModel(5.0, 2.0, values=(1.0,), probs=(1.0,))
     law = XiModel(5.0, values=(1.0,), probs=(1.0,))
     assert law.is_point and law.mean == 1.0
+
+
+def test_mean_param_beside_support_keys_one_law():
+    # the values alone make a finite law, so the mean_param given beside
+    # them becomes the support's mean: two such laws compare and hash
+    # equal and share one draw set of the sampler
+    given = XiModel(5.0, values=(1.0, 3.0), probs=(0.5, 0.5))
+    zero = XiModel(0.0, values=(1.0, 3.0), probs=(0.5, 0.5))
+    assert given == zero and hash(given) == hash(zero)
+    assert given.mean_param == given.mean == 2.0
+    smp = vg.ExpectationSampler(n_samples=500, seed=2)
+    draws = [smp.gamma_draws(dataclasses.replace(fig_cfg(20), xi=xi))
+             for xi in (given, zero)]
+    assert draws[0] is draws[1] and len(smp._cache) == 1
 
 
 def test_binomial_pmf_is_scipy_stats_pmf():
