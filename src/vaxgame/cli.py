@@ -6,6 +6,7 @@ analyses of the three layers.
     vaxgame optimize-leader        constrained incentive optimization
     vaxgame simulate               jump process vs ODE trajectory export
     vaxgame reproduce-fig          canned parameter studies (ids 1..5, or all)
+    vaxgame sweep                  single-variable scenario sweep
 
 Flags may be preloaded from --config FILE (or --config=FILE); INI-style
 sections or a JSON object with the same section/key names (see README).

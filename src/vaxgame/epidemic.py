@@ -774,12 +774,13 @@ def _integrate(init: OdeState, disease: DiseaseParams, nu: VaRatePolicy,
 # each chain sets from what its windows keep, held to _NARROWEST.._WIDEST.
 # A window of L uniforms keeps min(R, L) of them, R being where its first
 # guess fails, and costs about as much as _OVERHEAD + L uniforms: at
-# N0 = 1e5, 0.027 us a uniform and 70 us a window, 50 of them in
-# `_window`'s numpy calls and the rest in the chain's loop. Kept uniforms
-# per cost are greatest where P(R > L) = E[min(R, L)] / (_OVERHEAD + L), so
-# after each whole window the width moves by _GAIN times that window's own
-# sample of the difference (Robbins and Monro 1951). The first width is
-# 1.75 N0^(2/3), as the run of right guesses grows like N^(2/3) (README).
+# N0 = 1e5, 0.03 us a uniform and 75 us a window, 48-50 of them in
+# `_window`'s numpy calls and 27 in the chain's loop, which sums the
+# window's clock and takes its records. Kept uniforms per cost are greatest
+# where P(R > L) = E[min(R, L)] / (_OVERHEAD + L), so after each whole
+# window the width moves by _GAIN times that window's own sample of the
+# difference (Robbins and Monro 1951). The first width is 1.75 N0^(2/3),
+# as the run of right guesses grows like N^(2/3) (README).
 _NARROWEST, _WIDEST = 64, 4096
 _OVERHEAD, _GAIN = 2600.0, 0.1
 _POSITIONS = np.arange(_WIDEST)
@@ -946,18 +947,17 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     then follows what the windows keep (see _OVERHEAD); as every window's
     events are exact, the width moves the speed alone, never a result. At
     N near 1e5 a window keeps about a thousand events; at small N only a
-    few, so there a chain runs slower than a per-event loop would. Both
-    loops end: a window that decides no event raises RuntimeError naming
-    its place (no correct window does), so each window spends at least one
-    uniform, at most 16,383 windows a chunk, and each chunk decides at
-    least one event, at most n_events chunks.
+    few, so there a chain runs slower than a per-event loop would. The
+    loop ends: a window that decides no event raises RuntimeError naming
+    its place (no correct window does), so each window decides at least
+    one event, and there are at most n_events windows.
 
-    The clock of each block (the windows of one chunk) is summed
-    afterwards by `np.add.accumulate` over the same terms 1/(1+k) in the
-    same order, so every record is the double a per-event `t += 1/(1+k)`
-    gives. The rates are read as floats once. The offer is accepted when
-    u < beta*psi: u lies in [0, 1), so this is the same test as
-    u < min(1, beta*psi).
+    Each window sums its own clock by `np.add.accumulate`, from the clock
+    before it over the terms 1/(1+k) of its events, left to right, so every
+    record is the double a per-event `t += 1/(1+k)` gives; its records are
+    one slice of its events. The rates are read as floats once. The offer
+    is accepted when u < beta*psi: u lies in [0, 1), so this is the same
+    test as u < min(1, beta*psi).
     """
     try:
         whole = all(float(x).is_integer() for x in initial_counts)
@@ -1000,57 +1000,47 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     rec_psi = [v / n]
     rec_eta = [n / (1 + k)]
     s, v, i, n = float(s), float(v), float(i), float(n)
-    # 1 + k before the next block; after its j-th event 1 + k is base + j
-    base = 1 + k
     extinct = False
     done = 0
-    left = record_every          # events until the next record
 
     chunk = 16384
     width = min(max(1.75 * n ** (2 / 3), _NARROWEST), _WIDEST)
-    # each pass spends a chunk of uniforms, w[pos:] the ones left: its
-    # windows stop only with fewer than two left, at the n_events cut or at
-    # extinction. The spent chunk is released before the next is drawn, so
-    # two are never alive at once.
+    # w[pos:] are the uniforms left of the current chunk; the spent chunk
+    # is released before the next is drawn
+    w, pos = None, chunk
     while done < n_events and not extinct:
-        w = None
-        w, pos = rng.random(chunk), 0
-        first = left                 # clock entry of the block's first record
-        j = 0                        # events of the block so far
-        while j < n_events - done and chunk - pos >= 2:
-            span = w[pos:pos + int(width)]
-            a, used, states = _window(span, n_events - done - j,
-                                      (s, v, i, n), rates)
-            if len(span) == int(width):
-                # a window cut short by its chunk's end samples no width
-                full = used >= len(span) - 1
-                width *= 1.0 + _GAIN * (full - used / (_OVERHEAD + len(span)))
-                width = min(max(width, _NARROWEST), _WIDEST)
-            if a < 1:
-                raise RuntimeError(f"the window at uniform {pos} of its "
-                                   "chunk decided no event")
-            s, v, i, n = states[:, a].tolist()
-            extinct = n == 0.0
-            # the window's events, counted from 1, that are records
-            q = np.arange(left, a + 1 - extinct, record_every)
-            if q.size:
-                rec_theta.extend((states[2, q] / states[3, q]).tolist())
-                rec_psi.extend((states[1, q] / states[3, q]).tolist())
-                rec_eta.extend((states[3, q] / (base + j + q)).tolist())
-            left = (left - a - 1) % record_every + 1
-            pos += used
-            j += a
-            if extinct:
-                break
-
-        # clock[j] is t after the block's j-th event
-        clock = np.add.accumulate(np.concatenate(
-            ([t], 1.0 / np.arange(base + 1, base + j + 1))))
-        # the extinction event is never a record
-        rec_t.extend(clock[first:j + 1 - extinct:record_every].tolist())
-        t = float(clock[j])
-        base += j
-        done += j
+        if chunk - pos < 2:
+            w = None
+            w, pos = rng.random(chunk), 0
+        span = w[pos:pos + int(width)]
+        a, used, states = _window(span, n_events - done, (s, v, i, n), rates)
+        if len(span) == int(width):
+            # a window cut short by its chunk's end samples no width
+            full = used >= len(span) - 1
+            width *= 1.0 + _GAIN * (full - used / (_OVERHEAD + len(span)))
+            width = min(max(width, _NARROWEST), _WIDEST)
+        if a < 1:
+            raise RuntimeError(f"the window at uniform {pos} of its "
+                               "chunk decided no event")
+        s, v, i, n = states[:, a].tolist()
+        extinct = n == 0.0
+        # index[q] is 1 + k after the window's q-th event, clock[q] is t
+        index = np.arange(k + done + 1, k + done + a + 2)
+        clock = 1.0 / index
+        clock[0] = t
+        np.add.accumulate(clock, out=clock)
+        # the window's events whose count from the start is a multiple of
+        # record_every; the extinction event is never a record
+        rec = slice(record_every - done % record_every, a + 1 - extinct,
+                    record_every)
+        rec_t.extend(clock[rec].tolist())
+        rec_v, rec_i, rec_n = states[1:, rec]
+        rec_theta.extend((rec_i / rec_n).tolist())
+        rec_psi.extend((rec_v / rec_n).tolist())
+        rec_eta.extend((rec_n / index[rec]).tolist())
+        t = float(clock[a])
+        pos += used
+        done += a
 
     if extinct:
         rec_t.append(t)

@@ -580,8 +580,8 @@ def binom_cdf_vec_interp(l: int, m: int, p: np.ndarray) -> np.ndarray:
     Trades accuracy for a single table lookup: linear interpolation between
     the table's grid points misses F by up to 1.16e-5 (measured on
     F_40(0; p) and F_40(38; p), near p = 1e-4 and p = 0.9999, the ends of
-    the table), and by far less in its middle. Used in the Monte Carlo hot
-    path where the statistical error dominates.
+    the table), and by far less in its middle. No solve calls it: it is the
+    per-draw reference that leader's tabled N_P is tested against.
     """
     if m < 0:
         return np.zeros_like(p, dtype=float)

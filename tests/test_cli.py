@@ -1041,6 +1041,15 @@ def test_readme_examples_parse():
         assert callable(args.func)
 
 
+def test_help_lists_every_subcommand():
+    # the module docstring is the parser's description, so --help shows
+    # one line per subcommand
+    from vaxgame import cli
+    for name in subcommand_flags(build_parser()):
+        assert re.search(rf"^    vaxgame {re.escape(name)} ", cli.__doc__,
+                         re.MULTILINE), name
+
+
 def test_readme_library_block_runs():
     # the README's only python block documents the library entry points
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -948,8 +948,9 @@ class TestPsiEProperties:
 def _reference_chain(initial_counts, disease, nu, beta, seed, n_events,
                      eta0=None, record_every=1):
     """The per-event loop of `simulate_jump_process` before it moved to float
-    counts and a clock summed per block: integer counts, the clock and the
-    record test on every event. The oracle the current loop must equal."""
+    counts and numpy windows that sum their own clocks: integer counts, the
+    clock and the record test on every event. The oracle the current loop
+    must equal."""
     s, v, i, n = (int(x) for x in initial_counts)
     rng = np.random.default_rng(seed)
 
@@ -1064,7 +1065,8 @@ _BENCH_JUMP_CHAIN = dict(counts=(17_000, 80_000, 3_000),
        supply=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 5.0)),
        beta=st.floats(0.0, 2.0),
        eta0=st.none() | st.floats(0.05, 50.0),
-       record_every=st.integers(1, 50),
+       # spacings beyond 50 reach past a window, and past a chunk
+       record_every=st.integers(1, 50) | st.integers(51, 30_000),
        n_events=st.integers(0, 25_000),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(**_LATE_EXTINCTION)
@@ -1078,10 +1080,12 @@ _BENCH_JUMP_CHAIN = dict(counts=(17_000, 80_000, 3_000),
          n_events=25_000, seed=3)
 # N0 = 1e5, where a window keeps about a thousand events: 40,000 events
 # cross two refills, with every offer accepted, with most declined, and
-# with records every 13 events
+# with records every 13 events; records every 700 events, the benchmark's
+# spacing, give each of its 34 windows 0-4 records rather than dozens
 @example(**_BENCH_JUMP_CHAIN)
 @example(**dict(_BENCH_JUMP_CHAIN, beta=0.3))
 @example(**dict(_BENCH_JUMP_CHAIN, record_every=13))
+@example(**dict(_BENCH_JUMP_CHAIN, record_every=700))
 # dies out at event 28, mid-window: the guesses run on past the first
 # state with N = 0 and are cut there
 @example(counts=(2, 1, 2), rates=(0.5, 5.0, 0.5, 0.998), supply=(0.1, 0.0),
@@ -1281,7 +1285,7 @@ class TestJumpProcess:
     def test_memory_does_not_grow_with_n_events(self):
         # the working set is one 16,384-uniform chunk (the spent one is
         # released before the next is drawn), one window's arrays (at most
-        # 4,096 uniforms wide) and a block's clock, 0.15-0.7 MB traced;
+        # 4,096 uniforms wide) with its clock, 0.15-0.7 MB traced;
         # nothing may be sized by n_events
         runs = [
             # 25,000 events take more than one chunk of uniforms
