@@ -18,7 +18,7 @@ from .leader import (ComparisonRow, ExpectationSampler, JointDesign,
                      non_eradication_probability, p_star,
                      perfect_info_solution, solve_optimal_incentive,
                      vaccine_optimal_k)
-from .params import (DiseaseParams, InsufficientInfluenceError, PublicCostModel,
-                     ResponseParams, VaRatePolicy)
+from .params import (DiseaseParams, InsufficientInfluenceError, InvalidInput,
+                     PublicCostModel, ResponseParams, VaRatePolicy)
 
 __version__ = "0.1.0"

@@ -10,10 +10,12 @@ analyses of the three layers.
 
 Flags may be preloaded from --config FILE (or --config=FILE); INI-style
 sections or a JSON object with the same section/key names (see README).
-Exit codes: 0 ok, 2 invalid configuration (naming the flag), 3 infeasible
-model (insufficient influence, no joint design, or no incentive that meets
-delta within the leader's bracket), 141 standard output closed before the
-output was written (as a shell reports a process ended by SIGPIPE).
+Exit codes: 0 ok; 1 a defect, with its traceback; 2 invalid input, that is
+an argparse error or an InvalidInput (naming the flag) and nothing else; 3
+infeasible model (insufficient influence, no joint design, or no incentive
+that meets delta within the leader's bracket); 141 standard output closed
+before the output was written (as a shell reports a process ended by
+SIGPIPE).
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,13 +35,9 @@ import numpy as np
 
 from . import epidemic, ess, game, leader
 from .params import (MAX_DRAWS, MAX_INFLUENCERS, DiseaseParams,
-                     InsufficientInfluenceError, PublicCostModel,
-                     ResponseParams, VaRatePolicy, require_integer)
-
-
-class ConfigError(ValueError):
-    pass
-
+                     InsufficientInfluenceError, InvalidInput,
+                     PublicCostModel, ResponseParams, VaRatePolicy,
+                     finite_tuple, require_integer)
 
 SWEEP_VARS = ("zbar", "delta", "sigma2", "theta_star", "s")
 
@@ -49,12 +46,13 @@ SWEEP_VARS = ("zbar", "delta", "sigma2", "theta_star", "s")
 class ScenarioConfig:
     """One sweep over a single variable, everything else held fixed.
 
-    seed must be an integer >= 0, samples one in 1..MAX_DRAWS, workers
-    (threads of the pool every point runs on) one >= 1, delta in (0, 1),
-    an s sweep's disease rho > 1 and its costs linear (no c_f_table), and
-    the game of a theta_star or s sweep must list no incentives, which fix
-    it to its own z_bar while such a sweep solves each point at its
-    design's k*; a bad field raises ValueError when the object is built.
+    grid must hold finite numbers, seed an integer >= 0, samples one in
+    1..MAX_DRAWS, workers (threads of the pool every point runs on) one
+    >= 1, delta in (0, 1), an s sweep's disease rho > 1 and its costs
+    linear (no c_f_table), and the game of a theta_star or s sweep must
+    list no incentives, which fix it to its own z_bar while such a sweep
+    solves each point at its design's k*; a bad field raises InvalidInput
+    when the object is built.
     So does a grid value whose point (see `point`) cannot be built, with a
     message that starts with "grid".
     """
@@ -74,32 +72,33 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.sweep_var not in SWEEP_VARS:
-            raise ConfigError(f"sweep_var must be one of {SWEEP_VARS}")
-        if len(self.grid) == 0:
-            raise ConfigError("grid must hold at least one value")
+            raise InvalidInput("sweep_var", f"must be one of {SWEEP_VARS}")
+        if not finite_tuple("grid", self.grid):
+            raise InvalidInput("grid", "must hold at least one value")
         require_integer("seed", self.seed, least=0)
         require_integer("samples", self.samples, 1, MAX_DRAWS)
         require_integer("workers", self.workers, least=1)
         if not 0.0 < self.delta < 1.0:
-            raise ConfigError(f"delta must lie in (0, 1), got {self.delta!r}")
+            raise InvalidInput("delta",
+                               f"must lie in (0, 1), got {self.delta!r}")
         if self.sweep_var == "s" and self.disease.rho <= 1.0:
-            raise ConfigError(f"disease must have rho > 1 for an s sweep, "
-                              f"got rho = {self.disease.rho!r}")
+            raise InvalidInput("disease", f"must have rho > 1 for an s sweep, "
+                                          f"got rho = {self.disease.rho!r}")
         if self.sweep_var == "s" and self.costs.c_f_table is not None:
-            raise ConfigError("costs must be linear for an s sweep, which "
-                              "sets their slope s, but hold a c_f_table")
+            raise InvalidInput("costs", "must be linear for an s sweep, which "
+                               "sets their slope s, but hold a c_f_table")
         if (self.sweep_var in ("theta_star", "s")
                 and self.game_cfg.incentives is not None):
-            raise ConfigError(
-                f"game_cfg must list no incentives for a {self.sweep_var} "
-                f"sweep, which solves each point at its design's threshold "
-                f"k*, but lists them for z_bar = {self.game_cfg.z_bar}")
+            raise InvalidInput("game_cfg", f"must list no incentives for a "
+                               f"{self.sweep_var} sweep, which solves each "
+                               f"point at its design's threshold k*, but "
+                               f"lists them for z_bar = {self.game_cfg.z_bar}")
         for idx, v in enumerate(self.grid):
             try:
                 self.point(idx, v)
-            except ValueError as exc:
-                raise ConfigError(f"grid value {self.sweep_var} = {v!r} is "
-                                  f"refused: {exc}") from exc
+            except InvalidInput as exc:
+                raise InvalidInput("grid", f"value {self.sweep_var} = {v!r} "
+                                           f"is refused: {exc}") from exc
 
     def point(self, idx: int, value: float):
         """(leader problem, disease, costs) of grid point idx at value, the
@@ -201,8 +200,8 @@ def _theta_disease(theta: float, r: float, b: float,
     rho rounds above 1 (theta 1e-17 gives rho = 1.0)."""
     rho = 1.0 / (1.0 - theta) if 0.0 < theta < 1.0 else 0.0
     if not rho > 1.0:
-        raise ConfigError(f"theta_star must lie in (0, 1) and give "
-                          f"1/(1 - theta_star) > 1, got {theta!r}")
+        raise InvalidInput("theta_star", f"must lie in (0, 1) and give 1/(1 - "
+                           f"theta_star) > 1, got {theta!r}")
     return DiseaseParams(lam=rho * (r + b), r=r, b=b, d=d)
 
 
@@ -234,6 +233,8 @@ def _sweep_point(cfg: ScenarioConfig, idx: int, value: float) -> ReportRow:
 
 def run_scenario(cfg: ScenarioConfig) -> Path:
     """Execute the sweep and write report.csv (plus report.svg with plot)."""
+    # only a sweep runs a pool, so no other command imports it
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         rows = list(pool.map(lambda iv: _sweep_point(cfg, *iv),
                              enumerate(cfg.grid)))
@@ -355,7 +356,7 @@ def reproduce_figure(fig_id: int, outdir: Path,
                          ["s", "k_star", "psi_e_vaccine_opt", "incentive_opt_exists",
                           "u_star_d0.01", "u_star_d0.1", "psi_e_incentive_opt"], rows)
 
-    raise ConfigError(f"unknown figure id {fig_id}")
+    raise InvalidInput("fig_id", f"unknown figure id {fig_id}", whole=True)
 
 
 # ---------------------------------------------------------------------------
@@ -375,30 +376,35 @@ CONFIG_SECTIONS = {
 
 
 def load_config_file(path: str) -> dict:
-    """Flatten an INI or JSON config file into CLI destination names."""
+    """Flatten an INI or JSON config file into CLI destination names; a file
+    that cannot be read, parsed or used is refused naming --config."""
+    def refused(why: str) -> InvalidInput:
+        return InvalidInput("--config", f"file {path} {why}")
+
     try:
         text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    flat: dict = {}
-    if text.lstrip().startswith("{"):
-        items = json.loads(text).items()
-    else:
-        cp = configparser.ConfigParser()
-        try:
+        if text.lstrip().startswith("{"):
+            items = json.loads(text).items()
+        else:
+            cp = configparser.ConfigParser()
             cp.read_string(text)
-        except configparser.Error as exc:
-            raise ConfigError(f"bad config file {path}: {exc}") from exc
-        items = ((sec, dict(cp[sec])) for sec in cp.sections())
+            # a value is interpolated when read, where a stray % fails
+            items = [(sec, dict(cp[sec])) for sec in cp.sections()]
+    except (OSError, ValueError, configparser.Error) as exc:
+        # ValueError: text that is not UTF-8, or a JSONDecodeError
+        raise refused(f"cannot be read: {exc}") from exc
+    flat: dict = {}
     for sec, vals in items:
         if sec not in CONFIG_SECTIONS:
-            raise ConfigError(f"unknown config section [{sec}]")
+            raise refused(f"has an unknown section [{sec}]")
         if not isinstance(vals, dict):
-            raise ConfigError(f"config section [{sec}] must be an object of "
-                              f"keys, got {json.dumps(vals)}")
+            raise refused(f"section [{sec}] must be an object of keys, got "
+                          f"{json.dumps(vals)}")
         for key, val in vals.items():
             if key not in CONFIG_SECTIONS[sec]:
-                raise ConfigError(f"unknown key {key!r} in section [{sec}]")
+                raise refused(f"has an unknown key {key!r} in section [{sec}]")
+            if "\0" in str(val):  # no path or number holds one
+                raise refused(f"holds a NUL character in {key!r}")
             flat[key] = val
     return flat
 
@@ -462,19 +468,18 @@ def _add_run_flags(p: argparse.ArgumentParser, samples=100_000, outdir=True):
 def _from_flags(args, fn, *pos, **fields):
     """fn(*pos, **kw), each keyword of fn given the dest that feeds it
     (read off args), or a pair (value, text) where {dest} in text stands
-    for the flag. A ValueError whose message starts with one of these
-    keywords is re-raised as a ConfigError naming the flag in its place,
-    looked up in args.flag_of, which build_parser sets."""
+    for the flag. An InvalidInput whose field is one of these keywords is
+    re-raised naming the flag in its place, looked up in args.flag_of,
+    which build_parser sets."""
     named = {f: (getattr(args, s), f"{{{s}}}") if isinstance(s, str) else s
              for f, s in fields.items()}
     try:
         return fn(*pos, **{f: v for f, (v, _) in named.items()})
-    except ValueError as exc:
-        field, _, rest = str(exc).partition(" ")
-        if field not in named:
+    except InvalidInput as exc:
+        if exc.field not in named:
             raise
-        name = named[field][1].format_map(args.flag_of)
-        raise ConfigError(f"{name} {rest}") from exc
+        flag = named[exc.field][1].format_map(args.flag_of)
+        raise InvalidInput(flag, exc.detail, exc.whole) from exc
 
 
 def _check_output_paths(args) -> None:
@@ -486,14 +491,14 @@ def _check_output_paths(args) -> None:
         path = Path(outdir)
         base = next(p for p in (path, *path.parents) if p.exists())
         if not base.is_dir():
-            raise ConfigError(f"{args.flag_of['outdir']} must name a directory "
-                              f"or a path where one can be made, but "
-                              f"{str(base)!r} is not a directory")
+            raise InvalidInput(args.flag_of["outdir"], f"must name a "
+                               f"directory or a path where one can be made, "
+                               f"but {str(base)!r} is not a directory")
     if sheet is not None:
         path = Path(sheet)
         if path.is_dir() or not path.parent.is_dir():
-            raise ConfigError(f"{args.flag_of['csv']} must name a file in an "
-                              f"existing directory, got {sheet!r}")
+            raise InvalidInput(args.flag_of["csv"], f"must name a file in an "
+                               f"existing directory, got {sheet!r}")
 
 
 def _disease_from(args) -> tuple[DiseaseParams, VaRatePolicy]:
@@ -514,14 +519,14 @@ def _costs_from(args, m: int) -> PublicCostModel:
         try:
             vals = tuple(map(float, Path(args.cf_table).read_text().split()))
         except OSError as exc:
-            raise ConfigError(f"cannot read c_f table {args.cf_table}: "
-                              f"{exc}") from exc
+            raise InvalidInput("--cf-table", f"cannot read c_f table "
+                               f"{args.cf_table}: {exc}", whole=True) from exc
         except ValueError as exc:
-            raise ConfigError(f"{args.flag_of['cf_table']} must list one "
-                              f"number per line: {exc}") from exc
+            raise InvalidInput("--cf-table", f"must list one number per "
+                               f"line: {exc}") from exc
         if len(vals) != m + 1:
-            raise ConfigError(f"{args.flag_of['cf_table']} must list m + 1 = "
-                              f"{m + 1} values for --m {m}, got {len(vals)}")
+            raise InvalidInput("--cf-table", f"must list m + 1 = {m + 1} "
+                               f"values for --m {m}, got {len(vals)}")
         return _from_flags(args, PublicCostModel,
                            c_f_table=(vals, "{cf_table}"), **kw)
     return _from_flags(args, PublicCostModel, s="s", **kw)
@@ -599,7 +604,7 @@ def cmd_optimize_leader(args) -> int:
     elif args.zbar is not None:
         zb = args.zbar
     else:
-        raise ConfigError("give --zbar or --auto-zbar")
+        raise InvalidInput("--zbar", "give --zbar or --auto-zbar", whole=True)
     cfg = _game_cfg_from(args, zb)
     if args.mode == "perfect":
         # solve as if Gamma were known: the point law at the law's mean
@@ -626,17 +631,17 @@ def cmd_simulate(args) -> int:
     beta = _from_flags(args, ResponseParams, beta="beta")
     n0 = args.n0
     if n0 < 1:
-        raise ConfigError(f"--n0 must be at least 1, got {n0}")
+        raise InvalidInput("--n0", f"must be at least 1, got {n0}")
     if n0 >= 2 ** 53:
         # the chain's own check, before theta0 * n0 below can overflow
-        raise ConfigError(f"--n0 must keep N0 below 2**53, where counts are "
-                          f"exact as floats, got N0 = {n0}")
+        raise InvalidInput("--n0", f"must keep N0 below 2**53, where counts "
+                                   f"are exact as floats, got N0 = {n0}")
     for flag, frac in (("--theta0", args.theta0), ("--psi0", args.psi0)):
         # NaN fails the test too, before it reaches int(round(...))
         if not 0.0 <= frac <= 1.0:
-            raise ConfigError(f"{flag} must lie in [0, 1], got {frac}")
+            raise InvalidInput(flag, f"must lie in [0, 1], got {frac}")
     if args.theta0 + args.psi0 > 1.0:
-        raise ConfigError("--theta0 + --psi0 must not exceed 1")
+        raise InvalidInput("--theta0", "+ --psi0 must not exceed 1")
     i0 = int(round(args.theta0 * n0))
     # rounding half to even can take both counts up (0.3 and 0.7 of 5
     # give 2 and 4), so the vaccinated count gives way to keep S0 >= 0
@@ -681,8 +686,8 @@ def cmd_sweep(args) -> int:
     try:
         grid = tuple(float(v) for v in args.grid.split(",") if v.strip())
     except ValueError as exc:
-        raise ConfigError(f"{args.flag_of['grid']} must be comma-separated "
-                          f"numbers, got {args.grid!r}") from exc
+        raise InvalidInput(args.flag_of["grid"], f"must be comma-separated "
+                           f"numbers, got {args.grid!r}") from exc
     dis, nu = _disease_from(args)
     costs = _costs_from(args, args.m)
     zb = args.zbar if args.zbar is not None else args.m
@@ -815,8 +820,8 @@ def main(argv=None) -> int:
             leader.JointDesignError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        # ConfigError and every parameter check of the library objects
+    except InvalidInput as exc:
+        # any other exception is a defect: its traceback, exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

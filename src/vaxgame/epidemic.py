@@ -17,8 +17,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .params import (DiseaseParams, ResponseParams, VaRatePolicy,
-                     _finite_number, require_finite, require_integer)
+from .params import (DiseaseParams, InvalidInput, ResponseParams,
+                     VaRatePolicy, _finite_number, require_finite,
+                     require_integer)
 
 # A candidate whose stability condition holds by at most this is inactive:
 # at a degenerate corner (beta*psi* = 1, beta = b*rho/nu_b, or nu_e =
@@ -40,11 +41,11 @@ class OdeState:
             require_finite(name, getattr(self, name))
         for name in ("theta", "psi"):
             if getattr(self, name) < -SIMPLEX_TOL:
-                raise ValueError(f"{name} must be nonnegative")
+                raise InvalidInput(name, "must be nonnegative")
         if self.theta + self.psi > 1.0 + 1e-6:
-            raise ValueError("theta + psi must not exceed 1")
+            raise InvalidInput("theta", "+ psi must not exceed 1")
         if self.eta <= 0:
-            raise ValueError("eta must be positive")
+            raise InvalidInput("eta", "must be positive")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.theta, self.psi, self.eta], dtype=float)
@@ -120,7 +121,8 @@ def psi_co_occurring(nu: VaRatePolicy, disease: DiseaseParams) -> float:
     """Vaccinated fraction nu_b / (b*rho - nu_e) of the co-occurring equilibrium."""
     denom = disease.b * disease.rho - nu.nu_e
     if denom <= 0:
-        raise ValueError("co-occurring equilibrium undefined: b*rho - nu_e <= 0")
+        raise InvalidInput("nu", "co-occurring equilibrium undefined: "
+                           "b*rho - nu_e <= 0", whole=True)
     return nu.nu_b / denom
 
 
@@ -608,7 +610,8 @@ def _integrate(init: OdeState, disease: DiseaseParams, nu: VaRatePolicy,
     below ten units in the last place of t; an accepted step moves t up by
     at least that much, and the horizon is finite."""
     if not (math.isfinite(horizon) and horizon >= 0.0):
-        raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
+        raise InvalidInput("horizon", f"must be finite and nonnegative, "
+                                      f"got {horizon}")
     f = _field(disease, nu, beta)
     y0, y1, y2 = float(init.theta), float(init.psi), float(init.eta)
     t = 0.0
@@ -965,31 +968,33 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
         # an int past the float range
         whole = False
     if not whole:
-        raise ValueError("counts must be finite integer values")
+        raise InvalidInput("initial_counts",
+                           "counts must be finite integer values", whole=True)
     s, v, i, n = (int(x) for x in initial_counts)
     if n < 1 or s + v + i != n or min(s, v, i) < 0:
-        raise ValueError("counts must be nonnegative with S+V+I == N >= 1")
+        raise InvalidInput("initial_counts", "counts must be nonnegative "
+                           "with S+V+I == N >= 1", whole=True)
     if n >= 2 ** 53:
-        raise ValueError(f"initial_counts must keep N0 below 2**53, where "
-                         f"counts are exact as floats, got N0 = {n}")
+        raise InvalidInput("initial_counts", f"must keep N0 below 2**53, "
+                           f"where counts are exact as floats, got N0 = {n}")
     require_integer("n_events", n_events)
     if n_events < 0:
-        raise ValueError("n_events must be nonnegative")
+        raise InvalidInput("n_events", "must be nonnegative")
     require_integer("record_every", record_every, least=1)
     require_integer("seed", seed, least=0)
     if eta0 is None:
         eta0 = float(n)
     if not (_finite_number(eta0) and eta0 > 0):
-        raise ValueError(f"eta0 must be positive and finite, got {eta0}")
+        raise InvalidInput("eta0", f"must be positive and finite, got {eta0}")
     # compared before int(): a tiny eta0 takes n / eta0 to inf
     if n / eta0 >= 2 ** 53:
-        raise ValueError(f"eta0 must keep the clock index N0 / eta0 below "
-                         f"2**53, got {eta0!r}")
+        raise InvalidInput("eta0", f"must keep the clock index N0 / eta0 "
+                                   f"below 2**53, got {eta0!r}")
     k = max(int(round(n / eta0)) - 1, 0)
     if max(n, k + 1) + n_events >= 2 ** 53:
-        raise ValueError(f"n_events must keep N0 + n_events and the clock "
-                         f"index k0 + n_events below 2**53, where counts "
-                         f"are exact as floats, got {n_events}")
+        raise InvalidInput("n_events", f"must keep N0 + n_events and the "
+                           f"clock index k0 + n_events below 2**53, where "
+                           f"counts are exact as floats, got {n_events}")
     rng = np.random.default_rng(seed)
 
     rates = tuple(map(float, (disease.lam, disease.r, disease.b, disease.d,

@@ -8,8 +8,8 @@ from dataclasses import asdict, dataclass, field
 
 from .epidemic import (_certain_sign, admissibility_gap, co_occurring_limit,
                        psi_eradicating)
-from .params import (MAX_INFLUENCERS, DiseaseParams, PublicCostModel,
-                     VaRatePolicy, require_integer)
+from .params import (MAX_INFLUENCERS, DiseaseParams, InvalidInput,
+                     PublicCostModel, VaRatePolicy, require_integer)
 
 
 class Admissibility(enum.Enum):
@@ -186,7 +186,7 @@ def eradication_threshold(nu: VaRatePolicy, costs: PublicCostModel,
 
     Both gaps fall with z, so the first hit is the threshold; z = m always
     hits (h_i <= h_v = c_v1 - c_f(m) < 0 there), as asserted. Raises
-    InsufficientInfluenceError when c_v1 - c_f(m) >= 0, and a ValueError
+    InsufficientInfluenceError when c_v1 - c_f(m) >= 0, and an InvalidInput
     that starts with its argument for an m outside 1..MAX_INFLUENCERS, a
     disease with rho <= 1 (it dies out unaided) or a nu not admissible.
     """
@@ -194,12 +194,12 @@ def eradication_threshold(nu: VaRatePolicy, costs: PublicCostModel,
     costs.require_influence(m)
     status = is_admissible(nu, disease)
     if status is Admissibility.NO_INTERVENTION_NEEDED:
-        raise ValueError(f"disease must have rho > 1 to need a threshold, "
-                         f"got rho = {disease.rho!r}")
+        raise InvalidInput("disease", f"must have rho > 1 to need a "
+                                      f"threshold, got rho = {disease.rho!r}")
     if not status:
-        raise ValueError(f"nu must have nu_e > b*rho - nu_b/theta_star = "
-                         f"{nu.nu_e - admissibility_gap(nu, disease):.6g} "
-                         f"to be admissible, got nu_e = {nu.nu_e!r}")
+        raise InvalidInput("nu", f"must have nu_e > b*rho - nu_b/theta_star "
+                           f"= {nu.nu_e - admissibility_gap(nu, disease):.6g} "
+                           f"to be admissible, got nu_e = {nu.nu_e!r}")
     limits = _iv_limits(nu, costs, disease)
     for z in range(m):
         if _eradicates(z, m, costs, limits):

@@ -14,21 +14,30 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import bdtr, ndtr
 
-from .params import (MAX_DAYS, MAX_DRAWS, MAX_INFLUENCERS, finite_tuple,
-                     require_integer, require_scaled)
+from .params import (MAX_DAYS, MAX_DRAWS, MAX_INFLUENCERS, InvalidInput,
+                     finite_tuple, require_integer, require_scaled)
 
-try:
-    # the ufunc behind scipy.stats.binom.pmf, here without importing
-    # scipy.stats, which would more than double the package's import time
-    from scipy.special._ufuncs import _binom_pmf as _boost_binom_pmf
-except ImportError:  # older scipy: the public pmf, at scipy.stats' cost
-    from scipy.stats import binom as _binom
-    _boost_binom_pmf = _binom.pmf
+
+@functools.cache
+def _scipy() -> types.SimpleNamespace:
+    """scipy's bdtr, ndtr and binomial pmf, imported on the first call:
+    scipy.special is most of the package's import time, and a run that
+    needs no binomial law (analyze-ess, simulate, fig 4) never loads it."""
+    from scipy.special import bdtr, ndtr
+    try:
+        # the ufunc behind scipy.stats.binom.pmf, here without importing
+        # scipy.stats, which would more than double the import time
+        from scipy.special._ufuncs import _binom_pmf as pmf
+    except ImportError:  # older scipy: the public pmf, at scipy.stats' cost
+        from scipy.stats import binom
+        pmf = binom.pmf
+    return types.SimpleNamespace(bdtr=bdtr, ndtr=ndtr, pmf=pmf)
+
 
 # Grid size of the interpolated binomial CDF behind the vectorized p(g, .).
 CDF_TABLE_POINTS = 4097
@@ -53,10 +62,6 @@ _WAIT_SEED = 1241
 _NE_TOL = 1e-9
 
 
-class ConstructionError(ValueError):
-    """Selector proposed an action outside the admissible stage set."""
-
-
 # ---------------------------------------------------------------------------
 # Side-effect data model
 # ---------------------------------------------------------------------------
@@ -67,7 +72,7 @@ def _truncnorm_mean(mu: float, sigma: float) -> float:
         return max(mu, 0.0)
     a = mu / sigma
     pdf = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
-    return mu * float(ndtr(a)) + sigma * pdf
+    return mu * float(_scipy().ndtr(a)) + sigma * pdf
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,7 @@ class XiModel:
     two laws of one support are equal whatever mean_param they were given.
     mean_param, sigma2 and p0 must pass params.require_scaled, and every
     value and probability must be a finite number (bool is not one); a bad
-    field raises ValueError naming it.
+    field raises InvalidInput naming it.
 
     Every law is drawn by one in-place routine, `_fill`: `sample` runs it
     on a new array, `final_gamma_draws` on its reused block of rows.
@@ -103,31 +108,33 @@ class XiModel:
         for name in ("mean_param", "sigma2", "p0"):
             require_scaled(name, getattr(self, name))
         if not 0.0 <= self.p0 < 1.0:
-            raise ValueError("p0 must lie in [0, 1)")
+            raise InvalidInput("p0", "must lie in [0, 1)")
         if self.sigma2 < 0.0:
-            raise ValueError("sigma2 must be nonnegative")
+            raise InvalidInput("sigma2", "must be nonnegative")
         if (self.values is None) != (self.probs is None):
-            raise ValueError("values and probs must be given together")
+            raise InvalidInput("values", "and probs must be given together")
         if self.values is None:
             return
         values = tuple(map(float, finite_tuple("values", self.values)))
         probs = tuple(map(float, finite_tuple("probs", self.probs)))
         if not 0 < len(values) == len(probs):
-            raise ValueError("values and probs must be non-empty and of "
-                             "equal length")
+            raise InvalidInput("values", "and probs must be non-empty and of "
+                                         "equal length")
         if any(v < 0 for v in values):
-            raise ValueError("values (the xi support) must be nonnegative")
+            raise InvalidInput("values",
+                               "(the xi support) must be nonnegative")
         if not all(0.0 <= q <= 1.0 for q in probs):
-            raise ValueError("probs must lie in [0, 1]")
+            raise InvalidInput("probs", "must lie in [0, 1]")
         if abs(sum(probs) - 1.0) > 1e-12:
-            raise ValueError("probs must sum to 1")
+            raise InvalidInput("probs", "must sum to 1")
         if self.p0 > 0.0:
-            raise ValueError(
-                "p0 must be 0 when values are given (list an atom at zero "
-                f"as a support point), got {self.p0!r}")
+            raise InvalidInput("p0", "must be 0 when values are given (list "
+                                     f"an atom at zero as a support point), "
+                                     f"got {self.p0!r}")
         if self.sigma2 != 0.0:
-            raise ValueError(f"sigma2 must be 0 when values are given (they "
-                             f"alone make the law), got {self.sigma2!r}")
+            raise InvalidInput("sigma2", f"must be 0 when values are given "
+                                         f"(they alone make the law), got "
+                                         f"{self.sigma2!r}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "mean_param",
@@ -165,7 +172,7 @@ class XiModel:
         expectations of the game's recursion and oracle: the listed values,
         or max(mean_param, 0) after an atom at zero of mass p0 > 0. Built on
         first use, then the same read-only arrays. A continuous law (sigma2
-        > 0 without values) has none and raises ValueError."""
+        > 0 without values) has none and raises InvalidInput."""
         return self._support
 
     @functools.cached_property
@@ -173,10 +180,10 @@ class XiModel:
         if self.values is not None:
             v, w = self.values, self.probs
         elif self.sigma2 > 0.0:
-            raise ValueError(
-                f"xi must be a finite law (values and probs, or sigma2 = 0) "
-                f"for an exact expectation over one day's data, got "
-                f"sigma2 = {self.sigma2!r}")
+            raise InvalidInput(
+                "xi", f"must be a finite law (values and probs, or sigma2 = "
+                      f"0) for an exact expectation over one day's data, got "
+                      f"sigma2 = {self.sigma2!r}")
         elif self.p0 > 0.0:
             v, w = (0.0, max(self.mean_param, 0.0)), (self.p0, 1.0 - self.p0)
         else:
@@ -226,7 +233,7 @@ class InfluencerGameConfig:
     and z_bar must be integers (numpy integers are taken, bool is not), m
     at most MAX_INFLUENCERS and t_horizon at most MAX_DAYS; every cost and
     incentive must pass params.require_scaled. A bad field raises
-    ValueError naming it when the object is built.
+    InvalidInput naming it when the object is built.
     """
 
     m: int
@@ -245,35 +252,37 @@ class InfluencerGameConfig:
         for name in ("c_v", "c_i", "c_se_1", "g0"):
             require_scaled(name, getattr(self, name))
         if not isinstance(self.xi, XiModel):
-            raise ValueError(f"xi must be an XiModel, got {self.xi!r}")
+            raise InvalidInput("xi", f"must be an XiModel, got {self.xi!r}")
         if self.m < 1:
-            raise ValueError(f"m must be at least 1 influencer, got {self.m}")
+            raise InvalidInput("m", f"must be at least 1 influencer, "
+                                    f"got {self.m}")
         if self.m > MAX_INFLUENCERS:
-            raise ValueError(f"m must be at most {MAX_INFLUENCERS} "
-                             f"influencers, got {self.m}")
+            raise InvalidInput("m", f"must be at most {MAX_INFLUENCERS} "
+                                    f"influencers, got {self.m}")
         if self.t_horizon < 2:
-            raise ValueError(
-                f"t_horizon must be at least 2 days, got {self.t_horizon}")
+            raise InvalidInput(
+                "t_horizon", f"must be at least 2 days, got {self.t_horizon}")
         if self.t_horizon > MAX_DAYS:
-            raise ValueError(f"t_horizon must be at most {MAX_DAYS} days, "
-                             f"got {self.t_horizon}")
+            raise InvalidInput("t_horizon", f"must be at most {MAX_DAYS} "
+                                            f"days, got {self.t_horizon}")
         if not 1 <= self.z_bar <= self.m:
-            raise ValueError("z_bar must lie in 1..m")
+            raise InvalidInput("z_bar", "must lie in 1..m")
         if self.c_se_1 < 0:
-            raise ValueError("c_se_1 must be nonnegative")
+            raise InvalidInput("c_se_1", "must be nonnegative")
         if self.c_i <= 0:
-            raise ValueError("c_i must be positive")
+            raise InvalidInput("c_i", "must be positive")
         if self.incentives is not None:
             inc = tuple(map(float, finite_tuple("incentives",
                                                 self.incentives)))
             if len(inc) != self.z_bar:
-                raise ValueError("incentives must list g_0..g_{z_bar-1}")
+                raise InvalidInput("incentives", "must list g_0..g_{z_bar-1}")
             if self.g0 != 0.0:
-                raise ValueError(f"g0 must be 0 beside incentives, got {self.g0!r}")
+                raise InvalidInput("g0", f"must be 0 beside incentives, "
+                                         f"got {self.g0!r}")
             object.__setattr__(self, "incentives", inc)
         if self.xi.mean <= 0.0:
-            raise ValueError(
-                f"xi must have a positive mean, got {self.xi.mean!r}")
+            raise InvalidInput(
+                "xi", f"must have a positive mean, got {self.xi.mean!r}")
 
     def g(self, z: int) -> float:
         if z >= self.z_bar:
@@ -294,7 +303,7 @@ def gamma(t: int, c: float, cfg: InfluencerGameConfig) -> float:
     estimate is final and the value is c itself.
     """
     if not 1 <= t <= cfg.t_horizon:
-        raise ValueError("t must lie in 1..T")
+        raise InvalidInput("t", "must lie in 1..T")
     T = cfg.t_horizon
     return (t / T) * c + ((T - t) / T) * cfg.xi.mean
 
@@ -341,19 +350,19 @@ def binom_cdf(l: int, m: int, p) -> float | np.ndarray:
     require_integer("m", m)
     pa = np.asarray(p)
     if not np.all((pa >= 0) & (pa <= 1)):
-        raise ValueError("p must lie in [0, 1]")
+        raise InvalidInput("p", "must lie in [0, 1]")
     if m < 0:
         return np.zeros_like(p, dtype=float) if np.ndim(p) else 0.0
     if m >= l:
         return np.ones_like(p, dtype=float) if np.ndim(p) else 1.0
-    out = bdtr(int(m), int(l), p)
+    out = _scipy().bdtr(int(m), int(l), p)
     return float(out) if np.ndim(p) == 0 else out
 
 
 def binom_pmf(ys: np.ndarray, l: int, p: float) -> np.ndarray:
     """P(Bin(l, p) = y) for the counts ys in 0..l, as scipy.stats.binom.pmf
     computes it there: boost's pmf, clipped to [0, 1]."""
-    return np.clip(_boost_binom_pmf(ys, l, p), 0.0, 1.0)
+    return np.clip(_scipy().pmf(ys, l, p), 0.0, 1.0)
 
 
 def _midpoint(lo: float, hi: float) -> float:
@@ -434,12 +443,13 @@ def _mixed_root(w: float, trials: int, successes: int) -> float:
     """
     k, n = int(successes), int(trials)
     lo, hi = 0.0, 1.0
+    bdtr, pmf = _scipy().bdtr, _scipy().pmf
 
     def cdf_and_slope(p: float) -> tuple[float, float]:
         nonlocal lo, hi
         f = bdtr(k, n, p)
         lo, hi = (p, hi) if f > w else (lo, p)
-        return f, -n * _boost_binom_pmf(k, n - 1, p)
+        return f, -n * pmf(k, n - 1, p)
 
     p = bisect_decreasing(cdf_and_slope, w, 0.0, 1.0, atol=1e-17)
     if not (lo < p < hi and hi - lo > 1e-17):
@@ -551,6 +561,7 @@ def _cdf_rows(trials: int) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _bdtr_grid(trials: int, successes: int) -> np.ndarray:
     """scipy's binomial tail on the descending grid (F ascending)."""
+    bdtr = _scipy().bdtr
     return _read_only(bdtr(int(successes), int(trials), _P_UP)[::-1].copy())
 
 
@@ -663,7 +674,7 @@ def stage_action_set(t: int, z: int, c: float, value_next,
     value_next(z', c') must return the stage-(t+1) continuation value of a
     susceptible agent; expectations over the opponents' binomial count and
     the next side-effect estimate are taken here, the latter over
-    cfg.xi.nodes(), so before T-1 a continuous law raises ValueError.
+    cfg.xi.nodes(), so before T-1 a continuous law raises InvalidInput.
     z >= z_bar forces waiting. At T-1 the set is the last-epoch rule
     (_final_choice), the one p_from_gamma reads: its tie is the whole
     interval, its root the one mix and its clamp the one pure action.
@@ -711,23 +722,23 @@ class SpecialStrategy:
     selector is one of the presets 'wait-and-watch' (defer until the final
     epoch) and 'eager' (vaccinate whenever admissible), or a callable
     (t, z, c, stage_set) -> probability whose choices are checked against
-    the stage sets, raising ConstructionError outside them. The stage sets
-    always contain 0 before the final epoch, so the wait-and-watch preset
-    (defer every decision to T-1) is always available; it is the
-    influencers' preferred equilibrium. Values and decisions are computed
-    on demand and memoized per queried state; the side-effect estimate is
-    real-valued, so no global table is built.
+    the stage sets, raising InvalidInput (field selector) outside them. The
+    stage sets always contain 0 before the final epoch, so the
+    wait-and-watch preset (defer every decision to T-1) is always
+    available; it is the influencers' preferred equilibrium. Values and
+    decisions are computed on demand and memoized per queried state; the
+    side-effect estimate is real-valued, so no global table is built.
 
     Any other selector recurses over cfg.xi.nodes(), so it refuses a
-    continuous law with ValueError when built, as it does a selector that
+    continuous law with InvalidInput when built, as it does a selector that
     is neither a preset nor callable. Wait-and-watch takes any law: it
     reads no stage set, only the last-epoch rule at T-1.
     """
 
     def __init__(self, cfg: InfluencerGameConfig, selector=WAIT_AND_WATCH):
         if selector not in (WAIT_AND_WATCH, EAGER) and not callable(selector):
-            raise ValueError(f"selector must be {WAIT_AND_WATCH!r}, "
-                             f"{EAGER!r} or a callable, got {selector!r}")
+            raise InvalidInput("selector", f"must be {WAIT_AND_WATCH!r}, "
+                               f"{EAGER!r} or a callable, got {selector!r}")
         if selector != WAIT_AND_WATCH:
             cfg.xi.nodes()  # refuses a continuous law
         self.cfg = cfg
@@ -767,8 +778,8 @@ class SpecialStrategy:
             return 0.0
         p = self.selector(t, z, c, aset)
         if not aset.contains(p):
-            raise ConstructionError(
-                f"selector chose {p} outside the stage set at t={t}, z={z}")
+            raise InvalidInput("selector", f"chose {p} outside the stage set "
+                                           f"at t={t}, z={z}")
         return float(p)
 
     # -- values ------------------------------------------------------------
@@ -844,7 +855,7 @@ def verify_symmetric_ne(decision, cfg: InfluencerGameConfig) -> NeCheck:
     tested: following the profile must match the better of vaccinating now
     versus waiting, both scored against the profile's own continuation, to
     within _NE_TOL = 1e-9. The expectations run over the support of a
-    finite law (XiModel.nodes), so a continuous one raises ValueError;
+    finite law (XiModel.nodes), so a continuous one raises InvalidInput;
     intended for small m and T.
     """
     xi_v, xi_w = cfg.xi.nodes()

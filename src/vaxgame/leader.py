@@ -35,7 +35,8 @@ from .game import (PROBES, InfluencerGameConfig, _cdf_grid, _mixed_root,
                    final_gamma_draws, p_from_gamma,
                    p_from_gamma_vec)  # noqa: F401
 from .params import (MAX_DRAWS, MAX_INFLUENCERS, MAX_RATE, DiseaseParams,
-                     PublicCostModel, VaRatePolicy, require_integer)
+                     InvalidInput, PublicCostModel, VaRatePolicy,
+                     require_integer)
 
 # the two values of LeaderSolution.mode: the method that solved
 PERFECT_INFO = "perfect_info"
@@ -142,7 +143,7 @@ class LeaderProblem:
     delta must lie in (0, 1) and cfg must be an InfluencerGameConfig. The
     solve reads only sampler.gamma_draws(cfg) -> GammaDraws, so any object
     with a callable gamma_draws will do, an ExpectationSampler among them.
-    A bad field raises ValueError naming it when the problem is built."""
+    A bad field raises InvalidInput naming it when the problem is built."""
 
     delta: float
     cfg: InfluencerGameConfig
@@ -150,13 +151,13 @@ class LeaderProblem:
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
+            raise InvalidInput("delta", "must lie in (0, 1)")
         if not isinstance(self.cfg, InfluencerGameConfig):
-            raise ValueError(f"cfg must be an InfluencerGameConfig, "
-                             f"got {self.cfg!r}")
+            raise InvalidInput("cfg", f"must be an InfluencerGameConfig, "
+                                      f"got {self.cfg!r}")
         if not callable(getattr(self.sampler, "gamma_draws", None)):
-            raise ValueError(f"sampler must have a callable gamma_draws, "
-                             f"got {self.sampler!r}")
+            raise InvalidInput("sampler", f"must have a callable "
+                                          f"gamma_draws, got {self.sampler!r}")
 
 
 @dataclass
@@ -338,7 +339,8 @@ def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
     require_integer("z_bar", z_bar, cfg.z_bar, cfg.z_bar)
     if cfg.xi.is_point:
         if with_slope:
-            raise ValueError("N_P' is not computed for a point law")
+            raise InvalidInput("with_slope", "N_P' is not computed for a "
+                               "point law", whole=True)
         return float(binom_cdf(cfg.m, z_bar - 1, p_from_gamma(
             g, c_infinity(cfg), cfg)))
     draws = problem.sampler.gamma_draws(cfg)
@@ -514,7 +516,7 @@ def p_star(k: int, m: int, delta: float) -> float:
     require_integer("m", m, least=1)
     require_integer("k", k, 1, m)
     if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+        raise InvalidInput("delta", "must lie in (0, 1)")
     if k == m:
         return (1.0 - delta) ** (1.0 / m)
     return _mixed_root(delta, m, k - 1)
@@ -567,7 +569,7 @@ def compare_across_zbar(problem: LeaderProblem, zbar_list, delta_list
 
     Each zb is solved on problem with cfg.z_bar = zb, all on one draw set.
     A cfg's incentives are fixed to its own threshold, so there any other
-    zb raises the config's ValueError naming incentives. Flags the
+    zb raises the config's InvalidInput naming incentives. Flags the
     cost-minimizing threshold per delta; with small delta the minimum sits
     at the extremes (all influencers or a single one), never in the middle.
     """
@@ -623,8 +625,8 @@ def vaccine_optimal_k(costs: PublicCostModel, disease: DiseaseParams,
     require_integer("m", m, 1, MAX_INFLUENCERS)
     costs.require_influence(m)
     if disease.rho <= 1.0:
-        raise ValueError(f"disease must have rho > 1 for a joint design, "
-                         f"got rho = {disease.rho!r}")
+        raise InvalidInput("disease", f"must have rho > 1 for a joint "
+                                      f"design, got rho = {disease.rho!r}")
     for k, bound in enumerate(l_values(costs, disease, m)[1:], 1):
         sign = _certain_sign(costs.c_v1 - costs.c_f(k), bound,
                              costs.c_v1 + costs.c_f(k) + costs.c_i
@@ -669,7 +671,7 @@ def construct_eps_vaccine_optimal_nu(k_star: int, eps: float,
     1..MAX_INFLUENCERS and k_star one in 0..m.
     """
     if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+        raise InvalidInput("eps", f"must be positive and finite, got {eps!r}")
     require_integer("m", m, 1, MAX_INFLUENCERS)
     require_integer("k_star", k_star, 0, m)
     theta_star = disease.theta_star

@@ -9,6 +9,16 @@ import numbers
 from dataclasses import dataclass, field
 
 
+class InvalidInput(ValueError):
+    """A refused input. `field` names the argument, dataclass field or CLI
+    flag at fault; the message is the field, then `detail`, or `detail`
+    alone if `whole`. The CLI puts the flag in the field's place."""
+
+    def __init__(self, field: str, detail: str, whole: bool = False):
+        super().__init__(detail if whole else f"{field} {detail}")
+        self.field, self.detail, self.whole = field, detail, whole
+
+
 def _finite_number(v) -> bool:
     # bool is not a number here, so a flag cannot pass for a rate, a cost
     # or a state. Every state and params object checks its fields, so a
@@ -20,10 +30,10 @@ def _finite_number(v) -> bool:
 
 
 def require_finite(name: str, v) -> None:
-    """Raise ValueError naming the field unless v is a finite real number
+    """Raise InvalidInput naming the field unless v is a finite real number
     (not a bool)."""
     if not _finite_number(v):
-        raise ValueError(f"{name} must be a finite number, got {v!r}")
+        raise InvalidInput(name, f"must be a finite number, got {v!r}")
 
 
 # A rate, cost or side-effect parameter has a magnitude of at most
@@ -53,17 +63,17 @@ MAX_DRAWS = 10_000_000
 
 
 def require_scaled(name: str, v, most: float = SCALE_MAX) -> None:
-    """require_finite, and then ValueError naming the field unless |v| is
+    """require_finite, and then InvalidInput naming the field unless |v| is
     at most `most`."""
     require_finite(name, v)
     if abs(v) > most:
-        raise ValueError(f"{name} must be at most {most:g} in magnitude, "
-                         f"got {v!r}")
+        raise InvalidInput(name, f"must be at most {most:g} in magnitude, "
+                                 f"got {v!r}")
 
 
 def require_integer(name: str, v, least: int | None = None,
                     most: int | None = None) -> None:
-    """Raise ValueError naming the field unless v is an integer (numpy
+    """Raise InvalidInput naming the field unless v is an integer (numpy
     integers are taken, bool is not) in least..most, either end optional.
     Hot paths check every call, so a plain int skips the ABC check (about
     0.6 us on a shared 2-vCPU Xeon)."""
@@ -76,19 +86,19 @@ def require_integer(name: str, v, least: int | None = None,
         bounds = "" if most is None else f" <= {most}"
     else:
         bounds = f" >= {least}" if most is None else f" in {least}..{most}"
-    raise ValueError(f"{name} must be an integer{bounds}, got {v!r}")
+    raise InvalidInput(name, f"must be an integer{bounds}, got {v!r}")
 
 
 def finite_tuple(name: str, values) -> tuple:
-    """values as a tuple, or ValueError naming the field unless it is a
+    """values as a tuple, or InvalidInput naming the field unless it is a
     sequence of finite real numbers (not bools)."""
     try:
         items = tuple(values)
     except TypeError:
         items = None
     if items is None or not all(map(_finite_number, items)):
-        raise ValueError(
-            f"{name} must be a sequence of finite numbers, got {values!r}")
+        raise InvalidInput(
+            name, f"must be a sequence of finite numbers, got {values!r}")
     return items
 
 
@@ -122,13 +132,13 @@ class DiseaseParams:
             v = getattr(self, name)
             require_scaled(name, v, MAX_RATE)
             if v < 0:
-                raise ValueError(f"{name} must be nonnegative, got {v}")
+                raise InvalidInput(name, f"must be nonnegative, got {v}")
             if name != "d" and v < 1 / MAX_RATE:
-                raise ValueError(
-                    f"{name} must be at least {1 / MAX_RATE:g}, got {v}")
+                raise InvalidInput(
+                    name, f"must be at least {1 / MAX_RATE:g}, got {v}")
         if self.d >= self.b:
-            raise ValueError(f"d must be below the birth rate {self.b!r}, "
-                             f"got {self.d!r}")
+            raise InvalidInput("d", f"must be below the birth rate "
+                                    f"{self.b!r}, got {self.d!r}")
 
     @property
     def rho(self) -> float:
@@ -138,7 +148,7 @@ class DiseaseParams:
     def theta_star(self) -> float:
         """Endemic infected fraction 1 - 1/rho; defined only for rho > 1."""
         if self.rho <= 1.0:
-            raise ValueError("theta_star requires rho > 1")
+            raise InvalidInput("theta_star", "requires rho > 1")
         return 1.0 - 1.0 / self.rho
 
 
@@ -155,7 +165,7 @@ class VaRatePolicy:
             v = getattr(self, name)
             require_scaled(name, v, MAX_RATE)
             if v < 0:
-                raise ValueError(f"{name} must be nonnegative, got {v}")
+                raise InvalidInput(name, f"must be nonnegative, got {v}")
 
     def rate(self, psi: float) -> float:
         return self.nu_b + self.nu_e * psi
@@ -170,7 +180,7 @@ class ResponseParams:
     def __post_init__(self):
         require_scaled("beta", self.beta)
         if self.beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
+            raise InvalidInput("beta", f"must be nonnegative, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -192,31 +202,33 @@ class PublicCostModel:
 
     def __post_init__(self):
         if (self.s is None) == (self.c_f_table is None):
-            raise ValueError("provide exactly one of s or c_f_table")
+            raise InvalidInput("s", "provide exactly one of s or c_f_table",
+                               whole=True)
         for name in ("c_v1", "c_v2", "c_v2_bar", "c_i", "s"):
             v = getattr(self, name)
             if v is None:
                 continue
             require_scaled(name, v)
             if v < 0:
-                raise ValueError(f"{name} must be nonnegative, got {v}")
+                raise InvalidInput(name, f"must be nonnegative, got {v}")
         if self.c_f_table is not None:
             tab = tuple(map(float, finite_tuple("c_f_table", self.c_f_table)))
             if not tab:
-                raise ValueError("c_f_table must be non-empty")
+                raise InvalidInput("c_f_table", "must be non-empty")
             if tab[0] != 0.0:
-                raise ValueError("c_f_table must start at c_f(0) = 0")
+                raise InvalidInput("c_f_table", "must start at c_f(0) = 0")
             if any(b < a for a, b in zip(tab, tab[1:])):
-                raise ValueError("c_f_table must be nondecreasing")
+                raise InvalidInput("c_f_table", "must be nondecreasing")
             object.__setattr__(self, "c_f_table", tab)
 
     def c_f(self, z: int) -> float:
         if z < 0:
-            raise ValueError("z must be nonnegative")
+            raise InvalidInput("z", "must be nonnegative")
         if self.s is not None:
             return self.s * z
         if z >= len(self.c_f_table):
-            raise ValueError(f"c_f table has no entry for z={z}")
+            raise InvalidInput("z", f"c_f table has no entry for z={z}",
+                               whole=True)
         return self.c_f_table[z]
 
     def influence_sufficient(self, m: int) -> bool:

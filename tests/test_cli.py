@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vaxgame as vg
-from vaxgame.cli import (CONFIG_SECTIONS, SWEEP_VARS, build_parser,
-                         config_flag, load_config_file, main,
+from vaxgame.cli import (CONFIG_SECTIONS, SWEEP_VARS, _from_flags,
+                         build_parser, config_flag, load_config_file, main,
                          reproduce_figure, subcommand_flags, svg_line_chart)
 
 
@@ -508,6 +508,29 @@ class TestSubcommands:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_runs_without_a_binomial_law_load_no_scipy(self, tmp_path):
+        # scipy.special is imported on the first binomial call, so neither
+        # the package's import nor analyze-ess nor simulate loads scipy
+        script = (
+            "import contextlib, io, sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.partition('.')[0] == 'scipy')\n"
+            "import vaxgame.cli\n"
+            "loaded = [scipy_modules()]\n"
+            "for argv in (['analyze-ess', '--m', '4'],\n"
+            "             ['simulate', '--events', '1000', '--outdir', "
+            f"{str(tmp_path)!r}]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert vaxgame.cli.main(argv) == 0\n"
+            "    loaded.append(scipy_modules())\n"
+            "print(loaded)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120,
+                              env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[[], [], []]"
+
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_closed_stdout_exits_141(self, unbuffered):
         # the read end is closed before the child starts, so its output
@@ -756,6 +779,27 @@ class TestConfigFiles:
         code, _, err = run_main(capsys, "--config", str(bad), "optimize-leader")
         assert code == 2
 
+    @pytest.mark.parametrize("name, body, message", [
+        ("truncated.json", b'{"disease": {"lambda": ',
+         "--config file {path} cannot be read: Expecting value"),
+        ("latin1.ini", b"[disease]\nlambda = 8\n# caf\xe9\n",
+         "--config file {path} cannot be read: 'utf-8' codec"),
+        # a path with a NUL byte, which no file system takes
+        ("nul.json", b'{"output": {"outdir": "out\\u0000"}}',
+         "--config file {path} holds a NUL character in 'outdir'"),
+        # a value is interpolated when it is read, where a lone % fails
+        ("percent.ini", b"[sweep]\ngrid = 1%\n",
+         "--config file {path} cannot be read: '%' must be followed by"),
+    ], ids=["truncated_json", "not_utf8", "nul_byte", "stray_percent"])
+    def test_unparsable_config_is_refused_by_name(self, capsys, tmp_path,
+                                                  name, body, message):
+        cfgfile = tmp_path / name
+        cfgfile.write_bytes(body)
+        code, _, err = run_main(capsys, "--config", str(cfgfile),
+                                "analyze-ess", "--m", "2")
+        assert code == 2
+        assert err.startswith("error: " + message.format(path=cfgfile)), err
+
 
     def test_explicit_flags_beat_config(self, capsys, tmp_path):
         cfgfile = tmp_path / "run.ini"
@@ -811,8 +855,8 @@ class TestConfigFiles:
         assert code == 2
         assert "error:" in err and "Traceback" not in err
         if argv[1].endswith(".json"):
-            assert err.startswith("error: config section [game] must be an "
-                                  "object of keys"), err
+            assert err.startswith(f"error: --config file {argv[1]} section "
+                                  f"[game] must be an object of keys"), err
 
     def test_every_config_key_is_a_flag(self):
         # the config filter keeps a key only where this flag exists
@@ -899,6 +943,35 @@ for _command, _flag in _numeric_flags():
 def _named_in(flag: str, text: str) -> bool:
     """Whether text names flag as a whole word (--t is not --theta0)."""
     return re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text) is not None
+
+
+def test_a_defect_is_raised_not_reported_as_bad_input(tmp_path,
+                                                      monkeypatch):
+    # a ValueError that no input check raised, here one from numpy inside
+    # a solve, is a defect: main lets it through, so that the command line
+    # ends with its traceback and exit 1, not with exit 2 as if a flag
+    # were bad
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(vg.leader, "solve_optimal_incentive", broken)
+    with pytest.raises(ValueError, match="broadcast") as info:
+        main(["optimize-leader", "--zbar", "2", "--samples", "100",
+              "--csv", str(tmp_path / "sweep.csv")])
+    assert not isinstance(info.value, vg.InvalidInput)
+
+
+def test_a_refusal_of_an_unnamed_field_keeps_its_field():
+    # _from_flags puts a flag in place of the fields it was handed alone;
+    # a refusal of any other field passes through as it was raised
+    args = build_parser().parse_args(["analyze-ess"])
+
+    def refuse(m):
+        raise vg.InvalidInput("z", "must lie in 0..m")
+
+    with pytest.raises(vg.InvalidInput) as info:
+        _from_flags(args, refuse, m="m")
+    assert (info.value.field, str(info.value)) == ("z", "z must lie in 0..m")
 
 
 @settings(max_examples=400, deadline=None)

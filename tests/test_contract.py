@@ -1,5 +1,6 @@
 """Input contract of the exported input dataclasses: a bad field fails when
-the object is built, with a ValueError whose message names the field."""
+the object is built, with an InvalidInput (a ValueError) whose message names
+the field."""
 import dataclasses
 import math
 from fractions import Fraction
@@ -147,7 +148,7 @@ _START = dict(disease=_DIS, nu=_NU, beta=vg.ResponseParams(2.0), seed=0,
 # refusals the command line names by their flag, so each message starts
 # with the field or argument at fault; a size just past its budget is
 # refused before any array of that size is built
-@pytest.mark.parametrize("call, field", [
+_REFUSALS = [
     (lambda: vg.DiseaseParams(0.0, 2.0, 2.0), "lam"),
     (lambda: vg.DiseaseParams(15.0, 2.0, 2.0, 3.0), "d"),
     (lambda: vg.classify_esss(0, _NU, _PUBLIC, _DIS, 0), "m"),
@@ -202,17 +203,41 @@ _START = dict(disease=_DIS, nu=_NU, beta=vg.ResponseParams(2.0), seed=0,
         dataclasses.replace(_GAME_CFG, incentives=(0.0, 1.0)), 0.05,
         Path("out")), "game_cfg") for var, v in (("s", 0.1),
                                                  ("theta_star", 0.5))],
-], ids=["lam", "d", "ess_m", "ess_m_budget", "ess_z", "ess_z_subcritical",
-        "threshold_m", "threshold_m_zero",
-        "design_rho", "draw_size", "z_t_size", "z_t_seed", "path_seed",
-        "chain_n0", "chain_events", "chain_eta0", "chain_seed", "game_g0",
-        "game_incentives", "xi_finite_sigma2", "threshold_nu", "threshold_rho", "cf_table_scalar",
-        "cf_table_dip", "theta_star_rho", "sweep_var",
-        "s_sweep_incentives", "theta_star_sweep_incentives"])
+]
+_REFUSAL_IDS = [
+    "lam", "d", "ess_m", "ess_m_budget", "ess_z", "ess_z_subcritical",
+    "threshold_m", "threshold_m_zero", "design_rho", "draw_size", "z_t_size",
+    "z_t_seed", "path_seed", "chain_n0", "chain_events", "chain_eta0",
+    "chain_seed", "game_g0", "game_incentives", "xi_finite_sigma2",
+    "threshold_nu", "threshold_rho", "cf_table_scalar", "cf_table_dip",
+    "theta_star_rho", "sweep_var", "s_sweep_incentives",
+    "theta_star_sweep_incentives"]
+
+
+@pytest.mark.parametrize("call, field", _REFUSALS, ids=_REFUSAL_IDS)
 def test_refusal_starts_with_its_field(call, field):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value).startswith(field + " "), str(info.value)
+
+
+@pytest.mark.parametrize("call, field", _REFUSALS, ids=_REFUSAL_IDS)
+def test_refusal_carries_its_field(call, field):
+    # the command line reads the field off the exception, not its message
+    with pytest.raises(vg.InvalidInput) as info:
+        call()
+    assert info.value.field == field
+
+
+@pytest.mark.parametrize("value", ["abc", None, True, NAN],
+                         ids=["str", "none", "bool", "nan"])
+def test_sweep_grid_holds_finite_numbers(value):
+    # each grid value is checked as a number before its point is built, so
+    # a library caller's string is refused by name, not by float()'s error
+    with pytest.raises(vg.InvalidInput) as info:
+        cli.ScenarioConfig("delta", (0.05, value), _DIS, _NU, _PUBLIC,
+                           _GAME_CFG, 0.05, Path("out"))
+    assert info.value.field == "grid"
 
 
 @pytest.mark.parametrize("value,finite", [

@@ -14,10 +14,9 @@ from scipy.special import bdtr
 
 import vaxgame as vg
 from vaxgame import game, leader
-from vaxgame.game import (DRAW_BLOCK_ROWS, EAGER, WAIT_AND_WATCH,
-                          ConstructionError, XiModel, _mixed_root,
-                          bisect_decreasing, final_gamma_draws, p_from_gamma,
-                          p_from_gamma_vec)
+from vaxgame.game import (DRAW_BLOCK_ROWS, EAGER, WAIT_AND_WATCH, XiModel,
+                          _mixed_root, bisect_decreasing, final_gamma_draws,
+                          p_from_gamma, p_from_gamma_vec)
 
 EPS = np.finfo(float).eps
 
@@ -109,12 +108,13 @@ class TestBinomCdf:
 
 def test_a_scipy_without_the_private_pmf_takes_the_public_one(monkeypatch):
     # game imports the ufunc behind scipy.stats.binom.pmf from
-    # scipy.special._ufuncs, where older scipy releases do not have it; a
-    # copy of the module loaded over a stand-in without it takes
-    # scipy.stats' pmf instead, and computes the same pmf to the bit on
-    # the support (off it the ufunc gives nan and scipy.stats 0; no caller
-    # asks there)
+    # scipy.special._ufuncs on its first binomial call, and older scipy
+    # releases do not have it there; a copy of the module whose first call
+    # comes over a stand-in without it takes scipy.stats' pmf instead, and
+    # computes the same pmf to the bit on the support (off it the ufunc
+    # gives nan and scipy.stats 0; no caller asks there)
     import scipy.stats  # noqa: F401 (loaded before the stand-in)
+    game._scipy()  # the package's own choice, made before the stand-in
     monkeypatch.setitem(sys.modules, "scipy.special._ufuncs",
                         types.ModuleType("scipy.special._ufuncs"))
     name = "vaxgame._game_without_private_pmf"
@@ -122,11 +122,11 @@ def test_a_scipy_without_the_private_pmf_takes_the_public_one(monkeypatch):
     older = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, name, older)
     spec.loader.exec_module(older)
-    assert older._boost_binom_pmf == scipy.stats.binom.pmf
     for l, p in ((1, 0.0), (7, 0.3), (40, 0.999), (85, 1.0)):
         ys = np.arange(l + 1)
         assert np.array_equal(older.binom_pmf(ys, l, p),
                               game.binom_pmf(ys, l, p))
+    assert older._scipy().pmf == scipy.stats.binom.pmf
 
 
 class TestCountChecks:
@@ -388,7 +388,7 @@ class TestMixedProbability:
                 q = 0.5 * (lo + hi)
                 break
         p = _mixed_root(w, n, k)
-        slope = n * float(game._boost_binom_pmf(k, n - 1, q))
+        slope = n * float(game._scipy().pmf(k, n - 1, q))
         bound = 2e-17 + 4 * math.ulp(q) + (n * EPS * w / slope if slope > 0
                                             else math.inf)
         assert abs(p - q) <= bound
@@ -637,8 +637,9 @@ class TestSpecialStrategy:
     def test_custom_selector_validated(self):
         cfg = perfect_cfg(c_i=2.5)  # final-epoch set is {0}
         strat = vg.SpecialStrategy(cfg, lambda t, z, c, a: 0.7)
-        with pytest.raises(ConstructionError):
+        with pytest.raises(vg.InvalidInput) as info:
             strat.decision(2, 0, 2.0)
+        assert info.value.field == "selector"
 
     def test_wait_and_watch_has_minimal_utility(self):
         # discrete data spreads the final estimate; early vaccination at an

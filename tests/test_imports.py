@@ -353,3 +353,62 @@ def test_threshold_beside_config_is_found():
         "class C:\n    def method(self, cfg, z_bar, /):\n        pass\n")}
     assert thresholds_beside_configs(trees) == {"a.py:both", "a.py:keyword",
                                                 "a.py:method"}
+
+
+# The refusal types that InvalidInput replaced: a refused input raises
+# params.InvalidInput, which carries the field at fault.
+RETIRED = {"ConfigError", "ConstructionError"}
+
+
+def _identifiers(node: ast.AST) -> set[str]:
+    """The names a subtree reads or binds: names, attributes, definitions
+    and imports."""
+    return {n.id if isinstance(n, ast.Name) else
+            n.attr if isinstance(n, ast.Attribute) else n.name
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute, ast.ClassDef,
+                              ast.FunctionDef, ast.alias))}
+
+
+def stray_refusals(trees: dict[str, ast.Module]) -> set[str]:
+    """Each `raise ValueError`, each module that names a RETIRED type, and
+    each handler of ValueError inside a function named main, which would
+    take a defect for a refused input."""
+    out = set()
+    for name, tree in trees.items():
+        out.update(f"{name}: names {n}" for n in RETIRED & _identifiers(tree))
+        for node in ast.walk(tree):
+            exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) \
+                else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                out.add(f"{name}:{node.lineno} raises ValueError")
+            if isinstance(node, ast.FunctionDef) and node.name == "main":
+                out.update(f"{name}:{h.lineno} catches ValueError in main"
+                           for h in ast.walk(node)
+                           if isinstance(h, ast.ExceptHandler) and h.type
+                           and "ValueError" in _identifiers(h.type))
+    return out
+
+
+def test_one_refusal_type():
+    trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    assert not stray_refusals(trees)
+
+
+def test_stray_refusal_is_found():
+    trees = {"a.py": ast.parse(
+        "class ConfigError(ValueError):\n    pass\n"
+        "def f(x):\n"
+        "    if x:\n        raise ValueError('x is bad')\n"
+        "    raise InvalidInput('x', 'is bad')\n"
+        "def main():\n"
+        "    try:\n        f(1)\n"
+        "    except (KeyError, ValueError):\n        return 2\n"),
+        # a standard-library ValueError, caught where it is raised
+        "b.py": ast.parse("def g(s):\n    try:\n        return float(s)\n"
+                          "    except ValueError:\n        return None\n")}
+    assert stray_refusals(trees) == {"a.py: names ConfigError",
+                                     "a.py:5 raises ValueError",
+                                     "a.py:10 catches ValueError in main"}

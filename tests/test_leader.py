@@ -687,11 +687,11 @@ class TestTableBuilds:
         # scipy for no 4,097-point row
         sizes = []
 
-        def spy(k, n, p, _orig=game.bdtr):
+        def spy(k, n, p, _orig=game._scipy().bdtr):
             sizes.append(np.size(p))
             return _orig(k, n, p)
 
-        monkeypatch.setattr(game, "bdtr", spy)
+        monkeypatch.setattr(game._scipy(), "bdtr", spy)
         for cache in (game._cdf_rows, game._bdtr_grid, leader._knot_tables,
                       leader._cost_knots):
             cache.cache_clear()

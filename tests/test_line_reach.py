@@ -43,7 +43,7 @@ def test_line_reach_lists_a_line_no_test_reaches(tmp_path):
     assert "1 passed" in proc.stdout
     missed = {owner: set(map(int, lines.split())) for owner, lines in
               (row.split(": ") for row in report.read_text().splitlines())}
-    assert (_line_of('"c_f_table must be non-empty"')
+    assert (_line_of('"c_f_table", "must be non-empty"')
             in missed["params.py PublicCostModel.__post_init__"])
     # reached: the linear branch of c_f, and the module body at import
     assert (_line_of("return self.s * z")
