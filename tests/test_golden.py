@@ -3,18 +3,20 @@ match the files recorded in tests/golden/.
 
 Where the Python, numpy and scipy versions are those in
 tests/golden/versions.json, each output must equal its file byte for byte.
-Where any differs, the arithmetic may round differently, so each cell that
-parses as a number must match within REL_TOL relative (absolute below 1),
-and every other cell exactly. The failure message says which mode ran. The
-files record what the code does, so this test detects change; it does not
-certify that the outputs are right.
+Where any differs, the arithmetic may round differently, so each line is
+split into fields at whitespace and the CSV and JSON punctuation, and each
+field that parses as a number must match within REL_TOL relative (absolute
+below 1), and every other field exactly. The failure message says which
+mode ran. The files record what the code does, so this test detects
+change; it does not certify that the outputs are right.
 """
-import csv
 import json
+import re
 
 from tests.tools.record_golden import GOLDEN, versions, write_outputs
 
 REL_TOL = 1e-9
+_SEPARATORS = re.compile(r'[\s,:\[\]{}"]+')
 
 
 def _close(a: str, b: str) -> bool:
@@ -34,17 +36,17 @@ def test_outputs_match_the_golden_files(tmp_path):
             f"numbers at {REL_TOL:g}, since {versions()} differs from the "
             f"recorded {recorded}")
     outputs = write_outputs(tmp_path)
-    assert ([p.name for p in outputs]
-            == sorted(p.name for p in GOLDEN.glob("*.csv"))), mode
-    for out in outputs:
-        gold = GOLDEN / out.name
+    assert outputs == sorted(p.relative_to(GOLDEN) for p in GOLDEN.rglob("*")
+                             if p.is_file() and p.parent != GOLDEN), mode
+    for rel in outputs:
+        out, gold = tmp_path / rel, GOLDEN / rel
         if exact:
-            assert out.read_bytes() == gold.read_bytes(), f"{out.name}: {mode}"
+            assert out.read_bytes() == gold.read_bytes(), f"{rel}: {mode}"
             continue
-        with open(out, newline="") as fo, open(gold, newline="") as fg:
-            rows, want = list(csv.reader(fo)), list(csv.reader(fg))
-        assert len(rows) == len(want), f"{out.name}: {mode}"
-        for i, (row, ref) in enumerate(zip(rows, want)):
-            assert (len(row) == len(ref)
-                    and all(map(_close, row, ref))), (
-                f"{out.name} row {i}: {row} != {ref} ({mode})")
+        lines = out.read_text().splitlines()
+        want = gold.read_text().splitlines()
+        assert len(lines) == len(want), f"{rel}: {mode}"
+        for i, (line, ref) in enumerate(zip(lines, want)):
+            got, exp = _SEPARATORS.split(line), _SEPARATORS.split(ref)
+            assert len(got) == len(exp) and all(map(_close, got, exp)), (
+                f"{rel} line {i}: {line!r} != {ref!r} ({mode})")
