@@ -240,6 +240,8 @@ class IntegrationResult:
     converged: bool
     message: str
     rhs_evals: int              # drift evaluations: steps and the limit's eta
+    basin_attempts: int         # basin attempts made, the start's among them
+    stop: str | None            # the stop of a converged run, else None
 
 
 # Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett & Wanner,
@@ -593,7 +595,9 @@ def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
     converged limit. So a run certified at its start counts 2, one that
     converges after n tried steps 3 + 6n. A basin attempt evaluates the
     planar polynomial and its analytic Jacobian instead, and is not
-    counted.
+    counted. `basin_attempts` counts the attempts, and `stop` is the stop
+    that closed a converged run, "basin certificate" or "located", and
+    None on a run that did not converge.
     """
     return _integrate(init, disease, nu, beta, horizon, basin=True)
 
@@ -766,7 +770,8 @@ def _integrate(init: OdeState, disease: DiseaseParams, nu: VaRatePolicy,
                f"(attempt {attempts}): {stop[1]}")
     limit = OdeState(max(yf[0], 0.0), max(yf[1], 0.0), yf[2])
     return IntegrationResult(np.array(ts), np.array(ys), limit, converged,
-                             msg, evals)
+                             msg, evals, attempts,
+                             stop[0] if converged else None)
 
 
 # ---------------------------------------------------------------------------

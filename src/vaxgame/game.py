@@ -565,13 +565,10 @@ def _bdtr_grid(trials: int, successes: int) -> np.ndarray:
     return _read_only(bdtr(int(successes), int(trials), _P_UP)[::-1].copy())
 
 
-def _cdf_grid(trials: int, successes: int
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The table p -> F(p) of F(p) = P(Bin(trials, p) <= successes) on
-    CDF_TABLE_POINTS points, (p, F) with p ascending, and its inverse
-    (F ascending, p descending). The inverse arrays are contiguous, since
-    np.interp would copy negative-stride views on every call; F is a
-    reversed view of the inverse's F. All four are read-only.
+def _cdf_row(trials: int, successes: int) -> np.ndarray:
+    """F(p) = P(Bin(trials, p) <= successes) on the descending grid
+    _P_DOWN, so F ascends: contiguous, since np.interp would copy a
+    negative-stride view on every call, and read-only.
 
     For 0 <= successes < trials <= _RECURRENCE_TRIALS this is a row of
     _cdf_rows(trials), one pass per trial count for every threshold;
@@ -579,10 +576,8 @@ def _cdf_grid(trials: int, successes: int
     built before the first call.
     """
     if 0 <= successes < trials <= _RECURRENCE_TRIALS:
-        f_up = _cdf_rows(trials)[successes]
-    else:
-        f_up = _bdtr_grid(trials, successes)
-    return _P_UP, f_up[::-1], f_up, _P_DOWN
+        return _cdf_rows(trials)[successes]
+    return _bdtr_grid(trials, successes)
 
 
 def binom_cdf_vec_interp(l: int, m: int, p: np.ndarray) -> np.ndarray:
@@ -598,8 +593,7 @@ def binom_cdf_vec_interp(l: int, m: int, p: np.ndarray) -> np.ndarray:
         return np.zeros_like(p, dtype=float)
     if m >= l:
         return np.ones_like(p, dtype=float)
-    grid, f, _, _ = _cdf_grid(l, m)
-    return np.interp(p, grid, f)
+    return np.interp(p, _P_UP, _cdf_row(l, m)[::-1])
 
 
 def p_from_gamma_vec(g: float, gams: np.ndarray,
@@ -619,8 +613,7 @@ def p_from_gamma_vec(g: float, gams: np.ndarray,
     # a w outside (0, 1) only picks p = 1 or 0: clipping its numerator to
     # [0, c_i] keeps the division finite however small c_i is
     w = np.clip(cfg.c_v + gams - g, 0.0, cfg.c_i) / cfg.c_i
-    _, _, f_up, grid_down = _cdf_grid(cfg.m - 1, cfg.z_bar - 1)
-    p = np.interp(w, f_up, grid_down)
+    p = np.interp(w, _cdf_row(cfg.m - 1, cfg.z_bar - 1), _P_DOWN)
     p[w <= 0.0] = 1.0
     p[w >= 1.0] = 0.0
     return p

@@ -18,6 +18,7 @@ the law is a point (XiModel.is_point), are exact paths with no table.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import math
@@ -30,9 +31,9 @@ from .ess import Admissibility, eradication_threshold, is_admissible
 # binom_cdf_vec_interp and p_from_gamma_vec are the per-draw path that the
 # tabled sums below reproduce; they stay names of this module because the
 # benchmark's tracer (perfbench/tracing.py) wraps them here.
-from .game import (PROBES, InfluencerGameConfig, _cdf_grid, _mixed_root,
-                   binom_cdf, binom_cdf_vec_interp, bisect_decreasing,
-                   final_gamma_draws, p_from_gamma,
+from .game import (_P_DOWN, PROBES, InfluencerGameConfig, _cdf_row,
+                   _mixed_root, binom_cdf, binom_cdf_vec_interp,
+                   bisect_decreasing, final_gamma_draws, p_from_gamma,
                    p_from_gamma_vec)  # noqa: F401
 from .params import (MAX_DRAWS, MAX_INFLUENCERS, MAX_RATE, DiseaseParams,
                      InvalidInput, PublicCostModel, VaRatePolicy,
@@ -176,39 +177,34 @@ class LeaderSolution:
         return {k: v for k, v in self.__dict__.items()}
 
 
+_Knots = collections.namedtuple("_Knots", "knots widths w f sp sf")
+
+
 @functools.lru_cache(maxsize=64)
-def _knot_tables(m: int, z_bar: int) -> tuple[np.ndarray, ...]:
-    """(w_k, p_k, f_k, sp_k, sf_k, dw_k) for z_bar < m: a draw's p and its
-    F_M(z_bar-1; p) are piecewise linear in w = (C_v + Gamma - g)/C_i, with
-    knots at w_k and values p_k and f_k there, and slopes sp_k and sf_k in
-    w on the segment [w_k, w_k+1) of width dw_k (slope 0 where dw_k is 0 or
-    subnormal: a difference of at most 1 over a normal width is finite).
+def _knot_tables(m: int, z_bar: int, c_i: float, c_v: float) -> _Knots:
+    """The knot table of (m, z_bar) at the costs (C_i, C_v), for z_bar <
+    m: a draw's p and its F_M(z_bar-1; p) are piecewise linear in w = (C_v
+    + Gamma - g)/C_i, with knots at w_k and values p_k = _P_DOWN[k] and
+    f_k there, and slopes sp_k and sf_k in w on the segment [w_k, w_k+1)
+    of width dw_k (slope 0 where dw_k is 0 or subnormal: a difference of
+    at most 1 over a normal width is finite). A search at g adds g to
+    knots, C_i w_k - C_v, for the knots in Gamma, and clips its offsets to
+    widths, C_i dw_k, the segments' widths in Gamma.
 
     p_from_gamma_vec inverts the table of F_{m-1}(z_bar-1; .), whose knots
     w_k = F_{m-1}(z_bar-1; p_k) carry the grid points p_k, and
     binom_cdf_vec_interp reads f_k = F_M(z_bar-1; p_k) on the same grid, so
-    composing the two interpolations is linear between the same knots. The
-    first three are read-only arrays of game._cdf_grid: the knots and f_k
-    are rows of the one-pass tables of m - 1 and m trials, which hold every
-    threshold. The slopes and widths are computed once per (m, z_bar), and
-    nothing is built before the first evaluation.
+    composing the two interpolations is linear between the same knots. w
+    and f are read-only rows of game._cdf_row, from the one-pass tables of
+    m - 1 and m trials, which hold every threshold; the rest is computed
+    once per entry, and nothing is built before the first evaluation.
     """
-    _, _, w, p = _cdf_grid(m - 1, z_bar - 1)
-    f = _cdf_grid(m, z_bar - 1)[2]
+    w, f = _cdf_row(m - 1, z_bar - 1), _cdf_row(m, z_bar - 1)
     dw = np.diff(w)
     sp, sf = (np.divide(np.diff(v), dw, out=np.zeros_like(dw),
-                        where=dw >= np.finfo(float).tiny) for v in (p, f))
-    return w, p, f, sp, sf, dw
-
-
-@functools.lru_cache(maxsize=64)
-def _cost_knots(m: int, z_bar: int, c_i: float, c_v: float
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """(C_i w_k - C_v, C_i dw_k) on the knot tables of (m, z_bar): a
-    search at g adds g to the first for its knots G_k, and clips its
-    offsets to the second, the segments' widths in Gamma."""
-    w, _, _, _, _, dw = _knot_tables(m, z_bar)
-    return c_i * w - c_v, c_i * dw
+                        where=dw >= np.finfo(float).tiny)
+              for v in (_P_DOWN, f))
+    return _Knots(c_i * w - c_v, c_i * dw, w, f, sp, sf)
 
 
 def _mixed_run(g: float, gams: np.ndarray,
@@ -235,8 +231,8 @@ def _mixed_run(g: float, gams: np.ndarray,
 
 def _knot_search(g: float, cfg: InfluencerGameConfig,
                  draws: GammaDraws) -> tuple:
-    """The draws' segments at g, shared by every knot table of (m, z_bar):
-    (lo, hi, a, cnt, off, head, tail).
+    """The draws' segments at g, which both tabled sums of cfg read:
+    (lo, hi, a, cnt, off, head, tail, tab).
 
     gams[lo:hi] is the mixed run (see _mixed_run). Draw Gamma sits at knot
     k when Gamma = G_k = C_i w_k - C_v + g, so one searchsorted of the G_k
@@ -254,16 +250,17 @@ def _knot_search(g: float, cfg: InfluencerGameConfig,
     below the run's first draw to the first one above its last draw are
     searched; the others bound no draw of the run. head and tail count the
     run's draws below the first searched knot and from the last one on.
-    cnt is None for an empty run. C_i w_k - C_v and C_i dw_k come from
-    _cost_knots, so a search adds g to the knots and makes its other
-    numpy calls on the searched knots alone.
+    cnt is None for an empty run. tab is the knot table of cfg, which
+    holds C_i w_k - C_v and C_i dw_k, so a search adds g to the knots and
+    makes its other numpy calls on the searched knots alone; the sums read
+    their values and slopes from it.
     """
+    tab = _knot_tables(cfg.m, cfg.z_bar, cfg.c_i, cfg.c_v)
     gams, sums, center = draws.gams, draws.sums, draws.center
     lo, hi = _mixed_run(g, gams, cfg)
     if lo == hi:
-        return lo, hi, 0, None, None, 0, 0
-    base, width = _cost_knots(cfg.m, cfg.z_bar, cfg.c_i, cfg.c_v)
-    knots = base + g
+        return lo, hi, 0, None, None, 0, 0, tab
+    knots = tab.knots + g
     a, b = knots.searchsorted((gams[lo], gams[hi - 1]), side="right").tolist()
     a, b = max(a - 1, 0), min(b, len(knots) - 1)
     knots = knots[a:b + 1]
@@ -275,8 +272,8 @@ def _knot_search(g: float, cfg: InfluencerGameConfig,
     off = at[1:] - at[:-1]
     off -= cnt * (knots[:-1] - center)
     np.maximum(off, 0.0, out=off)
-    np.minimum(off, cnt * width[a:b], out=off)
-    return lo, hi, a, cnt, off, int(pos[0]) - lo, hi - int(pos[-1])
+    np.minimum(off, cnt * tab.widths[a:b], out=off)
+    return lo, hi, a, cnt, off, int(pos[0]) - lo, hi - int(pos[-1]), tab
 
 
 def _tabled_sum(search: tuple, v: np.ndarray, sv: np.ndarray,
@@ -293,7 +290,7 @@ def _tabled_sum(search: tuple, v: np.ndarray, sv: np.ndarray,
     binds, and the clip binds only on segments narrower than the rounding
     of G_k.
     """
-    _, _, a, cnt, off, head, tail = search
+    _, _, a, cnt, off, head, tail, _ = search
     if cnt is None:
         return 0.0, 0.0
     v, sv = v[a:a + len(cnt) + 1], sv[a:a + len(cnt)]
@@ -305,8 +302,8 @@ def _np_from_search(search: tuple, n: int,
                     cfg: InfluencerGameConfig) -> tuple[float, float]:
     """(N_P, N_P') over n draws from their knot search: the table of F
     summed over the mixed run, plus one for each draw with w >= 1."""
-    _, _, f, _, sf, _ = _knot_tables(cfg.m, cfg.z_bar)
-    total, slope = _tabled_sum(search, f, sf, cfg.c_i)
+    tab = search[-1]
+    total, slope = _tabled_sum(search, tab.f, tab.sf, cfg.c_i)
     return (total + (n - search[1])) / n, slope / n
 
 
@@ -373,8 +370,8 @@ def _p_expectation(g: float, problem: LeaderProblem,
         return int(gams.searchsorted(g - cfg.c_v + cfg.c_i)) / n
     if search is None:
         search = _knot_search(g, cfg, draws)
-    _, p, _, sp, _, _ = _knot_tables(cfg.m, cfg.z_bar)
-    return (search[0] + _tabled_sum(search, p, sp, cfg.c_i)[0]) / n
+    return (search[0] + _tabled_sum(search, _P_DOWN, search[-1].sp,
+                                    cfg.c_i)[0]) / n
 
 
 def _outlay(m: int, g: float, p: float) -> float:
@@ -414,9 +411,9 @@ def _one_point_root(problem: LeaderProblem, draws: GammaDraws) -> float:
     fused table (w_k, F_M(z_bar-1; p_k)) at delta. This is the
     perfect-information root at Gamma_med, on the table."""
     cfg = problem.cfg
-    w, _, f, _, _, _ = _knot_tables(cfg.m, cfg.z_bar)
+    tab = _knot_tables(cfg.m, cfg.z_bar, cfg.c_i, cfg.c_v)
     return (cfg.c_v + draws.center
-            - cfg.c_i * float(np.interp(problem.delta, f, w)))
+            - cfg.c_i * float(np.interp(problem.delta, tab.f, tab.w)))
 
 
 def _quantile_start(problem: LeaderProblem, draws: GammaDraws, lo: float,

@@ -668,6 +668,72 @@ def test_counts_match_a_counting_spy(monkeypatch):
     assert converged and basin_evals < evals[0]
 
 
+def _located_start():
+    # on the kink, 5e-7 off the eradicating point: the run ends at the
+    # located stop (see test_located_stop_needs_a_stable_point_and_a_small_drift)
+    dis, nu = fig5_disease(), vg.VaRatePolicy(8.0, 3.0)
+    psi_e = vg.psi_eradicating(nu, dis.b)
+    return (vg.OdeState(5e-7, psi_e - 5e-7, 1e-2), dis, nu,
+            vg.ResponseParams((1.0 + 1e-9) / psi_e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.one_of(_perturbed_returns(), _kink_returns()),
+       horizon=st.sampled_from((0.0, 2.0, 400.0)))
+@example(case=_located_start(), horizon=600.0)
+@example(case=_tiny_eta_start(5e-324), horizon=400.0)
+def test_attempts_and_stop_match_a_counting_oracle(case, horizon):
+    # every basin attempt asks certify once, and located after it only
+    # where the drift is small; the stop of a converged run is the one
+    # call that answered yes, the last. The path route makes no attempt
+    calls = []
+    basin = epidemic._basin
+
+    def counting(*params):
+        locate, certify, located = basin(*params)
+
+        def spy(name, check):
+            def counted(*args):
+                calls.append((name, check(*args)))
+                return calls[-1][1]
+
+            return counted
+
+        return (locate, spy("basin certificate", certify),
+                spy("located", located))
+
+    init, dis, nu, beta = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(epidemic, "_basin", counting)
+        got = vg.integrate_to_equilibrium(init, dis, nu, beta,
+                                          horizon=horizon)
+        path = epidemic._integrate(init, dis, nu, beta, horizon, basin=False)
+    stops = [name for name, said_yes in calls if said_yes]
+    assert not stops or stops == [calls[-1][0]]
+    assert got.basin_attempts == [n for n, _ in calls].count(
+        "basin certificate")
+    assert got.stop == (stops[0] if stops else None)
+    assert got.converged == (got.stop is not None)
+    if got.converged:
+        assert f"converged: {got.stop} at t = " in got.message
+        assert f"(attempt {got.basin_attempts}): " in got.message
+    assert (path.basin_attempts, path.stop) == (0, None)
+
+
+def test_population_pass_attempt_counts():
+    # the benchmark's FULL seed-1 population pass: 256 returns make 521
+    # basin attempts, and 151 of them are certified at their start
+    from perfbench.workloads import FULL, Population
+
+    pop = Population(1, FULL)
+    runs = [pop.op(k)[1] for k in pop.items(0)]
+    assert len(runs) == 256 and all(r.converged for r in runs)
+    assert sum(r.basin_attempts for r in runs) == 521
+    at_start = [r for r in runs if r.basin_attempts == 1
+                and r.stop == "basin certificate"]
+    assert len(at_start) == 151 and all(len(r.t) == 1 for r in at_start)
+
+
 def test_run_reaching_its_horizon_makes_a_last_attempt():
     # a return to the eradicating point whose horizon falls inside the
     # basin, between two attempts: the last attempt, at the state that

@@ -192,7 +192,8 @@ class TestCdfTable:
     @given(l=st.integers(1, 85), data=st.data())
     def test_rows_match_scipy(self, l, data):
         j = data.draw(st.integers(0, l - 1))
-        p, f, f_up, p_down = game._cdf_grid(l, j)
+        f_up = game._cdf_row(l, j)
+        p, f, p_down = game._P_UP, f_up[::-1], game._P_DOWN
         want = bdtr(j, l, p)
         assert np.all(np.abs(f - want)[1:-1]
                       <= (5 * l + 2) * 2.0 ** -53 * want[1:-1])
@@ -200,14 +201,15 @@ class TestCdfTable:
         assert np.all(np.diff(f) <= 0.0)
         for k in (j - 1, j + 1):
             if 0 <= k < l:
-                assert np.all((game._cdf_grid(l, k)[1] - f) * (k - j) >= 0.0)
+                assert np.all((game._cdf_row(l, k)[::-1] - f) * (k - j)
+                              >= 0.0)
         assert np.array_equal(f_up[::-1], f)
         assert np.array_equal(p_down[::-1], p)
 
     @pytest.mark.parametrize("j", [0, 43, 85])
     def test_past_85_trials_the_row_is_scipys(self, j):
         # (1-p)^86 at p = 1 - 2^-12 is 2^-1032, below the normal range
-        p, f, _, _ = game._cdf_grid(86, j)
+        p, f = game._P_UP, game._cdf_row(86, j)[::-1]
         assert np.array_equal(f, bdtr(j, 86, p))
 
 

@@ -18,7 +18,7 @@ import vaxgame as vg
 from vaxgame import game, leader
 from vaxgame.cli import (FIG_GAME, FIG_THETA_COSTS, FIG_THETA_DISEASE,
                          _theta_disease)
-from vaxgame.game import (_cdf_grid, binom_cdf_vec_interp, bisect_decreasing,
+from vaxgame.game import (_cdf_row, binom_cdf_vec_interp, bisect_decreasing,
                           p_from_gamma_vec)
 from vaxgame.leader import JointDesignError, c_infinity, g_floor, l_values
 
@@ -138,6 +138,38 @@ class TestSolveOptimalIncentive:
             sol = vg.solve_optimal_incentive(zb, prob)
             ci = prob.sampler.ci_halfwidth(delta)
             assert abs(sol.np_at_g - delta) < max(1e-6, ci)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 20_000), seed=st.integers(0, 2**32 - 1),
+           z_bar=st.integers(1, 39), delta=st.floats(1e-4, 0.5))
+    @example(n=100_000, seed=0, z_bar=5, delta=0.05)
+    @example(n=100_000, seed=3, z_bar=39, delta=0.01)
+    def test_binding_roots_pass_delta_by_rounding_at_most(self, n, seed,
+                                                          z_bar, delta):
+        """A binding z_bar < M Monte Carlo root is left where the root
+        finder stops, on either side of the exact root, so np_at_g =
+        N_P(g*) may exceed delta, but by at most
+
+            |N_P'(g*)| tol + n 2**-52,   tol = 1e-12 max(1, g*).
+
+        bisect_decreasing (atol = rtol = 1e-12) stops in one of two ways.
+        At a Newton step of at most tol it returns the g* it steps from,
+        whose N_P(g*) - delta is that step times |N_P'(g*)|. At a bracket
+        of width at most tol it returns the midpoint, within tol below the
+        bracket's upper end, where N_P <= delta; N_P is piecewise linear
+        and non-increasing there, with the slope N_P'(g*) at g*, so again
+        at most tol |N_P'(g*)| above delta. The second term is N_P's own
+        rounding: the tabled sum agrees with the per-draw mean within n
+        eps = n 2**-52 at this preset (test_tabled_sums_match_per_draw_means),
+        which also covers the rounding of the Newton step's quotient.
+        """
+        prob = mc_problem(delta, z_bar, n=n, seed=seed)
+        sol = vg.solve_optimal_incentive(z_bar, prob)
+        assume(sol.binding)
+        slope = vg.non_eradication_probability(sol.g_star, z_bar, prob,
+                                               with_slope=True)[1]
+        tol = 1e-12 * max(1.0, sol.g_star)
+        assert sol.np_at_g <= delta + abs(slope) * tol + n * 2.0 ** -52
 
     def test_single_threshold_charges_most(self):
         prob = mc_problem(0.05, 1, n=60_000)
@@ -329,7 +361,8 @@ def reference_sums(g, z_bar, problem):
     draws = problem.sampler.gamma_draws(cfg)
     n = len(draws.gams)
     lo, hi = leader._mixed_run(g, draws.gams, cfg)
-    w, p, f, sp, sf, _ = leader._knot_tables(cfg.m, z_bar)
+    _, _, w, f, sp, sf = leader._knot_tables(cfg.m, z_bar, cfg.c_i, cfg.c_v)
+    p = game._P_DOWN
     total, slope = _reference_tabled_sum(w, f, sf, g, cfg, draws, lo, hi)
     p_sum = _reference_tabled_sum(w, p, sp, g, cfg, draws, lo, hi)[0]
     return (total + (n - hi)) / n, slope / n, (lo + p_sum) / n
@@ -406,7 +439,7 @@ class TestSlicedConstraint:
         # fig preset (see test_tabled_sums_match_per_draw_means)
         prob = mc_problem(0.05, z_bar, n=n, seed=seed)
         cfg = prob.cfg
-        w_k = _cdf_grid(cfg.m - 1, z_bar - 1)[2]
+        w_k = _cdf_row(cfg.m - 1, z_bar - 1)
         w = (cfg.c_v + prob.sampler.gamma_draws(cfg).gams - g) / cfg.c_i
         i = np.clip(np.searchsorted(w_k, w), 1, len(w_k) - 1)
         d = cfg.c_i * float(np.min(np.minimum(np.abs(w - w_k[i - 1]),
@@ -539,8 +572,8 @@ class TestSlicedConstraint:
                           c_i=costs[1])
         cfg = prob.cfg
         gams = prob.sampler.gamma_draws(cfg).gams
-        _, _, w_k, p_k = _cdf_grid(cfg.m - 1, z_bar - 1)
-        f_k = _cdf_grid(cfg.m, z_bar - 1)[2]
+        w_k, p_k = _cdf_row(cfg.m - 1, z_bar - 1), game._P_DOWN
+        f_k = _cdf_row(cfg.m, z_bar - 1)
         k = int(at * n)
         for g in (g_free, gams[k] + cfg.c_v, gams[k] + cfg.c_v - cfg.c_i):
             got = vg.non_eradication_probability(g, z_bar, prob)
@@ -669,8 +702,7 @@ class TestTableBuilds:
             "probs = [vg.LeaderProblem(0.05, cfg, smp) for cfg in cfgs]\n"
             "smp.gamma_draws(cfgs[0])\n"
             "print([f.cache_info().currsize for f in (\n"
-            "    game._cdf_rows, game._bdtr_grid, leader._knot_tables,\n"
-            "    leader._cost_knots)])\n")
+            "    game._cdf_rows, game._bdtr_grid, leader._knot_tables)])\n")
         src = str(Path(vg.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in os.environ.get("PYTHONPATH", "").split(
@@ -678,7 +710,7 @@ class TestTableBuilds:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[0, 0, 0, 0]"
+        assert proc.stdout.strip() == "[0, 0, 0]"
 
     def test_fig1_solves_build_two_passes_and_no_scipy_row(self,
                                                              monkeypatch):
@@ -692,8 +724,7 @@ class TestTableBuilds:
             return _orig(k, n, p)
 
         monkeypatch.setattr(game._scipy(), "bdtr", spy)
-        for cache in (game._cdf_rows, game._bdtr_grid, leader._knot_tables,
-                      leader._cost_knots):
+        for cache in (game._cdf_rows, game._bdtr_grid, leader._knot_tables):
             cache.cache_clear()
         smp = vg.ExpectationSampler(n_samples=2_000, seed=0)
         for z_bar in range(1, 40):
@@ -703,13 +734,37 @@ class TestTableBuilds:
         info = game._cdf_rows.cache_info()
         assert (info.misses, info.currsize) == (2, 2)
 
+    def test_costs_make_their_own_entry_on_shared_rows(self, monkeypatch):
+        # one knot-table entry per game, threshold and costs: two C_v make
+        # two entries over the same one-pass tables of 39 and 40 trials,
+        # and each knot search looks its entry up once for the sums after
+        # it, as the one-point root of each solve does for its own
+        searches = []
+
+        def spy(*args, _orig=leader._knot_search):
+            searches.append(args[0])
+            return _orig(*args)
+
+        monkeypatch.setattr(leader, "_knot_search", spy)
+        for cache in (game._cdf_rows, game._bdtr_grid, leader._knot_tables):
+            cache.cache_clear()
+        smp = vg.ExpectationSampler(n_samples=2_000, seed=0)
+        for c_v in (1.0, 1.5):
+            vg.solve_optimal_incentive(20, vg.LeaderProblem(
+                0.05, game_cfg(20, c_v=c_v), smp))
+        info = leader._knot_tables.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        assert info.hits + info.misses == len(searches) + 2
+        rows = game._cdf_rows.cache_info()
+        assert (rows.misses, rows.currsize) == (2, 2)
+
     @pytest.mark.parametrize("m", [100, 200, 1000])
     def test_slopes_are_finite_past_the_recurrence(self, m):
         # past 86 trials some knot widths are subnormal, where a difference
         # over the width can overflow (a RuntimeWarning, an error in this
         # suite); their slopes are 0, as at coincident knots
         for z_bar in (2, 9, m // 2, m - 1):
-            _, _, _, sp, sf, _ = leader._knot_tables(m, z_bar)
+            *_, sp, sf = leader._knot_tables(m, z_bar, 5.0, 1.0)
             assert np.isfinite(sp).all() and np.isfinite(sf).all()
 
 
