@@ -232,7 +232,7 @@ def _mixed_run(g: float, gams: np.ndarray,
 def _knot_search(g: float, cfg: InfluencerGameConfig,
                  draws: GammaDraws) -> tuple:
     """The draws' segments at g, which both tabled sums of cfg read:
-    (lo, hi, a, cnt, off, head, tail, tab).
+    (lo, hi, a, cnt, off, tail, tab).
 
     gams[lo:hi] is the mixed run (see _mixed_run). Draw Gamma sits at knot
     k when Gamma = G_k = C_i w_k - C_v + g, so one searchsorted of the G_k
@@ -248,18 +248,19 @@ def _knot_search(g: float, cfg: InfluencerGameConfig,
     C_i = 0.01), far enough for a steep segment of p to read a draw as a
     negative probability. Only the knots a.. from the last one at or
     below the run's first draw to the first one above its last draw are
-    searched; the others bound no draw of the run. head and tail count the
-    run's draws below the first searched knot and from the last one on.
-    cnt is None for an empty run. tab is the knot table of cfg, which
-    holds C_i w_k - C_v and C_i dw_k, so a search adds g to the knots and
-    makes its other numpy calls on the searched knots alone; the sums read
-    their values and slopes from it.
+    searched; the others bound no draw of the run. The first knot, w_0 =
+    0, is G_0 = fl(g - C_v), the searchsorted start of _mixed_run's lo, so
+    no draw of the run lies below the first searched knot; tail counts the
+    run's draws from the last one on. cnt is None for an empty run. tab is
+    the knot table of cfg, which holds C_i w_k - C_v and C_i dw_k, so a
+    search adds g to the knots and makes its other numpy calls on the
+    searched knots alone; the sums read their values and slopes from it.
     """
     tab = _knot_tables(cfg.m, cfg.z_bar, cfg.c_i, cfg.c_v)
     gams, sums, center = draws.gams, draws.sums, draws.center
     lo, hi = _mixed_run(g, gams, cfg)
     if lo == hi:
-        return lo, hi, 0, None, None, 0, 0, tab
+        return lo, hi, 0, None, None, 0, tab
     knots = tab.knots + g
     a, b = knots.searchsorted((gams[lo], gams[hi - 1]), side="right").tolist()
     a, b = max(a - 1, 0), min(b, len(knots) - 1)
@@ -273,7 +274,7 @@ def _knot_search(g: float, cfg: InfluencerGameConfig,
     off -= cnt * (knots[:-1] - center)
     np.maximum(off, 0.0, out=off)
     np.minimum(off, cnt * tab.widths[a:b], out=off)
-    return lo, hi, a, cnt, off, int(pos[0]) - lo, hi - int(pos[-1]), tab
+    return lo, hi, a, cnt, off, hi - int(pos[-1]), tab
 
 
 def _tabled_sum(search: tuple, v: np.ndarray, sv: np.ndarray,
@@ -290,12 +291,12 @@ def _tabled_sum(search: tuple, v: np.ndarray, sv: np.ndarray,
     binds, and the clip binds only on segments narrower than the rounding
     of G_k.
     """
-    _, _, a, cnt, off, head, tail, _ = search
+    _, _, a, cnt, off, tail, _ = search
     if cnt is None:
         return 0.0, 0.0
     v, sv = v[a:a + len(cnt) + 1], sv[a:a + len(cnt)]
     total = float(cnt.dot(v[:-1]) + sv.dot(off) / c_i)
-    return (total + v[0] * head + v[-1] * tail, -float(cnt.dot(sv)) / c_i)
+    return total + v[-1] * tail, -float(cnt.dot(sv)) / c_i
 
 
 def _np_from_search(search: tuple, n: int,
