@@ -694,8 +694,9 @@ def test_attempts_and_stop_match_a_counting_oracle(case, horizon):
 
         def spy(name, check):
             def counted(*args):
-                calls.append((name, check(*args)))
-                return calls[-1][1]
+                said_yes = check(*args)
+                calls.append((name, said_yes))
+                return said_yes
 
             return counted
 
