@@ -319,6 +319,33 @@ def _iprod(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
             math.nextafter(max(p, q, r, s), math.inf))
 
 
+def _q_bound(p11: float, p12: float, p22: float, j11l: float, j11h: float,
+             j12l: float, j12h: float, j21l: float, j21h: float,
+             j22l: float, j22h: float) -> float:
+    """An upper bound on lambda_max(P M + M^T P) over every M in the box
+    [j11l, j11h] x ... x [j22l, j22h], for P = [[p11, p12], [p12, p22]]
+    with p11, p22 > 0. Q(M) = P M + M^T P is linear in M, so each entry is
+    enclosed from the products of P's entries with the ends, rounded
+    outward: the upper ends of Q_11 and Q_22, both ends of Q_12. Then
+    lambda_max(Q) <= max(Q_11, Q_22) + |Q_12| (Gershgorin). An inf or
+    nan end, or a product past the float range, makes an entry of Q not
+    finite, and that gives inf, so that max never drops a nan."""
+    nx, up, dn = math.nextafter, math.inf, -math.inf
+    q11 = 2.0 * nx(nx(p11 * j11h, up)
+                   + nx(max(p12 * j21l, p12 * j21h), up), up)
+    q22 = 2.0 * nx(nx(max(p12 * j12l, p12 * j12h), up)
+                   + nx(p22 * j22h, up), up)
+    q12l = nx(nx(nx(p11 * j12l, dn) + nx(p22 * j21l, dn), dn)
+              + nx(nx(min(p12 * j11l, p12 * j11h), dn)
+                   + nx(min(p12 * j22l, p12 * j22h), dn), dn), dn)
+    q12h = nx(nx(nx(p11 * j12h, up) + nx(p22 * j21h, up), up)
+              + nx(nx(max(p12 * j11l, p12 * j11h), up)
+                   + nx(max(p12 * j22l, p12 * j22h), up), up), up)
+    if not (q11 + q22 + q12l + q12h) * 0.0 == 0.0:
+        return math.inf
+    return nx(max(q11, q22) + max(-q12l, q12h), up)
+
+
 def _basin(disease: DiseaseParams, nu: VaRatePolicy, beta: ResponseParams):
     """The basin certificate on the planar (theta, psi) field, with the
     parameters bound. Returns (locate, certify, located).
@@ -340,8 +367,9 @@ def _basin(disease: DiseaseParams, nu: VaRatePolicy, beta: ResponseParams):
     `located(centre, point)` is True if `point` lies within _CERTIFY_BELOW
     of `centre` in max-norm and Dg(centre) has tr < 0 < det. It proves
     nothing; it is the stop for equilibria on the kink beta psi = 1, where
-    no ellipsoid clears the kink (step 3 below), and it is only asked
-    where the planar drift is below _CERTIFY_BELOW as well.
+    the box of every ellipsoid reaches both sides of the kink and is
+    refused (step 3 below), and it is only asked where the planar drift is
+    below _CERTIFY_BELOW as well.
 
     `certify(centre, point)` is True only if the exact flow from every state
     with eta > 0 whose (theta, psi) is `point` converges to one equilibrium
@@ -356,28 +384,30 @@ def _basin(disease: DiseaseParams, nu: VaRatePolicy, beta: ResponseParams):
                           [-(ac + bd), det + a^2 + b^2]]), and p11 > 0 and
        det P > 0 are checked with det P rounded down. A and P are the
        floats computed; every bound below is taken for those floats, so
-       their own rounding (Q below is -I only up to it) is charged where it
-       shows.
+       their own rounding (P A + A^T P is -I only up to it) is charged
+       where it shows.
     2. E = {y : (y - y*)^T P (y - y*) <= l}. The level l is an upper bound
        on the level of `point`, whose offset from y* is enclosed by one
        float either side of the rounded difference, so `point` lies in E.
        E's bounding box B has half-widths sqrt(l (P^-1)_ii), rounded up; a
        half-width above 1 refuses.
-    3. Over B, in interval arithmetic: varrho > 0, and an enclosure of Dg.
-       Across the kink beta psi = 1 of min(1, beta psi) the enclosure is
-       the hull of both branches. Delta_ij = max(hi_ij - A_ij,
-       A_ij - lo_ij) bounds |Dg(x) - A| entrywise on B. Q = P A + A^T P is
-       enclosed too, and lambda_max(Q) <= max_i Q_ii + |Q_12| (Gershgorin).
-    4. m = -(lambda_max(Q) + 2 |P| |Delta|_F), with |P| = lambda_max(P)
-       = (p11 + p22)/2 + sqrt(((p11 - p22)/2)^2 + p12^2) rounded up. For x, z
-       in E (convex, inside B), the mean value theorem along the segment (g
-       is Lipschitz; the hull covers the kink) gives g(x) - g(z) =
-       M (x - z) with |M - A| <= Delta, and |P (M - A)|_2 <= |P| |Delta|_F,
-       so 2 (x - z)^T P (g(x) - g(z)) <= -m |x - z|^2. If m > 0, E holds
-       at most one equilibrium.
-    5. On the boundary of E, |y - y*| >= sqrt(l / |P|). With r = g(y*), the
-       residual of Newton, enclosed at the point, the derivative of
-       V = (y - y*)^T P (y - y*) along g is at most
+    3. Over B, in interval arithmetic: varrho > 0, and an enclosure D of
+       Dg. B must lie on one side of the kink beta psi = 1 of
+       min(1, beta psi), and a box that reaches both sides is refused; so
+       g is a polynomial on B and D encloses its Jacobian there. Q(M) =
+       P M + M^T P is linear in M, so Q is enclosed entrywise over D from
+       the products of p11, p12 and p22 with D's ends, and for every M in
+       D, lambda_max(Q(M)) <= max_i Q_ii + |Q_12| (Gershgorin) at the
+       upper ends of Q_11, Q_22 and |Q_12| (_q_bound).
+    4. m = -(that bound). For x, z in E (convex, inside B), the mean value
+       theorem along the segment gives g(x) - g(z) = M (x - z), with M the
+       mean of Dg over the segment, which lies in the box D. So
+       2 (x - z)^T P (g(x) - g(z)) = (x - z)^T Q(M) (x - z)
+       <= -m |x - z|^2. If m > 0, E holds at most one equilibrium.
+    5. On the boundary of E, |y - y*| >= sqrt(l / |P|), with |P| =
+       lambda_max(P) = (p11 + p22)/2 + sqrt(((p11 - p22)/2)^2 + p12^2)
+       rounded up. With r = g(y*), the residual of Newton, enclosed at the
+       point, the derivative of V = (y - y*)^T P (y - y*) along g is at most
        2 |P| |r| |y - y*| - m |y - y*|^2 there. The test
        m sqrt(l / |P|) > 2 |P| |r| makes it negative, so E is forward
        invariant and, being compact and convex, holds an equilibrium x. By
@@ -480,14 +510,13 @@ def _basin(disease: DiseaseParams, nu: VaRatePolicy, beta: ResponseParams):
         if not x > 0.0:
             return False
         # Dg over the box: lam (1 - 1/rho - 2 theta - psi), -lam theta, and
-        # the branches of min(1, beta psi) that the box reaches, hulled
+        # the branch of min(1, beta psi) that the box lies on; a box that
+        # reaches both sides of the kink beta psi = 1 is refused
         j11l = nx(lam * nx(nx(omr_l - 2.0 * th, dn) - sh, dn), dn)
         j11h = nx(lam * nx(nx(omr_h - 2.0 * tl, up) - sl, up), up)
         j12l, j12h = nx(-lam * th, dn), nx(-lam * tl, up)
         al, ah = nx(bt * sl, dn), nx(bt * sh, up)
-        j21l = j22l = up
-        j21h = j22h = dn
-        if al < 1.0:
+        if ah < 1.0:
             # a = beta psi: -a s and -a s + phi (beta s + a nu_e) - b
             xl, xh = _iprod(al, ah, ul, uh)
             yl, yh = _iprod(fl, fh,
@@ -496,18 +525,13 @@ def _basin(disease: DiseaseParams, nu: VaRatePolicy, beta: ResponseParams):
             j21l, j21h = -xh, -xl
             j22l = nx(nx(yl - xh, dn) - b, dn)
             j22h = nx(nx(yh - xl, up) - b, up)
-        if not ah < 1.0:
+        elif al >= 1.0:
             # a = 1: -s and -s + phi nu_e - b
-            j21l, j21h = min(j21l, -uh), max(j21h, -ul)
-            j22l = min(j22l, nx(nx(nx(fl * nu_e, dn) - uh, dn) - b, dn))
-            j22h = max(j22h, nx(nx(nx(fh * nu_e, up) - ul, up) - b, up))
-        # Q = P A + A^T P: upper ends of the diagonal, both ends of Q_12
-        q11 = 2.0 * nx(nx(p11 * a11, up) + nx(p12 * a21, up), up)
-        q22 = 2.0 * nx(nx(p12 * a12, up) + nx(p22 * a22, up), up)
-        q12l = nx(nx(nx(p11 * a12, dn) + nx(p12 * a22, dn), dn)
-                  + nx(nx(p12 * a11, dn) + nx(p22 * a21, dn), dn), dn)
-        q12h = nx(nx(nx(p11 * a12, up) + nx(p12 * a22, up), up)
-                  + nx(nx(p12 * a11, up) + nx(p22 * a21, up), up), up)
+            j21l, j21h = -uh, -ul
+            j22l = nx(nx(nx(fl * nu_e, dn) - uh, dn) - b, dn)
+            j22h = nx(nx(nx(fh * nu_e, up) - ul, up) - b, up)
+        else:
+            return False
         # |g(y*)|: lam theta (phi - 1/rho), and phi a s - b psi with
         # a = min(1, beta psi) monotone
         fl, fh = nx(nx(1.0 - c0, dn) - c1, dn), nx(nx(1.0 - c0, up) - c1, up)
@@ -518,20 +542,13 @@ def _basin(disease: DiseaseParams, nu: VaRatePolicy, beta: ResponseParams):
         xl, xh = _iprod(xl, xh, nx(nu_b + nx(nu_e * c1, dn), dn),
                         nx(nu_b + nx(nu_e * c1, up), up))
         r1 = max(-nx(xl - nx(b * c1, up), dn), nx(xh - nx(b * c1, dn), up))
-        if not (j11l + j11h + j12l + j12h + j21l + j21h + j22l + j22h
-                + q11 + q22 + q12l + q12h + r0 + r1) * 0.0 == 0.0:
+        margin = -_q_bound(p11, p12, p22, j11l, j11h, j12l, j12h,
+                           j21l, j21h, j22l, j22h)
+        if not (margin + r0 + r1) * 0.0 == 0.0:
             return False
-        x = 0.0
-        for lo, hi, a in ((j11l, j11h, a11), (j12l, j12h, a12),
-                          (j21l, j21h, a21), (j22l, j22h, a22)):
-            y = nx(max(hi - a, a - lo), up)
-            x = nx(x + nx(y * y, up), up)
-        delta = nx(math.sqrt(x), up)
-        lam_q = nx(max(q11, q22) + max(-q12l, q12h), up)
         x = nx(abs(p11 - p22) * 0.5, up)
         norm_p = nx(nx((p11 + p22) * 0.5, up) + nx(math.sqrt(
             nx(nx(x * x, up) + nx(p12 * p12, up), up)), up), up)
-        margin = -nx(lam_q + 2.0 * nx(norm_p * delta, up), up)
         res = nx(math.sqrt(nx(nx(r0 * r0, up) + nx(r1 * r1, up), up)), up)
         return (margin > 0.0
                 and nx(margin * nx(math.sqrt(nx(level / norm_p, dn)), dn),
@@ -577,9 +594,9 @@ def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
     run still stops ("located") where the planar drift is below
     _CERTIFY_BELOW = 1e-6, Dg(y*) has tr < 0 < det, and theta and psi both
     lie within 1e-6 of y*. That stop is not a proof; it serves the
-    equilibria on the kink beta psi* = 1, where no ellipsoid clears the
-    kink. Either way `limit` is (theta*, psi*, (b - d)/varrho(theta*,
-    psi*)).
+    equilibria on the kink beta psi* = 1, where the certificate refuses
+    every ellipsoid whose box reaches both sides of the kink. Either way
+    `limit` is (theta*, psi*, (b - d)/varrho(theta*, psi*)).
 
     A run that reaches its horizon without a stop, that last attempt
     included, reports converged=False instead of raising, and so does a

@@ -32,7 +32,7 @@ from .ess import Admissibility, eradication_threshold, is_admissible
 # tabled sums below reproduce; they stay names of this module because the
 # benchmark's tracer (perfbench/tracing.py) wraps them here.
 from .game import (_P_DOWN, PROBES, InfluencerGameConfig, _cdf_row,
-                   _mixed_root, binom_cdf, binom_cdf_vec_interp,
+                   _mixed_root, _read_only, binom_cdf, binom_cdf_vec_interp,
                    bisect_decreasing, final_gamma_draws, p_from_gamma,
                    p_from_gamma_vec)  # noqa: F401
 from .params import (MAX_DRAWS, MAX_INFLUENCERS, MAX_RATE, DiseaseParams,
@@ -198,13 +198,16 @@ def _knot_tables(m: int, z_bar: int, c_i: float, c_v: float) -> _Knots:
     and f are read-only rows of game._cdf_row, from the one-pass tables of
     m - 1 and m trials, which hold every threshold; the rest is computed
     once per entry, and nothing is built before the first evaluation.
+    Every array of an entry is read-only, since the cache hands the same
+    entry to every caller.
     """
     w, f = _cdf_row(m - 1, z_bar - 1), _cdf_row(m, z_bar - 1)
     dw = np.diff(w)
-    sp, sf = (np.divide(np.diff(v), dw, out=np.zeros_like(dw),
-                        where=dw >= np.finfo(float).tiny)
+    sp, sf = (_read_only(np.divide(np.diff(v), dw, out=np.zeros_like(dw),
+                                   where=dw >= np.finfo(float).tiny))
               for v in (_P_DOWN, f))
-    return _Knots(c_i * w - c_v, c_i * dw, w, f, sp, sf)
+    return _Knots(_read_only(c_i * w - c_v), _read_only(c_i * dw), w, f,
+                  sp, sf)
 
 
 def _mixed_run(g: float, gams: np.ndarray,
@@ -246,15 +249,16 @@ def _knot_search(g: float, cfg: InfluencerGameConfig,
     within its segment's end values. The difference of the rounded G_k
     would not: it can be several times wider (8.9e-16 against 1.1e-16 at
     C_i = 0.01), far enough for a steep segment of p to read a draw as a
-    negative probability. Only the knots a.. from the last one at or
-    below the run's first draw to the first one above its last draw are
-    searched; the others bound no draw of the run. The first knot, w_0 =
-    0, is G_0 = fl(g - C_v), the searchsorted start of _mixed_run's lo, so
-    no draw of the run lies below the first searched knot; tail counts the
-    run's draws from the last one on. cnt is None for an empty run. tab is
-    the knot table of cfg, which holds C_i w_k - C_v and C_i dw_k, so a
-    search adds g to the knots and makes its other numpy calls on the
-    searched knots alone; the sums read their values and slopes from it.
+    negative probability. Only the knots a.. from the last one at or below
+    the run's first draw to the first one above its last draw (or the
+    table's last) are searched; the others bound no draw of the run. The
+    first knot, w_0 = 0, is G_0 = fl(g - C_v), the searchsorted start of
+    _mixed_run's lo, so a >= 0 and no draw of the run lies below the first
+    searched knot; tail counts the run's draws from the last one on. cnt is
+    None for an empty run. tab is the knot table of cfg, which holds
+    C_i w_k - C_v and C_i dw_k, so a search adds g to the knots and makes
+    its other numpy calls on the searched knots alone; the sums read their
+    values and slopes from it.
     """
     tab = _knot_tables(cfg.m, cfg.z_bar, cfg.c_i, cfg.c_v)
     gams, sums, center = draws.gams, draws.sums, draws.center
@@ -263,7 +267,7 @@ def _knot_search(g: float, cfg: InfluencerGameConfig,
         return lo, hi, 0, None, None, 0, tab
     knots = tab.knots + g
     a, b = knots.searchsorted((gams[lo], gams[hi - 1]), side="right").tolist()
-    a, b = max(a - 1, 0), min(b, len(knots) - 1)
+    a -= 1
     knots = knots[a:b + 1]
     pos = gams[lo:hi].searchsorted(knots)
     pos += lo

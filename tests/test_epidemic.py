@@ -1,6 +1,8 @@
+import itertools
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -595,10 +597,10 @@ def test_kink_returns_converge_where_the_old_rule_does(case):
 def test_tiny_eta_start_is_certified():
     # h0 = 0.01 d0 / d1 underflows to 0 here; the first step is then the
     # minimum step, and the run still reaches the basin certificate after
-    # 120 steps (the Jacobian rule of _reference_integrate takes 1732)
+    # 96 steps (the Jacobian rule of _reference_integrate takes 1732)
     res = vg.integrate_to_equilibrium(*_tiny_eta_start(1e-300))
     assert res.converged and "basin certificate" in res.message
-    assert len(res.t) - 1 == 120
+    assert len(res.t) - 1 == 96
 
 
 def test_vanishing_eta_start_reports_step_collapse():
@@ -722,17 +724,17 @@ def test_attempts_and_stop_match_a_counting_oracle(case, horizon):
 
 
 def test_population_pass_attempt_counts():
-    # the benchmark's FULL seed-1 population pass: 256 returns make 521
-    # basin attempts, and 151 of them are certified at their start
+    # the benchmark's FULL seed-1 population pass: 256 returns make 380
+    # basin attempts, and 204 of them are certified at their start
     from perfbench.workloads import FULL, Population
 
     pop = Population(1, FULL)
     runs = [pop.op(k)[1] for k in pop.items(0)]
     assert len(runs) == 256 and all(r.converged for r in runs)
-    assert sum(r.basin_attempts for r in runs) == 521
+    assert sum(r.basin_attempts for r in runs) == 380
     at_start = [r for r in runs if r.basin_attempts == 1
                 and r.stop == "basin certificate"]
-    assert len(at_start) == 151 and all(len(r.t) == 1 for r in at_start)
+    assert len(at_start) == 204 and all(len(r.t) == 1 for r in at_start)
 
 
 def test_run_reaching_its_horizon_makes_a_last_attempt():
@@ -905,6 +907,194 @@ def test_basin_refuses_a_box_straddling_the_kink():
     assert np.max(np.abs(res.limit.as_array()
                          - er.state().as_array())) < 1e-10
     assert np.max(np.abs(res.limit.as_array() - states[-1])) < 2 * _TOL
+
+
+_ENDS = st.floats(-50.0, 50.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.tuples(st.floats(1e-3, 10.0), st.floats(-10.0, 10.0),
+                   st.floats(1e-3, 10.0)),
+       ends=st.tuples(*[st.tuples(_ENDS, _ENDS)] * 4))
+# P with p12 = +-1/2 on boxes where one vertex puts Q_11 = Q_22 = 3 and
+# Q_12 = +-3 together, so that lambda_max there is 6, the exact bound: any
+# end of an entry taken on the wrong side gives a bound below it
+@example(p=(1.0, 0.5, 1.0), ends=((0.0, 1.0),) * 4)
+@example(p=(1.0, -0.5, 1.0),
+         ends=((0.0, 1.0), (-1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)))
+def test_q_bound_covers_every_vertex(p, ends):
+    # lambda_max(P M + M^T P) is convex in M, so over the box it is largest
+    # at one of the 16 vertices. At each, in fractions, B I - Q must be
+    # positive semidefinite for the bound B: B >= Q_11, B >= Q_22 and
+    # (B - Q_11)(B - Q_22) >= Q_12^2
+    p11, p12, p22 = p
+    box = [(min(e), max(e)) for e in ends]
+    bound = epidemic._q_bound(p11, p12, p22, *(v for e in box for v in e))
+    b = Fraction(bound)
+    f11, f12, f22 = Fraction(p11), Fraction(p12), Fraction(p22)
+    for m11, m12, m21, m22 in itertools.product(
+            *[(Fraction(lo), Fraction(hi)) for lo, hi in box]):
+        q11 = 2 * (f11 * m11 + f12 * m21)
+        q22 = 2 * (f12 * m12 + f22 * m22)
+        q12 = f11 * m12 + f12 * m11 + f12 * m22 + f22 * m21
+        assert b >= q11 and b >= q22
+        assert (b - q11) * (b - q22) >= q12 * q12
+
+
+def test_q_bound_is_inf_past_the_float_range():
+    # an infinite end (-inf below, inf above, as certify's outward
+    # rounding gives them), a nan end, or a product past the float range
+    # gives inf, so certify needs no finiteness test of the ends. With
+    # p12 = 0 a nan end of Q_22 reaches no other entry, and max(Q_11, nan)
+    # would drop it for a finite bound
+    ends = [0.0, 1.0] * 4
+    for at, nan, p12 in itertools.product(range(8), (False, True),
+                                          (0.0, 0.5, -0.5)):
+        end = math.nan if nan else (math.inf if at % 2 else -math.inf)
+        bad = ends[:at] + [end] + ends[at + 1:]
+        assert epidemic._q_bound(1.0, p12, 1.0, *bad) == math.inf
+    assert epidemic._q_bound(1e300, 0.0, 1.0, *[0.0, 1e300] * 4) == math.inf
+
+
+def _exact_planar_field(disease, nu, beta):
+    """g of `_basin`'s docstring over fractions.Fraction, from the float
+    constants the stepper reads (1/rho included): exact, kink and all."""
+    lam, inv_rho, b = (Fraction(v) for v in (disease.lam, 1.0 / disease.rho,
+                                             disease.b))
+    nu_b, nu_e, bt = Fraction(nu.nu_b), Fraction(nu.nu_e), Fraction(beta.beta)
+
+    def g(theta, psi):
+        phi = 1 - theta - psi
+        return (lam * theta * (phi - inv_rho),
+                phi * min(Fraction(1), bt * psi) * (nu_b + nu_e * psi)
+                - b * psi)
+
+    return g
+
+
+def _planar(disease, nu, beta, y):
+    """g over the columns of y in floats, only to rank pairs."""
+    theta, psi = y
+    phi = 1.0 - theta - psi
+    return np.array([disease.lam * theta * (phi - 1.0 / disease.rho),
+                     phi * np.minimum(1.0, beta.beta * psi)
+                     * (nu.nu_b + nu.nu_e * psi) - disease.b * psi])
+
+
+def _lyapunov_matrix(disease, nu, beta, centre):
+    """P with A^T P + P A = -I at A = Dg(centre) in floats, by the closed
+    form of `_basin`'s step 1, and Dg of the branch of min(1, beta psi)
+    that beta psi picks at the centre."""
+    lam, inv_rho, b = disease.lam, 1.0 / disease.rho, disease.b
+    theta, psi = centre
+    phi, supply, accept = 1.0 - theta - psi, nu.nu_b + nu.nu_e * psi, (
+        beta.beta * psi)
+    a11, a12 = lam * (phi - theta - inv_rho), -lam * theta
+    if accept < 1.0:
+        a21 = -accept * supply
+        a22 = (-accept * supply
+               + phi * (beta.beta * supply + accept * nu.nu_e) - b)
+    else:
+        a21, a22 = -supply, -supply + phi * nu.nu_e - b
+    tr, det = a11 + a22, a11 * a22 - a12 * a21
+    k = -1.0 / (2.0 * tr * det)
+    return (k * (det + a21 * a21 + a22 * a22), -k * (a11 * a21 + a12 * a22),
+            k * (det + a11 * a11 + a12 * a12))
+
+
+@st.composite
+def _basin_cases(draw):
+    """Parameters of a stability row or of an eradicating point on the
+    kink, and a point 10^U off that candidate (U in [-9, -0.5]) with the
+    Newton point from it as the centre, as a basin attempt takes them. The
+    kinks are the fig-5 one of _kink_returns and a steep one, where Dg_22
+    is about +0.58 just below the kink and -1.42 just above it: there an
+    ellipsoid that reaches far enough below the kink does not contract,
+    which a bound that read the upper branch alone would miss."""
+    kind = draw(st.sampled_from(("row", "kink", "steep kink")))
+    if kind == "row":
+        row = draw(st.sampled_from(("non_vaccinating", "eradicating",
+                                    "co_occurring")))
+        dis, nu, beta = _row_draw(np.random.default_rng(
+            draw(st.integers(0, 2 ** 32 - 1))), row)
+        att = getattr(vg.candidate_attractors(dis, nu, beta), row)
+        cand = (att.theta, att.psi)
+    else:
+        dis, nu = ((fig5_disease(), vg.VaRatePolicy(8.0, 3.0))
+                   if kind == "kink" else
+                   (vg.DiseaseParams(lam=5.2, r=2.0, b=2.0, d=0.5),
+                    vg.VaRatePolicy(0.1, 3.0)))
+        cand = (0.0, vg.psi_eradicating(nu, dis.b))
+        gap = (draw(st.sampled_from((-1.0, 1.0)))
+               * 10.0 ** draw(st.floats(-13.0, -2.0)))
+        beta = vg.ResponseParams((1.0 + gap) / cand[1])
+    size = 10.0 ** draw(st.floats(-9.0, -0.5))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    point = (max(cand[0] + size * math.cos(angle), 0.0),
+             max(cand[1] + size * math.sin(angle), 0.0))
+    locate, _, _ = epidemic._basin(dis, nu, beta)
+    return dis, nu, beta, locate(*point), point, draw(st.integers(0, 99))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_basin_cases())
+def test_certified_ellipsoids_contract_in_exact_arithmetic(case):
+    # for x != z in the ellipsoid E of P around the centre through the
+    # point, a certificate claims (x - z)^T P (g(x) - g(z)) < 0 (step 4 of
+    # _basin's docstring). The test takes its own P from the closed form
+    # and its own level through the point. Floats only pick the pairs to
+    # check: of 2,000 pairs in E, inside and just within its boundary, far
+    # apart and close together, the eight with the largest float form whose
+    # points lie in E and differ. Membership in E and the form are
+    # evaluated in fractions, so rounding cannot decide either
+    dis, nu, beta, centre, point, seed = case
+    _, certify, _ = epidemic._basin(dis, nu, beta)
+    if not certify(centre, point):
+        return
+    p11, p12, p22 = _lyapunov_matrix(dis, nu, beta, centre)
+    P = np.array([[p11, p12], [p12, p22]])
+    c = np.array(centre)
+    level = float(np.subtract(point, c) @ P @ np.subtract(point, c))
+    # x = c + sqrt(level) L u lies in E for |u| <= 1, with L L^T = P^-1
+    half = math.sqrt(level) * np.linalg.cholesky(np.linalg.inv(P))
+    rng = np.random.default_rng(seed)
+
+    def disk(n, edge):
+        u = rng.normal(size=(2, n))
+        u /= np.linalg.norm(u, axis=0)
+        return u * (edge if edge else np.sqrt(rng.uniform(size=n)))
+
+    x = c[:, None] + half @ np.hstack([disk(1000, None),
+                                       disk(1000, 1.0 - 1e-6)])
+    z = c[:, None] + half @ np.hstack([disk(1000, None), disk(1000, None)])
+    z[:, ::2] = x[:, ::2] + half @ disk(1000, 1e-6)
+    dx, dz = x - z, _planar(dis, nu, beta, x) - _planar(dis, nu, beta, z)
+    score = np.einsum("ik,ij,jk->k", dx, P, dz) / np.einsum("ik,ik->k",
+                                                             dx, dx)
+    g = _exact_planar_field(dis, nu, beta)
+    F = [[Fraction(p11), Fraction(p12)], [Fraction(p12), Fraction(p22)]]
+
+    def form(u, v):
+        return (u[0] * (F[0][0] * v[0] + F[0][1] * v[1])
+                + u[1] * (F[1][0] * v[0] + F[1][1] * v[1]))
+
+    cf = (Fraction(centre[0]), Fraction(centre[1]))
+    e = (Fraction(point[0]) - cf[0], Fraction(point[1]) - cf[1])
+    bound = form(e, e)
+    checked = 0
+    for k in np.argsort(score)[::-1]:
+        a, b = ((Fraction(float(v[0, k])), Fraction(float(v[1, k])))
+                for v in (x, z))
+        if a == b or any(form(o, o) > bound for o in (
+                (a[0] - cf[0], a[1] - cf[1]), (b[0] - cf[0], b[1] - cf[1]))):
+            continue
+        ga, gb = g(*a), g(*b)
+        assert form((a[0] - b[0], a[1] - b[1]),
+                    (ga[0] - gb[0], ga[1] - gb[1])) < 0
+        checked += 1
+        if checked == 8:
+            break
+    assert checked == 8
 
 
 def test_basin_refuses_the_non_hyperbolic_point():

@@ -758,6 +758,17 @@ class TestTableBuilds:
         rows = game._cdf_rows.cache_info()
         assert (rows.misses, rows.currsize) == (2, 2)
 
+    def test_entries_are_read_only(self):
+        # the cache hands one entry to every caller of a game, threshold
+        # and costs, so an in-place write would change every later solve
+        # of them; each field refuses one (writing its own values back, so
+        # that a writable field would change nothing)
+        tab = leader._knot_tables(40, 20, 5.0, 1.0)
+        for name in tab._fields:
+            v = getattr(tab, name)
+            with pytest.raises(ValueError, match="read-only"):
+                v[:1] = v[:1]
+
     @pytest.mark.parametrize("m", [100, 200, 1000])
     def test_slopes_are_finite_past_the_recurrence(self, m):
         # past 86 trials some knot widths are subnormal, where a difference
