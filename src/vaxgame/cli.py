@@ -42,7 +42,7 @@ from .params import (MAX_DRAWS, MAX_INFLUENCERS, DiseaseParams,
 SWEEP_VARS = ("zbar", "delta", "sigma2", "theta_star", "s")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """One sweep over a single variable, everything else held fixed.
 
@@ -52,7 +52,7 @@ class ScenarioConfig:
     linear (no c_f_table), and the game of a theta_star or s sweep must
     list no incentives, which fix it to its own z_bar while such a sweep
     solves each point at its design's k*; a bad field raises InvalidInput
-    when the object is built.
+    when the object is built, and it is frozen, so none is set after.
     So does a grid value whose point (see `point`) cannot be built, with a
     message that starts with "grid".
     """

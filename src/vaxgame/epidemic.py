@@ -578,13 +578,13 @@ def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
     scaled by the same factor, at most 10 (at most 1 after a rejection).
     Every accepted step is recorded.
 
-    The run stops as converged only at a basin attempt. One is made at the
-    start, right after the start's drift and before the first step size
-    and the stepper's constants, at each accepted step whose planar drift
+    The run stops as converged only at a basin attempt, made by one rule
+    at each state with eta > 0: the start (before the first step size and
+    the stepper's constants), each accepted step whose planar drift
     max(|theta'|, |psi'|) has fallen to _BASIN_RETRY = 1/4 of its value at
-    the last failed attempt, and a last one at the state that reaches the
-    horizon. Newton on the planar (theta, psi) field
-    locates an equilibrium y*, and `_basin` tries to prove that the
+    the last failed attempt, and the state that reaches the horizon,
+    whatever its drift. Newton on the planar (theta, psi) field locates an
+    equilibrium y*, and `_basin` tries to prove that the
     ellipsoid of a quadratic Lyapunov function around y*, through the
     current state, lies in y*'s region of attraction (Khalil, Nonlinear
     Systems, Sec. 8.2, checked in interval arithmetic). If it does, the run
@@ -622,7 +622,10 @@ def integrate_to_equilibrium(init: OdeState, disease: DiseaseParams,
 def _integrate(init: OdeState, disease: DiseaseParams, nu: VaRatePolicy,
                beta: ResponseParams, horizon: float,
                basin: bool) -> IntegrationResult:
-    """The one loop behind integrate_to_equilibrium. With basin=False it
+    """The one loop behind integrate_to_equilibrium: each pass makes a
+    basin attempt at its state if it is the start, its drift has fallen to
+    a quarter or it reaches the horizon (eta > 0 in each case), stops on a
+    stop or at the horizon, and else takes one step. With basin=False it
     makes no basin attempt, so that the path runs on to the horizon (or a
     step size collapse): `matched_ode` needs the path itself.
 
@@ -641,8 +644,8 @@ def _integrate(init: OdeState, disease: DiseaseParams, nu: VaRatePolicy,
            "stable equilibrium")
     k0, k1, k2, _ = f(y0, y1, y2)
     evals, attempts, stop = 1, 0, None
-    # a basin attempt is made where the planar drift is at most `retry`:
-    # at the start, and never on the path route (drift is >= 0)
+    # attempts where the planar drift is at most `retry` (the start's
+    # included; none on the path route, as drift >= 0) and at the horizon
     retry = math.inf if basin else -1.0
     if basin:
         locate, certify, located = _basin(disease, nu, beta)
@@ -659,125 +662,114 @@ def _integrate(init: OdeState, disease: DiseaseParams, nu: VaRatePolicy,
                                 f"{_CERTIFY_BELOW} of a Newton point where "
                                 "Dg is stable")
             return centre, None
-    # the first attempt comes before the stepper's set-up, so that a start
-    # it closes pays for no first step size
-    drift = abs(k0) if abs(k0) > abs(k1) else abs(k1)
-    if horizon > 0.0 and drift <= retry and y2 > 0.0:
-        attempts = 1
-        centre, stop = attempt(y0, y1, drift)
-        retry = _BASIN_RETRY * drift
-    if stop is None and horizon > 0.0:
-        h_abs = _initial_step(f, (y0, y1, y2), (k0, k1, k2), horizon)
-        evals = 2
-        # One flat loop over scalar locals: each stage and the error norm
-        # are written out with the constants bound here, and builtin
-        # min/max are comparisons that give the same double. Every float
-        # operation keeps the operands and the order of the textbook step,
-        # so the result is bit-identical to a step function over tuples.
-        a21 = _A21
-        a31, a32 = _A31, _A32
-        a41, a42, a43 = _A41, _A42, _A43
-        a51, a52, a53, a54 = _A51, _A52, _A53, _A54
-        a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
-        b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
-        e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
-        atol, rtol, max_step = _ATOL, _RTOL, _MAX_STEP
-        safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
-        exponent = _ERROR_EXPONENT
-        sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
-        while t < horizon:
-            # retry from (t, y) until a step passes the error test, or the
-            # step falls below ten units in the last place of t
-            min_step = 10 * (nextafter(t, inf) - t)
-            if h_abs > max_step:
-                h_abs = max_step
-            elif h_abs < min_step:
-                h_abs = min_step
-            rejected = False
-            while h_abs >= min_step:
-                t_new = t + h_abs
-                if t_new > horizon:
-                    t_new = horizon
-                h = t_new - t
-                evals += 6
-                p0, p1, p2, _ = f(y0 + a21 * k0 * h, y1 + a21 * k1 * h,
-                                  y2 + a21 * k2 * h)
-                q0, q1, q2, _ = f(y0 + (a31 * k0 + a32 * p0) * h,
-                                  y1 + (a31 * k1 + a32 * p1) * h,
-                                  y2 + (a31 * k2 + a32 * p2) * h)
-                r0, r1, r2, _ = f(
-                    y0 + (a41 * k0 + a42 * p0 + a43 * q0) * h,
-                    y1 + (a41 * k1 + a42 * p1 + a43 * q1) * h,
-                    y2 + (a41 * k2 + a42 * p2 + a43 * q2) * h)
-                s0, s1, s2, _ = f(
-                    y0 + (a51 * k0 + a52 * p0 + a53 * q0 + a54 * r0) * h,
-                    y1 + (a51 * k1 + a52 * p1 + a53 * q1 + a54 * r1) * h,
-                    y2 + (a51 * k2 + a52 * p2 + a53 * q2 + a54 * r2) * h)
-                u0, u1, u2, _ = f(
-                    y0 + (a61 * k0 + a62 * p0 + a63 * q0 + a64 * r0
-                          + a65 * s0) * h,
-                    y1 + (a61 * k1 + a62 * p1 + a63 * q1 + a64 * r1
-                          + a65 * s1) * h,
-                    y2 + (a61 * k2 + a62 * p2 + a63 * q2 + a64 * r2
-                          + a65 * s2) * h)
-                n0 = y0 + h * (b1 * k0 + b3 * q0 + b4 * r0 + b5 * s0
-                               + b6 * u0)
-                n1 = y1 + h * (b1 * k1 + b3 * q1 + b4 * r1 + b5 * s1
-                               + b6 * u1)
-                n2 = y2 + h * (b1 * k2 + b3 * q2 + b4 * r2 + b5 * s2
-                               + b6 * u2)
-                l0, l1, l2, _ = f(n0, n1, n2)
-                # RMS of the embedded error over
-                # _ATOL + _RTOL * max(|y|, |y_new|)
-                w0, x = abs(y0), abs(n0)
-                if x > w0:
-                    w0 = x
-                w1, x = abs(y1), abs(n1)
-                if x > w1:
-                    w1 = x
-                w2, x = abs(y2), abs(n2)
-                if x > w2:
-                    w2 = x
-                w0 = ((e1 * k0 + e3 * q0 + e4 * r0 + e5 * s0 + e6 * u0
-                       + e7 * l0) * h / (atol + w0 * rtol))
-                w1 = ((e1 * k1 + e3 * q1 + e4 * r1 + e5 * s1 + e6 * u1
-                       + e7 * l1) * h / (atol + w1 * rtol))
-                w2 = ((e1 * k2 + e3 * q2 + e4 * r2 + e5 * s2 + e6 * u2
-                       + e7 * l2) * h / (atol + w2 * rtol))
-                err = sqrt((w0 * w0 + w1 * w1 + w2 * w2) / 3.0)
-                if err < 1.0:
-                    break
-                x = safety * err ** exponent
-                h_abs = h * (x if x > min_factor else min_factor)
-                rejected = True
-            else:
-                msg = f"step size collapsed at t = {t:.6g}"
+    while horizon > 0.0:
+        drift = abs(k0) if abs(k0) > abs(k1) else abs(k1)
+        if (drift <= retry or basin and t >= horizon) and y2 > 0.0:
+            attempts += 1
+            centre, stop = attempt(y0, y1, drift)
+            retry = _BASIN_RETRY * drift
+        if stop is not None or t >= horizon:
+            break
+        if evals == 1:
+            # the first pass: the stepper's set-up comes after the start's
+            # attempt, so that a start it closes pays for no first step size
+            h_abs = _initial_step(f, (y0, y1, y2), (k0, k1, k2), horizon)
+            evals = 2
+            # One flat loop over scalar locals: each stage and the error norm
+            # are written out with the constants bound here, and builtin
+            # min/max are comparisons that give the same double. Every float
+            # operation keeps the operands and the order of the textbook step,
+            # so the result is bit-identical to a step function over tuples.
+            a21 = _A21
+            a31, a32 = _A31, _A32
+            a41, a42, a43 = _A41, _A42, _A43
+            a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+            a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+            b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+            e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
+            atol, rtol, max_step = _ATOL, _RTOL, _MAX_STEP
+            safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
+            exponent = _ERROR_EXPONENT
+            sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
+        # retry from (t, y) until a step passes the error test, or the
+        # step falls below ten units in the last place of t
+        min_step = 10 * (nextafter(t, inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while h_abs >= min_step:
+            t_new = t + h_abs
+            if t_new > horizon:
+                t_new = horizon
+            h = t_new - t
+            evals += 6
+            p0, p1, p2, _ = f(y0 + a21 * k0 * h, y1 + a21 * k1 * h,
+                              y2 + a21 * k2 * h)
+            q0, q1, q2, _ = f(y0 + (a31 * k0 + a32 * p0) * h,
+                              y1 + (a31 * k1 + a32 * p1) * h,
+                              y2 + (a31 * k2 + a32 * p2) * h)
+            r0, r1, r2, _ = f(
+                y0 + (a41 * k0 + a42 * p0 + a43 * q0) * h,
+                y1 + (a41 * k1 + a42 * p1 + a43 * q1) * h,
+                y2 + (a41 * k2 + a42 * p2 + a43 * q2) * h)
+            s0, s1, s2, _ = f(
+                y0 + (a51 * k0 + a52 * p0 + a53 * q0 + a54 * r0) * h,
+                y1 + (a51 * k1 + a52 * p1 + a53 * q1 + a54 * r1) * h,
+                y2 + (a51 * k2 + a52 * p2 + a53 * q2 + a54 * r2) * h)
+            u0, u1, u2, _ = f(
+                y0 + (a61 * k0 + a62 * p0 + a63 * q0 + a64 * r0
+                      + a65 * s0) * h,
+                y1 + (a61 * k1 + a62 * p1 + a63 * q1 + a64 * r1
+                      + a65 * s1) * h,
+                y2 + (a61 * k2 + a62 * p2 + a63 * q2 + a64 * r2
+                      + a65 * s2) * h)
+            n0 = y0 + h * (b1 * k0 + b3 * q0 + b4 * r0 + b5 * s0
+                           + b6 * u0)
+            n1 = y1 + h * (b1 * k1 + b3 * q1 + b4 * r1 + b5 * s1
+                           + b6 * u1)
+            n2 = y2 + h * (b1 * k2 + b3 * q2 + b4 * r2 + b5 * s2
+                           + b6 * u2)
+            l0, l1, l2, _ = f(n0, n1, n2)
+            # RMS of the embedded error over
+            # _ATOL + _RTOL * max(|y|, |y_new|)
+            w0, x = abs(y0), abs(n0)
+            if x > w0:
+                w0 = x
+            w1, x = abs(y1), abs(n1)
+            if x > w1:
+                w1 = x
+            w2, x = abs(y2), abs(n2)
+            if x > w2:
+                w2 = x
+            w0 = ((e1 * k0 + e3 * q0 + e4 * r0 + e5 * s0 + e6 * u0
+                   + e7 * l0) * h / (atol + w0 * rtol))
+            w1 = ((e1 * k1 + e3 * q1 + e4 * r1 + e5 * s1 + e6 * u1
+                   + e7 * l1) * h / (atol + w1 * rtol))
+            w2 = ((e1 * k2 + e3 * q2 + e4 * r2 + e5 * s2 + e6 * u2
+                   + e7 * l2) * h / (atol + w2 * rtol))
+            err = sqrt((w0 * w0 + w1 * w1 + w2 * w2) / 3.0)
+            if err < 1.0:
                 break
-            if err == 0.0:
-                x = max_factor
-            else:
-                x = safety * err ** exponent
-                if not x < max_factor:
-                    x = max_factor
-            if rejected and not x < 1.0:
-                x = 1.0
-            t, h_abs = t_new, h * x
-            y0, y1, y2, k0, k1, k2 = n0, n1, n2, l0, l1, l2
-            ts.append(t)
-            ys.append((y0, y1, y2))
-            # a state at the horizon takes the last attempt below instead
-            drift = abs(k0) if abs(k0) > abs(k1) else abs(k1)
-            if drift <= retry and y2 > 0.0 and t < horizon:
-                attempts += 1
-                centre, stop = attempt(y0, y1, drift)
-                if stop is not None:
-                    break
-                retry = _BASIN_RETRY * drift
+            x = safety * err ** exponent
+            h_abs = h * (x if x > min_factor else min_factor)
+            rejected = True
+        if not h_abs >= min_step:
+            msg = f"step size collapsed at t = {t:.6g}"
+            break
+        if err == 0.0:
+            x = max_factor
         else:
-            # a run that reaches its horizon makes one last attempt there
-            if basin and y2 > 0.0:
-                attempts += 1
-                centre, stop = attempt(y0, y1, max(abs(k0), abs(k1)))
+            x = safety * err ** exponent
+            if not x < max_factor:
+                x = max_factor
+        if rejected and not x < 1.0:
+            x = 1.0
+        t, h_abs = t_new, h * x
+        y0, y1, y2, k0, k1, k2 = n0, n1, n2, l0, l1, l2
+        ts.append(t)
+        ys.append((y0, y1, y2))
     converged, yf = stop is not None, ys[-1]
     if converged:
         evals += 1

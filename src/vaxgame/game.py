@@ -720,7 +720,9 @@ class SpecialStrategy:
     wait-and-watch preset (defer every decision to T-1) is always
     available; it is the influencers' preferred equilibrium. Values and
     decisions are computed on demand and memoized per queried state; the
-    side-effect estimate is real-valued, so no global table is built.
+    side-effect estimate is real-valued, so no global table is built. A
+    decision that reads a stage set first values the states reachable
+    after it from T-1 down, so no query recurses more than one epoch.
 
     Any other selector recurses over cfg.xi.nodes(), so it refuses a
     continuous law with InvalidInput when built, as it does a selector that
@@ -738,6 +740,7 @@ class SpecialStrategy:
         self.selector = selector
         self._dec: dict[tuple[int, int, float], float] = {}
         self._val: dict[tuple[int, int, float], float] = {}
+        self._settled: set[tuple[int, float]] = set()
 
     # -- decisions ---------------------------------------------------------
     def action_set(self, t: int, z: int, c: float) -> StageActionSet:
@@ -758,9 +761,31 @@ class SpecialStrategy:
             p = 0.0 if t < cfg.t_horizon - 1 else _final_choice(
                 cfg.g(z), gamma(t, c, cfg), z, cfg)[0]
         else:
+            self._settle(t, c)
             p = self._select(t, z, c, self.action_set(t, z, c))
         self._dec[key] = p
         return p
+
+    def _settle(self, t: int, c: float) -> None:
+        """Values every state reachable after (t, c), from T-1 down, so
+        that the stage set at (t, c), and each value on the way, reads only
+        memoized values of the next epoch and no call recurses more than one
+        epoch. Each (t, c) is settled once, for every count below z_bar."""
+        cfg = self.cfg
+        xi_v = cfg.xi.nodes()[0]
+        layers, cs = [], [c]
+        for s in range(t + 1, cfg.t_horizon):
+            nxt = dict.fromkeys(float(x) for cc in cs
+                                for x in ((s - 1) * cc + xi_v) / s)
+            cs = [cn for cn in nxt if (s, cn) not in self._settled]
+            if not cs:
+                break
+            layers.append((s, cs))
+        for s, cs in reversed(layers):
+            for cn in cs:
+                for z in range(cfg.z_bar):
+                    self.value(s, z, cn)
+                self._settled.add((s, cn))
 
     def _select(self, t, z, c, aset: StageActionSet) -> float:
         if self.selector == EAGER:
@@ -779,14 +804,15 @@ class SpecialStrategy:
     def value(self, t: int, z: int, c: float) -> float:
         """Continuation value v_t of a susceptible agent under this strategy."""
         cfg = self.cfg
+        if z >= cfg.z_bar:
+            return 0.0
         if t == cfg.t_horizon:
-            return cfg.c_i if z < cfg.z_bar else 0.0
+            return cfg.c_i
         key = (t, z, c)
         if key in self._val:
             return self._val[key]
         if t == cfg.t_horizon - 1:
             v = min(cfg.c_v + gamma(t, c, cfg) - cfg.g(z), cfg.c_i)
-            v *= 1.0 if z < cfg.z_bar else 0.0
         else:
             d = self.decision(t, z, c)
             if d == 0.0:
@@ -806,8 +832,6 @@ class SpecialStrategy:
         # Nobody moves until T-1, so z is frozen and only the estimate
         # diffuses: average the final-epoch value over C_{T-1} | C_t = c.
         cfg = self.cfg
-        if z >= cfg.z_bar:
-            return 0.0
         T = cfg.t_horizon
         if cfg.xi.is_point:
             cf = (t * c + (T - 1 - t) * cfg.xi.nodes()[0][0]) / (T - 1)

@@ -88,7 +88,7 @@ class GammaDraws:
         return GammaDraws(gams, sums, center, quantiles)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExpectationSampler:
     """Draw cache for expectations over the final side-effect estimate.
 
@@ -96,8 +96,8 @@ class ExpectationSampler:
     Gamma_{T-1}(C_{T-1}) under cfg's law, filled at the first call and kept
     for the sampler's life. A point law (XiModel.is_point) is solved by the
     closed forms and never draws. Only n_samples and seed are settings, and
-    only they take part in ==; n_samples must be an integer in
-    1..MAX_DRAWS and seed one >= 0, checked at build.
+    only they take part in ==; n_samples must be an integer in 1..MAX_DRAWS
+    and seed one >= 0, checked at build and frozen after.
     """
 
     n_samples: int = 100_000
@@ -110,7 +110,7 @@ class ExpectationSampler:
         require_integer("seed", self.seed, least=0)
 
     def _key(self, cfg: InfluencerGameConfig) -> tuple:
-        return (cfg.c_se_1, cfg.t_horizon, cfg.xi, self.n_samples, self.seed)
+        return cfg.c_se_1, cfg.t_horizon, cfg.xi
 
     def gamma_draws(self, cfg: InfluencerGameConfig) -> GammaDraws:
         """The draw set of cfg's law. A hit builds the key once; a miss
@@ -138,13 +138,13 @@ def c_infinity(cfg: InfluencerGameConfig) -> float:
     return (cfg.c_se_1 + (T - 1) * cfg.xi.mean) / T
 
 
-@dataclass
+@dataclass(frozen=True)
 class LeaderProblem:
     """The leader's constraint N_P(g) <= delta on one game and draw law;
     delta must lie in (0, 1) and cfg must be an InfluencerGameConfig. The
     solve reads only sampler.gamma_draws(cfg) -> GammaDraws, so any object
     with a callable gamma_draws will do, an ExpectationSampler among them.
-    A bad field raises InvalidInput naming it when the problem is built."""
+    A bad field raises InvalidInput naming it at build; none is set after."""
 
     delta: float
     cfg: InfluencerGameConfig

@@ -229,6 +229,20 @@ def test_refusal_carries_its_field(call, field):
     assert info.value.field == field
 
 
+@pytest.mark.parametrize("make", [
+    _leader, lambda: vg.ExpectationSampler(n_samples=10),
+    lambda: cli.ScenarioConfig("delta", (0.05,), _DIS, _NU, _PUBLIC,
+                               _GAME_CFG, 0.05, Path("out"))],
+    ids=["leader_problem", "sampler", "scenario"])
+def test_checked_objects_are_frozen(make):
+    # a field is checked when the object is built, so no later assignment
+    # may set it past that check, a valid value included
+    obj = make()
+    for f in dataclasses.fields(obj):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, f.name, getattr(obj, f.name))
+
+
 @pytest.mark.parametrize("value", ["abc", None, True, NAN],
                          ids=["str", "none", "bool", "nan"])
 def test_sweep_grid_holds_finite_numbers(value):

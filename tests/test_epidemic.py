@@ -723,6 +723,57 @@ def test_attempts_and_stop_match_a_counting_oracle(case, horizon):
     assert (path.basin_attempts, path.stop) == (0, None)
 
 
+def _attempt_schedule(init, dis, nu, beta, horizon):
+    """(basin_attempts, stop, len(t)) of a run by the one attempt rule,
+    walked over the path route's states in order: an attempt at each state
+    with eta > 0 whose planar drift is at most _BASIN_RETRY of the drift
+    at the last failed attempt (any drift at the start) and at the state
+    that reaches the horizon, none with a zero horizon; the run ends at the
+    first attempt that certifies or locates."""
+    path = epidemic._integrate(init, dis, nu, beta, horizon, basin=False)
+    f = _field(dis, nu, beta)
+    locate, certify, located = epidemic._basin(dis, nu, beta)
+    retry, attempts = math.inf, 0
+    for n, (t, state) in enumerate(zip(path.t, path.states)):
+        y0, y1, y2 = (float(v) for v in state)
+        k = f(y0, y1, y2)
+        drift = max(abs(k[0]), abs(k[1]))
+        if (horizon > 0.0 and (drift <= retry or t >= horizon)
+                and y2 > 0.0):
+            attempts += 1
+            centre = locate(y0, y1)
+            if certify(centre, (y0, y1)):
+                return attempts, "basin certificate", n + 1
+            if (drift < epidemic._CERTIFY_BELOW
+                    and located(centre, (y0, y1))):
+                return attempts, "located", n + 1
+            retry = epidemic._BASIN_RETRY * drift
+    return attempts, None, len(path.t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.one_of(_perturbed_returns(), _kink_returns()),
+       horizon=st.sampled_from((0.0, 2.0, 400.0)))
+@example(case=_located_start(), horizon=600.0)
+@example(case=_tiny_eta_start(5e-324), horizon=400.0)
+# an eradicating return whose horizon is its ninth state, where the drift
+# has fallen to a quarter and the attempt is refused
+@example(case=(vg.OdeState(0.009625733203321572, 0.8610800226263752,
+                           0.48707983461981647),
+               vg.DiseaseParams(lam=13.021501675379216, r=1.7822142040122664,
+                                b=1.1975338278127903, d=0.07423615340151724),
+               vg.VaRatePolicy(2.8641548595148913, 5.4760364004295905),
+               vg.ResponseParams(4.149607674771925)),
+         horizon=0.15514212470024724)
+def test_attempts_are_where_the_one_rule_puts_them(case, horizon):
+    # the counting oracle above counts the attempts that happen; this one
+    # places them, so an attempt made twice at one state, or one skipped
+    # at the horizon, changes basin_attempts or where the run stops
+    got = vg.integrate_to_equilibrium(*case, horizon=horizon)
+    assert (got.basin_attempts, got.stop, len(got.t)) == _attempt_schedule(
+        *case, horizon)
+
+
 def test_population_pass_attempt_counts():
     # the benchmark's FULL seed-1 population pass: 256 returns make 380
     # basin attempts, and 204 of them are certified at their start

@@ -725,6 +725,28 @@ class TestSpecialStrategy:
                 vg.SpecialStrategy(cfg, selector).decision, cfg)
             assert check.passed and check.vaccinated_value_error < 1e-9
 
+    @pytest.mark.parametrize("c_se_1", [2.0, 4.0])
+    @pytest.mark.parametrize("selector", [
+        EAGER, lambda t, z, c, a: 0.0 if a.full_interval else min(
+            a.pure + a.mixed)], ids=["eager", "callable"])
+    def test_value_far_from_the_horizon_needs_no_deep_recursion(
+            self, selector, c_se_1):
+        # a query at t = 1 of T = 200 settles the later epochs from T-1
+        # down first, so it recurses one epoch at a time, and it agrees with
+        # the memo that the exact oracle fills from T-1 down. From c_se_1 =
+        # 4 the estimate moves every day towards xi = 2, so each epoch has
+        # an estimate of its own
+        cfg = vg.InfluencerGameConfig(m=3, t_horizon=200, c_v=1.0, c_i=5.0,
+                                      c_se_1=c_se_1, xi=XiModel(2.0),
+                                      z_bar=2, g0=0.5)
+        got = vg.SpecialStrategy(cfg, selector).value(1, 0, c_se_1)
+        filled = vg.SpecialStrategy(cfg, selector)
+        assert vg.verify_symmetric_ne(filled.decision, cfg).passed
+        assert got == filled.value(1, 0, c_se_1)
+        # here the value is that of vaccinating at t = 1
+        assert got == pytest.approx(
+            cfg.c_v + vg.gamma(1, c_se_1, cfg) - cfg.g0, abs=1e-12)
+
     @pytest.mark.parametrize("selector", ["eagr", None, 0.5])
     def test_unknown_selector_refused_when_built(self, selector):
         with pytest.raises(ValueError, match="^selector must be"):
