@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import (MAX_DAYS, MAX_DRAWS, MAX_INFLUENCERS, InvalidInput,
-                     finite_tuple, require_integer, require_scaled)
+                     finite_tuple, require_finite, require_integer,
+                     require_scaled)
 
 
 @functools.cache
@@ -300,10 +301,11 @@ def gamma(t: int, c: float, cfg: InfluencerGameConfig) -> float:
     """Expected terminal side-effect cost given the day-t estimate c.
 
     Linear in both arguments: (t/T) c + ((T-t)/T) E[xi]; at t = T the
-    estimate is final and the value is c itself.
+    estimate is final and the value is c itself. t must be an integer in
+    1..T and c finite.
     """
-    if not 1 <= t <= cfg.t_horizon:
-        raise InvalidInput("t", "must lie in 1..T")
+    require_integer("t", t, 1, cfg.t_horizon)
+    require_finite("c", c)
     T = cfg.t_horizon
     return (t / T) * c + ((T - t) / T) * cfg.xi.mean
 
@@ -499,7 +501,9 @@ def p_from_gamma(g: float, gam: float, cfg: InfluencerGameConfig) -> float:
 
 def ne_outcome_probability(g: float, c: float,
                            cfg: InfluencerGameConfig) -> float:
-    """Wait-and-watch outcome: common vaccination probability p(g, c)."""
+    """Wait-and-watch outcome: common vaccination probability p(g, c), for
+    a finite g."""
+    require_finite("g", g)
     return p_from_gamma(g, gamma(cfg.t_horizon - 1, c, cfg), cfg)
 
 
@@ -659,6 +663,16 @@ def _find_mix_roots(target: float, rhs) -> tuple[float, ...]:
     return tuple(roots)
 
 
+def _require_state(t: int, z: int, c: float, last: int,
+                   cfg: InfluencerGameConfig) -> None:
+    """InvalidInput naming the argument unless (t, z, c) is a state of the
+    game: an integer epoch t in 1..last, an integer count z in 0..m and a
+    finite estimate c."""
+    require_integer("t", t, 1, last)
+    require_integer("z", z, 0, cfg.m)
+    require_finite("c", c)
+
+
 def stage_action_set(t: int, z: int, c: float, value_next,
                      cfg: InfluencerGameConfig) -> StageActionSet:
     """Admissible symmetric choices of a susceptible agent at epoch t, with
@@ -671,7 +685,9 @@ def stage_action_set(t: int, z: int, c: float, value_next,
     z >= z_bar forces waiting. At T-1 the set is the last-epoch rule
     (_final_choice), the one p_from_gamma reads: its tie is the whole
     interval, its root the one mix and its clamp the one pure action.
+    t must be an integer in 1..T-1, z one in 0..m and c finite.
     """
+    _require_state(t, z, c, cfg.t_horizon - 1, cfg)
     if z >= cfg.z_bar:
         return StageActionSet(pure=(0.0,))
     gam, g = gamma(t, c, cfg), cfg.g(z)
@@ -718,16 +734,17 @@ class SpecialStrategy:
     the stage sets, raising InvalidInput (field selector) outside them. The
     stage sets always contain 0 before the final epoch, so the
     wait-and-watch preset (defer every decision to T-1) is always
-    available; it is the influencers' preferred equilibrium. Values and
-    decisions are computed on demand and memoized per queried state; the
-    side-effect estimate is real-valued, so no global table is built. A
-    decision that reads a stage set first values the states reachable
-    after it from T-1 down, so no query recurses more than one epoch.
+    available; it is the influencers' preferred equilibrium. The estimate
+    is real-valued, so no global table is built: a query at (t, c) that
+    reads a stage set solves the states reachable from it in one backward
+    pass (_solve), each state once, so no call recurses more than one epoch.
 
-    Any other selector recurses over cfg.xi.nodes(), so it refuses a
+    Any other selector takes expectations over cfg.xi.nodes(), so it refuses a
     continuous law with InvalidInput when built, as it does a selector that
     is neither a preset nor callable. Wait-and-watch takes any law: it
-    reads no stage set, only the last-epoch rule at T-1.
+    reads no stage set, only the last-epoch rule at T-1. value takes t in
+    1..T, decision and action_set in 1..T-1, each an integer z in 0..m and
+    a finite c; any other state raises InvalidInput naming the argument.
     """
 
     def __init__(self, cfg: InfluencerGameConfig, selector=WAIT_AND_WATCH):
@@ -740,7 +757,6 @@ class SpecialStrategy:
         self.selector = selector
         self._dec: dict[tuple[int, int, float], float] = {}
         self._val: dict[tuple[int, int, float], float] = {}
-        self._settled: set[tuple[int, float]] = set()
 
     # -- decisions ---------------------------------------------------------
     def action_set(self, t: int, z: int, c: float) -> StageActionSet:
@@ -750,42 +766,16 @@ class SpecialStrategy:
 
     def decision(self, t: int, z: int, c: float) -> float:
         """Vaccination probability prescribed to a susceptible agent."""
-        key = (t, z, c)
-        if key in self._dec:
-            return self._dec[key]
         cfg = self.cfg
+        _require_state(t, z, c, cfg.t_horizon - 1, cfg)
         if z >= cfg.z_bar:
-            p = 0.0
-        elif self.selector == WAIT_AND_WATCH:
+            return 0.0
+        if self.selector == WAIT_AND_WATCH:
             # wait until T-1, then take the last-epoch rule, a tie waiting
-            p = 0.0 if t < cfg.t_horizon - 1 else _final_choice(
+            return 0.0 if t < cfg.t_horizon - 1 else _final_choice(
                 cfg.g(z), gamma(t, c, cfg), z, cfg)[0]
-        else:
-            self._settle(t, c)
-            p = self._select(t, z, c, self.action_set(t, z, c))
-        self._dec[key] = p
-        return p
-
-    def _settle(self, t: int, c: float) -> None:
-        """Values every state reachable after (t, c), from T-1 down, so
-        that the stage set at (t, c), and each value on the way, reads only
-        memoized values of the next epoch and no call recurses more than one
-        epoch. Each (t, c) is settled once, for every count below z_bar."""
-        cfg = self.cfg
-        xi_v = cfg.xi.nodes()[0]
-        layers, cs = [], [c]
-        for s in range(t + 1, cfg.t_horizon):
-            nxt = dict.fromkeys(float(x) for cc in cs
-                                for x in ((s - 1) * cc + xi_v) / s)
-            cs = [cn for cn in nxt if (s, cn) not in self._settled]
-            if not cs:
-                break
-            layers.append((s, cs))
-        for s, cs in reversed(layers):
-            for cn in cs:
-                for z in range(cfg.z_bar):
-                    self.value(s, z, cn)
-                self._settled.add((s, cn))
+        self._solve(t, c)
+        return self._dec[t, z, c]
 
     def _select(self, t, z, c, aset: StageActionSet) -> float:
         if self.selector == EAGER:
@@ -804,29 +794,17 @@ class SpecialStrategy:
     def value(self, t: int, z: int, c: float) -> float:
         """Continuation value v_t of a susceptible agent under this strategy."""
         cfg = self.cfg
+        _require_state(t, z, c, cfg.t_horizon, cfg)
         if z >= cfg.z_bar:
             return 0.0
         if t == cfg.t_horizon:
             return cfg.c_i
-        key = (t, z, c)
-        if key in self._val:
-            return self._val[key]
         if t == cfg.t_horizon - 1:
-            v = min(cfg.c_v + gamma(t, c, cfg) - cfg.g(z), cfg.c_i)
-        else:
-            d = self.decision(t, z, c)
-            if d == 0.0:
-                if self.selector == WAIT_AND_WATCH:
-                    v = self._wait_value(t, z, c)
-                else:
-                    xi_v, xi_w = cfg.xi.nodes()
-                    next_c = (t * c + xi_v) / (t + 1)
-                    v = float(np.dot(xi_w, [self.value(t + 1, z, cn)
-                                            for cn in next_c]))
-            else:
-                v = cfg.c_v + gamma(t, c, cfg) - cfg.g(z)
-        self._val[key] = v
-        return v
+            return min(cfg.c_v + gamma(t, c, cfg) - cfg.g(z), cfg.c_i)
+        if self.selector == WAIT_AND_WATCH:
+            return self._wait_value(t, z, c)
+        self._solve(t, c)
+        return self._val[t, z, c]
 
     def _wait_value(self, t: int, z: int, c: float) -> float:
         # Nobody moves until T-1, so z is frozen and only the estimate
@@ -839,6 +817,35 @@ class SpecialStrategy:
         gm = final_gamma_draws(cfg, np.random.default_rng(_WAIT_SEED),
                                _WAIT_DRAWS, t, c)
         return float(np.mean(np.minimum(cfg.c_v + gm - cfg.g(z), cfg.c_i)))
+
+    def _solve(self, t: int, c: float) -> None:
+        """Lists the estimates reachable at and after (t, c) epoch by epoch,
+        less each (epoch, estimate) already solved, whose successors are,
+        then from the last epoch down to t sets the decision at every count
+        below z_bar and, before T-1, its value: C_v + Gamma - g_z where it
+        vaccinates, the xi-mean of the next epoch's values where it waits."""
+        cfg = self.cfg
+        T, last = cfg.t_horizon, cfg.z_bar - 1
+        xi_v, xi_w = cfg.xi.nodes()
+        layers, cs = [], [c]
+        for s in range(t, T):
+            cs = [cn for cn in cs if (s, last, cn) not in self._dec]
+            if not cs:
+                break
+            layers.append((s, cs))
+            cs = dict.fromkeys(float(x) for cc in cs
+                               for x in (s * cc + xi_v) / (s + 1))
+        for s, cs in reversed(layers):
+            for cn in cs:
+                next_c = (s * cn + xi_v) / (s + 1)
+                for z in range(cfg.z_bar):
+                    d = self._select(s, z, cn, self.action_set(s, z, cn))
+                    if s < T - 1:
+                        self._val[s, z, cn] = (
+                            cfg.c_v + gamma(s, cn, cfg) - cfg.g(z) if d != 0.0
+                            else float(np.dot(xi_w, [self.value(s + 1, z, x)
+                                                     for x in next_c])))
+                    self._dec[s, z, cn] = d
 
 
 # ---------------------------------------------------------------------------
@@ -973,9 +980,10 @@ def sample_z_t(g: float, cfg: InfluencerGameConfig, seed: int,
     outcome, and the vaccination probability each was drawn from.
 
     Each replicate draws Gamma_{T-1}, evaluates p(g, .) there, and draws
-    Z_T ~ Bin(m, p). seed must be an integer >= 0, and size one in
-    1..MAX_DRAWS.
+    Z_T ~ Bin(m, p). g must be finite, seed an integer >= 0, and size one
+    in 1..MAX_DRAWS.
     """
+    require_finite("g", g)
     require_integer("seed", seed, least=0)
     require_integer("size", size, 1, MAX_DRAWS)
     rng = np.random.default_rng(seed)

@@ -37,7 +37,7 @@ from .game import (_P_DOWN, PROBES, InfluencerGameConfig, _cdf_row,
                    p_from_gamma_vec)  # noqa: F401
 from .params import (MAX_DRAWS, MAX_INFLUENCERS, MAX_RATE, DiseaseParams,
                      InvalidInput, PublicCostModel, VaRatePolicy,
-                     require_integer)
+                     require_finite, require_integer)
 
 # the two values of LeaderSolution.mode: the method that solved
 PERFECT_INFO = "perfect_info"
@@ -318,7 +318,8 @@ def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
                                 ) -> float | tuple[float, float]:
     """N_P(g) = E[F_M(z_bar - 1; p(g, C))] under the game's law; with
     with_slope, the pair (N_P(g), N_P'(g)) of a law that is not a point.
-    z_bar must be problem.cfg.z_bar, which the evaluation reads.
+    g must be finite, and z_bar must be problem.cfg.z_bar, which the
+    evaluation reads.
 
     A point law (XiModel.is_point) evaluates the exact binomial tail at
     c_infinity. Otherwise the sampler's draws split into three runs by w =
@@ -327,17 +328,20 @@ def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
     F_M(z_bar-1; p_k)) over its knots (see _knot_search and _tabled_sum):
     O(K log n) for the K = 4,097 knots, about 0.02 to 0.07 ms at n = 1e5 on
     a 2-vCPU Xeon. It agrees with the per-draw mean of
-    binom_cdf_vec_interp(p_from_gamma_vec) up to rounding: within n * eps
-    at the fig preset (C_v = 1, C_i = 5), and within what rounding w can
-    change over a draw's segment when a small C_i magnifies it. N_P' is
-    the slope of that piecewise-linear sum on the segment at g (see
-    _tabled_sum). For z_bar = m no draw is mixed: N_P is the count of draws
-    with Gamma >= g - C_v + C_i, a step function, and N_P' = 0.
+    binom_cdf_vec_interp(p_from_gamma_vec) up to rounding: within what
+    rounding w can change over a draw's segment, which a small C_i
+    magnifies; at the fig preset (C_v = 1, C_i = 5) within n * eps of its
+    table's exact mean at the draws' w, and the per-draw mean within 2 n
+    eps of that. N_P' is the slope of that piecewise-linear sum on the
+    segment at g (see _tabled_sum). For z_bar = m no draw is mixed: N_P is
+    the count of draws with Gamma >= g - C_v + C_i, a step function, and
+    N_P' = 0.
 
     _searches is the solve's own dict: a z_bar < m Monte Carlo evaluation
     stores its knot search there under g, so that E[p(g)] reuses it.
     """
     cfg = problem.cfg
+    require_finite("g", g)
     require_integer("z_bar", z_bar, cfg.z_bar, cfg.z_bar)
     if cfg.xi.is_point:
         if with_slope:
@@ -385,7 +389,9 @@ def _outlay(m: int, g: float, p: float) -> float:
 
 
 def expected_incentive_cost(g: float, problem: LeaderProblem) -> float:
-    """U(g) = M g E[p(g, C)], the expected incentive outlay."""
+    """U(g) = M g E[p(g, C)], the expected incentive outlay, for a finite
+    g."""
+    require_finite("g", g)
     return _outlay(problem.cfg.m, g, _p_expectation(g, problem))
 
 

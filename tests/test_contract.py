@@ -143,6 +143,14 @@ _PUBLIC = vg.PublicCostModel(**_COSTS, s=0.2)
 _GAME_CFG = vg.InfluencerGameConfig(**_GAME)
 _START = dict(disease=_DIS, nu=_NU, beta=vg.ResponseParams(2.0), seed=0,
               n_events=10)
+# the fig game at z_bar 20, whose wait-and-watch strategy answers any state
+# of it, and a small finite game whose stage sets read a value function
+_FIG_CFG = vg.InfluencerGameConfig(**dict(_GAME, z_bar=20, g0=1.0))
+_WAIT = vg.SpecialStrategy(_FIG_CFG)
+_SMALL_CFG = vg.InfluencerGameConfig(m=3, t_horizon=4, c_v=1.0, c_i=5.0,
+                                     c_se_1=2.0, xi=vg.XiModel(2.0), z_bar=2)
+_POINT = _leader(cfg=vg.InfluencerGameConfig(**dict(_GAME,
+                                                    xi=vg.XiModel(5.0))))
 
 
 # refusals the command line names by their flag, so each message starts
@@ -203,6 +211,35 @@ _REFUSALS = [
         dataclasses.replace(_GAME_CFG, incentives=(0.0, 1.0)), 0.05,
         Path("out")), "game_cfg") for var, v in (("s", 0.1),
                                                  ("theta_star", 0.5))],
+    # a strategy answers only states of its game: values at epochs 1..T,
+    # decisions and stage sets at 1..T-1, counts 0..m, finite estimates
+    (lambda: _WAIT.value(0, 0, 3.0), "t"),
+    (lambda: _WAIT.value(-5, 0, 3.0), "t"),
+    (lambda: _WAIT.value(2.5, 0, 3.0), "t"),
+    (lambda: _WAIT.value(19, 41, 3.0), "z"),
+    (lambda: _WAIT.value(19, 0, INF), "c"),
+    (lambda: _WAIT.decision(20, 0, 3.0), "t"),
+    (lambda: _WAIT.decision(19, -1, 3.0), "z"),
+    (lambda: _WAIT.decision(19, 0, NAN), "c"),
+    (lambda: _WAIT.action_set(19, 0, INF), "c"),
+    (lambda: vg.stage_action_set(2, -1, 2.0, lambda z, c: 0.0, _SMALL_CFG),
+     "z"),
+    (lambda: vg.stage_action_set(4, 0, 2.0, lambda z, c: 0.0, _SMALL_CFG),
+     "t"),
+    (lambda: vg.stage_action_set(3, 0, NAN, lambda z, c: 0.0, _SMALL_CFG),
+     "c"),
+    (lambda: vg.gamma(2.5, 3.0, _FIG_CFG), "t"),
+    (lambda: vg.gamma(2, NAN, _FIG_CFG), "c"),
+    (lambda: vg.ne_outcome_probability(NAN, 3.0, _FIG_CFG), "g"),
+    (lambda: vg.ne_outcome_probability(1.0, NAN, _FIG_CFG), "c"),
+    (lambda: vg.sample_z_t(NAN, _FIG_CFG, 0, 5), "g"),
+    # the leader's evaluators, on a Monte Carlo and on a point law
+    *[(lambda g=g: vg.non_eradication_probability(g, 2, _leader()), "g")
+      for g in (NAN, -INF)],
+    *[(lambda g=g: vg.non_eradication_probability(g, 2, _POINT), "g")
+      for g in (NAN, -INF)],
+    *[(lambda g=g: vg.expected_incentive_cost(g, _leader()), "g")
+      for g in (NAN, -INF)],
 ]
 _REFUSAL_IDS = [
     "lam", "d", "ess_m", "ess_m_budget", "ess_z", "ess_z_subcritical",
@@ -211,7 +248,13 @@ _REFUSAL_IDS = [
     "chain_seed", "game_g0", "game_incentives", "xi_finite_sigma2",
     "threshold_nu", "threshold_rho", "cf_table_scalar", "cf_table_dip",
     "theta_star_rho", "sweep_var", "s_sweep_incentives",
-    "theta_star_sweep_incentives"]
+    "theta_star_sweep_incentives", "value_t_zero", "value_t_negative",
+    "value_t_fraction", "value_z_past_m", "value_c_inf", "decision_t_horizon",
+    "decision_z_negative", "decision_c_nan", "action_set_c_inf",
+    "stage_set_z_negative", "stage_set_t_horizon", "stage_set_c_nan", "gamma_t_fraction",
+    "gamma_c_nan", "ne_outcome_g_nan", "ne_outcome_c_nan", "z_t_g_nan",
+    "np_g_nan", "np_g_minus_inf", "np_point_g_nan", "np_point_g_minus_inf",
+    "outlay_g_nan", "outlay_g_minus_inf"]
 
 
 @pytest.mark.parametrize("call, field", _REFUSALS, ids=_REFUSAL_IDS)

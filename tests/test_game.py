@@ -747,6 +747,35 @@ class TestSpecialStrategy:
         assert got == pytest.approx(
             cfg.c_v + vg.gamma(1, c_se_1, cfg) - cfg.g0, abs=1e-12)
 
+    @pytest.mark.parametrize("z_bar, states", [(3, 192), (1, 64)])
+    def test_the_backward_pass_solves_each_state_once(self, z_bar, states):
+        # a callable selector is asked at every state below z_bar of the
+        # oracle's tree (_cost_nodes) exactly once, whether a value query
+        # or the oracle reaches it first: the first query solves the tree,
+        # and nothing after it solves a state again. A second ask raises
+        # at once, so a strategy that solves again fails fast. At z_bar = 1
+        # the one count below it is also the last
+        cfg = vg.InfluencerGameConfig(
+            m=4, t_horizon=8, c_v=1.0, c_i=3.0, c_se_1=2.0, z_bar=z_bar,
+            g0=0.2,
+            xi=XiModel(1.2, values=(0.0, 1.0, 3.0), probs=(0.3, 0.4, 0.3)))
+        asked = set()
+
+        def selector(t, z, c, aset):
+            assert (t, z, c) not in asked, (t, z, c)
+            asked.add((t, z, c))
+            return 0.0 if aset.full_interval else min(aset.pure + aset.mixed)
+
+        strat = vg.SpecialStrategy(cfg, selector)
+        first = strat.value(1, 0, cfg.c_se_1)
+        assert vg.verify_symmetric_ne(strat.decision, cfg).passed
+        assert strat.value(1, 0, cfg.c_se_1) == first
+        nodes = game._cost_nodes(cfg)[:cfg.t_horizon]  # epochs 1..T-1
+        tree = {(t, z, c) for t, cs in enumerate(nodes) for c in cs
+                for z in range(cfg.z_bar)}
+        assert len(tree) == states
+        assert asked == tree
+
     @pytest.mark.parametrize("selector", ["eagr", None, 0.5])
     def test_unknown_selector_refused_when_built(self, selector):
         with pytest.raises(ValueError, match="^selector must be"):
