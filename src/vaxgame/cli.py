@@ -37,7 +37,8 @@ from . import epidemic, ess, game, leader
 from .params import (MAX_DRAWS, MAX_INFLUENCERS, DiseaseParams,
                      InsufficientInfluenceError, InvalidInput,
                      PublicCostModel, ResponseParams, VaRatePolicy,
-                     finite_tuple, require_integer)
+                     finite_tuple, require_finite, require_integer,
+                     require_scaled)
 
 SWEEP_VARS = ("zbar", "delta", "sigma2", "theta_star", "s")
 
@@ -78,6 +79,7 @@ class ScenarioConfig:
         require_integer("seed", self.seed, least=0)
         require_integer("samples", self.samples, 1, MAX_DRAWS)
         require_integer("workers", self.workers, least=1)
+        require_finite("delta", self.delta)
         if not 0.0 < self.delta < 1.0:
             raise InvalidInput("delta",
                                f"must lie in (0, 1), got {self.delta!r}")
@@ -281,6 +283,8 @@ def reproduce_figure(fig_id: int, outdir: Path,
     share a law share its one draw set. See the README for the qualitative
     claim each file supports.
     """
+    if fig_id not in FIG_IDS:
+        raise InvalidInput("fig_id", f"must be in {FIG_IDS}, got {fig_id!r}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -336,27 +340,24 @@ def reproduce_figure(fig_id: int, outdir: Path,
         return write_csv(outdir / "fig4_zbar_vs_theta_and_s.csv",
                          ["sweep", "value", "zbar"], rows)
 
-    if fig_id == 5:
-        dis = DiseaseParams(**FIG_S_DISEASE)
-        rows = []
-        for s in np.round(np.arange(0.02, 0.51, 0.02), 3):
-            costs = PublicCostModel(s=float(s), **FIG_S_COSTS)
-            design = _vaccine_optimal_design(costs, dis, 40)
-            k = design.k_star
-            try:
-                nu_inc = leader.construct_incentive_optimal_nu(costs, dis, 40)
-                psi_inc = epidemic.psi_eradicating(nu_inc, dis.b)
-            except leader.JointDesignError:
-                psi_inc = None
-            u_stars = [leader.solve_optimal_incentive(k, leader.LeaderProblem(
-                delta, _fig_cfg(k), sampler)).u_star for delta in (0.01, 0.1)]
-            rows.append([s, k, design.psi_e_achieved, int(psi_inc is not None),
-                         *u_stars, psi_inc])
-        return write_csv(outdir / "fig5_joint_design_vs_s.csv",
-                         ["s", "k_star", "psi_e_vaccine_opt", "incentive_opt_exists",
-                          "u_star_d0.01", "u_star_d0.1", "psi_e_incentive_opt"], rows)
-
-    raise InvalidInput("fig_id", f"unknown figure id {fig_id}", whole=True)
+    dis = DiseaseParams(**FIG_S_DISEASE)
+    rows = []
+    for s in np.round(np.arange(0.02, 0.51, 0.02), 3):
+        costs = PublicCostModel(s=float(s), **FIG_S_COSTS)
+        design = _vaccine_optimal_design(costs, dis, 40)
+        k = design.k_star
+        try:
+            nu_inc = leader.construct_incentive_optimal_nu(costs, dis, 40)
+            psi_inc = epidemic.psi_eradicating(nu_inc, dis.b)
+        except leader.JointDesignError:
+            psi_inc = None
+        u_stars = [leader.solve_optimal_incentive(k, leader.LeaderProblem(
+            delta, _fig_cfg(k), sampler)).u_star for delta in (0.01, 0.1)]
+        rows.append([s, k, design.psi_e_achieved, int(psi_inc is not None),
+                     *u_stars, psi_inc])
+    return write_csv(outdir / "fig5_joint_design_vs_s.csv",
+                     ["s", "k_star", "psi_e_vaccine_opt", "incentive_opt_exists",
+                      "u_star_d0.01", "u_star_d0.1", "psi_e_incentive_opt"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +480,7 @@ def _from_flags(args, fn, *pos, **fields):
         if exc.field not in named:
             raise
         flag = named[exc.field][1].format_map(args.flag_of)
-        raise InvalidInput(flag, exc.detail, exc.whole) from exc
+        raise InvalidInput(flag, exc.detail) from exc
 
 
 def _check_output_paths(args) -> None:
@@ -519,8 +520,8 @@ def _costs_from(args, m: int) -> PublicCostModel:
         try:
             vals = tuple(map(float, Path(args.cf_table).read_text().split()))
         except OSError as exc:
-            raise InvalidInput("--cf-table", f"cannot read c_f table "
-                               f"{args.cf_table}: {exc}", whole=True) from exc
+            raise InvalidInput("--cf-table", f"must name a readable file, "
+                               f"got {args.cf_table}: {exc}") from exc
         except ValueError as exc:
             raise InvalidInput("--cf-table", f"must list one number per "
                                f"line: {exc}") from exc
@@ -604,7 +605,7 @@ def cmd_optimize_leader(args) -> int:
     elif args.zbar is not None:
         zb = args.zbar
     else:
-        raise InvalidInput("--zbar", "give --zbar or --auto-zbar", whole=True)
+        raise InvalidInput("--zbar", "or --auto-zbar must be given")
     cfg = _game_cfg_from(args, zb)
     if args.mode == "perfect":
         # solve as if Gamma were known: the point law at the law's mean
@@ -630,16 +631,14 @@ def cmd_simulate(args) -> int:
     dis, nu = _disease_from(args)
     beta = _from_flags(args, ResponseParams, beta="beta")
     n0 = args.n0
-    if n0 < 1:
-        raise InvalidInput("--n0", f"must be at least 1, got {n0}")
+    require_integer("--n0", n0, least=1)
     if n0 >= 2 ** 53:
         # the chain's own check, before theta0 * n0 below can overflow
         raise InvalidInput("--n0", f"must keep N0 below 2**53, where counts "
                                    f"are exact as floats, got N0 = {n0}")
     for flag, frac in (("--theta0", args.theta0), ("--psi0", args.psi0)):
-        # NaN fails the test too, before it reaches int(round(...))
-        if not 0.0 <= frac <= 1.0:
-            raise InvalidInput(flag, f"must lie in [0, 1], got {frac}")
+        # before it reaches int(round(...))
+        require_scaled(flag, frac, 1, least=0)
     if args.theta0 + args.psi0 > 1.0:
         raise InvalidInput("--theta0", "+ --psi0 must not exceed 1")
     i0 = int(round(args.theta0 * n0))

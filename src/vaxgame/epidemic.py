@@ -19,7 +19,7 @@ import numpy as np
 
 from .params import (DiseaseParams, InvalidInput, ResponseParams,
                      VaRatePolicy, _finite_number, require_finite,
-                     require_integer)
+                     require_integer, require_scaled)
 
 # A candidate whose stability condition holds by at most this is inactive:
 # at a degenerate corner (beta*psi* = 1, beta = b*rho/nu_b, or nu_e =
@@ -37,11 +37,10 @@ class OdeState:
     eta: float
 
     def __post_init__(self):
-        for name in ("theta", "psi", "eta"):
-            require_finite(name, getattr(self, name))
         for name in ("theta", "psi"):
-            if getattr(self, name) < -SIMPLEX_TOL:
-                raise InvalidInput(name, "must be nonnegative")
+            require_scaled(name, getattr(self, name), math.inf,
+                           least=-SIMPLEX_TOL)
+        require_finite("eta", self.eta)
         if self.theta + self.psi > 1.0 + 1e-6:
             raise InvalidInput("theta", "+ psi must not exceed 1")
         if self.eta <= 0:
@@ -121,30 +120,33 @@ def psi_co_occurring(nu: VaRatePolicy, disease: DiseaseParams) -> float:
     """Vaccinated fraction nu_b / (b*rho - nu_e) of the co-occurring equilibrium."""
     denom = disease.b * disease.rho - nu.nu_e
     if denom <= 0:
-        raise InvalidInput("nu", "co-occurring equilibrium undefined: "
-                           "b*rho - nu_e <= 0", whole=True)
+        raise InvalidInput("nu", f"must have nu_e < b*rho for a co-occurring "
+                                 f"equilibrium, got nu_e = {nu.nu_e!r}")
     return nu.nu_b / denom
 
 
 def admissibility_gap(nu: VaRatePolicy, disease: DiseaseParams) -> float:
-    """nu_e - (b*rho - nu_b/theta_star); positive for admissible policies."""
-    return nu.nu_e - (disease.b * disease.rho - nu.nu_b / disease.theta_star)
+    """nu_e - b*rho + nu_b/theta_star, positive for admissible policies: the
+    float nearest the exact sum of its three float terms (math.fsum), so
+    its sign is exact; nu_e - (b*rho - nu_b/theta_star) rounds by u b*rho."""
+    return math.fsum((nu.nu_e, -(disease.b * disease.rho),
+                      nu.nu_b / disease.theta_star))
 
 
 def co_occurring_limit(nu: VaRatePolicy,
                        disease: DiseaseParams) -> tuple[float, float] | None:
     """(theta_o, psi_o) of the co-occurring equilibrium, theta_o = theta* -
-    psi_o, or None where it is no state: rho <= 1, b*rho - nu_e <= 0, the
-    admissible side (admissibility_gap > 0, as is_admissible decides it),
-    or theta_o certainly below 0 (_certain_sign), which the gap, rounding
-    by u b*rho, can miss by the line where nu_b / theta* << b*rho."""
+    psi_o, or None where it is no state: rho <= 1, b*rho - nu_e <= 0, or
+    the admissible side (admissibility_gap > 0, as is_admissible decides
+    it). Off that side the gap's exact sign gives fl(b*rho) - nu_e >=
+    fl(nu_b/theta*), a float, so the rounded difference is at least that
+    float, psi_o <= theta* (1 + 2u) and theta_o >= -3u theta*: theta_o is
+    never certainly below 0 by _certain_sign's 16 u band."""
     if (disease.rho <= 1.0 or admissibility_gap(nu, disease) > 0.0
             or disease.b * disease.rho - nu.nu_e <= 0.0):
         return None
-    theta_star, psi_o = disease.theta_star, psi_co_occurring(nu, disease)
-    if _certain_sign(theta_star, psi_o, theta_star + psi_o) < 0:
-        return None
-    return theta_star - psi_o, psi_o
+    psi_o = psi_co_occurring(nu, disease)
+    return disease.theta_star - psi_o, psi_o
 
 
 @dataclass(frozen=True)
@@ -633,9 +635,7 @@ def _integrate(init: OdeState, disease: DiseaseParams, nu: VaRatePolicy,
     or nan, gives a factor in [0.2, 0.9]), so the retries stop once it is
     below ten units in the last place of t; an accepted step moves t up by
     at least that much, and the horizon is finite."""
-    if not (math.isfinite(horizon) and horizon >= 0.0):
-        raise InvalidInput("horizon", f"must be finite and nonnegative, "
-                                      f"got {horizon}")
+    require_scaled("horizon", horizon, math.inf, least=0)
     f = _field(disease, nu, beta)
     y0, y1, y2 = float(init.theta), float(init.psi), float(init.eta)
     t = 0.0
@@ -977,23 +977,21 @@ def simulate_jump_process(initial_counts: tuple[int, int, int, int],
     test as u < min(1, beta*psi).
     """
     try:
-        whole = all(float(x).is_integer() for x in initial_counts)
+        whole = all(_finite_number(x) and float(x).is_integer()
+                    for x in initial_counts)
     except OverflowError:
         # an int past the float range
         whole = False
     if not whole:
-        raise InvalidInput("initial_counts",
-                           "counts must be finite integer values", whole=True)
+        raise InvalidInput("initial_counts", "must be finite integer values")
     s, v, i, n = (int(x) for x in initial_counts)
     if n < 1 or s + v + i != n or min(s, v, i) < 0:
-        raise InvalidInput("initial_counts", "counts must be nonnegative "
-                           "with S+V+I == N >= 1", whole=True)
+        raise InvalidInput("initial_counts", "must be nonnegative with "
+                                             "S+V+I == N >= 1")
     if n >= 2 ** 53:
         raise InvalidInput("initial_counts", f"must keep N0 below 2**53, "
                            f"where counts are exact as floats, got N0 = {n}")
-    require_integer("n_events", n_events)
-    if n_events < 0:
-        raise InvalidInput("n_events", "must be nonnegative")
+    require_integer("n_events", n_events, least=0)
     require_integer("record_every", record_every, least=1)
     require_integer("seed", seed, least=0)
     if eta0 is None:

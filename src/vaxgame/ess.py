@@ -24,11 +24,11 @@ class Admissibility(enum.Enum):
 def is_admissible(nu: VaRatePolicy, disease: DiseaseParams) -> Admissibility:
     """Whether the VA policy can support eradication at all.
 
-    Requires nu_e > b*rho - nu_b/theta_star (strict), decided by the float
-    sign of admissibility_gap; classify_esss flags the decisions that
-    rounding may have set. For rho <= 1 the disease dies out on its own and
-    the question is moot; a distinguished status is returned instead of a
-    boolean.
+    Requires nu_e > b*rho - nu_b/theta_star (strict), decided by the exact
+    sign of admissibility_gap's three float terms; classify_esss flags the
+    decisions that rounding of those terms may have set. For rho <= 1 the
+    disease dies out on its own and the question is moot; a distinguished
+    status is returned instead of a boolean.
     """
     if disease.rho <= 1.0:
         return Admissibility.NO_INTERVENTION_NEEDED
@@ -121,11 +121,13 @@ def classify_esss(z: int, nu: VaRatePolicy, costs: PublicCostModel,
     case admits a witness response (recorded in beta_witness). The set
     holds 'none' when no candidate qualifies. A gap is None where its
     limit does not exist: all three for rho <= 1, and h_v_o without a
-    co-occurring limit. Every decision takes its float sign. fragile names
+    co-occurring limit. Every gap decision takes its float sign, and
+    admissibility the exact sign of its three float terms. fragile names
     each one whose sign rounding may have set, where _certain_sign is 0: a
     gap over its scale (see _limit), and for rho > 1 'admissibility', the
-    admissibility gap over nu_e + b*rho + nu_b/theta_star. m must be an
-    integer in 1..MAX_INFLUENCERS and z one in 0..m, for every rho.
+    admissibility gap over nu_e + b*rho + nu_b/theta_star, since b*rho and
+    nu_b/theta_star are rounded from the rates. m must be an integer in
+    1..MAX_INFLUENCERS and z one in 0..m, for every rho.
     """
     _require_counts(z, m)
     adm = is_admissible(nu, disease)

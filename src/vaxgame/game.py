@@ -106,12 +106,11 @@ class XiModel:
     probs: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        for name in ("mean_param", "sigma2", "p0"):
-            require_scaled(name, getattr(self, name))
-        if not 0.0 <= self.p0 < 1.0:
+        require_scaled("mean_param", self.mean_param)
+        for name in ("sigma2", "p0"):
+            require_scaled(name, getattr(self, name), least=0)
+        if self.p0 >= 1.0:
             raise InvalidInput("p0", "must lie in [0, 1)")
-        if self.sigma2 < 0.0:
-            raise InvalidInput("sigma2", "must be nonnegative")
         if (self.values is None) != (self.probs is None):
             raise InvalidInput("values", "and probs must be given together")
         if self.values is None:
@@ -232,9 +231,10 @@ class InfluencerGameConfig:
     side-effect data, an XiModel that checks its own fields when it is
     built; the config asks only that its mean be positive. m, t_horizon
     and z_bar must be integers (numpy integers are taken, bool is not), m
-    at most MAX_INFLUENCERS and t_horizon at most MAX_DAYS; every cost and
-    incentive must pass params.require_scaled. A bad field raises
-    InvalidInput naming it when the object is built.
+    in 1..MAX_INFLUENCERS, t_horizon in 2..MAX_DAYS and z_bar in 1..m;
+    every cost and incentive must pass params.require_scaled, c_se_1 must
+    be nonnegative and c_i positive. A bad field raises InvalidInput naming
+    it when the object is built.
     """
 
     m: int
@@ -248,28 +248,14 @@ class InfluencerGameConfig:
     incentives: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        for name in ("m", "t_horizon", "z_bar"):
-            require_integer(name, getattr(self, name))
-        for name in ("c_v", "c_i", "c_se_1", "g0"):
+        require_integer("m", self.m, 1, MAX_INFLUENCERS)
+        require_integer("t_horizon", self.t_horizon, 2, MAX_DAYS)
+        require_integer("z_bar", self.z_bar, 1, self.m)
+        for name in ("c_v", "c_i", "g0"):
             require_scaled(name, getattr(self, name))
+        require_scaled("c_se_1", self.c_se_1, least=0)
         if not isinstance(self.xi, XiModel):
             raise InvalidInput("xi", f"must be an XiModel, got {self.xi!r}")
-        if self.m < 1:
-            raise InvalidInput("m", f"must be at least 1 influencer, "
-                                    f"got {self.m}")
-        if self.m > MAX_INFLUENCERS:
-            raise InvalidInput("m", f"must be at most {MAX_INFLUENCERS} "
-                                    f"influencers, got {self.m}")
-        if self.t_horizon < 2:
-            raise InvalidInput(
-                "t_horizon", f"must be at least 2 days, got {self.t_horizon}")
-        if self.t_horizon > MAX_DAYS:
-            raise InvalidInput("t_horizon", f"must be at most {MAX_DAYS} "
-                                            f"days, got {self.t_horizon}")
-        if not 1 <= self.z_bar <= self.m:
-            raise InvalidInput("z_bar", "must lie in 1..m")
-        if self.c_se_1 < 0:
-            raise InvalidInput("c_se_1", "must be nonnegative")
         if self.c_i <= 0:
             raise InvalidInput("c_i", "must be positive")
         if self.incentives is not None:
@@ -347,11 +333,11 @@ def binom_cdf(l: int, m: int, p) -> float | np.ndarray:
     """P(Bin(l, p) <= m), the standard lower tail summed from zero.
 
     l must be an integer >= 0 and m an integer (numpy integers are taken,
-    bool is not); every p must lie in [0, 1], so NaN is refused."""
+    bool is not); every p must be a number in [0, 1], so NaN is refused."""
     require_integer("l", l, least=0)
     require_integer("m", m)
     pa = np.asarray(p)
-    if not np.all((pa >= 0) & (pa <= 1)):
+    if pa.dtype.kind not in "fiu" or not np.all((pa >= 0) & (pa <= 1)):
         raise InvalidInput("p", "must lie in [0, 1]")
     if m < 0:
         return np.zeros_like(p, dtype=float) if np.ndim(p) else 0.0
@@ -449,9 +435,9 @@ def _mixed_root(w: float, trials: int, successes: int) -> float:
 
     def cdf_and_slope(p: float) -> tuple[float, float]:
         nonlocal lo, hi
-        f = bdtr(k, n, p)
+        f = float(bdtr(k, n, p))
         lo, hi = (p, hi) if f > w else (lo, p)
-        return f, -n * pmf(k, n - 1, p)
+        return f, -n * float(pmf(k, n - 1, p))
 
     p = bisect_decreasing(cdf_and_slope, w, 0.0, 1.0, atol=1e-17)
     if not (lo < p < hi and hi - lo > 1e-17):

@@ -151,6 +151,7 @@ class LeaderProblem:
     sampler: ExpectationSampler
 
     def __post_init__(self):
+        require_finite("delta", self.delta)
         if not 0.0 < self.delta < 1.0:
             raise InvalidInput("delta", "must lie in (0, 1)")
         if not isinstance(self.cfg, InfluencerGameConfig):
@@ -300,7 +301,7 @@ def _tabled_sum(search: tuple, v: np.ndarray, sv: np.ndarray,
         return 0.0, 0.0
     v, sv = v[a:a + len(cnt) + 1], sv[a:a + len(cnt)]
     total = float(cnt.dot(v[:-1]) + sv.dot(off) / c_i)
-    return total + v[-1] * tail, -float(cnt.dot(sv)) / c_i
+    return total + float(v[-1] * tail), -float(cnt.dot(sv)) / c_i
 
 
 def _np_from_search(search: tuple, n: int,
@@ -345,8 +346,8 @@ def non_eradication_probability(g: float, z_bar: int, problem: LeaderProblem,
     require_integer("z_bar", z_bar, cfg.z_bar, cfg.z_bar)
     if cfg.xi.is_point:
         if with_slope:
-            raise InvalidInput("with_slope", "N_P' is not computed for a "
-                               "point law", whole=True)
+            raise InvalidInput("with_slope", "must be False for a point "
+                                             "law, whose N_P' is not computed")
         return float(binom_cdf(cfg.m, z_bar - 1, p_from_gamma(
             g, c_infinity(cfg), cfg)))
     draws = problem.sampler.gamma_draws(cfg)
@@ -523,6 +524,7 @@ def p_star(k: int, m: int, delta: float) -> float:
     """
     require_integer("m", m, least=1)
     require_integer("k", k, 1, m)
+    require_finite("delta", delta)
     if not 0.0 < delta < 1.0:
         raise InvalidInput("delta", "must lie in (0, 1)")
     if k == m:
@@ -678,8 +680,9 @@ def construct_eps_vaccine_optimal_nu(k_star: int, eps: float,
     walk ends first. eps must be positive and finite, m an integer in
     1..MAX_INFLUENCERS and k_star one in 0..m.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise InvalidInput("eps", f"must be positive and finite, got {eps!r}")
+    require_finite("eps", eps)
+    if eps <= 0:
+        raise InvalidInput("eps", f"must be positive, got {eps!r}")
     require_integer("m", m, 1, MAX_INFLUENCERS)
     require_integer("k_star", k_star, 0, m)
     theta_star = disease.theta_star

@@ -1,7 +1,10 @@
 """Parameter objects shared by the population, influencer, and leader layers.
 
-Every rate and cost is checked by require_scaled when its object is built,
-and the size budgets below bound the arrays a run can ask for."""
+Every number is checked when its object is built: a rate or cost by
+require_scaled and a count by require_integer, each with its closed range.
+An open bound, or one between two fields, is compared only after them. A
+refusal is an InvalidInput whose message starts with the field at fault.
+The size budgets below bound the arrays a run can ask for."""
 from __future__ import annotations
 
 import math
@@ -11,12 +14,12 @@ from dataclasses import dataclass, field
 
 class InvalidInput(ValueError):
     """A refused input. `field` names the argument, dataclass field or CLI
-    flag at fault; the message is the field, then `detail`, or `detail`
-    alone if `whole`. The CLI puts the flag in the field's place."""
+    flag at fault; the message is the field, then `detail`. The CLI puts
+    the flag in the field's place."""
 
-    def __init__(self, field: str, detail: str, whole: bool = False):
-        super().__init__(detail if whole else f"{field} {detail}")
-        self.field, self.detail, self.whole = field, detail, whole
+    def __init__(self, field: str, detail: str):
+        super().__init__(f"{field} {detail}")
+        self.field, self.detail = field, detail
 
 
 def _finite_number(v) -> bool:
@@ -62,13 +65,17 @@ MAX_DAYS = 1_000
 MAX_DRAWS = 10_000_000
 
 
-def require_scaled(name: str, v, most: float = SCALE_MAX) -> None:
+def require_scaled(name: str, v, most: float = SCALE_MAX,
+                   least: float | None = None) -> None:
     """require_finite, and then InvalidInput naming the field unless |v| is
-    at most `most`."""
+    at most `most` and, if `least` is given, v is at least `least`."""
     require_finite(name, v)
     if abs(v) > most:
         raise InvalidInput(name, f"must be at most {most:g} in magnitude, "
                                  f"got {v!r}")
+    if least is not None and v < least:
+        raise InvalidInput(name, (f"must be at least {least:g}" if least
+                                  else "must be nonnegative") + f", got {v!r}")
 
 
 def require_integer(name: str, v, least: int | None = None,
@@ -129,13 +136,8 @@ class DiseaseParams:
 
     def __post_init__(self):
         for name in ("lam", "r", "b", "d"):
-            v = getattr(self, name)
-            require_scaled(name, v, MAX_RATE)
-            if v < 0:
-                raise InvalidInput(name, f"must be nonnegative, got {v}")
-            if name != "d" and v < 1 / MAX_RATE:
-                raise InvalidInput(
-                    name, f"must be at least {1 / MAX_RATE:g}, got {v}")
+            require_scaled(name, getattr(self, name), MAX_RATE,
+                           least=0 if name == "d" else 1 / MAX_RATE)
         if self.d >= self.b:
             raise InvalidInput("d", f"must be below the birth rate "
                                     f"{self.b!r}, got {self.d!r}")
@@ -162,10 +164,7 @@ class VaRatePolicy:
 
     def __post_init__(self):
         for name in ("nu_b", "nu_e"):
-            v = getattr(self, name)
-            require_scaled(name, v, MAX_RATE)
-            if v < 0:
-                raise InvalidInput(name, f"must be nonnegative, got {v}")
+            require_scaled(name, getattr(self, name), MAX_RATE, least=0)
 
     def rate(self, psi: float) -> float:
         return self.nu_b + self.nu_e * psi
@@ -178,9 +177,7 @@ class ResponseParams:
     beta: float
 
     def __post_init__(self):
-        require_scaled("beta", self.beta)
-        if self.beta < 0:
-            raise InvalidInput("beta", f"must be nonnegative, got {self.beta}")
+        require_scaled("beta", self.beta, least=0)
 
 
 @dataclass(frozen=True)
@@ -202,15 +199,10 @@ class PublicCostModel:
 
     def __post_init__(self):
         if (self.s is None) == (self.c_f_table is None):
-            raise InvalidInput("s", "provide exactly one of s or c_f_table",
-                               whole=True)
+            raise InvalidInput("s", "or c_f_table must be given, and not both")
         for name in ("c_v1", "c_v2", "c_v2_bar", "c_i", "s"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            require_scaled(name, v)
-            if v < 0:
-                raise InvalidInput(name, f"must be nonnegative, got {v}")
+            if (v := getattr(self, name)) is not None:
+                require_scaled(name, v, least=0)
         if self.c_f_table is not None:
             tab = tuple(map(float, finite_tuple("c_f_table", self.c_f_table)))
             if not tab:
@@ -227,8 +219,8 @@ class PublicCostModel:
         if self.s is not None:
             return self.s * z
         if z >= len(self.c_f_table):
-            raise InvalidInput("z", f"c_f table has no entry for z={z}",
-                               whole=True)
+            raise InvalidInput("z", f"must be below the c_f table's length "
+                                    f"{len(self.c_f_table)}, got {z}")
         return self.c_f_table[z]
 
     def influence_sufficient(self, m: int) -> bool:

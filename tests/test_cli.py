@@ -216,7 +216,7 @@ class TestSubcommands:
         (["optimize-leader", "--delta", "0", "--zbar", "40", "--csv", "{tmp}/s.csv"],
          "--delta must lie in (0, 1)"),
         (["optimize-leader", "--zbar", "50", "--m", "40", "--csv", "{tmp}/s.csv"],
-         "--zbar must lie in 1..m"),
+         "--zbar must be an integer in 1..40, got 50"),
         (["optimize-leader", "--zbar", "40", "--xi-var", "-1", "--csv", "{tmp}/s.csv"],
          "--xi-var must be nonnegative"),
         (["optimize-leader", "--zbar", "40", "--samples", "0", "--csv", "{tmp}/s.csv"],
@@ -225,26 +225,29 @@ class TestSubcommands:
          "--samples must be an integer in 1..10000000, got 0"),
         (["analyze-ess", "--m", "0"], "--m must be an integer in 1..10000, got 0"),
         (["sweep", "--var", "zbar", "--grid", "0", "--outdir", "{tmp}"],
-         "--grid value zbar = 0.0 is refused: z_bar must lie in 1..m"),
+         "--grid value zbar = 0.0 is refused: z_bar must be an integer in "
+         "1..40, got 0"),
         (["simulate", "--n0", "2000", "--events", "-1", "--outdir", "{tmp}"],
-         "--events must be nonnegative"),
+         "--events must be an integer >= 0, got -1"),
         # past 2**53 the chain's float counts would no longer be exact
         (["simulate", "--n0", "9007199254740992", "--outdir", "{tmp}"],
          "--n0 must keep N0 below 2**53"),
         (["simulate", "--n0", "2000", "--eta0", "0", "--outdir", "{tmp}"],
          "--eta0 must be positive and finite, got 0.0"),
         (["analyze-ess", "--m", "2", "--cf-table", "{tmp}/nosuch.txt"],
-         "cannot read c_f table"),
+         "--cf-table must name a readable file, got {tmp}/nosuch.txt: "
+         "[Errno 2] No such file or directory: '{tmp}/nosuch.txt'"),
         (["analyze-ess", "--m", "2", "--cf-table", "{tmp}"],
-         "cannot read c_f table"),
+         "--cf-table must name a readable file, got {tmp}: [Errno 21] Is a "
+         "directory: '{tmp}'"),
         (["sweep", "--var", "theta_star", "--grid", "1", "--samples", "2000",
           "--outdir", "{tmp}"],
          "--grid value theta_star = 1.0 is refused: theta_star must lie in "
          "(0, 1)"),
         (["sweep", "--var", "zbar", "--grid", "2.5", "--samples", "2000",
           "--outdir", "{tmp}"],
-         "--grid value zbar = 2.5 is refused: z_bar must be an integer, "
-         "got 2.5"),
+         "--grid value zbar = 2.5 is refused: z_bar must be an integer in "
+         "1..40, got 2.5"),
         (["sweep", "--var", "zbar", "--grid", "2", "--workers", "0",
           "--samples", "2000", "--outdir", "{tmp}"],
          "--workers must be an integer >= 1, got 0"),
@@ -257,17 +260,17 @@ class TestSubcommands:
         # the start's fractions are checked before they are rounded to
         # counts, and the chain's own errors name the flags
         (["simulate", "--theta0", "nan", "--outdir", "{tmp}"],
-         "--theta0 must lie in [0, 1], got nan"),
+         "--theta0 must be a finite number, got nan"),
         (["simulate", "--psi0", "nan", "--outdir", "{tmp}"],
-         "--psi0 must lie in [0, 1], got nan"),
+         "--psi0 must be a finite number, got nan"),
         (["simulate", "--theta0", "-0.1", "--outdir", "{tmp}"],
-         "--theta0 must lie in [0, 1], got -0.1"),
+         "--theta0 must be nonnegative, got -0.1"),
         (["simulate", "--psi0", "inf", "--outdir", "{tmp}"],
-         "--psi0 must lie in [0, 1], got inf"),
+         "--psi0 must be a finite number, got inf"),
         (["simulate", "--n0", "0", "--outdir", "{tmp}"],
-         "--n0 must be at least 1, got 0"),
+         "--n0 must be an integer >= 1, got 0"),
         (["simulate", "--n0", "2000", "--events", "-5", "--outdir", "{tmp}"],
-         "--events must be nonnegative"),
+         "--events must be an integer >= 0, got -5"),
         (["simulate", "--n0", "2000", "--eta0", "nan", "--outdir", "{tmp}"],
          "--eta0 must be positive and finite, got nan"),
         # library messages that start with their field, so the flag can
@@ -291,13 +294,15 @@ class TestSubcommands:
           "--csv", "{tmp}/s.csv"],
          "--samples must be an integer in 1..10000000, got 10000001"),
         (["solve-influencer-game", "--zbar", "1", "--m", "10001",
-          "--outdir", "{tmp}"], "--m must be at most 10000 influencers"),
+          "--outdir", "{tmp}"],
+         "--m must be an integer in 1..10000, got 10001"),
         (["analyze-ess", "--m", "10001"],
          "--m must be an integer in 1..10000, got 10001"),
         (["sweep", "--var", "s", "--grid", "0.1", "--m", "10001",
-          "--outdir", "{tmp}"], "--m must be at most 10000 influencers"),
+          "--outdir", "{tmp}"],
+         "--m must be an integer in 1..10000, got 10001"),
         (["optimize-leader", "--zbar", "1", "--t", "1001", "--csv", "{tmp}/s.csv"],
-         "--t must be at most 1000 days, got 1001"),
+         "--t must be an integer in 2..1000, got 1001"),
         (["reproduce-fig", "--id", "4", "--samples", "0", "--outdir", "{tmp}"],
          "--samples must be an integer in 1..10000000, got 0"),
         # magnitudes past the float range's headroom
@@ -374,10 +379,13 @@ class TestSubcommands:
          "the rates --lambda, --r and --b must have rho > 1 to need a "
          "threshold, got rho = 0.25"),
         (["optimize-leader", "--csv", "{tmp}/s.csv"],
-         "give --zbar or --auto-zbar"),
+         "--zbar or --auto-zbar must be given"),
         # --m is checked before a table's length is set against m + 1
         (["analyze-ess", "--m", "-1", "--cf-table", os.devnull],
          "--m must be an integer in 1..10000, got -1"),
+        # a fraction past 1, refused before the sum of the two is
+        (["simulate", "--theta0", "1.5", "--outdir", "{tmp}"],
+         "--theta0 must be at most 1 in magnitude, got 1.5"),
     ]
 
     @pytest.mark.parametrize("argv,message", REJECTED,
@@ -410,19 +418,19 @@ class TestSubcommands:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flags,message", [
-        (["--xi-var", "-1"], "--xi-var must be nonnegative"),
+        (["--xi-var", "-1"], "--xi-var must be nonnegative, got -1.0"),
         (["--p0", "1.5"], "--p0 must lie in [0, 1)"),
         (["--xi-mean", "nan"], "--xi-mean must be a finite number, got nan"),
         (["--xi-mean", "-3", "--xi-var", "0"],
          "the law of --xi-mean, --xi-var and --p0 must have a positive "
          "mean, got 0.0"),
         # the game's own fields, named by their flags as the law's are
-        (["--m", "0"], "--m must be at least 1 influencer, got 0"),
-        (["--t", "1"], "--t must be at least 2 days, got 1"),
+        (["--m", "0"], "--m must be an integer in 1..10000, got 0"),
+        (["--t", "1"], "--t must be an integer in 2..1000, got 1"),
         (["--cv", "nan"], "--cv must be a finite number, got nan"),
         (["--ci", "0"], "--ci must be positive"),
-        (["--cse1", "-1"], "--cse1 must be nonnegative"),
-        (["--zbar", "0"], "--zbar must lie in 1..m"),
+        (["--cse1", "-1"], "--cse1 must be nonnegative, got -1.0"),
+        (["--zbar", "0"], "--zbar must be an integer in 1..40, got 0"),
         (["--g0", "nan"], "--g0 must be a finite number, got nan"),
     ], ids=["xi_var", "p0", "xi_mean", "mean", "m", "t", "cv", "ci", "cse1",
             "zbar", "g0"])
@@ -1046,7 +1054,8 @@ class TestFigures:
         assert all(b <= a for a, b in zip(ks, ks[1:]))
 
     def test_unknown_figure_id(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown figure id 9"):
+        with pytest.raises(ValueError, match=r"^fig_id must be in "
+                           r"\(1, 2, 3, 4, 5\), got 9$"):
             reproduce_figure(9, tmp_path,
                              vg.ExpectationSampler(n_samples=100))
 

@@ -240,6 +240,34 @@ _REFUSALS = [
       for g in (NAN, -INF)],
     *[(lambda g=g: vg.expected_incentive_cost(g, _leader()), "g")
       for g in (NAN, -INF)],
+    # refusals that read after their field, where they once stood alone
+    (lambda: vg.PublicCostModel(**_COSTS, s=0.2, c_f_table=(0.0, 1.0)), "s"),
+    (lambda: vg.PublicCostModel(**_COSTS, c_f_table=(0.0, 1.0)).c_f(2), "z"),
+    (lambda: vg.psi_co_occurring(vg.VaRatePolicy(1.0, 20.0), _DIS), "nu"),
+    (lambda: vg.simulate_jump_process((2.5, 0, 0, 2.5), **_START),
+     "initial_counts"),
+    (lambda: vg.simulate_jump_process((900, 0, 100, 999), **_START),
+     "initial_counts"),
+    (lambda: vg.non_eradication_probability(1.0, 2, _POINT, with_slope=True),
+     "with_slope"),
+    (lambda: cli.reproduce_figure(9, Path("out"),
+                                  vg.ExpectationSampler(n_samples=10)),
+     "fig_id"),
+    # a string or a bool where a number is asked for, refused by name
+    # before any comparison: not a bare TypeError, nor taken as 1
+    (lambda: _leader(delta="a"), "delta"),
+    (lambda: leader.p_star(2, 40, "a"), "delta"),
+    (lambda: cli.ScenarioConfig("delta", (0.05,), _DIS, _NU, _PUBLIC,
+                                _GAME_CFG, "a", Path("out")), "delta"),
+    *[(lambda eps=eps: leader.construct_eps_vaccine_optimal_nu(
+        5, eps, _PUBLIC, _DIS, 40), "eps") for eps in (True, "a")],
+    (lambda: vg.integrate_to_equilibrium(
+        vg.OdeState(0.1, 0.2, 0.3), _DIS, _NU, vg.ResponseParams(2.0),
+        horizon=True), "horizon"),
+    *[(lambda counts=counts: vg.simulate_jump_process(counts, **_START),
+       "initial_counts") for counts in (("5", "0", "0", "5"),
+                                        (True, False, False, True))],
+    *[(lambda p=p: vg.binom_cdf(3, 1, p), "p") for p in (True, "a")],
 ]
 _REFUSAL_IDS = [
     "lam", "d", "ess_m", "ess_m_budget", "ess_z", "ess_z_subcritical",
@@ -254,7 +282,12 @@ _REFUSAL_IDS = [
     "stage_set_z_negative", "stage_set_t_horizon", "stage_set_c_nan", "gamma_t_fraction",
     "gamma_c_nan", "ne_outcome_g_nan", "ne_outcome_c_nan", "z_t_g_nan",
     "np_g_nan", "np_g_minus_inf", "np_point_g_nan", "np_point_g_minus_inf",
-    "outlay_g_nan", "outlay_g_minus_inf"]
+    "outlay_g_nan", "outlay_g_minus_inf", "costs_s_and_table",
+    "c_f_past_table", "psi_co_occurring_nu_e", "chain_fraction",
+    "chain_sum", "np_point_slope", "figure_id", "leader_delta_str",
+    "p_star_delta_str", "sweep_delta_str", "eps_bool", "eps_str",
+    "horizon_bool", "chain_str", "chain_bool", "binom_p_bool",
+    "binom_p_str"]
 
 
 @pytest.mark.parametrize("call, field", _REFUSALS, ids=_REFUSAL_IDS)

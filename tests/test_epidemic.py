@@ -1585,7 +1585,7 @@ class TestJumpProcess:
         # whole counts that are no population: a negative count, parts
         # that do not sum to N, and N = 0
         for counts in ((-1, 1, 0, 0), (1, 0, 0, 2), (0, 0, 0, 0)):
-            with pytest.raises(ValueError, match="^counts must be "
+            with pytest.raises(ValueError, match="^initial_counts must be "
                                "nonnegative with S\\+V\\+I == N >= 1$"):
                 vg.simulate_jump_process(counts, dis, nu, beta, seed=0,
                                          n_events=10)

@@ -68,8 +68,9 @@ class TestHValues:
         rep = vg.classify_esss(5, nu, fig5_costs(0.1), dis, M)
         assert rep.h_v_o is None
         assert rep.h_i is not None and rep.h_v is not None
-        with pytest.raises(ValueError, match="^co-occurring equilibrium "
-                           "undefined: b\\*rho - nu_e <= 0$"):
+        with pytest.raises(ValueError, match="^nu must have nu_e < b\\*rho "
+                           "for a co-occurring equilibrium, got nu_e = "
+                           f"{nu.nu_e!r}$"):
             vg.psi_co_occurring(nu, dis)
 
     def test_subcritical_has_no_gaps(self):
@@ -307,7 +308,8 @@ def test_cf_table_must_be_non_empty_and_finite(table):
     (fig5_costs(0.1), -1, "z must be nonnegative"),
     (vg.PublicCostModel(c_v1=0.2, c_v2=0.05, c_v2_bar=100.0, c_i=0.5,
                         c_f_table=(0.0, 1.0)), 2,
-     "c_f table has no entry for z=2")], ids=["negative", "past_table"])
+     "z must be below the c_f table's length 2, got 2")],
+    ids=["negative", "past_table"])
 def test_c_f_refuses_counts_outside_its_range(costs, z, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         costs.c_f(z)
@@ -421,8 +423,9 @@ def test_tiny_costs_with_certain_signs_are_not_fragile():
     assert reps[20].h_i == pytest.approx(-3.54e-13, rel=1e-3)
 
 
-# the admissibility gap computes to exactly 0, so the policy is not
-# admissible, but nu_b / theta* lies within the gap's rounding of b rho
+# nu_e is b rho - nu_b / theta* as computed, and nu_b / theta* lies within
+# that difference's rounding of b rho: a gap that took the difference first
+# was exactly 0, but the exact sign of its float terms is positive
 ZERO_GAP = (vg.DiseaseParams(lam=13.132526520732565, r=1.116020913134459,
                              b=0.26365889362278044),
             vg.VaRatePolicy(4.913273969426824e-16, 2.5096456409450174))
@@ -431,27 +434,30 @@ ZERO_GAP = (vg.DiseaseParams(lam=13.132526520732565, r=1.116020913134459,
 def test_no_co_occurring_limit_where_its_theta_is_certainly_negative():
     # at ZERO_GAP, psi_o = 1.24 theta*, and at theta_o = -0.24 theta* lam
     # theta_o + nu(psi_o) is exactly 0. The classification divided by it;
-    # now neither layer has the limit
+    # now neither layer has the limit, as the policy is admissible
     dis, nu = ZERO_GAP
     psi_o = vg.psi_co_occurring(nu, dis)
     theta_o = dis.theta_star - psi_o
     assert dis.lam * theta_o + nu.rate(psi_o) == 0.0
-    assert admissibility_gap(nu, dis) == 0.0
+    q = Fraction
+    assert (q(nu.nu_e) - q(dis.b * dis.rho)
+            + q(nu.nu_b / dis.theta_star)) > 0
+    assert admissibility_gap(nu, dis) > 0.0
     assert theta_o < -0.2 * dis.theta_star
     rep = vg.classify_esss(1, nu, fig5_costs(0.1), dis, 4)
-    assert rep.admissibility is Admissibility.NOT_ADMISSIBLE
+    assert rep.admissibility is Admissibility.ADMISSIBLE
     assert rep.h_v_o is None and rep.esss_set == frozenset({"non_vaccinating"})
     beta = vg.ResponseParams(2.0 / psi_o)
     assert vg.candidate_attractors(dis, nu, beta).co_occurring is None
 
 
 def test_a_zero_admissibility_gap_is_fragile():
-    # the float sign still refuses the policy at every count, and the
-    # report says that rounding may have set that sign
+    # the exact sign takes the policy at every count, and the report says
+    # that rounding of the gap's terms may have set that sign
     dis, nu = ZERO_GAP
     for z in range(5):
         rep = vg.classify_esss(z, nu, fig5_costs(0.1), dis, 4)
-        assert rep.admissibility is Admissibility.NOT_ADMISSIBLE
+        assert rep.admissibility is Admissibility.ADMISSIBLE
         assert "admissibility" in rep.fragile
         assert rep.to_dict()["fragile"] == sorted(rep.fragile)
 
@@ -487,10 +493,10 @@ def near_line_policy(draw):
                vg.VaRatePolicy(5.0, 0.0)), z=1, beta=1.0)
 def test_the_layers_agree_on_the_co_occurring_limit(case, z, beta):
     """classify_esss has h_v_o exactly where candidate_attractors has the
-    co-occurring candidate, and neither raises. The limit exists on the
-    side of the line that the gap's float sign gives, is a state there
-    (OdeState takes it), and is missing on that side only where theta_o is
-    certainly below 0."""
+    co-occurring candidate, and neither raises. The limit exists exactly on
+    the side of the line that the gap's exact sign gives, where b rho -
+    nu_e > 0, and is a state there (OdeState takes it), with theta_o at
+    least -3 u theta* (co_occurring_limit's argument)."""
     dis, nu = case
     costs = vg.PublicCostModel(c_v1=1.0, c_v2=2.0, c_v2_bar=1.0, c_i=1.0,
                                s=1.0)
@@ -503,13 +509,11 @@ def test_the_layers_agree_on_the_co_occurring_limit(case, z, beta):
     gap = admissibility_gap(nu, dis)
     if cand.co_occurring is not None:
         assert gap <= 0.0
-        # the bound that _limit's argument takes
+        # inside the -33 u theta* that _limit's argument takes
         theta_o = cand.co_occurring.state().theta
-        assert theta_o > -33 * 2.0 ** -53 * dis.theta_star
-    elif gap <= 0.0 and dis.b * dis.rho - nu.nu_e > 0.0:
-        psi_o = vg.psi_co_occurring(nu, dis)
-        band = 16 * 2.0 ** -53 * (dis.theta_star + psi_o)
-        assert dis.theta_star - psi_o < -band
+        assert theta_o >= -3 * 2.0 ** -53 * dis.theta_star
+    else:
+        assert gap > 0.0 or dis.b * dis.rho - nu.nu_e <= 0.0
 
 
 @settings(max_examples=400, deadline=None)
@@ -520,10 +524,11 @@ def test_the_layers_agree_on_the_co_occurring_limit(case, z, beta):
 def test_admissibility_is_fragile_exactly_within_its_band(case):
     """For rho > 1, classify_esss names 'admissibility' fragile exactly
     where the admissibility gap lies within 16 u (u = 2^-53) of nu_e + b
-    rho + nu_b / theta*. The gap's four roundings err by at most 3 u of
-    that scale, so it lies within a quarter of the band of the exact value
-    on the same floats, and outside the band its float sign is the exact
-    one. For rho <= 1 nothing is fragile."""
+    rho + nu_b / theta*. The gap's three roundings (b rho, nu_b / theta*
+    and the sum) err by at most 3 u of that scale, so it lies within a
+    quarter of the band of the exact value on the same floats, and outside
+    the band its float sign is the exact one. For rho <= 1 nothing is
+    fragile."""
     dis, nu = case
     costs = vg.PublicCostModel(c_v1=1.0, c_v2=2.0, c_v2_bar=1.0, c_i=1.0,
                                s=1.0)
@@ -540,3 +545,36 @@ def test_admissibility_is_fragile_exactly_within_its_band(case):
     assert abs(q(gap) - exact) <= q(band) / 4
     if abs(gap) > band:
         assert (gap > 0.0) is (exact > 0)
+
+
+@st.composite
+def on_line_policy(draw):
+    """(disease, nu): rho in 1.0001..50 and r, b in 0.01..10, nu_b / theta*
+    1e-16..0.1 of b rho, and nu_e = b rho - nu_b / theta* as computed, a
+    difference that rounds by about u b rho."""
+    r, b = draw(st.floats(0.01, 10.0)), draw(st.floats(0.01, 10.0))
+    dis = vg.DiseaseParams(lam=draw(st.floats(1.0001, 50.0)) * (r + b), r=r,
+                           b=b)
+    assume(dis.rho > 1.0)
+    nu_b = (10.0 ** draw(st.floats(-16.0, -1.0)) * dis.b * dis.rho
+            * dis.theta_star)
+    return dis, vg.VaRatePolicy(nu_b, dis.b * dis.rho - nu_b / dis.theta_star)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.one_of(near_line_policy(), on_line_policy()))
+@example(case=ZERO_GAP)
+def test_admissibility_is_the_exact_sign_of_its_float_terms(case):
+    """is_admissible agrees with the sign of nu_e - fl(b rho) + fl(nu_b /
+    theta*) in exact arithmetic. On the line as computed, nu_e = fl(fl(b
+    rho) - fl(nu_b / theta*)), that sign is the sign of the difference's
+    rounding error, which a gap that takes the difference first reads as
+    0."""
+    dis, nu = case
+    status = vg.is_admissible(nu, dis)
+    if dis.rho <= 1.0:
+        assert status is Admissibility.NO_INTERVENTION_NEEDED
+        return
+    q = Fraction
+    exact = q(nu.nu_e) - q(dis.b * dis.rho) + q(nu.nu_b / dis.theta_star)
+    assert (status is Admissibility.ADMISSIBLE) is (exact > 0)

@@ -148,6 +148,9 @@ class TestCountChecks:
         (lambda cfg: vg.binom_cdf(3, True, 0.5), "m"),
         (lambda cfg: vg.binom_cdf(3, 1, math.nan), "p"),
         (lambda cfg: vg.binom_cdf(3, 1, np.array([0.5, math.nan])), "p"),
+        # below 0, and past 1 in an array
+        (lambda cfg: vg.binom_cdf(3, 1, -0.5), "p"),
+        (lambda cfg: vg.binom_cdf(3, 1, np.array([0.5, 1.5])), "p"),
         (lambda cfg: game.p_from_gamma(0.0, 2.0, at(cfg, 1.5)), "z_bar"),
         (lambda cfg: game.p_from_gamma(0.0, 2.0, at(cfg, True)), "z_bar"),
         (lambda cfg: game.p_from_gamma(0.0, 2.0, at(cfg, 0)), "z_bar"),
@@ -162,7 +165,8 @@ class TestCountChecks:
         (lambda cfg: vg.p_star(2, 3, math.nan), "delta"),
     ], ids=["p_star-k-1.5", "p_star-k-True", "p_star-m-3.5",
             "outcome-zbar-1.5", "outcome-zbar-True", "cdf-l-3.5", "cdf-m-1.5",
-            "cdf-m-True", "cdf-p-nan", "cdf-p-array-nan", "p-zbar-1.5",
+            "cdf-m-True", "cdf-p-nan", "cdf-p-array-nan", "cdf-p-negative",
+            "cdf-p-array-past-1", "p-zbar-1.5",
             "p-zbar-True", "p-zbar-0", "p-zbar-4", "p-vec-zbar-1.5",
             "p-vec-zbar-True", "p-vec-zbar-0", "p-vec-zbar-4", "gamma-t-0",
             "gamma-t-4", "p_star-delta-1", "p_star-delta-nan"])

@@ -1504,3 +1504,21 @@ def test_l_table_uses_capped_side_effect_term():
     for k in (0, 10, 40):
         assert tab[k] == pytest.approx(
             min(-a * (40 - k) / 40, lim - 15.0 * (40 - k) / 40), rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 2.0], ids=["point", "mc"])
+def test_solutions_hold_python_floats(sigma2):
+    # every float field of a solve, Monte Carlo and point law, and the
+    # binomial roots are Python floats, not numpy scalars, so that a check
+    # of one takes require_finite's plain-float path
+    for z_bar in (1, 5, 39, 40):
+        for delta in (0.01, 0.1):
+            sol = vg.solve_optimal_incentive(z_bar, mc_problem(
+                delta, z_bar, sigma2=sigma2, n=2_000, seed=3))
+            for name in ("g_star", "u_star", "p_expectation", "np_at_g",
+                         "epsilon", "u_star_raw"):
+                value = getattr(sol, name)
+                assert value is None or type(value) is float, (z_bar, name)
+    for k in (1, 20, 40):
+        assert type(vg.p_star(k, 40, 0.05)) is float
+    assert type(vg.ne_outcome_probability(1.0, 3.0, game_cfg(20))) is float
