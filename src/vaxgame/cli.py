@@ -374,6 +374,8 @@ CONFIG_SECTIONS = {
     "sweep": ("var", "grid"),
     "output": ("outdir", "csv", "seed", "plot", "workers"),
 }
+# keys whose flag is a switch (store_true): true or false in a file
+_CONFIG_SWITCHES = ("plot",)
 
 
 def load_config_file(path: str) -> dict:
@@ -387,7 +389,8 @@ def load_config_file(path: str) -> dict:
         if text.lstrip().startswith("{"):
             items = json.loads(text).items()
         else:
-            cp = configparser.ConfigParser()
+            # no DEFAULT section: a [DEFAULT] is an unknown one
+            cp = configparser.ConfigParser(default_section="")
             cp.read_string(text)
             # a value is interpolated when read, where a stray % fails
             items = [(sec, dict(cp[sec])) for sec in cp.sections()]
@@ -406,6 +409,10 @@ def load_config_file(path: str) -> dict:
                 raise refused(f"has an unknown key {key!r} in section [{sec}]")
             if "\0" in str(val):  # no path or number holds one
                 raise refused(f"holds a NUL character in {key!r}")
+            if key in _CONFIG_SWITCHES and str(val).lower() not in (
+                    "true", "false"):
+                raise refused(f"must set {key!r} in section [{sec}] to true "
+                              f"or false, got {str(val)!r}")
             flat[key] = val
     return flat
 
@@ -416,11 +423,15 @@ def config_flag(key: str) -> str:
 
 
 def _config_args(flat: dict, known: set[str]) -> list[str]:
+    """The flags of `known` that flat's keys set: a switch alone where it is
+    true, any other key with its text as the value."""
     extra = []
     for key, val in flat.items():
         flag, val = config_flag(key), str(val)
-        if flag in known and val.lower() != "false":
-            extra += [flag] if val.lower() == "true" else [flag, val]
+        if flag in known and key not in _CONFIG_SWITCHES:
+            extra += [flag, val]
+        elif flag in known and val.lower() == "true":
+            extra.append(flag)
     return extra
 
 

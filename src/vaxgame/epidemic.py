@@ -60,9 +60,9 @@ def _field(disease: DiseaseParams, nu: VaRatePolicy, beta: ResponseParams):
     rates are written three more times, each rounded for its use: in
     `_basin`, locate's planar drift from the same floats (Newton zeroes
     the field the stepper integrates) and certify's outward-stepped
-    enclosure of it (a proof bounds the exact values); and `_window`'s
-    thresholds in counts, left to right as one event computes them (a
-    window decides the one-at-a-time chain's events to the bit).
+    enclosure of it (a proof bounds the exact values); and `_thresholds`
+    in counts, left to right as one event computes them (a window decides
+    the one-at-a-time chain's events to the bit).
     """
     lam, r, b, d = disease.lam, disease.r, disease.b, disease.d
     inv_rho = 1.0 / disease.rho
@@ -675,27 +675,16 @@ def _integrate(init: OdeState, disease: DiseaseParams, nu: VaRatePolicy,
             # attempt, so that a start it closes pays for no first step size
             h_abs = _initial_step(f, (y0, y1, y2), (k0, k1, k2), horizon)
             evals = 2
-            # One flat loop over scalar locals: each stage and the error norm
-            # are written out with the constants bound here, and builtin
-            # min/max are comparisons that give the same double. Every float
-            # operation keeps the operands and the order of the textbook step,
-            # so the result is bit-identical to a step function over tuples.
-            a21 = _A21
-            a31, a32 = _A31, _A32
-            a41, a42, a43 = _A41, _A42, _A43
-            a51, a52, a53, a54 = _A51, _A52, _A53, _A54
-            a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
-            b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
-            e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
-            atol, rtol, max_step = _ATOL, _RTOL, _MAX_STEP
-            safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
-            exponent = _ERROR_EXPONENT
-            sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
-        # retry from (t, y) until a step passes the error test, or the
-        # step falls below ten units in the last place of t
-        min_step = 10 * (nextafter(t, inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
+        # One flat loop over scalars: each stage and the error norm are
+        # written out from the tableau constants, and builtin min/max are
+        # comparisons that give the same double. Every float operation keeps
+        # the operands and the order of the textbook step, so the result is
+        # bit-identical to a step function over tuples. It retries from
+        # (t, y) until a step passes the error test, or the step falls below
+        # ten units in the last place of t.
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if h_abs > _MAX_STEP:
+            h_abs = _MAX_STEP
         elif h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -705,32 +694,32 @@ def _integrate(init: OdeState, disease: DiseaseParams, nu: VaRatePolicy,
                 t_new = horizon
             h = t_new - t
             evals += 6
-            p0, p1, p2, _ = f(y0 + a21 * k0 * h, y1 + a21 * k1 * h,
-                              y2 + a21 * k2 * h)
-            q0, q1, q2, _ = f(y0 + (a31 * k0 + a32 * p0) * h,
-                              y1 + (a31 * k1 + a32 * p1) * h,
-                              y2 + (a31 * k2 + a32 * p2) * h)
+            p0, p1, p2, _ = f(y0 + _A21 * k0 * h, y1 + _A21 * k1 * h,
+                              y2 + _A21 * k2 * h)
+            q0, q1, q2, _ = f(y0 + (_A31 * k0 + _A32 * p0) * h,
+                              y1 + (_A31 * k1 + _A32 * p1) * h,
+                              y2 + (_A31 * k2 + _A32 * p2) * h)
             r0, r1, r2, _ = f(
-                y0 + (a41 * k0 + a42 * p0 + a43 * q0) * h,
-                y1 + (a41 * k1 + a42 * p1 + a43 * q1) * h,
-                y2 + (a41 * k2 + a42 * p2 + a43 * q2) * h)
+                y0 + (_A41 * k0 + _A42 * p0 + _A43 * q0) * h,
+                y1 + (_A41 * k1 + _A42 * p1 + _A43 * q1) * h,
+                y2 + (_A41 * k2 + _A42 * p2 + _A43 * q2) * h)
             s0, s1, s2, _ = f(
-                y0 + (a51 * k0 + a52 * p0 + a53 * q0 + a54 * r0) * h,
-                y1 + (a51 * k1 + a52 * p1 + a53 * q1 + a54 * r1) * h,
-                y2 + (a51 * k2 + a52 * p2 + a53 * q2 + a54 * r2) * h)
+                y0 + (_A51 * k0 + _A52 * p0 + _A53 * q0 + _A54 * r0) * h,
+                y1 + (_A51 * k1 + _A52 * p1 + _A53 * q1 + _A54 * r1) * h,
+                y2 + (_A51 * k2 + _A52 * p2 + _A53 * q2 + _A54 * r2) * h)
             u0, u1, u2, _ = f(
-                y0 + (a61 * k0 + a62 * p0 + a63 * q0 + a64 * r0
-                      + a65 * s0) * h,
-                y1 + (a61 * k1 + a62 * p1 + a63 * q1 + a64 * r1
-                      + a65 * s1) * h,
-                y2 + (a61 * k2 + a62 * p2 + a63 * q2 + a64 * r2
-                      + a65 * s2) * h)
-            n0 = y0 + h * (b1 * k0 + b3 * q0 + b4 * r0 + b5 * s0
-                           + b6 * u0)
-            n1 = y1 + h * (b1 * k1 + b3 * q1 + b4 * r1 + b5 * s1
-                           + b6 * u1)
-            n2 = y2 + h * (b1 * k2 + b3 * q2 + b4 * r2 + b5 * s2
-                           + b6 * u2)
+                y0 + (_A61 * k0 + _A62 * p0 + _A63 * q0 + _A64 * r0
+                      + _A65 * s0) * h,
+                y1 + (_A61 * k1 + _A62 * p1 + _A63 * q1 + _A64 * r1
+                      + _A65 * s1) * h,
+                y2 + (_A61 * k2 + _A62 * p2 + _A63 * q2 + _A64 * r2
+                      + _A65 * s2) * h)
+            n0 = y0 + h * (_B1 * k0 + _B3 * q0 + _B4 * r0 + _B5 * s0
+                           + _B6 * u0)
+            n1 = y1 + h * (_B1 * k1 + _B3 * q1 + _B4 * r1 + _B5 * s1
+                           + _B6 * u1)
+            n2 = y2 + h * (_B1 * k2 + _B3 * q2 + _B4 * r2 + _B5 * s2
+                           + _B6 * u2)
             l0, l1, l2, _ = f(n0, n1, n2)
             # RMS of the embedded error over
             # _ATOL + _RTOL * max(|y|, |y_new|)
@@ -743,27 +732,27 @@ def _integrate(init: OdeState, disease: DiseaseParams, nu: VaRatePolicy,
             w2, x = abs(y2), abs(n2)
             if x > w2:
                 w2 = x
-            w0 = ((e1 * k0 + e3 * q0 + e4 * r0 + e5 * s0 + e6 * u0
-                   + e7 * l0) * h / (atol + w0 * rtol))
-            w1 = ((e1 * k1 + e3 * q1 + e4 * r1 + e5 * s1 + e6 * u1
-                   + e7 * l1) * h / (atol + w1 * rtol))
-            w2 = ((e1 * k2 + e3 * q2 + e4 * r2 + e5 * s2 + e6 * u2
-                   + e7 * l2) * h / (atol + w2 * rtol))
-            err = sqrt((w0 * w0 + w1 * w1 + w2 * w2) / 3.0)
+            w0 = ((_E1 * k0 + _E3 * q0 + _E4 * r0 + _E5 * s0 + _E6 * u0
+                   + _E7 * l0) * h / (_ATOL + w0 * _RTOL))
+            w1 = ((_E1 * k1 + _E3 * q1 + _E4 * r1 + _E5 * s1 + _E6 * u1
+                   + _E7 * l1) * h / (_ATOL + w1 * _RTOL))
+            w2 = ((_E1 * k2 + _E3 * q2 + _E4 * r2 + _E5 * s2 + _E6 * u2
+                   + _E7 * l2) * h / (_ATOL + w2 * _RTOL))
+            err = math.sqrt((w0 * w0 + w1 * w1 + w2 * w2) / 3.0)
             if err < 1.0:
                 break
-            x = safety * err ** exponent
-            h_abs = h * (x if x > min_factor else min_factor)
+            x = _SAFETY * err ** _ERROR_EXPONENT
+            h_abs = h * (x if x > _MIN_FACTOR else _MIN_FACTOR)
             rejected = True
         if not h_abs >= min_step:
             msg = f"step size collapsed at t = {t:.6g}"
             break
         if err == 0.0:
-            x = max_factor
+            x = _MAX_FACTOR
         else:
-            x = safety * err ** exponent
-            if not x < max_factor:
-                x = max_factor
+            x = _SAFETY * err ** _ERROR_EXPONENT
+            if not x < _MAX_FACTOR:
+                x = _MAX_FACTOR
         if rejected and not x < 1.0:
             x = 1.0
         t, h_abs = t_new, h * x
@@ -819,11 +808,35 @@ for _table in (_POSITIONS, _STEP, _OUTCOME):
     _table.flags.writeable = False
 
 
-def _outcomes(u, second, c_inf, c_rec, c_birth, c_death, s, v, n, accept):
+def _thresholds(s, v, i, n, rates: tuple[float, ...]):
+    """An event's thresholds (c_inf, c_rec, c_birth, c_death, total, accept)
+    from the counts (S, V, I, N) before it, each a scalar or one per event,
+    left to right as one event alone computes them: lam*S*I/N, c_inf + r*I,
+    c_rec + b*N, c_birth + d*N, c_death + (nu_b + nu_e*psi)*S and beta*psi,
+    with psi = V/N."""
+    lam, r, b, d, nu_b, nu_e, bt = rates
+    psi = v / n
+    # in place over arrays, where a temporary per operation costs a window
+    # about 2 %; the sums commute, so scalars get the same doubles
+    c_inf = lam * s
+    c_inf *= i
+    c_inf /= n
+    c_rec = c_inf + r * i
+    c_birth = c_rec + b * n
+    c_death = c_birth + d * n
+    total = nu_e * psi
+    total += nu_b
+    total *= s
+    total += c_death
+    return c_inf, c_rec, c_birth, c_death, total, bt * psi
+
+
+def _outcomes(u, second, thresholds, s, v, n):
     """The outcome of each event whose first uniform times the total rate
-    is u and whose next uniform is second, under the thresholds given, each
-    a scalar or one per event: u picks the branch, second*n the dying
-    compartment, and second < accept accepts an offer."""
+    is u and whose next uniform is second, under the `_thresholds` given:
+    u picks the branch, second*n the dying compartment, and second < accept
+    accepts an offer."""
+    c_inf, c_rec, c_birth, c_death, _, accept = thresholds
     branch = ((u >= c_inf).view(np.int8) + (u >= c_rec).view(np.int8)
               + (u >= c_birth).view(np.int8) + (u >= c_death).view(np.int8))
     u2 = second * n
@@ -842,23 +855,15 @@ def _window(w, cap: int, counts: tuple[float, float, float, float],
     they take, and an array whose columns 0..a are the counts before the
     first event and after each.
 
-    Every event is guessed from the thresholds at the start, and every
-    guess is then checked against the thresholds of the counts the guesses
-    before it give: the events up to the first wrong guess are exact, and
-    so is the state before that one, which is then decided from it. Each
-    threshold is computed from its state as one event alone would compute
-    it, left to right: c_inf = lam*S*I/N, c_rec = c_inf + r*I,
-    c_birth = c_rec + b*N, c_death = c_birth + d*N and
-    total = c_death + (nu_b + nu_e*psi)*S, with psi = V/N.
+    Every event is guessed from the `_thresholds` at the start, and every
+    guess is then checked against those of the counts the guesses before it
+    give: the events up to the first wrong guess are exact, and so is the
+    state before that one, which is then decided from it.
     """
     s, v, i, n = counts
-    lam, r, b, d, nu_b, nu_e, bt = rates
-    psi = v / n
-    c_inf = lam * s * i / n
-    c_rec = c_inf + r * i
-    c_birth = c_rec + b * n
-    c_death = c_birth + d * n
-    u = w * (c_death + (nu_b + nu_e * psi) * s)
+    start = _thresholds(s, v, i, n, rates)
+    c_birth, total = start[2], start[4]
+    u = w * total
     # An event takes a second uniform exactly when u >= c_birth, so a
     # position starts an event iff its distance to the last position that
     # follows a one-uniform draw is even; w[0] counts as such a position.
@@ -870,8 +875,7 @@ def _window(w, cap: int, counts: tuple[float, float, float, float],
     np.maximum.accumulate(follows, out=follows)
     at = np.flatnonzero(((_POSITIONS[1:last + 1] + follows) & 1) != 0)[:cap]
     second = w[at + 1]
-    guess = _outcomes(u[at], second, c_inf, c_rec, c_birth, c_death,
-                      s, v, n, bt * psi)
+    guess = _outcomes(u[at], second, start, s, v, n)
     states = np.empty((4, len(at) + 1))
     states[:, 0] = counts
     # the counts are exact integers, and each outcome moves N by the sum of
@@ -890,19 +894,8 @@ def _window(w, cap: int, counts: tuple[float, float, float, float],
             at, guess = at[:zero[0] + 1], guess[:zero[0] + 1]
     e = len(at)
     S, V, I, N = states[:, :e]
-    psi = V / N
-    c_inf = lam * S
-    c_inf *= I
-    c_inf /= N
-    c_rec = c_inf + r * I
-    c_birth = c_rec + b * N
-    c_death = c_birth + d * N
-    total = nu_e * psi
-    total += nu_b
-    total *= S
-    total += c_death
-    exact = _outcomes(w[at] * total, second[:e], c_inf, c_rec, c_birth,
-                      c_death, S, V, N, bt * psi)
+    check = _thresholds(S, V, I, N, rates)
+    exact = _outcomes(w[at] * check[4], second[:e], check, S, V, N)
     wrong = guess != exact
     a = int(wrong.argmax())
     if wrong[a]:

@@ -52,8 +52,9 @@ def _limit(theta: float, psi: float, nu: VaRatePolicy,
     but z/m rounds before 1 - z/m, by up to u absolutely, which near z = m
     is up to m u/2 of 1 - z/m; so its error is below gamma_7 side, and
     side stands for it. lam theta + nu(psi) does not cancel: theta >= 0,
-    or theta_o > -33 u theta* (co_occurring_limit), where nu(psi_o) > 270
-    |lam theta_o| within DiseaseParams' bounds (b rho / lam >= 1e-12).
+    or theta_o >= -3u theta* (co_occurring_limit), where nu(psi_o) =
+    b rho psi_o > 3000 |lam theta_o| within DiseaseParams' bounds
+    (b rho / lam >= 1e-12).
     """
     side = (costs.c_v2_bar if psi <= 0.0
             else min(costs.c_v2_bar, costs.c_v2 / psi))
@@ -69,12 +70,6 @@ def _gap(z: int, m: int, costs: PublicCostModel,
     (1 - z/m) side - infection - c_f(z); its callers check z and m."""
     side, infection = limit
     return costs.c_v1 + (1.0 - z / m) * side - infection - costs.c_f(z)
-
-
-def _require_counts(z: int, m: int) -> None:
-    """m must be an integer in 1..MAX_INFLUENCERS and z one in 0..m."""
-    require_integer("m", m, 1, MAX_INFLUENCERS)
-    require_integer("z", z, 0, m)
 
 
 def _iv_limits(nu: VaRatePolicy, costs: PublicCostModel,
@@ -129,7 +124,8 @@ def classify_esss(z: int, nu: VaRatePolicy, costs: PublicCostModel,
     nu_b/theta_star are rounded from the rates. m must be an integer in
     1..MAX_INFLUENCERS and z one in 0..m, for every rho.
     """
-    _require_counts(z, m)
+    require_integer("m", m, 1, MAX_INFLUENCERS)
+    require_integer("z", z, 0, m)
     adm = is_admissible(nu, disease)
     witness: dict[str, str] = {}
 

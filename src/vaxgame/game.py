@@ -498,9 +498,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# The p grid of the binomial tables, ascending and descending.
-_P_UP = _read_only(np.linspace(0.0, 1.0, CDF_TABLE_POINTS))
-_P_DOWN = _read_only(_P_UP[::-1].copy())
+# The p grid of the binomial tables, descending.
+_P_DOWN = _read_only(np.linspace(1.0, 0.0, CDF_TABLE_POINTS))
 
 
 @functools.lru_cache(maxsize=8)
@@ -550,9 +549,8 @@ def _cdf_rows(trials: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _bdtr_grid(trials: int, successes: int) -> np.ndarray:
-    """scipy's binomial tail on the descending grid (F ascending)."""
-    bdtr = _scipy().bdtr
-    return _read_only(bdtr(int(successes), int(trials), _P_UP)[::-1].copy())
+    """binom_cdf on the descending grid (F ascending)."""
+    return _read_only(binom_cdf(trials, successes, _P_DOWN))
 
 
 def _cdf_row(trials: int, successes: int) -> np.ndarray:
@@ -562,8 +560,9 @@ def _cdf_row(trials: int, successes: int) -> np.ndarray:
 
     For 0 <= successes < trials <= _RECURRENCE_TRIALS this is a row of
     _cdf_rows(trials), one pass per trial count for every threshold;
-    otherwise scipy's bdtr row, cached per (trials, successes). Nothing is
-    built before the first call.
+    otherwise binom_cdf's row (scipy's bdtr, or all 0 or all 1 outside
+    0..trials-1), cached per (trials, successes). Nothing is built before
+    the first call.
     """
     if 0 <= successes < trials <= _RECURRENCE_TRIALS:
         return _cdf_rows(trials)[successes]
@@ -579,11 +578,7 @@ def binom_cdf_vec_interp(l: int, m: int, p: np.ndarray) -> np.ndarray:
     the table), and by far less in its middle. No solve calls it: it is the
     per-draw reference that leader's tabled N_P is tested against.
     """
-    if m < 0:
-        return np.zeros_like(p, dtype=float)
-    if m >= l:
-        return np.ones_like(p, dtype=float)
-    return np.interp(p, _P_UP, _cdf_row(l, m)[::-1])
+    return np.interp(p, _P_DOWN[::-1], _cdf_row(l, m)[::-1])
 
 
 def p_from_gamma_vec(g: float, gams: np.ndarray,

@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vaxgame as vg
-from vaxgame.cli import (CONFIG_SECTIONS, SWEEP_VARS, _from_flags,
-                         build_parser, config_flag, load_config_file, main,
-                         reproduce_figure, subcommand_flags, svg_line_chart)
+from vaxgame.cli import (_CONFIG_SWITCHES, CONFIG_SECTIONS, SWEEP_VARS,
+                         _from_flags, build_parser, config_flag,
+                         load_config_file, main, reproduce_figure,
+                         subcommand_flags, svg_line_chart)
 
 
 def child_env(**extra) -> dict:
@@ -798,7 +799,22 @@ class TestConfigFiles:
         # a value is interpolated when it is read, where a lone % fails
         ("percent.ini", b"[sweep]\ngrid = 1%\n",
          "--config file {path} cannot be read: '%' must be followed by"),
-    ], ids=["truncated_json", "not_utf8", "nul_byte", "stray_percent"])
+        # configparser would copy a DEFAULT section into every other one
+        ("default.ini", b"[DEFAULT]\nzbar = 7\n",
+         "--config file {path} has an unknown section [DEFAULT]\n"),
+        ("default_game.ini", b"[DEFAULT]\nseed = 3\n[game]\nm = 40\n",
+         "--config file {path} has an unknown section [DEFAULT]\n"),
+        # a switch's flag takes no value: only true or false sets it
+        *[(name, body, "--config file {path} must set 'plot' in section "
+           f"[output] to true or false, got {value!r}\n")
+          for name, body, value in (
+              ("yes.ini", b"[output]\nplot = yes\n", "yes"),
+              ("one.ini", b"[output]\nplot = 1\n", "1"),
+              ("empty.ini", b"[output]\nplot =\n", ""),
+              ("one.json", b'{"output": {"plot": 1}}', "1"))],
+    ], ids=["truncated_json", "not_utf8", "nul_byte", "stray_percent",
+            "default_alone", "default_beside_game", "plot_yes", "plot_one",
+            "plot_empty", "plot_json_number"])
     def test_unparsable_config_is_refused_by_name(self, capsys, tmp_path,
                                                   name, body, message):
         cfgfile = tmp_path / name
@@ -872,6 +888,52 @@ class TestConfigFiles:
         for sec, keys in CONFIG_SECTIONS.items():
             for key in keys:
                 assert config_flag(key) in flags, (sec, key)
+
+    @pytest.mark.parametrize("value", ["false", "true", "False"])
+    def test_true_and_false_are_a_keys_text(self, capsys, tmp_path,
+                                            monkeypatch, value):
+        monkeypatch.chdir(tmp_path)
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(f"[output]\noutdir = {value}\n")
+        code, out, _ = run_main(capsys, "--config", str(cfgfile),
+                                "reproduce-fig", "--id", "4")
+        assert code == 0
+        assert json.loads(out)["csv"] == [
+            f"{value}/fig4_zbar_vs_theta_and_s.csv"]
+        assert not (tmp_path / "out").exists()
+
+    def test_a_false_csv_is_a_file_name(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text("[game]\nzbar = 1\nxi_var = 0\n[leader]\n"
+                           "delta = 0.1\nmode = perfect\n[output]\n"
+                           "csv = False\n")
+        code, _, _ = run_main(capsys, "--config", str(cfgfile),
+                              "optimize-leader")
+        assert code == 0
+        assert (tmp_path / "False").read_text().startswith("zbar,delta,")
+        assert not (tmp_path / "leader_sweep.csv").exists()
+
+    @pytest.mark.parametrize("value, drawn", [("TRUE", True),
+                                              ("False", False)])
+    def test_plot_switch_reads_true_or_false(self, capsys, tmp_path, value,
+                                             drawn):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(f"[output]\nplot = {value}\n")
+        code, _, _ = run_main(capsys, "--config", str(cfgfile), "sweep",
+                              "--var", "zbar", "--grid", "1,2",
+                              "--samples", "2000", "--outdir", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / "report.svg").exists() == drawn
+
+    def test_every_configurable_switch_is_listed(self):
+        # a switch's flag takes no value, so a file sets it by true/false
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        switches = {a.dest for p in sub.choices.values() for a in p._actions
+                    if isinstance(a, argparse._StoreTrueAction)}
+        keys = {key for keys in CONFIG_SECTIONS.values() for key in keys}
+        assert set(_CONFIG_SWITCHES) == switches & keys == {"plot"}
 
 
 # a value each numeric flag's field refuses; a numeric flag missing here

@@ -33,6 +33,13 @@ class TestHValues:
         h_v = vg.classify_esss(M, ADMISSIBLE_NU, costs, dis, M).h_v
         assert h_v == pytest.approx(costs.c_v1 - costs.c_f(M), rel=1e-14)
 
+    def test_one_influencer_is_the_smallest_game(self):
+        # m = 1 is taken, and its one influencer vaccinated drops the
+        # side-effect term as z = m = M does
+        dis, costs = fig5_disease(), fig5_costs(0.2)
+        h_v = vg.classify_esss(1, ADMISSIBLE_NU, costs, dis, 1).h_v
+        assert h_v == pytest.approx(costs.c_v1 - costs.c_f(1), rel=1e-14)
+
     def test_no_supply_keeps_every_gap_finite(self):
         # nu = 0 puts psi_e and psi_o at 0: the eradicating limit's infection
         # term, 0/0 there by its formula, is 0 at theta = 0, and the

@@ -197,7 +197,7 @@ class TestCdfTable:
     def test_rows_match_scipy(self, l, data):
         j = data.draw(st.integers(0, l - 1))
         f_up = game._cdf_row(l, j)
-        p, f, p_down = game._P_UP, f_up[::-1], game._P_DOWN
+        p, f, p_down = game._P_DOWN[::-1], f_up[::-1], game._P_DOWN
         want = bdtr(j, l, p)
         assert np.all(np.abs(f - want)[1:-1]
                       <= (5 * l + 2) * 2.0 ** -53 * want[1:-1])
@@ -208,12 +208,14 @@ class TestCdfTable:
                 assert np.all((game._cdf_row(l, k)[::-1] - f) * (k - j)
                               >= 0.0)
         assert np.array_equal(f_up[::-1], f)
-        assert np.array_equal(p_down[::-1], p)
+        # the one grid is the ascending grid reversed, bit for bit
+        assert np.array_equal(
+            p_down[::-1], np.linspace(0.0, 1.0, game.CDF_TABLE_POINTS))
 
     @pytest.mark.parametrize("j", [0, 43, 85])
     def test_past_85_trials_the_row_is_scipys(self, j):
         # (1-p)^86 at p = 1 - 2^-12 is 2^-1032, below the normal range
-        p, f = game._P_UP, game._cdf_row(86, j)[::-1]
+        p, f = game._P_DOWN[::-1], game._cdf_row(86, j)[::-1]
         assert np.array_equal(f, bdtr(j, 86, p))
 
 
@@ -735,9 +737,11 @@ class TestSpecialStrategy:
             a.pure + a.mixed)], ids=["eager", "callable"])
     def test_value_far_from_the_horizon_needs_no_deep_recursion(
             self, selector, c_se_1):
-        # a query at t = 1 of T = 200 settles the later epochs from T-1
-        # down first, so it recurses one epoch at a time, and it agrees with
-        # the memo that the exact oracle fills from T-1 down. From c_se_1 =
+        # a query at t = 1 of T = 200 solves the later epochs in one
+        # backward pass from T-1 down, where each value reads the next
+        # epoch's from the table, so no call recurses deeper than one epoch;
+        # it agrees with the memo that the exact oracle fills from T-1
+        # down. From c_se_1 =
         # 4 the estimate moves every day towards xi = 2, so each epoch has
         # an estimate of its own
         cfg = vg.InfluencerGameConfig(m=3, t_horizon=200, c_v=1.0, c_i=5.0,

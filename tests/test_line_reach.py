@@ -72,7 +72,7 @@ def test_line_map_gives_a_cached_line_to_every_test(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     game = PARAMS.with_name("game.py").read_text().splitlines()
     (line,) = [n for n, row in enumerate(game, 1)
-               if "return _read_only(bdtr(" in row]
+               if "return _read_only(binom_cdf(" in row]
     ids = json.loads(out.read_text())["game.py"][str(line)]
     assert sorted(name.rsplit("::", 1)[1] for name in ids) == [
         "test_first", "test_second"]
